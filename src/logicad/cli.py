@@ -151,27 +151,30 @@ def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
     if not out_dir:
         raise CliError(f"no output directory: pass --out-dir or set ${OUT_DIR_ENV}")
 
-    train_cfg = trainer.TrainConfig(
-        epochs=pick("epochs", "epochs", 20),
-        batch_size=values.get("batch_size", 16),
-        temperature=values.get("temperature", 0.5),
-        learning_rate=pick("learning_rate", "learning_rate", 5e-3),
-        weight_decay=values.get("weight_decay", 1e-5),
-        clip_norm=values.get("clip_norm", 1.0),
-    )
-    config = pipeline.PipelineConfig(
-        master_seed=pick("seed", "seed", 0),
-        scenario_ids=_parse_scenarios(pick("scenario", "scenario", None)),
-        conditions=_parse_conditions(pick("condition", "condition", None)),
-        train=train_cfg,
-        k=pick("k", "k", knn.DEFAULT_K),
-        dim=values.get("dim", 64),
-        backend=values.get("backend", "builtin-renderer"),
-        backend_path=values.get("backend_path"),
-        skip_training=bool(getattr(args, "baseline", False)
-                           or values.get("skip_training", False)),
-        jobs=pick("jobs", "jobs", 0),
-    )
+    try:
+        train_cfg = trainer.TrainConfig(
+            epochs=pick("epochs", "epochs", 20),
+            batch_size=values.get("batch_size", 16),
+            temperature=values.get("temperature", 0.5),
+            learning_rate=pick("learning_rate", "learning_rate", 5e-3),
+            weight_decay=values.get("weight_decay", 1e-5),
+            clip_norm=values.get("clip_norm", 1.0),
+        )
+        config = pipeline.PipelineConfig(
+            master_seed=pick("seed", "seed", 0),
+            scenario_ids=_parse_scenarios(pick("scenario", "scenario", None)),
+            conditions=_parse_conditions(pick("condition", "condition", None)),
+            train=train_cfg,
+            k=pick("k", "k", knn.DEFAULT_K),
+            dim=values.get("dim", 64),
+            backend=values.get("backend", "builtin-renderer"),
+            backend_path=values.get("backend_path"),
+            skip_training=bool(getattr(args, "baseline", False)
+                               or values.get("skip_training", False)),
+            jobs=pick("jobs", "jobs", 0),
+        )
+    except ValueError as exc:
+        raise CliError(f"bad setting: {exc}")
     return config, Path(out_dir)
 
 
@@ -211,6 +214,10 @@ def cmd_score(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
         if not ckpt.exists():
             raise CliError(f"no checkpoint for {task_id}; run `logicad train` first")
         trained = pipeline.load_checkpoint(ckpt)
+        mismatches = pipeline.checkpoint_mismatches(trained, config, artifacts)
+        if mismatches:
+            raise CliError(f"{ckpt} was not trained for this run: "
+                           + "; ".join(mismatches))
         scored = pipeline.score_task(config, artifacts, trained)
         pipeline.write_score_file(out_dir, scored)
         print(f"score {task_id}: AUROC {scored.report.auroc:.4f}")

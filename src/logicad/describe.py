@@ -140,26 +140,6 @@ def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
     return DescriptionText(text, source="rendered")
 
 
-def _variant_regex(grammar: TemplateGrammar, variant: int,
-                   mask: tuple[bool, ...]) -> re.Pattern:
-    pieces = []
-    for clause, included in zip(grammar.variants[variant], mask):
-        if not included:
-            continue
-        pattern = ""
-        pos = 0
-        for m in re.finditer(r"\{(\w+)\}", clause.template):
-            pattern += re.escape(clause.template[pos:m.start()])
-            slot = grammar.slots[m.group(1)]
-            alternation = "|".join(re.escape(v) for v in
-                                   sorted(slot.values, key=len, reverse=True))
-            pattern += f"(?P<{slot.name}>{alternation})"
-            pos = m.end()
-        pattern += re.escape(clause.template[pos:])
-        pieces.append(pattern)
-    return re.compile("".join([re.escape(" ").join(pieces)]))
-
-
 def parse(text: DescriptionText | str, grammar: TemplateGrammar) -> AttributeRecord:
     """Parse a rendered text back into its (skeleton, slots) record.
 
@@ -169,19 +149,16 @@ def parse(text: DescriptionText | str, grammar: TemplateGrammar) -> AttributeRec
     raw = text.text if isinstance(text, DescriptionText) else text
     if not raw:
         raise ParseError("cannot parse an empty text")
-    for variant in range(len(grammar.variants)):
-        for mask in grammar.clause_masks(variant):
-            regex = _variant_regex(grammar, variant, mask)
-            m = regex.fullmatch(raw)
-            if m is None:
-                continue
-            skeleton = grammar.skeleton_id(variant, mask)
-            ordered = grammar.slots_in_skeleton(skeleton)
-            return AttributeRecord(
-                scenario_id=grammar.scenario_id,
-                skeleton=skeleton,
-                slots=tuple((name, m.group(name)) for name in ordered),
-            )
+    for skeleton, regex in grammar.parse_patterns:
+        m = regex.fullmatch(raw)
+        if m is None:
+            continue
+        ordered = grammar.slots_in_skeleton(skeleton)
+        return AttributeRecord(
+            scenario_id=grammar.scenario_id,
+            skeleton=skeleton,
+            slots=tuple((name, m.group(name)) for name in ordered),
+        )
     raise ParseError(
         f"text does not match any {grammar.scenario_id} template: {raw!r}"
     )

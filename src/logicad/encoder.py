@@ -3,14 +3,13 @@
 Deterministic mode is a pure function of (text, params); stochastic mode
 applies an inverted-dropout mask to per-token activations before pooling,
 so averaging many stochastic encodings converges to the deterministic
-direction.  The forward pass caches everything the manual backward pass
-needs.
+direction.  Dropout comes after tanh, so both modes pool rows of one
+per-id activation table; the trainer backpropagates onto that table.
 """
 
 from __future__ import annotations
 
 import re
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -26,10 +25,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9_']+")
 
 
 class EncodeError(ValueError):
-    pass
-
-
-class EmbeddingStoreError(KeyError):
     pass
 
 
@@ -94,54 +89,67 @@ def init_params(vocab_size: int, dim: int = DEFAULT_DIM,
     )
 
 
+def dropout_keep(n_tokens: int, dim: int, rate: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Boolean keep mask, False with probability ``rate``.
+
+    A zero rate keeps everything and draws nothing from ``rng``.
+    """
+    if rate == 0.0:
+        return np.ones((n_tokens, dim), dtype=bool)
+    return rng.random((n_tokens, dim)) >= rate
+
+
 def make_dropout_mask(n_tokens: int, dim: int, rate: float,
                       rng: np.random.Generator) -> np.ndarray:
     """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate)."""
-    if rate == 0.0:
-        return np.ones((n_tokens, dim))
-    keep = rng.random((n_tokens, dim)) >= rate
-    return keep / (1.0 - rate)
+    return dropout_keep(n_tokens, dim, rate, rng) / (1.0 - rate)
 
 
-@dataclass
-class ForwardCache:
-    token_ids: np.ndarray
-    token_vecs: np.ndarray  # embedding rows (T, D)
-    activations: np.ndarray  # tanh outputs (T, D)
-    mask: Optional[np.ndarray]
-    pooled: np.ndarray
-    norm: float
-    output: np.ndarray
+def activation_table(params: EncoderParams) -> np.ndarray:
+    """(V, D) per-id activations tanh(E @ W.T + b).
+
+    Dropout comes after tanh, so a token's activation depends only on its id
+    and every text is a pooling of rows of this table.
+    """
+    return np.tanh(params.embedding @ params.proj_w.T + params.proj_b)
 
 
-def encode_tokens(token_ids: np.ndarray, params: EncoderParams,
-                  mask: Optional[np.ndarray] = None) -> ForwardCache:
-    x = params.embedding[token_ids]
-    pre = x @ params.proj_w.T + params.proj_b
-    act = np.tanh(pre)
-    dropped = act if mask is None else act * mask
-    pooled = dropped.mean(axis=0)
-    norm = float(np.linalg.norm(pooled))
-    if norm < _NORM_EPS:
+def normalize_rows(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows and the norms they were divided by."""
+    norms = np.linalg.norm(pooled, axis=1)
+    if np.any(norms < _NORM_EPS):
         raise EncodeError("pooled representation has zero norm")
-    return ForwardCache(token_ids, x, act, mask, pooled, norm, pooled / norm)
+    return pooled / norms[:, None], norms
+
+
+def encode_texts(texts: list[str], params: EncoderParams,
+                 vocab: Vocabulary) -> np.ndarray:
+    """Deterministic encodings of many texts: normalize(counts @ table / T)."""
+    counts = np.zeros((len(texts), params.embedding.shape[0]))
+    lengths = np.zeros(len(texts))
+    for i, text in enumerate(texts):
+        token_ids = tokenize(text, vocab)
+        counts[i] = np.bincount(token_ids, minlength=counts.shape[1])
+        lengths[i] = len(token_ids)
+    pooled = (counts @ activation_table(params)) / lengths[:, None]
+    return normalize_rows(pooled)[0]
 
 
 def encode(text: str, params: EncoderParams, vocab: Vocabulary,
            mode: str = "deterministic",
            rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Unit-norm embedding of a text; stochastic mode applies dropout."""
-    token_ids = tokenize(text, vocab)
     if mode == "deterministic":
-        mask = None
-    elif mode == "stochastic":
-        if rng is None:
-            raise ValueError("stochastic encoding needs a random source")
-        mask = make_dropout_mask(len(token_ids), params.dim,
-                                 params.dropout_rate, rng)
-    else:
+        return encode_texts([text], params, vocab)[0]
+    if mode != "stochastic":
         raise ValueError(f"unknown mode {mode!r}")
-    return encode_tokens(token_ids, params, mask).output
+    if rng is None:
+        raise ValueError("stochastic encoding needs a random source")
+    token_ids = tokenize(text, vocab)
+    mask = make_dropout_mask(len(token_ids), params.dim, params.dropout_rate, rng)
+    pooled = (activation_table(params)[token_ids] * mask).mean(axis=0)
+    return normalize_rows(pooled[None, :])[0][0]
 
 
 @dataclass
@@ -166,19 +174,13 @@ class EncoderGrads:
             a *= factor
 
 
-def encode_backward(d_output: np.ndarray, cache: ForwardCache,
-                    params: EncoderParams, grads: EncoderGrads) -> None:
-    """Accumulate d(loss)/d(params) given d(loss)/d(unit-norm output)."""
-    z = cache.output
-    d_pooled = (d_output - z * float(z @ d_output)) / cache.norm
-    d_dropped = np.broadcast_to(d_pooled / len(cache.token_ids),
-                                cache.activations.shape)
-    d_act = d_dropped if cache.mask is None else d_dropped * cache.mask
-    d_pre = d_act * (1.0 - cache.activations ** 2)
-    grads.proj_w += d_pre.T @ cache.token_vecs
-    grads.proj_b += d_pre.sum(axis=0)
-    d_x = d_pre @ params.proj_w
-    np.add.at(grads.embedding, cache.token_ids, d_x)
+def table_grads(d_table: np.ndarray, table: np.ndarray,
+                params: EncoderParams) -> EncoderGrads:
+    """Parameter gradients from d(loss)/d(activation table)."""
+    d_pre = d_table * (1.0 - table ** 2)
+    return EncoderGrads(embedding=d_pre @ params.proj_w,
+                        proj_w=d_pre.T @ params.embedding,
+                        proj_b=d_pre.sum(axis=0))
 
 
 def renormalize(vector: np.ndarray) -> np.ndarray:
@@ -186,54 +188,3 @@ def renormalize(vector: np.ndarray) -> np.ndarray:
     if norm < _NORM_EPS:
         raise EncodeError("stored vector has zero norm")
     return vector / norm
-
-
-def encode_batch_precomputed(sample_ids: list[str],
-                             store: dict[str, np.ndarray]) -> list[np.ndarray]:
-    """Look up precomputed embeddings and re-normalize to unit norm."""
-    out = []
-    for sample_id in sample_ids:
-        if sample_id not in store:
-            raise EmbeddingStoreError(f"no stored embedding for {sample_id!r}")
-        out.append(renormalize(np.asarray(store[sample_id], dtype=np.float64)))
-    return out
-
-
-# --- embedding store file -------------------------------------------------
-# Layout (little-endian): magic b"EMBS", u32 version (1), u32 dimension D,
-# u32 record count N, then per record u16 id length, UTF-8 id bytes, and
-# D float32 values.
-
-_STORE_MAGIC = b"EMBS"
-_STORE_VERSION = 1
-
-
-def write_embedding_store(path, store: dict[str, np.ndarray]) -> None:
-    dims = {np.asarray(v).shape[0] for v in store.values()}
-    if len(dims) > 1:
-        raise ValueError(f"inconsistent embedding dimensions: {sorted(dims)}")
-    dim = dims.pop() if dims else 0
-    with open(path, "wb") as fh:
-        fh.write(_STORE_MAGIC)
-        fh.write(struct.pack("<III", _STORE_VERSION, dim, len(store)))
-        for sample_id in sorted(store):
-            encoded = sample_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(np.asarray(store[sample_id], dtype="<f4").tobytes())
-
-
-def read_embedding_store(path) -> dict[str, np.ndarray]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _STORE_MAGIC:
-            raise ValueError("not an embedding store file")
-        version, dim, count = struct.unpack("<III", fh.read(12))
-        if version != _STORE_VERSION:
-            raise ValueError(f"unsupported embedding store version {version}")
-        store = {}
-        for _ in range(count):
-            (id_len,) = struct.unpack("<H", fh.read(2))
-            sample_id = fh.read(id_len).decode("utf-8")
-            values = np.frombuffer(fh.read(4 * dim), dtype="<f4")
-            store[sample_id] = values.astype(np.float64)
-        return store

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, Vocabulary, encode, renormalize
+from .encoder import EncoderParams, Vocabulary, encode_texts, renormalize
 
 DEFAULT_K = 5
 
@@ -54,9 +54,8 @@ def build_library(train_texts: list[str], params: EncoderParams,
         raise LibraryError("cannot build a library from an empty train set")
     if ids is None:
         ids = [f"train-{i:04d}" for i in range(len(train_texts))]
-    vectors = np.stack([encode(t, params, vocab, mode="deterministic")
-                        for t in train_texts])
-    return ReferenceLibrary(vectors=vectors, ids=tuple(ids))
+    return ReferenceLibrary(vectors=encode_texts(train_texts, params, vocab),
+                            ids=tuple(ids))
 
 
 def score(test_vector: np.ndarray, library: ReferenceLibrary,
@@ -86,10 +85,8 @@ def score_split(test_texts: list[str], params: EncoderParams,
                 vocab: Vocabulary, library: ReferenceLibrary,
                 k: int = DEFAULT_K) -> list[NormalityScore]:
     """Deterministic encode then score, order-preserving."""
-    return [
-        score(encode(t, params, vocab, mode="deterministic"), library, k)
-        for t in test_texts
-    ]
+    return [score(z, library, k)
+            for z in encode_texts(test_texts, params, vocab)]
 
 
 def score_record(task_id: str, sample_id: str, label: str,

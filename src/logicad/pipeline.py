@@ -40,6 +40,14 @@ class PipelineConfig:
     skip_training: bool = False  # frozen random-init encoder baseline
     jobs: int = 0  # 0 -> logical core count
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.dim < 2:
+            raise ValueError("embedding dimension must be >= 2")
+        if self.jobs < 0:
+            raise ValueError("jobs must be >= 0 (0 means one per core)")
+
     def counts_for(self, scenario_id: str) -> scenes.SplitCounts:
         return self.split_overrides.get(
             scenario_id, scenarios.DEFAULT_SPLIT_COUNTS[scenario_id]
@@ -65,6 +73,10 @@ class TaskArtifacts:
         pos = [self.pairs[i][0] for i in ids]
         neg = [self.pairs[i][1] for i in ids]
         return pos, neg
+
+    def vocabulary(self) -> Vocabulary:
+        pos, neg = self.train_pairs()
+        return Vocabulary.build(pos + neg)
 
 
 def generate_task(config: PipelineConfig, scenario_id: str,
@@ -97,12 +109,13 @@ class TrainedTask:
     vocab: Vocabulary
     params: EncoderParams
     epoch_losses: list[float]
+    fingerprint: Optional[dict] = None  # the config a loaded checkpoint was saved under
 
 
 def train_task(config: PipelineConfig, artifacts: TaskArtifacts) -> TrainedTask:
     """Fit (or, for the baseline, just initialize) the task's encoder."""
     pos_texts, neg_texts = artifacts.train_pairs()
-    vocab = Vocabulary.build(pos_texts + neg_texts)
+    vocab = artifacts.vocabulary()
     seed = derive_seed(config.master_seed, artifacts.task.scenario_id,
                        artifacts.task.condition.value, "train")
     cfg = replace(config.train, seed=seed)
@@ -212,19 +225,20 @@ def write_loss_curve(out_dir: Path, task_id: str, losses: list[float]) -> None:
             fh.write(f"{i}\t{loss:.10f}\n")
 
 
+def _fingerprint(config: PipelineConfig, task_id: str) -> dict:
+    return {"task_id": task_id, "epochs": config.train.epochs,
+            "batch_size": config.train.batch_size,
+            "temperature": config.train.temperature,
+            "learning_rate": config.train.learning_rate,
+            "weight_decay": config.train.weight_decay,
+            "clip_norm": config.train.clip_norm, "dim": config.dim,
+            "master_seed": config.master_seed}
+
+
 def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
                     task_id: str) -> None:
     """Versioned checkpoint: encoder parameters + vocabulary + config digest."""
-    fingerprint = json.dumps(
-        {"task_id": task_id, "epochs": config.train.epochs,
-         "batch_size": config.train.batch_size,
-         "temperature": config.train.temperature,
-         "learning_rate": config.train.learning_rate,
-         "weight_decay": config.train.weight_decay,
-         "clip_norm": config.train.clip_norm, "dim": config.dim,
-         "master_seed": config.master_seed},
-        sort_keys=True,
-    )
+    fingerprint = json.dumps(_fingerprint(config, task_id), sort_keys=True)
     vocab_json = json.dumps(trained.vocab.token_to_id, sort_keys=True)
     np.savez(
         path,
@@ -252,4 +266,23 @@ def load_checkpoint(path) -> TrainedTask:
         )
         vocab = Vocabulary(json.loads(bytes(data["vocab_json"]).decode("utf-8")))
         losses = [float(x) for x in data["epoch_losses"]]
-    return TrainedTask(vocab=vocab, params=params, epoch_losses=losses)
+        fingerprint = json.loads(bytes(data["fingerprint"]).decode("utf-8"))
+    return TrainedTask(vocab=vocab, params=params, epoch_losses=losses,
+                       fingerprint=fingerprint)
+
+
+# Settings a checkpoint must share with the run that scores with it.  The
+# training settings are not compared: `score` cannot set them.
+_MATCHED_SETTINGS = ("task_id", "master_seed", "dim")
+
+
+def checkpoint_mismatches(trained: TrainedTask, config: PipelineConfig,
+                          artifacts: TaskArtifacts) -> list[str]:
+    """How a loaded checkpoint disagrees with this run's task; empty if it fits."""
+    expected = _fingerprint(config, artifacts.task.task_id)
+    stored = trained.fingerprint or {}
+    problems = [f"{key} is {stored.get(key)!r}, expected {expected[key]!r}"
+                for key in _MATCHED_SETTINGS if stored.get(key) != expected[key]]
+    if trained.vocab != artifacts.vocabulary():
+        problems.append("vocabulary differs from the one the training pairs build")
+    return problems

@@ -12,6 +12,7 @@ parsed (skeleton, slots) pair reproduces the text byte for byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -74,6 +75,36 @@ class TemplateGrammar:
             if included:
                 names.extend(clause.slot_names())
         return names
+
+    @functools.cached_property
+    def parse_patterns(self) -> tuple[tuple[str, re.Pattern], ...]:
+        """(skeleton, full-text regex) for every variant and clause mask.
+
+        Each slot becomes a named group over its values, longest first.
+        Compiled once per grammar, in the order a parse tries them.
+        """
+        patterns = []
+        for variant in range(len(self.variants)):
+            for mask in self.clause_masks(variant):
+                pieces = []
+                for clause, included in zip(self.variants[variant], mask):
+                    if not included:
+                        continue
+                    pattern = ""
+                    pos = 0
+                    for m in re.finditer(r"\{(\w+)\}", clause.template):
+                        pattern += re.escape(clause.template[pos:m.start()])
+                        slot = self.slots[m.group(1)]
+                        alternation = "|".join(
+                            re.escape(v)
+                            for v in sorted(slot.values, key=len, reverse=True))
+                        pattern += f"(?P<{slot.name}>{alternation})"
+                        pos = m.end()
+                    pattern += re.escape(clause.template[pos:])
+                    pieces.append(pattern)
+                patterns.append((self.skeleton_id(variant, mask),
+                                 re.compile(re.escape(" ").join(pieces))))
+        return tuple(patterns)
 
 
 _NUM = tuple(number_word(n) for n in range(0, 13))

@@ -19,9 +19,10 @@ from .encoder import (
     EncoderGrads,
     EncoderParams,
     Vocabulary,
-    encode_backward,
-    encode_tokens,
-    make_dropout_mask,
+    activation_table,
+    dropout_keep,
+    normalize_rows,
+    table_grads,
     tokenize,
 )
 
@@ -53,6 +54,10 @@ class TrainConfig:
             raise ValueError("clip norm must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.learning_rate < 0:
+            raise ValueError("learning rate must be >= 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight decay must be >= 0")
 
 
 def nt_xent(anchors: np.ndarray, positives: np.ndarray, negatives: np.ndarray,
@@ -94,19 +99,21 @@ def nt_xent_embedding_grads(anchors, positives, negatives, temperature):
 
 @dataclass
 class BatchMasks:
-    """Frozen dropout masks for one step (anchor, positive, negative views)."""
+    """Frozen dropout keep-masks for one step.
 
-    anchor: list[np.ndarray]
-    positive: list[np.ndarray]
-    negative: list[np.ndarray]
+    One (sum of token counts, D) boolean array over the anchor, positive and
+    negative views, in that order; drawn in one call, it takes the same
+    random stream as one draw per text.
+    """
+
+    keep: np.ndarray
+    rate: float
 
     @classmethod
     def sample(cls, pos_tokens, neg_tokens, dim, rate, rng):
-        return cls(
-            anchor=[make_dropout_mask(len(t), dim, rate, rng) for t in pos_tokens],
-            positive=[make_dropout_mask(len(t), dim, rate, rng) for t in pos_tokens],
-            negative=[make_dropout_mask(len(t), dim, rate, rng) for t in neg_tokens],
-        )
+        n_rows = (2 * sum(len(t) for t in pos_tokens)
+                  + sum(len(t) for t in neg_tokens))
+        return cls(keep=dropout_keep(n_rows, dim, rate, rng), rate=rate)
 
 
 def clip_gradients(grads: EncoderGrads, clip_norm: float) -> float:
@@ -209,28 +216,36 @@ def batch_step(
     masks: BatchMasks,
     temperature: float,
 ) -> tuple[float, np.ndarray, EncoderGrads]:
-    """Forward + exact analytic backward for one contrastive step."""
-    anc_caches = [encode_tokens(t, params, m)
-                  for t, m in zip(pos_tokens, masks.anchor)]
-    pos_caches = [encode_tokens(t, params, m)
-                  for t, m in zip(pos_tokens, masks.positive)]
-    neg_caches = [encode_tokens(t, params, m)
-                  for t, m in zip(neg_tokens, masks.negative)]
-    anchors = np.stack([c.output for c in anc_caches])
-    positives = np.stack([c.output for c in pos_caches])
-    negatives = np.stack([c.output for c in neg_caches])
+    """Forward + exact analytic backward for one contrastive step.
+
+    The anchor, positive and negative views run as one token stream over the
+    step's activation table; the backward pass scatters the token gradients
+    onto that table with a one-hot matmul.
+    """
+    texts = [*pos_tokens, *pos_tokens, *neg_tokens]
+    ids = np.concatenate(texts)
+    lengths = np.array([len(t) for t in texts])
+    # inverted dropout and the mean over each text's tokens, in one factor
+    scale = (1.0 / ((1.0 - masks.rate) * lengths))[:, None]
+    table = activation_table(params)
+    dropped = table[ids]
+    dropped *= masks.keep
+    pooled = np.add.reduceat(dropped, np.cumsum(lengths) - lengths, axis=0)
+    z, norms = normalize_rows(pooled * scale)
+    b = len(pos_tokens)
+    anchors, positives, negatives = z[:b], z[b:2 * b], z[2 * b:]
 
     loss, per_anchor = nt_xent(anchors, positives, negatives, temperature)
-    d_anc, d_pos, d_neg = nt_xent_embedding_grads(
-        anchors, positives, negatives, temperature)
+    d_z = np.concatenate(nt_xent_embedding_grads(
+        anchors, positives, negatives, temperature))
 
-    grads = EncoderGrads.zeros_like(params)
-    for cache, dz in zip(anc_caches, d_anc):
-        encode_backward(dz, cache, params, grads)
-    for cache, dz in zip(pos_caches, d_pos):
-        encode_backward(dz, cache, params, grads)
-    for cache, dz in zip(neg_caches, d_neg):
-        encode_backward(dz, cache, params, grads)
+    d_pooled = (d_z - z * (z * d_z).sum(axis=1, keepdims=True)) / norms[:, None]
+    # the masked token rows are spent; their buffer takes the token gradients
+    segment = np.repeat(np.arange(len(texts)), lengths)
+    d_dropped = np.take(d_pooled * scale, segment, axis=0, out=dropped)
+    d_dropped *= masks.keep
+    one_hot = np.arange(table.shape[0])[:, None] == ids
+    grads = table_grads(one_hot @ d_dropped, table, params)
     if not all(np.all(np.isfinite(a)) for a in grads.arrays()):
         raise TrainingError("non-finite gradient")
     return loss, per_anchor, grads

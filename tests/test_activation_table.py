@@ -1,0 +1,128 @@
+"""The activation-table encoder against a per-text reference.
+
+The reference below encodes one text at a time from its token rows and
+backpropagates each text separately with a scatter-add onto the embedding,
+which is the textbook form of embed -> linear -> tanh -> dropout -> mean ->
+L2.  The vectorised trainer and scorer must agree with it to 1e-12.
+"""
+
+import numpy as np
+import pytest
+
+from logicad import pipeline, scenes
+from logicad.encoder import (
+    EncoderGrads,
+    encode,
+    init_params,
+    make_dropout_mask,
+    tokenize,
+)
+from logicad.knn import build_library
+from logicad.trainer import (
+    BatchMasks,
+    batch_step,
+    nt_xent,
+    nt_xent_embedding_grads,
+)
+
+TOL = 1e-12
+
+
+def _reference_forward(token_ids, params, mask=None):
+    x = params.embedding[token_ids]
+    act = np.tanh(x @ params.proj_w.T + params.proj_b)
+    pooled = (act if mask is None else act * mask).mean(axis=0)
+    norm = float(np.linalg.norm(pooled))
+    return dict(ids=token_ids, x=x, act=act, mask=mask, norm=norm,
+                z=pooled / norm)
+
+
+def _reference_backward(d_z, cache, params, grads):
+    z = cache["z"]
+    d_pooled = (d_z - z * float(z @ d_z)) / cache["norm"]
+    d_act = np.broadcast_to(d_pooled / len(cache["ids"]), cache["act"].shape)
+    if cache["mask"] is not None:
+        d_act = d_act * cache["mask"]
+    d_pre = d_act * (1.0 - cache["act"] ** 2)
+    grads.proj_w += d_pre.T @ cache["x"]
+    grads.proj_b += d_pre.sum(axis=0)
+    np.add.at(grads.embedding, cache["ids"], d_pre @ params.proj_w)
+
+
+def _reference_step(pos_tokens, neg_tokens, params, masks, temperature):
+    """Per-text forward and backward with per-text inverted-dropout masks."""
+    anc = [_reference_forward(t, params, m) for t, m in zip(pos_tokens, masks[0])]
+    pos = [_reference_forward(t, params, m) for t, m in zip(pos_tokens, masks[1])]
+    neg = [_reference_forward(t, params, m) for t, m in zip(neg_tokens, masks[2])]
+    views = [np.stack([c["z"] for c in caches]) for caches in (anc, pos, neg)]
+    loss, _ = nt_xent(*views, temperature)
+    grads = EncoderGrads.zeros_like(params)
+    for caches, d_view in zip((anc, pos, neg),
+                              nt_xent_embedding_grads(*views, temperature)):
+        for cache, d_z in zip(caches, d_view):
+            _reference_backward(d_z, cache, params, grads)
+    return loss, grads
+
+
+def _per_text_masks(pos_tokens, neg_tokens, dim, rate, rng):
+    return [
+        [make_dropout_mask(len(t), dim, rate, rng) for t in pos_tokens],
+        [make_dropout_mask(len(t), dim, rate, rng) for t in pos_tokens],
+        [make_dropout_mask(len(t), dim, rate, rng) for t in neg_tokens],
+    ]
+
+
+@pytest.fixture(scope="module")
+def task_texts():
+    config = pipeline.PipelineConfig(master_seed=0)
+    artifacts = pipeline.generate_task(config, "sticks", scenes.Condition.MESH_BG)
+    pos, neg = artifacts.train_pairs()
+    return pos, neg, artifacts.vocabulary()
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.0, 0.5])
+def test_vectorised_step_matches_the_per_text_reference(task_texts, rate):
+    pos, neg, vocab = task_texts
+    pos_tokens = [tokenize(t, vocab) for t in pos]
+    neg_tokens = [tokenize(t, vocab) for t in neg]
+    rng = np.random.default_rng(9)
+    for trial, batch in enumerate((16, 5, 1)):
+        idx = rng.permutation(len(pos_tokens))[:batch]
+        batch_pos = [pos_tokens[i] for i in idx]
+        batch_neg = [neg_tokens[i] for i in idx]
+        params = init_params(vocab.size, dim=32, seed=trial, dropout_rate=rate)
+        masks = BatchMasks.sample(batch_pos, batch_neg, 32, rate,
+                                  np.random.default_rng(trial))
+        ref_masks = _per_text_masks(batch_pos, batch_neg, 32, rate,
+                                    np.random.default_rng(trial))
+        loss, _, grads = batch_step(batch_pos, batch_neg, params, masks, 0.5)
+        ref_loss, ref_grads = _reference_step(batch_pos, batch_neg, params,
+                                              ref_masks, 0.5)
+        assert abs(loss - ref_loss) < TOL
+        for got, want in zip(grads.arrays(), ref_grads.arrays()):
+            assert np.abs(got - want).max() < TOL
+
+
+def test_one_mask_draw_equals_the_per_text_draws(task_texts):
+    pos, neg, vocab = task_texts
+    pos_tokens = [tokenize(t, vocab) for t in pos[:7]]
+    neg_tokens = [tokenize(t, vocab) for t in neg[:7]]
+    rng_batch, rng_texts = np.random.default_rng(4), np.random.default_rng(4)
+    masks = BatchMasks.sample(pos_tokens, neg_tokens, 16, 0.1, rng_batch)
+    per_text = _per_text_masks(pos_tokens, neg_tokens, 16, 0.1, rng_texts)
+    assert masks.keep.dtype == bool
+    assert np.array_equal(masks.keep / (1.0 - 0.1),
+                          np.concatenate([m for view in per_text for m in view]))
+    # both generators stand at the same place in the stream afterwards
+    assert rng_batch.random() == rng_texts.random()
+
+
+def test_batched_library_equals_per_text_encodings(task_texts):
+    pos, neg, vocab = task_texts
+    texts = pos + neg + ["an utterly unknown sentence"]
+    params = init_params(vocab.size, dim=64, seed=3)
+    library = build_library(texts, params, vocab)
+    for text, row in zip(texts, library.vectors):
+        assert np.abs(row - encode(text, params, vocab)).max() < TOL
+        want = _reference_forward(tokenize(text, vocab), params)["z"]
+        assert np.abs(row - want).max() < TOL

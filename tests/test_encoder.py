@@ -1,4 +1,4 @@
-"""Encoder forward pass, dropout statistics, and the embedding store format."""
+"""Encoder forward pass and dropout statistics."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,10 @@ from logicad.encoder import (
     EncodeError,
     Vocabulary,
     encode,
-    encode_batch_precomputed,
     init_params,
     make_dropout_mask,
-    read_embedding_store,
     renormalize,
     tokenize,
-    write_embedding_store,
 )
 
 TEXTS = [
@@ -105,37 +102,7 @@ def test_init_params_shapes_and_dim_floor():
 
 
 def test_renormalize_and_precomputed_lookup():
-    store = {"a": np.array([3.0, 4.0]), "b": np.array([0.0, 2.0])}
-    out = encode_batch_precomputed(["a", "b"], store)
-    assert np.allclose(out[0], [0.6, 0.8])
-    assert np.allclose(out[1], [0.0, 1.0])
-    with pytest.raises(KeyError):
-        encode_batch_precomputed(["missing"], store)
+    assert np.allclose(renormalize(np.array([3.0, 4.0])), [0.6, 0.8])
+    assert np.allclose(renormalize(np.array([0.0, 2.0])), [0.0, 1.0])
     with pytest.raises(EncodeError):
         renormalize(np.zeros(3))
-
-
-def test_embedding_store_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    store = {f"sample-{i:03d}": rng.normal(size=12).astype(np.float32)
-             for i in range(9)}
-    path = tmp_path / "embeddings.bin"
-    write_embedding_store(path, store)
-    loaded = read_embedding_store(path)
-    assert sorted(loaded) == sorted(store)
-    for key in store:
-        assert loaded[key].dtype == np.float64
-        assert np.allclose(loaded[key], store[key], atol=1e-7)
-
-
-def test_embedding_store_rejects_foreign_files(tmp_path):
-    path = tmp_path / "not_a_store.bin"
-    path.write_bytes(b"JUNK" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        read_embedding_store(path)
-
-
-def test_embedding_store_rejects_mixed_dimensions(tmp_path):
-    store = {"a": np.zeros(4), "b": np.zeros(5)}
-    with pytest.raises(ValueError):
-        write_embedding_store(tmp_path / "bad.bin", store)

@@ -205,3 +205,59 @@ def test_cli_report_needs_score_files(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run(["report", *ARGS, "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_checkpoint_mismatches_name_what_differs(tmp_path):
+    artifacts = pipeline.generate_task(SMALL, "tapes", Condition.WHITE_BG)
+    trained = pipeline.train_task(SMALL, artifacts)
+    path = tmp_path / "task.ckpt.npz"
+    pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
+    loaded = pipeline.load_checkpoint(path)
+    assert pipeline.checkpoint_mismatches(loaded, SMALL, artifacts) == []
+    # epochs cannot be set by `score`, so it is not compared
+    longer = replace(SMALL, train=replace(SMALL.train, epochs=9))
+    assert pipeline.checkpoint_mismatches(loaded, longer, artifacts) == []
+
+    problems = pipeline.checkpoint_mismatches(loaded, replace(SMALL, dim=8),
+                                              artifacts)
+    assert problems == ["dim is 16, expected 8"]
+    other = pipeline.generate_task(SMALL, "tapes", Condition.MESH_BG)
+    problems = pipeline.checkpoint_mismatches(loaded, SMALL, other)
+    assert any(p.startswith("task_id") for p in problems)
+    assert any(p.startswith("vocabulary") for p in problems)
+
+
+def test_cli_score_refuses_a_checkpoint_of_another_seed(tmp_path, capsys):
+    out = str(tmp_path)
+    assert _run(["train", "--scenario", "sticks", "--condition", "white_bg",
+                 "--seed", "1", "--epochs", "1", "--out-dir", out]) == 0
+    with pytest.raises(SystemExit) as exc:
+        _run(["score", "--scenario", "sticks", "--condition", "white_bg",
+              "--seed", "0", "--out-dir", out])
+    assert exc.value.code == 2
+    assert "master_seed is 1, expected 0" in capsys.readouterr().err
+    assert not (tmp_path / "sticks-white_bg.scores.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["score", "--k", "0"], None),
+    (["all", "--jobs", "-1"], None),
+    (["train", "--epochs", "0"], None),
+    (["train", "--learning-rate", "-0.1"], None),
+    (["train"], "dim = 1"),
+    (["train"], "batch_size = 0"),
+    (["train"], "temperature = 0"),
+    (["train"], "clip_norm = 0"),
+    (["train"], "weight_decay = -1e-5"),
+])
+def test_cli_bad_setting_exits_2_before_any_work(tmp_path, argv, setting):
+    out = tmp_path / "out"
+    extra = []
+    if setting is not None:
+        config = tmp_path / "bad.cfg"
+        config.write_text(setting + "\n")
+        extra = ["--config", str(config)]
+    with pytest.raises(SystemExit) as exc:
+        _run([*argv, *ARGS, *extra, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
