@@ -23,8 +23,6 @@ _CONFIG_KEYS = {
     "k": int,
     "jobs": int,
     "dim": int,
-    "backend": str,
-    "backend_path": str,
     "scenario": str,
     "condition": str,
     "epochs": int,
@@ -167,8 +165,6 @@ def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
             train=train_cfg,
             k=pick("k", "k", knn.DEFAULT_K),
             dim=values.get("dim", 64),
-            backend=values.get("backend", "builtin-renderer"),
-            backend_path=values.get("backend_path"),
             skip_training=bool(getattr(args, "baseline", False)
                                or values.get("skip_training", False)),
             jobs=pick("jobs", "jobs", 0),

@@ -42,8 +42,6 @@ class RenderError(ValueError):
 @dataclass(frozen=True)
 class DescriptionText:
     text: str
-    source: str = "rendered"  # "rendered" | "external"
-    scene_ref: Optional[str] = None
 
     def __post_init__(self):
         if not self.text:
@@ -137,7 +135,7 @@ def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
                 others = [v for v in slot_def.values if v != slots[name]]
                 slots[name] = others[int(rng.integers(len(others)))]
     text = render_record(grammar, grammar.skeleton_id(variant, mask), slots)
-    return DescriptionText(text, source="rendered")
+    return DescriptionText(text)
 
 
 def parse(text: DescriptionText | str, grammar: TemplateGrammar) -> AttributeRecord:
@@ -164,101 +162,6 @@ def parse(text: DescriptionText | str, grammar: TemplateGrammar) -> AttributeRec
     )
 
 
-@dataclass(frozen=True)
-class DecodeParams:
-    temperature: float = 0.001
-    top_p: float = 0.95
-    max_tokens: int = 512
-
-
-class BackendError(RuntimeError):
-    """External description backend unreachable or returned nothing usable."""
-
-
-class FileDescriptionBackend:
-    """Pre-generated descriptions keyed by image reference.
-
-    The file uses the description line format
-    ``{task_id, sample_id, split, label, text}``; lookups key on sample_id.
-    """
-
-    def __init__(self, path):
-        self._records: dict[str, str] = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                self._records[rec["sample_id"]] = rec["text"]
-
-    def describe(self, image_ref: str, prompt: str, decode: DecodeParams) -> str:
-        try:
-            return self._records[image_ref]
-        except KeyError:
-            raise BackendError(f"no stored description for {image_ref!r}") from None
-
-
-class HttpDescriptionBackend:
-    """Chat-style request/response endpoint.
-
-    Request body: ``{prompt, image_ref, temperature, top_p, max_tokens}``;
-    response body: ``{text}``.
-    """
-
-    def __init__(self, url: str, timeout: float = 30.0):
-        self.url = url
-        self.timeout = timeout
-
-    def describe(self, image_ref: str, prompt: str, decode: DecodeParams) -> str:
-        import requests
-
-        try:
-            resp = requests.post(
-                self.url,
-                json={
-                    "prompt": prompt,
-                    "image_ref": image_ref,
-                    "temperature": decode.temperature,
-                    "top_p": decode.top_p,
-                    "max_tokens": decode.max_tokens,
-                },
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-        except Exception as exc:  # noqa: BLE001 - network failures vary widely
-            raise BackendError(f"description backend unreachable: {exc}") from exc
-        return resp.json().get("text", "")
-
-
-@dataclass(frozen=True)
-class ExternalDescription:
-    description: DescriptionText
-    truncated: bool = False
-
-
-def fetch_external(image_ref: str, prompt: str, decode: DecodeParams,
-                   backend) -> ExternalDescription:
-    """Fetch a description from a configured backend and normalize it.
-
-    A response longer than ``decode.max_tokens`` whitespace tokens is
-    truncated and flagged.  The caller is responsible for using the same
-    prompt string for train and test splits.
-    """
-    raw = backend.describe(image_ref, prompt, decode)
-    if not raw or not raw.strip():
-        raise BackendError(f"backend returned an empty description for {image_ref!r}")
-    normalized = normalize(raw)
-    tokens = normalized.text.split(" ")
-    truncated = len(tokens) > decode.max_tokens
-    if truncated:
-        normalized = DescriptionText(" ".join(tokens[: decode.max_tokens]),
-                                     source="external")
-    else:
-        normalized = DescriptionText(normalized.text, source="external")
-    return ExternalDescription(normalized, truncated=truncated)
-
-
 def description_record(task_id: str, sample_id: str, split: str, label: str,
                        text: str) -> str:
     """One line of the description file."""
@@ -267,7 +170,3 @@ def description_record(task_id: str, sample_id: str, split: str, label: str,
          "label": label, "text": text},
         sort_keys=True,
     )
-
-
-def parse_description_record(line: str) -> dict:
-    return json.loads(line)

@@ -13,13 +13,29 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .scenes import Condition, Label
 
 
 class MetricError(ValueError):
     pass
+
+
+def average_ranks(scores) -> np.ndarray:
+    """1-based ranks of ``scores``; each tie group shares its mean rank.
+
+    A tie group occupying sorted positions ``first .. last - 1`` gets rank
+    ``(first + last + 1) / 2``.  Every rank is an integer or a half, so the
+    result is exact in float64.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    first = np.searchsorted(ordered, ordered, side="left")
+    last = np.searchsorted(ordered, ordered, side="right")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = (first + last + 1) / 2.0
+    return ranks
 
 
 def auroc(scores, labels) -> float:
@@ -35,7 +51,9 @@ def auroc(scores, labels) -> float:
     n_anomaly = len(scores) - n_normal
     if n_normal == 0 or n_anomaly == 0:
         raise MetricError("AUROC needs at least one sample of each class")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        raise MetricError("AUROC needs scores that are not NaN")
+    ranks = average_ranks(scores)
     rank_sum = float(ranks[is_normal].sum())
     return (rank_sum - n_normal * (n_normal + 1) / 2.0) / (n_normal * n_anomaly)
 

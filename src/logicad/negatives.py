@@ -102,7 +102,7 @@ def synthesize_negative(
         edits.append(ContradictionEdit(name, slot_map[name], new_value, slot.aspect))
         slot_map[name] = new_value
     text = render_record(grammar, record.skeleton, slot_map)
-    return DescriptionText(text, source="rendered"), edits
+    return DescriptionText(text), edits
 
 
 def _token_count(text: str) -> int:
@@ -178,9 +178,3 @@ def pair_record(task_id: str, sample_id: str, pos_text: str, neg_text: str,
         },
         sort_keys=True,
     )
-
-
-def parse_pair_record(line: str) -> dict:
-    import json
-
-    return json.loads(line)

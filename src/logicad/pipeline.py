@@ -35,8 +35,6 @@ class PipelineConfig:
     train: trainer.TrainConfig = field(default_factory=trainer.TrainConfig)
     k: int = knn.DEFAULT_K
     dim: int = 64
-    backend: str = "builtin-renderer"
-    backend_path: Optional[str] = None
     skip_training: bool = False  # frozen random-init encoder baseline
     jobs: int = 0  # 0 -> logical core count
 

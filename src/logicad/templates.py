@@ -111,8 +111,8 @@ _NUM = tuple(number_word(n) for n in range(0, 13))
 _LOW_NUM = ("zero", "one", "two")
 
 # Small table of tokens that are logically equivalent and therefore never
-# count as a contradiction (kept for external-backend texts; the built-in
-# vocabularies avoid synonyms).
+# count as a contradiction: ``negatives.contradiction_pool`` leaves them out.
+# The built-in vocabularies avoid synonyms, so no built-in slot holds both.
 EQUIVALENT_TOKENS: dict[str, frozenset[str]] = {
     "kiwis": frozenset({"kiwifruits"}),
     "kiwifruits": frozenset({"kiwis"}),

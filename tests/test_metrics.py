@@ -8,6 +8,7 @@ from logicad.metrics import (
     TaskReport,
     aggregate,
     auroc,
+    average_ranks,
     emit_report,
     make_task_report,
 )
@@ -43,6 +44,29 @@ def test_auroc_matches_pairwise_counting_on_random_instances():
         if rng.random() < 0.5:
             scores = np.round(scores, 1)
         assert abs(auroc(scores, labels) - _pairwise_auroc(scores, labels)) < 1e-12
+
+
+def _oracle_ranks(scores):
+    """rank = 1 + #{smaller} + (#{equal} - 1) / 2, by direct counting."""
+    return [1 + sum(t < s for t in scores) + (sum(t == s for t in scores) - 1) / 2
+            for s in scores]
+
+
+@pytest.mark.parametrize("scores", [
+    [0.4] * 7,                                  # all scores equal
+    [0.9, 0.2, 0.5, 0.5, 0.5, 0.1, 0.7],        # one tie group
+    list(np.round(np.random.default_rng(62).random(300), 1)),  # many ties
+    [0.3, 0.8],                                 # n = 2
+    [0.8, 0.3],
+    [0.5, 0.5],
+])
+def test_average_ranks_equal_the_counting_oracle_exactly(scores):
+    assert average_ranks(scores).tolist() == _oracle_ranks(scores)
+
+
+def test_auroc_rejects_nan_scores():
+    with pytest.raises(MetricError):
+        auroc([0.9, float("nan"), 0.1], ["normal", "normal", "anomaly"])
 
 
 def test_auroc_known_small_instances():

@@ -1,6 +1,10 @@
 """Pipeline orchestration and the command-line interface, end to end."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,31 @@ def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run(["gen", "--config", str(not_kv), "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_config_file_rejects_the_removed_backend_keys(tmp_path):
+    # these keys were once accepted and then ignored: the run used the
+    # built-in renderer and exited 0
+    config = tmp_path / "backend.cfg"
+    config.write_text("backend = http\nbackend_path = /nonexistent\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run(["gen", "--scenario", "sticks", "--condition", "white_bg",
+              "--config", str(config), "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_importing_the_cli_does_not_import_scipy():
+    # scipy would add about a second and 65 MB to every process's set-up
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import logicad.cli, sys; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_report_needs_score_files(tmp_path):
