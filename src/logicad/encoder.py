@@ -89,21 +89,15 @@ def init_params(vocab_size: int, dim: int = DEFAULT_DIM,
     )
 
 
-def dropout_keep(n_tokens: int, dim: int, rate: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Boolean keep mask, False with probability ``rate``.
+def make_dropout_mask(n_tokens: int, dim: int, rate: float,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate).
 
     A zero rate keeps everything and draws nothing from ``rng``.
     """
     if rate == 0.0:
-        return np.ones((n_tokens, dim), dtype=bool)
-    return rng.random((n_tokens, dim)) >= rate
-
-
-def make_dropout_mask(n_tokens: int, dim: int, rate: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate)."""
-    return dropout_keep(n_tokens, dim, rate, rng) / (1.0 - rate)
+        return np.ones((n_tokens, dim))
+    return (rng.random((n_tokens, dim)) >= rate) / (1.0 - rate)
 
 
 def activation_table(params: EncoderParams) -> np.ndarray:
@@ -123,16 +117,24 @@ def normalize_rows(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pooled / norms[:, None], norms
 
 
+def token_counts(token_lists: list[np.ndarray], vocab_size: int) -> np.ndarray:
+    """(texts, V) matrix of how often each id occurs in each text."""
+    keys = np.repeat(np.arange(len(token_lists)) * vocab_size,
+                     [len(t) for t in token_lists])
+    if token_lists:
+        keys += np.concatenate(token_lists)
+    counts = np.zeros((len(token_lists), vocab_size))
+    np.add.at(counts.ravel(), keys, 1.0)
+    return counts
+
+
 def encode_texts(texts: list[str], params: EncoderParams,
                  vocab: Vocabulary) -> np.ndarray:
     """Deterministic encodings of many texts: normalize(counts @ table / T)."""
-    counts = np.zeros((len(texts), params.embedding.shape[0]))
-    lengths = np.zeros(len(texts))
-    for i, text in enumerate(texts):
-        token_ids = tokenize(text, vocab)
-        counts[i] = np.bincount(token_ids, minlength=counts.shape[1])
-        lengths[i] = len(token_ids)
-    pooled = (counts @ activation_table(params)) / lengths[:, None]
+    counts = token_counts([tokenize(t, vocab) for t in texts],
+                          params.embedding.shape[0])
+    pooled = counts @ activation_table(params)
+    pooled /= counts.sum(axis=1)[:, None]
     return normalize_rows(pooled)[0]
 
 

@@ -45,7 +45,8 @@ def auroc(scores, labels) -> float:
     """
     scores = np.asarray(scores, dtype=np.float64)
     is_normal = np.array(
-        [l is True or l == "normal" for l in labels], dtype=bool
+        [bool(l) if isinstance(l, (bool, np.bool_)) else l == "normal"
+         for l in labels], dtype=bool
     )
     n_normal = int(is_normal.sum())
     n_anomaly = len(scores) - n_normal

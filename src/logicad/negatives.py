@@ -4,7 +4,8 @@ One negative per positive: parse the positive, replace one or two editable
 slot values with pool values that genuinely contradict them, and re-render
 on the identical skeleton.  ``validate_negative`` checks the constraints
 mechanically (structure preserved, replacement-only, at least one real
-contradiction, token budget respected).
+contradiction, token budget respected) and returns a ``NegativeValidation``
+for the caller to inspect; the pipeline itself does not call it.
 """
 
 from __future__ import annotations
@@ -115,7 +116,12 @@ def validate_negative(
     grammar: TemplateGrammar,
     token_budget: float = 0.10,
 ) -> NegativeValidation:
-    """Check the synthesis constraints; failures land in the report, not errors."""
+    """Check the synthesis constraints on one pair.
+
+    A failed constraint is a False field of the returned ``NegativeValidation``
+    (``passed`` is False if any is), never an exception; text that does not
+    parse fails every constraint.
+    """
     pos_raw = pos.text if isinstance(pos, DescriptionText) else pos
     neg_raw = neg.text if isinstance(neg, DescriptionText) else neg
     try:

@@ -10,7 +10,7 @@ global gradient-norm clipping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,9 +20,9 @@ from .encoder import (
     EncoderParams,
     Vocabulary,
     activation_table,
-    dropout_keep,
     normalize_rows,
     table_grads,
+    token_counts,
     tokenize,
 )
 
@@ -99,21 +99,25 @@ def nt_xent_embedding_grads(anchors, positives, negatives, temperature):
 
 @dataclass
 class BatchMasks:
-    """Frozen dropout keep-masks for one step.
+    """Frozen dropout for one step, as the positions it zeroes.
 
-    One (sum of token counts, D) boolean array over the anchor, positive and
-    negative views, in that order; drawn in one call, it takes the same
-    random stream as one draw per text.
+    ``dropped`` holds flat indices into the (sum of token counts, D) grid over
+    the anchor, positive and negative views, in that order.  They come from
+    one draw over the whole grid, which takes the same random stream as one
+    draw per text; a zero rate draws nothing.
     """
 
-    keep: np.ndarray
+    dropped: np.ndarray
     rate: float
 
     @classmethod
     def sample(cls, pos_tokens, neg_tokens, dim, rate, rng):
+        if rate == 0.0:
+            return cls(dropped=np.empty(0, dtype=np.intp), rate=rate)
         n_rows = (2 * sum(len(t) for t in pos_tokens)
                   + sum(len(t) for t in neg_tokens))
-        return cls(keep=dropout_keep(n_rows, dim, rate, rng), rate=rate)
+        return cls(dropped=np.flatnonzero(rng.random((n_rows, dim)) < rate),
+                   rate=rate)
 
 
 def clip_gradients(grads: EncoderGrads, clip_norm: float) -> float:
@@ -218,20 +222,27 @@ def batch_step(
 ) -> tuple[float, np.ndarray, EncoderGrads]:
     """Forward + exact analytic backward for one contrastive step.
 
-    The anchor, positive and negative views run as one token stream over the
-    step's activation table; the backward pass scatters the token gradients
-    onto that table with a one-hot matmul.
+    Each text pools ``counts @ table`` over the step's activation table, less
+    the entries dropout zeroed; the backward pass is the transpose of both
+    terms, so only the dropped positions are visited one by one.
     """
     texts = [*pos_tokens, *pos_tokens, *neg_tokens]
-    ids = np.concatenate(texts)
     lengths = np.array([len(t) for t in texts])
+    table = activation_table(params)
+    n_ids, dim = table.shape
+    counts = token_counts(texts, n_ids)
+    # flat (text, d) and (id, d) keys of every dropped (token row, d)
+    row, d = np.divmod(masks.dropped, dim)
+    at_text = np.repeat(np.arange(len(texts)) * dim, lengths)[row] + d
+    at_table = np.concatenate(texts)[row] * dim + d
+    lost = np.bincount(at_text, weights=table.ravel()[at_table],
+                       minlength=len(texts) * dim)
     # inverted dropout and the mean over each text's tokens, in one factor
     scale = (1.0 / ((1.0 - masks.rate) * lengths))[:, None]
-    table = activation_table(params)
-    dropped = table[ids]
-    dropped *= masks.keep
-    pooled = np.add.reduceat(dropped, np.cumsum(lengths) - lengths, axis=0)
-    z, norms = normalize_rows(pooled * scale)
+    # a text with every entry dropped keeps only rounding residue, far below
+    # the zero-norm threshold, so it raises as the dense pooling did
+    z, norms = normalize_rows(
+        (counts @ table - lost.reshape(-1, dim)) * scale)
     b = len(pos_tokens)
     anchors, positives, negatives = z[:b], z[b:2 * b], z[2 * b:]
 
@@ -240,12 +251,11 @@ def batch_step(
         anchors, positives, negatives, temperature))
 
     d_pooled = (d_z - z * (z * d_z).sum(axis=1, keepdims=True)) / norms[:, None]
-    # the masked token rows are spent; their buffer takes the token gradients
-    segment = np.repeat(np.arange(len(texts)), lengths)
-    d_dropped = np.take(d_pooled * scale, segment, axis=0, out=dropped)
-    d_dropped *= masks.keep
-    one_hot = np.arange(table.shape[0])[:, None] == ids
-    grads = table_grads(one_hot @ d_dropped, table, params)
+    d_scaled = d_pooled * scale
+    d_lost = np.bincount(at_table, weights=d_scaled.ravel()[at_text],
+                         minlength=n_ids * dim)
+    grads = table_grads(counts.T @ d_scaled - d_lost.reshape(n_ids, dim),
+                        table, params)
     if not all(np.all(np.isfinite(a)) for a in grads.arrays()):
         raise TrainingError("non-finite gradient")
     return loss, per_anchor, grads

@@ -11,6 +11,7 @@ import pytest
 
 from logicad import pipeline, scenes
 from logicad.encoder import (
+    EncodeError,
     EncoderGrads,
     encode,
     init_params,
@@ -19,8 +20,13 @@ from logicad.encoder import (
 )
 from logicad.knn import build_library
 from logicad.trainer import (
+    AdamState,
     BatchMasks,
+    TrainConfig,
+    adam_update,
     batch_step,
+    clip_gradients,
+    fit,
     nt_xent,
     nt_xent_embedding_grads,
 )
@@ -110,11 +116,68 @@ def test_one_mask_draw_equals_the_per_text_draws(task_texts):
     rng_batch, rng_texts = np.random.default_rng(4), np.random.default_rng(4)
     masks = BatchMasks.sample(pos_tokens, neg_tokens, 16, 0.1, rng_batch)
     per_text = _per_text_masks(pos_tokens, neg_tokens, 16, 0.1, rng_texts)
-    assert masks.keep.dtype == bool
-    assert np.array_equal(masks.keep / (1.0 - 0.1),
-                          np.concatenate([m for view in per_text for m in view]))
+    grid = np.concatenate([m for view in per_text for m in view])
+    assert masks.dropped.size > 0
+    assert np.array_equal(masks.dropped, np.flatnonzero(grid == 0))
     # both generators stand at the same place in the stream afterwards
     assert rng_batch.random() == rng_texts.random()
+
+
+def test_a_zero_rate_drops_nothing_and_draws_nothing(task_texts):
+    pos, neg, vocab = task_texts
+    pos_tokens = [tokenize(t, vocab) for t in pos[:7]]
+    neg_tokens = [tokenize(t, vocab) for t in neg[:7]]
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    masks = BatchMasks.sample(pos_tokens, neg_tokens, 16, 0.0, rng)
+    assert masks.dropped.size == 0
+    assert rng.bit_generator.state == before
+
+
+def test_a_text_with_every_entry_dropped_has_no_direction(task_texts):
+    pos, neg, vocab = task_texts
+    pos_tokens = [tokenize(t, vocab) for t in pos[:3]]
+    neg_tokens = [tokenize(t, vocab) for t in neg[:3]]
+    params = init_params(vocab.size, dim=16, seed=2)
+    # the first anchor's rows lead the grid
+    masks = BatchMasks(dropped=np.arange(len(pos_tokens[0]) * 16), rate=0.1)
+    with pytest.raises(EncodeError):
+        batch_step(pos_tokens, neg_tokens, params, masks, 0.5)
+
+
+def test_fit_matches_a_per_text_reference_loop(task_texts):
+    pos, neg, vocab = task_texts
+    cfg = TrainConfig(epochs=2, seed=7)
+    result = fit(pos, neg, vocab, cfg)
+
+    pos_tokens = [tokenize(t, vocab) for t in pos]
+    neg_tokens = [tokenize(t, vocab) for t in neg]
+    params = init_params(vocab.size, dim=64, seed=cfg.seed)
+    state = AdamState.zeros_like(params)
+    rng = np.random.default_rng(cfg.seed)
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(pos_tokens))
+        step_losses = []
+        for start in range(0, len(order), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            batch_pos = [pos_tokens[i] for i in idx]
+            batch_neg = [neg_tokens[i] for i in idx]
+            masks = _per_text_masks(batch_pos, batch_neg, params.dim,
+                                    params.dropout_rate, rng)
+            loss, grads = _reference_step(batch_pos, batch_neg, params, masks,
+                                          cfg.temperature)
+            clip_gradients(grads, cfg.clip_norm)
+            adam_update(params, grads, state, cfg)
+            step_losses.append(loss)
+        epoch_losses.append(float(np.mean(step_losses)))
+
+    assert len(result.epoch_losses) == cfg.epochs
+    assert np.abs(np.subtract(result.epoch_losses, epoch_losses)).max() < TOL
+    for got, want in zip((result.params.embedding, result.params.proj_w,
+                          result.params.proj_b),
+                         (params.embedding, params.proj_w, params.proj_b)):
+        assert np.abs(got - want).max() < TOL
 
 
 def test_batched_library_equals_per_text_encodings(task_texts):

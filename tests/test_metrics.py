@@ -88,6 +88,16 @@ def test_auroc_accepts_boolean_labels_and_needs_both_classes():
         auroc([0.9, 0.8], ["anomaly", "anomaly"])
 
 
+def test_auroc_accepts_a_numpy_boolean_label_array():
+    rng = np.random.default_rng(62)
+    scores = rng.random(60)
+    is_normal = rng.random(60) < 0.5
+    want = auroc(scores, [bool(b) for b in is_normal])
+    assert auroc(scores, is_normal) == want
+    assert want == _pairwise_auroc(
+        scores, ["normal" if b else "anomaly" for b in is_normal])
+
+
 def test_auroc_is_invariant_to_monotone_transforms_and_order():
     rng = np.random.default_rng(61)
     scores = rng.random(80)
