@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import knn, metrics, pipeline, scenarios, scenes, trainer
@@ -102,18 +101,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="comma-separated scenario ids")
         p.add_argument("--condition", help="comma-separated capture conditions")
         p.add_argument("--out-dir", help=f"output directory (or ${OUT_DIR_ENV})")
+
+    def add_task_common(p):
+        add_common(p)
         p.add_argument("--jobs", type=int, help="parallel task workers (0=auto)")
 
     p_gen = sub.add_parser("gen", help="generate scenes, descriptions, pairs")
-    add_common(p_gen)
+    add_task_common(p_gen)
 
     p_train = sub.add_parser("train", help="fit per-task encoders, save checkpoints")
-    add_common(p_train)
+    add_task_common(p_train)
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--learning-rate", type=float)
 
     p_score = sub.add_parser("score", help="score test splits with saved encoders")
-    add_common(p_score)
+    add_task_common(p_score)
     p_score.add_argument("--k", type=int, help="neighbors (default 5)")
 
     p_eval = sub.add_parser("eval", help="per-task AUROC from score files")
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default="markdown")
 
     p_all = sub.add_parser("all", help="run the whole pipeline end to end")
-    add_common(p_all)
+    add_task_common(p_all)
     p_all.add_argument("--k", type=int)
     p_all.add_argument("--epochs", type=int)
     p_all.add_argument("--learning-rate", type=float)
@@ -174,64 +176,10 @@ def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
     return config, Path(out_dir)
 
 
-def _each_task(config: pipeline.PipelineConfig):
-    for scenario_id in config.scenario_ids:
-        for condition in config.conditions:
-            yield scenario_id, condition
-
-
-def cmd_gen(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
-    for scenario_id, condition in _each_task(config):
-        artifacts = pipeline.generate_task(config, scenario_id, condition)
-        pipeline.write_task_files(out_dir, artifacts)
-        print(f"gen {artifacts.task.task_id}: "
-              f"{len(artifacts.task.samples)} samples")
-    return 0
-
-
-def cmd_train(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
-    for scenario_id, condition in _each_task(config):
-        artifacts = pipeline.generate_task(config, scenario_id, condition)
-        trained = pipeline.train_task(config, artifacts)
-        task_id = artifacts.task.task_id
-        pipeline.save_checkpoint(out_dir / f"{task_id}.ckpt.npz", trained,
-                                 config, task_id)
-        pipeline.write_loss_curve(out_dir, task_id, trained.epoch_losses)
-        last = trained.epoch_losses[-1] if trained.epoch_losses else float("nan")
-        print(f"train {task_id}: final loss {last:.4f}")
-    return 0
-
-
-def cmd_score(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
-    for scenario_id, condition in _each_task(config):
-        artifacts = pipeline.generate_task(config, scenario_id, condition)
-        task_id = artifacts.task.task_id
-        ckpt = out_dir / f"{task_id}.ckpt.npz"
-        if not ckpt.exists():
-            raise CliError(f"no checkpoint for {task_id}; run `logicad train` first")
-        trained = pipeline.load_checkpoint(ckpt)
-        mismatches = pipeline.checkpoint_mismatches(trained, config, artifacts)
-        if mismatches:
-            raise CliError(f"{ckpt} was not trained for this run: "
-                           + "; ".join(mismatches))
-        scored = pipeline.score_task(config, artifacts, trained)
-        pipeline.write_score_file(out_dir, scored)
-        print(f"score {task_id}: AUROC {scored.report.auroc:.4f}")
-    return 0
-
-
-def _task_parts(task_id: str) -> tuple[str, scenes.Condition]:
-    for condition in scenes.Condition:
-        suffix = f"-{condition.value}"
-        if task_id.endswith(suffix):
-            return task_id[: -len(suffix)], condition
-    raise CliError(f"cannot split task id {task_id!r}")
-
-
 def _reports_from_files(config: pipeline.PipelineConfig,
                         out_dir: Path) -> list[metrics.TaskReport]:
     reports = []
-    for scenario_id, condition in _each_task(config):
+    for scenario_id, condition in config.tasks():
         task_id = scenes.task_id_for(scenario_id, condition)
         path = out_dir / f"{task_id}.scores.jsonl"
         if not path.exists():
@@ -248,6 +196,30 @@ def _reports_from_files(config: pipeline.PipelineConfig,
     return reports
 
 
+def _write_report(config: pipeline.PipelineConfig, out_dir: Path,
+                  reports: list[metrics.TaskReport], fmt: str
+                  ) -> tuple[metrics.AggregateReport, Path]:
+    """Aggregate, write report.csv or report.md and print it."""
+    agg = metrics.aggregate(reports, expected_cells=config.tasks())
+    text = metrics.emit_report(agg, fmt=fmt)
+    path = out_dir / f"report.{'csv' if fmt == 'csv' else 'md'}"
+    path.write_text(text, encoding="utf-8")
+    print(text, end="")
+    return agg, path
+
+
+def cmd_tasks(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
+    """gen, train, score and all: every task through pipeline.run_benchmark."""
+    reports = []
+    for line, report in pipeline.run_benchmark(config, out_dir, args.command):
+        print(line, flush=True)
+        reports.append(report)
+    if args.command == "all":
+        agg, _ = _write_report(config, out_dir, reports, args.format)
+        print(f"mean AUROC {agg.mean_of_means:.4f} +/- {agg.std_of_means:.4f}")
+    return 0
+
+
 def cmd_eval(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
     for report in _reports_from_files(config, out_dir):
         subsets = " ".join(
@@ -260,49 +232,19 @@ def cmd_eval(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
 
 
 def cmd_report(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
-    reports = _reports_from_files(config, out_dir)
-    agg = metrics.aggregate(
-        reports,
-        expected_cells=[(s, c) for s, c in _each_task(config)],
-    )
-    text = metrics.emit_report(agg, fmt=args.format)
-    ext = "csv" if args.format == "csv" else "md"
-    path = out_dir / f"report.{ext}"
-    path.write_text(text, encoding="utf-8")
-    print(text, end="")
+    _, path = _write_report(config, out_dir, _reports_from_files(config, out_dir),
+                            args.format)
     print(f"wrote {path}")
     return 0
 
 
-def cmd_all(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
-    outputs = pipeline.run_benchmark(config)
-    reports = []
-    for scenario_id, condition, artifacts, trained, scored in outputs:
-        task_id = artifacts.task.task_id
-        pipeline.write_task_files(out_dir, artifacts)
-        pipeline.save_checkpoint(out_dir / f"{task_id}.ckpt.npz", trained,
-                                 config, task_id)
-        pipeline.write_loss_curve(out_dir, task_id, trained.epoch_losses)
-        pipeline.write_score_file(out_dir, scored)
-        reports.append(scored.report)
-        print(f"{task_id}: AUROC {scored.report.auroc:.4f}")
-    agg = metrics.aggregate(
-        reports, expected_cells=[(s, c) for s, c in _each_task(config)])
-    text = metrics.emit_report(agg, fmt=args.format)
-    ext = "csv" if args.format == "csv" else "md"
-    (out_dir / f"report.{ext}").write_text(text, encoding="utf-8")
-    print(text, end="")
-    print(f"mean AUROC {agg.mean_of_means:.4f} +/- {agg.std_of_means:.4f}")
-    return 0
-
-
 _COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "score": cmd_score,
+    "gen": cmd_tasks,
+    "train": cmd_tasks,
+    "score": cmd_tasks,
     "eval": cmd_eval,
     "report": cmd_report,
-    "all": cmd_all,
+    "all": cmd_tasks,
 }
 
 
@@ -314,6 +256,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](config, out_dir, args)
     except CliError:
         raise
+    except pipeline.CheckpointError as exc:
+        raise CliError(str(exc))
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

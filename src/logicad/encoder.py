@@ -1,17 +1,16 @@
 """Tiny trainable text encoder: embed, project, tanh, dropout, mean-pool, L2.
 
-Deterministic mode is a pure function of (text, params); stochastic mode
-applies an inverted-dropout mask to per-token activations before pooling,
-so averaging many stochastic encodings converges to the deterministic
-direction.  Dropout comes after tanh, so both modes pool rows of one
-per-id activation table; the trainer backpropagates onto that table.
+Dropout comes after tanh, so a text pools rows of one per-id activation
+table.  Encoding is deterministic, a pure function of (text, params): no
+dropout, ``normalize(counts @ table / T)``.  Training draws its dropout in
+``trainer.BatchMasks`` and backpropagates onto the same table.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -138,20 +137,9 @@ def encode_texts(texts: list[str], params: EncoderParams,
     return normalize_rows(pooled)[0]
 
 
-def encode(text: str, params: EncoderParams, vocab: Vocabulary,
-           mode: str = "deterministic",
-           rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Unit-norm embedding of a text; stochastic mode applies dropout."""
-    if mode == "deterministic":
-        return encode_texts([text], params, vocab)[0]
-    if mode != "stochastic":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("stochastic encoding needs a random source")
-    token_ids = tokenize(text, vocab)
-    mask = make_dropout_mask(len(token_ids), params.dim, params.dropout_rate, rng)
-    pooled = (activation_table(params)[token_ids] * mask).mean(axis=0)
-    return normalize_rows(pooled[None, :])[0][0]
+def encode(text: str, params: EncoderParams, vocab: Vocabulary) -> np.ndarray:
+    """Unit-norm deterministic embedding of one text."""
+    return encode_texts([text], params, vocab)[0]
 
 
 @dataclass

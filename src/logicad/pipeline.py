@@ -2,7 +2,9 @@
 
 Each (scenario, condition) task is independent; its seeds are derived from
 the master seed plus the task identity and pipeline stage, so stages can
-be rerun in isolation and tasks can run in parallel workers.
+be rerun in isolation and tasks can run in parallel workers.  Every
+per-task command goes through ``run_benchmark``, which runs ``run_task``
+once per task.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -156,33 +158,83 @@ def score_task(config: PipelineConfig, artifacts: TaskArtifacts,
     return ScoredTask(report=report, results=results)
 
 
-def run_task(config: PipelineConfig, scenario_id: str,
-             condition: scenes.Condition) -> tuple[TaskArtifacts, TrainedTask, ScoredTask]:
+class CheckpointError(ValueError):
+    """A checkpoint is missing or was saved for another run (exit 2)."""
+
+
+def _checkpoint_path(out_dir: Path, task_id: str) -> Path:
+    return out_dir / f"{task_id}.ckpt.npz"
+
+
+STAGES = ("gen", "train", "score", "all")
+
+
+def run_task(config: PipelineConfig, out_dir: Path, stages: str,
+             scenario_id: str, condition: scenes.Condition
+             ) -> tuple[str, Optional[metrics.TaskReport]]:
+    """Run the stages of one command for one task and write the task's files.
+
+    ``stages`` names the command: ``gen`` writes scenes, descriptions and
+    pairs; ``train`` fits the encoder and writes its checkpoint and loss
+    curve; ``score`` loads and checks the checkpoint and writes the scores;
+    ``all`` does all three.  Returns the line to print and, when the task
+    was scored, its report.
+    """
     artifacts = generate_task(config, scenario_id, condition)
-    trained = train_task(config, artifacts)
-    return artifacts, trained, score_task(config, artifacts, trained)
-
-
-def _run_task_entry(args):
-    config, scenario_id, condition = args
-    artifacts, trained, scored = run_task(config, scenario_id, condition)
-    return scenario_id, condition, artifacts, trained, scored
-
-
-def run_benchmark(config: PipelineConfig, jobs: Optional[int] = None):
-    """Run every selected task, in parallel workers, in deterministic order."""
-    jobs = jobs if jobs is not None else config.jobs
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    tasks = config.tasks()
-    args = [(config, s, c) for s, c in tasks]
-    if jobs == 1 or len(tasks) == 1:
-        outputs = [_run_task_entry(a) for a in args]
+    task_id = artifacts.task.task_id
+    if stages in ("gen", "all"):
+        write_task_files(out_dir, artifacts)
+        if stages == "gen":
+            return f"gen {task_id}: {len(artifacts.task.samples)} samples", None
+    checkpoint = _checkpoint_path(out_dir, task_id)
+    if stages == "score":
+        trained = load_checkpoint(checkpoint)
+        mismatches = checkpoint_mismatches(trained, config, artifacts)
+        if mismatches:
+            raise CheckpointError(f"{checkpoint} was not trained for this run: "
+                                  + "; ".join(mismatches))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_run_task_entry, args))
-    # pool.map preserves submission order, so output order is deterministic
-    return outputs
+        trained = train_task(config, artifacts)
+        save_checkpoint(checkpoint, trained, config, task_id)
+        write_loss_curve(out_dir, task_id, trained.epoch_losses)
+        if stages == "train":
+            last = trained.epoch_losses[-1] if trained.epoch_losses else float("nan")
+            return f"train {task_id}: final loss {last:.4f}", None
+    scored = score_task(config, artifacts, trained)
+    write_score_file(out_dir, scored)
+    prefix = "score " if stages == "score" else ""
+    return f"{prefix}{task_id}: AUROC {scored.report.auroc:.4f}", scored.report
+
+
+def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
+                  ) -> Iterator[tuple[str, Optional[metrics.TaskReport]]]:
+    """Run one command's stages over every selected task, yielding in task order.
+
+    Each task writes its own files before its result is yielded.  Tasks run
+    in this process at ``config.jobs == 1`` and in worker processes
+    otherwise.  ``score`` first checks that every checkpoint exists, so a
+    missing one stops the run before any task starts.
+    """
+    if stages not in STAGES:
+        raise ValueError(f"unknown stages {stages!r}; choose from {STAGES}")
+    tasks = config.tasks()
+    if stages == "score":
+        for scenario_id, condition in tasks:
+            task_id = scenes.task_id_for(scenario_id, condition)
+            if not _checkpoint_path(out_dir, task_id).exists():
+                raise CheckpointError(
+                    f"no checkpoint for {task_id}; run `logicad train` first")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    jobs = config.jobs if config.jobs > 0 else os.cpu_count() or 1
+    if jobs == 1 or len(tasks) <= 1:
+        for scenario_id, condition in tasks:
+            yield run_task(config, out_dir, stages, scenario_id, condition)
+        return
+    n = len(tasks)
+    with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+        # map yields in submission order, whatever order the workers finish in
+        yield from pool.map(run_task, [config] * n, [out_dir] * n, [stages] * n,
+                            [s for s, _ in tasks], [c for _, c in tasks])
 
 
 # --- file emission --------------------------------------------------------

@@ -69,12 +69,6 @@ class Scene:
     context: tuple[tuple[str, str], ...] = ()
     condition: Condition = Condition.WHITE_BG
 
-    def context_value(self, key: str) -> str:
-        for k, v in self.context:
-            if k == key:
-                return v
-        raise KeyError(key)
-
     def with_condition(self, condition: Condition) -> "Scene":
         return Scene(self.scenario_id, self.objects, self.context, condition)
 
@@ -195,10 +189,6 @@ class SplitCounts:
     single_a: int
     single_b: int
     dual: int
-
-    @property
-    def test_anomaly(self) -> int:
-        return self.single_a + self.single_b + self.dual
 
     def validate(self) -> None:
         for name in ("train_normal", "test_normal", "single_a", "single_b", "dual"):

@@ -219,16 +219,18 @@ def test_criterion_08_round_trip_identity():
                     f"{mismatches} mismatches")
 
 
-def test_criterion_09_end_to_end_benchmark():
+def test_criterion_09_end_to_end_benchmark(tmp_path):
     start = time.monotonic()
-    config = pipeline.PipelineConfig(master_seed=0)
+    config = pipeline.PipelineConfig(master_seed=0, jobs=1)
     trained_reports = [
-        scored.report for *_, scored in pipeline.run_benchmark(config, jobs=1)
+        report for _, report in
+        pipeline.run_benchmark(config, tmp_path / "trained", "all")
     ]
-    baseline_config = pipeline.PipelineConfig(master_seed=0, skip_training=True)
+    baseline_config = pipeline.PipelineConfig(master_seed=0, skip_training=True,
+                                              jobs=1)
     baseline_reports = [
-        scored.report
-        for *_, scored in pipeline.run_benchmark(baseline_config, jobs=1)
+        report for _, report in
+        pipeline.run_benchmark(baseline_config, tmp_path / "baseline", "all")
     ]
     elapsed = time.monotonic() - start
     trained = aggregate(trained_reports).mean_of_means
@@ -248,8 +250,6 @@ def test_criterion_10_pipeline_determinism(tmp_path):
     compared = 0
     identical = True
     for path_a in sorted(dir_a.iterdir()):
-        if path_a.suffix == ".npz":
-            continue  # checkpoints hold equal arrays but zip metadata differs
         path_b = dir_b / path_a.name
         compared += 1
         if path_a.read_bytes() != path_b.read_bytes():

@@ -56,34 +56,6 @@ def test_single_token_text_encodes():
     assert abs(np.linalg.norm(z) - 1.0) < 1e-12
 
 
-def test_zero_dropout_stochastic_equals_deterministic():
-    vocab, params = _setup()
-    params.dropout_rate = 0.0
-    det = encode(TEXTS[0], params, vocab)
-    sto = encode(TEXTS[0], params, vocab, mode="stochastic",
-                 rng=np.random.default_rng(0))
-    assert np.allclose(det, sto)
-
-
-def test_stochastic_mean_converges_to_deterministic_direction():
-    vocab, params = _setup(dim=16, seed=3)
-    det = encode(TEXTS[0], params, vocab)
-    rng = np.random.default_rng(11)
-    total = np.zeros_like(det)
-    for _ in range(5000):
-        total += encode(TEXTS[0], params, vocab, mode="stochastic", rng=rng)
-    mean_dir = total / np.linalg.norm(total)
-    assert float(mean_dir @ det) > np.cos(np.deg2rad(2.0))
-
-
-def test_stochastic_mode_requires_a_random_source():
-    vocab, params = _setup()
-    with pytest.raises(ValueError):
-        encode(TEXTS[0], params, vocab, mode="stochastic")
-    with pytest.raises(ValueError):
-        encode(TEXTS[0], params, vocab, mode="sloppy")
-
-
 def test_inverted_dropout_mask_is_unbiased():
     rng = np.random.default_rng(5)
     mask = make_dropout_mask(2000, 8, 0.3, rng)

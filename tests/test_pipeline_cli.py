@@ -70,12 +70,13 @@ def test_checkpoint_round_trip_and_version_guard(tmp_path):
         pipeline.load_checkpoint(tmp_path / "future.ckpt.npz")
 
 
-def test_run_benchmark_preserves_task_order():
-    outputs = pipeline.run_benchmark(SMALL, jobs=1)
-    assert [(s, c) for s, c, *_ in outputs] == SMALL.tasks()
-    for _, _, artifacts, trained, scored in outputs:
-        assert scored.report.task_id == artifacts.task.task_id
-        assert 0.0 <= scored.report.auroc <= 1.0
+def test_run_benchmark_preserves_task_order(tmp_path):
+    outputs = list(pipeline.run_benchmark(replace(SMALL, jobs=1), tmp_path, "all"))
+    assert [(r.scenario_id, r.condition) for _, r in outputs] == SMALL.tasks()
+    for line, report in outputs:
+        assert line == f"{report.task_id}: AUROC {report.auroc:.4f}"
+        assert 0.0 <= report.auroc <= 1.0
+        assert (tmp_path / f"{report.task_id}.scores.jsonl").exists()
 
 
 # --- CLI -------------------------------------------------------------------
@@ -140,6 +141,55 @@ def test_cli_score_requires_a_checkpoint(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run(["score", *ARGS, "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+TWO_TASKS = ["--scenario", "tapes", "--condition", "white_bg,mesh_bg"]
+TASK_SUFFIXES = ("scenes.jsonl", "descriptions.jsonl", "pairs.jsonl",
+                 "ckpt.npz", "loss.txt", "scores.jsonl")
+
+
+def test_cli_score_checks_every_checkpoint_before_any_work(tmp_path, capsys):
+    out = str(tmp_path)
+    assert _run(["train", "--scenario", "tapes", "--condition", "white_bg",
+                 "--epochs", "1", "--out-dir", out]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _run(["score", *TWO_TASKS, "--jobs", "1", "--out-dir", out])
+    assert exc.value.code == 2
+    assert "no checkpoint for tapes-mesh_bg" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.scores.jsonl"))
+
+
+def test_cli_all_keeps_the_files_of_tasks_done_before_a_failure(tmp_path,
+                                                                monkeypatch):
+    real_train = pipeline.train_task
+
+    def train_then_fail(config, artifacts):
+        if artifacts.task.task_id == "tapes-mesh_bg":
+            raise RuntimeError("injected training failure")
+        return real_train(config, artifacts)
+
+    monkeypatch.setattr(pipeline, "train_task", train_then_fail)
+    assert _run(["all", *TWO_TASKS, "--jobs", "1", "--epochs", "1",
+                 "--out-dir", str(tmp_path)]) == 1
+    for suffix in TASK_SUFFIXES:
+        assert (tmp_path / f"tapes-white_bg.{suffix}").exists()
+    assert not (tmp_path / "tapes-mesh_bg.scores.jsonl").exists()
+
+
+def test_cli_stages_write_the_same_bytes_in_worker_processes(tmp_path):
+    def stages(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        for command in (["gen"], ["train", "--epochs", "2"], ["score"]):
+            assert _run([*command, *TWO_TASKS, "--jobs", str(jobs),
+                         "--out-dir", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    serial, parallel = stages(1), stages(2)
+    assert sorted(serial) == sorted(f"tapes-{c}.{suffix}"
+                                    for c in ("white_bg", "mesh_bg")
+                                    for suffix in TASK_SUFFIXES)
+    assert parallel == serial
 
 
 def test_cli_rejects_unknown_scenario_and_condition(tmp_path):
@@ -266,6 +316,23 @@ def test_cli_score_refuses_a_checkpoint_of_another_seed(tmp_path, capsys):
     assert exc.value.code == 2
     assert "master_seed is 1, expected 0" in capsys.readouterr().err
     assert not (tmp_path / "sticks-white_bg.scores.jsonl").exists()
+
+
+def test_cli_score_refuses_another_seed_alike_in_worker_processes(tmp_path, capsys):
+    out = str(tmp_path)
+    assert _run(["train", *TWO_TASKS, "--seed", "1", "--epochs", "1",
+                 "--jobs", "2", "--out-dir", out]) == 0
+    errors = []
+    for jobs in ("1", "2"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            _run(["score", *TWO_TASKS, "--seed", "0", "--jobs", jobs,
+                  "--out-dir", out])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert "master_seed is 1, expected 0" in errors[1]
+    assert errors[1] == errors[0]
+    assert not list(tmp_path.glob("*.scores.jsonl"))
 
 
 @pytest.mark.parametrize("argv, setting", [
