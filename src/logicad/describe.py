@@ -10,8 +10,7 @@ changing the logical label of the underlying scene.
 from __future__ import annotations
 
 import json
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,16 +18,9 @@ import numpy as np
 from .scenes import Condition, Scene
 from .templates import TemplateGrammar, get_grammar
 
-DEFAULT_SYSTEM_TOKENS = ("<|im_start|>", "<|im_end|>", "<s>", "</s>",
-                         "[INST]", "[/INST]", "assistant:", "Assistant:")
-
 # Above this the renderer samples uniformly among paraphrase variants;
 # below it only the canonical variant is used.
 PARAPHRASE_THRESHOLD = 0.01
-
-
-class NormalizeError(ValueError):
-    """Text is empty after cleanup."""
 
 
 class ParseError(ValueError):
@@ -40,19 +32,11 @@ class RenderError(ValueError):
 
 
 @dataclass(frozen=True)
-class DescriptionText:
-    text: str
-
-    def __post_init__(self):
-        if not self.text:
-            raise NormalizeError("empty description text")
-
-
-@dataclass(frozen=True)
 class AttributeRecord:
     scenario_id: str
     skeleton: str                       # "<variant>/<clause mask>"
-    slots: tuple[tuple[str, str], ...]  # (name, value) in template order
+    slots: tuple[tuple[str, str], ...]  # included (name, value) in template order
+    text: str
 
     def slot_map(self) -> dict[str, str]:
         return dict(self.slots)
@@ -86,17 +70,6 @@ CONDITION_RENDER_DEFAULTS: dict[Condition, RenderConfig] = {
 }
 
 
-def normalize(raw: str, system_tokens: tuple[str, ...] = DEFAULT_SYSTEM_TOKENS) -> DescriptionText:
-    """Strip system-token markers, collapse whitespace runs, trim the ends."""
-    text = raw
-    for marker in system_tokens:
-        text = text.replace(marker, " ")
-    text = re.sub(r"\s+", " ", text).strip()
-    if not text:
-        raise NormalizeError("text is empty after cleanup")
-    return DescriptionText(text)
-
-
 def render_record(grammar: TemplateGrammar, skeleton: str,
                   slots: dict[str, str]) -> str:
     """Deterministically rebuild the text for a (skeleton, slots) pair."""
@@ -108,8 +81,20 @@ def render_record(grammar: TemplateGrammar, skeleton: str,
     return " ".join(parts)
 
 
+def build_record(grammar: TemplateGrammar, skeleton: str,
+                 slots: dict[str, str]) -> AttributeRecord:
+    """The record of a (skeleton, slots) pair: its included slots and its text."""
+    return AttributeRecord(
+        scenario_id=grammar.scenario_id,
+        skeleton=skeleton,
+        slots=tuple((name, slots[name])
+                    for name in grammar.slots_in_skeleton(skeleton)),
+        text=render_record(grammar, skeleton, slots),
+    )
+
+
 def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
-           grammar: Optional[TemplateGrammar] = None) -> DescriptionText:
+           grammar: Optional[TemplateGrammar] = None) -> AttributeRecord:
     """Render one scene into one text under the given degradation config."""
     grammar = grammar or get_grammar(scene.scenario_id)
     slots = grammar.scene_slots(scene)
@@ -131,24 +116,24 @@ def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
     )
     if cfg.corruption_prob > 0.0:
         for name, slot_def in grammar.slots.items():
-            if slot_def.corruptible and rng.random() < cfg.corruption_prob:
+            if slot_def.aspect is None and rng.random() < cfg.corruption_prob:
                 others = [v for v in slot_def.values if v != slots[name]]
                 slots[name] = others[int(rng.integers(len(others)))]
-    text = render_record(grammar, grammar.skeleton_id(variant, mask), slots)
-    return DescriptionText(text)
+    return build_record(grammar, grammar.skeleton_id(variant, mask), slots)
 
 
-def parse(text: DescriptionText | str, grammar: TemplateGrammar) -> AttributeRecord:
-    """Parse a rendered text back into its (skeleton, slots) record.
+def parse(text: str, grammar: TemplateGrammar) -> AttributeRecord:
+    """Parse a rendered text back into the record ``render`` returned for it.
 
     Tries every paraphrase variant and clause-inclusion mask; an
-    unparseable text raises rather than yielding a partial record.
+    unparseable text raises rather than yielding a partial record.  The
+    pipeline never parses its own texts; this is the round-trip oracle and
+    the check inside ``negatives.validate_negative``.
     """
-    raw = text.text if isinstance(text, DescriptionText) else text
-    if not raw:
+    if not text:
         raise ParseError("cannot parse an empty text")
     for skeleton, regex in grammar.parse_patterns:
-        m = regex.fullmatch(raw)
+        m = regex.fullmatch(text)
         if m is None:
             continue
         ordered = grammar.slots_in_skeleton(skeleton)
@@ -156,9 +141,10 @@ def parse(text: DescriptionText | str, grammar: TemplateGrammar) -> AttributeRec
             scenario_id=grammar.scenario_id,
             skeleton=skeleton,
             slots=tuple((name, m.group(name)) for name in ordered),
+            text=text,
         )
     raise ParseError(
-        f"text does not match any {grammar.scenario_id} template: {raw!r}"
+        f"text does not match any {grammar.scenario_id} template: {text!r}"
     )
 
 

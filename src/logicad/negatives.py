@@ -1,11 +1,12 @@
 """Contradiction-based negative synthesis via replacement-only slot edits.
 
-One negative per positive: parse the positive, replace one or two editable
-slot values with pool values that genuinely contradict them, and re-render
-on the identical skeleton.  ``validate_negative`` checks the constraints
+One negative per positive: take the slot record ``render`` returned for the
+positive, replace one or two logical slot values with pool values that
+genuinely contradict them, and re-render on the identical skeleton.
+``validate_negative`` parses both texts and checks the constraints
 mechanically (structure preserved, replacement-only, at least one real
-contradiction, token budget respected) and returns a ``NegativeValidation``
-for the caller to inspect; the pipeline itself does not call it.
+contradiction, token budget respected); it returns a ``NegativeValidation``
+for the caller to inspect, and the pipeline itself does not call it.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Optional
 import numpy as np
 
 from .scenes import Aspect
-from .describe import AttributeRecord, DescriptionText, ParseError, parse, render_record
+from .describe import AttributeRecord, ParseError, build_record, parse
 from .scenarios import NUMBER_WORDS, word_number
-from .templates import EQUIVALENT_TOKENS, SlotDef, TemplateGrammar
+from .templates import SlotDef, TemplateGrammar
 
 # "at least one" contradiction per the synthesis constraints; a second edit
 # with small probability adds hardness without changing structure.
@@ -58,8 +59,7 @@ def _is_count_slot(slot: SlotDef) -> bool:
 
 def contradiction_pool(slot: SlotDef, current: str) -> list[str]:
     """Values that genuinely contradict ``current`` for this slot."""
-    equivalents = EQUIVALENT_TOKENS.get(current, frozenset())
-    pool = [v for v in slot.values if v != current and v not in equivalents]
+    pool = [v for v in slot.values if v != current]
     if _is_count_slot(slot) and current in NUMBER_WORDS:
         truth = word_number(current)
         pool = [v for v in pool if abs(word_number(v) - truth) <= COUNT_EDIT_WINDOW]
@@ -67,21 +67,20 @@ def contradiction_pool(slot: SlotDef, current: str) -> list[str]:
 
 
 def synthesize_negative(
-    pos: DescriptionText | str,
+    pos: AttributeRecord,
     grammar: TemplateGrammar,
     rng: np.random.Generator,
-) -> tuple[DescriptionText, list[ContradictionEdit]]:
-    """Build one contradictory negative text for a positive description."""
-    record = parse(pos, grammar)
-    slot_map = dict(record.slots)
+) -> tuple[AttributeRecord, list[ContradictionEdit]]:
+    """Build one contradictory negative record for a positive's record."""
+    slot_map = pos.slot_map()
     editable = [
-        name for name, _ in record.slots
-        if grammar.slots[name].editable and contradiction_pool(
-            grammar.slots[name], slot_map[name])
+        name for name, value in pos.slots
+        if grammar.slots[name].aspect is not None
+        and contradiction_pool(grammar.slots[name], value)
     ]
     if not editable:
         raise SynthesisError(
-            f"no editable slot with a non-empty contradiction pool in "
+            f"no logical slot with a non-empty contradiction pool in "
             f"{grammar.scenario_id} positive"
         )
     u = rng.random()
@@ -102,8 +101,7 @@ def synthesize_negative(
         new_value = pool[int(rng.integers(len(pool)))]
         edits.append(ContradictionEdit(name, slot_map[name], new_value, slot.aspect))
         slot_map[name] = new_value
-    text = render_record(grammar, record.skeleton, slot_map)
-    return DescriptionText(text), edits
+    return build_record(grammar, pos.skeleton, slot_map), edits
 
 
 def _token_count(text: str) -> int:
@@ -111,8 +109,8 @@ def _token_count(text: str) -> int:
 
 
 def validate_negative(
-    pos: DescriptionText | str,
-    neg: DescriptionText | str,
+    pos: str,
+    neg: str,
     grammar: TemplateGrammar,
     token_budget: float = 0.10,
 ) -> NegativeValidation:
@@ -122,11 +120,9 @@ def validate_negative(
     (``passed`` is False if any is), never an exception; text that does not
     parse fails every constraint.
     """
-    pos_raw = pos.text if isinstance(pos, DescriptionText) else pos
-    neg_raw = neg.text if isinstance(neg, DescriptionText) else neg
     try:
-        pos_rec = parse(pos_raw, grammar)
-        neg_rec = parse(neg_raw, grammar)
+        pos_rec = parse(pos, grammar)
+        neg_rec = parse(neg, grammar)
     except ParseError:
         return NegativeValidation(False, False, False, False)
 
@@ -148,8 +144,8 @@ def validate_negative(
                 ):
                     contradiction = True
 
-    n_pos = _token_count(pos_raw)
-    n_neg = _token_count(neg_raw)
+    n_pos = _token_count(pos)
+    n_neg = _token_count(neg)
     token_ok = abs(n_neg - n_pos) <= token_budget * n_pos
 
     return NegativeValidation(

@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import describe, knn, metrics, negatives, scenarios, scenes, trainer
-from .describe import CONDITION_RENDER_DEFAULTS, RenderConfig
+from .describe import CONDITION_RENDER_DEFAULTS
 from .encoder import EncoderParams, Vocabulary, init_params
 from .seeding import derive_rng, derive_seed
 from .templates import get_grammar
@@ -33,7 +33,6 @@ class PipelineConfig:
     scenario_ids: tuple[str, ...] = tuple(sorted(scenarios.SCENARIOS))
     conditions: tuple[scenes.Condition, ...] = tuple(scenes.Condition)
     split_overrides: dict[str, scenes.SplitCounts] = field(default_factory=dict)
-    render_overrides: dict[scenes.Condition, RenderConfig] = field(default_factory=dict)
     train: trainer.TrainConfig = field(default_factory=trainer.TrainConfig)
     k: int = knn.DEFAULT_K
     dim: int = 64
@@ -41,6 +40,8 @@ class PipelineConfig:
     jobs: int = 0  # 0 -> logical core count
 
     def __post_init__(self):
+        if not self.scenario_ids or not self.conditions:
+            raise ValueError("select at least one scenario and one condition")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.dim < 2:
@@ -51,11 +52,6 @@ class PipelineConfig:
     def counts_for(self, scenario_id: str) -> scenes.SplitCounts:
         return self.split_overrides.get(
             scenario_id, scenarios.DEFAULT_SPLIT_COUNTS[scenario_id]
-        )
-
-    def render_for(self, condition: scenes.Condition) -> RenderConfig:
-        return self.render_overrides.get(
-            condition, CONDITION_RENDER_DEFAULTS[condition]
         )
 
     def tasks(self) -> list[tuple[str, scenes.Condition]]:
@@ -84,7 +80,7 @@ def generate_task(config: PipelineConfig, scenario_id: str,
     """Scenes, descriptions and negative pairs for one task."""
     spec = scenarios.get_scenario(scenario_id)
     grammar = get_grammar(scenario_id)
-    render_cfg = config.render_for(condition)
+    render_cfg = CONDITION_RENDER_DEFAULTS[condition]
     task = scenes.build_task(
         spec, condition, config.counts_for(scenario_id),
         derive_seed(config.master_seed, scenario_id, condition.value, "scenes"),
@@ -94,13 +90,13 @@ def generate_task(config: PipelineConfig, scenario_id: str,
     for sample in task.samples:
         rng = derive_rng(config.master_seed, scenario_id, condition.value,
                         "render", sample.sample_id)
-        text = describe.render(sample.scene, render_cfg, rng, grammar).text
-        texts[sample.sample_id] = text
+        record = describe.render(sample.scene, render_cfg, rng, grammar)
+        texts[sample.sample_id] = record.text
         if sample.split == "train":
             neg_rng = derive_rng(config.master_seed, scenario_id,
                                  condition.value, "negative", sample.sample_id)
-            neg, edits = negatives.synthesize_negative(text, grammar, neg_rng)
-            pairs[sample.sample_id] = (text, neg.text, edits)
+            neg, edits = negatives.synthesize_negative(record, grammar, neg_rng)
+            pairs[sample.sample_id] = (record.text, neg.text, edits)
     return TaskArtifacts(task=task, texts=texts, pairs=pairs)
 
 

@@ -27,14 +27,10 @@ from .scenarios import SCENARIO_VIEWS, number_word
 class SlotDef:
     name: str
     values: tuple[str, ...]
+    # A logical slot names the aspect a contradiction edit to it changes.
+    # A decorative slot (None) is never edited: corruption targets it, and
+    # its clean value is ``values[0]``.
     aspect: Optional[Aspect] = None
-    editable: bool = True        # may carry a contradiction edit
-    corruptible: bool = False    # decorative adjective, target of corruption
-    default: Optional[str] = None
-
-    def __post_init__(self):
-        if self.default is None:
-            object.__setattr__(self, "default", self.values[0])
 
 
 @dataclass(frozen=True)
@@ -42,8 +38,9 @@ class Clause:
     template: str
     optional: bool = False
 
-    def slot_names(self) -> list[str]:
-        return re.findall(r"\{(\w+)\}", self.template)
+    @functools.cached_property
+    def slot_names(self) -> tuple[str, ...]:
+        return tuple(re.findall(r"\{(\w+)\}", self.template))
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,15 @@ class TemplateGrammar:
     scenario_id: str
     slots: dict[str, SlotDef]
     variants: tuple[tuple[Clause, ...], ...]
-    scene_slots: Callable[[Scene], dict[str, str]]
+    logical_slots: Callable[[Scene], dict[str, str]]
+
+    def scene_slots(self, scene: Scene) -> dict[str, str]:
+        """The scene's logical slot values plus every decorative slot's clean value."""
+        slots = self.logical_slots(scene)
+        for name, slot in self.slots.items():
+            if slot.aspect is None:
+                slots[name] = slot.values[0]
+        return slots
 
     def skeleton_id(self, variant: int, mask: tuple[bool, ...]) -> str:
         return f"{variant}/" + "".join("1" if m else "0" for m in mask)
@@ -73,7 +78,7 @@ class TemplateGrammar:
         names: list[str] = []
         for clause, included in zip(self.variants[variant], mask):
             if included:
-                names.extend(clause.slot_names())
+                names.extend(clause.slot_names)
         return names
 
     @functools.cached_property
@@ -110,15 +115,6 @@ class TemplateGrammar:
 _NUM = tuple(number_word(n) for n in range(0, 13))
 _LOW_NUM = ("zero", "one", "two")
 
-# Small table of tokens that are logically equivalent and therefore never
-# count as a contradiction: ``negatives.contradiction_pool`` leaves them out.
-# The built-in vocabularies avoid synonyms, so no built-in slot holds both.
-EQUIVALENT_TOKENS: dict[str, frozenset[str]] = {
-    "kiwis": frozenset({"kiwifruits"}),
-    "kiwifruits": frozenset({"kiwis"}),
-}
-
-
 def _plural_fruit(category: str) -> str:
     return {"orange": "oranges", "kiwi": "kiwis", "apple": "apples",
             "lemon": "lemons", "banana": "bananas"}[category]
@@ -127,9 +123,14 @@ def _plural_fruit(category: str) -> str:
 _FRUIT_PLURALS = tuple(_plural_fruit(c) for c in scenarios._FRUIT_TYPES)
 
 
-def _decor(name: str, values: tuple[str, ...]) -> SlotDef:
-    """Decorative adjective slot: corruption target, never a contradiction edit."""
-    return SlotDef(name, values, editable=False, corruptible=True)
+def _slot_table(*slots: SlotDef) -> dict[str, SlotDef]:
+    """Slots by name, in the given order; a repeated name raises."""
+    table: dict[str, SlotDef] = {}
+    for slot in slots:
+        if slot.name in table:
+            raise ValueError(f"slot {slot.name!r} is defined twice")
+        table[slot.name] = slot
+    return table
 
 
 def _fruits_slots(scene: Scene) -> dict[str, str]:
@@ -140,42 +141,34 @@ def _fruits_slots(scene: Scene) -> dict[str, str]:
         "count_b": number_word(view["count_b"]),
         "type_b": _plural_fruit(view["cat_b"]),
         "total": number_word(view["count_a"] + view["count_b"]),
-        "decor_bowl": "ceramic",
-        "decor_towel": "striped",
-        "decor_board": "bamboo",
-        "decor_knife": "steel",
-        "decor_peeler": "plastic",
-        "decor_scale": "digital",
-        "decor_basket": "wicker",
-        "decor_net": "mesh",
     }
 
 
 FRUITS_GRAMMAR = TemplateGrammar(
     scenario_id="fruits",
-    slots={
-        "count_a": SlotDef("count_a", _NUM, Aspect.QUANTITY),
-        "type_a": SlotDef("type_a", _FRUIT_PLURALS, Aspect.TYPE),
-        "count_b": SlotDef("count_b", _NUM, Aspect.QUANTITY),
-        "type_b": SlotDef("type_b", _FRUIT_PLURALS, Aspect.TYPE),
-        "total": SlotDef("total", _NUM, Aspect.QUANTITY),
-        "decor_bowl": _decor("decor_bowl", ("ceramic", "white", "wooden",
-                                            "deep", "wide", "glazed")),
-        "decor_towel": _decor("decor_towel", ("striped", "folded", "damp",
-                                              "cotton", "checkered", "gray")),
-        "decor_board": _decor("decor_board", ("bamboo", "scratched", "oiled",
-                                              "thick", "pale", "worn")),
-        "decor_knife": _decor("decor_knife", ("steel", "small", "serrated",
-                                              "sharp", "dull", "clean")),
-        "decor_peeler": _decor("decor_peeler", ("plastic", "swivel", "green",
-                                                "cheap", "sturdy", "wet")),
-        "decor_scale": _decor("decor_scale", ("digital", "kitchen", "round",
-                                              "zeroed", "compact", "old")),
-        "decor_basket": _decor("decor_basket", ("wicker", "woven", "lidded",
-                                                "brown", "airy", "squat")),
-        "decor_net": _decor("decor_net", ("mesh", "produce", "knotted",
-                                          "orange", "fine", "stretchy")),
-    },
+    slots=_slot_table(
+        SlotDef("count_a", _NUM, Aspect.QUANTITY),
+        SlotDef("type_a", _FRUIT_PLURALS, Aspect.TYPE),
+        SlotDef("count_b", _NUM, Aspect.QUANTITY),
+        SlotDef("type_b", _FRUIT_PLURALS, Aspect.TYPE),
+        SlotDef("total", _NUM, Aspect.QUANTITY),
+        SlotDef("decor_bowl", ("ceramic", "white", "wooden",
+                               "deep", "wide", "glazed")),
+        SlotDef("decor_towel", ("striped", "folded", "damp",
+                                "cotton", "checkered", "gray")),
+        SlotDef("decor_board", ("bamboo", "scratched", "oiled",
+                                "thick", "pale", "worn")),
+        SlotDef("decor_knife", ("steel", "small", "serrated",
+                                "sharp", "dull", "clean")),
+        SlotDef("decor_peeler", ("plastic", "swivel", "green",
+                                 "cheap", "sturdy", "wet")),
+        SlotDef("decor_scale", ("digital", "kitchen", "round",
+                                "zeroed", "compact", "old")),
+        SlotDef("decor_basket", ("wicker", "woven", "lidded",
+                                 "brown", "airy", "squat")),
+        SlotDef("decor_net", ("mesh", "produce", "knotted",
+                              "orange", "fine", "stretchy")),
+    ),
     variants=(
         # The first variant is the clean canonical phrasing; background props
         # only surface in the alternates used under degraded conditions.
@@ -206,7 +199,7 @@ FRUITS_GRAMMAR = TemplateGrammar(
                    "above."),
         ),
     ),
-    scene_slots=_fruits_slots,
+    logical_slots=_fruits_slots,
 )
 
 
@@ -221,43 +214,34 @@ def _sticks_slots(scene: Scene) -> dict[str, str]:
         "count_red": number_word(view["count_red"]),
         "len_blue": view["len_blue"],
         "len_red": view["len_red"],
-        "decor_sticks": "wooden",
-        "decor_tray": "metal",
-        "decor_marker": "black",
-        "decor_cloth": "cotton",
-        "decor_clip": "bent",
-        "decor_band": "rubber",
-        "decor_tag": "lime",
-        "decor_ring": "brass",
-        "decor_pin": "push",
     }
 
 
 STICKS_GRAMMAR = TemplateGrammar(
     scenario_id="sticks",
-    slots={
-        "count_blue": SlotDef("count_blue", _NUM, Aspect.QUANTITY),
-        "count_red": SlotDef("count_red", _NUM, Aspect.QUANTITY),
-        "len_blue": SlotDef("len_blue", _LEN3, Aspect.LENGTH),
-        "len_red": SlotDef("len_red", _LEN3, Aspect.LENGTH),
-        "decor_sticks": _decor("decor_sticks", _STICK_DECOR),
-        "decor_tray": _decor("decor_tray", ("metal", "white", "gray",
-                                            "shallow", "wide", "round")),
-        "decor_marker": _decor("decor_marker", ("black", "silver", "yellow",
-                                                "square", "plastic", "folded")),
-        "decor_cloth": _decor("decor_cloth", ("cotton", "checked", "plain",
-                                              "striped", "pale", "coarse")),
-        "decor_clip": _decor("decor_clip", ("bent", "small", "shiny",
-                                            "steel", "flat", "dark")),
-        "decor_band": _decor("decor_band", ("rubber", "elastic", "paper",
-                                            "twisted", "broad", "loose")),
-        "decor_tag": _decor("decor_tag", ("lime", "tied", "printed",
-                                          "curled", "small", "torn")),
-        "decor_ring": _decor("decor_ring", ("brass", "split", "keyed",
-                                            "thin", "rusted", "wide")),
-        "decor_pin": _decor("decor_pin", ("push", "safety", "bright",
-                                          "long", "blunt", "glass")),
-    },
+    slots=_slot_table(
+        SlotDef("count_blue", _NUM, Aspect.QUANTITY),
+        SlotDef("count_red", _NUM, Aspect.QUANTITY),
+        SlotDef("len_blue", _LEN3, Aspect.LENGTH),
+        SlotDef("len_red", _LEN3, Aspect.LENGTH),
+        SlotDef("decor_sticks", _STICK_DECOR),
+        SlotDef("decor_tray", ("metal", "white", "gray",
+                               "shallow", "wide", "round")),
+        SlotDef("decor_marker", ("black", "silver", "yellow",
+                                 "square", "plastic", "folded")),
+        SlotDef("decor_cloth", ("cotton", "checked", "plain",
+                                "striped", "pale", "coarse")),
+        SlotDef("decor_clip", ("bent", "small", "shiny",
+                               "steel", "flat", "dark")),
+        SlotDef("decor_band", ("rubber", "elastic", "paper",
+                               "twisted", "broad", "loose")),
+        SlotDef("decor_tag", ("lime", "tied", "printed",
+                              "curled", "small", "torn")),
+        SlotDef("decor_ring", ("brass", "split", "keyed",
+                               "thin", "rusted", "wide")),
+        SlotDef("decor_pin", ("push", "safety", "bright",
+                              "long", "blunt", "glass")),
+    ),
     variants=(
         (
             Clause("There are {count_blue} blue {decor_sticks} sticks and "
@@ -298,7 +282,7 @@ STICKS_GRAMMAR = TemplateGrammar(
                    "kit."),
         ),
     ),
-    scene_slots=_sticks_slots,
+    logical_slots=_sticks_slots,
 )
 
 
@@ -317,46 +301,37 @@ def _tools_slots(scene: Scene) -> dict[str, str]:
         "count_nut": number_word(view["count_nut"]),
         "region_nut": view["region_nut"],
         "total_tools": number_word(total),
-        "decor_tools": "steel",
-        "decor_bench": "scuffed",
-        "decor_lamp": "angled",
-        "decor_rag": "oily",
-        "decor_box": "red",
-        "decor_vise": "blue",
-        "decor_chart": "wall",
-        "decor_drawer": "shallow",
-        "decor_hammer": "claw",
     }
 
 
 TOOLS_GRAMMAR = TemplateGrammar(
     scenario_id="tools",
-    slots={
-        "count_bolt": SlotDef("count_bolt", _NUM, Aspect.QUANTITY),
-        "region_bolt": SlotDef("region_bolt", _BINS_LMR, Aspect.PLACEMENT),
-        "count_washer": SlotDef("count_washer", _NUM, Aspect.QUANTITY),
-        "region_washer": SlotDef("region_washer", _BINS_LMR, Aspect.PLACEMENT),
-        "count_nut": SlotDef("count_nut", _NUM, Aspect.QUANTITY),
-        "region_nut": SlotDef("region_nut", _BINS_LMR, Aspect.PLACEMENT),
-        "total_tools": SlotDef("total_tools", _NUM, Aspect.QUANTITY),
-        "decor_tools": _decor("decor_tools", _TOOL_DECOR),
-        "decor_bench": _decor("decor_bench", ("scuffed", "clean", "broad",
-                                              "pine", "painted", "low")),
-        "decor_lamp": _decor("decor_lamp", ("angled", "bright", "dim",
-                                            "tall", "clamped", "old")),
-        "decor_rag": _decor("decor_rag", ("oily", "torn", "folded",
-                                          "blue", "rough", "damp")),
-        "decor_box": _decor("decor_box", ("red", "dented", "latched",
-                                          "stacked", "empty", "heavy")),
-        "decor_vise": _decor("decor_vise", ("blue", "mounted", "greased",
-                                            "open", "large", "iron")),
-        "decor_chart": _decor("decor_chart", ("wall", "torn", "laminated",
-                                              "faded", "taped", "metric")),
-        "decor_drawer": _decor("decor_drawer", ("shallow", "locked", "oiled",
-                                                "wide", "lower", "wooden")),
-        "decor_hammer": _decor("decor_hammer", ("claw", "rubber", "worn",
-                                                "small", "balanced", "black")),
-    },
+    slots=_slot_table(
+        SlotDef("count_bolt", _NUM, Aspect.QUANTITY),
+        SlotDef("region_bolt", _BINS_LMR, Aspect.PLACEMENT),
+        SlotDef("count_washer", _NUM, Aspect.QUANTITY),
+        SlotDef("region_washer", _BINS_LMR, Aspect.PLACEMENT),
+        SlotDef("count_nut", _NUM, Aspect.QUANTITY),
+        SlotDef("region_nut", _BINS_LMR, Aspect.PLACEMENT),
+        SlotDef("total_tools", _NUM, Aspect.QUANTITY),
+        SlotDef("decor_tools", _TOOL_DECOR),
+        SlotDef("decor_bench", ("scuffed", "clean", "broad",
+                                "pine", "painted", "low")),
+        SlotDef("decor_lamp", ("angled", "bright", "dim",
+                               "tall", "clamped", "old")),
+        SlotDef("decor_rag", ("oily", "torn", "folded",
+                              "blue", "rough", "damp")),
+        SlotDef("decor_box", ("red", "dented", "latched",
+                              "stacked", "empty", "heavy")),
+        SlotDef("decor_vise", ("blue", "mounted", "greased",
+                               "open", "large", "iron")),
+        SlotDef("decor_chart", ("wall", "torn", "laminated",
+                                "faded", "taped", "metric")),
+        SlotDef("decor_drawer", ("shallow", "locked", "oiled",
+                                 "wide", "lower", "wooden")),
+        SlotDef("decor_hammer", ("claw", "rubber", "worn",
+                                 "small", "balanced", "black")),
+    ),
     variants=(
         (
             Clause("There are {count_bolt} {decor_tools} bolts in the "
@@ -403,7 +378,7 @@ TOOLS_GRAMMAR = TemplateGrammar(
                    "hammer."),
         ),
     ),
-    scene_slots=_tools_slots,
+    logical_slots=_tools_slots,
 )
 
 
@@ -417,45 +392,36 @@ def _cookies_slots(scene: Scene) -> dict[str, str]:
         "color_square": view["color_square"],
         "count_round": number_word(view["count_round"]),
         "color_round": view["color_round"],
-        "decor_cookies": "baked",
-        "decor_table": "marble",
-        "decor_napkin": "paper",
-        "decor_jar": "glass",
-        "decor_mug": "ceramic",
-        "decor_tray2": "silver",
-        "decor_cloth2": "lace",
-        "decor_teapot": "iron",
-        "decor_doily": "crochet",
     }
 
 
 COOKIES_GRAMMAR = TemplateGrammar(
     scenario_id="cookies",
-    slots={
-        "count_square": SlotDef("count_square", _NUM, Aspect.QUANTITY),
-        "color_square": SlotDef("color_square", scenarios._COOKIE_COLORS,
-                                Aspect.RELATION),
-        "count_round": SlotDef("count_round", _NUM, Aspect.QUANTITY),
-        "color_round": SlotDef("color_round", scenarios._COOKIE_COLORS,
-                               Aspect.RELATION),
-        "decor_cookies": _decor("decor_cookies", _COOKIE_DECOR),
-        "decor_table": _decor("decor_table", ("marble", "tiled", "waxed",
-                                              "narrow", "oak", "spotless")),
-        "decor_napkin": _decor("decor_napkin", ("paper", "linen", "creased",
-                                                "printed", "thin", "bright")),
-        "decor_jar": _decor("decor_jar", ("glass", "corked", "tall",
-                                          "labeled", "amber", "dusty")),
-        "decor_mug": _decor("decor_mug", ("ceramic", "chipped", "green",
-                                          "steaming", "plain", "squat")),
-        "decor_tray2": _decor("decor_tray2", ("silver", "engraved", "oval",
-                                              "polished", "scuffed", "deep")),
-        "decor_cloth2": _decor("decor_cloth2", ("lace", "ivory", "pressed",
-                                                "floral", "hemmed", "soft")),
-        "decor_teapot": _decor("decor_teapot", ("iron", "floral", "warm",
-                                                "enamel", "spotted", "short")),
-        "decor_doily": _decor("decor_doily", ("crochet", "round", "starched",
-                                              "vintage", "cream", "frilly")),
-    },
+    slots=_slot_table(
+        SlotDef("count_square", _NUM, Aspect.QUANTITY),
+        SlotDef("color_square", scenarios._COOKIE_COLORS,
+                Aspect.RELATION),
+        SlotDef("count_round", _NUM, Aspect.QUANTITY),
+        SlotDef("color_round", scenarios._COOKIE_COLORS,
+                Aspect.RELATION),
+        SlotDef("decor_cookies", _COOKIE_DECOR),
+        SlotDef("decor_table", ("marble", "tiled", "waxed",
+                                "narrow", "oak", "spotless")),
+        SlotDef("decor_napkin", ("paper", "linen", "creased",
+                                 "printed", "thin", "bright")),
+        SlotDef("decor_jar", ("glass", "corked", "tall",
+                              "labeled", "amber", "dusty")),
+        SlotDef("decor_mug", ("ceramic", "chipped", "green",
+                              "steaming", "plain", "squat")),
+        SlotDef("decor_tray2", ("silver", "engraved", "oval",
+                                "polished", "scuffed", "deep")),
+        SlotDef("decor_cloth2", ("lace", "ivory", "pressed",
+                                 "floral", "hemmed", "soft")),
+        SlotDef("decor_teapot", ("iron", "floral", "warm",
+                                 "enamel", "spotted", "short")),
+        SlotDef("decor_doily", ("crochet", "round", "starched",
+                                "vintage", "cream", "frilly")),
+    ),
     variants=(
         (
             Clause("There are {count_square} {color_square} cookies on the "
@@ -497,7 +463,7 @@ COOKIES_GRAMMAR = TemplateGrammar(
                    "doily."),
         ),
     ),
-    scene_slots=_cookies_slots,
+    logical_slots=_cookies_slots,
 )
 
 
@@ -511,44 +477,35 @@ def _tapes_slots(scene: Scene) -> dict[str, str]:
         "color_first": view["color_first"],
         "len_second": view["len_second"],
         "color_second": view["color_second"],
-        "decor_tapes": "adhesive",
-        "decor_desk": "walnut",
-        "decor_ruler": "clear",
-        "decor_pad": "yellow",
-        "decor_cup": "tin",
-        "decor_stand": "wire",
-        "decor_folder": "manila",
-        "decor_shade": "green",
-        "decor_tin": "biscuit",
     }
 
 
 TAPES_GRAMMAR = TemplateGrammar(
     scenario_id="tapes",
-    slots={
-        "len_first": SlotDef("len_first", _LEN3, Aspect.LENGTH),
-        "color_first": SlotDef("color_first", scenarios._TAPE_COLORS, Aspect.TYPE),
-        "len_second": SlotDef("len_second", _LEN3, Aspect.LENGTH),
-        "color_second": SlotDef("color_second", scenarios._TAPE_COLORS,
-                                Aspect.TYPE),
-        "decor_tapes": _decor("decor_tapes", _TAPE_DECOR),
-        "decor_desk": _decor("decor_desk", ("walnut", "laminate", "tidy",
-                                            "slim", "corner", "bare")),
-        "decor_ruler": _decor("decor_ruler", ("clear", "metal", "bendy",
-                                              "marked", "short", "cracked")),
-        "decor_pad": _decor("decor_pad", ("yellow", "lined", "spiral",
-                                          "thick", "open", "fresh")),
-        "decor_cup": _decor("decor_cup", ("tin", "pen", "leaning",
-                                          "full", "black", "round")),
-        "decor_stand": _decor("decor_stand", ("wire", "angled", "chrome",
-                                              "weighted", "bare", "tall")),
-        "decor_folder": _decor("decor_folder", ("manila", "stuffed", "crisp",
-                                                "labeled", "ragged", "flat")),
-        "decor_shade": _decor("decor_shade", ("green", "banker", "domed",
-                                              "frosted", "pleated", "dark")),
-        "decor_tin": _decor("decor_tin", ("biscuit", "square", "painted",
-                                          "rattling", "shut", "shallow")),
-    },
+    slots=_slot_table(
+        SlotDef("len_first", _LEN3, Aspect.LENGTH),
+        SlotDef("color_first", scenarios._TAPE_COLORS, Aspect.TYPE),
+        SlotDef("len_second", _LEN3, Aspect.LENGTH),
+        SlotDef("color_second", scenarios._TAPE_COLORS,
+                Aspect.TYPE),
+        SlotDef("decor_tapes", _TAPE_DECOR),
+        SlotDef("decor_desk", ("walnut", "laminate", "tidy",
+                               "slim", "corner", "bare")),
+        SlotDef("decor_ruler", ("clear", "metal", "bendy",
+                                "marked", "short", "cracked")),
+        SlotDef("decor_pad", ("yellow", "lined", "spiral",
+                              "thick", "open", "fresh")),
+        SlotDef("decor_cup", ("tin", "pen", "leaning",
+                              "full", "black", "round")),
+        SlotDef("decor_stand", ("wire", "angled", "chrome",
+                                "weighted", "bare", "tall")),
+        SlotDef("decor_folder", ("manila", "stuffed", "crisp",
+                                 "labeled", "ragged", "flat")),
+        SlotDef("decor_shade", ("green", "banker", "domed",
+                                "frosted", "pleated", "dark")),
+        SlotDef("decor_tin", ("biscuit", "square", "painted",
+                              "rattling", "shut", "shallow")),
+    ),
     variants=(
         (
             Clause("There is a {len_first} {color_first} tape and a "
@@ -587,7 +544,7 @@ TAPES_GRAMMAR = TemplateGrammar(
                    "tin."),
         ),
     ),
-    scene_slots=_tapes_slots,
+    logical_slots=_tapes_slots,
 )
 
 
@@ -601,46 +558,36 @@ def _stationery_slots(scene: Scene) -> dict[str, str]:
     return {k: view[k] for k in (
         "len_left_pencil", "len_left_eraser", "order_left",
         "len_right_pencil", "len_right_eraser", "order_right",
-    )} | {
-        "decor_stationery": "new",
-        "decor_shelf": "white",
-        "decor_stapler": "gray",
-        "decor_tape": "clear",
-        "decor_note": "pink",
-        "decor_hook2": "plastic",
-        "decor_sign": "printed",
-        "decor_pegs": "wooden",
-        "decor_tub": "clear",
-    }
+    )}
 
 
 STATIONERY_GRAMMAR = TemplateGrammar(
     scenario_id="stationery",
-    slots={
-        "len_left_pencil": SlotDef("len_left_pencil", _LEN2, Aspect.LENGTH),
-        "len_left_eraser": SlotDef("len_left_eraser", _LEN2, Aspect.LENGTH),
-        "order_left": SlotDef("order_left", _ORDER2, Aspect.PLACEMENT),
-        "len_right_pencil": SlotDef("len_right_pencil", _LEN2, Aspect.LENGTH),
-        "len_right_eraser": SlotDef("len_right_eraser", _LEN2, Aspect.LENGTH),
-        "order_right": SlotDef("order_right", _ORDER2, Aspect.PLACEMENT),
-        "decor_stationery": _decor("decor_stationery", _STATIONERY_DECOR),
-        "decor_shelf": _decor("decor_shelf", ("white", "steel", "slanted",
-                                              "narrow", "high", "dusty")),
-        "decor_stapler": _decor("decor_stapler", ("gray", "heavy", "mini",
-                                                  "open", "orange", "worn")),
-        "decor_tape": _decor("decor_tape", ("clear", "brown", "masking",
-                                            "double", "thin", "fresh")),
-        "decor_note": _decor("decor_note", ("pink", "sticky", "curled",
-                                            "blank", "square", "bright")),
-        "decor_hook2": _decor("decor_hook2", ("plastic", "white", "bent",
-                                              "screwed", "double", "small")),
-        "decor_sign": _decor("decor_sign", ("printed", "handwritten", "taped",
-                                            "tilted", "framed", "yellowed")),
-        "decor_pegs": _decor("decor_pegs", ("wooden", "spring", "striped",
-                                            "mixed", "stubby", "spare")),
-        "decor_tub": _decor("decor_tub", ("clear", "stacked", "lidless",
-                                          "deep", "cracked", "blue")),
-    },
+    slots=_slot_table(
+        SlotDef("len_left_pencil", _LEN2, Aspect.LENGTH),
+        SlotDef("len_left_eraser", _LEN2, Aspect.LENGTH),
+        SlotDef("order_left", _ORDER2, Aspect.PLACEMENT),
+        SlotDef("len_right_pencil", _LEN2, Aspect.LENGTH),
+        SlotDef("len_right_eraser", _LEN2, Aspect.LENGTH),
+        SlotDef("order_right", _ORDER2, Aspect.PLACEMENT),
+        SlotDef("decor_stationery", _STATIONERY_DECOR),
+        SlotDef("decor_shelf", ("white", "steel", "slanted",
+                                "narrow", "high", "dusty")),
+        SlotDef("decor_stapler", ("gray", "heavy", "mini",
+                                  "open", "orange", "worn")),
+        SlotDef("decor_tape", ("clear", "brown", "masking",
+                               "double", "thin", "fresh")),
+        SlotDef("decor_note", ("pink", "sticky", "curled",
+                               "blank", "square", "bright")),
+        SlotDef("decor_hook2", ("plastic", "white", "bent",
+                                "screwed", "double", "small")),
+        SlotDef("decor_sign", ("printed", "handwritten", "taped",
+                               "tilted", "framed", "yellowed")),
+        SlotDef("decor_pegs", ("wooden", "spring", "striped",
+                               "mixed", "stubby", "spare")),
+        SlotDef("decor_tub", ("clear", "stacked", "lidless",
+                              "deep", "cracked", "blue")),
+    ),
     variants=(
         (
             Clause("The left bin holds a {len_left_pencil} black pencil and a "
@@ -691,7 +638,7 @@ STATIONERY_GRAMMAR = TemplateGrammar(
                    "end."),
         ),
     ),
-    scene_slots=_stationery_slots,
+    logical_slots=_stationery_slots,
 )
 
 
@@ -706,38 +653,31 @@ def _ropes_slots(scene: Scene) -> dict[str, str]:
         "rope_len": _ROPE_LEN_WORD[view["rope_len"]],
         "rope_color": view["rope_color"],
         "label_color": view["label_color"],
-        "decor_ropes": "braided",
-        "decor_hook": "brass",
-        "decor_board": "cork",
-        "decor_bag": "canvas",
-        "decor_knot": "loose",
-        "decor_shelfr": "metal",
-        "decor_bucket": "green",
     }
 
 
 ROPES_GRAMMAR = TemplateGrammar(
     scenario_id="ropes",
-    slots={
-        "rope_len": SlotDef("rope_len", _ROPE_LEN, Aspect.LENGTH),
-        "rope_color": SlotDef("rope_color", scenarios._ROPE_COLORS,
-                              Aspect.RELATION),
-        "label_color": SlotDef("label_color", scenarios._ROPE_COLORS,
-                               Aspect.RELATION),
-        "decor_ropes": _decor("decor_ropes", _ROPE_DECOR),
-        "decor_hook": _decor("decor_hook", ("brass", "rusty", "double",
-                                            "bolted", "curved", "sturdy")),
-        "decor_board": _decor("decor_board", ("cork", "pegged", "framed",
-                                              "leaning", "rough", "long")),
-        "decor_bag": _decor("decor_bag", ("canvas", "zipped", "bulging",
-                                          "khaki", "slack", "patched")),
-        "decor_knot": _decor("decor_knot", ("loose", "tight", "double",
-                                            "simple", "neat", "tangled")),
-        "decor_shelfr": _decor("decor_shelfr", ("metal", "slim", "welded",
-                                                "gray", "long", "bare")),
-        "decor_bucket": _decor("decor_bucket", ("green", "dented", "plastic",
-                                                "upside", "stained", "deep")),
-    },
+    slots=_slot_table(
+        SlotDef("rope_len", _ROPE_LEN, Aspect.LENGTH),
+        SlotDef("rope_color", scenarios._ROPE_COLORS,
+                Aspect.RELATION),
+        SlotDef("label_color", scenarios._ROPE_COLORS,
+                Aspect.RELATION),
+        SlotDef("decor_ropes", _ROPE_DECOR),
+        SlotDef("decor_hook", ("brass", "rusty", "double",
+                               "bolted", "curved", "sturdy")),
+        SlotDef("decor_board", ("cork", "pegged", "framed",
+                                "leaning", "rough", "long")),
+        SlotDef("decor_bag", ("canvas", "zipped", "bulging",
+                              "khaki", "slack", "patched")),
+        SlotDef("decor_knot", ("loose", "tight", "double",
+                               "simple", "neat", "tangled")),
+        SlotDef("decor_shelfr", ("metal", "slim", "welded",
+                                 "gray", "long", "bare")),
+        SlotDef("decor_bucket", ("green", "dented", "plastic",
+                                 "upside", "stained", "deep")),
+    ),
     variants=(
         (
             Clause("The {decor_ropes} rope is {rope_len} in length compared "
@@ -775,7 +715,7 @@ ROPES_GRAMMAR = TemplateGrammar(
                    "a {decor_knot} knot.", optional=True),
         ),
     ),
-    scene_slots=_ropes_slots,
+    logical_slots=_ropes_slots,
 )
 
 
@@ -787,46 +727,36 @@ def _blocks_slots(scene: Scene) -> dict[str, str]:
     view = SCENARIO_VIEWS["blocks"](scene)
     return {k: view[k] for k in (
         "shape_a", "region_a", "shape_b", "region_b", "shape_c", "region_c",
-    )} | {
-        "decor_blocks": "wooden",
-        "decor_rack": "beige",
-        "decor_label": "printed",
-        "decor_crate": "slatted",
-        "decor_floor": "concrete",
-        "decor_cart": "steel",
-        "decor_poster": "safety",
-        "decor_pallet": "oak",
-        "decor_cone": "traffic",
-    }
+    )}
 
 
 BLOCKS_GRAMMAR = TemplateGrammar(
     scenario_id="blocks",
-    slots={
-        "shape_a": SlotDef("shape_a", scenarios._BLOCK_SHAPES, Aspect.TYPE),
-        "region_a": SlotDef("region_a", _BINS_TMB, Aspect.PLACEMENT),
-        "shape_b": SlotDef("shape_b", scenarios._BLOCK_SHAPES, Aspect.TYPE),
-        "region_b": SlotDef("region_b", _BINS_TMB, Aspect.PLACEMENT),
-        "shape_c": SlotDef("shape_c", scenarios._BLOCK_SHAPES, Aspect.TYPE),
-        "region_c": SlotDef("region_c", _BINS_TMB, Aspect.PLACEMENT),
-        "decor_blocks": _decor("decor_blocks", _BLOCK_DECOR),
-        "decor_rack": _decor("decor_rack", ("beige", "welded", "tiered",
-                                            "mobile", "squat", "bolted")),
-        "decor_label": _decor("decor_label", ("printed", "peeling", "taped",
-                                              "laminated", "faded", "crooked")),
-        "decor_crate": _decor("decor_crate", ("slatted", "stamped", "pale",
-                                              "upturned", "sturdy", "rough")),
-        "decor_floor": _decor("decor_floor", ("concrete", "swept", "gridded",
-                                              "sealed", "speckled", "matte")),
-        "decor_cart": _decor("decor_cart", ("steel", "wheeled", "parked",
-                                            "loaded", "narrow", "squeaky")),
-        "decor_poster": _decor("decor_poster", ("safety", "peeled", "glossy",
-                                                "pinned", "large", "dated")),
-        "decor_pallet": _decor("decor_pallet", ("oak", "chipped", "stacked",
-                                                "blue", "flat", "heavy")),
-        "decor_cone": _decor("decor_cone", ("traffic", "striped", "toppled",
-                                            "bright", "small", "dirty")),
-    },
+    slots=_slot_table(
+        SlotDef("shape_a", scenarios._BLOCK_SHAPES, Aspect.TYPE),
+        SlotDef("region_a", _BINS_TMB, Aspect.PLACEMENT),
+        SlotDef("shape_b", scenarios._BLOCK_SHAPES, Aspect.TYPE),
+        SlotDef("region_b", _BINS_TMB, Aspect.PLACEMENT),
+        SlotDef("shape_c", scenarios._BLOCK_SHAPES, Aspect.TYPE),
+        SlotDef("region_c", _BINS_TMB, Aspect.PLACEMENT),
+        SlotDef("decor_blocks", _BLOCK_DECOR),
+        SlotDef("decor_rack", ("beige", "welded", "tiered",
+                               "mobile", "squat", "bolted")),
+        SlotDef("decor_label", ("printed", "peeling", "taped",
+                                "laminated", "faded", "crooked")),
+        SlotDef("decor_crate", ("slatted", "stamped", "pale",
+                                "upturned", "sturdy", "rough")),
+        SlotDef("decor_floor", ("concrete", "swept", "gridded",
+                                "sealed", "speckled", "matte")),
+        SlotDef("decor_cart", ("steel", "wheeled", "parked",
+                               "loaded", "narrow", "squeaky")),
+        SlotDef("decor_poster", ("safety", "peeled", "glossy",
+                                 "pinned", "large", "dated")),
+        SlotDef("decor_pallet", ("oak", "chipped", "stacked",
+                                 "blue", "flat", "heavy")),
+        SlotDef("decor_cone", ("traffic", "striped", "toppled",
+                               "bright", "small", "dirty")),
+    ),
     variants=(
         (
             Clause("Two {shape_a} blocks are in the {region_a} bin, two "
@@ -868,7 +798,7 @@ BLOCKS_GRAMMAR = TemplateGrammar(
                    "the aisle."),
         ),
     ),
-    scene_slots=_blocks_slots,
+    logical_slots=_blocks_slots,
 )
 
 
@@ -885,46 +815,34 @@ _DISH_POS_VALUES = {
 def _dishes_slots(scene: Scene) -> dict[str, str]:
     items = SCENARIO_VIEWS["dishes"](scene)["items"]
     words = ("first", "second", "third")
-    return {
-        f"pos_{w}": f"{w}_{item}" for w, item in zip(words, items)
-    } | {
-        "decor_dishes": "gray",
-        "decor_runner": "linen",
-        "decor_candle": "white",
-        "decor_vase": "slender",
-        "decor_chair": "oak",
-        "decor_pitcher": "glass",
-        "decor_coaster": "round",
-        "decor_salt": "glass",
-        "decor_trivet": "iron",
-    }
+    return {f"pos_{w}": f"{w}_{item}" for w, item in zip(words, items)}
 
 
 DISHES_GRAMMAR = TemplateGrammar(
     scenario_id="dishes",
-    slots={
-        "pos_first": SlotDef("pos_first", _DISH_POS_VALUES["first"], Aspect.TYPE),
-        "pos_second": SlotDef("pos_second", _DISH_POS_VALUES["second"],
-                              Aspect.TYPE),
-        "pos_third": SlotDef("pos_third", _DISH_POS_VALUES["third"], Aspect.TYPE),
-        "decor_dishes": _decor("decor_dishes", _DISH_DECOR),
-        "decor_runner": _decor("decor_runner", ("linen", "red", "quilted",
-                                                "long", "fringed", "ironed")),
-        "decor_candle": _decor("decor_candle", ("white", "lit", "stubby",
-                                                "scented", "tilted", "waxy")),
-        "decor_vase": _decor("decor_vase", ("slender", "blue", "etched",
-                                            "empty", "squat", "shiny")),
-        "decor_chair": _decor("decor_chair", ("oak", "padded", "pushed",
-                                              "carved", "plain", "high")),
-        "decor_pitcher": _decor("decor_pitcher", ("glass", "frosted", "tall",
-                                                  "full", "handled", "clay")),
-        "decor_coaster": _decor("decor_coaster", ("round", "cork", "slate",
-                                                  "woven", "thin", "spare")),
-        "decor_salt": _decor("decor_salt", ("glass", "twin", "capped",
-                                            "crystal", "half", "plain")),
-        "decor_trivet": _decor("decor_trivet", ("iron", "tiled", "square",
-                                                "heat", "braided", "worn")),
-    },
+    slots=_slot_table(
+        SlotDef("pos_first", _DISH_POS_VALUES["first"], Aspect.TYPE),
+        SlotDef("pos_second", _DISH_POS_VALUES["second"],
+                Aspect.TYPE),
+        SlotDef("pos_third", _DISH_POS_VALUES["third"], Aspect.TYPE),
+        SlotDef("decor_dishes", _DISH_DECOR),
+        SlotDef("decor_runner", ("linen", "red", "quilted",
+                                 "long", "fringed", "ironed")),
+        SlotDef("decor_candle", ("white", "lit", "stubby",
+                                 "scented", "tilted", "waxy")),
+        SlotDef("decor_vase", ("slender", "blue", "etched",
+                               "empty", "squat", "shiny")),
+        SlotDef("decor_chair", ("oak", "padded", "pushed",
+                                "carved", "plain", "high")),
+        SlotDef("decor_pitcher", ("glass", "frosted", "tall",
+                                  "full", "handled", "clay")),
+        SlotDef("decor_coaster", ("round", "cork", "slate",
+                                  "woven", "thin", "spare")),
+        SlotDef("decor_salt", ("glass", "twin", "capped",
+                               "crystal", "half", "plain")),
+        SlotDef("decor_trivet", ("iron", "tiled", "square",
+                                 "heat", "braided", "worn")),
+    ),
     variants=(
         (
             Clause("From left to right the arrangement is {pos_first}, then "
@@ -964,7 +882,7 @@ DISHES_GRAMMAR = TemplateGrammar(
                    "trivet."),
         ),
     ),
-    scene_slots=_dishes_slots,
+    logical_slots=_dishes_slots,
 )
 
 
@@ -977,47 +895,38 @@ def _balls_slots(scene: Scene) -> dict[str, str]:
     for short in ("tl", "tr", "bl", "br"):
         out[f"n_{short}"] = number_word(view[f"n_{short}"])
         out[f"c_{short}"] = view[f"c_{short}"]
-    out["decor_balls"] = "rubber"
-    out["decor_case"] = "padded"
-    out["decor_lid"] = "hinged"
-    out["decor_strap"] = "nylon"
-    out["decor_tag"] = "paper"
-    out["decor_foam"] = "gray"
-    out["decor_latch"] = "chrome"
-    out["decor_pump"] = "hand"
-    out["decor_mesh"] = "drawstring"
     return out
 
 
 BALLS_GRAMMAR = TemplateGrammar(
     scenario_id="balls",
-    slots={
-        "n_tl": SlotDef("n_tl", _LOW_NUM, Aspect.PLACEMENT),
-        "c_tl": SlotDef("c_tl", scenarios._BALL_COLORS, Aspect.RELATION),
-        "n_tr": SlotDef("n_tr", _LOW_NUM, Aspect.PLACEMENT),
-        "c_tr": SlotDef("c_tr", scenarios._BALL_COLORS, Aspect.RELATION),
-        "n_bl": SlotDef("n_bl", _LOW_NUM, Aspect.PLACEMENT),
-        "c_bl": SlotDef("c_bl", scenarios._BALL_COLORS, Aspect.RELATION),
-        "n_br": SlotDef("n_br", _LOW_NUM, Aspect.PLACEMENT),
-        "c_br": SlotDef("c_br", scenarios._BALL_COLORS, Aspect.RELATION),
-        "decor_balls": _decor("decor_balls", _BALL_DECOR),
-        "decor_case": _decor("decor_case", ("padded", "molded", "aluminum",
-                                            "scuffed", "latching", "slim")),
-        "decor_lid": _decor("decor_lid", ("hinged", "foam", "raised",
-                                          "snapped", "ribbed", "loose")),
-        "decor_strap": _decor("decor_strap", ("nylon", "woven", "buckled",
-                                              "frayed", "elastic", "wide")),
-        "decor_tag": _decor("decor_tag", ("paper", "laminated", "numbered",
-                                          "tied", "bent", "orange")),
-        "decor_foam": _decor("decor_foam", ("gray", "dense", "cut",
-                                            "eggshell", "soft", "thick")),
-        "decor_latch": _decor("decor_latch", ("chrome", "spring", "stiff",
-                                              "twin", "snapped", "tiny")),
-        "decor_pump": _decor("decor_pump", ("hand", "mini", "red",
-                                            "foot", "spent", "metal")),
-        "decor_mesh": _decor("decor_mesh", ("drawstring", "black", "coarse",
-                                            "netted", "light", "roomy")),
-    },
+    slots=_slot_table(
+        SlotDef("n_tl", _LOW_NUM, Aspect.PLACEMENT),
+        SlotDef("c_tl", scenarios._BALL_COLORS, Aspect.RELATION),
+        SlotDef("n_tr", _LOW_NUM, Aspect.PLACEMENT),
+        SlotDef("c_tr", scenarios._BALL_COLORS, Aspect.RELATION),
+        SlotDef("n_bl", _LOW_NUM, Aspect.PLACEMENT),
+        SlotDef("c_bl", scenarios._BALL_COLORS, Aspect.RELATION),
+        SlotDef("n_br", _LOW_NUM, Aspect.PLACEMENT),
+        SlotDef("c_br", scenarios._BALL_COLORS, Aspect.RELATION),
+        SlotDef("decor_balls", _BALL_DECOR),
+        SlotDef("decor_case", ("padded", "molded", "aluminum",
+                               "scuffed", "latching", "slim")),
+        SlotDef("decor_lid", ("hinged", "foam", "raised",
+                              "snapped", "ribbed", "loose")),
+        SlotDef("decor_strap", ("nylon", "woven", "buckled",
+                                "frayed", "elastic", "wide")),
+        SlotDef("decor_tag", ("paper", "laminated", "numbered",
+                              "tied", "bent", "orange")),
+        SlotDef("decor_foam", ("gray", "dense", "cut",
+                               "eggshell", "soft", "thick")),
+        SlotDef("decor_latch", ("chrome", "spring", "stiff",
+                                "twin", "snapped", "tiny")),
+        SlotDef("decor_pump", ("hand", "mini", "red",
+                               "foot", "spent", "metal")),
+        SlotDef("decor_mesh", ("drawstring", "black", "coarse",
+                               "netted", "light", "roomy")),
+    ),
     variants=(
         (
             Clause("The top left compartment holds {n_tl} {c_tl} balls, the "
@@ -1060,7 +969,7 @@ BALLS_GRAMMAR = TemplateGrammar(
                    "pocket."),
         ),
     ),
-    scene_slots=_balls_slots,
+    logical_slots=_balls_slots,
 )
 
 

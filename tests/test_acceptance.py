@@ -192,7 +192,7 @@ def test_criterion_07_negative_validity():
             pos = render(sample_normal(spec, rng), cfg, rng, grammar)
             neg, _ = synthesize_negative(pos, grammar, rng)
             total += 1
-            if not validate_negative(pos, neg, grammar).passed:
+            if not validate_negative(pos.text, neg.text, grammar).passed:
                 failures += 1
     ok = failures == 0 and total == 10_000
     _verdict(7, ok, f"{total} negatives synthesized, {failures} invalid")

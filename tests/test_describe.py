@@ -2,24 +2,19 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from logicad.describe import (
     CONDITION_RENDER_DEFAULTS,
-    DescriptionText,
-    NormalizeError,
     ParseError,
     RenderConfig,
     RenderError,
-    normalize,
     parse,
     render,
     render_record,
 )
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Condition, ObjectInstance, Scene, sample_normal
-from logicad.templates import get_grammar
+from logicad.templates import SlotDef, _slot_table, get_grammar
 
 CLEAN = RenderConfig(0.0, 0.0, 0.0)
 
@@ -80,17 +75,16 @@ def test_certain_corruption_flips_every_decorative_slot():
     scene = _canonical_scene("sticks")
     grammar = get_grammar("sticks")
     clean_slots = grammar.scene_slots(scene)
-    text = render(scene, RenderConfig(0.0, 0.0, 1.0), np.random.default_rng(5))
-    record = parse(text.text, grammar)
-    seen_corruptible = 0
+    rendered = render(scene, RenderConfig(0.0, 0.0, 1.0), np.random.default_rng(5))
+    record = parse(rendered.text, grammar)
+    seen_decorative = 0
     for name, value in record.slots:
-        slot = grammar.slots[name]
-        if slot.corruptible:
-            seen_corruptible += 1
+        if grammar.slots[name].aspect is None:
+            seen_decorative += 1
             assert value != clean_slots[name]
         else:
             assert value == clean_slots[name]
-    assert seen_corruptible > 0
+    assert seen_decorative > 0
 
 
 def test_zero_corruption_never_touches_slots():
@@ -143,9 +137,11 @@ def test_round_trip_identity_under_noisy_rendering(scenario_id):
     rng = np.random.default_rng(47)
     cfg = RenderConfig(0.9, 0.2, 0.3)
     for _ in range(25):
-        text = render(sample_normal(spec, rng), cfg, rng, grammar).text
-        record = parse(text, grammar)
-        assert render_record(grammar, record.skeleton, record.slot_map()) == text
+        rendered = render(sample_normal(spec, rng), cfg, rng, grammar)
+        record = parse(rendered.text, grammar)
+        assert record == rendered
+        assert render_record(grammar, record.skeleton,
+                             record.slot_map()) == rendered.text
 
 
 def test_render_rejects_values_outside_the_grammar():
@@ -165,26 +161,11 @@ def test_parse_rejects_unmatched_text():
         parse("", grammar)
 
 
-def test_normalize_strips_system_tokens_and_whitespace():
-    raw = "<|im_start|>assistant: There are  three oranges.\n\n<|im_end|> "
-    assert normalize(raw).text == "There are three oranges."
-
-
-def test_normalize_rejects_empty_results():
-    with pytest.raises(NormalizeError):
-        normalize("  <s>  </s> ")
-    with pytest.raises(NormalizeError):
-        DescriptionText("")
-
-
-@given(st.text(alphabet=st.characters(codec="ascii"), min_size=0, max_size=80))
-@settings(max_examples=100, deadline=None)
-def test_normalize_is_idempotent(raw):
-    try:
-        once = normalize(raw)
-    except NormalizeError:
-        return
-    assert normalize(once.text).text == once.text
+def test_slot_table_keeps_the_order_and_rejects_a_repeated_name():
+    a, b = SlotDef("a", ("x",)), SlotDef("b", ("y",))
+    assert list(_slot_table(b, a)) == ["b", "a"]
+    with pytest.raises(ValueError):
+        _slot_table(a, b, SlotDef("a", ("z",)))
 
 
 def test_render_config_validates_probabilities():

@@ -1,5 +1,6 @@
 """Pipeline orchestration and the command-line interface, end to end."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from logicad import cli, pipeline
-from logicad.scenes import Condition, Label, SplitCounts
+from logicad.scenes import Condition, Label, SplitCounts, task_id_for
 from logicad.trainer import TrainConfig
 
 SMALL = pipeline.PipelineConfig(
@@ -357,3 +358,50 @@ def test_cli_bad_setting_exits_2_before_any_work(tmp_path, argv, setting):
         _run([*argv, *ARGS, *extra, "--out-dir", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["--scenario", ","], None),
+    (["--condition", ","], None),
+    ([], "scenario = ,"),
+])
+def test_cli_empty_task_selection_exits_2_before_any_work(tmp_path, argv,
+                                                          setting):
+    out = tmp_path / "out"
+    extra = []
+    if setting is not None:
+        config = tmp_path / "empty.cfg"
+        config.write_text(setting + "\n")
+        extra = ["--config", str(config)]
+    with pytest.raises(SystemExit) as exc:
+        _run(["all", *argv, *extra, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+# sha256 over every task's file of one kind, concatenated in task order, for
+# `gen` of all 50 tasks at master seed 0.  Scenes, descriptions and negative
+# pairs hold no floats, so any change to these bytes is a change to the data.
+GEN_DIGESTS = {
+    "scenes.jsonl":
+        "f51e506dc1dcf4b9ad35edb71f7c8bf91d907fc264a285f316b3c667f8fb6e52",
+    "descriptions.jsonl":
+        "4aee27cbdca3cead3eca09e936b86bfce7acb07e64e9f658e1828a2ab1d9d382",
+    "pairs.jsonl":
+        "a8a256bef49694d48c4d2f086c6538a44aded3aa7714df4174b8165e3b52fbb8",
+}
+
+
+def test_gen_bytes_at_seed_0_are_pinned(tmp_path):
+    config = pipeline.PipelineConfig(master_seed=0, jobs=1)
+    for _ in pipeline.run_benchmark(config, tmp_path, "gen"):
+        pass
+    task_ids = [task_id_for(s, c) for s, c in config.tasks()]
+    assert len(task_ids) == 50
+    digests = {}
+    for suffix in GEN_DIGESTS:
+        h = hashlib.sha256()
+        for task_id in task_ids:
+            h.update((tmp_path / f"{task_id}.{suffix}").read_bytes())
+        digests[suffix] = h.hexdigest()
+    assert digests == GEN_DIGESTS
