@@ -16,6 +16,18 @@ from . import knn, metrics, pipeline, scenarios, scenes, trainer
 
 OUT_DIR_ENV = "LOGICAD_OUT_DIR"
 
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return _BOOLEANS[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, "
+                         f"got {raw!r}") from None
+
+
 _CONFIG_KEYS = {
     "seed": int,
     "out_dir": str,
@@ -30,7 +42,7 @@ _CONFIG_KEYS = {
     "learning_rate": float,
     "weight_decay": float,
     "clip_norm": float,
-    "skip_training": lambda s: s.lower() in ("1", "true", "yes"),
+    "skip_training": _parse_bool,
 }
 
 

@@ -88,17 +88,6 @@ def init_params(vocab_size: int, dim: int = DEFAULT_DIM,
     )
 
 
-def make_dropout_mask(n_tokens: int, dim: int, rate: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate).
-
-    A zero rate keeps everything and draws nothing from ``rng``.
-    """
-    if rate == 0.0:
-        return np.ones((n_tokens, dim))
-    return (rng.random((n_tokens, dim)) >= rate) / (1.0 - rate)
-
-
 def activation_table(params: EncoderParams) -> np.ndarray:
     """(V, D) per-id activations tanh(E @ W.T + b).
 

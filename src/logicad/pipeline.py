@@ -42,6 +42,12 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.scenario_ids or not self.conditions:
             raise ValueError("select at least one scenario and one condition")
+        for kind, chosen in (("scenario", self.scenario_ids),
+                             ("condition", [c.value for c in self.conditions])):
+            repeated = sorted({x for x in chosen if chosen.count(x) > 1})
+            if repeated:
+                raise ValueError(f"{kind} selected more than once: "
+                                 f"{', '.join(repeated)}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.dim < 2:

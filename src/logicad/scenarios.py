@@ -12,6 +12,9 @@ matters), which keeps serialization reproducible.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 from .scenes import Aspect, ObjectInstance, Scene, ScenarioSpec, SplitCounts
@@ -44,86 +47,112 @@ def _bump(rng: np.random.Generator, count: int, lo: int = 0, hi: int = MAX_COUNT
     return count + _pick(rng, deltas)
 
 
+@dataclass(frozen=True)
+class GroupLayout:
+    """A scene of groups in a fixed order, one group per key.
+
+    A group is every object whose ``key`` field (a color, a category or a
+    region) equals the group's key; it has a count, and its objects share
+    one ``attr`` field.  Each row of ``groups`` is (key, count slot,
+    attribute slot, canonical count, canonical attribute); the slot names
+    are both the view's keys and the grammar's slot names.  ``category`` is
+    the fixed category, or None when the key is the category.
+    """
+
+    scenario_id: str
+    key: str
+    attr: str
+    category: Optional[str]
+    values: tuple[str, ...]  # allowed attribute values
+    groups: tuple[tuple[str, str, str, int, str], ...]
+
+    def view(self, scene: Scene) -> dict:
+        view = {}
+        for key, count, attr, _, canon in self.groups:
+            group = [o for o in scene.objects if getattr(o, self.key) == key]
+            view[count] = len(group)
+            view[attr] = getattr(group[0], self.attr) if group else canon
+        return view
+
+    def build(self, view: dict) -> Scene:
+        objects = []
+        for key, count, attr, _, _ in self.groups:
+            fields = {"category": self.category, self.key: key,
+                      self.attr: view[attr]}
+            for _ in range(view[count]):
+                objects.append(ObjectInstance(**fields, order_index=len(objects)))
+        return Scene(self.scenario_id, tuple(objects))
+
+    def sample(self, rng: np.random.Generator) -> Scene:
+        view = {}
+        for _, count, attr, n, canon in self.groups:
+            view[count], view[attr] = n, canon
+        return self.build(view)
+
+    def counts_hold(self, scene: Scene) -> bool:
+        view = self.view(scene)
+        return all(view[count] == n for _, count, _, n, _ in self.groups)
+
+    def attrs_hold(self, scene: Scene) -> bool:
+        canon = {key: a for key, _, _, _, a in self.groups}
+        return all(
+            getattr(o, self.attr) == canon[getattr(o, self.key)]
+            for o in scene.objects if getattr(o, self.key) in canon
+        )
+
+    def bump_count(self, scene: Scene, rng: np.random.Generator) -> Scene:
+        view = self.view(scene)
+        count = _pick(rng, [g[1] for g in self.groups])
+        view[count] = _bump(rng, view[count])
+        return self.build(view)
+
+    def change_attr(self, scene: Scene, rng: np.random.Generator) -> Scene:
+        view = self.view(scene)
+        _, _, attr, _, canon = _pick(rng, [g for g in self.groups if view[g[1]] > 0])
+        view[attr] = _pick(rng, [v for v in self.values if v != canon])
+        return self.build(view)
+
+    def slots(self, scene: Scene) -> dict[str, str]:
+        """The logical slot values, counts as number words."""
+        view = self.view(scene)
+        for _, count, _, _, _ in self.groups:
+            view[count] = number_word(view[count])
+        return view
+
+
+def _grouped_spec(layout: GroupLayout, aspects: tuple[Aspect, Aspect],
+                  vocab: dict[str, tuple[str, ...]], regions: tuple[str, ...],
+                  count_mutator=None) -> ScenarioSpec:
+    """Rule a holds the counts and rule b the attributes."""
+    return ScenarioSpec(
+        scenario_id=layout.scenario_id,
+        aspects=aspects,
+        vocab=vocab,
+        layout=regions,
+        rule_a=layout.counts_hold,
+        rule_b=layout.attrs_hold,
+        sampler=layout.sample,
+        mutators={aspects[0]: count_mutator or layout.bump_count,
+                  aspects[1]: layout.change_attr},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Sticks (Quantity + Length): two long blue sticks and one short red stick.
 # ---------------------------------------------------------------------------
 
-_STICK_CANON = {"blue": ("long", 2), "red": ("short", 1)}
+STICKS_LAYOUT = GroupLayout(
+    "sticks", key="color", attr="length_class", category="stick",
+    values=("long", "short", "similar"),
+    groups=(("blue", "count_blue", "len_blue", 2, "long"),
+            ("red", "count_red", "len_red", 1, "short")),
+)
 
-
-def _sticks_view(scene: Scene) -> dict:
-    view = {}
-    for color, (canon_len, _) in _STICK_CANON.items():
-        group = [o for o in scene.objects if o.color == color]
-        view[f"count_{color}"] = len(group)
-        view[f"len_{color}"] = group[0].length_class if group else canon_len
-    return view
-
-
-def _sticks_build(view: dict) -> Scene:
-    objects = []
-    order = 0
-    for color in ("blue", "red"):
-        for _ in range(view[f"count_{color}"]):
-            objects.append(
-                ObjectInstance("stick", color=color,
-                               length_class=view[f"len_{color}"], order_index=order)
-            )
-            order += 1
-    return Scene("sticks", tuple(objects))
-
-
-def _sticks_sample(rng: np.random.Generator) -> Scene:
-    return _sticks_build(
-        {"count_blue": 2, "len_blue": "long", "count_red": 1, "len_red": "short"}
-    )
-
-
-def _sticks_rule_q(scene: Scene) -> bool:
-    view = _sticks_view(scene)
-    return view["count_blue"] == 2 and view["count_red"] == 1
-
-
-def _sticks_rule_l(scene: Scene) -> bool:
-    for color, (canon_len, _) in _STICK_CANON.items():
-        if any(
-            o.length_class != canon_len for o in scene.objects if o.color == color
-        ):
-            return False
-    return True
-
-
-def _sticks_mut_q(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _sticks_view(scene)
-    color = _pick(rng, ("blue", "red"))
-    view[f"count_{color}"] = _bump(rng, view[f"count_{color}"])
-    return _sticks_build(view)
-
-
-def _sticks_mut_l(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _sticks_view(scene)
-    populated = [c for c in ("blue", "red") if view[f"count_{c}"] > 0]
-    color = _pick(rng, populated or ["blue"])
-    canon_len = _STICK_CANON[color][0]
-    view[f"len_{color}"] = _pick(
-        rng, [v for v in ("long", "short", "similar") if v != canon_len]
-    )
-    return _sticks_build(view)
-
-
-STICKS = ScenarioSpec(
-    scenario_id="sticks",
-    aspects=(Aspect.QUANTITY, Aspect.LENGTH),
-    vocab={
-        "category": ("stick",),
-        "color": ("blue", "red"),
-        "length": ("long", "short", "similar"),
-    },
-    layout=(),
-    rule_a=_sticks_rule_q,
-    rule_b=_sticks_rule_l,
-    sampler=_sticks_sample,
-    mutators={Aspect.QUANTITY: _sticks_mut_q, Aspect.LENGTH: _sticks_mut_l},
+STICKS = _grouped_spec(
+    STICKS_LAYOUT, (Aspect.QUANTITY, Aspect.LENGTH),
+    {"category": ("stick",), "color": ("blue", "red"),
+     "length": STICKS_LAYOUT.values},
+    regions=(),
 )
 
 
@@ -213,74 +242,18 @@ FRUITS = ScenarioSpec(
 # Tools (Quantity + Placement): two bolts/washers/nuts in left/middle/right bins.
 # ---------------------------------------------------------------------------
 
-_TOOL_CANON = {"bolt": "left", "washer": "middle", "nut": "right"}
+TOOLS_LAYOUT = GroupLayout(
+    "tools", key="category", attr="region", category=None,
+    values=("left", "middle", "right"),
+    groups=(("bolt", "count_bolt", "region_bolt", 2, "left"),
+            ("washer", "count_washer", "region_washer", 2, "middle"),
+            ("nut", "count_nut", "region_nut", 2, "right")),
+)
 
-
-def _tools_view(scene: Scene) -> dict:
-    view = {}
-    for cat, canon_region in _TOOL_CANON.items():
-        group = [o for o in scene.objects if o.category == cat]
-        view[f"count_{cat}"] = len(group)
-        view[f"region_{cat}"] = group[0].region if group else canon_region
-    return view
-
-
-def _tools_build(view: dict) -> Scene:
-    objects = []
-    order = 0
-    for cat in _TOOL_CANON:
-        for _ in range(view[f"count_{cat}"]):
-            objects.append(
-                ObjectInstance(cat, region=view[f"region_{cat}"], order_index=order)
-            )
-            order += 1
-    return Scene("tools", tuple(objects))
-
-
-def _tools_sample(rng: np.random.Generator) -> Scene:
-    return _tools_build(
-        {f"count_{c}": 2 for c in _TOOL_CANON}
-        | {f"region_{c}": r for c, r in _TOOL_CANON.items()}
-    )
-
-
-def _tools_rule_q(scene: Scene) -> bool:
-    view = _tools_view(scene)
-    return all(view[f"count_{c}"] == 2 for c in _TOOL_CANON)
-
-
-def _tools_rule_p(scene: Scene) -> bool:
-    return all(
-        o.region == _TOOL_CANON[o.category] for o in scene.objects
-    )
-
-
-def _tools_mut_q(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _tools_view(scene)
-    cat = _pick(rng, list(_TOOL_CANON))
-    view[f"count_{cat}"] = _bump(rng, view[f"count_{cat}"])
-    return _tools_build(view)
-
-
-def _tools_mut_p(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _tools_view(scene)
-    populated = [c for c in _TOOL_CANON if view[f"count_{c}"] > 0]
-    cat = _pick(rng, populated or list(_TOOL_CANON))
-    view[f"region_{cat}"] = _pick(
-        rng, [r for r in ("left", "middle", "right") if r != _TOOL_CANON[cat]]
-    )
-    return _tools_build(view)
-
-
-TOOLS = ScenarioSpec(
-    scenario_id="tools",
-    aspects=(Aspect.QUANTITY, Aspect.PLACEMENT),
-    vocab={"category": ("bolt", "washer", "nut")},
-    layout=("left", "middle", "right"),
-    rule_a=_tools_rule_q,
-    rule_b=_tools_rule_p,
-    sampler=_tools_sample,
-    mutators={Aspect.QUANTITY: _tools_mut_q, Aspect.PLACEMENT: _tools_mut_p},
+TOOLS = _grouped_spec(
+    TOOLS_LAYOUT, (Aspect.QUANTITY, Aspect.PLACEMENT),
+    {"category": ("bolt", "washer", "nut")},
+    regions=TOOLS_LAYOUT.values,
 )
 
 
@@ -289,81 +262,19 @@ TOOLS = ScenarioSpec(
 # black cookie on the round dish.
 # ---------------------------------------------------------------------------
 
-_COOKIE_CANON = {"square_dish": ("yellow", 2), "round_dish": ("black", 1)}
 _COOKIE_COLORS = ("yellow", "black", "white", "brown", "pink")
 
+COOKIES_LAYOUT = GroupLayout(
+    "cookies", key="region", attr="color", category="cookie",
+    values=_COOKIE_COLORS,
+    groups=(("square_dish", "count_square", "color_square", 2, "yellow"),
+            ("round_dish", "count_round", "color_round", 1, "black")),
+)
 
-def _cookies_view(scene: Scene) -> dict:
-    view = {}
-    for dish, (canon_color, _) in _COOKIE_CANON.items():
-        short = dish.split("_")[0]
-        group = [o for o in scene.objects if o.region == dish]
-        view[f"count_{short}"] = len(group)
-        view[f"color_{short}"] = group[0].color if group else canon_color
-    return view
-
-
-def _cookies_build(view: dict) -> Scene:
-    objects = []
-    order = 0
-    for dish in _COOKIE_CANON:
-        short = dish.split("_")[0]
-        for _ in range(view[f"count_{short}"]):
-            objects.append(
-                ObjectInstance("cookie", color=view[f"color_{short}"],
-                               region=dish, order_index=order)
-            )
-            order += 1
-    return Scene("cookies", tuple(objects))
-
-
-def _cookies_sample(rng: np.random.Generator) -> Scene:
-    return _cookies_build(
-        {"count_square": 2, "color_square": "yellow",
-         "count_round": 1, "color_round": "black"}
-    )
-
-
-def _cookies_rule_q(scene: Scene) -> bool:
-    view = _cookies_view(scene)
-    return view["count_square"] == 2 and view["count_round"] == 1
-
-
-def _cookies_rule_r(scene: Scene) -> bool:
-    return all(
-        o.color == _COOKIE_CANON[o.region][0]
-        for o in scene.objects
-        if o.region in _COOKIE_CANON
-    )
-
-
-def _cookies_mut_q(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _cookies_view(scene)
-    short = _pick(rng, ("square", "round"))
-    view[f"count_{short}"] = _bump(rng, view[f"count_{short}"])
-    return _cookies_build(view)
-
-
-def _cookies_mut_r(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _cookies_view(scene)
-    populated = [s for s in ("square", "round") if view[f"count_{s}"] > 0]
-    short = _pick(rng, populated or ["square"])
-    canon_color = _COOKIE_CANON[f"{short}_dish"][0]
-    view[f"color_{short}"] = _pick(
-        rng, [c for c in _COOKIE_COLORS if c != canon_color]
-    )
-    return _cookies_build(view)
-
-
-COOKIES = ScenarioSpec(
-    scenario_id="cookies",
-    aspects=(Aspect.QUANTITY, Aspect.RELATION),
-    vocab={"category": ("cookie",), "color": _COOKIE_COLORS},
-    layout=("square_dish", "round_dish"),
-    rule_a=_cookies_rule_q,
-    rule_b=_cookies_rule_r,
-    sampler=_cookies_sample,
-    mutators={Aspect.QUANTITY: _cookies_mut_q, Aspect.RELATION: _cookies_mut_r},
+COOKIES = _grouped_spec(
+    COOKIES_LAYOUT, (Aspect.QUANTITY, Aspect.RELATION),
+    {"category": ("cookie",), "color": _COOKIE_COLORS},
+    regions=("square_dish", "round_dish"),
 )
 
 
@@ -782,91 +693,33 @@ DISHES = ScenarioSpec(
 
 _BALL_REGIONS = ("top_left", "top_right", "bottom_left", "bottom_right")
 _BALL_COLORS = ("orange", "white", "green", "purple")
-_BALL_ROW_COLOR = {"top": "orange", "bottom": "white"}
 
-
-def _ball_row(region: str) -> str:
-    return region.split("_")[0]
-
-
-def _balls_view(scene: Scene) -> dict:
-    view = {}
-    for region in _BALL_REGIONS:
-        short = {"top_left": "tl", "top_right": "tr",
-                 "bottom_left": "bl", "bottom_right": "br"}[region]
-        group = [o for o in scene.objects if o.region == region]
-        view[f"n_{short}"] = len(group)
-        view[f"c_{short}"] = (
-            group[0].color if group else _BALL_ROW_COLOR[_ball_row(region)]
-        )
-    return view
-
-
-def _balls_build(view: dict) -> Scene:
-    objects = []
-    order = 0
-    for region, short in zip(_BALL_REGIONS, ("tl", "tr", "bl", "br")):
-        for _ in range(view[f"n_{short}"]):
-            objects.append(
-                ObjectInstance("ball", color=view[f"c_{short}"],
-                               region=region, order_index=order)
-            )
-            order += 1
-    return Scene("balls", tuple(objects))
-
-
-def _balls_sample(rng: np.random.Generator) -> Scene:
-    view = {}
-    for region, short in zip(_BALL_REGIONS, ("tl", "tr", "bl", "br")):
-        view[f"n_{short}"] = 1
-        view[f"c_{short}"] = _BALL_ROW_COLOR[_ball_row(region)]
-    return _balls_build(view)
-
-
-def _balls_rule_p(scene: Scene) -> bool:
-    counts = {r: 0 for r in _BALL_REGIONS}
-    for o in scene.objects:
-        counts[o.region] += 1
-    return all(n == 1 for n in counts.values())
-
-
-def _balls_rule_r(scene: Scene) -> bool:
-    return all(
-        o.color == _BALL_ROW_COLOR[_ball_row(o.region)] for o in scene.objects
-    )
+BALLS_LAYOUT = GroupLayout(
+    "balls", key="region", attr="color", category="ball",
+    values=_BALL_COLORS,
+    groups=(("top_left", "n_tl", "c_tl", 1, "orange"),
+            ("top_right", "n_tr", "c_tr", 1, "orange"),
+            ("bottom_left", "n_bl", "c_bl", 1, "white"),
+            ("bottom_right", "n_br", "c_br", 1, "white")),
+)
 
 
 def _balls_mut_p(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _balls_view(scene)
+    """Move one ball to the other compartment of its row."""
+    view = BALLS_LAYOUT.view(scene)
     row = _pick(rng, ("t", "b"))
     src, dst = (f"{row}l", f"{row}r") if rng.integers(2) else (f"{row}r", f"{row}l")
     if view[f"n_{src}"] == 0:
         src, dst = dst, src
     view[f"n_{src}"] -= 1
     view[f"n_{dst}"] += 1
-    return _balls_build(view)
+    return BALLS_LAYOUT.build(view)
 
 
-def _balls_mut_r(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _balls_view(scene)
-    populated = [s for s in ("tl", "tr", "bl", "br") if view[f"n_{s}"] > 0]
-    short = _pick(rng, populated or ["tl"])
-    row = "top" if short.startswith("t") else "bottom"
-    view[f"c_{short}"] = _pick(
-        rng, [c for c in _BALL_COLORS if c != _BALL_ROW_COLOR[row]]
-    )
-    return _balls_build(view)
-
-
-BALLS = ScenarioSpec(
-    scenario_id="balls",
-    aspects=(Aspect.PLACEMENT, Aspect.RELATION),
-    vocab={"category": ("ball",), "color": _BALL_COLORS},
-    layout=_BALL_REGIONS,
-    rule_a=_balls_rule_p,
-    rule_b=_balls_rule_r,
-    sampler=_balls_sample,
-    mutators={Aspect.PLACEMENT: _balls_mut_p, Aspect.RELATION: _balls_mut_r},
+BALLS = _grouped_spec(
+    BALLS_LAYOUT, (Aspect.PLACEMENT, Aspect.RELATION),
+    {"category": ("ball",), "color": _BALL_COLORS},
+    regions=_BALL_REGIONS, count_mutator=_balls_mut_p,
 )
 
 
@@ -874,19 +727,6 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     spec.scenario_id: spec
     for spec in (STICKS, FRUITS, TOOLS, COOKIES, TAPES,
                  STATIONERY, ROPES, BLOCKS, DISHES, BALLS)
-}
-
-SCENARIO_VIEWS = {
-    "sticks": _sticks_view,
-    "fruits": _fruits_view,
-    "tools": _tools_view,
-    "cookies": _cookies_view,
-    "tapes": _tapes_view,
-    "stationery": _stationery_view,
-    "ropes": _ropes_view,
-    "blocks": _blocks_view,
-    "dishes": lambda s: {"items": _dishes_items(s)},
-    "balls": _balls_view,
 }
 
 # Per-task split sizes: train normal / test normal / single-A / single-B / dual.

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .scenes import Aspect, Scene
 from . import scenarios
-from .scenarios import SCENARIO_VIEWS, number_word
+from .scenarios import number_word
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def _slot_table(*slots: SlotDef) -> dict[str, SlotDef]:
 
 
 def _fruits_slots(scene: Scene) -> dict[str, str]:
-    view = SCENARIO_VIEWS["fruits"](scene)
+    view = scenarios._fruits_view(scene)
     return {
         "count_a": number_word(view["count_a"]),
         "type_a": _plural_fruit(view["cat_a"]),
@@ -207,16 +207,6 @@ _STICK_DECOR = ("wooden", "plastic", "painted", "polished", "smooth", "matte")
 _LEN3 = ("long", "short", "similar")
 
 
-def _sticks_slots(scene: Scene) -> dict[str, str]:
-    view = SCENARIO_VIEWS["sticks"](scene)
-    return {
-        "count_blue": number_word(view["count_blue"]),
-        "count_red": number_word(view["count_red"]),
-        "len_blue": view["len_blue"],
-        "len_red": view["len_red"],
-    }
-
-
 STICKS_GRAMMAR = TemplateGrammar(
     scenario_id="sticks",
     slots=_slot_table(
@@ -282,7 +272,7 @@ STICKS_GRAMMAR = TemplateGrammar(
                    "kit."),
         ),
     ),
-    logical_slots=_sticks_slots,
+    logical_slots=scenarios.STICKS_LAYOUT.slots,
 )
 
 
@@ -291,17 +281,9 @@ _BINS_LMR = ("left", "middle", "right")
 
 
 def _tools_slots(scene: Scene) -> dict[str, str]:
-    view = SCENARIO_VIEWS["tools"](scene)
-    total = sum(view[f"count_{c}"] for c in ("bolt", "washer", "nut"))
-    return {
-        "count_bolt": number_word(view["count_bolt"]),
-        "region_bolt": view["region_bolt"],
-        "count_washer": number_word(view["count_washer"]),
-        "region_washer": view["region_washer"],
-        "count_nut": number_word(view["count_nut"]),
-        "region_nut": view["region_nut"],
-        "total_tools": number_word(total),
-    }
+    # Every object of a valid tools scene is a bolt, a washer or a nut.
+    return scenarios.TOOLS_LAYOUT.slots(scene) | {
+        "total_tools": number_word(len(scene.objects))}
 
 
 TOOLS_GRAMMAR = TemplateGrammar(
@@ -385,16 +367,6 @@ TOOLS_GRAMMAR = TemplateGrammar(
 _COOKIE_DECOR = ("baked", "sugar", "crunchy", "glazed", "plain", "soft")
 
 
-def _cookies_slots(scene: Scene) -> dict[str, str]:
-    view = SCENARIO_VIEWS["cookies"](scene)
-    return {
-        "count_square": number_word(view["count_square"]),
-        "color_square": view["color_square"],
-        "count_round": number_word(view["count_round"]),
-        "color_round": view["color_round"],
-    }
-
-
 COOKIES_GRAMMAR = TemplateGrammar(
     scenario_id="cookies",
     slots=_slot_table(
@@ -463,7 +435,7 @@ COOKIES_GRAMMAR = TemplateGrammar(
                    "doily."),
         ),
     ),
-    logical_slots=_cookies_slots,
+    logical_slots=scenarios.COOKIES_LAYOUT.slots,
 )
 
 
@@ -471,7 +443,7 @@ _TAPE_DECOR = ("adhesive", "glossy", "new", "wide", "narrow", "dusty")
 
 
 def _tapes_slots(scene: Scene) -> dict[str, str]:
-    view = SCENARIO_VIEWS["tapes"](scene)
+    view = scenarios._tapes_view(scene)
     return {
         "len_first": view["len_first"],
         "color_first": view["color_first"],
@@ -554,7 +526,7 @@ _ORDER2 = ("eraser", "pencil")
 
 
 def _stationery_slots(scene: Scene) -> dict[str, str]:
-    view = SCENARIO_VIEWS["stationery"](scene)
+    view = scenarios._stationery_view(scene)
     return {k: view[k] for k in (
         "len_left_pencil", "len_left_eraser", "order_left",
         "len_right_pencil", "len_right_eraser", "order_right",
@@ -648,7 +620,7 @@ _ROPE_LEN_WORD = {"similar": "similar", "long": "longer", "short": "shorter"}
 
 
 def _ropes_slots(scene: Scene) -> dict[str, str]:
-    view = SCENARIO_VIEWS["ropes"](scene)
+    view = scenarios._ropes_view(scene)
     return {
         "rope_len": _ROPE_LEN_WORD[view["rope_len"]],
         "rope_color": view["rope_color"],
@@ -724,7 +696,7 @@ _BINS_TMB = ("top", "middle", "bottom")
 
 
 def _blocks_slots(scene: Scene) -> dict[str, str]:
-    view = SCENARIO_VIEWS["blocks"](scene)
+    view = scenarios._blocks_view(scene)
     return {k: view[k] for k in (
         "shape_a", "region_a", "shape_b", "region_b", "shape_c", "region_c",
     )}
@@ -813,7 +785,7 @@ _DISH_POS_VALUES = {
 
 
 def _dishes_slots(scene: Scene) -> dict[str, str]:
-    items = SCENARIO_VIEWS["dishes"](scene)["items"]
+    items = scenarios._dishes_items(scene)
     words = ("first", "second", "third")
     return {f"pos_{w}": f"{w}_{item}" for w, item in zip(words, items)}
 
@@ -889,15 +861,6 @@ DISHES_GRAMMAR = TemplateGrammar(
 _BALL_DECOR = ("rubber", "bouncy", "matte", "glossy", "new", "worn")
 
 
-def _balls_slots(scene: Scene) -> dict[str, str]:
-    view = SCENARIO_VIEWS["balls"](scene)
-    out = {}
-    for short in ("tl", "tr", "bl", "br"):
-        out[f"n_{short}"] = number_word(view[f"n_{short}"])
-        out[f"c_{short}"] = view[f"c_{short}"]
-    return out
-
-
 BALLS_GRAMMAR = TemplateGrammar(
     scenario_id="balls",
     slots=_slot_table(
@@ -969,7 +932,7 @@ BALLS_GRAMMAR = TemplateGrammar(
                    "pocket."),
         ),
     ),
-    logical_slots=_balls_slots,
+    logical_slots=scenarios.BALLS_LAYOUT.slots,
 )
 
 

@@ -15,7 +15,6 @@ from logicad.encoder import (
     EncoderGrads,
     encode,
     init_params,
-    make_dropout_mask,
     tokenize,
 )
 from logicad.knn import build_library
@@ -68,6 +67,24 @@ def _reference_step(pos_tokens, neg_tokens, params, masks, temperature):
         for cache, d_z in zip(caches, d_view):
             _reference_backward(d_z, cache, params, grads)
     return loss, grads
+
+
+def make_dropout_mask(n_tokens, dim, rate, rng):
+    """Inverted-dropout mask: zeros with probability ``rate``, else 1/(1-rate).
+
+    A zero rate keeps everything and draws nothing from ``rng``.
+    """
+    if rate == 0.0:
+        return np.ones((n_tokens, dim))
+    return (rng.random((n_tokens, dim)) >= rate) / (1.0 - rate)
+
+
+def test_inverted_dropout_mask_is_unbiased():
+    rng = np.random.default_rng(5)
+    mask = make_dropout_mask(2000, 8, 0.3, rng)
+    assert set(np.round(np.unique(mask), 12)) <= {0.0, round(1 / 0.7, 12)}
+    assert abs(mask.mean() - 1.0) < 0.02
+    assert np.all(make_dropout_mask(10, 4, 0.0, rng) == 1.0)
 
 
 def _per_text_masks(pos_tokens, neg_tokens, dim, rate, rng):

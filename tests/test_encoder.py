@@ -9,7 +9,6 @@ from logicad.encoder import (
     Vocabulary,
     encode,
     init_params,
-    make_dropout_mask,
     renormalize,
     tokenize,
 )
@@ -54,14 +53,6 @@ def test_single_token_text_encodes():
     vocab, params = _setup()
     z = encode("oranges", params, vocab)
     assert abs(np.linalg.norm(z) - 1.0) < 1e-12
-
-
-def test_inverted_dropout_mask_is_unbiased():
-    rng = np.random.default_rng(5)
-    mask = make_dropout_mask(2000, 8, 0.3, rng)
-    assert set(np.round(np.unique(mask), 12)) <= {0.0, round(1 / 0.7, 12)}
-    assert abs(mask.mean() - 1.0) < 0.02
-    assert np.all(make_dropout_mask(10, 4, 0.0, rng) == 1.0)
 
 
 def test_init_params_shapes_and_dim_floor():

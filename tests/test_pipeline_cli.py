@@ -346,6 +346,7 @@ def test_cli_score_refuses_another_seed_alike_in_worker_processes(tmp_path, caps
     (["train"], "temperature = 0"),
     (["train"], "clip_norm = 0"),
     (["train"], "weight_decay = -1e-5"),
+    (["all"], "skip_training = maybe"),
 ])
 def test_cli_bad_setting_exits_2_before_any_work(tmp_path, argv, setting):
     out = tmp_path / "out"
@@ -364,6 +365,8 @@ def test_cli_bad_setting_exits_2_before_any_work(tmp_path, argv, setting):
     (["--scenario", ","], None),
     (["--condition", ","], None),
     ([], "scenario = ,"),
+    (["--scenario", "sticks,sticks"], None),
+    (["--condition", "white_bg,white_bg"], None),
 ])
 def test_cli_empty_task_selection_exits_2_before_any_work(tmp_path, argv,
                                                           setting):

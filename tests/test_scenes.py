@@ -10,7 +10,15 @@ import itertools
 import numpy as np
 import pytest
 
-from logicad.scenarios import DEFAULT_SPLIT_COUNTS, SCENARIOS, get_scenario
+from logicad.scenarios import (
+    BALLS_LAYOUT,
+    COOKIES_LAYOUT,
+    DEFAULT_SPLIT_COUNTS,
+    SCENARIOS,
+    STICKS_LAYOUT,
+    TOOLS_LAYOUT,
+    get_scenario,
+)
 from logicad.scenes import (
     ANOMALY_LABELS,
     Condition,
@@ -279,6 +287,54 @@ def test_sampled_anomalies_hit_their_target_exactly(scenario_id, target):
     rng = np.random.default_rng(11)
     for _ in range(25):
         assert classify(sample_anomaly(spec, target, rng), spec) == target
+
+
+def _changed(before: dict, after: dict) -> list[str]:
+    assert before.keys() == after.keys()
+    return [k for k in before if before[k] != after[k]]
+
+
+@pytest.mark.parametrize("layout", [STICKS_LAYOUT, TOOLS_LAYOUT,
+                                    COOKIES_LAYOUT, BALLS_LAYOUT],
+                         ids=lambda layout: layout.scenario_id)
+def test_grouped_mutators_edit_only_their_own_aspect(layout):
+    counts = {g[1] for g in layout.groups}
+    canon = {g[2]: g[4] for g in layout.groups}
+    spec = get_scenario(layout.scenario_id)
+    rng = np.random.default_rng(13)
+    bumped_slots, changed_slots = set(), set()
+    for _ in range(200):
+        scene = sample_normal(spec, rng)
+        view = layout.view(scene)
+        assert layout.build(view) == scene
+        bumped = layout.bump_count(scene, rng)
+        bumped_view = layout.view(bumped)
+        (slot,) = _changed(view, bumped_view)
+        assert slot in counts
+        assert abs(bumped_view[slot] - view[slot]) == 1
+        bumped_slots.add(slot)
+        # The attribute edit also follows a count edit in a dual anomaly.
+        for before in (scene, bumped):
+            old = layout.view(before)
+            new = layout.view(layout.change_attr(before, rng))
+            (slot,) = _changed(old, new)
+            assert slot in canon
+            assert new[slot] in layout.values and new[slot] != canon[slot]
+            changed_slots.add(slot)
+    assert bumped_slots == counts
+    assert changed_slots == set(canon)
+
+
+def test_balls_placement_edit_moves_one_ball_within_its_row():
+    spec = get_scenario("balls")
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        view = BALLS_LAYOUT.view(sample_normal(spec, rng))
+        moved = BALLS_LAYOUT.view(spec.mutators[spec.aspects[0]](
+            BALLS_LAYOUT.build(view), rng))
+        src, dst = sorted(_changed(view, moved), key=lambda k: moved[k])
+        assert src[2] == dst[2]  # n_tl/n_tr or n_bl/n_br: the same row
+        assert (moved[src] - view[src], moved[dst] - view[dst]) == (-1, 1)
 
 
 def test_sample_anomaly_rejects_normal_target():
