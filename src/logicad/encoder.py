@@ -160,10 +160,3 @@ def table_grads(d_table: np.ndarray, table: np.ndarray,
     return EncoderGrads(embedding=d_pre @ params.proj_w,
                         proj_w=d_pre.T @ params.embedding,
                         proj_b=d_pre.sum(axis=0))
-
-
-def renormalize(vector: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vector)
-    if norm < _NORM_EPS:
-        raise EncodeError("stored vector has zero norm")
-    return vector / norm

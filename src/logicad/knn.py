@@ -1,9 +1,11 @@
 """Reference library of training embeddings and the kNN normality score.
 
 The score of a test embedding is S = 1 / (1 + mean distance to its k
-nearest reference embeddings).  Unit-norm inputs bound distances by 2, so
-S lies in [1/3, 1].  Ties at the k-th distance are broken by ascending
-library index so exactly min(k, N) neighbors are selected.
+nearest reference embeddings).  Queries must be unit-norm, as
+``encode_texts`` rows are (any other raises ``LibraryError``), so
+distances are bounded by 2 and S lies in [1/3, 1].  Ties at the k-th
+distance are broken by ascending library index so exactly min(k, N)
+neighbors are selected.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, Vocabulary, encode_texts, renormalize
+from .encoder import EncoderParams, Vocabulary, encode_texts
 
 DEFAULT_K = 5
 
@@ -43,7 +45,6 @@ class NormalityScore:
     score: float
     mean_distance: float
     neighbor_ids: tuple[str, ...]
-    renormalized: bool = False
 
 
 def build_library(train_texts: list[str], params: EncoderParams,
@@ -64,10 +65,9 @@ def score(test_vector: np.ndarray, library: ReferenceLibrary,
     if k < 1:
         raise ValueError("k must be >= 1")
     z = np.asarray(test_vector, dtype=np.float64)
-    renormalized = False
-    if abs(float(np.linalg.norm(z)) - 1.0) > 1e-6:
-        z = renormalize(z)
-        renormalized = True
+    norm = float(np.linalg.norm(z))
+    if abs(norm - 1.0) > 1e-6:
+        raise LibraryError(f"query embedding has norm {norm!r}, not 1")
     distances = np.linalg.norm(library.vectors - z, axis=1)
     n_neighbors = min(k, library.size)
     # Stable sort keeps ascending-index order among exact distance ties.
@@ -77,7 +77,6 @@ def score(test_vector: np.ndarray, library: ReferenceLibrary,
         score=1.0 / (1.0 + mean_distance),
         mean_distance=mean_distance,
         neighbor_ids=tuple(library.ids[i] for i in order),
-        renormalized=renormalized,
     )
 
 

@@ -5,6 +5,14 @@ the master seed plus the task identity and pipeline stage, so stages can
 be rerun in isolation and tasks can run in parallel workers.  Every
 per-task command goes through ``run_benchmark``, which runs ``run_task``
 once per task.
+
+Each stage regenerates what it reads instead of loading the files of an
+earlier stage.  ``gen``, ``score`` and ``all`` generate the whole task:
+``gen`` writes it out, and scoring reads the test split.  ``train`` reads
+only the train pairs, so it generates only the train split; that split
+leads the task's scene stream and every render and negative is seeded by
+its sample id, so its scenes, texts, pairs and vocabulary are those of the
+whole task.
 """
 
 from __future__ import annotations
@@ -82,13 +90,20 @@ class TaskArtifacts:
 
 
 def generate_task(config: PipelineConfig, scenario_id: str,
-                  condition: scenes.Condition) -> TaskArtifacts:
-    """Scenes, descriptions and negative pairs for one task."""
+                  condition: scenes.Condition,
+                  counts: Optional[scenes.SplitCounts] = None) -> TaskArtifacts:
+    """Scenes, descriptions and negative pairs for one task.
+
+    ``counts`` defaults to the task's split counts.  Any counts with the
+    same ``train_normal`` give the same train samples, texts and pairs.
+    """
+    if counts is None:
+        counts = config.counts_for(scenario_id)
     spec = scenarios.get_scenario(scenario_id)
     grammar = get_grammar(scenario_id)
     render_cfg = CONDITION_RENDER_DEFAULTS[condition]
     task = scenes.build_task(
-        spec, condition, config.counts_for(scenario_id),
+        spec, condition, counts,
         derive_seed(config.master_seed, scenario_id, condition.value, "scenes"),
     )
     texts = {}
@@ -182,7 +197,11 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
     ``all`` does all three.  Returns the line to print and, when the task
     was scored, its report.
     """
-    artifacts = generate_task(config, scenario_id, condition)
+    counts = config.counts_for(scenario_id)
+    if stages == "train":
+        # training reads only the train pairs: generate no test scene
+        counts = scenes.SplitCounts(counts.train_normal, 0, 0, 0, 0)
+    artifacts = generate_task(config, scenario_id, condition, counts)
     task_id = artifacts.task.task_id
     if stages in ("gen", "all"):
         write_task_files(out_dir, artifacts)

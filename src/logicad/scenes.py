@@ -230,7 +230,12 @@ def build_task(
     counts: SplitCounts,
     seed: int,
 ) -> TaskScenes:
-    """Generate the labelled scene collection for one (scenario, condition) task."""
+    """Generate the labelled scene collection for one (scenario, condition) task.
+
+    Every scene is drawn from one stream seeded by ``seed``, train scenes
+    first, so the train scenes depend only on ``counts.train_normal``: a
+    call with the test counts set to zero gives the same train samples.
+    """
     counts.validate()
     rng = np.random.default_rng(seed)
     samples: list[TaskSample] = []

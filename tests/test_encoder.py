@@ -9,7 +9,6 @@ from logicad.encoder import (
     Vocabulary,
     encode,
     init_params,
-    renormalize,
     tokenize,
 )
 
@@ -62,10 +61,3 @@ def test_init_params_shapes_and_dim_floor():
     assert np.all(params.proj_b == 0.0)
     with pytest.raises(ValueError):
         init_params(7, dim=1)
-
-
-def test_renormalize_and_precomputed_lookup():
-    assert np.allclose(renormalize(np.array([3.0, 4.0])), [0.6, 0.8])
-    assert np.allclose(renormalize(np.array([0.0, 2.0])), [0.0, 1.0])
-    with pytest.raises(EncodeError):
-        renormalize(np.zeros(3))

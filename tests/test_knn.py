@@ -122,16 +122,16 @@ def test_adding_a_library_vector_never_increases_the_mean_distance():
             <= score(query, small, k=5).mean_distance + 1e-12
 
 
-def test_non_unit_queries_are_renormalized_and_flagged():
+def test_non_unit_queries_are_rejected():
     rng = np.random.default_rng(10)
     library = _library(rng, 20, 4)
     query = _random_unit_rows(rng, 1, 4)[0]
     unit = score(query, library, k=5)
-    scaled = score(query * 7.5, library, k=5)
-    assert not unit.renormalized
-    assert scaled.renormalized
-    assert abs(unit.score - scaled.score) < 1e-12
-    assert unit.neighbor_ids == scaled.neighbor_ids
+    assert score(query * (1.0 + 5e-7), library, k=5).neighbor_ids \
+        == unit.neighbor_ids
+    for scale in (7.5, 1.0 + 2e-6, 1.0 - 2e-6, 0.0):
+        with pytest.raises(LibraryError):
+            score(query * scale, library, k=5)
 
 
 def test_build_library_and_score_split_are_order_preserving():

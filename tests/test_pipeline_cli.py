@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from logicad import cli, pipeline
+from logicad.scenarios import SCENARIOS
 from logicad.scenes import Condition, Label, SplitCounts, task_id_for
 from logicad.trainer import TrainConfig
 
@@ -35,6 +36,30 @@ def test_generate_task_is_deterministic_and_complete():
     pos, neg = a.train_pairs()
     assert len(pos) == len(neg) == 8
     assert all(p != n for p, n in zip(pos, neg))
+
+
+PREFIX_CASES = [
+    *[(pipeline.PipelineConfig(), scenario, condition)
+      for scenario, condition in zip(sorted(SCENARIOS), list(Condition) * 2)],
+    (SMALL, "tapes", Condition.MESH_BG),
+    (pipeline.PipelineConfig(master_seed=1), "ropes", Condition.LOWLIGHT_CD),
+]
+
+
+@pytest.mark.parametrize("config,scenario,condition", PREFIX_CASES)
+def test_train_only_generation_is_the_prefix_of_the_full_task(config, scenario,
+                                                               condition):
+    full = pipeline.generate_task(config, scenario, condition)
+    counts = config.counts_for(scenario)
+    train = pipeline.generate_task(config, scenario, condition,
+                                   SplitCounts(counts.train_normal, 0, 0, 0, 0))
+    assert train.task.split("test") == []
+    assert train.task.samples == tuple(full.task.split("train"))
+    assert len(train.task.samples) == counts.train_normal
+    assert train.texts == {s.sample_id: full.texts[s.sample_id]
+                           for s in train.task.samples}
+    assert train.pairs == full.pairs
+    assert train.vocabulary() == full.vocabulary()
 
 
 def test_task_seeds_differ_across_conditions_and_stages():
@@ -191,6 +216,44 @@ def test_cli_stages_write_the_same_bytes_in_worker_processes(tmp_path):
                                     for c in ("white_bg", "mesh_bg")
                                     for suffix in TASK_SUFFIXES)
     assert parallel == serial
+
+
+def test_cli_stages_write_the_bytes_all_writes(tmp_path):
+    def run(commands, out):
+        for command in commands:
+            assert _run([*command, *TWO_TASKS, "--out-dir", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    staged = run((["gen", "--jobs", "1"], ["train", "--jobs", "1", "--epochs", "2"],
+                  ["score", "--jobs", "1"], ["report"]), tmp_path / "staged")
+    whole = run((["all", "--jobs", "1", "--epochs", "2"],), tmp_path / "all")
+    assert sorted(staged) == sorted(["report.md"] + [
+        f"tapes-{c}.{suffix}" for c in ("white_bg", "mesh_bg")
+        for suffix in TASK_SUFFIXES])
+    assert staged == whole
+
+
+def test_cli_train_needs_no_earlier_gen_and_builds_only_the_train_split(
+        tmp_path, monkeypatch):
+    built = []
+    real_generate = pipeline.generate_task
+
+    def recording_generate(*args, **kwargs):
+        artifacts = real_generate(*args, **kwargs)
+        built.append(artifacts.task)
+        return artifacts
+
+    monkeypatch.setattr(pipeline, "generate_task", recording_generate)
+    out = tmp_path / "fresh"
+    assert _run(["train", *TWO_TASKS, "--jobs", "1", "--epochs", "1",
+                 "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"tapes-{c}.{suffix}" for c in ("white_bg", "mesh_bg")
+        for suffix in ("ckpt.npz", "loss.txt"))
+    assert [t.task_id for t in built] == ["tapes-white_bg", "tapes-mesh_bg"]
+    for task in built:
+        assert task.split("test") == []
+        assert len(task.samples) == 50
 
 
 def test_cli_rejects_unknown_scenario_and_condition(tmp_path):
