@@ -1,8 +1,9 @@
 """Command line interface: gen / train / score / eval / report / all.
 
-Settings resolve in order: built-in defaults, then a flat ``key=value``
-config file, then explicit flags.  Unknown config keys are rejected so a
-typo cannot silently fall back to a default.
+Settings resolve in order: the defaults of ``PipelineConfig`` and
+``TrainConfig``, then a flat ``key=value`` config file, then explicit flags.
+Unknown config keys are rejected so a typo cannot silently fall back to a
+default.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ _CONFIG_KEYS = {
     "clip_norm": float,
     "skip_training": _parse_bool,
 }
+# config keys named after the TrainConfig and the PipelineConfig field they
+# set; resolve_config maps seed, scenario, condition and out_dir itself
+_TRAIN_KEYS = ("epochs", "batch_size", "temperature", "learning_rate",
+               "weight_decay", "clip_norm")
+_PIPELINE_KEYS = ("k", "dim", "jobs", "skip_training")
 
 
 class CliError(SystemExit):
@@ -72,9 +78,7 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _parse_scenarios(raw: str | None) -> tuple[str, ...]:
-    if not raw:
-        return tuple(sorted(scenarios.SCENARIOS))
+def _parse_scenarios(raw: str) -> tuple[str, ...]:
     ids = tuple(s.strip() for s in raw.split(",") if s.strip())
     for s in ids:
         if s not in scenarios.SCENARIOS:
@@ -85,9 +89,7 @@ def _parse_scenarios(raw: str | None) -> tuple[str, ...]:
     return ids
 
 
-def _parse_conditions(raw: str | None) -> tuple[scenes.Condition, ...]:
-    if not raw:
-        return tuple(scenes.Condition)
+def _parse_conditions(raw: str) -> tuple[scenes.Condition, ...]:
     out = []
     for name in (s.strip() for s in raw.split(",") if s.strip()):
         try:
@@ -109,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
+        p.add_argument("--seed", type=int, help="master seed (default "
+                       f"{pipeline.PipelineConfig.master_seed})")
         p.add_argument("--scenario", help="comma-separated scenario ids")
         p.add_argument("--condition", help="comma-separated capture conditions")
         p.add_argument("--out-dir", help=f"output directory (or ${OUT_DIR_ENV})")
@@ -128,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="score test splits with saved encoders")
     add_task_common(p_score)
-    p_score.add_argument("--k", type=int, help="neighbors (default 5)")
+    p_score.add_argument("--k", type=int, help="neighbors (default "
+                         f"{pipeline.PipelineConfig.k})")
 
     p_eval = sub.add_parser("eval", help="per-task AUROC from score files")
     add_common(p_eval)
@@ -152,37 +156,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
     values = load_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in _CONFIG_KEYS
+                  if getattr(args, key, None) is not None)
+    if getattr(args, "baseline", False):
+        values["skip_training"] = True
 
-    def pick(flag_name, config_key, default):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        return values.get(config_key, default)
-
-    out_dir = pick("out_dir", "out_dir", None) or os.environ.get(OUT_DIR_ENV)
+    out_dir = values.pop("out_dir", None) or os.environ.get(OUT_DIR_ENV)
     if not out_dir:
         raise CliError(f"no output directory: pass --out-dir or set ${OUT_DIR_ENV}")
 
+    fields = {key: values[key] for key in _PIPELINE_KEYS if key in values}
+    if "seed" in values:
+        fields["master_seed"] = values["seed"]
+    if values.get("scenario"):
+        fields["scenario_ids"] = _parse_scenarios(values["scenario"])
+    if values.get("condition"):
+        fields["conditions"] = _parse_conditions(values["condition"])
     try:
-        train_cfg = trainer.TrainConfig(
-            epochs=pick("epochs", "epochs", 20),
-            batch_size=values.get("batch_size", 16),
-            temperature=values.get("temperature", 0.5),
-            learning_rate=pick("learning_rate", "learning_rate", 5e-3),
-            weight_decay=values.get("weight_decay", 1e-5),
-            clip_norm=values.get("clip_norm", 1.0),
-        )
-        config = pipeline.PipelineConfig(
-            master_seed=pick("seed", "seed", 0),
-            scenario_ids=_parse_scenarios(pick("scenario", "scenario", None)),
-            conditions=_parse_conditions(pick("condition", "condition", None)),
-            train=train_cfg,
-            k=pick("k", "k", knn.DEFAULT_K),
-            dim=values.get("dim", 64),
-            skip_training=bool(getattr(args, "baseline", False)
-                               or values.get("skip_training", False)),
-            jobs=pick("jobs", "jobs", 0),
-        )
+        fields["train"] = trainer.TrainConfig(
+            **{key: values[key] for key in _TRAIN_KEYS if key in values})
+        config = pipeline.PipelineConfig(**fields)
     except ValueError as exc:
         raise CliError(f"bad setting: {exc}")
     return config, Path(out_dir)
@@ -212,8 +205,8 @@ def _write_report(config: pipeline.PipelineConfig, out_dir: Path,
                   reports: list[metrics.TaskReport], fmt: str
                   ) -> tuple[metrics.AggregateReport, Path]:
     """Aggregate, write report.csv or report.md and print it."""
-    agg = metrics.aggregate(reports, expected_cells=config.tasks())
-    text = metrics.emit_report(agg, fmt=fmt)
+    agg = metrics.aggregate(reports, config.tasks())
+    text = metrics.emit_report(agg, fmt)
     path = out_dir / f"report.{'csv' if fmt == 'csv' else 'md'}"
     path.write_text(text, encoding="utf-8")
     print(text, end="")

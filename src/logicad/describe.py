@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .scenes import Condition, Scene
-from .templates import TemplateGrammar, get_grammar
+from .templates import TemplateGrammar
 
 # Above this the renderer samples uniformly among paraphrase variants;
 # below it only the canonical variant is used.
@@ -94,9 +93,8 @@ def build_record(grammar: TemplateGrammar, skeleton: str,
 
 
 def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
-           grammar: Optional[TemplateGrammar] = None) -> AttributeRecord:
+           grammar: TemplateGrammar) -> AttributeRecord:
     """Render one scene into one text under the given degradation config."""
-    grammar = grammar or get_grammar(scene.scenario_id)
     slots = grammar.scene_slots(scene)
     for name, value in slots.items():
         slot_def = grammar.slots.get(name)

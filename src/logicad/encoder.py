@@ -16,7 +16,6 @@ import numpy as np
 
 UNKNOWN_ID = 0
 UNKNOWN_TOKEN = "<unk>"
-DEFAULT_DIM = 64
 DEFAULT_DROPOUT = 0.1
 _NORM_EPS = 1e-12
 
@@ -62,7 +61,7 @@ class EncoderParams:
     embedding: np.ndarray   # (V, D)
     proj_w: np.ndarray      # (D, D)
     proj_b: np.ndarray      # (D,)
-    dropout_rate: float = DEFAULT_DROPOUT
+    dropout_rate: float
 
     @property
     def dim(self) -> int:
@@ -73,9 +72,8 @@ class EncoderParams:
                              self.proj_b.copy(), self.dropout_rate)
 
 
-def init_params(vocab_size: int, dim: int = DEFAULT_DIM,
-                dropout_rate: float = DEFAULT_DROPOUT,
-                seed: int = 0) -> EncoderParams:
+def init_params(vocab_size: int, dim: int, seed: int,
+                dropout_rate: float = DEFAULT_DROPOUT) -> EncoderParams:
     if dim < 2:
         raise ValueError("embedding dimension must be >= 2")
     rng = np.random.default_rng(seed)
@@ -126,21 +124,11 @@ def encode_texts(texts: list[str], params: EncoderParams,
     return normalize_rows(pooled)[0]
 
 
-def encode(text: str, params: EncoderParams, vocab: Vocabulary) -> np.ndarray:
-    """Unit-norm deterministic embedding of one text."""
-    return encode_texts([text], params, vocab)[0]
-
-
 @dataclass
 class EncoderGrads:
     embedding: np.ndarray
     proj_w: np.ndarray
     proj_b: np.ndarray
-
-    @classmethod
-    def zeros_like(cls, params: EncoderParams) -> "EncoderGrads":
-        return cls(np.zeros_like(params.embedding), np.zeros_like(params.proj_w),
-                   np.zeros_like(params.proj_b))
 
     def arrays(self):
         return (self.embedding, self.proj_w, self.proj_b)

@@ -48,19 +48,16 @@ class NormalityScore:
 
 
 def build_library(train_texts: list[str], params: EncoderParams,
-                  vocab: Vocabulary,
-                  ids: list[str] | None = None) -> ReferenceLibrary:
+                  vocab: Vocabulary, ids: list[str]) -> ReferenceLibrary:
     """Deterministic (dropout-free) encodings of every training text, in order."""
     if not train_texts:
         raise LibraryError("cannot build a library from an empty train set")
-    if ids is None:
-        ids = [f"train-{i:04d}" for i in range(len(train_texts))]
     return ReferenceLibrary(vectors=encode_texts(train_texts, params, vocab),
                             ids=tuple(ids))
 
 
 def score(test_vector: np.ndarray, library: ReferenceLibrary,
-          k: int = DEFAULT_K) -> NormalityScore:
+          k: int) -> NormalityScore:
     """kNN normality score of one embedding against the reference library."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -82,7 +79,7 @@ def score(test_vector: np.ndarray, library: ReferenceLibrary,
 
 def score_split(test_texts: list[str], params: EncoderParams,
                 vocab: Vocabulary, library: ReferenceLibrary,
-                k: int = DEFAULT_K) -> list[NormalityScore]:
+                k: int) -> list[NormalityScore]:
     """Deterministic encode then score, order-preserving."""
     return [score(z, library, k)
             for z in encode_texts(test_texts, params, vocab)]

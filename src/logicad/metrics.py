@@ -10,7 +10,7 @@ population standard deviation of a scenario's AUROC across conditions).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,16 +38,17 @@ def average_ranks(scores) -> np.ndarray:
     return ranks
 
 
-def auroc(scores, labels) -> float:
+def auroc(scores, is_normal) -> float:
     """Probability that a random normal outscores a random anomaly (ties 1/2).
 
-    ``labels`` holds "normal"/"anomaly" strings (or booleans, True=normal).
+    ``is_normal`` holds booleans, True for a normal sample; any other dtype
+    raises ``MetricError``.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    is_normal = np.array(
-        [bool(l) if isinstance(l, (bool, np.bool_)) else l == "normal"
-         for l in labels], dtype=bool
-    )
+    is_normal = np.asarray(is_normal)
+    if is_normal.dtype != bool:
+        raise MetricError(f"AUROC labels must be booleans (True = normal), "
+                          f"not {is_normal.dtype}")
     n_normal = int(is_normal.sum())
     n_anomaly = len(scores) - n_normal
     if n_normal == 0 or n_anomaly == 0:
@@ -80,16 +81,13 @@ def make_task_report(task_id: str, scenario_id: str, condition: Condition,
     scores = np.asarray(scores, dtype=np.float64)
     labels = list(labels)
     normal_mask = np.array([l == Label.NORMAL for l in labels], dtype=bool)
-    overall = auroc(scores, ["normal" if m else "anomaly" for m in normal_mask])
+    overall = auroc(scores, normal_mask)
     subset = {}
     for sub in (Label.SINGLE_A, Label.SINGLE_B, Label.DUAL):
         sub_mask = np.array([l == sub for l in labels], dtype=bool)
         if sub_mask.any():
             keep = normal_mask | sub_mask
-            subset[sub] = auroc(
-                scores[keep],
-                ["normal" if m else "anomaly" for m in normal_mask[keep]],
-            )
+            subset[sub] = auroc(scores[keep], normal_mask[keep])
     return TaskReport(
         task_id=task_id,
         scenario_id=scenario_id,
@@ -111,62 +109,48 @@ class AggregateReport:
     mean_of_means: float
     std_of_means: float
     scenario_sensitivity: dict[str, float]
-    scenario_means: dict[str, float] = field(default_factory=dict)
+    scenario_means: dict[str, float]
 
 
 def aggregate(reports: list[TaskReport],
-              expected_cells: list[tuple[str, Condition]] | None = None) -> AggregateReport:
-    """Aggregate per-task AUROC over the scenario x condition grid.
+              cells: list[tuple[str, Condition]]) -> AggregateReport:
+    """Aggregate per-task AUROC over the selected scenario x condition grid.
 
-    By default every (scenario, condition) pair seen must appear exactly
-    once and the grid must be complete over the scenarios and conditions it
-    mentions; pass ``expected_cells`` to declare a subset explicitly.
+    ``cells`` is the selection, a full grid such as ``PipelineConfig.tasks()``.
+    The reports must hold exactly one report per selected cell.
     """
-    cells: dict[tuple[str, Condition], float] = {}
+    scenario_ids = sorted({s for s, _ in cells})
+    conditions = sorted({c for _, c in cells}, key=lambda c: c.value)
+    grid = {(s, c) for s in scenario_ids for c in conditions}
+    if not grid or set(cells) != grid:
+        raise MetricError(f"selected cells are not a non-empty full grid; "
+                          f"missing {sorted(grid - set(cells), key=str)}")
+    auroc_of: dict[tuple[str, Condition], float] = {}
     for report in reports:
         key = (report.scenario_id, report.condition)
-        if key in cells:
+        if key in auroc_of:
             raise MetricError(f"duplicate report for cell {key}")
-        cells[key] = report.auroc
-
-    if expected_cells is None:
-        scenario_ids = sorted({s for s, _ in cells})
-        conditions = sorted({c for _, c in cells}, key=lambda c: c.value)
-        expected = {(s, c) for s in scenario_ids for c in conditions}
-        missing = expected - set(cells)
-        if missing:
-            raise MetricError(
-                f"missing grid cells (declare a subset to allow): {sorted(missing, key=str)}"
-            )
-    else:
-        expected = set(expected_cells)
-        missing = expected - set(cells)
-        if missing:
-            raise MetricError(f"declared cells absent from reports: {sorted(missing, key=str)}")
-        cells = {k: v for k, v in cells.items() if k in expected}
-        scenario_ids = sorted({s for s, _ in expected})
-        conditions = sorted({c for _, c in expected}, key=lambda c: c.value)
+        auroc_of[key] = report.auroc
+    missing, extra = grid - set(auroc_of), set(auroc_of) - grid
+    if missing or extra:
+        raise MetricError(f"reports do not match the selected cells; missing "
+                          f"{sorted(missing, key=str)}, extra "
+                          f"{sorted(extra, key=str)}")
 
     condition_means = {
-        c: float(np.mean([cells[(s, c)] for s in scenario_ids
-                          if (s, c) in cells]))
+        c: float(np.mean([auroc_of[(s, c)] for s in scenario_ids]))
         for c in conditions
-        if any((s, c) in cells for s in scenario_ids)
     }
     means = list(condition_means.values())
-    scenario_sensitivity = {}
-    scenario_means = {}
-    for s in scenario_ids:
-        values = [cells[(s, c)] for c in conditions if (s, c) in cells]
-        if values:
-            scenario_sensitivity[s] = _population_std(values)
-            scenario_means[s] = float(np.mean(values))
+    by_scenario = {s: [auroc_of[(s, c)] for c in conditions]
+                   for s in scenario_ids}
     return AggregateReport(
         condition_means=condition_means,
-        mean_of_means=float(np.mean(means)) if means else float("nan"),
-        std_of_means=_population_std(means) if means else float("nan"),
-        scenario_sensitivity=scenario_sensitivity,
-        scenario_means=scenario_means,
+        mean_of_means=float(np.mean(means)),
+        std_of_means=_population_std(means),
+        scenario_sensitivity={s: _population_std(v)
+                              for s, v in by_scenario.items()},
+        scenario_means={s: float(np.mean(v)) for s, v in by_scenario.items()},
     )
 
 
@@ -179,7 +163,7 @@ _CONDITION_TITLES = {
 }
 
 
-def emit_report(agg: AggregateReport, fmt: str = "markdown") -> str:
+def emit_report(agg: AggregateReport, fmt: str) -> str:
     """Render the aggregate as CSV or markdown; byte-deterministic."""
     conditions = sorted(agg.condition_means, key=lambda c: c.value)
     scenarios = sorted(agg.scenario_sensitivity)
@@ -188,9 +172,8 @@ def emit_report(agg: AggregateReport, fmt: str = "markdown") -> str:
         out.write("condition,mean_auroc\n")
         for c in conditions:
             out.write(f"{c.value},{agg.condition_means[c]:.6f}\n")
-        if conditions:
-            out.write(f"mean_of_means,{agg.mean_of_means:.6f}\n")
-            out.write(f"std_of_means,{agg.std_of_means:.6f}\n")
+        out.write(f"mean_of_means,{agg.mean_of_means:.6f}\n")
+        out.write(f"std_of_means,{agg.std_of_means:.6f}\n")
         out.write("\nscenario,mean_auroc,sensitivity_std\n")
         for s in scenarios:
             out.write(f"{s},{agg.scenario_means[s]:.6f},"
@@ -201,9 +184,8 @@ def emit_report(agg: AggregateReport, fmt: str = "markdown") -> str:
         out.write("| Condition | Mean AUROC |\n|---|---|\n")
         for c in conditions:
             out.write(f"| {_CONDITION_TITLES[c]} | {agg.condition_means[c]:.3f} |\n")
-        if conditions:
-            out.write(f"| Mean ± Std | {agg.mean_of_means:.3f} ± "
-                      f"{agg.std_of_means:.3f} |\n")
+        out.write(f"| Mean ± Std | {agg.mean_of_means:.3f} ± "
+                  f"{agg.std_of_means:.3f} |\n")
         out.write("\n| Scenario | Mean AUROC | Sensitivity (std) |\n|---|---|---|\n")
         for s in scenarios:
             out.write(f"| {s} | {agg.scenario_means[s]:.3f} | "

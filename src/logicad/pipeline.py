@@ -8,7 +8,10 @@ once per task.
 
 Each stage regenerates what it reads instead of loading the files of an
 earlier stage.  ``gen``, ``score`` and ``all`` generate the whole task:
-``gen`` writes it out, and scoring reads the test split.  ``train`` reads
+``gen`` writes it out, and scoring reads the test split.  ``score`` reads
+only the train and test texts; it synthesises the train negatives only so
+that ``checkpoint_mismatches`` can rebuild the vocabulary from the train
+pairs and refuse a checkpoint whose vocabulary differs.  ``train`` reads
 only the train pairs, so it generates only the train split; that split
 leads the task's scene stream and every render and negative is seeded by
 its sample id, so its scenes, texts, pairs and vocabulary are those of the
@@ -40,7 +43,6 @@ class PipelineConfig:
     master_seed: int = 0
     scenario_ids: tuple[str, ...] = tuple(sorted(scenarios.SCENARIOS))
     conditions: tuple[scenes.Condition, ...] = tuple(scenes.Condition)
-    split_overrides: dict[str, scenes.SplitCounts] = field(default_factory=dict)
     train: trainer.TrainConfig = field(default_factory=trainer.TrainConfig)
     k: int = knn.DEFAULT_K
     dim: int = 64
@@ -62,11 +64,6 @@ class PipelineConfig:
             raise ValueError("embedding dimension must be >= 2")
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 means one per core)")
-
-    def counts_for(self, scenario_id: str) -> scenes.SplitCounts:
-        return self.split_overrides.get(
-            scenario_id, scenarios.DEFAULT_SPLIT_COUNTS[scenario_id]
-        )
 
     def tasks(self) -> list[tuple[str, scenes.Condition]]:
         return [(s, c) for s in self.scenario_ids for c in self.conditions]
@@ -91,14 +88,12 @@ class TaskArtifacts:
 
 def generate_task(config: PipelineConfig, scenario_id: str,
                   condition: scenes.Condition,
-                  counts: Optional[scenes.SplitCounts] = None) -> TaskArtifacts:
+                  counts: scenes.SplitCounts) -> TaskArtifacts:
     """Scenes, descriptions and negative pairs for one task.
 
-    ``counts`` defaults to the task's split counts.  Any counts with the
-    same ``train_normal`` give the same train samples, texts and pairs.
+    Any counts with the same ``train_normal`` give the same train samples,
+    texts and pairs.
     """
-    if counts is None:
-        counts = config.counts_for(scenario_id)
     spec = scenarios.get_scenario(scenario_id)
     grammar = get_grammar(scenario_id)
     render_cfg = CONDITION_RENDER_DEFAULTS[condition]
@@ -139,8 +134,7 @@ def train_task(config: PipelineConfig, artifacts: TaskArtifacts) -> TrainedTask:
     init = init_params(vocab.size, dim=config.dim, seed=seed)
     if config.skip_training:
         return TrainedTask(vocab=vocab, params=init, epoch_losses=[])
-    result = trainer.fit(pos_texts, neg_texts, vocab, cfg, init=init,
-                         dim=config.dim)
+    result = trainer.fit(pos_texts, neg_texts, vocab, cfg, init)
     return TrainedTask(vocab=vocab, params=result.params,
                        epoch_losses=result.epoch_losses)
 
@@ -157,8 +151,7 @@ def score_task(config: PipelineConfig, artifacts: TaskArtifacts,
     train_samples = artifacts.task.split("train")
     library = knn.build_library(
         [artifacts.texts[s.sample_id] for s in train_samples],
-        trained.params, trained.vocab,
-        ids=[s.sample_id for s in train_samples],
+        trained.params, trained.vocab, [s.sample_id for s in train_samples],
     )
     test_samples = artifacts.task.split("test")
     scored = knn.score_split(
@@ -197,7 +190,7 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
     ``all`` does all three.  Returns the line to print and, when the task
     was scored, its report.
     """
-    counts = config.counts_for(scenario_id)
+    counts = scenarios.DEFAULT_SPLIT_COUNTS[scenario_id]
     if stages == "train":
         # training reads only the train pairs: generate no test scene
         counts = scenes.SplitCounts(counts.train_normal, 0, 0, 0, 0)
@@ -349,7 +342,11 @@ _MATCHED_SETTINGS = ("task_id", "master_seed", "dim")
 
 def checkpoint_mismatches(trained: TrainedTask, config: PipelineConfig,
                           artifacts: TaskArtifacts) -> list[str]:
-    """How a loaded checkpoint disagrees with this run's task; empty if it fits."""
+    """How a loaded checkpoint disagrees with this run's task; empty if it fits.
+
+    The vocabulary is rebuilt from the train pairs, negatives included; this
+    check is the only reason ``score`` synthesises those negatives.
+    """
     expected = _fingerprint(config, artifacts.task.task_id)
     stored = trained.fingerprint or {}
     problems = [f"{key} is {stored.get(key)!r}, expected {expected[key]!r}"

@@ -42,8 +42,8 @@ def _pick(rng: np.random.Generator, options):
     return options[int(rng.integers(len(options)))]
 
 
-def _bump(rng: np.random.Generator, count: int, lo: int = 0, hi: int = MAX_COUNT) -> int:
-    deltas = [d for d in (-1, 1) if lo <= count + d <= hi]
+def _bump(rng: np.random.Generator, count: int, lo: int = 0) -> int:
+    deltas = [d for d in (-1, 1) if lo <= count + d <= MAX_COUNT]
     return count + _pick(rng, deltas)
 
 

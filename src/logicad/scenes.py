@@ -42,9 +42,6 @@ class Label(enum.Enum):
     DUAL = "dual"
 
 
-ANOMALY_LABELS = (Label.SINGLE_A, Label.SINGLE_B, Label.DUAL)
-
-
 class SceneError(ValueError):
     """Malformed scene or unknown scenario."""
 
@@ -211,13 +208,8 @@ class TaskScenes:
     condition: Condition
     samples: tuple[TaskSample, ...]
 
-    def split(self, split: str, *labels: Label) -> list[TaskSample]:
-        wanted = set(labels) if labels else None
-        return [
-            s
-            for s in self.samples
-            if s.split == split and (wanted is None or s.label in wanted)
-        ]
+    def split(self, split: str) -> list[TaskSample]:
+        return [s for s in self.samples if s.split == split]
 
 
 def task_id_for(scenario_id: str, condition: Condition) -> str:
@@ -274,16 +266,6 @@ def _object_to_json(obj: ObjectInstance) -> dict:
     return out
 
 
-def _object_from_json(data: dict) -> ObjectInstance:
-    return ObjectInstance(
-        category=data["category"],
-        color=data.get("color"),
-        length_class=data.get("length_class"),
-        region=data.get("region"),
-        order_index=data.get("order_index"),
-    )
-
-
 def scene_record(task_id: str, split: str, label: Label, scene: Scene) -> str:
     """One line of the scene file (field names are part of the contract)."""
     payload = {
@@ -299,13 +281,3 @@ def scene_record(task_id: str, split: str, label: Label, scene: Scene) -> str:
     }
     return json.dumps(payload, sort_keys=True)
 
-
-def parse_scene_record(line: str) -> tuple[str, str, Label, Scene]:
-    data = json.loads(line)
-    scene = Scene(
-        scenario_id=data["scenario"],
-        objects=tuple(_object_from_json(o) for o in data["scene"]["objects"]),
-        context=tuple(sorted(data["scene"]["context"].items())),
-        condition=Condition(data["condition"]),
-    )
-    return data["task_id"], data["split"], Label(data["label"]), scene

@@ -442,16 +442,6 @@ COOKIES_GRAMMAR = TemplateGrammar(
 _TAPE_DECOR = ("adhesive", "glossy", "new", "wide", "narrow", "dusty")
 
 
-def _tapes_slots(scene: Scene) -> dict[str, str]:
-    view = scenarios._tapes_view(scene)
-    return {
-        "len_first": view["len_first"],
-        "color_first": view["color_first"],
-        "len_second": view["len_second"],
-        "color_second": view["color_second"],
-    }
-
-
 TAPES_GRAMMAR = TemplateGrammar(
     scenario_id="tapes",
     slots=_slot_table(
@@ -516,21 +506,13 @@ TAPES_GRAMMAR = TemplateGrammar(
                    "tin."),
         ),
     ),
-    logical_slots=_tapes_slots,
+    logical_slots=scenarios._tapes_view,
 )
 
 
 _STATIONERY_DECOR = ("new", "used", "clean", "branded", "cheap", "classic")
 _LEN2 = ("long", "short")
 _ORDER2 = ("eraser", "pencil")
-
-
-def _stationery_slots(scene: Scene) -> dict[str, str]:
-    view = scenarios._stationery_view(scene)
-    return {k: view[k] for k in (
-        "len_left_pencil", "len_left_eraser", "order_left",
-        "len_right_pencil", "len_right_eraser", "order_right",
-    )}
 
 
 STATIONERY_GRAMMAR = TemplateGrammar(
@@ -610,7 +592,7 @@ STATIONERY_GRAMMAR = TemplateGrammar(
                    "end."),
         ),
     ),
-    logical_slots=_stationery_slots,
+    logical_slots=scenarios._stationery_view,
 )
 
 
@@ -695,13 +677,6 @@ _BLOCK_DECOR = ("wooden", "colorful", "stacked", "small", "large", "plastic")
 _BINS_TMB = ("top", "middle", "bottom")
 
 
-def _blocks_slots(scene: Scene) -> dict[str, str]:
-    view = scenarios._blocks_view(scene)
-    return {k: view[k] for k in (
-        "shape_a", "region_a", "shape_b", "region_b", "shape_c", "region_c",
-    )}
-
-
 BLOCKS_GRAMMAR = TemplateGrammar(
     scenario_id="blocks",
     slots=_slot_table(
@@ -770,7 +745,7 @@ BLOCKS_GRAMMAR = TemplateGrammar(
                    "the aisle."),
         ),
     ),
-    logical_slots=_blocks_slots,
+    logical_slots=scenarios._blocks_view,
 )
 
 

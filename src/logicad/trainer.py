@@ -11,7 +11,6 @@ global gradient-norm clipping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -170,19 +169,14 @@ def fit(
     neg_texts: list[str],
     vocab: Vocabulary,
     cfg: TrainConfig,
-    init: Optional[EncoderParams] = None,
-    dim: int = 64,
+    init: EncoderParams,
 ) -> FitResult:
-    """Contrastive training over (positive, negative) text pairs."""
+    """Contrastive training over (positive, negative) text pairs from ``init``."""
     if len(pos_texts) != len(neg_texts):
         raise ValueError("positive/negative lists must be index-aligned")
     if not pos_texts:
         raise ValueError("no training pairs")
-    params = init.copy() if init is not None else None
-    if params is None:
-        from .encoder import init_params
-
-        params = init_params(vocab.size, dim=dim, seed=cfg.seed)
+    params = init.copy()
     pos_tokens = [tokenize(t, vocab) for t in pos_texts]
     neg_tokens = [tokenize(t, vocab) for t in neg_texts]
 

@@ -138,17 +138,17 @@ def test_criterion_05_auroc_oracle():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 1001))
-        labels = ["normal" if b else "anomaly" for b in rng.random(n) < 0.5]
-        labels[0], labels[-1] = "normal", "anomaly"
+        is_normal = rng.random(n) < 0.5
+        is_normal[0], is_normal[-1] = True, False
         scores = np.round(rng.random(n), 1 if rng.random() < 0.5 else 12)
-        normals = [s for s, l in zip(scores, labels) if l == "normal"]
-        anomalies = [s for s, l in zip(scores, labels) if l == "anomaly"]
+        normals = [s for s, m in zip(scores, is_normal) if m]
+        anomalies = [s for s, m in zip(scores, is_normal) if not m]
         wins = sum(
             1.0 if x > y else 0.5 if x == y else 0.0
             for x in normals for y in anomalies
         )
         oracle = wins / (len(normals) * len(anomalies))
-        worst = max(worst, abs(auroc(scores, labels) - oracle))
+        worst = max(worst, abs(auroc(scores, is_normal) - oracle))
 
     from logicad.metrics import TaskReport
     from logicad.scenes import Condition
@@ -157,7 +157,7 @@ def test_criterion_05_auroc_oracle():
            Condition.BLURRY_CD: 0.826}
     agg = aggregate([
         TaskReport(f"s-{c.value}", "s", c, v, {}, 1, 1) for c, v in row.items()
-    ])
+    ], [("s", c) for c in row])
     mean_ok = 0.830 <= agg.mean_of_means <= 0.831
     std_ok = 0.013 <= agg.std_of_means <= 0.014
     ok = worst < 1e-12 and mean_ok and std_ok
@@ -233,8 +233,8 @@ def test_criterion_09_end_to_end_benchmark(tmp_path):
         pipeline.run_benchmark(baseline_config, tmp_path / "baseline", "all")
     ]
     elapsed = time.monotonic() - start
-    trained = aggregate(trained_reports).mean_of_means
-    baseline = aggregate(baseline_reports).mean_of_means
+    trained = aggregate(trained_reports, config.tasks()).mean_of_means
+    baseline = aggregate(baseline_reports, baseline_config.tasks()).mean_of_means
     ok = (len(trained_reports) == 50 and trained >= 0.85
           and trained - baseline >= 0.10 and elapsed < 600.0)
     _verdict(9, ok, f"trained {trained:.4f}, baseline {baseline:.4f}, "

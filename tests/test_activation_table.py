@@ -9,11 +9,11 @@ L2.  The vectorised trainer and scorer must agree with it to 1e-12.
 import numpy as np
 import pytest
 
-from logicad import pipeline, scenes
+from logicad import pipeline, scenarios, scenes
 from logicad.encoder import (
     EncodeError,
     EncoderGrads,
-    encode,
+    encode_texts,
     init_params,
     tokenize,
 )
@@ -61,7 +61,9 @@ def _reference_step(pos_tokens, neg_tokens, params, masks, temperature):
     neg = [_reference_forward(t, params, m) for t, m in zip(neg_tokens, masks[2])]
     views = [np.stack([c["z"] for c in caches]) for caches in (anc, pos, neg)]
     loss, _ = nt_xent(*views, temperature)
-    grads = EncoderGrads.zeros_like(params)
+    grads = EncoderGrads(np.zeros_like(params.embedding),
+                         np.zeros_like(params.proj_w),
+                         np.zeros_like(params.proj_b))
     for caches, d_view in zip((anc, pos, neg),
                               nt_xent_embedding_grads(*views, temperature)):
         for cache, d_z in zip(caches, d_view):
@@ -98,7 +100,8 @@ def _per_text_masks(pos_tokens, neg_tokens, dim, rate, rng):
 @pytest.fixture(scope="module")
 def task_texts():
     config = pipeline.PipelineConfig(master_seed=0)
-    artifacts = pipeline.generate_task(config, "sticks", scenes.Condition.MESH_BG)
+    artifacts = pipeline.generate_task(config, "sticks", scenes.Condition.MESH_BG,
+                                       scenarios.DEFAULT_SPLIT_COUNTS["sticks"])
     pos, neg = artifacts.train_pairs()
     return pos, neg, artifacts.vocabulary()
 
@@ -165,7 +168,8 @@ def test_a_text_with_every_entry_dropped_has_no_direction(task_texts):
 def test_fit_matches_a_per_text_reference_loop(task_texts):
     pos, neg, vocab = task_texts
     cfg = TrainConfig(epochs=2, seed=7)
-    result = fit(pos, neg, vocab, cfg)
+    result = fit(pos, neg, vocab, cfg,
+                 init_params(vocab.size, dim=64, seed=cfg.seed))
 
     pos_tokens = [tokenize(t, vocab) for t in pos]
     neg_tokens = [tokenize(t, vocab) for t in neg]
@@ -201,8 +205,9 @@ def test_batched_library_equals_per_text_encodings(task_texts):
     pos, neg, vocab = task_texts
     texts = pos + neg + ["an utterly unknown sentence"]
     params = init_params(vocab.size, dim=64, seed=3)
-    library = build_library(texts, params, vocab)
+    library = build_library(texts, params, vocab,
+                            [f"train-{i:04d}" for i in range(len(texts))])
     for text, row in zip(texts, library.vectors):
-        assert np.abs(row - encode(text, params, vocab)).max() < TOL
+        assert np.abs(row - encode_texts([text], params, vocab)[0]).max() < TOL
         want = _reference_forward(tokenize(text, vocab), params)["z"]
         assert np.abs(row - want).max() < TOL

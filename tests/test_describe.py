@@ -24,7 +24,8 @@ def _canonical_scene(scenario_id):
 
 
 def test_canonical_fruits_text_is_pinned():
-    text = render(_canonical_scene("fruits"), CLEAN, np.random.default_rng(0))
+    text = render(_canonical_scene("fruits"), CLEAN, np.random.default_rng(0),
+                  get_grammar("fruits"))
     assert text.text == (
         "There are three oranges and two kiwis. "
         "The total number of items is five."
@@ -35,7 +36,8 @@ def test_clean_rendering_is_deterministic_and_variant_zero():
     for scenario_id in sorted(SCENARIOS):
         scene = _canonical_scene(scenario_id)
         texts = {
-            render(scene, CLEAN, np.random.default_rng(seed)).text
+            render(scene, CLEAN, np.random.default_rng(seed),
+                   get_grammar(scenario_id)).text
             for seed in range(5)
         }
         assert len(texts) == 1
@@ -48,8 +50,9 @@ def test_clean_rendering_is_deterministic_and_variant_zero():
 def test_same_rng_stream_gives_identical_noisy_renders():
     scene = _canonical_scene("tools")
     cfg = CONDITION_RENDER_DEFAULTS[Condition.LOWLIGHT_CD]
-    a = render(scene, cfg, np.random.default_rng(123)).text
-    b = render(scene, cfg, np.random.default_rng(123)).text
+    grammar = get_grammar("tools")
+    a = render(scene, cfg, np.random.default_rng(123), grammar).text
+    b = render(scene, cfg, np.random.default_rng(123), grammar).text
     assert a == b
 
 
@@ -63,7 +66,7 @@ def test_omission_frequency_matches_configured_probability():
     n = 1000
     rng = np.random.default_rng(99)
     for _ in range(n):
-        record = parse(render(scene, cfg, rng).text, grammar)
+        record = parse(render(scene, cfg, rng, grammar).text, grammar)
         _, mask = grammar.decode_skeleton(record.skeleton)
         for j, i in enumerate(optional_idx):
             included[j] += mask[i]
@@ -75,7 +78,8 @@ def test_certain_corruption_flips_every_decorative_slot():
     scene = _canonical_scene("sticks")
     grammar = get_grammar("sticks")
     clean_slots = grammar.scene_slots(scene)
-    rendered = render(scene, RenderConfig(0.0, 0.0, 1.0), np.random.default_rng(5))
+    rendered = render(scene, RenderConfig(0.0, 0.0, 1.0),
+                      np.random.default_rng(5), grammar)
     record = parse(rendered.text, grammar)
     seen_decorative = 0
     for name, value in record.slots:
@@ -93,8 +97,8 @@ def test_zero_corruption_never_touches_slots():
     clean_slots = grammar.scene_slots(scene)
     rng = np.random.default_rng(17)
     for _ in range(20):
-        record = parse(render(scene, RenderConfig(0.9, 0.2, 0.0), rng).text,
-                       grammar)
+        record = parse(render(scene, RenderConfig(0.9, 0.2, 0.0), rng,
+                              grammar).text, grammar)
         for name, value in record.slots:
             assert value == clean_slots[name]
 
@@ -105,14 +109,14 @@ def test_paraphrase_temperature_selects_variants():
     rng = np.random.default_rng(31)
     variants = set()
     for _ in range(60):
-        record = parse(render(scene, RenderConfig(0.9, 0.0, 0.0), rng).text,
-                       grammar)
+        record = parse(render(scene, RenderConfig(0.9, 0.0, 0.0), rng,
+                              grammar).text, grammar)
         variants.add(grammar.decode_skeleton(record.skeleton)[0])
     assert variants == set(range(len(grammar.variants)))
     # at/below the threshold only the canonical phrasing appears
     for _ in range(10):
-        record = parse(render(scene, RenderConfig(0.01, 0.0, 0.0), rng).text,
-                       grammar)
+        record = parse(render(scene, RenderConfig(0.01, 0.0, 0.0), rng,
+                              grammar).text, grammar)
         assert grammar.decode_skeleton(record.skeleton)[0] == 0
 
 
@@ -150,7 +154,8 @@ def test_render_rejects_values_outside_the_grammar():
         ObjectInstance("tape", color="red", length_class="short", order_index=1),
     )
     with pytest.raises(RenderError):
-        render(Scene("tapes", objects), CLEAN, np.random.default_rng(0))
+        render(Scene("tapes", objects), CLEAN, np.random.default_rng(0),
+               get_grammar("tapes"))
 
 
 def test_parse_rejects_unmatched_text():

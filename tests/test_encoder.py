@@ -7,7 +7,7 @@ from logicad.encoder import (
     UNKNOWN_ID,
     EncodeError,
     Vocabulary,
-    encode,
+    encode_texts,
     init_params,
     tokenize,
 )
@@ -42,15 +42,15 @@ def test_tokenize_lowercases_and_maps_oov_to_unknown():
 def test_deterministic_encoding_is_unit_norm_and_repeatable():
     vocab, params = _setup()
     for text in TEXTS:
-        z1 = encode(text, params, vocab)
-        z2 = encode(text, params, vocab)
+        z1 = encode_texts([text], params, vocab)[0]
+        z2 = encode_texts([text], params, vocab)[0]
         assert np.allclose(z1, z2)
         assert abs(np.linalg.norm(z1) - 1.0) < 1e-12
 
 
 def test_single_token_text_encodes():
     vocab, params = _setup()
-    z = encode("oranges", params, vocab)
+    z = encode_texts(["oranges"], params, vocab)[0]
     assert abs(np.linalg.norm(z) - 1.0) < 1e-12
 
 
@@ -60,4 +60,4 @@ def test_init_params_shapes_and_dim_floor():
     assert params.proj_w.shape == (4, 4)
     assert np.all(params.proj_b == 0.0)
     with pytest.raises(ValueError):
-        init_params(7, dim=1)
+        init_params(7, dim=1, seed=0)

@@ -139,7 +139,8 @@ def test_build_library_and_score_split_are_order_preserving():
              "four oranges one kiwi"]
     vocab = Vocabulary.build(texts)
     params = init_params(vocab.size, dim=8, seed=0)
-    library = build_library(texts, params, vocab)
+    library = build_library(texts, params, vocab,
+                            [f"train-{i:04d}" for i in range(len(texts))])
     assert library.ids == ("train-0000", "train-0001", "train-0002")
     assert np.allclose(np.linalg.norm(library.vectors, axis=1), 1.0)
     results = score_split(texts, params, vocab, library, k=1)
@@ -151,7 +152,7 @@ def test_build_library_and_score_split_are_order_preserving():
 
 def test_library_validation_errors():
     with pytest.raises(LibraryError):
-        build_library([], None, None)
+        build_library([], None, None, [])
     with pytest.raises(LibraryError):
         ReferenceLibrary(vectors=np.eye(3), ids=("a", "b"))
     rng = np.random.default_rng(0)

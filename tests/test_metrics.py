@@ -29,6 +29,10 @@ def _pairwise_auroc(scores, labels):
     return wins / (len(normals) * len(anomalies))
 
 
+def _is_normal(labels):
+    return np.array([l == "normal" for l in labels])
+
+
 def test_auroc_matches_pairwise_counting_on_random_instances():
     rng = np.random.default_rng(60)
     for _ in range(100):
@@ -43,7 +47,8 @@ def test_auroc_matches_pairwise_counting_on_random_instances():
         scores = rng.random(n)
         if rng.random() < 0.5:
             scores = np.round(scores, 1)
-        assert abs(auroc(scores, labels) - _pairwise_auroc(scores, labels)) < 1e-12
+        assert abs(auroc(scores, _is_normal(labels))
+                   - _pairwise_auroc(scores, labels)) < 1e-12
 
 
 def _oracle_ranks(scores):
@@ -66,26 +71,34 @@ def test_average_ranks_equal_the_counting_oracle_exactly(scores):
 
 def test_auroc_rejects_nan_scores():
     with pytest.raises(MetricError):
-        auroc([0.9, float("nan"), 0.1], ["normal", "normal", "anomaly"])
+        auroc([0.9, float("nan"), 0.1], [True, True, False])
 
 
 def test_auroc_known_small_instances():
-    assert auroc([0.9, 0.8, 0.3, 0.2], ["normal", "normal", "anomaly", "anomaly"]) == 1.0
-    assert auroc([0.2, 0.3, 0.8, 0.9], ["normal", "normal", "anomaly", "anomaly"]) == 0.0
-    assert auroc([0.5, 0.5], ["normal", "anomaly"]) == 0.5
+    assert auroc([0.9, 0.8, 0.3, 0.2], [True, True, False, False]) == 1.0
+    assert auroc([0.2, 0.3, 0.8, 0.9], [True, True, False, False]) == 0.0
+    assert auroc([0.5, 0.5], [True, False]) == 0.5
     # two of the four normal/anomaly pairs are correctly ordered
     scores = [0.7, 0.4, 0.5, 0.6]
     labels = ["normal", "normal", "anomaly", "anomaly"]
-    assert abs(auroc(scores, labels) - 0.5) < 1e-12
+    assert abs(auroc(scores, _is_normal(labels)) - 0.5) < 1e-12
     assert abs(_pairwise_auroc(scores, labels) - 0.5) < 1e-12
 
 
 def test_auroc_accepts_boolean_labels_and_needs_both_classes():
     assert auroc([0.9, 0.1], [True, False]) == 1.0
     with pytest.raises(MetricError):
-        auroc([0.9, 0.8], ["normal", "normal"])
+        auroc([0.9, 0.8], [True, True])
     with pytest.raises(MetricError):
-        auroc([0.9, 0.8], ["anomaly", "anomaly"])
+        auroc([0.9, 0.8], [False, False])
+
+
+def test_auroc_rejects_labels_that_are_not_booleans():
+    # a leftover caller of the old string format fails instead of being coerced
+    with pytest.raises(MetricError, match="booleans"):
+        auroc([0.9, 0.1], ["normal", "anomaly"])
+    with pytest.raises(MetricError, match="booleans"):
+        auroc([0.9, 0.1], [1, 0])
 
 
 def test_auroc_accepts_a_numpy_boolean_label_array():
@@ -103,10 +116,11 @@ def test_auroc_is_invariant_to_monotone_transforms_and_order():
     scores = rng.random(80)
     labels = ["normal" if b else "anomaly" for b in rng.random(80) < 0.5]
     labels[0], labels[1] = "normal", "anomaly"
-    base = auroc(scores, labels)
-    assert abs(auroc(np.exp(3.0 * scores), labels) - base) < 1e-12
+    is_normal = _is_normal(labels)
+    base = auroc(scores, is_normal)
+    assert abs(auroc(np.exp(3.0 * scores), is_normal) - base) < 1e-12
     perm = rng.permutation(80)
-    assert abs(auroc(scores[perm], [labels[i] for i in perm]) - base) < 1e-12
+    assert abs(auroc(scores[perm], is_normal[perm]) - base) < 1e-12
 
 
 def test_task_report_subsets_compare_normals_to_each_violation_type():
@@ -136,7 +150,7 @@ def test_condition_mean_aggregation_matches_published_style_summary():
         Condition.BLURRY_CD: 0.826,
     }
     reports = [_report("solo", c, v) for c, v in values.items()]
-    agg = aggregate(reports)
+    agg = aggregate(reports, [("solo", c) for c in values])
     assert 0.830 <= round(agg.mean_of_means, 4) <= 0.831
     assert 0.013 <= agg.std_of_means <= 0.014
     assert agg.condition_means[Condition.MESH_BG] == 0.848
@@ -145,7 +159,7 @@ def test_condition_mean_aggregation_matches_published_style_summary():
 def test_scenario_sensitivity_is_the_population_std_across_conditions():
     values = [0.8, 0.8, 0.8, 0.8, 0.9]
     reports = [_report("solo", c, v) for c, v in zip(Condition, values)]
-    agg = aggregate(reports)
+    agg = aggregate(reports, [("solo", c) for c in Condition])
     assert abs(agg.scenario_sensitivity["solo"] - 0.04) < 1e-12
 
 
@@ -156,7 +170,8 @@ def test_aggregate_averages_conditions_over_scenarios():
         _report("a", Condition.MESH_BG, 0.8),
         _report("b", Condition.MESH_BG, 0.6),
     ]
-    agg = aggregate(reports)
+    agg = aggregate(reports, [(s, c) for s in ("a", "b")
+                              for c in (Condition.WHITE_BG, Condition.MESH_BG)])
     assert abs(agg.condition_means[Condition.WHITE_BG] - 0.75) < 1e-12
     assert abs(agg.condition_means[Condition.MESH_BG] - 0.7) < 1e-12
     assert abs(agg.mean_of_means - 0.725) < 1e-12
@@ -167,29 +182,45 @@ def test_aggregate_rejects_duplicate_and_missing_cells():
     dup = [_report("a", Condition.WHITE_BG, 0.9),
            _report("a", Condition.WHITE_BG, 0.8)]
     with pytest.raises(MetricError):
-        aggregate(dup)
+        aggregate(dup, [("a", Condition.WHITE_BG)])
     holes = [
         _report("a", Condition.WHITE_BG, 0.9),
         _report("a", Condition.MESH_BG, 0.8),
         _report("b", Condition.WHITE_BG, 0.7),
     ]
+    grid = [(s, c) for s in ("a", "b")
+            for c in (Condition.WHITE_BG, Condition.MESH_BG)]
     with pytest.raises(MetricError):
-        aggregate(holes)
-    # the same subset passes once it is declared explicitly
-    agg = aggregate(holes, expected_cells=[
-        ("a", Condition.WHITE_BG), ("a", Condition.MESH_BG),
-        ("b", Condition.WHITE_BG),
-    ])
-    assert set(agg.scenario_sensitivity) == {"a", "b"}
+        aggregate(holes, grid)
+    # a selection that is not a full scenario x condition grid is refused
+    with pytest.raises(MetricError, match="not a non-empty full grid"):
+        aggregate(holes, grid[:3])
+    # a smaller grid passes when the reports cover it exactly
+    agg = aggregate(holes[:2], grid[:2])
+    assert set(agg.scenario_sensitivity) == {"a"}
     with pytest.raises(MetricError):
-        aggregate(holes[:2], expected_cells=[("b", Condition.MESH_BG)])
+        aggregate(holes[:2], [("b", Condition.MESH_BG)])
+    with pytest.raises(MetricError, match="not a non-empty full grid"):
+        aggregate([], [])
+
+
+def test_aggregate_names_the_missing_and_the_extra_cells():
+    reports = [_report("a", Condition.WHITE_BG, 0.9),
+               _report("a", Condition.MESH_BG, 0.8)]
+    # a report outside the selection is refused, not dropped
+    with pytest.raises(MetricError, match=r"extra \[\('a', <Condition.MESH_BG"):
+        aggregate(reports, [("a", Condition.WHITE_BG)])
+    with pytest.raises(MetricError) as exc:
+        aggregate(reports, [("a", Condition.WHITE_BG), ("b", Condition.WHITE_BG)])
+    assert "missing [('b', <Condition.WHITE_BG: 'white_bg'>)]" in str(exc.value)
+    assert "extra [('a', <Condition.MESH_BG: 'mesh_bg'>)]" in str(exc.value)
 
 
 def test_emit_report_is_byte_deterministic_in_both_formats():
     reports = [_report(s, c, 0.81 + 0.01 * i)
                for i, (s, c) in enumerate(
                    (s, c) for s in ("alpha", "beta") for c in Condition)]
-    agg = aggregate(reports)
+    agg = aggregate(reports, [(r.scenario_id, r.condition) for r in reports])
     for fmt in ("csv", "markdown"):
         assert emit_report(agg, fmt) == emit_report(agg, fmt)
     csv = emit_report(agg, "csv")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from logicad import cli, pipeline
-from logicad.scenarios import SCENARIOS
+from logicad.scenarios import DEFAULT_SPLIT_COUNTS, SCENARIOS
 from logicad.scenes import Condition, Label, SplitCounts, task_id_for
 from logicad.trainer import TrainConfig
 
@@ -19,15 +19,19 @@ SMALL = pipeline.PipelineConfig(
     master_seed=0,
     scenario_ids=("tapes",),
     conditions=(Condition.WHITE_BG, Condition.MESH_BG),
-    split_overrides={"tapes": SplitCounts(8, 8, 4, 4, 2)},
     train=TrainConfig(epochs=3, batch_size=8),
     dim=16,
 )
+SMALL_COUNTS = SplitCounts(8, 8, 4, 4, 2)
+
+
+def _small_task(condition):
+    return pipeline.generate_task(SMALL, "tapes", condition, SMALL_COUNTS)
 
 
 def test_generate_task_is_deterministic_and_complete():
-    a = pipeline.generate_task(SMALL, "tapes", Condition.MESH_BG)
-    b = pipeline.generate_task(SMALL, "tapes", Condition.MESH_BG)
+    a = _small_task(Condition.MESH_BG)
+    b = _small_task(Condition.MESH_BG)
     assert a.task == b.task
     assert a.texts == b.texts
     assert a.pairs == b.pairs
@@ -49,8 +53,9 @@ PREFIX_CASES = [
 @pytest.mark.parametrize("config,scenario,condition", PREFIX_CASES)
 def test_train_only_generation_is_the_prefix_of_the_full_task(config, scenario,
                                                                condition):
-    full = pipeline.generate_task(config, scenario, condition)
-    counts = config.counts_for(scenario)
+    # SMALL's task is small; the other cases use the scenario's own counts
+    counts = SMALL_COUNTS if config is SMALL else DEFAULT_SPLIT_COUNTS[scenario]
+    full = pipeline.generate_task(config, scenario, condition, counts)
     train = pipeline.generate_task(config, scenario, condition,
                                    SplitCounts(counts.train_normal, 0, 0, 0, 0))
     assert train.task.split("test") == []
@@ -63,14 +68,14 @@ def test_train_only_generation_is_the_prefix_of_the_full_task(config, scenario,
 
 
 def test_task_seeds_differ_across_conditions_and_stages():
-    white = pipeline.generate_task(SMALL, "tapes", Condition.WHITE_BG)
-    mesh = pipeline.generate_task(SMALL, "tapes", Condition.MESH_BG)
+    white = _small_task(Condition.WHITE_BG)
+    mesh = _small_task(Condition.MESH_BG)
     assert white.task.task_id != mesh.task.task_id
     assert list(white.texts.values()) != list(mesh.texts.values())
 
 
 def test_skip_training_keeps_the_random_initialization():
-    artifacts = pipeline.generate_task(SMALL, "tapes", Condition.WHITE_BG)
+    artifacts = _small_task(Condition.WHITE_BG)
     frozen = pipeline.train_task(replace(SMALL, skip_training=True), artifacts)
     trained = pipeline.train_task(SMALL, artifacts)
     assert frozen.epoch_losses == []
@@ -79,7 +84,7 @@ def test_skip_training_keeps_the_random_initialization():
 
 
 def test_checkpoint_round_trip_and_version_guard(tmp_path):
-    artifacts = pipeline.generate_task(SMALL, "tapes", Condition.WHITE_BG)
+    artifacts = _small_task(Condition.WHITE_BG)
     trained = pipeline.train_task(SMALL, artifacts)
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
@@ -299,6 +304,70 @@ def test_config_file_values_apply_and_flags_win(tmp_path):
     assert len(json.loads(line)["neighbor_ids"]) == 3
 
 
+EVERY_KEY = {
+    "seed": "7", "out_dir": "from_file", "k": "3", "jobs": "2", "dim": "8",
+    "scenario": "tapes,ropes", "condition": "mesh_bg", "epochs": "4",
+    "batch_size": "5", "temperature": "0.3", "learning_rate": "0.02",
+    "weight_decay": "0.001", "clip_norm": "2.5", "skip_training": "yes",
+}
+
+
+def _resolve(argv):
+    return cli.resolve_config(cli.build_parser().parse_args(argv))
+
+
+def _every_key_file(tmp_path, **changed):
+    path = tmp_path / "every.cfg"
+    path.write_text("".join(f"{key} = {value}\n"
+                            for key, value in {**EVERY_KEY, **changed}.items()))
+    return str(path)
+
+
+def test_every_config_key_reaches_its_field(tmp_path):
+    assert sorted(EVERY_KEY) == sorted(cli._CONFIG_KEYS)
+    config, out_dir = _resolve(["train", "--config", _every_key_file(tmp_path)])
+    assert out_dir == Path("from_file")
+    want = pipeline.PipelineConfig(
+        master_seed=7, scenario_ids=("tapes", "ropes"),
+        conditions=(Condition.MESH_BG,),
+        train=TrainConfig(epochs=4, batch_size=5, temperature=0.3,
+                          learning_rate=0.02, weight_decay=0.001,
+                          clip_norm=2.5),
+        k=3, dim=8, skip_training=True, jobs=2)
+    assert config == want
+    # every value differs from its default, so none can pass by falling back
+    default = pipeline.PipelineConfig()
+    for name in ("master_seed", "scenario_ids", "conditions", "k", "dim",
+                 "skip_training", "jobs"):
+        assert getattr(config, name) != getattr(default, name), name
+    for name in ("epochs", "batch_size", "temperature", "learning_rate",
+                 "weight_decay", "clip_norm"):
+        assert getattr(config.train, name) != getattr(default.train, name), name
+
+
+def test_no_file_and_no_flag_give_the_dataclass_defaults(tmp_path):
+    for command in ("gen", "train", "score", "eval", "report", "all"):
+        config, _ = _resolve([command, "--out-dir", str(tmp_path)])
+        assert config == pipeline.PipelineConfig(), command
+
+
+def test_every_flag_beats_the_config_file(tmp_path):
+    config, out_dir = _resolve([
+        "all", "--config", _every_key_file(tmp_path, skip_training="no"),
+        "--seed", "9", "--scenario", "blocks", "--condition", "blurry_cd",
+        "--out-dir", "from_flag", "--jobs", "1", "--k", "6", "--epochs", "2",
+        "--learning-rate", "0.04", "--baseline"])
+    assert out_dir == Path("from_flag")
+    assert (config.master_seed, config.scenario_ids, config.conditions,
+            config.jobs, config.k, config.train.epochs,
+            config.train.learning_rate, config.skip_training) == (
+        9, ("blocks",), (Condition.BLURRY_CD,), 1, 6, 2, 0.04, True)
+    # the keys no flag sets keep the file's values
+    assert (config.dim, config.train.batch_size, config.train.temperature,
+            config.train.weight_decay, config.train.clip_norm) == (
+        8, 5, 0.3, 0.001, 2.5)
+
+
 def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path):
     bad_key = tmp_path / "bad_key.cfg"
     bad_key.write_text("neighbours = 5\n")
@@ -351,7 +420,7 @@ def test_cli_report_needs_score_files(tmp_path):
 
 
 def test_checkpoint_mismatches_name_what_differs(tmp_path):
-    artifacts = pipeline.generate_task(SMALL, "tapes", Condition.WHITE_BG)
+    artifacts = _small_task(Condition.WHITE_BG)
     trained = pipeline.train_task(SMALL, artifacts)
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
@@ -364,7 +433,7 @@ def test_checkpoint_mismatches_name_what_differs(tmp_path):
     problems = pipeline.checkpoint_mismatches(loaded, replace(SMALL, dim=8),
                                               artifacts)
     assert problems == ["dim is 16, expected 8"]
-    other = pipeline.generate_task(SMALL, "tapes", Condition.MESH_BG)
+    other = _small_task(Condition.MESH_BG)
     problems = pipeline.checkpoint_mismatches(loaded, SMALL, other)
     assert any(p.startswith("task_id") for p in problems)
     assert any(p.startswith("vocabulary") for p in problems)

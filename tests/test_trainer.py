@@ -34,6 +34,12 @@ NEG_TEXTS = [
 ]
 
 
+def _zero_grads(params):
+    return EncoderGrads(np.zeros_like(params.embedding),
+                        np.zeros_like(params.proj_w),
+                        np.zeros_like(params.proj_b))
+
+
 def _unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
@@ -128,7 +134,7 @@ def test_analytic_gradients_match_central_finite_differences():
 
 def test_clipping_caps_the_global_norm_and_leaves_small_gradients_alone():
     params = init_params(5, dim=4, seed=0)
-    grads = EncoderGrads.zeros_like(params)
+    grads = _zero_grads(params)
     grads.embedding += 3.0
     before = grads.global_norm()
     assert before > 1.0
@@ -136,7 +142,7 @@ def test_clipping_caps_the_global_norm_and_leaves_small_gradients_alone():
     assert abs(returned - before) < 1e-12
     assert grads.global_norm() <= 1.0 + 1e-9
 
-    small = EncoderGrads.zeros_like(params)
+    small = _zero_grads(params)
     small.proj_b += 1e-3
     norm = small.global_norm()
     clip_gradients(small, 1.0)
@@ -147,7 +153,7 @@ def test_adam_with_zero_gradient_applies_pure_decoupled_decay():
     params = init_params(4, dim=4, seed=2)
     reference = params.copy()
     cfg = TrainConfig(learning_rate=0.1, weight_decay=0.01)
-    adam_update(params, EncoderGrads.zeros_like(params), AdamState.zeros_like(params), cfg)
+    adam_update(params, _zero_grads(params), AdamState.zeros_like(params), cfg)
     assert np.allclose(params.embedding, reference.embedding * (1 - 0.1 * 0.01))
     assert np.allclose(params.proj_w, reference.proj_w * (1 - 0.1 * 0.01))
 
@@ -157,8 +163,8 @@ def test_fit_is_seed_deterministic_and_loss_decreases():
     pos = POS_TEXTS * 8
     neg = NEG_TEXTS * 8
     cfg = TrainConfig(epochs=8, batch_size=4, seed=5)
-    a = fit(pos, neg, vocab, cfg, dim=16)
-    b = fit(pos, neg, vocab, cfg, dim=16)
+    a = fit(pos, neg, vocab, cfg, init_params(vocab.size, dim=16, seed=cfg.seed))
+    b = fit(pos, neg, vocab, cfg, init_params(vocab.size, dim=16, seed=cfg.seed))
     assert a.epoch_losses == b.epoch_losses
     assert np.allclose(a.params.embedding, b.params.embedding)
     assert a.epoch_losses[-1] < a.epoch_losses[0]
@@ -171,7 +177,7 @@ def test_zero_learning_rate_leaves_params_unchanged_with_flat_curve():
     init = init_params(vocab.size, dim=8, seed=1, dropout_rate=0.0)
     cfg = TrainConfig(epochs=6, batch_size=len(pos), learning_rate=0.0,
                       weight_decay=0.0, seed=1)
-    result = fit(pos, neg, vocab, cfg, init=init, dim=8)
+    result = fit(pos, neg, vocab, cfg, init)
     assert np.array_equal(result.params.embedding, init.embedding)
     assert np.array_equal(result.params.proj_w, init.proj_w)
     # flat curve: only float summation order varies across epochs
@@ -180,10 +186,11 @@ def test_zero_learning_rate_leaves_params_unchanged_with_flat_curve():
 
 def test_fit_rejects_misaligned_or_empty_pairs():
     vocab = Vocabulary.build(POS_TEXTS)
+    init = init_params(vocab.size, dim=8, seed=0)
     with pytest.raises(ValueError):
-        fit(POS_TEXTS, NEG_TEXTS[:1], vocab, TrainConfig())
+        fit(POS_TEXTS, NEG_TEXTS[:1], vocab, TrainConfig(), init)
     with pytest.raises(ValueError):
-        fit([], [], vocab, TrainConfig())
+        fit([], [], vocab, TrainConfig(), init)
 
 
 def test_train_config_validation():
