@@ -9,6 +9,7 @@ default.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -47,8 +48,7 @@ _CONFIG_KEYS = {
 }
 # config keys named after the TrainConfig and the PipelineConfig field they
 # set; resolve_config maps seed, scenario, condition and out_dir itself
-_TRAIN_KEYS = ("epochs", "batch_size", "temperature", "learning_rate",
-               "weight_decay", "clip_norm")
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(trainer.TrainConfig))
 _PIPELINE_KEYS = ("k", "dim", "jobs", "skip_training")
 
 
@@ -78,28 +78,14 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def _parse_scenarios(raw: str) -> tuple[str, ...]:
-    ids = tuple(s.strip() for s in raw.split(",") if s.strip())
-    for s in ids:
-        if s not in scenarios.SCENARIOS:
-            raise CliError(
-                f"unknown scenario {s!r}; choose from "
-                f"{', '.join(sorted(scenarios.SCENARIOS))}"
-            )
-    return ids
-
-
-def _parse_conditions(raw: str) -> tuple[scenes.Condition, ...]:
-    out = []
-    for name in (s.strip() for s in raw.split(",") if s.strip()):
-        try:
-            out.append(scenes.Condition(name))
-        except ValueError:
-            raise CliError(
-                f"unknown condition {name!r}; choose from "
-                f"{', '.join(c.value for c in scenes.Condition)}"
-            )
-    return tuple(out)
+def _parse_names(raw: str, kind: str, choices) -> tuple[str, ...]:
+    """The names of a comma list; an unknown one exits 2 and lists ``choices``."""
+    names = tuple(s.strip() for s in raw.split(",") if s.strip())
+    for name in names:
+        if name not in choices:
+            raise CliError(f"unknown {kind} {name!r}; choose from "
+                           f"{', '.join(choices)}")
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,9 +155,12 @@ def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
     if "seed" in values:
         fields["master_seed"] = values["seed"]
     if values.get("scenario"):
-        fields["scenario_ids"] = _parse_scenarios(values["scenario"])
+        fields["scenario_ids"] = _parse_names(
+            values["scenario"], "scenario", sorted(scenarios.SCENARIOS))
     if values.get("condition"):
-        fields["conditions"] = _parse_conditions(values["condition"])
+        names = _parse_names(values["condition"], "condition",
+                             [c.value for c in scenes.Condition])
+        fields["conditions"] = tuple(scenes.Condition(n) for n in names)
     try:
         fields["train"] = trainer.TrainConfig(
             **{key: values[key] for key in _TRAIN_KEYS if key in values})
@@ -257,7 +246,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, out_dir = resolve_config(args)
-        out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir, args)
     except CliError:
         raise

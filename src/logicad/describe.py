@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scenes import Condition, Scene
-from .templates import TemplateGrammar
+from .templates import Skeleton, TemplateGrammar
 
 # Above this the renderer samples uniformly among paraphrase variants;
 # below it only the canonical variant is used.
@@ -32,8 +32,7 @@ class RenderError(ValueError):
 
 @dataclass(frozen=True)
 class AttributeRecord:
-    scenario_id: str
-    skeleton: str                       # "<variant>/<clause mask>"
+    skeleton: Skeleton
     slots: tuple[tuple[str, str], ...]  # included (name, value) in template order
     text: str
 
@@ -69,26 +68,17 @@ CONDITION_RENDER_DEFAULTS: dict[Condition, RenderConfig] = {
 }
 
 
-def render_record(grammar: TemplateGrammar, skeleton: str,
-                  slots: dict[str, str]) -> str:
-    """Deterministically rebuild the text for a (skeleton, slots) pair."""
-    variant, mask = grammar.decode_skeleton(skeleton)
-    parts = []
-    for clause, included in zip(grammar.variants[variant], mask):
-        if included:
-            parts.append(clause.template.format(**slots))
-    return " ".join(parts)
-
-
-def build_record(grammar: TemplateGrammar, skeleton: str,
+def build_record(grammar: TemplateGrammar, skeleton: Skeleton,
                  slots: dict[str, str]) -> AttributeRecord:
     """The record of a (skeleton, slots) pair: its included slots and its text."""
+    variant, mask = skeleton
+    text = " ".join(clause.template.format(**slots) for clause, included
+                    in zip(grammar.variants[variant], mask) if included)
     return AttributeRecord(
-        scenario_id=grammar.scenario_id,
         skeleton=skeleton,
         slots=tuple((name, slots[name])
                     for name in grammar.slots_in_skeleton(skeleton)),
-        text=render_record(grammar, skeleton, slots),
+        text=text,
     )
 
 
@@ -117,7 +107,7 @@ def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
             if slot_def.aspect is None and rng.random() < cfg.corruption_prob:
                 others = [v for v in slot_def.values if v != slots[name]]
                 slots[name] = others[int(rng.integers(len(others)))]
-    return build_record(grammar, grammar.skeleton_id(variant, mask), slots)
+    return build_record(grammar, (variant, mask), slots)
 
 
 def parse(text: str, grammar: TemplateGrammar) -> AttributeRecord:
@@ -136,7 +126,6 @@ def parse(text: str, grammar: TemplateGrammar) -> AttributeRecord:
             continue
         ordered = grammar.slots_in_skeleton(skeleton)
         return AttributeRecord(
-            scenario_id=grammar.scenario_id,
             skeleton=skeleton,
             slots=tuple((name, m.group(name)) for name in ordered),
             text=text,

@@ -11,12 +11,11 @@ for the caller to inspect, and the pipeline itself does not call it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .scenes import Aspect
 from .describe import AttributeRecord, ParseError, build_record, parse
 from .scenarios import NUMBER_WORDS, word_number
 from .templates import SlotDef, TemplateGrammar
@@ -29,14 +28,6 @@ COUNT_EDIT_WINDOW = 2  # count replacements stay within +/- this of the truth
 
 class SynthesisError(ValueError):
     """No contradiction is possible for any slot of the positive."""
-
-
-@dataclass(frozen=True)
-class ContradictionEdit:
-    slot_name: str
-    old_value: str
-    new_value: str
-    aspect: Optional[Aspect]
 
 
 @dataclass(frozen=True)
@@ -70,8 +61,12 @@ def synthesize_negative(
     pos: AttributeRecord,
     grammar: TemplateGrammar,
     rng: np.random.Generator,
-) -> tuple[AttributeRecord, list[ContradictionEdit]]:
-    """Build one contradictory negative record for a positive's record."""
+) -> AttributeRecord:
+    """Build one contradictory negative record for a positive's record.
+
+    Its edits are the slots where it differs from the positive: no variant
+    repeats a slot, and every pool excludes the current value.
+    """
     slot_map = pos.slot_map()
     editable = [
         name for name, value in pos.slots
@@ -93,15 +88,11 @@ def synthesize_negative(
             break
     n_edits = min(n_edits, len(editable))
     chosen = list(rng.choice(len(editable), size=n_edits, replace=False))
-    edits = []
     for idx in sorted(int(i) for i in chosen):
         name = editable[idx]
-        slot = grammar.slots[name]
-        pool = contradiction_pool(slot, slot_map[name])
-        new_value = pool[int(rng.integers(len(pool)))]
-        edits.append(ContradictionEdit(name, slot_map[name], new_value, slot.aspect))
-        slot_map[name] = new_value
-    return build_record(grammar, pos.skeleton, slot_map), edits
+        pool = contradiction_pool(grammar.slots[name], slot_map[name])
+        slot_map[name] = pool[int(rng.integers(len(pool)))]
+    return build_record(grammar, pos.skeleton, slot_map)
 
 
 def _token_count(text: str) -> int:
@@ -157,25 +148,20 @@ def validate_negative(
     )
 
 
-def pair_record(task_id: str, sample_id: str, pos_text: str, neg_text: str,
-                edits: list[ContradictionEdit]) -> str:
-    """One line of the negative-pair file."""
-    import json
-
+def pair_record(task_id: str, sample_id: str, pos: AttributeRecord,
+                neg: AttributeRecord, grammar: TemplateGrammar) -> str:
+    """One line of the negative-pair file; its edits are the slots that differ."""
     return json.dumps(
         {
             "task_id": task_id,
             "sample_id": sample_id,
-            "pos_text": pos_text,
-            "neg_text": neg_text,
+            "pos_text": pos.text,
+            "neg_text": neg.text,
             "edits": [
-                {
-                    "slot": e.slot_name,
-                    "old": e.old_value,
-                    "new": e.new_value,
-                    "aspect": e.aspect.value if e.aspect else None,
-                }
-                for e in edits
+                {"slot": name, "old": old, "new": new,
+                 "aspect": grammar.slots[name].aspect.value}
+                for (name, old), (_, new) in zip(pos.slots, neg.slots)
+                if old != new
             ],
         },
         sort_keys=True,

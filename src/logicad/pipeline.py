@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -73,12 +73,13 @@ class PipelineConfig:
 class TaskArtifacts:
     task: scenes.TaskScenes
     texts: dict[str, str]            # sample_id -> description
-    pairs: dict[str, tuple[str, str, list]]  # train sample_id -> (pos, neg, edits)
+    # train sample_id -> (positive record, negative record)
+    pairs: dict[str, tuple[describe.AttributeRecord, describe.AttributeRecord]]
 
     def train_pairs(self) -> tuple[list[str], list[str]]:
         ids = [s.sample_id for s in self.task.split("train")]
-        pos = [self.pairs[i][0] for i in ids]
-        neg = [self.pairs[i][1] for i in ids]
+        pos = [self.pairs[i][0].text for i in ids]
+        neg = [self.pairs[i][1].text for i in ids]
         return pos, neg
 
     def vocabulary(self) -> Vocabulary:
@@ -111,8 +112,8 @@ def generate_task(config: PipelineConfig, scenario_id: str,
         if sample.split == "train":
             neg_rng = derive_rng(config.master_seed, scenario_id,
                                  condition.value, "negative", sample.sample_id)
-            neg, edits = negatives.synthesize_negative(record, grammar, neg_rng)
-            pairs[sample.sample_id] = (record.text, neg.text, edits)
+            pairs[sample.sample_id] = (
+                record, negatives.synthesize_negative(record, grammar, neg_rng))
     return TaskArtifacts(task=task, texts=texts, pairs=pairs)
 
 
@@ -130,11 +131,10 @@ def train_task(config: PipelineConfig, artifacts: TaskArtifacts) -> TrainedTask:
     vocab = artifacts.vocabulary()
     seed = derive_seed(config.master_seed, artifacts.task.scenario_id,
                        artifacts.task.condition.value, "train")
-    cfg = replace(config.train, seed=seed)
     init = init_params(vocab.size, dim=config.dim, seed=seed)
     if config.skip_training:
         return TrainedTask(vocab=vocab, params=init, epoch_losses=[])
-    result = trainer.fit(pos_texts, neg_texts, vocab, cfg, init)
+    result = trainer.fit(pos_texts, neg_texts, vocab, config.train, init, seed)
     return TrainedTask(vocab=vocab, params=result.params,
                        epoch_losses=result.epoch_losses)
 
@@ -254,12 +254,13 @@ def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
 # --- file emission --------------------------------------------------------
 
 def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     task = artifacts.task
+    grammar = get_grammar(task.scenario_id)
     with open(out_dir / f"{task.task_id}.scenes.jsonl", "w", encoding="utf-8") as fh:
         for sample in task.samples:
-            fh.write(scenes.scene_record(task.task_id, sample.split,
-                                         sample.label, sample.scene) + "\n")
+            fh.write(scenes.scene_record(task.task_id, task.condition,
+                                         sample.split, sample.label,
+                                         sample.scene) + "\n")
     with open(out_dir / f"{task.task_id}.descriptions.jsonl", "w",
               encoding="utf-8") as fh:
         for sample in task.samples:
@@ -268,13 +269,12 @@ def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
                 sample.label.value, artifacts.texts[sample.sample_id]) + "\n")
     with open(out_dir / f"{task.task_id}.pairs.jsonl", "w", encoding="utf-8") as fh:
         for sample in task.split("train"):
-            pos, neg, edits = artifacts.pairs[sample.sample_id]
+            pos, neg = artifacts.pairs[sample.sample_id]
             fh.write(negatives.pair_record(task.task_id, sample.sample_id,
-                                           pos, neg, edits) + "\n")
+                                           pos, neg, grammar) + "\n")
 
 
 def write_score_file(out_dir: Path, scored: ScoredTask) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     task_id = scored.report.task_id
     with open(out_dir / f"{task_id}.scores.jsonl", "w", encoding="utf-8") as fh:
         for sample_id, label, result in scored.results:
@@ -282,7 +282,6 @@ def write_score_file(out_dir: Path, scored: ScoredTask) -> None:
 
 
 def write_loss_curve(out_dir: Path, task_id: str, losses: list[float]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / f"{task_id}.loss.txt", "w", encoding="utf-8") as fh:
         fh.write("epoch\tmean_loss\n")
         for i, loss in enumerate(losses, start=1):

@@ -26,6 +26,9 @@ NUMBER_WORDS = (
     "nine", "ten", "eleven", "twelve",
 )
 
+# relative length classes of sticks and tapes; contradiction pools draw by index
+_LENGTHS = ("long", "short", "similar")
+
 
 def number_word(n: int) -> str:
     return NUMBER_WORDS[n]
@@ -143,7 +146,7 @@ def _grouped_spec(layout: GroupLayout, aspects: tuple[Aspect, Aspect],
 
 STICKS_LAYOUT = GroupLayout(
     "sticks", key="color", attr="length_class", category="stick",
-    values=("long", "short", "similar"),
+    values=_LENGTHS,
     groups=(("blue", "count_blue", "len_blue", 2, "long"),
             ("red", "count_red", "len_red", 1, "short")),
 )
@@ -334,7 +337,7 @@ def _tapes_mut_l(scene: Scene, rng: np.random.Generator) -> Scene:
     i = int(rng.integers(2))
     word = ("first", "second")[i]
     view[f"len_{word}"] = _pick(
-        rng, [v for v in ("long", "short", "similar") if v != _TAPE_CANON[i][0]]
+        rng, [v for v in _LENGTHS if v != _TAPE_CANON[i][0]]
     )
     return _tapes_build(view)
 
@@ -352,8 +355,7 @@ def _tapes_mut_t(scene: Scene, rng: np.random.Generator) -> Scene:
 TAPES = ScenarioSpec(
     scenario_id="tapes",
     aspects=(Aspect.LENGTH, Aspect.TYPE),
-    vocab={"category": ("tape",), "color": _TAPE_COLORS,
-           "length": ("long", "short", "similar")},
+    vocab={"category": ("tape",), "color": _TAPE_COLORS, "length": _LENGTHS},
     layout=(),
     rule_a=_tapes_rule_l,
     rule_b=_tapes_rule_t,
@@ -532,6 +534,7 @@ ROPES = ScenarioSpec(
 # ---------------------------------------------------------------------------
 
 _BLOCK_SHAPES = ("circle", "triangle", "square", "star", "hexagon")
+_BLOCK_BINS = ("top", "middle", "bottom")
 _BLOCK_CANON = (("circle", "top"), ("triangle", "middle"), ("square", "bottom"))
 
 
@@ -605,7 +608,7 @@ def _blocks_mut_p(scene: Scene, rng: np.random.Generator) -> Scene:
     i = int(rng.integers(3))
     slot = ("a", "b", "c")[i]
     view[f"region_{slot}"] = _pick(
-        rng, [r for r in ("top", "middle", "bottom") if r != _BLOCK_CANON[i][1]]
+        rng, [r for r in _BLOCK_BINS if r != _BLOCK_CANON[i][1]]
     )
     return _blocks_build(view)
 
@@ -614,7 +617,7 @@ BLOCKS = ScenarioSpec(
     scenario_id="blocks",
     aspects=(Aspect.TYPE, Aspect.PLACEMENT),
     vocab={"category": _BLOCK_SHAPES},
-    layout=("top", "middle", "bottom"),
+    layout=_BLOCK_BINS,
     rule_a=_blocks_rule_t,
     rule_b=_blocks_rule_p,
     sampler=_blocks_sample,

@@ -3,8 +3,8 @@
 A scene is a structured set of object instances plus optional scenario
 context (e.g. the text label the rope color has to match).  Each scenario
 declares two rule aspects; a scene is normal iff both rule predicates hold.
-Capture conditions only affect rendering downstream, never the logical
-state.
+A scene holds no capture condition: its task does, and the condition only
+affects rendering downstream, never the logical state.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ class Scene:
     scenario_id: str
     objects: tuple[ObjectInstance, ...]
     context: tuple[tuple[str, str], ...] = ()
-    condition: Condition = Condition.WHITE_BG
-
-    def with_condition(self, condition: Condition) -> "Scene":
-        return Scene(self.scenario_id, self.objects, self.context, condition)
 
 
 @dataclass(frozen=True)
@@ -234,7 +230,7 @@ def build_task(
 
     def add(split: str, label: Label, scene: Scene, index: int) -> None:
         sample_id = f"{split}-{label.value}-{index:04d}"
-        samples.append(TaskSample(sample_id, split, label, scene.with_condition(condition)))
+        samples.append(TaskSample(sample_id, split, label, scene))
 
     for i in range(counts.train_normal):
         add("train", Label.NORMAL, sample_normal(spec, rng), i)
@@ -266,12 +262,13 @@ def _object_to_json(obj: ObjectInstance) -> dict:
     return out
 
 
-def scene_record(task_id: str, split: str, label: Label, scene: Scene) -> str:
+def scene_record(task_id: str, condition: Condition, split: str, label: Label,
+                 scene: Scene) -> str:
     """One line of the scene file (field names are part of the contract)."""
     payload = {
         "task_id": task_id,
         "scenario": scene.scenario_id,
-        "condition": scene.condition.value,
+        "condition": condition.value,
         "split": split,
         "label": label.value,
         "scene": {

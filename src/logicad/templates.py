@@ -6,7 +6,7 @@ an "optional" flag (optional clauses can be dropped by condition-dependent
 omission).  Slot values are single tokens, so a filled template can be
 parsed back exactly by matching slot vocabularies.
 
-The skeleton of a text is ``"{variant}/{clause mask}"``; re-rendering a
+The skeleton of a text is its ``(variant, clause mask)`` pair; re-rendering a
 parsed (skeleton, slots) pair reproduces the text byte for byte.
 """
 
@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .scenes import Aspect, Scene
 from . import scenarios
-from .scenarios import number_word
+from .scenarios import NUMBER_WORDS, number_word
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,9 @@ class Clause:
         return tuple(re.findall(r"\{(\w+)\}", self.template))
 
 
+Skeleton = tuple[int, tuple[bool, ...]]  # (variant, clause mask)
+
+
 @dataclass(frozen=True)
 class TemplateGrammar:
     scenario_id: str
@@ -58,13 +61,6 @@ class TemplateGrammar:
                 slots[name] = slot.values[0]
         return slots
 
-    def skeleton_id(self, variant: int, mask: tuple[bool, ...]) -> str:
-        return f"{variant}/" + "".join("1" if m else "0" for m in mask)
-
-    def decode_skeleton(self, skeleton: str) -> tuple[int, tuple[bool, ...]]:
-        variant_s, mask_s = skeleton.split("/")
-        return int(variant_s), tuple(ch == "1" for ch in mask_s)
-
     def clause_masks(self, variant: int):
         """All clause-inclusion masks (mandatory clauses always included)."""
         choices = [
@@ -73,8 +69,8 @@ class TemplateGrammar:
         ]
         return itertools.product(*choices)
 
-    def slots_in_skeleton(self, skeleton: str) -> list[str]:
-        variant, mask = self.decode_skeleton(skeleton)
+    def slots_in_skeleton(self, skeleton: Skeleton) -> list[str]:
+        variant, mask = skeleton
         names: list[str] = []
         for clause, included in zip(self.variants[variant], mask):
             if included:
@@ -107,13 +103,10 @@ class TemplateGrammar:
                         pos = m.end()
                     pattern += re.escape(clause.template[pos:])
                     pieces.append(pattern)
-                patterns.append((self.skeleton_id(variant, mask),
+                patterns.append(((variant, mask),
                                  re.compile(re.escape(" ").join(pieces))))
         return tuple(patterns)
 
-
-_NUM = tuple(number_word(n) for n in range(0, 13))
-_LOW_NUM = ("zero", "one", "two")
 
 def _plural_fruit(category: str) -> str:
     return {"orange": "oranges", "kiwi": "kiwis", "apple": "apples",
@@ -147,11 +140,11 @@ def _fruits_slots(scene: Scene) -> dict[str, str]:
 FRUITS_GRAMMAR = TemplateGrammar(
     scenario_id="fruits",
     slots=_slot_table(
-        SlotDef("count_a", _NUM, Aspect.QUANTITY),
+        SlotDef("count_a", NUMBER_WORDS, Aspect.QUANTITY),
         SlotDef("type_a", _FRUIT_PLURALS, Aspect.TYPE),
-        SlotDef("count_b", _NUM, Aspect.QUANTITY),
+        SlotDef("count_b", NUMBER_WORDS, Aspect.QUANTITY),
         SlotDef("type_b", _FRUIT_PLURALS, Aspect.TYPE),
-        SlotDef("total", _NUM, Aspect.QUANTITY),
+        SlotDef("total", NUMBER_WORDS, Aspect.QUANTITY),
         SlotDef("decor_bowl", ("ceramic", "white", "wooden",
                                "deep", "wide", "glazed")),
         SlotDef("decor_towel", ("striped", "folded", "damp",
@@ -204,16 +197,15 @@ FRUITS_GRAMMAR = TemplateGrammar(
 
 
 _STICK_DECOR = ("wooden", "plastic", "painted", "polished", "smooth", "matte")
-_LEN3 = ("long", "short", "similar")
 
 
 STICKS_GRAMMAR = TemplateGrammar(
     scenario_id="sticks",
     slots=_slot_table(
-        SlotDef("count_blue", _NUM, Aspect.QUANTITY),
-        SlotDef("count_red", _NUM, Aspect.QUANTITY),
-        SlotDef("len_blue", _LEN3, Aspect.LENGTH),
-        SlotDef("len_red", _LEN3, Aspect.LENGTH),
+        SlotDef("count_blue", NUMBER_WORDS, Aspect.QUANTITY),
+        SlotDef("count_red", NUMBER_WORDS, Aspect.QUANTITY),
+        SlotDef("len_blue", scenarios._LENGTHS, Aspect.LENGTH),
+        SlotDef("len_red", scenarios._LENGTHS, Aspect.LENGTH),
         SlotDef("decor_sticks", _STICK_DECOR),
         SlotDef("decor_tray", ("metal", "white", "gray",
                                "shallow", "wide", "round")),
@@ -277,7 +269,6 @@ STICKS_GRAMMAR = TemplateGrammar(
 
 
 _TOOL_DECOR = ("steel", "shiny", "small", "heavy", "standard", "gray")
-_BINS_LMR = ("left", "middle", "right")
 
 
 def _tools_slots(scene: Scene) -> dict[str, str]:
@@ -289,13 +280,13 @@ def _tools_slots(scene: Scene) -> dict[str, str]:
 TOOLS_GRAMMAR = TemplateGrammar(
     scenario_id="tools",
     slots=_slot_table(
-        SlotDef("count_bolt", _NUM, Aspect.QUANTITY),
-        SlotDef("region_bolt", _BINS_LMR, Aspect.PLACEMENT),
-        SlotDef("count_washer", _NUM, Aspect.QUANTITY),
-        SlotDef("region_washer", _BINS_LMR, Aspect.PLACEMENT),
-        SlotDef("count_nut", _NUM, Aspect.QUANTITY),
-        SlotDef("region_nut", _BINS_LMR, Aspect.PLACEMENT),
-        SlotDef("total_tools", _NUM, Aspect.QUANTITY),
+        SlotDef("count_bolt", NUMBER_WORDS, Aspect.QUANTITY),
+        SlotDef("region_bolt", scenarios.TOOLS_LAYOUT.values, Aspect.PLACEMENT),
+        SlotDef("count_washer", NUMBER_WORDS, Aspect.QUANTITY),
+        SlotDef("region_washer", scenarios.TOOLS_LAYOUT.values, Aspect.PLACEMENT),
+        SlotDef("count_nut", NUMBER_WORDS, Aspect.QUANTITY),
+        SlotDef("region_nut", scenarios.TOOLS_LAYOUT.values, Aspect.PLACEMENT),
+        SlotDef("total_tools", NUMBER_WORDS, Aspect.QUANTITY),
         SlotDef("decor_tools", _TOOL_DECOR),
         SlotDef("decor_bench", ("scuffed", "clean", "broad",
                                 "pine", "painted", "low")),
@@ -370,10 +361,10 @@ _COOKIE_DECOR = ("baked", "sugar", "crunchy", "glazed", "plain", "soft")
 COOKIES_GRAMMAR = TemplateGrammar(
     scenario_id="cookies",
     slots=_slot_table(
-        SlotDef("count_square", _NUM, Aspect.QUANTITY),
+        SlotDef("count_square", NUMBER_WORDS, Aspect.QUANTITY),
         SlotDef("color_square", scenarios._COOKIE_COLORS,
                 Aspect.RELATION),
-        SlotDef("count_round", _NUM, Aspect.QUANTITY),
+        SlotDef("count_round", NUMBER_WORDS, Aspect.QUANTITY),
         SlotDef("color_round", scenarios._COOKIE_COLORS,
                 Aspect.RELATION),
         SlotDef("decor_cookies", _COOKIE_DECOR),
@@ -445,9 +436,9 @@ _TAPE_DECOR = ("adhesive", "glossy", "new", "wide", "narrow", "dusty")
 TAPES_GRAMMAR = TemplateGrammar(
     scenario_id="tapes",
     slots=_slot_table(
-        SlotDef("len_first", _LEN3, Aspect.LENGTH),
+        SlotDef("len_first", scenarios._LENGTHS, Aspect.LENGTH),
         SlotDef("color_first", scenarios._TAPE_COLORS, Aspect.TYPE),
-        SlotDef("len_second", _LEN3, Aspect.LENGTH),
+        SlotDef("len_second", scenarios._LENGTHS, Aspect.LENGTH),
         SlotDef("color_second", scenarios._TAPE_COLORS,
                 Aspect.TYPE),
         SlotDef("decor_tapes", _TAPE_DECOR),
@@ -674,18 +665,17 @@ ROPES_GRAMMAR = TemplateGrammar(
 
 
 _BLOCK_DECOR = ("wooden", "colorful", "stacked", "small", "large", "plastic")
-_BINS_TMB = ("top", "middle", "bottom")
 
 
 BLOCKS_GRAMMAR = TemplateGrammar(
     scenario_id="blocks",
     slots=_slot_table(
         SlotDef("shape_a", scenarios._BLOCK_SHAPES, Aspect.TYPE),
-        SlotDef("region_a", _BINS_TMB, Aspect.PLACEMENT),
+        SlotDef("region_a", scenarios._BLOCK_BINS, Aspect.PLACEMENT),
         SlotDef("shape_b", scenarios._BLOCK_SHAPES, Aspect.TYPE),
-        SlotDef("region_b", _BINS_TMB, Aspect.PLACEMENT),
+        SlotDef("region_b", scenarios._BLOCK_BINS, Aspect.PLACEMENT),
         SlotDef("shape_c", scenarios._BLOCK_SHAPES, Aspect.TYPE),
-        SlotDef("region_c", _BINS_TMB, Aspect.PLACEMENT),
+        SlotDef("region_c", scenarios._BLOCK_BINS, Aspect.PLACEMENT),
         SlotDef("decor_blocks", _BLOCK_DECOR),
         SlotDef("decor_rack", ("beige", "welded", "tiered",
                                "mobile", "squat", "bolted")),
@@ -839,13 +829,13 @@ _BALL_DECOR = ("rubber", "bouncy", "matte", "glossy", "new", "worn")
 BALLS_GRAMMAR = TemplateGrammar(
     scenario_id="balls",
     slots=_slot_table(
-        SlotDef("n_tl", _LOW_NUM, Aspect.PLACEMENT),
+        SlotDef("n_tl", NUMBER_WORDS[:3], Aspect.PLACEMENT),
         SlotDef("c_tl", scenarios._BALL_COLORS, Aspect.RELATION),
-        SlotDef("n_tr", _LOW_NUM, Aspect.PLACEMENT),
+        SlotDef("n_tr", NUMBER_WORDS[:3], Aspect.PLACEMENT),
         SlotDef("c_tr", scenarios._BALL_COLORS, Aspect.RELATION),
-        SlotDef("n_bl", _LOW_NUM, Aspect.PLACEMENT),
+        SlotDef("n_bl", NUMBER_WORDS[:3], Aspect.PLACEMENT),
         SlotDef("c_bl", scenarios._BALL_COLORS, Aspect.RELATION),
-        SlotDef("n_br", _LOW_NUM, Aspect.PLACEMENT),
+        SlotDef("n_br", NUMBER_WORDS[:3], Aspect.PLACEMENT),
         SlotDef("c_br", scenarios._BALL_COLORS, Aspect.RELATION),
         SlotDef("decor_balls", _BALL_DECOR),
         SlotDef("decor_case", ("padded", "molded", "aluminum",

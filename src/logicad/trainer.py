@@ -42,7 +42,6 @@ class TrainConfig:
     learning_rate: float = 5e-3
     weight_decay: float = 1e-5
     clip_norm: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -107,16 +106,14 @@ class BatchMasks:
     """
 
     dropped: np.ndarray
-    rate: float
 
     @classmethod
     def sample(cls, pos_tokens, neg_tokens, dim, rate, rng):
         if rate == 0.0:
-            return cls(dropped=np.empty(0, dtype=np.intp), rate=rate)
+            return cls(dropped=np.empty(0, dtype=np.intp))
         n_rows = (2 * sum(len(t) for t in pos_tokens)
                   + sum(len(t) for t in neg_tokens))
-        return cls(dropped=np.flatnonzero(rng.random((n_rows, dim)) < rate),
-                   rate=rate)
+        return cls(dropped=np.flatnonzero(rng.random((n_rows, dim)) < rate))
 
 
 def clip_gradients(grads: EncoderGrads, clip_norm: float) -> float:
@@ -170,8 +167,12 @@ def fit(
     vocab: Vocabulary,
     cfg: TrainConfig,
     init: EncoderParams,
+    seed: int,
 ) -> FitResult:
-    """Contrastive training over (positive, negative) text pairs from ``init``."""
+    """Contrastive training over (positive, negative) text pairs from ``init``.
+
+    ``seed`` drives the batch order and the dropout masks.
+    """
     if len(pos_texts) != len(neg_texts):
         raise ValueError("positive/negative lists must be index-aligned")
     if not pos_texts:
@@ -180,7 +181,7 @@ def fit(
     pos_tokens = [tokenize(t, vocab) for t in pos_texts]
     neg_tokens = [tokenize(t, vocab) for t in neg_texts]
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     state = AdamState.zeros_like(params)
     n = len(pos_tokens)
     epoch_losses = []
@@ -193,8 +194,8 @@ def fit(
             batch_neg = [neg_tokens[i] for i in idx]
             masks = BatchMasks.sample(batch_pos, batch_neg, params.dim,
                                       params.dropout_rate, rng)
-            loss, _, grads = batch_step(batch_pos, batch_neg, params, masks,
-                                        cfg.temperature)
+            loss, grads = batch_step(batch_pos, batch_neg, params, masks,
+                                     cfg.temperature)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {len(epoch_losses)}, "
@@ -213,7 +214,7 @@ def batch_step(
     params: EncoderParams,
     masks: BatchMasks,
     temperature: float,
-) -> tuple[float, np.ndarray, EncoderGrads]:
+) -> tuple[float, EncoderGrads]:
     """Forward + exact analytic backward for one contrastive step.
 
     Each text pools ``counts @ table`` over the step's activation table, less
@@ -232,7 +233,7 @@ def batch_step(
     lost = np.bincount(at_text, weights=table.ravel()[at_table],
                        minlength=len(texts) * dim)
     # inverted dropout and the mean over each text's tokens, in one factor
-    scale = (1.0 / ((1.0 - masks.rate) * lengths))[:, None]
+    scale = (1.0 / ((1.0 - params.dropout_rate) * lengths))[:, None]
     # a text with every entry dropped keeps only rounding residue, far below
     # the zero-norm threshold, so it raises as the dense pooling did
     z, norms = normalize_rows(
@@ -240,7 +241,7 @@ def batch_step(
     b = len(pos_tokens)
     anchors, positives, negatives = z[:b], z[b:2 * b], z[2 * b:]
 
-    loss, per_anchor = nt_xent(anchors, positives, negatives, temperature)
+    loss, _ = nt_xent(anchors, positives, negatives, temperature)
     d_z = np.concatenate(nt_xent_embedding_grads(
         anchors, positives, negatives, temperature))
 
@@ -252,4 +253,4 @@ def batch_step(
                         table, params)
     if not all(np.all(np.isfinite(a)) for a in grads.arrays()):
         raise TrainingError("non-finite gradient")
-    return loss, per_anchor, grads
+    return loss, grads

@@ -4,6 +4,7 @@ Each test checks one numbered release criterion and prints a single
 PASS/FAIL line; thresholds and tolerances are pinned here, not imported.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -12,13 +13,13 @@ import pytest
 from test_scenes import _ENUMERATIONS
 
 from logicad import cli, pipeline
-from logicad.describe import RenderConfig, parse, render, render_record
+from logicad.describe import RenderConfig, build_record, parse, render
 from logicad.encoder import Vocabulary, init_params, tokenize
 from logicad.knn import ReferenceLibrary, score
 from logicad.metrics import aggregate, auroc
 from logicad.negatives import synthesize_negative, validate_negative
 from logicad.scenarios import SCENARIOS, get_scenario
-from logicad.scenes import classify, sample_normal
+from logicad.scenes import classify, sample_normal, task_id_for
 from logicad.templates import get_grammar
 from logicad.trainer import BatchMasks, batch_step, nt_xent
 
@@ -45,7 +46,7 @@ def test_criterion_01_gradient_oracle():
     neg_tokens = [tokenize(t, vocab) for t in neg_texts]
     masks = BatchMasks.sample(pos_tokens, neg_tokens, 8, 0.1,
                               np.random.default_rng(1))
-    _, _, grads = batch_step(pos_tokens, neg_tokens, params, masks, 0.5)
+    _, grads = batch_step(pos_tokens, neg_tokens, params, masks, 0.5)
     h = 1e-5
     worst = 0.0
     for target, grad in zip(
@@ -190,7 +191,7 @@ def test_criterion_07_negative_validity():
         for i in range(1000):
             cfg = clean if i % 2 == 0 else noisy
             pos = render(sample_normal(spec, rng), cfg, rng, grammar)
-            neg, _ = synthesize_negative(pos, grammar, rng)
+            neg = synthesize_negative(pos, grammar, rng)
             total += 1
             if not validate_negative(pos.text, neg.text, grammar).passed:
                 failures += 1
@@ -207,38 +208,73 @@ def test_criterion_08_round_trip_identity():
             sample_normal(get_scenario(scenario_id), np.random.default_rng(0)))
         for variant in range(len(grammar.variants)):
             for mask in grammar.clause_masks(variant):
-                skeleton = grammar.skeleton_id(variant, mask)
-                text = render_record(grammar, skeleton, slots)
+                text = build_record(grammar, (variant, mask), slots).text
                 record = parse(text, grammar)
                 texts += 1
-                if render_record(grammar, record.skeleton,
-                                 record.slot_map()) != text:
+                if build_record(grammar, record.skeleton,
+                                record.slot_map()).text != text:
                     mismatches += 1
     ok = mismatches == 0 and texts > 0
     _verdict(8, ok, f"{texts} canonical texts round-tripped, "
                     f"{mismatches} mismatches")
 
 
-def test_criterion_09_end_to_end_benchmark(tmp_path):
+@pytest.fixture(scope="module")
+def benchmark_runs(tmp_path_factory):
+    """The trained and the baseline `all` runs over the 50 tasks at seed 0.
+
+    Maps each family to (config, output directory, reports); returns the
+    wall time of both runs as well.
+    """
     start = time.monotonic()
-    config = pipeline.PipelineConfig(master_seed=0, jobs=1)
-    trained_reports = [
-        report for _, report in
-        pipeline.run_benchmark(config, tmp_path / "trained", "all")
-    ]
-    baseline_config = pipeline.PipelineConfig(master_seed=0, skip_training=True,
-                                              jobs=1)
-    baseline_reports = [
-        report for _, report in
-        pipeline.run_benchmark(baseline_config, tmp_path / "baseline", "all")
-    ]
-    elapsed = time.monotonic() - start
+    runs = {}
+    for family, skip_training in (("trained", False), ("baseline", True)):
+        config = pipeline.PipelineConfig(master_seed=0,
+                                         skip_training=skip_training, jobs=1)
+        out = tmp_path_factory.mktemp(family)
+        runs[family] = (config, out, [
+            report for _, report in pipeline.run_benchmark(config, out, "all")])
+    return runs, time.monotonic() - start
+
+
+def test_criterion_09_end_to_end_benchmark(benchmark_runs):
+    runs, elapsed = benchmark_runs
+    config, _, trained_reports = runs["trained"]
+    baseline_config, _, baseline_reports = runs["baseline"]
     trained = aggregate(trained_reports, config.tasks()).mean_of_means
     baseline = aggregate(baseline_reports, baseline_config.tasks()).mean_of_means
     ok = (len(trained_reports) == 50 and trained >= 0.85
           and trained - baseline >= 0.10 and elapsed < 600.0)
     _verdict(9, ok, f"trained {trained:.4f}, baseline {baseline:.4f}, "
                     f"gap {trained - baseline:.4f}, {elapsed:.0f}s for 2x50 tasks")
+
+
+# The README table at master seed 0: mean +/- std of the condition means.
+README_TABLE = {"trained": "0.9681 +/- 0.0238", "baseline": "0.8612 +/- 0.0825"}
+# sha256 over every task's file of one kind, concatenated in task order.
+RUN_DIGESTS = {
+    ("trained", "scores.jsonl"):
+        "90821fc2b9efce261770ffd3796ca72e66b427946860c717a4d462a74de32cab",
+    ("trained", "loss.txt"):
+        "e861ea93ac2043662be6b8a9a85a13b5c9d2ef750642c386b0d8aba0fde876db",
+    ("baseline", "scores.jsonl"):
+        "245d90abc1d81e5443fbdebc2a5b74e3d849e15f94aaf3ad18589477bf3d2142",
+}
+
+
+def test_seed_0_table_and_bytes_are_pinned(benchmark_runs):
+    runs, _ = benchmark_runs
+    for family, row in README_TABLE.items():
+        config, _, reports = runs[family]
+        agg = aggregate(reports, config.tasks())
+        assert f"{agg.mean_of_means:.4f} +/- {agg.std_of_means:.4f}" == row
+    for (family, suffix), digest in RUN_DIGESTS.items():
+        config, out, _ = runs[family]
+        h = hashlib.sha256()
+        for scenario_id, condition in config.tasks():
+            h.update((out / f"{task_id_for(scenario_id, condition)}.{suffix}"
+                      ).read_bytes())
+        assert h.hexdigest() == digest, (family, suffix)
 
 
 def test_criterion_10_pipeline_determinism(tmp_path):

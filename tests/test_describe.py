@@ -8,9 +8,9 @@ from logicad.describe import (
     ParseError,
     RenderConfig,
     RenderError,
+    build_record,
     parse,
     render,
-    render_record,
 )
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Condition, ObjectInstance, Scene, sample_normal
@@ -42,7 +42,7 @@ def test_clean_rendering_is_deterministic_and_variant_zero():
         }
         assert len(texts) == 1
         record = parse(texts.pop(), get_grammar(scenario_id))
-        variant, mask = get_grammar(scenario_id).decode_skeleton(record.skeleton)
+        variant, mask = record.skeleton
         assert variant == 0
         assert all(mask)
 
@@ -67,7 +67,7 @@ def test_omission_frequency_matches_configured_probability():
     rng = np.random.default_rng(99)
     for _ in range(n):
         record = parse(render(scene, cfg, rng, grammar).text, grammar)
-        _, mask = grammar.decode_skeleton(record.skeleton)
+        _, mask = record.skeleton
         for j, i in enumerate(optional_idx):
             included[j] += mask[i]
     for frequency in included / n:
@@ -111,13 +111,13 @@ def test_paraphrase_temperature_selects_variants():
     for _ in range(60):
         record = parse(render(scene, RenderConfig(0.9, 0.0, 0.0), rng,
                               grammar).text, grammar)
-        variants.add(grammar.decode_skeleton(record.skeleton)[0])
+        variants.add(record.skeleton[0])
     assert variants == set(range(len(grammar.variants)))
     # at/below the threshold only the canonical phrasing appears
     for _ in range(10):
         record = parse(render(scene, RenderConfig(0.01, 0.0, 0.0), rng,
                               grammar).text, grammar)
-        assert grammar.decode_skeleton(record.skeleton)[0] == 0
+        assert record.skeleton[0] == 0
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
@@ -126,12 +126,11 @@ def test_round_trip_identity_on_every_skeleton(scenario_id):
     slots = grammar.scene_slots(_canonical_scene(scenario_id))
     for variant in range(len(grammar.variants)):
         for mask in grammar.clause_masks(variant):
-            skeleton = grammar.skeleton_id(variant, mask)
-            text = render_record(grammar, skeleton, slots)
+            text = build_record(grammar, (variant, mask), slots).text
             record = parse(text, grammar)
-            assert record.skeleton == skeleton
-            assert render_record(grammar, record.skeleton,
-                                 record.slot_map()) == text
+            assert record.skeleton == (variant, mask)
+            assert build_record(grammar, record.skeleton,
+                                record.slot_map()).text == text
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
@@ -144,8 +143,8 @@ def test_round_trip_identity_under_noisy_rendering(scenario_id):
         rendered = render(sample_normal(spec, rng), cfg, rng, grammar)
         record = parse(rendered.text, grammar)
         assert record == rendered
-        assert render_record(grammar, record.skeleton,
-                             record.slot_map()) == rendered.text
+        assert build_record(grammar, record.skeleton,
+                            record.slot_map()).text == rendered.text
 
 
 def test_render_rejects_values_outside_the_grammar():

@@ -1,13 +1,15 @@
 """Negative synthesis: contradiction pools, validity, and failure reporting."""
 
+import json
+
 import numpy as np
 import pytest
 
-from logicad.describe import RenderConfig, parse, render, render_record
+from logicad.describe import RenderConfig, build_record, parse, render
 from logicad.negatives import (
-    ContradictionEdit,
     SynthesisError,
     contradiction_pool,
+    pair_record,
     synthesize_negative,
     validate_negative,
 )
@@ -27,28 +29,28 @@ def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
     for i in range(200):
         cfg = CLEAN if i % 2 == 0 else NOISY
         pos = render(sample_normal(spec, rng), cfg, rng, grammar)
-        neg, edits = synthesize_negative(pos, grammar, rng)
+        neg = synthesize_negative(pos, grammar, rng)
         assert neg.text != pos.text
         assert parse(neg.text, grammar) == neg
+        edits = json.loads(pair_record("t", "s", pos, neg, grammar))["edits"]
         assert 1 <= len(edits) <= 2
         report = validate_negative(pos.text, neg.text, grammar)
         assert report.passed, (scenario_id, pos.text, neg.text, report)
-        assert set(report.differing_slots) == {e.slot_name for e in edits}
+        assert report.differing_slots == tuple(e["slot"] for e in edits)
         for edit in edits:
-            assert grammar.slots[edit.slot_name].aspect is not None
-            if edit.old_value in NUMBER_WORDS and edit.new_value in NUMBER_WORDS:
-                assert abs(word_number(edit.new_value)
-                           - word_number(edit.old_value)) <= 2
+            assert edit["aspect"] == grammar.slots[edit["slot"]].aspect.value
+            if edit["old"] in NUMBER_WORDS and edit["new"] in NUMBER_WORDS:
+                assert abs(word_number(edit["new"])
+                           - word_number(edit["old"])) <= 2
 
 
 def test_synthesis_is_seed_deterministic():
     grammar = get_grammar("tools")
     pos = render(sample_normal(get_scenario("tools"), np.random.default_rng(1)),
                  CLEAN, np.random.default_rng(1), grammar)
-    neg_a, edits_a = synthesize_negative(pos, grammar, np.random.default_rng(8))
-    neg_b, edits_b = synthesize_negative(pos, grammar, np.random.default_rng(8))
+    neg_a = synthesize_negative(pos, grammar, np.random.default_rng(8))
+    neg_b = synthesize_negative(pos, grammar, np.random.default_rng(8))
     assert neg_a == neg_b
-    assert edits_a == edits_b
 
 
 def _mini_grammar():
@@ -69,10 +71,16 @@ def test_single_editable_slot_forces_the_only_contradiction():
     pos = parse("The matte item is red.", grammar)
     rng = np.random.default_rng(0)
     for _ in range(10):
-        neg, edits = synthesize_negative(pos, grammar, rng)
+        neg = synthesize_negative(pos, grammar, rng)
         assert neg.text == "The matte item is blue."
         assert neg.slots == (("shade", "matte"), ("color", "blue"))
-        assert edits == [ContradictionEdit("color", "red", "blue", Aspect.TYPE)]
+        assert json.loads(pair_record("t", "s", pos, neg, grammar)) == {
+            "task_id": "t", "sample_id": "s",
+            "pos_text": "The matte item is red.",
+            "neg_text": "The matte item is blue.",
+            "edits": [{"slot": "color", "old": "red", "new": "blue",
+                       "aspect": "type"}],
+        }
 
 
 def test_synthesis_fails_without_any_contradiction_pool():
@@ -99,9 +107,9 @@ def test_validation_flags_skeleton_changes():
     slots = grammar.scene_slots(
         sample_normal(get_scenario("sticks"), np.random.default_rng(0)))
     masks = list(grammar.clause_masks(0))
-    full = render_record(grammar, grammar.skeleton_id(0, masks[0]), slots)
+    full = build_record(grammar, (0, masks[0]), slots).text
     partial_mask = next(m for m in masks if not all(m))
-    dropped = render_record(grammar, grammar.skeleton_id(0, partial_mask), slots)
+    dropped = build_record(grammar, (0, partial_mask), slots).text
     report = validate_negative(full, dropped, grammar)
     assert not report.skeleton_preserved
     assert not report.passed

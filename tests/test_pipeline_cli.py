@@ -261,12 +261,16 @@ def test_cli_train_needs_no_earlier_gen_and_builds_only_the_train_split(
         assert len(task.samples) == 50
 
 
-def test_cli_rejects_unknown_scenario_and_condition(tmp_path):
-    for argv in (["gen", "--scenario", "gears", "--out-dir", str(tmp_path)],
-                 ["gen", "--condition", "night", "--out-dir", str(tmp_path)]):
+def test_cli_rejects_unknown_scenario_and_condition(tmp_path, capsys):
+    for flag, raw, choices in (
+            ("--scenario", "tapes,gears", sorted(SCENARIOS)),
+            ("--condition", "white_bg,night", [c.value for c in Condition])):
         with pytest.raises(SystemExit) as exc:
-            _run(argv)
+            _run(["gen", flag, raw, "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        bad = raw.split(",")[1]
+        assert f"unknown {flag[2:]} {bad!r}; choose from {', '.join(choices)}" in err
 
 
 def test_cli_requires_an_output_directory(monkeypatch):
@@ -417,6 +421,16 @@ def test_cli_report_needs_score_files(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run(["report", *ARGS, "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "report", "score"])
+def test_cli_reading_commands_leave_a_missing_directory_missing(tmp_path,
+                                                               command):
+    out = tmp_path / "typo_dir"
+    with pytest.raises(SystemExit) as exc:
+        _run([command, *ARGS, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_checkpoint_mismatches_name_what_differs(tmp_path):

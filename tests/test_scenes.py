@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from logicad import scenarios
 from logicad.scenarios import (
     BALLS_LAYOUT,
     COOKIES_LAYOUT,
@@ -35,6 +36,7 @@ from logicad.scenes import (
     sample_normal,
     scene_record,
 )
+from logicad.seeding import derive_seed
 
 ANOMALY_LABELS = (Label.SINGLE_A, Label.SINGLE_B, Label.DUAL)
 
@@ -347,15 +349,14 @@ def test_sample_anomaly_rejects_normal_target():
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_capture_condition_never_changes_the_label(scenario_id):
+    """A scene holds no condition; its task's condition only names the task."""
     spec = get_scenario(scenario_id)
-    rng = np.random.default_rng(3)
-    scenes_under_test = [sample_normal(spec, rng)] + [
-        sample_anomaly(spec, t, rng) for t in ANOMALY_LABELS
-    ]
-    for scene in scenes_under_test:
-        base = classify(scene, spec)
-        for condition in Condition:
-            assert classify(scene.with_condition(condition), spec) == base
+    counts = SplitCounts(2, 2, 2, 2, 2)
+    tasks = [build_task(spec, condition, counts, seed=3) for condition in Condition]
+    for task in tasks[1:]:
+        assert task.samples == tasks[0].samples
+    for sample in tasks[0].samples:
+        assert classify(sample.scene, spec) == sample.label
 
 
 def test_empty_scene_violates_both_aspects():
@@ -393,8 +394,8 @@ def test_build_task_counts_and_ids():
     assert test_labels.count(Label.SINGLE_B) == 2
     assert test_labels.count(Label.DUAL) == 1
     assert task.samples[0].sample_id == "train-normal-0000"
+    assert task.condition == Condition.MESH_BG
     for sample in task.samples:
-        assert sample.scene.condition == Condition.MESH_BG
         assert classify(sample.scene, spec) == sample.label
 
 
@@ -422,8 +423,9 @@ def test_default_split_counts_cover_every_scenario():
 def test_scene_record_round_trip():
     spec = get_scenario("ropes")
     rng = np.random.default_rng(1)
-    scene = sample_anomaly(spec, Label.DUAL, rng).with_condition(Condition.BLURRY_CD)
-    line = scene_record("ropes-blurry_cd", "test", Label.DUAL, scene)
+    scene = sample_anomaly(spec, Label.DUAL, rng)
+    line = scene_record("ropes-blurry_cd", Condition.BLURRY_CD, "test",
+                        Label.DUAL, scene)
     assert scene.objects and scene.context
     assert json.loads(line) == {
         "task_id": "ropes-blurry_cd",
@@ -438,4 +440,42 @@ def test_scene_record_round_trip():
         },
     }
     # serialization is itself deterministic
-    assert scene_record("ropes-blurry_cd", "test", Label.DUAL, scene) == line
+    assert scene_record("ropes-blurry_cd", Condition.BLURRY_CD, "test",
+                        Label.DUAL, scene) == line
+
+
+# (view, build) of each scenario: the view is what the grammar renders
+_VIEWS = {
+    "sticks": (STICKS_LAYOUT.view, STICKS_LAYOUT.build),
+    "tools": (TOOLS_LAYOUT.view, TOOLS_LAYOUT.build),
+    "cookies": (COOKIES_LAYOUT.view, COOKIES_LAYOUT.build),
+    "balls": (BALLS_LAYOUT.view, BALLS_LAYOUT.build),
+    "fruits": (scenarios._fruits_view, scenarios._fruits_build),
+    "tapes": (scenarios._tapes_view, scenarios._tapes_build),
+    "stationery": (scenarios._stationery_view, scenarios._stationery_build),
+    "ropes": (scenarios._ropes_view, scenarios._ropes_build),
+    "blocks": (scenarios._blocks_view, scenarios._blocks_build),
+    "dishes": (scenarios._dishes_items, scenarios._dishes_build),
+}
+# _blocks_view reads groups as runs of equal (shape, region): when a dual edit
+# makes two adjacent groups equal, the merged run leaves the third group to
+# the canonical value, so the text describes another scene.
+_BLOCKS_VIEW_MERGES_GROUPS = pytest.mark.xfail(
+    strict=True, reason="seed 0: blocks-lowlight_cd test-dual-0007 reads as "
+    "normal and blocks-cable_bg test-dual-0002 names square/bottom twice")
+
+
+@pytest.mark.parametrize("scenario_id", [
+    pytest.param(s, marks=_BLOCKS_VIEW_MERGES_GROUPS) if s == "blocks" else s
+    for s in sorted(SCENARIOS)])
+def test_view_rebuilds_every_generated_scene(scenario_id):
+    """Every seed-0 scene is the one its view describes, as the pipeline seeds it."""
+    view, build = _VIEWS[scenario_id]
+    spec = get_scenario(scenario_id)
+    wrong = []
+    for condition in Condition:
+        task = build_task(spec, condition, DEFAULT_SPLIT_COUNTS[scenario_id],
+                          derive_seed(0, scenario_id, condition.value, "scenes"))
+        wrong += [f"{task.task_id} {s.sample_id}" for s in task.samples
+                  if build(view(s.scene)) != s.scene]
+    assert not wrong, wrong

@@ -109,7 +109,7 @@ def test_analytic_gradients_match_central_finite_differences():
     def loss_at(p):
         return batch_step(pos_tokens, neg_tokens, p, masks, 0.5)[0]
 
-    _, _, grads = batch_step(pos_tokens, neg_tokens, params, masks, 0.5)
+    _, grads = batch_step(pos_tokens, neg_tokens, params, masks, 0.5)
     h = 1e-5
     worst = 0.0
     for target, grad in zip(
@@ -162,9 +162,9 @@ def test_fit_is_seed_deterministic_and_loss_decreases():
     vocab = Vocabulary.build(POS_TEXTS + NEG_TEXTS)
     pos = POS_TEXTS * 8
     neg = NEG_TEXTS * 8
-    cfg = TrainConfig(epochs=8, batch_size=4, seed=5)
-    a = fit(pos, neg, vocab, cfg, init_params(vocab.size, dim=16, seed=cfg.seed))
-    b = fit(pos, neg, vocab, cfg, init_params(vocab.size, dim=16, seed=cfg.seed))
+    cfg = TrainConfig(epochs=8, batch_size=4)
+    a = fit(pos, neg, vocab, cfg, init_params(vocab.size, dim=16, seed=5), 5)
+    b = fit(pos, neg, vocab, cfg, init_params(vocab.size, dim=16, seed=5), 5)
     assert a.epoch_losses == b.epoch_losses
     assert np.allclose(a.params.embedding, b.params.embedding)
     assert a.epoch_losses[-1] < a.epoch_losses[0]
@@ -176,8 +176,8 @@ def test_zero_learning_rate_leaves_params_unchanged_with_flat_curve():
     neg = NEG_TEXTS * 4
     init = init_params(vocab.size, dim=8, seed=1, dropout_rate=0.0)
     cfg = TrainConfig(epochs=6, batch_size=len(pos), learning_rate=0.0,
-                      weight_decay=0.0, seed=1)
-    result = fit(pos, neg, vocab, cfg, init)
+                      weight_decay=0.0)
+    result = fit(pos, neg, vocab, cfg, init, 1)
     assert np.array_equal(result.params.embedding, init.embedding)
     assert np.array_equal(result.params.proj_w, init.proj_w)
     # flat curve: only float summation order varies across epochs
@@ -188,9 +188,9 @@ def test_fit_rejects_misaligned_or_empty_pairs():
     vocab = Vocabulary.build(POS_TEXTS)
     init = init_params(vocab.size, dim=8, seed=0)
     with pytest.raises(ValueError):
-        fit(POS_TEXTS, NEG_TEXTS[:1], vocab, TrainConfig(), init)
+        fit(POS_TEXTS, NEG_TEXTS[:1], vocab, TrainConfig(), init, 0)
     with pytest.raises(ValueError):
-        fit([], [], vocab, TrainConfig(), init)
+        fit([], [], vocab, TrainConfig(), init, 0)
 
 
 def test_train_config_validation():
