@@ -1,9 +1,10 @@
-"""The ten built-in scenarios: vocabularies, rules, samplers and mutators.
+"""The ten built-in scenarios: vocabularies, rules, views and edits.
 
-Each scenario pairs two rule aspects.  Samplers construct normal scenes;
-mutators apply one rule-breaking edit for a given aspect and are combined
-with rejection sampling by ``scenes.sample_anomaly`` to hit a target label
-exactly.
+Each scenario pairs two rule aspects.  Its view, the logical state that
+the grammar renders (a dict; a list for dishes), is what ``normal`` draws
+and what each aspect's rule-breaking edit changes in place.
+``scenes.sample_anomaly`` combines the edits with rejection sampling to hit
+a target label exactly, and builds the scene once.
 
 Object lists are constructed in a fixed, semantically meaningful order
 (groups are contiguous runs; ``order_index`` is globally unique where order
@@ -12,6 +13,7 @@ matters), which keeps serialization reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +52,18 @@ def _bump(rng: np.random.Generator, count: int, lo: int = 0) -> int:
     return count + _pick(rng, deltas)
 
 
+def _swap(slots: Sequence, values: Sequence[str], canon: Sequence[str]):
+    """The edit that sets one slot to a value other than its canonical one.
+
+    ``canon[i]`` is the canonical value of ``slots[i]``.  The slot index and
+    the value are two draws, in that order.
+    """
+    def edit(view, rng: np.random.Generator) -> None:
+        i = int(rng.integers(len(slots)))
+        view[slots[i]] = _pick(rng, [v for v in values if v != canon[i]])
+    return edit
+
+
 @dataclass(frozen=True)
 class GroupLayout:
     """A scene of groups in a fixed order, one group per key.
@@ -86,11 +100,11 @@ class GroupLayout:
                 objects.append(ObjectInstance(**fields, order_index=len(objects)))
         return Scene(self.scenario_id, tuple(objects))
 
-    def sample(self, rng: np.random.Generator) -> Scene:
+    def normal(self, rng: np.random.Generator) -> dict:
         view = {}
         for _, count, attr, n, canon in self.groups:
             view[count], view[attr] = n, canon
-        return self.build(view)
+        return view
 
     def counts_hold(self, scene: Scene) -> bool:
         view = self.view(scene)
@@ -103,17 +117,13 @@ class GroupLayout:
             for o in scene.objects if getattr(o, self.key) in canon
         )
 
-    def bump_count(self, scene: Scene, rng: np.random.Generator) -> Scene:
-        view = self.view(scene)
+    def bump_count(self, view: dict, rng: np.random.Generator) -> None:
         count = _pick(rng, [g[1] for g in self.groups])
         view[count] = _bump(rng, view[count])
-        return self.build(view)
 
-    def change_attr(self, scene: Scene, rng: np.random.Generator) -> Scene:
-        view = self.view(scene)
+    def change_attr(self, view: dict, rng: np.random.Generator) -> None:
         _, _, attr, _, canon = _pick(rng, [g for g in self.groups if view[g[1]] > 0])
         view[attr] = _pick(rng, [v for v in self.values if v != canon])
-        return self.build(view)
 
     def slots(self, scene: Scene) -> dict[str, str]:
         """The logical slot values, counts as number words."""
@@ -125,7 +135,7 @@ class GroupLayout:
 
 def _grouped_spec(layout: GroupLayout, aspects: tuple[Aspect, Aspect],
                   vocab: dict[str, tuple[str, ...]], regions: tuple[str, ...],
-                  count_mutator=None) -> ScenarioSpec:
+                  count_edit=None) -> ScenarioSpec:
     """Rule a holds the counts and rule b the attributes."""
     return ScenarioSpec(
         scenario_id=layout.scenario_id,
@@ -134,9 +144,11 @@ def _grouped_spec(layout: GroupLayout, aspects: tuple[Aspect, Aspect],
         layout=regions,
         rule_a=layout.counts_hold,
         rule_b=layout.attrs_hold,
-        sampler=layout.sample,
-        mutators={aspects[0]: count_mutator or layout.bump_count,
-                  aspects[1]: layout.change_attr},
+        view=layout.view,
+        build=layout.build,
+        normal=layout.normal,
+        edits={aspects[0]: count_edit or layout.bump_count,
+               aspects[1]: layout.change_attr},
     )
 
 
@@ -198,8 +210,8 @@ def _fruits_build(view: dict) -> Scene:
     return Scene("fruits", tuple(objects))
 
 
-def _fruits_sample(rng: np.random.Generator) -> Scene:
-    return _fruits_build({"count_a": 3, "cat_a": "orange", "count_b": 2, "cat_b": "kiwi"})
+def _fruits_normal(rng: np.random.Generator) -> dict:
+    return {"count_a": 3, "cat_a": "orange", "count_b": 2, "cat_b": "kiwi"}
 
 
 def _fruits_rule_q(scene: Scene) -> bool:
@@ -212,21 +224,17 @@ def _fruits_rule_t(scene: Scene) -> bool:
     return len(runs) == 2 and runs[0][0] == "orange" and runs[1][0] == "kiwi"
 
 
-def _fruits_mut_q(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _fruits_view(scene)
+def _fruits_edit_q(view: dict, rng: np.random.Generator) -> None:
     side = _pick(rng, ("a", "b"))
     view[f"count_{side}"] = _bump(rng, view[f"count_{side}"], lo=1)
-    return _fruits_build(view)
 
 
-def _fruits_mut_t(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _fruits_view(scene)
+def _fruits_edit_t(view: dict, rng: np.random.Generator) -> None:
     side = _pick(rng, ("a", "b"))
     other = view["cat_b" if side == "a" else "cat_a"]
     view[f"cat_{side}"] = _pick(
         rng, [c for c in _FRUIT_TYPES if c not in (view[f"cat_{side}"], other)]
     )
-    return _fruits_build(view)
 
 
 FRUITS = ScenarioSpec(
@@ -236,8 +244,10 @@ FRUITS = ScenarioSpec(
     layout=(),
     rule_a=_fruits_rule_q,
     rule_b=_fruits_rule_t,
-    sampler=_fruits_sample,
-    mutators={Aspect.QUANTITY: _fruits_mut_q, Aspect.TYPE: _fruits_mut_t},
+    view=_fruits_view,
+    build=_fruits_build,
+    normal=_fruits_normal,
+    edits={Aspect.QUANTITY: _fruits_edit_q, Aspect.TYPE: _fruits_edit_t},
 )
 
 
@@ -311,11 +321,9 @@ def _tapes_build(view: dict) -> Scene:
     return Scene("tapes", objects)
 
 
-def _tapes_sample(rng: np.random.Generator) -> Scene:
-    return _tapes_build(
-        {"len_first": "long", "color_first": "green",
-         "len_second": "short", "color_second": "red"}
-    )
+def _tapes_normal(rng: np.random.Generator) -> dict:
+    return {"len_first": "long", "color_first": "green",
+            "len_second": "short", "color_second": "red"}
 
 
 def _tapes_rule_l(scene: Scene) -> bool:
@@ -332,26 +340,6 @@ def _tapes_rule_t(scene: Scene) -> bool:
     return view["color_first"] == "green" and view["color_second"] == "red"
 
 
-def _tapes_mut_l(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _tapes_view(scene)
-    i = int(rng.integers(2))
-    word = ("first", "second")[i]
-    view[f"len_{word}"] = _pick(
-        rng, [v for v in _LENGTHS if v != _TAPE_CANON[i][0]]
-    )
-    return _tapes_build(view)
-
-
-def _tapes_mut_t(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _tapes_view(scene)
-    i = int(rng.integers(2))
-    word = ("first", "second")[i]
-    view[f"color_{word}"] = _pick(
-        rng, [c for c in _TAPE_COLORS if c != _TAPE_CANON[i][1]]
-    )
-    return _tapes_build(view)
-
-
 TAPES = ScenarioSpec(
     scenario_id="tapes",
     aspects=(Aspect.LENGTH, Aspect.TYPE),
@@ -359,8 +347,13 @@ TAPES = ScenarioSpec(
     layout=(),
     rule_a=_tapes_rule_l,
     rule_b=_tapes_rule_t,
-    sampler=_tapes_sample,
-    mutators={Aspect.LENGTH: _tapes_mut_l, Aspect.TYPE: _tapes_mut_t},
+    view=_tapes_view,
+    build=_tapes_build,
+    normal=_tapes_normal,
+    edits={Aspect.LENGTH: _swap(("len_first", "len_second"), _LENGTHS,
+                                [c[0] for c in _TAPE_CANON]),
+           Aspect.TYPE: _swap(("color_first", "color_second"), _TAPE_COLORS,
+                              [c[1] for c in _TAPE_CANON])},
 )
 
 
@@ -410,11 +403,10 @@ def _stationery_build(view: dict) -> Scene:
     return Scene("stationery", tuple(objects))
 
 
-def _stationery_sample(rng: np.random.Generator) -> Scene:
+def _stationery_normal(rng: np.random.Generator) -> dict:
     view = {f"len_{s}_{c}": _STATIONERY_CANON[(f"{s}_bin", c)][1]
             for s in ("left", "right") for c in ("pencil", "eraser")}
-    view |= {"order_left": "eraser", "order_right": "eraser"}
-    return _stationery_build(view)
+    return view | {"order_left": "eraser", "order_right": "eraser"}
 
 
 def _stationery_rule_l(scene: Scene) -> bool:
@@ -434,20 +426,11 @@ def _stationery_rule_p(scene: Scene) -> bool:
     return view["order_left"] == "eraser" and view["order_right"] == "eraser"
 
 
-def _stationery_mut_l(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _stationery_view(scene)
+def _stationery_edit_l(view: dict, rng: np.random.Generator) -> None:
     side = _pick(rng, ("left", "right"))
     cat = _pick(rng, ("pencil", "eraser"))
     canon_len = _STATIONERY_CANON[(f"{side}_bin", cat)][1]
     view[f"len_{side}_{cat}"] = "short" if canon_len == "long" else "long"
-    return _stationery_build(view)
-
-
-def _stationery_mut_p(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _stationery_view(scene)
-    side = _pick(rng, ("left", "right"))
-    view[f"order_{side}"] = "pencil"
-    return _stationery_build(view)
 
 
 STATIONERY = ScenarioSpec(
@@ -458,8 +441,12 @@ STATIONERY = ScenarioSpec(
     layout=("left_bin", "right_bin"),
     rule_a=_stationery_rule_l,
     rule_b=_stationery_rule_p,
-    sampler=_stationery_sample,
-    mutators={Aspect.LENGTH: _stationery_mut_l, Aspect.PLACEMENT: _stationery_mut_p},
+    view=_stationery_view,
+    build=_stationery_build,
+    normal=_stationery_normal,
+    edits={Aspect.LENGTH: _stationery_edit_l,
+           Aspect.PLACEMENT: _swap(("order_left", "order_right"),
+                                   ("eraser", "pencil"), ("eraser", "eraser"))},
 )
 
 
@@ -469,6 +456,7 @@ STATIONERY = ScenarioSpec(
 # ---------------------------------------------------------------------------
 
 _ROPE_COLORS = ("red", "blue", "green", "yellow", "white")
+_ROPE_LENGTHS = ("similar", "long", "short")
 
 
 def _ropes_view(scene: Scene) -> dict:
@@ -486,10 +474,9 @@ def _ropes_build(view: dict) -> Scene:
     return Scene("ropes", (rope,), context=(("label", view["label_color"]),))
 
 
-def _ropes_sample(rng: np.random.Generator) -> Scene:
+def _ropes_normal(rng: np.random.Generator) -> dict:
     color = _pick(rng, _ROPE_COLORS)
-    return _ropes_build({"rope_len": "similar", "rope_color": color,
-                         "label_color": color})
+    return {"rope_len": "similar", "rope_color": color, "label_color": color}
 
 
 def _ropes_rule_l(scene: Scene) -> bool:
@@ -501,30 +488,25 @@ def _ropes_rule_r(scene: Scene) -> bool:
     return all(o.color == label for o in scene.objects)
 
 
-def _ropes_mut_l(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _ropes_view(scene)
-    view["rope_len"] = _pick(rng, ("long", "short"))
-    return _ropes_build(view)
-
-
-def _ropes_mut_r(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _ropes_view(scene)
+def _ropes_edit_r(view: dict, rng: np.random.Generator) -> None:
     view["rope_color"] = _pick(
         rng, [c for c in _ROPE_COLORS if c != view["label_color"]]
     )
-    return _ropes_build(view)
 
 
 ROPES = ScenarioSpec(
     scenario_id="ropes",
     aspects=(Aspect.LENGTH, Aspect.RELATION),
     vocab={"category": ("rope",), "color": _ROPE_COLORS,
-           "length": ("similar", "long", "short")},
+           "length": _ROPE_LENGTHS},
     layout=(),
     rule_a=_ropes_rule_l,
     rule_b=_ropes_rule_r,
-    sampler=_ropes_sample,
-    mutators={Aspect.LENGTH: _ropes_mut_l, Aspect.RELATION: _ropes_mut_r},
+    view=_ropes_view,
+    build=_ropes_build,
+    normal=_ropes_normal,
+    edits={Aspect.LENGTH: _swap(("rope_len",), _ROPE_LENGTHS, ("similar",)),
+           Aspect.RELATION: _ropes_edit_r},
 )
 
 
@@ -567,11 +549,11 @@ def _blocks_build(view: dict) -> Scene:
     return Scene("blocks", tuple(objects))
 
 
-def _blocks_sample(rng: np.random.Generator) -> Scene:
+def _blocks_normal(rng: np.random.Generator) -> dict:
     view = {}
     for slot, (shape, region) in zip(("a", "b", "c"), _BLOCK_CANON):
         view[f"shape_{slot}"], view[f"region_{slot}"] = shape, region
-    return _blocks_build(view)
+    return view
 
 
 def _blocks_valid_groups(scene: Scene) -> bool:
@@ -593,26 +575,6 @@ def _blocks_rule_p(scene: Scene) -> bool:
     return all(g[1] == canon[1] for g, canon in zip(groups, _BLOCK_CANON))
 
 
-def _blocks_mut_t(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _blocks_view(scene)
-    i = int(rng.integers(3))
-    slot = ("a", "b", "c")[i]
-    view[f"shape_{slot}"] = _pick(
-        rng, [s for s in _BLOCK_SHAPES if s != _BLOCK_CANON[i][0]]
-    )
-    return _blocks_build(view)
-
-
-def _blocks_mut_p(scene: Scene, rng: np.random.Generator) -> Scene:
-    view = _blocks_view(scene)
-    i = int(rng.integers(3))
-    slot = ("a", "b", "c")[i]
-    view[f"region_{slot}"] = _pick(
-        rng, [r for r in _BLOCK_BINS if r != _BLOCK_CANON[i][1]]
-    )
-    return _blocks_build(view)
-
-
 BLOCKS = ScenarioSpec(
     scenario_id="blocks",
     aspects=(Aspect.TYPE, Aspect.PLACEMENT),
@@ -620,8 +582,13 @@ BLOCKS = ScenarioSpec(
     layout=_BLOCK_BINS,
     rule_a=_blocks_rule_t,
     rule_b=_blocks_rule_p,
-    sampler=_blocks_sample,
-    mutators={Aspect.TYPE: _blocks_mut_t, Aspect.PLACEMENT: _blocks_mut_p},
+    view=_blocks_view,
+    build=_blocks_build,
+    normal=_blocks_normal,
+    edits={Aspect.TYPE: _swap(("shape_a", "shape_b", "shape_c"), _BLOCK_SHAPES,
+                              [c[0] for c in _BLOCK_CANON]),
+           Aspect.PLACEMENT: _swap(("region_a", "region_b", "region_c"),
+                                   _BLOCK_BINS, [c[1] for c in _BLOCK_CANON])},
 )
 
 
@@ -645,8 +612,8 @@ def _dishes_build(items: list[str]) -> Scene:
     )
 
 
-def _dishes_sample(rng: np.random.Generator) -> Scene:
-    return _dishes_build(list(_DISH_ITEMS))
+def _dishes_normal(rng: np.random.Generator) -> list[str]:
+    return list(_DISH_ITEMS)
 
 
 def _dishes_rule_t(scene: Scene) -> bool:
@@ -661,20 +628,12 @@ def _dishes_rule_r(scene: Scene) -> bool:
     return ranks == sorted(ranks)
 
 
-def _dishes_mut_t(scene: Scene, rng: np.random.Generator) -> Scene:
-    items = _dishes_items(scene)
-    i = int(rng.integers(len(items)))
-    items[i] = _pick(rng, _DISH_INTRUDERS)
-    return _dishes_build(items)
-
-
-def _dishes_mut_r(scene: Scene, rng: np.random.Generator) -> Scene:
-    items = _dishes_items(scene)
+def _dishes_edit_r(items: list[str], rng: np.random.Generator) -> None:
     while True:
         perm = rng.permutation(len(items))
         if list(perm) != list(range(len(items))):
             break
-    return _dishes_build([items[j] for j in perm])
+    items[:] = [items[j] for j in perm]
 
 
 DISHES = ScenarioSpec(
@@ -684,8 +643,11 @@ DISHES = ScenarioSpec(
     layout=(),
     rule_a=_dishes_rule_t,
     rule_b=_dishes_rule_r,
-    sampler=_dishes_sample,
-    mutators={Aspect.TYPE: _dishes_mut_t, Aspect.RELATION: _dishes_mut_r},
+    view=_dishes_items,
+    build=_dishes_build,
+    normal=_dishes_normal,
+    edits={Aspect.TYPE: _swap((0, 1, 2), _DISH_INTRUDERS, _DISH_ITEMS),
+           Aspect.RELATION: _dishes_edit_r},
 )
 
 
@@ -707,22 +669,20 @@ BALLS_LAYOUT = GroupLayout(
 )
 
 
-def _balls_mut_p(scene: Scene, rng: np.random.Generator) -> Scene:
+def _balls_edit_p(view: dict, rng: np.random.Generator) -> None:
     """Move one ball to the other compartment of its row."""
-    view = BALLS_LAYOUT.view(scene)
     row = _pick(rng, ("t", "b"))
     src, dst = (f"{row}l", f"{row}r") if rng.integers(2) else (f"{row}r", f"{row}l")
     if view[f"n_{src}"] == 0:
         src, dst = dst, src
     view[f"n_{src}"] -= 1
     view[f"n_{dst}"] += 1
-    return BALLS_LAYOUT.build(view)
 
 
 BALLS = _grouped_spec(
     BALLS_LAYOUT, (Aspect.PLACEMENT, Aspect.RELATION),
     {"category": ("ball",), "color": _BALL_COLORS},
-    regions=_BALL_REGIONS, count_mutator=_balls_mut_p,
+    regions=_BALL_REGIONS, count_edit=_balls_edit_p,
 )
 
 

@@ -3,6 +3,8 @@
 A scene is a structured set of object instances plus optional scenario
 context (e.g. the text label the rope color has to match).  Each scenario
 declares two rule aspects; a scene is normal iff both rule predicates hold.
+Scenarios sample and edit a scene's view, its logical state, and build the
+scene from the view once; the rules judge the built scene.
 A scene holds no capture condition: its task does, and the condition only
 affects rendering downstream, never the logical state.
 """
@@ -11,8 +13,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -68,13 +70,15 @@ class Scene:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario: its aspect pair, vocabularies, layout and rule predicates.
+    """One scenario: its aspect pair, vocabularies, layout, rules and views.
 
     ``rule_a``/``rule_b`` return True when the rule is satisfied.  They are
     total over well-formed scenes; the empty-scene degenerate case is
     handled centrally in :func:`check_rules` (both rules count as violated).
-    ``mutators`` map each aspect to a single rule-breaking edit used by
-    targeted anomaly sampling.
+    ``view`` reads a scene's logical state and ``build`` makes the scene of
+    a view.  ``normal`` draws the view of a normal scene, and ``edits`` map
+    each aspect to a single rule-breaking edit of a view, made in place,
+    used by targeted anomaly sampling.
     """
 
     scenario_id: str
@@ -83,10 +87,10 @@ class ScenarioSpec:
     layout: tuple[str, ...]
     rule_a: Callable[[Scene], bool]
     rule_b: Callable[[Scene], bool]
-    sampler: Callable[[np.random.Generator], Scene]
-    mutators: dict[Aspect, Callable[[Scene, np.random.Generator], Scene]] = field(
-        default_factory=dict
-    )
+    view: Callable[[Scene], Any]
+    build: Callable[[Any], Scene]
+    normal: Callable[[np.random.Generator], Any]
+    edits: dict[Aspect, Callable[[Any, np.random.Generator], None]]
 
 
 def validate_scene(scene: Scene, spec: ScenarioSpec) -> None:
@@ -143,7 +147,7 @@ def classify(scene: Scene, spec: ScenarioSpec) -> Label:
 
 
 def sample_normal(spec: ScenarioSpec, rng: np.random.Generator) -> Scene:
-    return spec.sampler(rng)
+    return spec.build(spec.normal(rng))
 
 
 def sample_anomaly(
@@ -151,9 +155,9 @@ def sample_anomaly(
 ) -> Scene:
     """Sample a scene whose classification is exactly ``target``.
 
-    Constructive mutation of a normal scene followed by a classify check;
-    rejection-sampled because a second edit can accidentally repair or
-    extend the first one.
+    Constructive edits of a normal view, one per target aspect, then one
+    build and a classify check; rejection-sampled because a second edit can
+    accidentally repair or extend the first one.
     """
     if target == Label.NORMAL:
         raise ValueError("target must be an anomaly label")
@@ -164,9 +168,10 @@ def sample_anomaly(
     else:
         aspects = spec.aspects
     for _ in range(MUTATION_ATTEMPTS):
-        scene = spec.sampler(rng)
+        view = spec.normal(rng)
         for aspect in aspects:
-            scene = spec.mutators[aspect](scene, rng)
+            spec.edits[aspect](view, rng)
+        scene = spec.build(view)
         if classify(scene, spec) == target:
             return scene
     raise GenerationError(

@@ -109,8 +109,7 @@ class TemplateGrammar:
 
 
 def _plural_fruit(category: str) -> str:
-    return {"orange": "oranges", "kiwi": "kiwis", "apple": "apples",
-            "lemon": "lemons", "banana": "bananas"}[category]
+    return f"{category}s"
 
 
 _FRUIT_PLURALS = tuple(_plural_fruit(c) for c in scenarios._FRUIT_TYPES)

@@ -6,9 +6,9 @@ PASS/FAIL line; thresholds and tolerances are pinned here, not imported.
 
 import hashlib
 import time
+from pathlib import Path
 
 import numpy as np
-import pytest
 
 from test_scenes import _ENUMERATIONS
 
@@ -16,7 +16,7 @@ from logicad import cli, pipeline
 from logicad.describe import RenderConfig, build_record, parse, render
 from logicad.encoder import Vocabulary, init_params, tokenize
 from logicad.knn import ReferenceLibrary, score
-from logicad.metrics import aggregate, auroc
+from logicad.metrics import aggregate, auroc, emit_report
 from logicad.negatives import synthesize_negative, validate_negative
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import classify, sample_normal, task_id_for
@@ -219,24 +219,6 @@ def test_criterion_08_round_trip_identity():
                     f"{mismatches} mismatches")
 
 
-@pytest.fixture(scope="module")
-def benchmark_runs(tmp_path_factory):
-    """The trained and the baseline `all` runs over the 50 tasks at seed 0.
-
-    Maps each family to (config, output directory, reports); returns the
-    wall time of both runs as well.
-    """
-    start = time.monotonic()
-    runs = {}
-    for family, skip_training in (("trained", False), ("baseline", True)):
-        config = pipeline.PipelineConfig(master_seed=0,
-                                         skip_training=skip_training, jobs=1)
-        out = tmp_path_factory.mktemp(family)
-        runs[family] = (config, out, [
-            report for _, report in pipeline.run_benchmark(config, out, "all")])
-    return runs, time.monotonic() - start
-
-
 def test_criterion_09_end_to_end_benchmark(benchmark_runs):
     runs, elapsed = benchmark_runs
     config, _, trained_reports = runs["trained"]
@@ -249,6 +231,7 @@ def test_criterion_09_end_to_end_benchmark(benchmark_runs):
                     f"gap {trained - baseline:.4f}, {elapsed:.0f}s for 2x50 tasks")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 # The README table at master seed 0: mean +/- std of the condition means.
 README_TABLE = {"trained": "0.9681 +/- 0.0238", "baseline": "0.8612 +/- 0.0825"}
 # sha256 over every task's file of one kind, concatenated in task order.
@@ -262,12 +245,24 @@ RUN_DIGESTS = {
 }
 
 
+def _cells(row: str) -> list[str]:
+    return [cell.strip("*") for cell in row.strip("| ").split(" | ")]
+
+
 def test_seed_0_table_and_bytes_are_pinned(benchmark_runs):
     runs, _ = benchmark_runs
+    # README's results row is what `report.md` prints for each family
+    (readme_row,) = [line for line in README.read_text(encoding="utf-8")
+                     .splitlines() if line.startswith("| **Mean ± Std** |")]
+    printed = ["Mean ± Std"]
     for family, row in README_TABLE.items():
         config, _, reports = runs[family]
         agg = aggregate(reports, config.tasks())
         assert f"{agg.mean_of_means:.4f} +/- {agg.std_of_means:.4f}" == row
+        (report_row,) = [line for line in emit_report(agg, "markdown")
+                         .splitlines() if line.startswith("| Mean ± Std |")]
+        printed.append(_cells(report_row)[1])
+    assert _cells(readme_row) == printed
     for (family, suffix), digest in RUN_DIGESTS.items():
         config, out, _ = runs[family]
         h = hashlib.sha256()

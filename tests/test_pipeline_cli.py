@@ -529,8 +529,9 @@ def test_cli_empty_task_selection_exits_2_before_any_work(tmp_path, argv,
 
 
 # sha256 over every task's file of one kind, concatenated in task order, for
-# `gen` of all 50 tasks at master seed 0.  Scenes, descriptions and negative
-# pairs hold no floats, so any change to these bytes is a change to the data.
+# the gen files of all 50 tasks at master seed 0.  Scenes, descriptions and
+# negative pairs hold no floats, so any change to these bytes is a change to
+# the data.
 GEN_DIGESTS = {
     "scenes.jsonl":
         "f51e506dc1dcf4b9ad35edb71f7c8bf91d907fc264a285f316b3c667f8fb6e52",
@@ -541,16 +542,16 @@ GEN_DIGESTS = {
 }
 
 
-def test_gen_bytes_at_seed_0_are_pinned(tmp_path):
-    config = pipeline.PipelineConfig(master_seed=0, jobs=1)
-    for _ in pipeline.run_benchmark(config, tmp_path, "gen"):
-        pass
+def test_gen_bytes_at_seed_0_are_pinned(benchmark_runs):
+    # `all` writes the same gen files as `gen`
+    runs, _ = benchmark_runs
+    config, out, _ = runs["trained"]
     task_ids = [task_id_for(s, c) for s, c in config.tasks()]
     assert len(task_ids) == 50
     digests = {}
     for suffix in GEN_DIGESTS:
         h = hashlib.sha256()
         for task_id in task_ids:
-            h.update((tmp_path / f"{task_id}.{suffix}").read_bytes())
+            h.update((out / f"{task_id}.{suffix}").read_bytes())
         digests[suffix] = h.hexdigest()
     assert digests == GEN_DIGESTS

@@ -12,7 +12,6 @@ import json
 import numpy as np
 import pytest
 
-from logicad import scenarios
 from logicad.scenarios import (
     BALLS_LAYOUT,
     COOKIES_LAYOUT,
@@ -304,23 +303,21 @@ def _changed(before: dict, after: dict) -> list[str]:
 def test_grouped_mutators_edit_only_their_own_aspect(layout):
     counts = {g[1] for g in layout.groups}
     canon = {g[2]: g[4] for g in layout.groups}
-    spec = get_scenario(layout.scenario_id)
     rng = np.random.default_rng(13)
     bumped_slots, changed_slots = set(), set()
     for _ in range(200):
-        scene = sample_normal(spec, rng)
-        view = layout.view(scene)
-        assert layout.build(view) == scene
-        bumped = layout.bump_count(scene, rng)
-        bumped_view = layout.view(bumped)
-        (slot,) = _changed(view, bumped_view)
+        view = layout.normal(rng)
+        assert layout.view(layout.build(view)) == view
+        bumped = dict(view)
+        layout.bump_count(bumped, rng)
+        (slot,) = _changed(view, bumped)
         assert slot in counts
-        assert abs(bumped_view[slot] - view[slot]) == 1
+        assert abs(bumped[slot] - view[slot]) == 1
         bumped_slots.add(slot)
         # The attribute edit also follows a count edit in a dual anomaly.
-        for before in (scene, bumped):
-            old = layout.view(before)
-            new = layout.view(layout.change_attr(before, rng))
+        for old in (view, bumped):
+            new = dict(old)
+            layout.change_attr(new, rng)
             (slot,) = _changed(old, new)
             assert slot in canon
             assert new[slot] in layout.values and new[slot] != canon[slot]
@@ -333,12 +330,31 @@ def test_balls_placement_edit_moves_one_ball_within_its_row():
     spec = get_scenario("balls")
     rng = np.random.default_rng(17)
     for _ in range(100):
-        view = BALLS_LAYOUT.view(sample_normal(spec, rng))
-        moved = BALLS_LAYOUT.view(spec.mutators[spec.aspects[0]](
-            BALLS_LAYOUT.build(view), rng))
+        view = spec.normal(rng)
+        moved = dict(view)
+        spec.edits[spec.aspects[0]](moved, rng)
         src, dst = sorted(_changed(view, moved), key=lambda k: moved[k])
         assert src[2] == dst[2]  # n_tl/n_tr or n_bl/n_br: the same row
         assert (moved[src] - view[src], moved[dst] - view[dst]) == (-1, 1)
+
+
+@pytest.mark.parametrize("index", (0, 1), ids=("a", "b"))
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_one_edit_breaks_its_aspect_and_keeps_the_view(scenario_id, index):
+    """A normal view and one edit of it each survive build and view.
+
+    So anomaly sampling may edit the view it drew, where a re-read of each
+    built scene would give the same view; and the edit breaks its rule.
+    """
+    spec = get_scenario(scenario_id)
+    aspect = spec.aspects[index]
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        view = spec.normal(rng)
+        assert spec.view(spec.build(view)) == view
+        spec.edits[aspect](view, rng)
+        assert spec.view(spec.build(view)) == view
+        assert aspect in check_rules(spec.build(view), spec)
 
 
 def test_sample_anomaly_rejects_normal_target():
@@ -444,19 +460,6 @@ def test_scene_record_round_trip():
                         Label.DUAL, scene) == line
 
 
-# (view, build) of each scenario: the view is what the grammar renders
-_VIEWS = {
-    "sticks": (STICKS_LAYOUT.view, STICKS_LAYOUT.build),
-    "tools": (TOOLS_LAYOUT.view, TOOLS_LAYOUT.build),
-    "cookies": (COOKIES_LAYOUT.view, COOKIES_LAYOUT.build),
-    "balls": (BALLS_LAYOUT.view, BALLS_LAYOUT.build),
-    "fruits": (scenarios._fruits_view, scenarios._fruits_build),
-    "tapes": (scenarios._tapes_view, scenarios._tapes_build),
-    "stationery": (scenarios._stationery_view, scenarios._stationery_build),
-    "ropes": (scenarios._ropes_view, scenarios._ropes_build),
-    "blocks": (scenarios._blocks_view, scenarios._blocks_build),
-    "dishes": (scenarios._dishes_items, scenarios._dishes_build),
-}
 # _blocks_view reads groups as runs of equal (shape, region): when a dual edit
 # makes two adjacent groups equal, the merged run leaves the third group to
 # the canonical value, so the text describes another scene.
@@ -470,12 +473,11 @@ _BLOCKS_VIEW_MERGES_GROUPS = pytest.mark.xfail(
     for s in sorted(SCENARIOS)])
 def test_view_rebuilds_every_generated_scene(scenario_id):
     """Every seed-0 scene is the one its view describes, as the pipeline seeds it."""
-    view, build = _VIEWS[scenario_id]
     spec = get_scenario(scenario_id)
     wrong = []
     for condition in Condition:
         task = build_task(spec, condition, DEFAULT_SPLIT_COUNTS[scenario_id],
                           derive_seed(0, scenario_id, condition.value, "scenes"))
         wrong += [f"{task.task_id} {s.sample_id}" for s in task.samples
-                  if build(view(s.scene)) != s.scene]
+                  if spec.build(spec.view(s.scene)) != s.scene]
     assert not wrong, wrong
