@@ -59,7 +59,7 @@ class CliError(SystemExit):
 
 
 def load_config_file(path: str) -> dict:
-    values = {}
+    values, set_on = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -71,6 +71,10 @@ def load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in set_on:
+                raise CliError(f"{path}:{lineno}: {key} is already set on line "
+                               f"{set_on[key]}")
+            set_on[key] = lineno
             try:
                 values[key] = _CONFIG_KEYS[key](value.strip())
             except ValueError as exc:

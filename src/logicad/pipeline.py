@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -317,10 +318,14 @@ def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
 
 
 def load_checkpoint(path) -> TrainedTask:
+    """The checkpoint at ``path``; a file that is not one raises ValueError."""
+    if not zipfile.is_zipfile(path):
+        raise ValueError(f"{path} is not a readable checkpoint: not a whole "
+                         "npz archive")
     with np.load(path) as data:
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
         params = EncoderParams(
             embedding=data["embedding"],
             proj_w=data["proj_w"],

@@ -6,6 +6,11 @@ and what each aspect's rule-breaking edit changes in place.
 ``scenes.sample_anomaly`` combines the edits with rejection sampling to hit
 a target label exactly, and builds the scene once.
 
+Fruits, tapes, stationery, blocks and dishes state their normal view once,
+as a constant: ``normal`` copies it, view readers start from it, each rule
+compares a scene's view with it on one aspect's slots (``_agrees``), and
+``_swap`` moves one slot away from it.
+
 Object lists are constructed in a fixed, semantically meaningful order
 (groups are contiguous runs; ``order_index`` is globally unique where order
 matters), which keeps serialization reproducible.
@@ -52,16 +57,39 @@ def _bump(rng: np.random.Generator, count: int, lo: int = 0) -> int:
     return count + _pick(rng, deltas)
 
 
-def _swap(slots: Sequence, values: Sequence[str], canon: Sequence[str]):
-    """The edit that sets one slot to a value other than its canonical one.
+def _swap(slots: Sequence, values: Sequence[str], normal):
+    """The edit that sets one slot to a value other than its normal one.
 
-    ``canon[i]`` is the canonical value of ``slots[i]``.  The slot index and
-    the value are two draws, in that order.
+    ``normal`` is the normal view.  The slot index and the value are two
+    draws, in that order.
     """
     def edit(view, rng: np.random.Generator) -> None:
-        i = int(rng.integers(len(slots)))
-        view[slots[i]] = _pick(rng, [v for v in values if v != canon[i]])
+        slot = slots[int(rng.integers(len(slots)))]
+        view[slot] = _pick(rng, [v for v in values if v != normal[slot]])
     return edit
+
+
+def _fixed(view):
+    """The ``normal`` of a scenario with one normal view.
+
+    Each call returns a copy, a list for a tuple, since edits work in place.
+    """
+    return lambda rng: dict(view) if isinstance(view, dict) else list(view)
+
+
+def _agrees(view, normal, slots: Sequence[str], shape):
+    """The rule "the scene has the normal's shape, and its view equals the
+    normal view on ``slots``"."""
+    def rule(scene: Scene) -> bool:
+        if not shape(scene):
+            return False
+        seen = view(scene)
+        return all(seen[slot] == normal[slot] for slot in slots)
+    return rule
+
+
+def _n_objects(n: int):
+    return lambda scene: len(scene.objects) == n
 
 
 @dataclass(frozen=True)
@@ -125,13 +153,6 @@ class GroupLayout:
         _, _, attr, _, canon = _pick(rng, [g for g in self.groups if view[g[1]] > 0])
         view[attr] = _pick(rng, [v for v in self.values if v != canon])
 
-    def slots(self, scene: Scene) -> dict[str, str]:
-        """The logical slot values, counts as number words."""
-        view = self.view(scene)
-        for _, count, _, _, _ in self.groups:
-            view[count] = number_word(view[count])
-        return view
-
 
 def _grouped_spec(layout: GroupLayout, aspects: tuple[Aspect, Aspect],
                   vocab: dict[str, tuple[str, ...]], regions: tuple[str, ...],
@@ -176,6 +197,7 @@ STICKS = _grouped_spec(
 # ---------------------------------------------------------------------------
 
 _FRUIT_TYPES = ("orange", "kiwi", "apple", "lemon", "banana")
+_FRUITS_NORMAL = {"count_a": 3, "cat_a": "orange", "count_b": 2, "cat_b": "kiwi"}
 
 
 def _runs(scene: Scene, key) -> list[tuple]:
@@ -191,12 +213,9 @@ def _runs(scene: Scene, key) -> list[tuple]:
 
 
 def _fruits_view(scene: Scene) -> dict:
-    runs = _runs(scene, lambda o: o.category)
-    view = {"count_a": 0, "cat_a": "orange", "count_b": 0, "cat_b": "kiwi"}
-    if len(runs) >= 1:
-        view["cat_a"], view["count_a"] = runs[0]
-    if len(runs) >= 2:
-        view["cat_b"], view["count_b"] = runs[1]
+    view = _FRUITS_NORMAL | {"count_a": 0, "count_b": 0}
+    for side, (cat, n) in zip(("a", "b"), _runs(scene, lambda o: o.category)):
+        view[f"cat_{side}"], view[f"count_{side}"] = cat, n
     return view
 
 
@@ -210,18 +229,8 @@ def _fruits_build(view: dict) -> Scene:
     return Scene("fruits", tuple(objects))
 
 
-def _fruits_normal(rng: np.random.Generator) -> dict:
-    return {"count_a": 3, "cat_a": "orange", "count_b": 2, "cat_b": "kiwi"}
-
-
-def _fruits_rule_q(scene: Scene) -> bool:
-    runs = _runs(scene, lambda o: o.category)
-    return len(runs) == 2 and runs[0][1] == 3 and runs[1][1] == 2
-
-
-def _fruits_rule_t(scene: Scene) -> bool:
-    runs = _runs(scene, lambda o: o.category)
-    return len(runs) == 2 and runs[0][0] == "orange" and runs[1][0] == "kiwi"
+def _two_runs(scene: Scene) -> bool:
+    return len(_runs(scene, lambda o: o.category)) == 2
 
 
 def _fruits_edit_q(view: dict, rng: np.random.Generator) -> None:
@@ -242,11 +251,12 @@ FRUITS = ScenarioSpec(
     aspects=(Aspect.QUANTITY, Aspect.TYPE),
     vocab={"category": _FRUIT_TYPES},
     layout=(),
-    rule_a=_fruits_rule_q,
-    rule_b=_fruits_rule_t,
+    rule_a=_agrees(_fruits_view, _FRUITS_NORMAL, ("count_a", "count_b"),
+                   _two_runs),
+    rule_b=_agrees(_fruits_view, _FRUITS_NORMAL, ("cat_a", "cat_b"), _two_runs),
     view=_fruits_view,
     build=_fruits_build,
-    normal=_fruits_normal,
+    normal=_fixed(_FRUITS_NORMAL),
     edits={Aspect.QUANTITY: _fruits_edit_q, Aspect.TYPE: _fruits_edit_t},
 )
 
@@ -296,19 +306,18 @@ COOKIES = _grouped_spec(
 # by relative comparison of the two.
 # ---------------------------------------------------------------------------
 
-_TAPE_CANON = (("long", "green"), ("short", "red"))
+_TAPES_NORMAL = {"len_first": "long", "color_first": "green",
+                 "len_second": "short", "color_second": "red"}
 _TAPE_COLORS = ("green", "red", "blue", "yellow", "black")
+_TAPE_LEN_SLOTS = ("len_first", "len_second")
+_TAPE_COLOR_SLOTS = ("color_first", "color_second")
 
 
 def _tapes_view(scene: Scene) -> dict:
+    view = dict(_TAPES_NORMAL)
     tapes = sorted(scene.objects, key=lambda o: o.order_index or 0)
-    view = {}
-    for i, word in enumerate(("first", "second")):
-        if i < len(tapes):
-            view[f"len_{word}"] = tapes[i].length_class
-            view[f"color_{word}"] = tapes[i].color
-        else:
-            view[f"len_{word}"], view[f"color_{word}"] = _TAPE_CANON[i]
+    for word, tape in zip(("first", "second"), tapes):
+        view[f"len_{word}"], view[f"color_{word}"] = tape.length_class, tape.color
     return view
 
 
@@ -321,39 +330,19 @@ def _tapes_build(view: dict) -> Scene:
     return Scene("tapes", objects)
 
 
-def _tapes_normal(rng: np.random.Generator) -> dict:
-    return {"len_first": "long", "color_first": "green",
-            "len_second": "short", "color_second": "red"}
-
-
-def _tapes_rule_l(scene: Scene) -> bool:
-    if len(scene.objects) != 2:
-        return False
-    view = _tapes_view(scene)
-    return view["len_first"] == "long" and view["len_second"] == "short"
-
-
-def _tapes_rule_t(scene: Scene) -> bool:
-    if len(scene.objects) != 2:
-        return False
-    view = _tapes_view(scene)
-    return view["color_first"] == "green" and view["color_second"] == "red"
-
-
 TAPES = ScenarioSpec(
     scenario_id="tapes",
     aspects=(Aspect.LENGTH, Aspect.TYPE),
     vocab={"category": ("tape",), "color": _TAPE_COLORS, "length": _LENGTHS},
     layout=(),
-    rule_a=_tapes_rule_l,
-    rule_b=_tapes_rule_t,
+    rule_a=_agrees(_tapes_view, _TAPES_NORMAL, _TAPE_LEN_SLOTS, _n_objects(2)),
+    rule_b=_agrees(_tapes_view, _TAPES_NORMAL, _TAPE_COLOR_SLOTS,
+                   _n_objects(2)),
     view=_tapes_view,
     build=_tapes_build,
-    normal=_tapes_normal,
-    edits={Aspect.LENGTH: _swap(("len_first", "len_second"), _LENGTHS,
-                                [c[0] for c in _TAPE_CANON]),
-           Aspect.TYPE: _swap(("color_first", "color_second"), _TAPE_COLORS,
-                              [c[1] for c in _TAPE_CANON])},
+    normal=_fixed(_TAPES_NORMAL),
+    edits={Aspect.LENGTH: _swap(_TAPE_LEN_SLOTS, _LENGTHS, _TAPES_NORMAL),
+           Aspect.TYPE: _swap(_TAPE_COLOR_SLOTS, _TAPE_COLORS, _TAPES_NORMAL)},
 )
 
 
@@ -363,74 +352,51 @@ TAPES = ScenarioSpec(
 # sits left of (before) the pencil within each bin.
 # ---------------------------------------------------------------------------
 
-_STATIONERY_CANON = {
-    ("left_bin", "pencil"): ("black", "long"),
-    ("left_bin", "eraser"): ("blue", "long"),
-    ("right_bin", "pencil"): ("red", "short"),
-    ("right_bin", "eraser"): ("red", "short"),
+_STATIONERY_NORMAL = {
+    "len_left_pencil": "long", "len_left_eraser": "long",
+    "len_right_pencil": "short", "len_right_eraser": "short",
+    "order_left": "eraser", "order_right": "eraser",
 }
+_STATIONERY_ORDER_SLOTS = ("order_left", "order_right")
+_STATIONERY_COLORS = {("left", "pencil"): "black", ("left", "eraser"): "blue",
+                      ("right", "pencil"): "red", ("right", "eraser"): "red"}
 
 
 def _stationery_view(scene: Scene) -> dict:
-    view = {}
-    for (bin_, cat), (_, canon_len) in _STATIONERY_CANON.items():
-        side = bin_.split("_")[0]
-        found = [o for o in scene.objects if o.region == bin_ and o.category == cat]
-        view[f"len_{side}_{cat}"] = found[0].length_class if found else canon_len
-    for side, bin_ in (("left", "left_bin"), ("right", "right_bin")):
-        items = sorted(
-            (o for o in scene.objects if o.region == bin_),
-            key=lambda o: o.order_index or 0,
-        )
-        view[f"order_{side}"] = items[0].category if items else "eraser"
+    view = dict(_STATIONERY_NORMAL)
+    for side in ("left", "right"):
+        items = [o for o in scene.objects if o.region == f"{side}_bin"]
+        for cat in ("pencil", "eraser"):
+            found = [o for o in items if o.category == cat]
+            if found:
+                view[f"len_{side}_{cat}"] = found[0].length_class
+        if items:
+            first = min(items, key=lambda o: o.order_index or 0)
+            view[f"order_{side}"] = first.category
     return view
 
 
 def _stationery_build(view: dict) -> Scene:
     objects = []
     order = 0
-    for side, bin_ in (("left", "left_bin"), ("right", "right_bin")):
+    for side in ("left", "right"):
         first = view[f"order_{side}"]
         cats = (first, "pencil" if first == "eraser" else "eraser")
         for cat in cats:
-            color = _STATIONERY_CANON[(bin_, cat)][0]
             objects.append(
-                ObjectInstance(cat, color=color,
+                ObjectInstance(cat, color=_STATIONERY_COLORS[(side, cat)],
                                length_class=view[f"len_{side}_{cat}"],
-                               region=bin_, order_index=order)
+                               region=f"{side}_bin", order_index=order)
             )
             order += 1
     return Scene("stationery", tuple(objects))
 
 
-def _stationery_normal(rng: np.random.Generator) -> dict:
-    view = {f"len_{s}_{c}": _STATIONERY_CANON[(f"{s}_bin", c)][1]
-            for s in ("left", "right") for c in ("pencil", "eraser")}
-    return view | {"order_left": "eraser", "order_right": "eraser"}
-
-
-def _stationery_rule_l(scene: Scene) -> bool:
-    if len(scene.objects) != 4:
-        return False
-    view = _stationery_view(scene)
-    return all(
-        view[f"len_{bin_.split('_')[0]}_{cat}"] == canon_len
-        for (bin_, cat), (_, canon_len) in _STATIONERY_CANON.items()
-    )
-
-
-def _stationery_rule_p(scene: Scene) -> bool:
-    if len(scene.objects) != 4:
-        return False
-    view = _stationery_view(scene)
-    return view["order_left"] == "eraser" and view["order_right"] == "eraser"
-
-
 def _stationery_edit_l(view: dict, rng: np.random.Generator) -> None:
     side = _pick(rng, ("left", "right"))
     cat = _pick(rng, ("pencil", "eraser"))
-    canon_len = _STATIONERY_CANON[(f"{side}_bin", cat)][1]
-    view[f"len_{side}_{cat}"] = "short" if canon_len == "long" else "long"
+    slot = f"len_{side}_{cat}"
+    view[slot] = "short" if _STATIONERY_NORMAL[slot] == "long" else "long"
 
 
 STATIONERY = ScenarioSpec(
@@ -439,14 +405,17 @@ STATIONERY = ScenarioSpec(
     vocab={"category": ("pencil", "eraser"), "color": ("black", "blue", "red"),
            "length": ("long", "short")},
     layout=("left_bin", "right_bin"),
-    rule_a=_stationery_rule_l,
-    rule_b=_stationery_rule_p,
+    rule_a=_agrees(_stationery_view, _STATIONERY_NORMAL,
+                   ("len_left_pencil", "len_left_eraser", "len_right_pencil",
+                    "len_right_eraser"), _n_objects(4)),
+    rule_b=_agrees(_stationery_view, _STATIONERY_NORMAL,
+                   _STATIONERY_ORDER_SLOTS, _n_objects(4)),
     view=_stationery_view,
     build=_stationery_build,
-    normal=_stationery_normal,
+    normal=_fixed(_STATIONERY_NORMAL),
     edits={Aspect.LENGTH: _stationery_edit_l,
-           Aspect.PLACEMENT: _swap(("order_left", "order_right"),
-                                   ("eraser", "pencil"), ("eraser", "eraser"))},
+           Aspect.PLACEMENT: _swap(_STATIONERY_ORDER_SLOTS, ("eraser", "pencil"),
+                                   _STATIONERY_NORMAL)},
 )
 
 
@@ -505,7 +474,8 @@ ROPES = ScenarioSpec(
     view=_ropes_view,
     build=_ropes_build,
     normal=_ropes_normal,
-    edits={Aspect.LENGTH: _swap(("rope_len",), _ROPE_LENGTHS, ("similar",)),
+    edits={Aspect.LENGTH: _swap(("rope_len",), _ROPE_LENGTHS,
+                                {"rope_len": "similar"}),
            Aspect.RELATION: _ropes_edit_r},
 )
 
@@ -517,7 +487,11 @@ ROPES = ScenarioSpec(
 
 _BLOCK_SHAPES = ("circle", "triangle", "square", "star", "hexagon")
 _BLOCK_BINS = ("top", "middle", "bottom")
-_BLOCK_CANON = (("circle", "top"), ("triangle", "middle"), ("square", "bottom"))
+_BLOCKS_NORMAL = {"shape_a": "circle", "region_a": "top",
+                  "shape_b": "triangle", "region_b": "middle",
+                  "shape_c": "square", "region_c": "bottom"}
+_BLOCK_SHAPE_SLOTS = ("shape_a", "shape_b", "shape_c")
+_BLOCK_REGION_SLOTS = ("region_a", "region_b", "region_c")
 
 
 def _blocks_groups(scene: Scene) -> list[tuple[str, str, int]]:
@@ -526,13 +500,9 @@ def _blocks_groups(scene: Scene) -> list[tuple[str, str, int]]:
 
 
 def _blocks_view(scene: Scene) -> dict:
-    groups = _blocks_groups(scene)
-    view = {}
-    for i, slot in enumerate(("a", "b", "c")):
-        if i < len(groups):
-            view[f"shape_{slot}"], view[f"region_{slot}"] = groups[i][:2]
-        else:
-            view[f"shape_{slot}"], view[f"region_{slot}"] = _BLOCK_CANON[i]
+    view = dict(_BLOCKS_NORMAL)
+    for slot, (shape, region, _) in zip(("a", "b", "c"), _blocks_groups(scene)):
+        view[f"shape_{slot}"], view[f"region_{slot}"] = shape, region
     return view
 
 
@@ -549,30 +519,9 @@ def _blocks_build(view: dict) -> Scene:
     return Scene("blocks", tuple(objects))
 
 
-def _blocks_normal(rng: np.random.Generator) -> dict:
-    view = {}
-    for slot, (shape, region) in zip(("a", "b", "c"), _BLOCK_CANON):
-        view[f"shape_{slot}"], view[f"region_{slot}"] = shape, region
-    return view
-
-
 def _blocks_valid_groups(scene: Scene) -> bool:
     groups = _blocks_groups(scene)
     return len(groups) == 3 and all(n == 2 for _, _, n in groups)
-
-
-def _blocks_rule_t(scene: Scene) -> bool:
-    if not _blocks_valid_groups(scene):
-        return False
-    groups = _blocks_groups(scene)
-    return all(g[0] == canon[0] for g, canon in zip(groups, _BLOCK_CANON))
-
-
-def _blocks_rule_p(scene: Scene) -> bool:
-    if not _blocks_valid_groups(scene):
-        return False
-    groups = _blocks_groups(scene)
-    return all(g[1] == canon[1] for g, canon in zip(groups, _BLOCK_CANON))
 
 
 BLOCKS = ScenarioSpec(
@@ -580,15 +529,16 @@ BLOCKS = ScenarioSpec(
     aspects=(Aspect.TYPE, Aspect.PLACEMENT),
     vocab={"category": _BLOCK_SHAPES},
     layout=_BLOCK_BINS,
-    rule_a=_blocks_rule_t,
-    rule_b=_blocks_rule_p,
+    rule_a=_agrees(_blocks_view, _BLOCKS_NORMAL, _BLOCK_SHAPE_SLOTS,
+                   _blocks_valid_groups),
+    rule_b=_agrees(_blocks_view, _BLOCKS_NORMAL, _BLOCK_REGION_SLOTS,
+                   _blocks_valid_groups),
     view=_blocks_view,
     build=_blocks_build,
-    normal=_blocks_normal,
-    edits={Aspect.TYPE: _swap(("shape_a", "shape_b", "shape_c"), _BLOCK_SHAPES,
-                              [c[0] for c in _BLOCK_CANON]),
-           Aspect.PLACEMENT: _swap(("region_a", "region_b", "region_c"),
-                                   _BLOCK_BINS, [c[1] for c in _BLOCK_CANON])},
+    normal=_fixed(_BLOCKS_NORMAL),
+    edits={Aspect.TYPE: _swap(_BLOCK_SHAPE_SLOTS, _BLOCK_SHAPES, _BLOCKS_NORMAL),
+           Aspect.PLACEMENT: _swap(_BLOCK_REGION_SLOTS, _BLOCK_BINS,
+                                   _BLOCKS_NORMAL)},
 )
 
 
@@ -610,10 +560,6 @@ def _dishes_build(items: list[str]) -> Scene:
         "dishes",
         tuple(ObjectInstance(cat, order_index=i) for i, cat in enumerate(items)),
     )
-
-
-def _dishes_normal(rng: np.random.Generator) -> list[str]:
-    return list(_DISH_ITEMS)
 
 
 def _dishes_rule_t(scene: Scene) -> bool:
@@ -645,7 +591,7 @@ DISHES = ScenarioSpec(
     rule_b=_dishes_rule_r,
     view=_dishes_items,
     build=_dishes_build,
-    normal=_dishes_normal,
+    normal=_fixed(_DISH_ITEMS),
     edits={Aspect.TYPE: _swap((0, 1, 2), _DISH_INTRUDERS, _DISH_ITEMS),
            Aspect.RELATION: _dishes_edit_r},
 )

@@ -6,6 +6,10 @@ an "optional" flag (optional clauses can be dropped by condition-dependent
 omission).  Slot values are single tokens, so a filled template can be
 parsed back exactly by matching slot vocabularies.
 
+A grammar renders its scenario's view, the one ``scenarios`` reads: its
+``logical_slots`` turn that view into the words of the logical slots, by
+default each count as its number word.
+
 The skeleton of a text is its ``(variant, clause mask)`` pair; re-rendering a
 parsed (skeleton, slots) pair reproduces the text byte for byte.
 """
@@ -16,7 +20,7 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .scenes import Aspect, Scene
 from . import scenarios
@@ -46,16 +50,24 @@ class Clause:
 Skeleton = tuple[int, tuple[bool, ...]]  # (variant, clause mask)
 
 
+def _number_words(view: dict) -> dict[str, str]:
+    """The view's slot values, every count as its number word."""
+    return {k: number_word(v) if isinstance(v, int) else v
+            for k, v in view.items()}
+
+
 @dataclass(frozen=True)
 class TemplateGrammar:
     scenario_id: str
     slots: dict[str, SlotDef]
     variants: tuple[tuple[Clause, ...], ...]
-    logical_slots: Callable[[Scene], dict[str, str]]
+    # the words of the logical slots, from the scenario's view
+    logical_slots: Callable[[Any], dict[str, str]] = _number_words
 
     def scene_slots(self, scene: Scene) -> dict[str, str]:
         """The scene's logical slot values plus every decorative slot's clean value."""
-        slots = self.logical_slots(scene)
+        view = scenarios.get_scenario(self.scenario_id).view(scene)
+        slots = self.logical_slots(view)
         for name, slot in self.slots.items():
             if slot.aspect is None:
                 slots[name] = slot.values[0]
@@ -125,8 +137,7 @@ def _slot_table(*slots: SlotDef) -> dict[str, SlotDef]:
     return table
 
 
-def _fruits_slots(scene: Scene) -> dict[str, str]:
-    view = scenarios._fruits_view(scene)
+def _fruits_slots(view: dict) -> dict[str, str]:
     return {
         "count_a": number_word(view["count_a"]),
         "type_a": _plural_fruit(view["cat_a"]),
@@ -263,17 +274,15 @@ STICKS_GRAMMAR = TemplateGrammar(
                    "kit."),
         ),
     ),
-    logical_slots=scenarios.STICKS_LAYOUT.slots,
 )
 
 
 _TOOL_DECOR = ("steel", "shiny", "small", "heavy", "standard", "gray")
 
 
-def _tools_slots(scene: Scene) -> dict[str, str]:
-    # Every object of a valid tools scene is a bolt, a washer or a nut.
-    return scenarios.TOOLS_LAYOUT.slots(scene) | {
-        "total_tools": number_word(len(scene.objects))}
+def _tools_slots(view: dict) -> dict[str, str]:
+    total = view["count_bolt"] + view["count_washer"] + view["count_nut"]
+    return _number_words(view | {"total_tools": total})
 
 
 TOOLS_GRAMMAR = TemplateGrammar(
@@ -425,7 +434,6 @@ COOKIES_GRAMMAR = TemplateGrammar(
                    "doily."),
         ),
     ),
-    logical_slots=scenarios.COOKIES_LAYOUT.slots,
 )
 
 
@@ -496,7 +504,6 @@ TAPES_GRAMMAR = TemplateGrammar(
                    "tin."),
         ),
     ),
-    logical_slots=scenarios._tapes_view,
 )
 
 
@@ -582,7 +589,6 @@ STATIONERY_GRAMMAR = TemplateGrammar(
                    "end."),
         ),
     ),
-    logical_slots=scenarios._stationery_view,
 )
 
 
@@ -591,13 +597,8 @@ _ROPE_LEN = ("similar", "longer", "shorter")
 _ROPE_LEN_WORD = {"similar": "similar", "long": "longer", "short": "shorter"}
 
 
-def _ropes_slots(scene: Scene) -> dict[str, str]:
-    view = scenarios._ropes_view(scene)
-    return {
-        "rope_len": _ROPE_LEN_WORD[view["rope_len"]],
-        "rope_color": view["rope_color"],
-        "label_color": view["label_color"],
-    }
+def _ropes_slots(view: dict) -> dict[str, str]:
+    return view | {"rope_len": _ROPE_LEN_WORD[view["rope_len"]]}
 
 
 ROPES_GRAMMAR = TemplateGrammar(
@@ -734,7 +735,6 @@ BLOCKS_GRAMMAR = TemplateGrammar(
                    "the aisle."),
         ),
     ),
-    logical_slots=scenarios._blocks_view,
 )
 
 
@@ -748,8 +748,7 @@ _DISH_POS_VALUES = {
 }
 
 
-def _dishes_slots(scene: Scene) -> dict[str, str]:
-    items = scenarios._dishes_items(scene)
+def _dishes_slots(items: list[str]) -> dict[str, str]:
     words = ("first", "second", "third")
     return {f"pos_{w}": f"{w}_{item}" for w, item in zip(words, items)}
 
@@ -896,7 +895,6 @@ BALLS_GRAMMAR = TemplateGrammar(
                    "pocket."),
         ),
     ),
-    logical_slots=scenarios.BALLS_LAYOUT.slots,
 )
 
 

@@ -121,6 +121,18 @@ def test_paraphrase_temperature_selects_variants():
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_grammar_fits_its_scenario(scenario_id):
+    """The grammar's slots are the ones its scenario's view fills, and each
+    logical slot names one of the scenario's two aspects."""
+    spec = get_scenario(scenario_id)
+    grammar = get_grammar(scenario_id)
+    slots = grammar.scene_slots(spec.build(spec.normal(np.random.default_rng(0))))
+    assert set(slots) == set(grammar.slots)
+    for slot in grammar.slots.values():
+        assert slot.aspect is None or slot.aspect in spec.aspects, slot.name
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_round_trip_identity_on_every_skeleton(scenario_id):
     grammar = get_grammar(scenario_id)
     slots = grammar.scene_slots(_canonical_scene(scenario_id))

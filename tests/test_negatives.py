@@ -62,7 +62,6 @@ def _mini_grammar():
         scenario_id="mini",
         slots=slots,
         variants=((Clause("The {shade} item is {color}."),),),
-        logical_slots=lambda scene: {"color": "red"},
     )
 
 
@@ -89,7 +88,6 @@ def test_synthesis_fails_without_any_contradiction_pool():
         scenario_id="mini",
         slots=slots,
         variants=((Clause("The item is {color}."),),),
-        logical_slots=lambda scene: {"color": "red"},
     )
     pos = parse("The item is red.", grammar)
     with pytest.raises(SynthesisError):

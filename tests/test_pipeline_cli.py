@@ -392,6 +392,18 @@ def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path):
     assert exc.value.code == 2
 
 
+def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
+    # the last value used to win silently: this file trained 2 epochs
+    config = tmp_path / "twice.cfg"
+    config.write_text("epochs = 1\n# a comment\nepochs = 2\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run(["train", *ARGS, "--config", str(config), "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert "twice.cfg:3: epochs is already set on line 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_rejects_the_removed_backend_keys(tmp_path):
     # these keys were once accepted and then ignored: the run used the
     # built-in renderer and exited 0
@@ -555,3 +567,28 @@ def test_gen_bytes_at_seed_0_are_pinned(benchmark_runs):
             h.update((out / f"{task_id}.{suffix}").read_bytes())
         digests[suffix] = h.hexdigest()
     assert digests == GEN_DIGESTS
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not_zip"])
+def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
+    out = str(tmp_path)
+    assert _run(["train", *ARGS, "--epochs", "1", "--out-dir", out]) == 0
+    checkpoint = tmp_path / "tapes-white_bg.ckpt.npz"
+    if damage == "truncated":
+        checkpoint.write_bytes(checkpoint.read_bytes()[:100])
+    else:
+        checkpoint.write_text("not a checkpoint\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from logicad.cli import main; sys.exit(main())",
+         "score", *ARGS, "--jobs", "1", "--out-dir", out],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines() == [
+        f"error: {checkpoint} is not a readable checkpoint: not a whole "
+        "npz archive"]
+    assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()
