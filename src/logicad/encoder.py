@@ -56,20 +56,45 @@ def tokenize(text: str, vocab: Vocabulary) -> np.ndarray:
     return np.array([vocab.lookup(t) for t in tokens], dtype=np.int64)
 
 
-@dataclass
-class EncoderParams:
-    embedding: np.ndarray   # (V, D)
-    proj_w: np.ndarray      # (D, D)
-    proj_b: np.ndarray      # (D,)
+@dataclass(eq=False)
+class FlatArrays:
+    """The embedding (V, D), projection (D, D) and bias (D,) arrays, as views
+    into one flat buffer in that order, so one pass can update all three."""
+
+    flat: np.ndarray
+    dim: int
+
+    def __post_init__(self):
+        cut = self.flat.size - self.dim * (self.dim + 1)
+        self.embedding = self.flat[:cut].reshape(-1, self.dim)
+        self.proj_w = self.flat[cut:-self.dim].reshape(self.dim, self.dim)
+        self.proj_b = self.flat[-self.dim:]
+
+    def arrays(self):
+        return (self.embedding, self.proj_w, self.proj_b)
+
+
+@dataclass(eq=False)
+class EncoderParams(FlatArrays):
+    """The encoder's weights and its training-time dropout rate."""
+
     dropout_rate: float
 
-    @property
-    def dim(self) -> int:
-        return self.embedding.shape[1]
+    @classmethod
+    def from_arrays(cls, embedding: np.ndarray, proj_w: np.ndarray,
+                    proj_b: np.ndarray, dropout_rate: float) -> "EncoderParams":
+        """The three arrays copied into one new buffer; checks their shapes."""
+        dim = proj_b.size
+        if (embedding.ndim != 2 or embedding.shape[1] != dim
+                or proj_w.shape != (dim, dim) or proj_b.shape != (dim,)):
+            raise ValueError(
+                f"parameter shapes {embedding.shape}, {proj_w.shape} and "
+                f"{proj_b.shape} are not (V, D), (D, D) and (D,)")
+        flat = np.concatenate([embedding.ravel(), proj_w.ravel(), proj_b])
+        return cls(flat, dim, dropout_rate)
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.embedding.copy(), self.proj_w.copy(),
-                             self.proj_b.copy(), self.dropout_rate)
+        return EncoderParams(self.flat.copy(), self.dim, self.dropout_rate)
 
 
 def init_params(vocab_size: int, dim: int, seed: int,
@@ -78,7 +103,7 @@ def init_params(vocab_size: int, dim: int, seed: int,
         raise ValueError("embedding dimension must be >= 2")
     rng = np.random.default_rng(seed)
     scale = 1.0 / np.sqrt(dim)
-    return EncoderParams(
+    return EncoderParams.from_arrays(
         embedding=rng.uniform(-scale, scale, size=(vocab_size, dim)),
         proj_w=rng.uniform(-scale, scale, size=(dim, dim)),
         proj_b=np.zeros(dim),
@@ -124,27 +149,26 @@ def encode_texts(texts: list[str], params: EncoderParams,
     return normalize_rows(pooled)[0]
 
 
-@dataclass
-class EncoderGrads:
-    embedding: np.ndarray
-    proj_w: np.ndarray
-    proj_b: np.ndarray
+@dataclass(eq=False)
+class EncoderGrads(FlatArrays):
+    """Gradients of the loss, laid out as ``EncoderParams``."""
 
-    def arrays(self):
-        return (self.embedding, self.proj_w, self.proj_b)
+    @classmethod
+    def zeros_like(cls, params: EncoderParams) -> "EncoderGrads":
+        return cls(np.zeros_like(params.flat), params.dim)
 
     def global_norm(self) -> float:
+        # three sums added in order: one sum over ``flat`` rounds differently
         return float(np.sqrt(sum(float((a * a).sum()) for a in self.arrays())))
 
     def scale(self, factor: float) -> None:
-        for a in self.arrays():
-            a *= factor
+        self.flat *= factor
 
 
-def table_grads(d_table: np.ndarray, table: np.ndarray,
-                params: EncoderParams) -> EncoderGrads:
-    """Parameter gradients from d(loss)/d(activation table)."""
+def table_grads(d_table: np.ndarray, table: np.ndarray, params: EncoderParams,
+                grads: EncoderGrads) -> None:
+    """Write d(loss)/d(parameters) into ``grads``, given d(loss)/d(table)."""
     d_pre = d_table * (1.0 - table ** 2)
-    return EncoderGrads(embedding=d_pre @ params.proj_w,
-                        proj_w=d_pre.T @ params.embedding,
-                        proj_b=d_pre.sum(axis=0))
+    np.matmul(d_pre, params.proj_w, out=grads.embedding)
+    np.matmul(d_pre.T, params.embedding, out=grads.proj_w)
+    d_pre.sum(axis=0, out=grads.proj_b)

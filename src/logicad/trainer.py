@@ -10,6 +10,7 @@ global gradient-norm clipping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ from .encoder import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# (token, dim) entries per raw draw of a dropout mask.  Smaller blocks make
+# the heap shrink and regrow every step: 65,536 took about 4x the page faults
+MASK_BLOCK = 81_920
 
 
 class TrainingError(RuntimeError):
@@ -108,12 +112,43 @@ class BatchMasks:
     dropped: np.ndarray
 
     @classmethod
-    def sample(cls, pos_tokens, neg_tokens, dim, rate, rng):
+    def sample(cls, n, rate, rng):
+        """The entries of ``n`` that ``rng.random(n) < rate`` drops, in order.
+
+        ``random()`` is ``(raw >> 11) * 2**-53`` of one raw 64-bit output, so
+        it is below ``rate`` exactly when the raw output is below
+        ``ceil(rate * 2**53) << 11``.  The raw outputs are drawn in blocks of
+        ``MASK_BLOCK``, which takes the same stream with no float grid.
+        """
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         if rate == 0.0:
             return cls(dropped=np.empty(0, dtype=np.intp))
-        n_rows = (2 * sum(len(t) for t in pos_tokens)
-                  + sum(len(t) for t in neg_tokens))
-        return cls(dropped=np.flatnonzero(rng.random((n_rows, dim)) < rate))
+        threshold = np.uint64(math.ceil(rate * 2.0 ** 53) << 11)
+        parts = [np.empty(0, dtype=np.intp)]
+        for start in range(0, n, MASK_BLOCK):
+            raw = rng.bit_generator.random_raw(min(MASK_BLOCK, n - start))
+            parts.append(np.flatnonzero(raw < threshold) + start)
+            del raw  # the next block is allocated before ``raw`` is rebound
+        return cls(dropped=np.concatenate(parts))
+
+
+@dataclass
+class TokenRows:
+    """Texts as token ids, per-id count rows and lengths, row by row."""
+
+    tokens: list[np.ndarray]
+    counts: np.ndarray   # (texts, V) how often each id occurs in each text
+    lengths: np.ndarray  # (texts,) tokens per text
+
+    @classmethod
+    def build(cls, tokens: list[np.ndarray], vocab_size: int) -> "TokenRows":
+        return cls(tokens, token_counts(tokens, vocab_size),
+                   np.array([len(t) for t in tokens]))
+
+    def take(self, rows: np.ndarray) -> "TokenRows":
+        return TokenRows([self.tokens[i] for i in rows], self.counts[rows],
+                         self.lengths[rows])
 
 
 def clip_gradients(grads: EncoderGrads, clip_norm: float) -> float:
@@ -126,33 +161,32 @@ def clip_gradients(grads: EncoderGrads, clip_norm: float) -> float:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """First and second moments, laid out as ``EncoderParams.flat``."""
+
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros_like(cls, params: EncoderParams) -> "AdamState":
-        arrays = (params.embedding, params.proj_w, params.proj_b)
-        return cls([np.zeros_like(a) for a in arrays],
-                   [np.zeros_like(a) for a in arrays])
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_update(params: EncoderParams, grads: EncoderGrads, state: AdamState,
                 cfg: TrainConfig) -> None:
-    """Decoupled-weight-decay Adam step, applied in place."""
+    """Decoupled-weight-decay Adam step, in place over the flat buffers."""
     state.step += 1
     t = state.step
-    targets = (params.embedding, params.proj_w, params.proj_b)
-    for target, grad, m, v in zip(targets, grads.arrays(), state.m, state.v):
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1 - ADAM_BETA1 ** t)
-        v_hat = v / (1 - ADAM_BETA2 ** t)
-        target -= cfg.learning_rate * (
-            m_hat / (np.sqrt(v_hat) + ADAM_EPS) + cfg.weight_decay * target
-        )
+    target, grad, m, v = params.flat, grads.flat, state.m, state.v
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    target -= cfg.learning_rate * (
+        m_hat / (np.sqrt(v_hat) + ADAM_EPS) + cfg.weight_decay * target
+    )
 
 
 @dataclass
@@ -178,24 +212,25 @@ def fit(
     if not pos_texts:
         raise ValueError("no training pairs")
     params = init.copy()
-    pos_tokens = [tokenize(t, vocab) for t in pos_texts]
-    neg_tokens = [tokenize(t, vocab) for t in neg_texts]
+    n = len(pos_texts)
+    # positives in rows 0..n-1, their negatives in rows n..2n-1
+    texts = TokenRows.build([tokenize(t, vocab) for t in pos_texts + neg_texts],
+                            params.embedding.shape[0])
 
     rng = np.random.default_rng(seed)
+    grads = EncoderGrads.zeros_like(params)
     state = AdamState.zeros_like(params)
-    n = len(pos_tokens)
     epoch_losses = []
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         step_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            batch_pos = [pos_tokens[i] for i in idx]
-            batch_neg = [neg_tokens[i] for i in idx]
-            masks = BatchMasks.sample(batch_pos, batch_neg, params.dim,
+            # anchors, positives (the same texts again) and negatives
+            batch = texts.take(np.concatenate([idx, idx, idx + n]))
+            masks = BatchMasks.sample(int(batch.lengths.sum()) * params.dim,
                                       params.dropout_rate, rng)
-            loss, grads = batch_step(batch_pos, batch_neg, params, masks,
-                                     cfg.temperature)
+            loss = batch_step(batch, params, masks, cfg.temperature, grads)
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {len(epoch_losses)}, "
@@ -208,37 +243,32 @@ def fit(
     return FitResult(params=params, epoch_losses=epoch_losses)
 
 
-def batch_step(
-    pos_tokens: list[np.ndarray],
-    neg_tokens: list[np.ndarray],
-    params: EncoderParams,
-    masks: BatchMasks,
-    temperature: float,
-) -> tuple[float, EncoderGrads]:
+def batch_step(batch: TokenRows, params: EncoderParams, masks: BatchMasks,
+               temperature: float, grads: EncoderGrads) -> float:
     """Forward + exact analytic backward for one contrastive step.
 
-    Each text pools ``counts @ table`` over the step's activation table, less
-    the entries dropout zeroed; the backward pass is the transpose of both
-    terms, so only the dropped positions are visited one by one.
+    ``batch`` holds the anchors, the positives and the negatives, one third
+    each; the parameter gradients are written into ``grads``.  Each text
+    pools ``counts @ table`` over the step's activation table, less the
+    entries dropout zeroed; the backward pass is the transpose of both terms,
+    so only the dropped positions are visited one by one.
     """
-    texts = [*pos_tokens, *pos_tokens, *neg_tokens]
-    lengths = np.array([len(t) for t in texts])
+    lengths, counts = batch.lengths, batch.counts
     table = activation_table(params)
     n_ids, dim = table.shape
-    counts = token_counts(texts, n_ids)
     # flat (text, d) and (id, d) keys of every dropped (token row, d)
     row, d = np.divmod(masks.dropped, dim)
-    at_text = np.repeat(np.arange(len(texts)) * dim, lengths)[row] + d
-    at_table = np.concatenate(texts)[row] * dim + d
+    at_text = np.repeat(np.arange(len(lengths)) * dim, lengths)[row] + d
+    at_table = np.concatenate(batch.tokens)[row] * dim + d
     lost = np.bincount(at_text, weights=table.ravel()[at_table],
-                       minlength=len(texts) * dim)
+                       minlength=len(lengths) * dim)
     # inverted dropout and the mean over each text's tokens, in one factor
     scale = (1.0 / ((1.0 - params.dropout_rate) * lengths))[:, None]
     # a text with every entry dropped keeps only rounding residue, far below
     # the zero-norm threshold, so it raises as the dense pooling did
     z, norms = normalize_rows(
         (counts @ table - lost.reshape(-1, dim)) * scale)
-    b = len(pos_tokens)
+    b = len(lengths) // 3
     anchors, positives, negatives = z[:b], z[b:2 * b], z[2 * b:]
 
     loss, _ = nt_xent(anchors, positives, negatives, temperature)
@@ -249,8 +279,8 @@ def batch_step(
     d_scaled = d_pooled * scale
     d_lost = np.bincount(at_table, weights=d_scaled.ravel()[at_text],
                          minlength=n_ids * dim)
-    grads = table_grads(counts.T @ d_scaled - d_lost.reshape(n_ids, dim),
-                        table, params)
-    if not all(np.all(np.isfinite(a)) for a in grads.arrays()):
+    table_grads(counts.T @ d_scaled - d_lost.reshape(n_ids, dim), table,
+                params, grads)
+    if not np.all(np.isfinite(grads.flat)):
         raise TrainingError("non-finite gradient")
-    return loss, grads
+    return loss

@@ -14,14 +14,14 @@ from test_scenes import _ENUMERATIONS
 
 from logicad import cli, pipeline
 from logicad.describe import RenderConfig, build_record, parse, render
-from logicad.encoder import Vocabulary, init_params, tokenize
+from logicad.encoder import EncoderGrads, Vocabulary, init_params, tokenize
 from logicad.knn import ReferenceLibrary, score
 from logicad.metrics import aggregate, auroc, emit_report
 from logicad.negatives import synthesize_negative, validate_negative
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import classify, sample_normal, task_id_for
 from logicad.templates import get_grammar
-from logicad.trainer import BatchMasks, batch_step, nt_xent
+from logicad.trainer import BatchMasks, TokenRows, batch_step, nt_xent
 
 
 def _verdict(criterion: int, ok: bool, detail: str) -> None:
@@ -44,9 +44,11 @@ def test_criterion_01_gradient_oracle():
     params = init_params(vocab.size, dim=8, seed=0)
     pos_tokens = [tokenize(t, vocab) for t in pos_texts]
     neg_tokens = [tokenize(t, vocab) for t in neg_texts]
-    masks = BatchMasks.sample(pos_tokens, neg_tokens, 8, 0.1,
+    batch = TokenRows.build([*pos_tokens, *pos_tokens, *neg_tokens], vocab.size)
+    masks = BatchMasks.sample(int(batch.lengths.sum()) * 8, 0.1,
                               np.random.default_rng(1))
-    _, grads = batch_step(pos_tokens, neg_tokens, params, masks, 0.5)
+    grads, scratch = EncoderGrads.zeros_like(params), EncoderGrads.zeros_like(params)
+    batch_step(batch, params, masks, 0.5, grads)
     h = 1e-5
     worst = 0.0
     for target, grad in zip(
@@ -57,9 +59,9 @@ def test_criterion_01_gradient_oracle():
             idx = it.multi_index
             original = target[idx]
             target[idx] = original + h
-            up = batch_step(pos_tokens, neg_tokens, params, masks, 0.5)[0]
+            up = batch_step(batch, params, masks, 0.5, scratch)
             target[idx] = original - h
-            down = batch_step(pos_tokens, neg_tokens, params, masks, 0.5)[0]
+            down = batch_step(batch, params, masks, 0.5, scratch)
             target[idx] = original
             fd = (up - down) / (2.0 * h)
             worst = max(worst, abs(fd - grad[idx]) / max(1e-3, abs(fd)))

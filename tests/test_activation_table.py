@@ -21,6 +21,7 @@ from logicad.knn import build_library
 from logicad.trainer import (
     AdamState,
     BatchMasks,
+    TokenRows,
     TrainConfig,
     adam_update,
     batch_step,
@@ -61,9 +62,7 @@ def _reference_step(pos_tokens, neg_tokens, params, masks, temperature):
     neg = [_reference_forward(t, params, m) for t, m in zip(neg_tokens, masks[2])]
     views = [np.stack([c["z"] for c in caches]) for caches in (anc, pos, neg)]
     loss, _ = nt_xent(*views, temperature)
-    grads = EncoderGrads(np.zeros_like(params.embedding),
-                         np.zeros_like(params.proj_w),
-                         np.zeros_like(params.proj_b))
+    grads = EncoderGrads.zeros_like(params)
     for caches, d_view in zip((anc, pos, neg),
                               nt_xent_embedding_grads(*views, temperature)):
         for cache, d_z in zip(caches, d_view):
@@ -87,6 +86,11 @@ def test_inverted_dropout_mask_is_unbiased():
     assert set(np.round(np.unique(mask), 12)) <= {0.0, round(1 / 0.7, 12)}
     assert abs(mask.mean() - 1.0) < 0.02
     assert np.all(make_dropout_mask(10, 4, 0.0, rng) == 1.0)
+
+
+def _batch(pos_tokens, neg_tokens, vocab_size):
+    """Anchors, positives (the same texts again) and negatives, as fit stacks them."""
+    return TokenRows.build([*pos_tokens, *pos_tokens, *neg_tokens], vocab_size)
 
 
 def _per_text_masks(pos_tokens, neg_tokens, dim, rate, rng):
@@ -117,11 +121,14 @@ def test_vectorised_step_matches_the_per_text_reference(task_texts, rate):
         batch_pos = [pos_tokens[i] for i in idx]
         batch_neg = [neg_tokens[i] for i in idx]
         params = init_params(vocab.size, dim=32, seed=trial, dropout_rate=rate)
-        masks = BatchMasks.sample(batch_pos, batch_neg, 32, rate,
+        batch = _batch(batch_pos, batch_neg, vocab.size)
+        masks = BatchMasks.sample(int(batch.lengths.sum()) * 32, rate,
                                   np.random.default_rng(trial))
         ref_masks = _per_text_masks(batch_pos, batch_neg, 32, rate,
                                     np.random.default_rng(trial))
-        loss, grads = batch_step(batch_pos, batch_neg, params, masks, 0.5)
+        # stale values in the buffer must not survive the step
+        grads = EncoderGrads(np.full_like(params.flat, np.nan), params.dim)
+        loss = batch_step(batch, params, masks, 0.5, grads)
         ref_loss, ref_grads = _reference_step(batch_pos, batch_neg, params,
                                               ref_masks, 0.5)
         assert abs(loss - ref_loss) < TOL
@@ -134,7 +141,8 @@ def test_one_mask_draw_equals_the_per_text_draws(task_texts):
     pos_tokens = [tokenize(t, vocab) for t in pos[:7]]
     neg_tokens = [tokenize(t, vocab) for t in neg[:7]]
     rng_batch, rng_texts = np.random.default_rng(4), np.random.default_rng(4)
-    masks = BatchMasks.sample(pos_tokens, neg_tokens, 16, 0.1, rng_batch)
+    n = int(_batch(pos_tokens, neg_tokens, vocab.size).lengths.sum()) * 16
+    masks = BatchMasks.sample(n, 0.1, rng_batch)
     per_text = _per_text_masks(pos_tokens, neg_tokens, 16, 0.1, rng_texts)
     grid = np.concatenate([m for view in per_text for m in view])
     assert masks.dropped.size > 0
@@ -143,13 +151,10 @@ def test_one_mask_draw_equals_the_per_text_draws(task_texts):
     assert rng_batch.random() == rng_texts.random()
 
 
-def test_a_zero_rate_drops_nothing_and_draws_nothing(task_texts):
-    pos, neg, vocab = task_texts
-    pos_tokens = [tokenize(t, vocab) for t in pos[:7]]
-    neg_tokens = [tokenize(t, vocab) for t in neg[:7]]
+def test_a_zero_rate_drops_nothing_and_draws_nothing():
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
-    masks = BatchMasks.sample(pos_tokens, neg_tokens, 16, 0.0, rng)
+    masks = BatchMasks.sample(200_000, 0.0, rng)
     assert masks.dropped.size == 0
     assert rng.bit_generator.state == before
 
@@ -162,7 +167,8 @@ def test_a_text_with_every_entry_dropped_has_no_direction(task_texts):
     # the first anchor's rows lead the grid
     masks = BatchMasks(dropped=np.arange(len(pos_tokens[0]) * 16))
     with pytest.raises(EncodeError):
-        batch_step(pos_tokens, neg_tokens, params, masks, 0.5)
+        batch_step(_batch(pos_tokens, neg_tokens, vocab.size), params, masks,
+                   0.5, EncoderGrads.zeros_like(params))
 
 
 def test_fit_matches_a_per_text_reference_loop(task_texts):

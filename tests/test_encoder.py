@@ -6,6 +6,7 @@ import pytest
 from logicad.encoder import (
     UNKNOWN_ID,
     EncodeError,
+    EncoderParams,
     Vocabulary,
     encode_texts,
     init_params,
@@ -61,3 +62,21 @@ def test_init_params_shapes_and_dim_floor():
     assert np.all(params.proj_b == 0.0)
     with pytest.raises(ValueError):
         init_params(7, dim=1, seed=0)
+
+
+def test_params_from_arrays_copy_them_into_one_buffer_and_check_shapes():
+    rng = np.random.default_rng(0)
+    embedding, proj_w, proj_b = (rng.normal(size=shape)
+                                 for shape in ((7, 4), (4, 4), (4,)))
+    params = EncoderParams.from_arrays(embedding, proj_w, proj_b, 0.1)
+    assert params.dim == 4 and params.dropout_rate == 0.1
+    for got, want in zip((params.embedding, params.proj_w, params.proj_b),
+                         (embedding, proj_w, proj_b)):
+        assert np.array_equal(got, want) and not np.shares_memory(got, want)
+        assert np.shares_memory(got, params.flat)
+    for bad in ((embedding[:, :3], proj_w, proj_b),
+                (embedding, proj_w[:3], proj_b),
+                (embedding.ravel(), proj_w, proj_b),
+                (embedding[:, :1], proj_w[:1, :1], np.float64(0.0))):
+        with pytest.raises(ValueError, match="parameter shapes"):
+            EncoderParams.from_arrays(*bad, 0.1)

@@ -99,6 +99,11 @@ def test_checkpoint_round_trip_and_version_guard(tmp_path):
     np.savez(tmp_path / "future.ckpt.npz", **data)
     with pytest.raises(ValueError):
         pipeline.load_checkpoint(tmp_path / "future.ckpt.npz")
+    del data["version"], data["fingerprint"]
+    np.savez(tmp_path / "partial.ckpt.npz", **data)
+    with pytest.raises(ValueError, match="partial.ckpt.npz is not a readable "
+                       "checkpoint: it lacks version, fingerprint$"):
+        pipeline.load_checkpoint(tmp_path / "partial.ckpt.npz")
 
 
 def test_run_benchmark_preserves_task_order(tmp_path):
@@ -429,6 +434,19 @@ def test_importing_the_cli_does_not_import_scipy():
     assert done.stdout.strip() == "False"
 
 
+def test_importing_the_cli_does_not_import_the_worker_pool():
+    # only --jobs N > 1 starts workers; a serial run pays no memory for them
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import logicad.cli, sys; print(sorted({'multiprocessing', "
+         "'concurrent.futures.process'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_cli_report_needs_score_files(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run(["report", *ARGS, "--out-dir", str(tmp_path)])
@@ -569,15 +587,21 @@ def test_gen_bytes_at_seed_0_are_pinned(benchmark_runs):
     assert digests == GEN_DIGESTS
 
 
-@pytest.mark.parametrize("damage", ["truncated", "not_zip"])
+@pytest.mark.parametrize("damage", ["truncated", "not_zip", "no_members"])
 def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
     out = str(tmp_path)
     assert _run(["train", *ARGS, "--epochs", "1", "--out-dir", out]) == 0
     checkpoint = tmp_path / "tapes-white_bg.ckpt.npz"
+    reason = "not a whole npz archive"
     if damage == "truncated":
         checkpoint.write_bytes(checkpoint.read_bytes()[:100])
-    else:
+    elif damage == "not_zip":
         checkpoint.write_text("not a checkpoint\n")
+    else:
+        # a whole npz archive that holds none of the checkpoint's members
+        np.savez(checkpoint, a=np.arange(3))
+        reason = ("it lacks version, embedding, proj_w, proj_b, dropout_rate, "
+                  "vocab_json, fingerprint, epoch_losses")
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c",
@@ -589,6 +613,5 @@ def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [
-        f"error: {checkpoint} is not a readable checkpoint: not a whole "
-        "npz archive"]
+        f"error: {checkpoint} is not a readable checkpoint: {reason}"]
     assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()

@@ -2,6 +2,7 @@
 clipping, Adam behavior and the training loop."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,13 @@ from logicad.encoder import (
     tokenize,
 )
 from logicad.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    MASK_BLOCK,
     AdamState,
     BatchMasks,
+    TokenRows,
     TrainConfig,
     TrainingError,
     adam_update,
@@ -32,12 +38,6 @@ NEG_TEXTS = [
     "There are five oranges and two kiwis.",
     "The total number of items is three.",
 ]
-
-
-def _zero_grads(params):
-    return EncoderGrads(np.zeros_like(params.embedding),
-                        np.zeros_like(params.proj_w),
-                        np.zeros_like(params.proj_b))
 
 
 def _unit(v):
@@ -103,13 +103,16 @@ def test_analytic_gradients_match_central_finite_differences():
     params = init_params(vocab.size, dim=8, seed=4)
     pos_tokens = [tokenize(t, vocab) for t in POS_TEXTS]
     neg_tokens = [tokenize(t, vocab) for t in NEG_TEXTS]
-    masks = BatchMasks.sample(pos_tokens, neg_tokens, 8, 0.1,
+    batch = TokenRows.build([*pos_tokens, *pos_tokens, *neg_tokens], vocab.size)
+    masks = BatchMasks.sample(int(batch.lengths.sum()) * 8, 0.1,
                               np.random.default_rng(0))
+    scratch = EncoderGrads.zeros_like(params)
 
     def loss_at(p):
-        return batch_step(pos_tokens, neg_tokens, p, masks, 0.5)[0]
+        return batch_step(batch, p, masks, 0.5, scratch)
 
-    _, grads = batch_step(pos_tokens, neg_tokens, params, masks, 0.5)
+    grads = EncoderGrads.zeros_like(params)
+    batch_step(batch, params, masks, 0.5, grads)
     h = 1e-5
     worst = 0.0
     for target, grad in zip(
@@ -134,28 +137,106 @@ def test_analytic_gradients_match_central_finite_differences():
 
 def test_clipping_caps_the_global_norm_and_leaves_small_gradients_alone():
     params = init_params(5, dim=4, seed=0)
-    grads = _zero_grads(params)
+    grads = EncoderGrads.zeros_like(params)
     grads.embedding += 3.0
+    grads.proj_w -= 1.0
+    grads.proj_b += 0.5
+    unclipped = grads.flat.copy()
     before = grads.global_norm()
     assert before > 1.0
     returned = clip_gradients(grads, 1.0)
     assert abs(returned - before) < 1e-12
     assert grads.global_norm() <= 1.0 + 1e-9
+    # one factor scales all three arrays, so the direction is kept
+    assert np.array_equal(grads.flat, unclipped * (1.0 / before))
 
-    small = _zero_grads(params)
+    small = EncoderGrads.zeros_like(params)
     small.proj_b += 1e-3
     norm = small.global_norm()
     clip_gradients(small, 1.0)
     assert abs(small.global_norm() - norm) < 1e-15
 
 
+def test_params_grads_and_moments_share_one_flat_layout():
+    params = init_params(5, dim=4, seed=0)
+    grads = EncoderGrads.zeros_like(params)
+    state = AdamState.zeros_like(params)
+    size = 5 * 4 + 4 * 4 + 4
+    assert params.flat.size == grads.flat.size == state.m.size == size
+    for holder in (params, params.copy(), grads):
+        views = (holder.embedding, holder.proj_w, holder.proj_b)
+        assert [v.shape for v in views] == [(5, 4), (4, 4), (4,)]
+        assert all(np.shares_memory(v, holder.flat) for v in views)
+        assert np.array_equal(np.concatenate([v.ravel() for v in views]),
+                              holder.flat)
+    assert not np.shares_memory(params.copy().flat, params.flat)
+
+
 def test_adam_with_zero_gradient_applies_pure_decoupled_decay():
     params = init_params(4, dim=4, seed=2)
     reference = params.copy()
     cfg = TrainConfig(learning_rate=0.1, weight_decay=0.01)
-    adam_update(params, _zero_grads(params), AdamState.zeros_like(params), cfg)
+    adam_update(params, EncoderGrads.zeros_like(params),
+                AdamState.zeros_like(params), cfg)
     assert np.allclose(params.embedding, reference.embedding * (1 - 0.1 * 0.01))
     assert np.allclose(params.proj_w, reference.proj_w * (1 - 0.1 * 0.01))
+
+
+def test_flat_adam_equals_a_per_array_adam_bit_for_bit():
+    rng = np.random.default_rng(3)
+    params = init_params(6, dim=4, seed=3)
+    arrays = [a.copy() for a in params.arrays()]
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
+    state = AdamState.zeros_like(params)
+    cfg = TrainConfig(learning_rate=0.05, weight_decay=0.01)
+    for t in range(1, 4):
+        grads = EncoderGrads(rng.normal(size=params.flat.size), params.dim)
+        adam_update(params, grads, state, cfg)
+        for target, grad, (m, v) in zip(arrays, grads.arrays(), moments):
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * grad * grad
+            target -= cfg.learning_rate * (
+                m / (1 - ADAM_BETA1 ** t)
+                / (np.sqrt(v / (1 - ADAM_BETA2 ** t)) + ADAM_EPS)
+                + cfg.weight_decay * target)
+    assert state.step == 3
+    for got, want in zip(params.arrays(), arrays):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", sorted({1, 65_535, 65_536, 65_537, MASK_BLOCK - 1,
+                                      MASK_BLOCK, MASK_BLOCK + 1, 200_000}))
+def test_the_block_draw_equals_one_float_draw_and_takes_the_same_stream(n):
+    for rate in (0.1, 0.3, 0.5, 2.0 ** -53, 1.0 - 2.0 ** -53):
+        blocks, floats = np.random.default_rng(n), np.random.default_rng(n)
+        dropped = BatchMasks.sample(n, rate, blocks).dropped
+        assert np.array_equal(dropped, np.flatnonzero(floats.random(n) < rate))
+        assert blocks.bit_generator.state == floats.bit_generator.state
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+def test_a_rate_outside_zero_to_one_is_refused_before_any_draw(rate):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="dropout rate"):
+        BatchMasks.sample(100, rate, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_a_mask_draw_over_524288_entries_peaks_under_2_mib():
+    # a float grid of the same entries alone would take 4 MiB
+    n = 524_288
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        masks = BatchMasks.sample(n, 0.1, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n > 4 * MASK_BLOCK and masks.dropped.size > 0
+    assert peak < 2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_fit_is_seed_deterministic_and_loss_decreases():
