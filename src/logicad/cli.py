@@ -59,26 +59,32 @@ class CliError(SystemExit):
 
 
 def load_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read config file {path}: {exc}")
     values, set_on = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in set_on:
-                raise CliError(f"{path}:{lineno}: {key} is already set on line "
-                               f"{set_on[key]}")
-            set_on[key] = lineno
-            try:
-                values[key] = _CONFIG_KEYS[key](value.strip())
-            except ValueError as exc:
-                raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    # read_text turns \r\n and \r into \n, so these are the file's lines
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise CliError(f"{path}:{lineno}: {key} is already set on line "
+                           f"{set_on[key]}")
+        set_on[key] = lineno
+        try:
+            values[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
 

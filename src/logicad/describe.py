@@ -17,10 +17,6 @@ import numpy as np
 from .scenes import Condition, Scene
 from .templates import Skeleton, TemplateGrammar
 
-# Above this the renderer samples uniformly among paraphrase variants;
-# below it only the canonical variant is used.
-PARAPHRASE_THRESHOLD = 0.01
-
 
 class ParseError(ValueError):
     """Text does not match any template skeleton of the scenario."""
@@ -42,13 +38,12 @@ class AttributeRecord:
 
 @dataclass(frozen=True)
 class RenderConfig:
-    paraphrase_temperature: float = 0.0
+    # draw the paraphrase variant uniformly; False keeps variant 0
+    paraphrase: bool = False
     omission_prob: float = 0.0
     corruption_prob: float = 0.0
 
     def __post_init__(self):
-        if self.paraphrase_temperature < 0:
-            raise ValueError("paraphrase_temperature must be >= 0")
         for name in ("omission_prob", "corruption_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
@@ -60,11 +55,11 @@ class RenderConfig:
 # low light / blur additionally drop optional clauses.  These values are
 # benchmark configuration, not measured ground truth.
 CONDITION_RENDER_DEFAULTS: dict[Condition, RenderConfig] = {
-    Condition.WHITE_BG: RenderConfig(0.0, 0.0, 0.0),
-    Condition.CABLE_BG: RenderConfig(0.9, 0.0, 0.05),
-    Condition.MESH_BG: RenderConfig(0.9, 0.0, 0.05),
-    Condition.LOWLIGHT_CD: RenderConfig(0.9, 0.15, 0.05),
-    Condition.BLURRY_CD: RenderConfig(0.9, 0.15, 0.05),
+    Condition.WHITE_BG: RenderConfig(False, 0.0, 0.0),
+    Condition.CABLE_BG: RenderConfig(True, 0.0, 0.05),
+    Condition.MESH_BG: RenderConfig(True, 0.0, 0.05),
+    Condition.LOWLIGHT_CD: RenderConfig(True, 0.15, 0.05),
+    Condition.BLURRY_CD: RenderConfig(True, 0.15, 0.05),
 }
 
 
@@ -93,10 +88,7 @@ def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
                 f"value {value!r} for slot {name!r} is outside the "
                 f"{grammar.scenario_id} template grammar"
             )
-    if cfg.paraphrase_temperature > PARAPHRASE_THRESHOLD:
-        variant = int(rng.integers(len(grammar.variants)))
-    else:
-        variant = 0
+    variant = int(rng.integers(len(grammar.variants))) if cfg.paraphrase else 0
     mask = tuple(
         (not clause.optional) or (cfg.omission_prob == 0.0)
         or (rng.random() >= cfg.omission_prob)

@@ -16,7 +16,6 @@ import numpy as np
 
 UNKNOWN_ID = 0
 UNKNOWN_TOKEN = "<unk>"
-DEFAULT_DROPOUT = 0.1
 _NORM_EPS = 1e-12
 
 _TOKEN_RE = re.compile(r"[a-z0-9_']+")
@@ -57,9 +56,10 @@ def tokenize(text: str, vocab: Vocabulary) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class FlatArrays:
+class EncoderParams:
     """The embedding (V, D), projection (D, D) and bias (D,) arrays, as views
-    into one flat buffer in that order, so one pass can update all three."""
+    into one flat buffer in that order, so one pass can update all three.
+    Gradients share the layout."""
 
     flat: np.ndarray
     dim: int
@@ -73,16 +73,9 @@ class FlatArrays:
     def arrays(self):
         return (self.embedding, self.proj_w, self.proj_b)
 
-
-@dataclass(eq=False)
-class EncoderParams(FlatArrays):
-    """The encoder's weights and its training-time dropout rate."""
-
-    dropout_rate: float
-
     @classmethod
     def from_arrays(cls, embedding: np.ndarray, proj_w: np.ndarray,
-                    proj_b: np.ndarray, dropout_rate: float) -> "EncoderParams":
+                    proj_b: np.ndarray) -> "EncoderParams":
         """The three arrays copied into one new buffer; checks their shapes."""
         dim = proj_b.size
         if (embedding.ndim != 2 or embedding.shape[1] != dim
@@ -91,14 +84,16 @@ class EncoderParams(FlatArrays):
                 f"parameter shapes {embedding.shape}, {proj_w.shape} and "
                 f"{proj_b.shape} are not (V, D), (D, D) and (D,)")
         flat = np.concatenate([embedding.ravel(), proj_w.ravel(), proj_b])
-        return cls(flat, dim, dropout_rate)
+        return cls(flat, dim)
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(self.flat.copy(), self.dim, self.dropout_rate)
+        return EncoderParams(self.flat.copy(), self.dim)
+
+    def zeros_like(self) -> "EncoderParams":
+        return EncoderParams(np.zeros_like(self.flat), self.dim)
 
 
-def init_params(vocab_size: int, dim: int, seed: int,
-                dropout_rate: float = DEFAULT_DROPOUT) -> EncoderParams:
+def init_params(vocab_size: int, dim: int, seed: int) -> EncoderParams:
     if dim < 2:
         raise ValueError("embedding dimension must be >= 2")
     rng = np.random.default_rng(seed)
@@ -107,7 +102,6 @@ def init_params(vocab_size: int, dim: int, seed: int,
         embedding=rng.uniform(-scale, scale, size=(vocab_size, dim)),
         proj_w=rng.uniform(-scale, scale, size=(dim, dim)),
         proj_b=np.zeros(dim),
-        dropout_rate=dropout_rate,
     )
 
 
@@ -149,24 +143,8 @@ def encode_texts(texts: list[str], params: EncoderParams,
     return normalize_rows(pooled)[0]
 
 
-@dataclass(eq=False)
-class EncoderGrads(FlatArrays):
-    """Gradients of the loss, laid out as ``EncoderParams``."""
-
-    @classmethod
-    def zeros_like(cls, params: EncoderParams) -> "EncoderGrads":
-        return cls(np.zeros_like(params.flat), params.dim)
-
-    def global_norm(self) -> float:
-        # three sums added in order: one sum over ``flat`` rounds differently
-        return float(np.sqrt(sum(float((a * a).sum()) for a in self.arrays())))
-
-    def scale(self, factor: float) -> None:
-        self.flat *= factor
-
-
 def table_grads(d_table: np.ndarray, table: np.ndarray, params: EncoderParams,
-                grads: EncoderGrads) -> None:
+                grads: EncoderParams) -> None:
     """Write d(loss)/d(parameters) into ``grads``, given d(loss)/d(table)."""
     d_pre = d_table * (1.0 - table ** 2)
     np.matmul(d_pre, params.proj_w, out=grads.embedding)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -134,9 +134,9 @@ def train_task(config: PipelineConfig, artifacts: TaskArtifacts) -> TrainedTask:
     init = init_params(vocab.size, dim=config.dim, seed=seed)
     if config.skip_training:
         return TrainedTask(vocab=vocab, params=init, epoch_losses=[])
-    result = trainer.fit(pos_texts, neg_texts, vocab, config.train, init, seed)
-    return TrainedTask(vocab=vocab, params=result.params,
-                       epoch_losses=result.epoch_losses)
+    params, losses = trainer.fit(pos_texts, neg_texts, vocab, config.train,
+                                 init, seed)
+    return TrainedTask(vocab=vocab, params=params, epoch_losses=losses)
 
 
 @dataclass
@@ -291,13 +291,8 @@ def write_loss_curve(out_dir: Path, task_id: str, losses: list[float]) -> None:
 
 
 def _fingerprint(config: PipelineConfig, task_id: str) -> dict:
-    return {"task_id": task_id, "epochs": config.train.epochs,
-            "batch_size": config.train.batch_size,
-            "temperature": config.train.temperature,
-            "learning_rate": config.train.learning_rate,
-            "weight_decay": config.train.weight_decay,
-            "clip_norm": config.train.clip_norm, "dim": config.dim,
-            "master_seed": config.master_seed}
+    return {"task_id": task_id, **asdict(config.train),
+            "dim": config.dim, "master_seed": config.master_seed}
 
 
 _CHECKPOINT_MEMBERS = ("version", "embedding", "proj_w", "proj_b",
@@ -316,7 +311,8 @@ def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
         embedding=trained.params.embedding,
         proj_w=trained.params.proj_w,
         proj_b=trained.params.proj_b,
-        dropout_rate=np.float64(trained.params.dropout_rate),
+        # the rate training drew at, kept for the reader: nothing loads it
+        dropout_rate=np.float64(trainer.DROPOUT_RATE),
         vocab_json=np.bytes_(vocab_json.encode("utf-8")),
         fingerprint=np.bytes_(fingerprint.encode("utf-8")),
         epoch_losses=np.asarray(trained.epoch_losses, dtype=np.float64),
@@ -336,12 +332,8 @@ def load_checkpoint(path) -> TrainedTask:
         version = int(data["version"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        params = EncoderParams.from_arrays(
-            embedding=data["embedding"],
-            proj_w=data["proj_w"],
-            proj_b=data["proj_b"],
-            dropout_rate=float(data["dropout_rate"]),
-        )
+        params = EncoderParams.from_arrays(data["embedding"], data["proj_w"],
+                                           data["proj_b"])
         vocab = Vocabulary(json.loads(bytes(data["vocab_json"]).decode("utf-8")))
         losses = [float(x) for x in data["epoch_losses"]]
         fingerprint = json.loads(bytes(data["fingerprint"]).decode("utf-8"))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import (
-    EncoderGrads,
     EncoderParams,
     Vocabulary,
     activation_table,
@@ -29,6 +28,8 @@ from .encoder import (
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# training only: encoding is dropout-free
+DROPOUT_RATE = 0.1
 # (token, dim) entries per raw draw of a dropout mask.  Smaller blocks make
 # the heap shrink and regrow every step: 65,536 took about 4x the page faults
 MASK_BLOCK = 81_920
@@ -63,53 +64,47 @@ class TrainConfig:
 
 
 def nt_xent(anchors: np.ndarray, positives: np.ndarray, negatives: np.ndarray,
-            temperature: float) -> tuple[float, np.ndarray]:
-    """Loss over a batch of unit vectors; returns (mean, per-anchor losses).
+            temperature: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss over a batch of unit vectors and its gradient, from one softmax.
+
+    Returns (mean, per-anchor losses, d(mean)/d(rows)), the last stacked as
+    anchors, positives, negatives.
 
     per_anchor[i] = -log( exp(s(a_i,p_i)/t) /
                           (exp(s(a_i,p_i)/t) + sum_j exp(s(a_i,n_j)/t)) )
     computed with max-subtraction for stability.
     """
-    logits = _logits(anchors, positives, negatives, temperature)
+    pos_sim = (anchors * positives).sum(axis=1, keepdims=True)
+    logits = np.concatenate([pos_sim, anchors @ negatives.T], axis=1) / temperature
     if not np.all(np.isfinite(logits)):
         raise TrainingError("non-finite similarity in contrastive batch")
     m = logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(logits - m).sum(axis=1)) + m[:, 0]
-    per_anchor = logsumexp - logits[:, 0]
-    return float(per_anchor.mean()), per_anchor
-
-
-def _logits(anchors, positives, negatives, temperature):
-    pos_sim = (anchors * positives).sum(axis=1, keepdims=True)
-    neg_sim = anchors @ negatives.T
-    return np.concatenate([pos_sim, neg_sim], axis=1) / temperature
-
-
-def nt_xent_embedding_grads(anchors, positives, negatives, temperature):
-    """Gradients of the mean loss w.r.t. the three embedding matrices."""
-    batch = anchors.shape[0]
-    logits = _logits(anchors, positives, negatives, temperature)
-    m = logits.max(axis=1, keepdims=True)
     expd = np.exp(logits - m)
-    q = expd / expd.sum(axis=1, keepdims=True)
-    coef = 1.0 / (batch * temperature)
-    d_anchors = coef * ((q[:, :1] - 1.0) * positives + q[:, 1:] @ negatives)
-    d_positives = coef * (q[:, :1] - 1.0) * anchors
-    d_negatives = coef * (q[:, 1:].T @ anchors)
-    return d_anchors, d_positives, d_negatives
+    total = expd.sum(axis=1, keepdims=True)
+    per_anchor = np.log(total[:, 0]) + m[:, 0] - logits[:, 0]
+    q = expd / total
+    coef = 1.0 / (anchors.shape[0] * temperature)
+    d_z = np.concatenate([
+        coef * ((q[:, :1] - 1.0) * positives + q[:, 1:] @ negatives),
+        coef * (q[:, :1] - 1.0) * anchors,
+        coef * (q[:, 1:].T @ anchors),
+    ])
+    return float(per_anchor.mean()), per_anchor, d_z
 
 
 @dataclass
 class BatchMasks:
-    """Frozen dropout for one step, as the positions it zeroes.
+    """Frozen dropout for one step, as the positions it zeroes and its rate.
 
     ``dropped`` holds flat indices into the (sum of token counts, D) grid over
     the anchor, positive and negative views, in that order.  They come from
     one draw over the whole grid, which takes the same random stream as one
-    draw per text; a zero rate draws nothing.
+    draw per text; a zero rate draws nothing.  ``rate`` is the rate they were
+    drawn at, which the step's inverted-dropout scale reads.
     """
 
     dropped: np.ndarray
+    rate: float
 
     @classmethod
     def sample(cls, n, rate, rng):
@@ -123,14 +118,14 @@ class BatchMasks:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         if rate == 0.0:
-            return cls(dropped=np.empty(0, dtype=np.intp))
+            return cls(np.empty(0, dtype=np.intp), rate)
         threshold = np.uint64(math.ceil(rate * 2.0 ** 53) << 11)
         parts = [np.empty(0, dtype=np.intp)]
         for start in range(0, n, MASK_BLOCK):
             raw = rng.bit_generator.random_raw(min(MASK_BLOCK, n - start))
             parts.append(np.flatnonzero(raw < threshold) + start)
             del raw  # the next block is allocated before ``raw`` is rebound
-        return cls(dropped=np.concatenate(parts))
+        return cls(np.concatenate(parts), rate)
 
 
 @dataclass
@@ -151,11 +146,13 @@ class TokenRows:
                          self.lengths[rows])
 
 
-def clip_gradients(grads: EncoderGrads, clip_norm: float) -> float:
-    """Scale gradients in place so the global norm is at most ``clip_norm``."""
-    norm = grads.global_norm()
+def clip_gradients(grads: EncoderParams, clip_norm: float) -> float:
+    """Scale gradients in place so the global norm is at most ``clip_norm``;
+    returns the norm before scaling."""
+    # three sums added in order: one sum over ``flat`` rounds differently
+    norm = float(np.sqrt(sum(float((a * a).sum()) for a in grads.arrays())))
     if norm > clip_norm:
-        grads.scale(clip_norm / norm)
+        grads.flat *= clip_norm / norm
     return norm
 
 
@@ -172,7 +169,7 @@ class AdamState:
         return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
-def adam_update(params: EncoderParams, grads: EncoderGrads, state: AdamState,
+def adam_update(params: EncoderParams, grads: EncoderParams, state: AdamState,
                 cfg: TrainConfig) -> None:
     """Decoupled-weight-decay Adam step, in place over the flat buffers."""
     state.step += 1
@@ -189,12 +186,6 @@ def adam_update(params: EncoderParams, grads: EncoderGrads, state: AdamState,
     )
 
 
-@dataclass
-class FitResult:
-    params: EncoderParams
-    epoch_losses: list[float]
-
-
 def fit(
     pos_texts: list[str],
     neg_texts: list[str],
@@ -202,10 +193,11 @@ def fit(
     cfg: TrainConfig,
     init: EncoderParams,
     seed: int,
-) -> FitResult:
+) -> tuple[EncoderParams, list[float]]:
     """Contrastive training over (positive, negative) text pairs from ``init``.
 
-    ``seed`` drives the batch order and the dropout masks.
+    Returns the trained parameters and the mean loss of each epoch.  ``seed``
+    drives the batch order and the dropout masks, drawn at ``DROPOUT_RATE``.
     """
     if len(pos_texts) != len(neg_texts):
         raise ValueError("positive/negative lists must be index-aligned")
@@ -218,7 +210,7 @@ def fit(
                             params.embedding.shape[0])
 
     rng = np.random.default_rng(seed)
-    grads = EncoderGrads.zeros_like(params)
+    grads = params.zeros_like()
     state = AdamState.zeros_like(params)
     epoch_losses = []
     for _ in range(cfg.epochs):
@@ -229,7 +221,7 @@ def fit(
             # anchors, positives (the same texts again) and negatives
             batch = texts.take(np.concatenate([idx, idx, idx + n]))
             masks = BatchMasks.sample(int(batch.lengths.sum()) * params.dim,
-                                      params.dropout_rate, rng)
+                                      DROPOUT_RATE, rng)
             loss = batch_step(batch, params, masks, cfg.temperature, grads)
             if not np.isfinite(loss):
                 raise TrainingError(
@@ -240,11 +232,11 @@ def fit(
             adam_update(params, grads, state, cfg)
             step_losses.append(loss)
         epoch_losses.append(float(np.mean(step_losses)))
-    return FitResult(params=params, epoch_losses=epoch_losses)
+    return params, epoch_losses
 
 
 def batch_step(batch: TokenRows, params: EncoderParams, masks: BatchMasks,
-               temperature: float, grads: EncoderGrads) -> float:
+               temperature: float, grads: EncoderParams) -> float:
     """Forward + exact analytic backward for one contrastive step.
 
     ``batch`` holds the anchors, the positives and the negatives, one third
@@ -263,17 +255,13 @@ def batch_step(batch: TokenRows, params: EncoderParams, masks: BatchMasks,
     lost = np.bincount(at_text, weights=table.ravel()[at_table],
                        minlength=len(lengths) * dim)
     # inverted dropout and the mean over each text's tokens, in one factor
-    scale = (1.0 / ((1.0 - params.dropout_rate) * lengths))[:, None]
+    scale = (1.0 / ((1.0 - masks.rate) * lengths))[:, None]
     # a text with every entry dropped keeps only rounding residue, far below
     # the zero-norm threshold, so it raises as the dense pooling did
     z, norms = normalize_rows(
         (counts @ table - lost.reshape(-1, dim)) * scale)
     b = len(lengths) // 3
-    anchors, positives, negatives = z[:b], z[b:2 * b], z[2 * b:]
-
-    loss, _ = nt_xent(anchors, positives, negatives, temperature)
-    d_z = np.concatenate(nt_xent_embedding_grads(
-        anchors, positives, negatives, temperature))
+    loss, _, d_z = nt_xent(z[:b], z[b:2 * b], z[2 * b:], temperature)
 
     d_pooled = (d_z - z * (z * d_z).sum(axis=1, keepdims=True)) / norms[:, None]
     d_scaled = d_pooled * scale

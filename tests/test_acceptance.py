@@ -14,7 +14,7 @@ from test_scenes import _ENUMERATIONS
 
 from logicad import cli, pipeline
 from logicad.describe import RenderConfig, build_record, parse, render
-from logicad.encoder import EncoderGrads, Vocabulary, init_params, tokenize
+from logicad.encoder import Vocabulary, init_params, tokenize
 from logicad.knn import ReferenceLibrary, score
 from logicad.metrics import aggregate, auroc, emit_report
 from logicad.negatives import synthesize_negative, validate_negative
@@ -47,7 +47,7 @@ def test_criterion_01_gradient_oracle():
     batch = TokenRows.build([*pos_tokens, *pos_tokens, *neg_tokens], vocab.size)
     masks = BatchMasks.sample(int(batch.lengths.sum()) * 8, 0.1,
                               np.random.default_rng(1))
-    grads, scratch = EncoderGrads.zeros_like(params), EncoderGrads.zeros_like(params)
+    grads, scratch = params.zeros_like(), params.zeros_like()
     batch_step(batch, params, masks, 0.5, grads)
     h = 1e-5
     worst = 0.0
@@ -72,7 +72,7 @@ def test_criterion_01_gradient_oracle():
 
 def test_criterion_02_loss_identities():
     a = np.array([[1.0, 0.0]])
-    loss, _ = nt_xent(a, a.copy(), a.copy(), 0.5)
+    loss, _, _ = nt_xent(a, a.copy(), a.copy(), 0.5)
     ln2_ok = abs(loss - np.log(2.0)) < 1e-12
     rng = np.random.default_rng(20)
     nonneg = True
@@ -80,7 +80,7 @@ def test_criterion_02_loss_identities():
         anchors = _random_unit_rows(rng, 4, 8)
         positives = _random_unit_rows(rng, 4, 8)
         negatives = _random_unit_rows(rng, 6, 8)
-        _, per_anchor = nt_xent(anchors, positives, negatives, 0.5)
+        _, per_anchor, _ = nt_xent(anchors, positives, negatives, 0.5)
         if not np.all(per_anchor >= 0.0):
             nonneg = False
             break
@@ -182,8 +182,8 @@ def test_criterion_06_rule_engine_oracle():
 
 
 def test_criterion_07_negative_validity():
-    clean = RenderConfig(0.0, 0.0, 0.0)
-    noisy = RenderConfig(0.9, 0.15, 0.05)
+    clean = RenderConfig(False, 0.0, 0.0)
+    noisy = RenderConfig(True, 0.15, 0.05)
     failures = 0
     total = 0
     for scenario_id in sorted(SCENARIOS):

@@ -12,13 +12,14 @@ import pytest
 from logicad import pipeline, scenarios, scenes
 from logicad.encoder import (
     EncodeError,
-    EncoderGrads,
+    EncoderParams,
     encode_texts,
     init_params,
     tokenize,
 )
 from logicad.knn import build_library
 from logicad.trainer import (
+    DROPOUT_RATE,
     AdamState,
     BatchMasks,
     TokenRows,
@@ -28,7 +29,6 @@ from logicad.trainer import (
     clip_gradients,
     fit,
     nt_xent,
-    nt_xent_embedding_grads,
 )
 
 TOL = 1e-12
@@ -61,12 +61,14 @@ def _reference_step(pos_tokens, neg_tokens, params, masks, temperature):
     pos = [_reference_forward(t, params, m) for t, m in zip(pos_tokens, masks[1])]
     neg = [_reference_forward(t, params, m) for t, m in zip(neg_tokens, masks[2])]
     views = [np.stack([c["z"] for c in caches]) for caches in (anc, pos, neg)]
-    loss, _ = nt_xent(*views, temperature)
-    grads = EncoderGrads.zeros_like(params)
-    for caches, d_view in zip((anc, pos, neg),
-                              nt_xent_embedding_grads(*views, temperature)):
-        for cache, d_z in zip(caches, d_view):
-            _reference_backward(d_z, cache, params, grads)
+    loss, _, d_z = nt_xent(*views, temperature)
+    # d_z stacks the anchors, positives and negatives, in that order
+    d_views = np.split(d_z, [len(anc), len(anc) + len(pos)])
+    assert [len(d) for d in d_views] == [len(anc), len(pos), len(neg)]
+    grads = params.zeros_like()
+    for caches, d_view in zip((anc, pos, neg), d_views):
+        for cache, d_text in zip(caches, d_view):
+            _reference_backward(d_text, cache, params, grads)
     return loss, grads
 
 
@@ -120,14 +122,14 @@ def test_vectorised_step_matches_the_per_text_reference(task_texts, rate):
         idx = rng.permutation(len(pos_tokens))[:batch]
         batch_pos = [pos_tokens[i] for i in idx]
         batch_neg = [neg_tokens[i] for i in idx]
-        params = init_params(vocab.size, dim=32, seed=trial, dropout_rate=rate)
+        params = init_params(vocab.size, dim=32, seed=trial)
         batch = _batch(batch_pos, batch_neg, vocab.size)
         masks = BatchMasks.sample(int(batch.lengths.sum()) * 32, rate,
                                   np.random.default_rng(trial))
         ref_masks = _per_text_masks(batch_pos, batch_neg, 32, rate,
                                     np.random.default_rng(trial))
         # stale values in the buffer must not survive the step
-        grads = EncoderGrads(np.full_like(params.flat, np.nan), params.dim)
+        grads = EncoderParams(np.full_like(params.flat, np.nan), params.dim)
         loss = batch_step(batch, params, masks, 0.5, grads)
         ref_loss, ref_grads = _reference_step(batch_pos, batch_neg, params,
                                               ref_masks, 0.5)
@@ -165,17 +167,17 @@ def test_a_text_with_every_entry_dropped_has_no_direction(task_texts):
     neg_tokens = [tokenize(t, vocab) for t in neg[:3]]
     params = init_params(vocab.size, dim=16, seed=2)
     # the first anchor's rows lead the grid
-    masks = BatchMasks(dropped=np.arange(len(pos_tokens[0]) * 16))
+    masks = BatchMasks(np.arange(len(pos_tokens[0]) * 16), DROPOUT_RATE)
     with pytest.raises(EncodeError):
         batch_step(_batch(pos_tokens, neg_tokens, vocab.size), params, masks,
-                   0.5, EncoderGrads.zeros_like(params))
+                   0.5, params.zeros_like())
 
 
 def test_fit_matches_a_per_text_reference_loop(task_texts):
     pos, neg, vocab = task_texts
     cfg, seed = TrainConfig(epochs=2), 7
-    result = fit(pos, neg, vocab, cfg, init_params(vocab.size, dim=64, seed=seed),
-                 seed)
+    got_params, got_losses = fit(
+        pos, neg, vocab, cfg, init_params(vocab.size, dim=64, seed=seed), seed)
 
     pos_tokens = [tokenize(t, vocab) for t in pos]
     neg_tokens = [tokenize(t, vocab) for t in neg]
@@ -191,7 +193,7 @@ def test_fit_matches_a_per_text_reference_loop(task_texts):
             batch_pos = [pos_tokens[i] for i in idx]
             batch_neg = [neg_tokens[i] for i in idx]
             masks = _per_text_masks(batch_pos, batch_neg, params.dim,
-                                    params.dropout_rate, rng)
+                                    DROPOUT_RATE, rng)
             loss, grads = _reference_step(batch_pos, batch_neg, params, masks,
                                           cfg.temperature)
             clip_gradients(grads, cfg.clip_norm)
@@ -199,10 +201,10 @@ def test_fit_matches_a_per_text_reference_loop(task_texts):
             step_losses.append(loss)
         epoch_losses.append(float(np.mean(step_losses)))
 
-    assert len(result.epoch_losses) == cfg.epochs
-    assert np.abs(np.subtract(result.epoch_losses, epoch_losses)).max() < TOL
-    for got, want in zip((result.params.embedding, result.params.proj_w,
-                          result.params.proj_b),
+    assert len(got_losses) == cfg.epochs
+    assert np.abs(np.subtract(got_losses, epoch_losses)).max() < TOL
+    for got, want in zip((got_params.embedding, got_params.proj_w,
+                          got_params.proj_b),
                          (params.embedding, params.proj_w, params.proj_b)):
         assert np.abs(got - want).max() < TOL
 

@@ -16,7 +16,7 @@ from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Condition, ObjectInstance, Scene, sample_normal
 from logicad.templates import SlotDef, _slot_table, get_grammar
 
-CLEAN = RenderConfig(0.0, 0.0, 0.0)
+CLEAN = RenderConfig(False, 0.0, 0.0)
 
 
 def _canonical_scene(scenario_id):
@@ -59,7 +59,7 @@ def test_same_rng_stream_gives_identical_noisy_renders():
 def test_omission_frequency_matches_configured_probability():
     scene = _canonical_scene("sticks")
     grammar = get_grammar("sticks")
-    cfg = RenderConfig(0.0, 0.3, 0.0)
+    cfg = RenderConfig(False, 0.3, 0.0)
     optional_idx = [i for i, c in enumerate(grammar.variants[0]) if c.optional]
     assert optional_idx, "sticks variant 0 needs optional clauses for this check"
     included = np.zeros(len(optional_idx))
@@ -78,7 +78,7 @@ def test_certain_corruption_flips_every_decorative_slot():
     scene = _canonical_scene("sticks")
     grammar = get_grammar("sticks")
     clean_slots = grammar.scene_slots(scene)
-    rendered = render(scene, RenderConfig(0.0, 0.0, 1.0),
+    rendered = render(scene, RenderConfig(False, 0.0, 1.0),
                       np.random.default_rng(5), grammar)
     record = parse(rendered.text, grammar)
     seen_decorative = 0
@@ -97,25 +97,25 @@ def test_zero_corruption_never_touches_slots():
     clean_slots = grammar.scene_slots(scene)
     rng = np.random.default_rng(17)
     for _ in range(20):
-        record = parse(render(scene, RenderConfig(0.9, 0.2, 0.0), rng,
+        record = parse(render(scene, RenderConfig(True, 0.2, 0.0), rng,
                               grammar).text, grammar)
         for name, value in record.slots:
             assert value == clean_slots[name]
 
 
-def test_paraphrase_temperature_selects_variants():
+def test_paraphrase_selects_variants():
     scene = _canonical_scene("balls")
     grammar = get_grammar("balls")
     rng = np.random.default_rng(31)
     variants = set()
     for _ in range(60):
-        record = parse(render(scene, RenderConfig(0.9, 0.0, 0.0), rng,
+        record = parse(render(scene, RenderConfig(True, 0.0, 0.0), rng,
                               grammar).text, grammar)
         variants.add(record.skeleton[0])
     assert variants == set(range(len(grammar.variants)))
-    # at/below the threshold only the canonical phrasing appears
+    # without paraphrase only the canonical phrasing appears
     for _ in range(10):
-        record = parse(render(scene, RenderConfig(0.01, 0.0, 0.0), rng,
+        record = parse(render(scene, RenderConfig(False, 0.0, 0.0), rng,
                               grammar).text, grammar)
         assert record.skeleton[0] == 0
 
@@ -150,7 +150,7 @@ def test_round_trip_identity_under_noisy_rendering(scenario_id):
     spec = get_scenario(scenario_id)
     grammar = get_grammar(scenario_id)
     rng = np.random.default_rng(47)
-    cfg = RenderConfig(0.9, 0.2, 0.3)
+    cfg = RenderConfig(True, 0.2, 0.3)
     for _ in range(25):
         rendered = render(sample_normal(spec, rng), cfg, rng, grammar)
         record = parse(rendered.text, grammar)
@@ -189,14 +189,12 @@ def test_render_config_validates_probabilities():
         RenderConfig(omission_prob=1.5)
     with pytest.raises(ValueError):
         RenderConfig(corruption_prob=-0.1)
-    with pytest.raises(ValueError):
-        RenderConfig(paraphrase_temperature=-1.0)
 
 
 def test_condition_defaults_keep_white_background_clean():
     cfg = CONDITION_RENDER_DEFAULTS[Condition.WHITE_BG]
-    assert (cfg.paraphrase_temperature, cfg.omission_prob, cfg.corruption_prob) \
-        == (0.0, 0.0, 0.0)
+    assert (cfg.paraphrase, cfg.omission_prob, cfg.corruption_prob) \
+        == (False, 0.0, 0.0)
     for condition in (Condition.CABLE_BG, Condition.MESH_BG):
         cfg = CONDITION_RENDER_DEFAULTS[condition]
         assert cfg.omission_prob == 0.0

@@ -68,8 +68,8 @@ def test_params_from_arrays_copy_them_into_one_buffer_and_check_shapes():
     rng = np.random.default_rng(0)
     embedding, proj_w, proj_b = (rng.normal(size=shape)
                                  for shape in ((7, 4), (4, 4), (4,)))
-    params = EncoderParams.from_arrays(embedding, proj_w, proj_b, 0.1)
-    assert params.dim == 4 and params.dropout_rate == 0.1
+    params = EncoderParams.from_arrays(embedding, proj_w, proj_b)
+    assert params.dim == 4
     for got, want in zip((params.embedding, params.proj_w, params.proj_b),
                          (embedding, proj_w, proj_b)):
         assert np.array_equal(got, want) and not np.shares_memory(got, want)
@@ -79,4 +79,4 @@ def test_params_from_arrays_copy_them_into_one_buffer_and_check_shapes():
                 (embedding.ravel(), proj_w, proj_b),
                 (embedding[:, :1], proj_w[:1, :1], np.float64(0.0))):
         with pytest.raises(ValueError, match="parameter shapes"):
-            EncoderParams.from_arrays(*bad, 0.1)
+            EncoderParams.from_arrays(*bad)

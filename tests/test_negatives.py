@@ -17,8 +17,8 @@ from logicad.scenarios import NUMBER_WORDS, SCENARIOS, get_scenario, word_number
 from logicad.scenes import Aspect, sample_normal
 from logicad.templates import Clause, SlotDef, TemplateGrammar, get_grammar
 
-CLEAN = RenderConfig(0.0, 0.0, 0.0)
-NOISY = RenderConfig(0.9, 0.15, 0.05)
+CLEAN = RenderConfig(False, 0.0, 0.0)
+NOISY = RenderConfig(True, 0.15, 0.05)
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))

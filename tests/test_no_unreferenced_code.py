@@ -8,7 +8,7 @@ are exempt, since Python calls them.
 
 The check matches by name alone, not by binding.  So a use of another object
 with the same name hides dead code: ``encoder.encode`` would pass because of
-``str.encode``, and ``EncoderGrads.zeros_like`` because of ``np.zeros_like``.
+``str.encode``, and ``EncoderParams.zeros_like`` because of ``np.zeros_like``.
 """
 
 import ast

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logicad import cli, pipeline
+from logicad import cli, pipeline, trainer
 from logicad.scenarios import DEFAULT_SPLIT_COUNTS, SCENARIOS
 from logicad.scenes import Condition, Label, SplitCounts, task_id_for
 from logicad.trainer import TrainConfig
@@ -137,7 +137,8 @@ def test_cli_gen_writes_the_three_task_files(tmp_path):
 def test_cli_full_flow_and_byte_identical_reruns(tmp_path, capsys):
     out = str(tmp_path)
     assert _run(["train", *ARGS, "--out-dir", out, "--epochs", "3"]) == 0
-    assert (tmp_path / "tapes-white_bg.ckpt.npz").exists()
+    with np.load(tmp_path / "tapes-white_bg.ckpt.npz") as data:
+        assert float(data["dropout_rate"]) == trainer.DROPOUT_RATE
     loss_txt = (tmp_path / "tapes-white_bg.loss.txt").read_text()
     assert loss_txt.startswith("epoch\tmean_loss\n")
     assert len(loss_txt.splitlines()) == 4
@@ -395,6 +396,41 @@ def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run(["gen", "--config", str(not_kv), "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+def test_train_draws_at_the_rate_its_checkpoint_stores(tmp_path, monkeypatch):
+    monkeypatch.setattr(trainer, "DROPOUT_RATE", 0.25)
+    drawn, sample = [], trainer.BatchMasks.sample
+
+    def recording_sample(n, rate, rng):
+        drawn.append(rate)
+        return sample(n, rate, rng)
+
+    monkeypatch.setattr(trainer.BatchMasks, "sample", recording_sample)
+    assert _run(["train", *ARGS, "--out-dir", str(tmp_path), "--epochs", "1",
+                 "--jobs", "1"]) == 0
+    # 50 train pairs in batches of 16
+    assert drawn == [0.25] * 4
+    with np.load(tmp_path / "tapes-white_bg.ckpt.npz") as data:
+        assert float(data["dropout_rate"]) == 0.25
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+def test_an_unreadable_config_file_exits_2_before_any_work(tmp_path, capsys,
+                                                            kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not utf-8":
+        path.write_bytes(b"epochs = 2\n\xff\xfe\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run(["train", *ARGS, "--config", str(path), "--out-dir", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config file {path}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):

@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from logicad import trainer
 from logicad.encoder import (
-    EncoderGrads,
+    EncoderParams,
     Vocabulary,
     init_params,
     tokenize,
@@ -50,9 +51,13 @@ def _random_unit_rows(rng, n, d):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
+def _global_norm(grads):
+    return float(np.linalg.norm(grads.flat))
+
+
 def test_symmetric_single_pair_loss_is_ln2():
     a = _unit([1.0, 0.0])[None, :]
-    loss, per_anchor = nt_xent(a, a.copy(), a.copy(), temperature=0.5)
+    loss, per_anchor, _ = nt_xent(a, a.copy(), a.copy(), temperature=0.5)
     assert abs(loss - np.log(2.0)) < 1e-12
     assert abs(per_anchor[0] - np.log(2.0)) < 1e-12
 
@@ -60,7 +65,7 @@ def test_symmetric_single_pair_loss_is_ln2():
 def test_antipodal_negative_closed_form():
     a = np.array([[1.0, 0.0]])
     n = np.array([[-1.0, 0.0]])
-    loss, _ = nt_xent(a, a.copy(), n, temperature=0.5)
+    loss, _, _ = nt_xent(a, a.copy(), n, temperature=0.5)
     # logits 2 and -2, so the loss is log(1 + e^-4)
     assert abs(loss - np.log1p(np.exp(-4.0))) < 1e-12
 
@@ -73,7 +78,7 @@ def test_loss_matches_naive_unstabilized_formula():
         positives = _random_unit_rows(rng, b, d)
         negatives = _random_unit_rows(rng, m, d)
         tau = float(rng.uniform(0.2, 1.5))
-        _, per_anchor = nt_xent(anchors, positives, negatives, tau)
+        _, per_anchor, _ = nt_xent(anchors, positives, negatives, tau)
         for i in range(b):
             pos = np.exp(float(anchors[i] @ positives[i]) / tau)
             negs = np.exp(anchors[i] @ negatives.T / tau).sum()
@@ -87,7 +92,7 @@ def test_per_anchor_loss_is_nonnegative_over_many_random_batches():
         anchors = _random_unit_rows(rng, 4, 8)
         positives = _random_unit_rows(rng, 4, 8)
         negatives = _random_unit_rows(rng, 6, 8)
-        _, per_anchor = nt_xent(anchors, positives, negatives, 0.5)
+        _, per_anchor, _ = nt_xent(anchors, positives, negatives, 0.5)
         assert np.all(per_anchor >= 0.0)
 
 
@@ -106,12 +111,12 @@ def test_analytic_gradients_match_central_finite_differences():
     batch = TokenRows.build([*pos_tokens, *pos_tokens, *neg_tokens], vocab.size)
     masks = BatchMasks.sample(int(batch.lengths.sum()) * 8, 0.1,
                               np.random.default_rng(0))
-    scratch = EncoderGrads.zeros_like(params)
+    scratch = params.zeros_like()
 
     def loss_at(p):
         return batch_step(batch, p, masks, 0.5, scratch)
 
-    grads = EncoderGrads.zeros_like(params)
+    grads = params.zeros_like()
     batch_step(batch, params, masks, 0.5, grads)
     h = 1e-5
     worst = 0.0
@@ -137,32 +142,44 @@ def test_analytic_gradients_match_central_finite_differences():
 
 def test_clipping_caps_the_global_norm_and_leaves_small_gradients_alone():
     params = init_params(5, dim=4, seed=0)
-    grads = EncoderGrads.zeros_like(params)
+    grads = params.zeros_like()
     grads.embedding += 3.0
     grads.proj_w -= 1.0
     grads.proj_b += 0.5
     unclipped = grads.flat.copy()
-    before = grads.global_norm()
+    before = _global_norm(grads)
     assert before > 1.0
     returned = clip_gradients(grads, 1.0)
     assert abs(returned - before) < 1e-12
-    assert grads.global_norm() <= 1.0 + 1e-9
+    assert _global_norm(grads) <= 1.0 + 1e-9
     # one factor scales all three arrays, so the direction is kept
-    assert np.array_equal(grads.flat, unclipped * (1.0 / before))
+    assert np.array_equal(grads.flat, unclipped * (1.0 / returned))
 
-    small = EncoderGrads.zeros_like(params)
+    small = params.zeros_like()
     small.proj_b += 1e-3
-    norm = small.global_norm()
-    clip_gradients(small, 1.0)
-    assert abs(small.global_norm() - norm) < 1e-15
+    unclipped = small.flat.copy()
+    assert abs(clip_gradients(small, 1.0) - 1e-3 * np.sqrt(4)) < 1e-15
+    assert np.array_equal(small.flat, unclipped)
+
+
+def test_the_clip_norm_adds_the_three_per_array_sums_in_order():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        # V = 50, D = 16; one sum over ``flat`` differs in 6 of these draws
+        grads = EncoderParams(rng.normal(size=50 * 16 + 16 * 16 + 16) * 1e-3, 16)
+        want = np.sqrt(float((grads.embedding ** 2).sum())
+                       + float((grads.proj_w ** 2).sum())
+                       + float((grads.proj_b ** 2).sum()))
+        assert clip_gradients(grads, 1e3) == want
 
 
 def test_params_grads_and_moments_share_one_flat_layout():
     params = init_params(5, dim=4, seed=0)
-    grads = EncoderGrads.zeros_like(params)
+    grads = params.zeros_like()
     state = AdamState.zeros_like(params)
     size = 5 * 4 + 4 * 4 + 4
     assert params.flat.size == grads.flat.size == state.m.size == size
+    assert not grads.flat.any()
     for holder in (params, params.copy(), grads):
         views = (holder.embedding, holder.proj_w, holder.proj_b)
         assert [v.shape for v in views] == [(5, 4), (4, 4), (4,)]
@@ -170,14 +187,14 @@ def test_params_grads_and_moments_share_one_flat_layout():
         assert np.array_equal(np.concatenate([v.ravel() for v in views]),
                               holder.flat)
     assert not np.shares_memory(params.copy().flat, params.flat)
+    assert not np.shares_memory(grads.flat, params.flat)
 
 
 def test_adam_with_zero_gradient_applies_pure_decoupled_decay():
     params = init_params(4, dim=4, seed=2)
     reference = params.copy()
     cfg = TrainConfig(learning_rate=0.1, weight_decay=0.01)
-    adam_update(params, EncoderGrads.zeros_like(params),
-                AdamState.zeros_like(params), cfg)
+    adam_update(params, params.zeros_like(), AdamState.zeros_like(params), cfg)
     assert np.allclose(params.embedding, reference.embedding * (1 - 0.1 * 0.01))
     assert np.allclose(params.proj_w, reference.proj_w * (1 - 0.1 * 0.01))
 
@@ -190,7 +207,7 @@ def test_flat_adam_equals_a_per_array_adam_bit_for_bit():
     state = AdamState.zeros_like(params)
     cfg = TrainConfig(learning_rate=0.05, weight_decay=0.01)
     for t in range(1, 4):
-        grads = EncoderGrads(rng.normal(size=params.flat.size), params.dim)
+        grads = EncoderParams(rng.normal(size=params.flat.size), params.dim)
         adam_update(params, grads, state, cfg)
         for target, grad, (m, v) in zip(arrays, grads.arrays(), moments):
             m *= ADAM_BETA1
@@ -214,6 +231,11 @@ def test_the_block_draw_equals_one_float_draw_and_takes_the_same_stream(n):
         dropped = BatchMasks.sample(n, rate, blocks).dropped
         assert np.array_equal(dropped, np.flatnonzero(floats.random(n) < rate))
         assert blocks.bit_generator.state == floats.bit_generator.state
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.0, 0.5, 2.0 ** -53])
+def test_masks_carry_the_rate_they_were_drawn_at(rate):
+    assert BatchMasks.sample(1_000, rate, np.random.default_rng(0)).rate == rate
 
 
 @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
@@ -244,25 +266,29 @@ def test_fit_is_seed_deterministic_and_loss_decreases():
     pos = POS_TEXTS * 8
     neg = NEG_TEXTS * 8
     cfg = TrainConfig(epochs=8, batch_size=4)
-    a = fit(pos, neg, vocab, cfg, init_params(vocab.size, dim=16, seed=5), 5)
-    b = fit(pos, neg, vocab, cfg, init_params(vocab.size, dim=16, seed=5), 5)
-    assert a.epoch_losses == b.epoch_losses
-    assert np.allclose(a.params.embedding, b.params.embedding)
-    assert a.epoch_losses[-1] < a.epoch_losses[0]
+    a_params, a_losses = fit(pos, neg, vocab, cfg,
+                             init_params(vocab.size, dim=16, seed=5), 5)
+    b_params, b_losses = fit(pos, neg, vocab, cfg,
+                             init_params(vocab.size, dim=16, seed=5), 5)
+    assert a_losses == b_losses
+    assert np.allclose(a_params.embedding, b_params.embedding)
+    assert a_losses[-1] < a_losses[0]
 
 
-def test_zero_learning_rate_leaves_params_unchanged_with_flat_curve():
+def test_zero_learning_rate_leaves_params_unchanged_with_flat_curve(
+        monkeypatch):
+    monkeypatch.setattr(trainer, "DROPOUT_RATE", 0.0)
     vocab = Vocabulary.build(POS_TEXTS + NEG_TEXTS)
     pos = POS_TEXTS * 4
     neg = NEG_TEXTS * 4
-    init = init_params(vocab.size, dim=8, seed=1, dropout_rate=0.0)
+    init = init_params(vocab.size, dim=8, seed=1)
     cfg = TrainConfig(epochs=6, batch_size=len(pos), learning_rate=0.0,
                       weight_decay=0.0)
-    result = fit(pos, neg, vocab, cfg, init, 1)
-    assert np.array_equal(result.params.embedding, init.embedding)
-    assert np.array_equal(result.params.proj_w, init.proj_w)
+    params, losses = fit(pos, neg, vocab, cfg, init, 1)
+    assert np.array_equal(params.embedding, init.embedding)
+    assert np.array_equal(params.proj_w, init.proj_w)
     # flat curve: only float summation order varies across epochs
-    assert max(result.epoch_losses) - min(result.epoch_losses) < 1e-12
+    assert max(losses) - min(losses) < 1e-12
 
 
 def test_fit_rejects_misaligned_or_empty_pairs():
