@@ -1,10 +1,14 @@
-"""Rendering scenes into logic-focused texts, and parsing texts back.
+"""Rendering scenes into logic-focused texts.
 
 The built-in renderer stands in for a frozen image-to-text model: one text
 per scene, produced from the scenario's template grammar.  Capture
 conditions degrade the text linguistically (dropped optional clauses,
 corrupted decorative adjectives, paraphrase variation) without ever
 changing the logical label of the underlying scene.
+
+``render`` returns the slot record it wrote along with the text, so the
+pipeline never parses a text back; ``tests/oracles.py`` does, to check the
+render -> parse -> render round trip.
 """
 
 from __future__ import annotations
@@ -16,10 +20,6 @@ import numpy as np
 
 from .scenes import Condition, Scene
 from .templates import Skeleton, TemplateGrammar
-
-
-class ParseError(ValueError):
-    """Text does not match any template skeleton of the scenario."""
 
 
 class RenderError(ValueError):
@@ -100,31 +100,6 @@ def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
                 others = [v for v in slot_def.values if v != slots[name]]
                 slots[name] = others[int(rng.integers(len(others)))]
     return build_record(grammar, (variant, mask), slots)
-
-
-def parse(text: str, grammar: TemplateGrammar) -> AttributeRecord:
-    """Parse a rendered text back into the record ``render`` returned for it.
-
-    Tries every paraphrase variant and clause-inclusion mask; an
-    unparseable text raises rather than yielding a partial record.  The
-    pipeline never parses its own texts; this is the round-trip oracle and
-    the check inside ``negatives.validate_negative``.
-    """
-    if not text:
-        raise ParseError("cannot parse an empty text")
-    for skeleton, regex in grammar.parse_patterns:
-        m = regex.fullmatch(text)
-        if m is None:
-            continue
-        ordered = grammar.slots_in_skeleton(skeleton)
-        return AttributeRecord(
-            skeleton=skeleton,
-            slots=tuple((name, m.group(name)) for name in ordered),
-            text=text,
-        )
-    raise ParseError(
-        f"text does not match any {grammar.scenario_id} template: {text!r}"
-    )
 
 
 def description_record(task_id: str, sample_id: str, split: str, label: str,

@@ -3,7 +3,8 @@
 Dropout comes after tanh, so a text pools rows of one per-id activation
 table.  Encoding is deterministic, a pure function of (text, params): no
 dropout, ``normalize(counts @ table / T)``.  Training draws its dropout in
-``trainer.BatchMasks`` and backpropagates onto the same table.
+``trainer.BatchMasks`` and backpropagates onto the same table.  Both hold
+their texts as one ``TokenRows``: token ids, id counts and lengths.
 """
 
 from __future__ import annotations
@@ -133,13 +134,31 @@ def token_counts(token_lists: list[np.ndarray], vocab_size: int) -> np.ndarray:
     return counts
 
 
+@dataclass
+class TokenRows:
+    """Texts as token ids, per-id count rows and lengths, row by row."""
+
+    tokens: list[np.ndarray]
+    counts: np.ndarray   # (texts, V) how often each id occurs in each text
+    lengths: np.ndarray  # (texts,) tokens per text
+
+    @classmethod
+    def build(cls, tokens: list[np.ndarray], vocab_size: int) -> "TokenRows":
+        return cls(tokens, token_counts(tokens, vocab_size),
+                   np.array([len(t) for t in tokens]))
+
+    def take(self, rows: np.ndarray) -> "TokenRows":
+        return TokenRows([self.tokens[i] for i in rows], self.counts[rows],
+                         self.lengths[rows])
+
+
 def encode_texts(texts: list[str], params: EncoderParams,
                  vocab: Vocabulary) -> np.ndarray:
     """Deterministic encodings of many texts: normalize(counts @ table / T)."""
-    counts = token_counts([tokenize(t, vocab) for t in texts],
-                          params.embedding.shape[0])
-    pooled = counts @ activation_table(params)
-    pooled /= counts.sum(axis=1)[:, None]
+    rows = TokenRows.build([tokenize(t, vocab) for t in texts],
+                           params.embedding.shape[0])
+    pooled = rows.counts @ activation_table(params)
+    pooled /= rows.lengths[:, None]
     return normalize_rows(pooled)[0]
 
 

@@ -67,8 +67,6 @@ class TaskReport:
     condition: Condition
     auroc: float
     subset_auroc: dict[Label, float]
-    n_normal: int
-    n_anomaly: int
 
 
 def make_task_report(task_id: str, scenario_id: str, condition: Condition,
@@ -94,8 +92,6 @@ def make_task_report(task_id: str, scenario_id: str, condition: Condition,
         condition=condition,
         auroc=overall,
         subset_auroc=subset,
-        n_normal=int(normal_mask.sum()),
-        n_anomaly=int(len(labels) - normal_mask.sum()),
     )
 
 

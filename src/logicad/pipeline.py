@@ -212,8 +212,10 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
         save_checkpoint(checkpoint, trained, config, task_id)
         write_loss_curve(out_dir, task_id, trained.epoch_losses)
         if stages == "train":
-            last = trained.epoch_losses[-1] if trained.epoch_losses else float("nan")
-            return f"train {task_id}: final loss {last:.4f}", None
+            if not trained.epoch_losses:
+                return f"train {task_id}: not trained (skip_training)", None
+            return (f"train {task_id}: final loss "
+                    f"{trained.epoch_losses[-1]:.4f}", None)
     scored = score_task(config, artifacts, trained)
     write_score_file(out_dir, scored)
     prefix = "score " if stages == "score" else ""
@@ -350,13 +352,19 @@ def checkpoint_mismatches(trained: TrainedTask, config: PipelineConfig,
                           artifacts: TaskArtifacts) -> list[str]:
     """How a loaded checkpoint disagrees with this run's task; empty if it fits.
 
-    The vocabulary is rebuilt from the train pairs, negatives included; this
-    check is the only reason ``score`` synthesises those negatives.
+    A trained checkpoint holds at least one epoch loss and a baseline one
+    none, so one kind never scores a run of the other.  The vocabulary is
+    rebuilt from the train pairs, negatives included; this check is the only
+    reason ``score`` synthesises those negatives.
     """
     expected = _fingerprint(config, artifacts.task.task_id)
     stored = trained.fingerprint or {}
     problems = [f"{key} is {stored.get(key)!r}, expected {expected[key]!r}"
                 for key in _MATCHED_SETTINGS if stored.get(key) != expected[key]]
+    skipped = not trained.epoch_losses
+    if skipped != config.skip_training:
+        problems.append(f"skip_training is {skipped}, expected "
+                        f"{config.skip_training}")
     if trained.vocab != artifacts.vocabulary():
         problems.append("vocabulary differs from the one the training pairs build")
     return problems

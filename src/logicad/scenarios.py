@@ -1,4 +1,4 @@
-"""The ten built-in scenarios: vocabularies, rules, views and edits.
+"""The ten built-in scenarios: rules, views and edits.
 
 Each scenario pairs two rule aspects.  Its view, the logical state that
 the grammar renders (a dict; a list for dishes), is what ``normal`` draws
@@ -155,14 +155,11 @@ class GroupLayout:
 
 
 def _grouped_spec(layout: GroupLayout, aspects: tuple[Aspect, Aspect],
-                  vocab: dict[str, tuple[str, ...]], regions: tuple[str, ...],
                   count_edit=None) -> ScenarioSpec:
     """Rule a holds the counts and rule b the attributes."""
     return ScenarioSpec(
         scenario_id=layout.scenario_id,
         aspects=aspects,
-        vocab=vocab,
-        layout=regions,
         rule_a=layout.counts_hold,
         rule_b=layout.attrs_hold,
         view=layout.view,
@@ -184,12 +181,7 @@ STICKS_LAYOUT = GroupLayout(
             ("red", "count_red", "len_red", 1, "short")),
 )
 
-STICKS = _grouped_spec(
-    STICKS_LAYOUT, (Aspect.QUANTITY, Aspect.LENGTH),
-    {"category": ("stick",), "color": ("blue", "red"),
-     "length": STICKS_LAYOUT.values},
-    regions=(),
-)
+STICKS = _grouped_spec(STICKS_LAYOUT, (Aspect.QUANTITY, Aspect.LENGTH))
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +241,6 @@ def _fruits_edit_t(view: dict, rng: np.random.Generator) -> None:
 FRUITS = ScenarioSpec(
     scenario_id="fruits",
     aspects=(Aspect.QUANTITY, Aspect.TYPE),
-    vocab={"category": _FRUIT_TYPES},
-    layout=(),
     rule_a=_agrees(_fruits_view, _FRUITS_NORMAL, ("count_a", "count_b"),
                    _two_runs),
     rule_b=_agrees(_fruits_view, _FRUITS_NORMAL, ("cat_a", "cat_b"), _two_runs),
@@ -273,11 +263,7 @@ TOOLS_LAYOUT = GroupLayout(
             ("nut", "count_nut", "region_nut", 2, "right")),
 )
 
-TOOLS = _grouped_spec(
-    TOOLS_LAYOUT, (Aspect.QUANTITY, Aspect.PLACEMENT),
-    {"category": ("bolt", "washer", "nut")},
-    regions=TOOLS_LAYOUT.values,
-)
+TOOLS = _grouped_spec(TOOLS_LAYOUT, (Aspect.QUANTITY, Aspect.PLACEMENT))
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +280,7 @@ COOKIES_LAYOUT = GroupLayout(
             ("round_dish", "count_round", "color_round", 1, "black")),
 )
 
-COOKIES = _grouped_spec(
-    COOKIES_LAYOUT, (Aspect.QUANTITY, Aspect.RELATION),
-    {"category": ("cookie",), "color": _COOKIE_COLORS},
-    regions=("square_dish", "round_dish"),
-)
+COOKIES = _grouped_spec(COOKIES_LAYOUT, (Aspect.QUANTITY, Aspect.RELATION))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +315,6 @@ def _tapes_build(view: dict) -> Scene:
 TAPES = ScenarioSpec(
     scenario_id="tapes",
     aspects=(Aspect.LENGTH, Aspect.TYPE),
-    vocab={"category": ("tape",), "color": _TAPE_COLORS, "length": _LENGTHS},
-    layout=(),
     rule_a=_agrees(_tapes_view, _TAPES_NORMAL, _TAPE_LEN_SLOTS, _n_objects(2)),
     rule_b=_agrees(_tapes_view, _TAPES_NORMAL, _TAPE_COLOR_SLOTS,
                    _n_objects(2)),
@@ -402,9 +382,6 @@ def _stationery_edit_l(view: dict, rng: np.random.Generator) -> None:
 STATIONERY = ScenarioSpec(
     scenario_id="stationery",
     aspects=(Aspect.LENGTH, Aspect.PLACEMENT),
-    vocab={"category": ("pencil", "eraser"), "color": ("black", "blue", "red"),
-           "length": ("long", "short")},
-    layout=("left_bin", "right_bin"),
     rule_a=_agrees(_stationery_view, _STATIONERY_NORMAL,
                    ("len_left_pencil", "len_left_eraser", "len_right_pencil",
                     "len_right_eraser"), _n_objects(4)),
@@ -466,9 +443,6 @@ def _ropes_edit_r(view: dict, rng: np.random.Generator) -> None:
 ROPES = ScenarioSpec(
     scenario_id="ropes",
     aspects=(Aspect.LENGTH, Aspect.RELATION),
-    vocab={"category": ("rope",), "color": _ROPE_COLORS,
-           "length": _ROPE_LENGTHS},
-    layout=(),
     rule_a=_ropes_rule_l,
     rule_b=_ropes_rule_r,
     view=_ropes_view,
@@ -527,8 +501,6 @@ def _blocks_valid_groups(scene: Scene) -> bool:
 BLOCKS = ScenarioSpec(
     scenario_id="blocks",
     aspects=(Aspect.TYPE, Aspect.PLACEMENT),
-    vocab={"category": _BLOCK_SHAPES},
-    layout=_BLOCK_BINS,
     rule_a=_agrees(_blocks_view, _BLOCKS_NORMAL, _BLOCK_SHAPE_SLOTS,
                    _blocks_valid_groups),
     rule_b=_agrees(_blocks_view, _BLOCKS_NORMAL, _BLOCK_REGION_SLOTS,
@@ -585,8 +557,6 @@ def _dishes_edit_r(items: list[str], rng: np.random.Generator) -> None:
 DISHES = ScenarioSpec(
     scenario_id="dishes",
     aspects=(Aspect.TYPE, Aspect.RELATION),
-    vocab={"category": _DISH_ITEMS + _DISH_INTRUDERS},
-    layout=(),
     rule_a=_dishes_rule_t,
     rule_b=_dishes_rule_r,
     view=_dishes_items,
@@ -602,7 +572,6 @@ DISHES = ScenarioSpec(
 # in the top row and white in the bottom row.
 # ---------------------------------------------------------------------------
 
-_BALL_REGIONS = ("top_left", "top_right", "bottom_left", "bottom_right")
 _BALL_COLORS = ("orange", "white", "green", "purple")
 
 BALLS_LAYOUT = GroupLayout(
@@ -625,11 +594,8 @@ def _balls_edit_p(view: dict, rng: np.random.Generator) -> None:
     view[f"n_{dst}"] += 1
 
 
-BALLS = _grouped_spec(
-    BALLS_LAYOUT, (Aspect.PLACEMENT, Aspect.RELATION),
-    {"category": ("ball",), "color": _BALL_COLORS},
-    regions=_BALL_REGIONS, count_edit=_balls_edit_p,
-)
+BALLS = _grouped_spec(BALLS_LAYOUT, (Aspect.PLACEMENT, Aspect.RELATION),
+                      count_edit=_balls_edit_p)
 
 
 SCENARIOS: dict[str, ScenarioSpec] = {

@@ -44,10 +44,6 @@ class Label(enum.Enum):
     DUAL = "dual"
 
 
-class SceneError(ValueError):
-    """Malformed scene or unknown scenario."""
-
-
 class GenerationError(RuntimeError):
     """Targeted anomaly could not be realized within the attempt bound."""
 
@@ -70,7 +66,7 @@ class Scene:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario: its aspect pair, vocabularies, layout, rules and views.
+    """One scenario: its aspect pair, rules, views and edits.
 
     ``rule_a``/``rule_b`` return True when the rule is satisfied.  They are
     total over well-formed scenes; the empty-scene degenerate case is
@@ -83,8 +79,6 @@ class ScenarioSpec:
 
     scenario_id: str
     aspects: tuple[Aspect, Aspect]
-    vocab: dict[str, tuple[str, ...]]
-    layout: tuple[str, ...]
     rule_a: Callable[[Scene], bool]
     rule_b: Callable[[Scene], bool]
     view: Callable[[Scene], Any]
@@ -93,37 +87,8 @@ class ScenarioSpec:
     edits: dict[Aspect, Callable[[Any, np.random.Generator], None]]
 
 
-def validate_scene(scene: Scene, spec: ScenarioSpec) -> None:
-    if scene.scenario_id != spec.scenario_id:
-        raise SceneError(
-            f"scene scenario {scene.scenario_id!r} does not match spec "
-            f"{spec.scenario_id!r}"
-        )
-    categories = spec.vocab.get("category", ())
-    colors = spec.vocab.get("color", ())
-    lengths = spec.vocab.get("length", ())
-    seen_order: set[int] = set()
-    for obj in scene.objects:
-        if obj.category not in categories:
-            raise SceneError(f"unknown category {obj.category!r} in {spec.scenario_id}")
-        if obj.color is not None and colors and obj.color not in colors:
-            raise SceneError(f"unknown color {obj.color!r} in {spec.scenario_id}")
-        if obj.length_class is not None and lengths and obj.length_class not in lengths:
-            raise SceneError(
-                f"unknown length class {obj.length_class!r} in {spec.scenario_id}"
-            )
-        if obj.region is not None and obj.region not in spec.layout:
-            raise SceneError(f"unknown region {obj.region!r} in {spec.scenario_id}")
-        if obj.order_index is not None:
-            key = (obj.region, obj.order_index)
-            if key in seen_order:
-                raise SceneError(f"duplicate order index {key} in {spec.scenario_id}")
-            seen_order.add(key)
-
-
 def check_rules(scene: Scene, spec: ScenarioSpec) -> set[Aspect]:
     """Return the subset of the spec's two aspects whose rule the scene violates."""
-    validate_scene(scene, spec)
     if not scene.objects:
         # An empty tray satisfies no manufacturing rule.
         return set(spec.aspects)

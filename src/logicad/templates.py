@@ -3,21 +3,19 @@
 Every scenario ships one grammar with three paraphrase variants.  A variant
 is a sequence of clauses; a clause is a format string over named slots plus
 an "optional" flag (optional clauses can be dropped by condition-dependent
-omission).  Slot values are single tokens, so a filled template can be
-parsed back exactly by matching slot vocabularies.
+omission).
 
 A grammar renders its scenario's view, the one ``scenarios`` reads: its
 ``logical_slots`` turn that view into the words of the logical slots, by
 default each count as its number word.
 
-The skeleton of a text is its ``(variant, clause mask)`` pair; re-rendering a
-parsed (skeleton, slots) pair reproduces the text byte for byte.
+The skeleton of a text is its ``(variant, clause mask)`` pair; a
+(skeleton, slots) pair determines the text byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -73,14 +71,6 @@ class TemplateGrammar:
                 slots[name] = slot.values[0]
         return slots
 
-    def clause_masks(self, variant: int):
-        """All clause-inclusion masks (mandatory clauses always included)."""
-        choices = [
-            (True, False) if clause.optional else (True,)
-            for clause in self.variants[variant]
-        ]
-        return itertools.product(*choices)
-
     def slots_in_skeleton(self, skeleton: Skeleton) -> list[str]:
         variant, mask = skeleton
         names: list[str] = []
@@ -88,36 +78,6 @@ class TemplateGrammar:
             if included:
                 names.extend(clause.slot_names)
         return names
-
-    @functools.cached_property
-    def parse_patterns(self) -> tuple[tuple[str, re.Pattern], ...]:
-        """(skeleton, full-text regex) for every variant and clause mask.
-
-        Each slot becomes a named group over its values, longest first.
-        Compiled once per grammar, in the order a parse tries them.
-        """
-        patterns = []
-        for variant in range(len(self.variants)):
-            for mask in self.clause_masks(variant):
-                pieces = []
-                for clause, included in zip(self.variants[variant], mask):
-                    if not included:
-                        continue
-                    pattern = ""
-                    pos = 0
-                    for m in re.finditer(r"\{(\w+)\}", clause.template):
-                        pattern += re.escape(clause.template[pos:m.start()])
-                        slot = self.slots[m.group(1)]
-                        alternation = "|".join(
-                            re.escape(v)
-                            for v in sorted(slot.values, key=len, reverse=True))
-                        pattern += f"(?P<{slot.name}>{alternation})"
-                        pos = m.end()
-                    pattern += re.escape(clause.template[pos:])
-                    pieces.append(pattern)
-                patterns.append(((variant, mask),
-                                 re.compile(re.escape(" ").join(pieces))))
-        return tuple(patterns)
 
 
 def _plural_fruit(category: str) -> str:

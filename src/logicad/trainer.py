@@ -17,11 +17,11 @@ import numpy as np
 
 from .encoder import (
     EncoderParams,
+    TokenRows,
     Vocabulary,
     activation_table,
     normalize_rows,
     table_grads,
-    token_counts,
     tokenize,
 )
 
@@ -126,24 +126,6 @@ class BatchMasks:
             parts.append(np.flatnonzero(raw < threshold) + start)
             del raw  # the next block is allocated before ``raw`` is rebound
         return cls(np.concatenate(parts), rate)
-
-
-@dataclass
-class TokenRows:
-    """Texts as token ids, per-id count rows and lengths, row by row."""
-
-    tokens: list[np.ndarray]
-    counts: np.ndarray   # (texts, V) how often each id occurs in each text
-    lengths: np.ndarray  # (texts,) tokens per text
-
-    @classmethod
-    def build(cls, tokens: list[np.ndarray], vocab_size: int) -> "TokenRows":
-        return cls(tokens, token_counts(tokens, vocab_size),
-                   np.array([len(t) for t in tokens]))
-
-    def take(self, rows: np.ndarray) -> "TokenRows":
-        return TokenRows([self.tokens[i] for i in rows], self.counts[rows],
-                         self.lengths[rows])
 
 
 def clip_gradients(grads: EncoderParams, clip_norm: float) -> float:

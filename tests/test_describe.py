@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from oracles import ParseError, clause_masks, parse
+
 from logicad.describe import (
     CONDITION_RENDER_DEFAULTS,
-    ParseError,
     RenderConfig,
     RenderError,
     build_record,
-    parse,
     render,
 )
 from logicad.scenarios import SCENARIOS, get_scenario
@@ -137,7 +137,7 @@ def test_round_trip_identity_on_every_skeleton(scenario_id):
     grammar = get_grammar(scenario_id)
     slots = grammar.scene_slots(_canonical_scene(scenario_id))
     for variant in range(len(grammar.variants)):
-        for mask in grammar.clause_masks(variant):
+        for mask in clause_masks(grammar, variant):
             text = build_record(grammar, (variant, mask), slots).text
             record = parse(text, grammar)
             assert record.skeleton == (variant, mask)

@@ -5,13 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from logicad.describe import RenderConfig, build_record, parse, render
+from oracles import clause_masks, parse, validate_negative
+
+from logicad.describe import RenderConfig, build_record, render
 from logicad.negatives import (
     SynthesisError,
     contradiction_pool,
     pair_record,
     synthesize_negative,
-    validate_negative,
 )
 from logicad.scenarios import NUMBER_WORDS, SCENARIOS, get_scenario, word_number
 from logicad.scenes import Aspect, sample_normal
@@ -104,7 +105,7 @@ def test_validation_flags_skeleton_changes():
     grammar = get_grammar("sticks")
     slots = grammar.scene_slots(
         sample_normal(get_scenario("sticks"), np.random.default_rng(0)))
-    masks = list(grammar.clause_masks(0))
+    masks = list(clause_masks(grammar, 0))
     full = build_record(grammar, (0, masks[0]), slots).text
     partial_mask = next(m for m in masks if not all(m))
     dropped = build_record(grammar, (0, partial_mask), slots).text

@@ -18,12 +18,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "logicad"
 
 # Names kept without a caller in src/, as ``module.qualname``.
-ALLOWED = {
-    "__init__.__version__",
-    # the oracle the tests validate negatives with (see ROADMAP item 1)
-    "negatives.validate_negative",
-    "negatives.NegativeValidation.passed",
-}
+ALLOWED = {"__init__.__version__"}
 
 
 def _references(node: ast.AST) -> Counter:

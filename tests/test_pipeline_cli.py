@@ -531,6 +531,29 @@ def test_cli_score_refuses_a_checkpoint_of_another_seed(tmp_path, capsys):
     assert not (tmp_path / "sticks-white_bg.scores.jsonl").exists()
 
 
+@pytest.mark.parametrize("train_skips", [True, False],
+                         ids=["baseline-checkpoint", "trained-checkpoint"])
+def test_cli_score_refuses_a_checkpoint_of_the_other_kind(tmp_path, capsys,
+                                                           train_skips):
+    frozen = tmp_path / "frozen.cfg"
+    frozen.write_text("skip_training = true\n")
+    out = str(tmp_path)
+    train_argv = (["--config", str(frozen)] if train_skips
+                  else ["--epochs", "1"])
+    assert _run(["train", *ARGS, *train_argv, "--out-dir", out]) == 0
+    trained_line = capsys.readouterr().out
+    assert ("not trained" in trained_line) == train_skips
+    score_argv = [] if train_skips else ["--config", str(frozen)]
+    with pytest.raises(SystemExit) as exc:
+        _run(["score", *ARGS, *score_argv, "--out-dir", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "tapes-white_bg" in err
+    assert (f"skip_training is {train_skips}, expected {not train_skips}"
+            in err)
+    assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()
+
+
 def test_cli_score_refuses_another_seed_alike_in_worker_processes(tmp_path, capsys):
     out = str(tmp_path)
     assert _run(["train", *TWO_TASKS, "--seed", "1", "--epochs", "1",

@@ -26,7 +26,6 @@ from logicad.scenes import (
     Label,
     ObjectInstance,
     Scene,
-    SceneError,
     SplitCounts,
     build_task,
     check_rules,
@@ -380,22 +379,6 @@ def test_empty_scene_violates_both_aspects():
     empty = Scene("sticks", ())
     assert check_rules(empty, spec) == set(spec.aspects)
     assert classify(empty, spec) == Label.DUAL
-
-
-def test_validate_scene_rejects_malformed_scenes():
-    spec = get_scenario("tools")
-    with pytest.raises(SceneError):
-        classify(Scene("sticks", ()), spec)  # scenario mismatch
-    with pytest.raises(SceneError):
-        classify(Scene("tools", (ObjectInstance("gear", region="left"),)), spec)
-    with pytest.raises(SceneError):
-        classify(Scene("tools", (ObjectInstance("bolt", region="under"),)), spec)
-    dup = (
-        ObjectInstance("bolt", region="left", order_index=0),
-        ObjectInstance("nut", region="left", order_index=0),
-    )
-    with pytest.raises(SceneError):
-        classify(Scene("tools", dup), spec)
 
 
 def test_build_task_counts_and_ids():
