@@ -14,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import knn, metrics, pipeline, scenarios, scenes, trainer
+from . import metrics, pipeline, scenarios, scenes, trainer
 
 OUT_DIR_ENV = "LOGICAD_OUT_DIR"
 
@@ -164,10 +164,10 @@ def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
     fields = {key: values[key] for key in _PIPELINE_KEYS if key in values}
     if "seed" in values:
         fields["master_seed"] = values["seed"]
-    if values.get("scenario"):
+    if "scenario" in values:
         fields["scenario_ids"] = _parse_names(
             values["scenario"], "scenario", sorted(scenarios.SCENARIOS))
-    if values.get("condition"):
+    if "condition" in values:
         names = _parse_names(values["condition"], "condition",
                              [c.value for c in scenes.Condition])
         fields["conditions"] = tuple(scenes.Condition(n) for n in names)
@@ -185,16 +185,7 @@ def _reports_from_files(config: pipeline.PipelineConfig,
     reports = []
     for scenario_id, condition in config.tasks():
         task_id = scenes.task_id_for(scenario_id, condition)
-        path = out_dir / f"{task_id}.scores.jsonl"
-        if not path.exists():
-            raise CliError(f"no score file for {task_id}; run `logicad score` first")
-        scores, labels = [], []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = knn.parse_score_record(line)
-                    scores.append(rec["score"])
-                    labels.append(scenes.Label(rec["label"]))
+        scores, labels = pipeline.read_score_file(out_dir, task_id)
         reports.append(metrics.make_task_report(task_id, scenario_id,
                                                 condition, scores, labels))
     return reports
@@ -203,11 +194,10 @@ def _reports_from_files(config: pipeline.PipelineConfig,
 def _write_report(config: pipeline.PipelineConfig, out_dir: Path,
                   reports: list[metrics.TaskReport], fmt: str
                   ) -> tuple[metrics.AggregateReport, Path]:
-    """Aggregate, write report.csv or report.md and print it."""
+    """Aggregate, write the report file and print it."""
     agg = metrics.aggregate(reports, config.tasks())
     text = metrics.emit_report(agg, fmt)
-    path = out_dir / f"report.{'csv' if fmt == 'csv' else 'md'}"
-    path.write_text(text, encoding="utf-8")
+    path = pipeline.write_report(out_dir, text, fmt)
     print(text, end="")
     return agg, path
 

@@ -8,12 +8,12 @@ changing the logical label of the underlying scene.
 
 ``render`` returns the slot record it wrote along with the text, so the
 pipeline never parses a text back; ``tests/oracles.py`` does, to check the
-render -> parse -> render round trip.
+render -> parse -> render round trip.  ``pipeline`` writes the texts to the
+description file.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,12 +101,3 @@ def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
                 slots[name] = others[int(rng.integers(len(others)))]
     return build_record(grammar, (variant, mask), slots)
 
-
-def description_record(task_id: str, sample_id: str, split: str, label: str,
-                       text: str) -> str:
-    """One line of the description file."""
-    return json.dumps(
-        {"task_id": task_id, "sample_id": sample_id, "split": split,
-         "label": label, "text": text},
-        sort_keys=True,
-    )

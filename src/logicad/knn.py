@@ -5,12 +5,12 @@ nearest reference embeddings).  Queries must be unit-norm, as
 ``encode_texts`` rows are (any other raises ``LibraryError``), so
 distances are bounded by 2 and S lies in [1/3, 1].  Ties at the k-th
 distance are broken by ascending library index so exactly min(k, N)
-neighbors are selected.
+neighbors are selected.  ``pipeline`` writes the scores to the score file
+and reads them back.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,22 +84,3 @@ def score_split(test_texts: list[str], params: EncoderParams,
     return [score(z, library, k)
             for z in encode_texts(test_texts, params, vocab)]
 
-
-def score_record(task_id: str, sample_id: str, label: str,
-                 result: NormalityScore) -> str:
-    """One line of the score file."""
-    return json.dumps(
-        {
-            "task_id": task_id,
-            "sample_id": sample_id,
-            "label": label,
-            "score": result.score,
-            "mean_distance": result.mean_distance,
-            "neighbor_ids": list(result.neighbor_ids),
-        },
-        sort_keys=True,
-    )
-
-
-def parse_score_record(line: str) -> dict:
-    return json.loads(line)

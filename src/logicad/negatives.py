@@ -3,15 +3,14 @@
 One negative per positive: take the slot record ``render`` returned for the
 positive, replace one or two logical slot values with pool values that
 genuinely contradict them, and re-render on the identical skeleton.
-``pair_record`` reads the edits off the two records.  The tests check the
-synthesis constraints (structure preserved, replacement-only, at least one
-real contradiction, token budget respected) by parsing both texts with the
-oracle in ``tests/oracles.py``.
+``pair_edits`` reads the edits off the two records for the pair file,
+which ``pipeline`` writes.  The tests check the synthesis constraints
+(structure preserved, replacement-only, at least one real contradiction,
+token budget respected) by parsing both texts with the oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -80,21 +79,9 @@ def synthesize_negative(
     return build_record(grammar, pos.skeleton, slot_map)
 
 
-def pair_record(task_id: str, sample_id: str, pos: AttributeRecord,
-                neg: AttributeRecord, grammar: TemplateGrammar) -> str:
-    """One line of the negative-pair file; its edits are the slots that differ."""
-    return json.dumps(
-        {
-            "task_id": task_id,
-            "sample_id": sample_id,
-            "pos_text": pos.text,
-            "neg_text": neg.text,
-            "edits": [
-                {"slot": name, "old": old, "new": new,
-                 "aspect": grammar.slots[name].aspect.value}
-                for (name, old), (_, new) in zip(pos.slots, neg.slots)
-                if old != new
-            ],
-        },
-        sort_keys=True,
-    )
+def pair_edits(pos: AttributeRecord, neg: AttributeRecord,
+               grammar: TemplateGrammar) -> list[dict]:
+    """The slots where a negative differs from its positive, with their aspect."""
+    return [{"slot": name, "old": old, "new": new,
+             "aspect": grammar.slots[name].aspect.value}
+            for (name, old), (_, new) in zip(pos.slots, neg.slots) if old != new]

@@ -16,6 +16,9 @@ only the train pairs, so it generates only the train split; that split
 leads the task's scene stream and every render and negative is seeded by
 its sample id, so its scenes, texts, pairs and vocabulary are those of the
 whole task.
+
+Only the run-directory section at the end names, writes or reads a file of
+the output directory; the other modules hold no file format.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import os
 import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -169,11 +172,7 @@ def score_task(config: PipelineConfig, artifacts: TaskArtifacts,
 
 
 class CheckpointError(ValueError):
-    """A checkpoint is missing or was saved for another run (exit 2)."""
-
-
-def _checkpoint_path(out_dir: Path, task_id: str) -> Path:
-    return out_dir / f"{task_id}.ckpt.npz"
+    """A run-directory input is missing or belongs to another run (exit 2)."""
 
 
 STAGES = ("gen", "train", "score", "all")
@@ -200,7 +199,7 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
         write_task_files(out_dir, artifacts)
         if stages == "gen":
             return f"gen {task_id}: {len(artifacts.task.samples)} samples", None
-    checkpoint = _checkpoint_path(out_dir, task_id)
+    checkpoint = _task_path(out_dir, task_id, "ckpt.npz")
     if stages == "score":
         trained = load_checkpoint(checkpoint)
         mismatches = checkpoint_mismatches(trained, config, artifacts)
@@ -237,7 +236,7 @@ def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
     if stages == "score":
         for scenario_id, condition in tasks:
             task_id = scenes.task_id_for(scenario_id, condition)
-            if not _checkpoint_path(out_dir, task_id).exists():
+            if not _task_path(out_dir, task_id, "ckpt.npz").exists():
                 raise CheckpointError(
                     f"no checkpoint for {task_id}; run `logicad train` first")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -255,41 +254,82 @@ def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
                             [s for s, _ in tasks], [c for _, c in tasks])
 
 
-# --- file emission --------------------------------------------------------
+# --- the run directory ----------------------------------------------------
+
+def _task_path(out_dir: Path, task_id: str, kind: str) -> Path:
+    """The file of one kind (``scenes.jsonl``, ``ckpt.npz``, ...) of a task."""
+    return out_dir / f"{task_id}.{kind}"
+
+
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    """One JSON object per line, keys sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
 
 def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
+    """The task's scene, description and negative-pair files."""
     task = artifacts.task
     grammar = get_grammar(task.scenario_id)
-    with open(out_dir / f"{task.task_id}.scenes.jsonl", "w", encoding="utf-8") as fh:
-        for sample in task.samples:
-            fh.write(scenes.scene_record(task.task_id, task.condition,
-                                         sample.split, sample.label,
-                                         sample.scene) + "\n")
-    with open(out_dir / f"{task.task_id}.descriptions.jsonl", "w",
-              encoding="utf-8") as fh:
-        for sample in task.samples:
-            fh.write(describe.description_record(
-                task.task_id, sample.sample_id, sample.split,
-                sample.label.value, artifacts.texts[sample.sample_id]) + "\n")
-    with open(out_dir / f"{task.task_id}.pairs.jsonl", "w", encoding="utf-8") as fh:
-        for sample in task.split("train"):
-            pos, neg = artifacts.pairs[sample.sample_id]
-            fh.write(negatives.pair_record(task.task_id, sample.sample_id,
-                                           pos, neg, grammar) + "\n")
+    _write_jsonl(_task_path(out_dir, task.task_id, "scenes.jsonl"), (
+        {"task_id": task.task_id, "scenario": s.scene.scenario_id,
+         "condition": task.condition.value, "split": s.split,
+         "label": s.label.value, "scene": scenes.scene_fields(s.scene)}
+        for s in task.samples))
+    _write_jsonl(_task_path(out_dir, task.task_id, "descriptions.jsonl"), (
+        {"task_id": task.task_id, "sample_id": s.sample_id, "split": s.split,
+         "label": s.label.value, "text": artifacts.texts[s.sample_id]}
+        for s in task.samples))
+    _write_jsonl(_task_path(out_dir, task.task_id, "pairs.jsonl"), (
+        {"task_id": task.task_id, "sample_id": sample_id,
+         "pos_text": pos.text, "neg_text": neg.text,
+         "edits": negatives.pair_edits(pos, neg, grammar)}
+        for sample_id, (pos, neg) in artifacts.pairs.items()))
 
 
 def write_score_file(out_dir: Path, scored: ScoredTask) -> None:
     task_id = scored.report.task_id
-    with open(out_dir / f"{task_id}.scores.jsonl", "w", encoding="utf-8") as fh:
-        for sample_id, label, result in scored.results:
-            fh.write(knn.score_record(task_id, sample_id, label.value, result) + "\n")
+    _write_jsonl(_task_path(out_dir, task_id, "scores.jsonl"), (
+        {"task_id": task_id, "sample_id": sample_id, "label": label.value,
+         "score": result.score, "mean_distance": result.mean_distance,
+         "neighbor_ids": list(result.neighbor_ids)}
+        for sample_id, label, result in scored.results))
+
+
+def read_score_file(out_dir: Path, task_id: str
+                    ) -> tuple[list[float], list[scenes.Label]]:
+    """(scores, labels) of a task's score file; a damaged one raises ValueError."""
+    path = _task_path(out_dir, task_id, "scores.jsonl")
+    if not path.exists():
+        raise CheckpointError(f"no score file for {task_id}; run `logicad score` "
+                              "first")
+    scores, labels = [], []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:  # json.loads decodes the bytes, so bad UTF-8 names its line
+                record = json.loads(line)
+                scores.append(record["score"])
+                labels.append(scenes.Label(record["label"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: not a score record "
+                                 f"({type(exc).__name__}: {exc})") from None
+    if not scores:
+        raise ValueError(f"{path} holds no scores")
+    return scores, labels
+
+
+def write_report(out_dir: Path, text: str, fmt: str) -> Path:
+    """Write the aggregate report as report.csv or report.md; returns its path."""
+    path = out_dir / f"report.{'csv' if fmt == 'csv' else 'md'}"
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 def write_loss_curve(out_dir: Path, task_id: str, losses: list[float]) -> None:
-    with open(out_dir / f"{task_id}.loss.txt", "w", encoding="utf-8") as fh:
-        fh.write("epoch\tmean_loss\n")
-        for i, loss in enumerate(losses, start=1):
-            fh.write(f"{i}\t{loss:.10f}\n")
+    rows = [f"{i}\t{loss:.10f}\n" for i, loss in enumerate(losses, start=1)]
+    _task_path(out_dir, task_id, "loss.txt").write_text(
+        "epoch\tmean_loss\n" + "".join(rows), encoding="utf-8")
 
 
 def _fingerprint(config: PipelineConfig, task_id: str) -> dict:

@@ -7,12 +7,12 @@ Scenarios sample and edit a scene's view, its logical state, and build the
 scene from the view once; the rules judge the built scene.
 A scene holds no capture condition: its task does, and the condition only
 affects rendering downstream, never the logical state.
+``scene_fields`` gives a scene's part of a scene-file line for ``pipeline``.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -219,7 +219,7 @@ def build_task(
     )
 
 
-def _object_to_json(obj: ObjectInstance) -> dict:
+def _object_fields(obj: ObjectInstance) -> dict:
     out: dict = {"category": obj.category}
     if obj.color is not None:
         out["color"] = obj.color
@@ -232,19 +232,7 @@ def _object_to_json(obj: ObjectInstance) -> dict:
     return out
 
 
-def scene_record(task_id: str, condition: Condition, split: str, label: Label,
-                 scene: Scene) -> str:
-    """One line of the scene file (field names are part of the contract)."""
-    payload = {
-        "task_id": task_id,
-        "scenario": scene.scenario_id,
-        "condition": condition.value,
-        "split": split,
-        "label": label.value,
-        "scene": {
-            "objects": [_object_to_json(o) for o in scene.objects],
-            "context": {k: v for k, v in scene.context},
-        },
-    }
-    return json.dumps(payload, sort_keys=True)
-
+def scene_fields(scene: Scene) -> dict:
+    """The objects and the context of a scene, as the scene file holds them."""
+    return {"objects": [_object_fields(o) for o in scene.objects],
+            "context": dict(scene.context)}

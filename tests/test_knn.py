@@ -1,8 +1,11 @@
 """kNN normality scoring against a full-sort brute-force oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
+from logicad import metrics, pipeline
 from logicad.encoder import Vocabulary, init_params
 from logicad.knn import (
     DEFAULT_K,
@@ -11,9 +14,8 @@ from logicad.knn import (
     build_library,
     score,
     score_split,
-    parse_score_record,
-    score_record,
 )
+from logicad.scenes import Condition, Label
 
 
 def _random_unit_rows(rng, n, d):
@@ -160,13 +162,28 @@ def test_library_validation_errors():
         score(np.array([1.0, 0.0]), _library(rng, 4, 2), k=0)
 
 
-def test_score_record_round_trip():
+def test_score_file_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     library = _library(rng, 8, 4)
-    result = score(_random_unit_rows(rng, 1, 4)[0], library, k=DEFAULT_K)
-    line = score_record("sticks-white_bg", "test-normal-0001", "normal", result)
-    rec = parse_score_record(line)
-    assert rec["task_id"] == "sticks-white_bg"
-    assert rec["label"] == "normal"
-    assert rec["score"] == result.score
-    assert tuple(rec["neighbor_ids"]) == result.neighbor_ids
+    labels = [Label.NORMAL, Label.SINGLE_A, Label.NORMAL, Label.DUAL]
+    results = [(f"test-{label.value}-{i:04d}", label,
+                score(row, library, k=DEFAULT_K))
+               for i, (label, row) in enumerate(
+                   zip(labels, _random_unit_rows(rng, len(labels), 4)))]
+    report = metrics.make_task_report(
+        "sticks-white_bg", "sticks", Condition.WHITE_BG,
+        [r.score for _, _, r in results], labels)
+    pipeline.write_score_file(tmp_path, pipeline.ScoredTask(report, results))
+
+    scores, read_labels = pipeline.read_score_file(tmp_path, "sticks-white_bg")
+    # bit for bit: a float's repr reads back as the same float
+    assert [s.hex() for s in scores] == [r.score.hex() for _, _, r in results]
+    assert read_labels == labels
+    lines = (tmp_path / "sticks-white_bg.scores.jsonl").read_text().splitlines()
+    sample_id, label, result = results[1]
+    assert json.loads(lines[1]) == {
+        "task_id": "sticks-white_bg", "sample_id": sample_id,
+        "label": label.value, "score": result.score,
+        "mean_distance": result.mean_distance,
+        "neighbor_ids": list(result.neighbor_ids),
+    }

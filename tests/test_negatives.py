@@ -1,7 +1,5 @@
 """Negative synthesis: contradiction pools, validity, and failure reporting."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from logicad.describe import RenderConfig, build_record, render
 from logicad.negatives import (
     SynthesisError,
     contradiction_pool,
-    pair_record,
+    pair_edits,
     synthesize_negative,
 )
 from logicad.scenarios import NUMBER_WORDS, SCENARIOS, get_scenario, word_number
@@ -33,7 +31,7 @@ def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
         neg = synthesize_negative(pos, grammar, rng)
         assert neg.text != pos.text
         assert parse(neg.text, grammar) == neg
-        edits = json.loads(pair_record("t", "s", pos, neg, grammar))["edits"]
+        edits = pair_edits(pos, neg, grammar)
         assert 1 <= len(edits) <= 2
         report = validate_negative(pos.text, neg.text, grammar)
         assert report.passed, (scenario_id, pos.text, neg.text, report)
@@ -74,13 +72,8 @@ def test_single_editable_slot_forces_the_only_contradiction():
         neg = synthesize_negative(pos, grammar, rng)
         assert neg.text == "The matte item is blue."
         assert neg.slots == (("shade", "matte"), ("color", "blue"))
-        assert json.loads(pair_record("t", "s", pos, neg, grammar)) == {
-            "task_id": "t", "sample_id": "s",
-            "pos_text": "The matte item is red.",
-            "neg_text": "The matte item is blue.",
-            "edits": [{"slot": "color", "old": "red", "new": "blue",
-                       "aspect": "type"}],
-        }
+        assert pair_edits(pos, neg, grammar) == [
+            {"slot": "color", "old": "red", "new": "blue", "aspect": "type"}]
 
 
 def test_synthesis_fails_without_any_contradiction_pool():

@@ -1,6 +1,8 @@
 """Pipeline orchestration and the command-line interface, end to end."""
 
+import ast
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -11,8 +13,10 @@ import numpy as np
 import pytest
 
 from logicad import cli, pipeline, trainer
+from logicad.negatives import pair_edits
 from logicad.scenarios import DEFAULT_SPLIT_COUNTS, SCENARIOS
-from logicad.scenes import Condition, Label, SplitCounts, task_id_for
+from logicad.scenes import Condition, Label, SplitCounts, scene_fields, task_id_for
+from logicad.templates import get_grammar
 from logicad.trainer import TrainConfig
 
 SMALL = pipeline.PipelineConfig(
@@ -124,6 +128,17 @@ def _run(argv):
     return cli.main(argv)
 
 
+def _run_in_subprocess(argv):
+    """``logicad`` with ``argv`` in a new process, so a traceback would show."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from logicad.cli import main; sys.exit(main())", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+
+
 def test_cli_gen_writes_the_three_task_files(tmp_path):
     assert _run(["gen", *ARGS, "--out-dir", str(tmp_path)]) == 0
     scenes = (tmp_path / "tapes-white_bg.scenes.jsonl").read_text().splitlines()
@@ -132,6 +147,41 @@ def test_cli_gen_writes_the_three_task_files(tmp_path):
     # Table-style defaults: 50 train + 50 test normals + 50/50/10 anomalies
     assert len(scenes) == len(descriptions) == 210
     assert len(pairs) == 50
+
+
+def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
+    artifacts = _small_task(Condition.MESH_BG)
+    pipeline.write_task_files(tmp_path, artifacts)
+    task = artifacts.task
+    sample = task.samples[-1]
+
+    def line(kind, index):
+        text = (tmp_path / f"tapes-mesh_bg.{kind}.jsonl").read_text()
+        lines = text.splitlines()
+        assert text == "".join(f"{x}\n" for x in lines)
+        # sorted keys, one object per line
+        assert lines[index] == json.dumps(json.loads(lines[index]),
+                                          sort_keys=True)
+        return json.loads(lines[index])
+
+    assert sample.split == "test" and sample.label == Label.DUAL
+    assert line("scenes", -1) == {
+        "task_id": "tapes-mesh_bg", "scenario": "tapes",
+        "condition": "mesh_bg", "split": "test", "label": "dual",
+        "scene": json.loads(json.dumps(scene_fields(sample.scene))),
+    }
+    assert line("descriptions", -1) == {
+        "task_id": "tapes-mesh_bg", "sample_id": sample.sample_id,
+        "split": "test", "label": "dual",
+        "text": artifacts.texts[sample.sample_id],
+    }
+    first = task.samples[0]
+    pos, neg = artifacts.pairs[first.sample_id]
+    assert line("pairs", 0) == {
+        "task_id": "tapes-mesh_bg", "sample_id": first.sample_id,
+        "pos_text": pos.text, "neg_text": neg.text,
+        "edits": pair_edits(pos, neg, get_grammar("tapes")),
+    }
 
 
 def test_cli_full_flow_and_byte_identical_reruns(tmp_path, capsys):
@@ -602,6 +652,9 @@ def test_cli_bad_setting_exits_2_before_any_work(tmp_path, argv, setting):
     ([], "scenario = ,"),
     (["--scenario", "sticks,sticks"], None),
     (["--condition", "white_bg,white_bg"], None),
+    (["--scenario", ""], None),
+    (["--condition", ""], None),
+    ([], "scenario ="),
 ])
 def test_cli_empty_task_selection_exits_2_before_any_work(tmp_path, argv,
                                                           setting):
@@ -661,16 +714,58 @@ def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
         np.savez(checkpoint, a=np.arange(3))
         reason = ("it lacks version, embedding, proj_w, proj_b, dropout_rate, "
                   "vocab_json, fingerprint, epoch_losses")
-    src = Path(__file__).resolve().parents[1] / "src"
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from logicad.cli import main; sys.exit(main())",
-         "score", *ARGS, "--jobs", "1", "--out-dir", out],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True,
-    )
+    done = _run_in_subprocess(["score", *ARGS, "--jobs", "1", "--out-dir", out])
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [
         f"error: {checkpoint} is not a readable checkpoint: {reason}"]
     assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no_score", "empty",
+                                    "not_utf8"])
+def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, damage):
+    out = str(tmp_path)
+    assert _run(["all", *ARGS, "--baseline", "--out-dir", out]) == 0
+    (tmp_path / "report.md").unlink()
+    path = tmp_path / "tapes-white_bg.scores.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    if damage == "truncated":
+        path.write_text("".join(lines[:-1]) + lines[-1][:59])
+        where = f"{path}:{len(lines)}: not a score record"
+    elif damage == "no_score":
+        record = json.loads(lines[1])
+        del record["score"]
+        lines[1] = json.dumps(record, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+        where = f"{path}:2: not a score record"
+    elif damage == "not_utf8":
+        path.write_bytes(b"".join(x.encode() for x in lines[:2]) + b"\xff\n")
+        where = f"{path}:3: not a score record"
+    else:
+        path.write_text("")
+        where = f"{path} holds no scores"
+    for command in ("eval", "report"):
+        done = _run_in_subprocess([command, *ARGS, "--out-dir", out])
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        [line] = done.stderr.splitlines()
+        assert line.startswith(f"error: {where}")
+    assert not list(tmp_path.glob("report.*"))
+
+
+def test_only_the_pipeline_imports_json():
+    src = Path(__file__).resolve().parents[1] / "src" / "logicad"
+
+    def imports_json(path):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                if any(a.name.split(".")[0] == "json" for a in node.names):
+                    return True
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.split(".")[0] == "json":
+                    return True
+        return False
+
+    assert [p.stem for p in sorted(src.glob("*.py")) if imports_json(p)] == [
+        "pipeline"]
