@@ -15,6 +15,7 @@ description file.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -49,6 +50,12 @@ class RenderConfig:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
+    @property
+    def draws(self) -> bool:
+        """Whether rendering may take random draws; if not, it needs no rng."""
+        return (self.paraphrase or self.omission_prob > 0.0
+                or self.corruption_prob > 0.0)
+
 
 # Per-condition renderer degradation.  White BG is clean by definition;
 # background clutter corrupts decorative adjectives and varies phrasing;
@@ -66,20 +73,21 @@ CONDITION_RENDER_DEFAULTS: dict[Condition, RenderConfig] = {
 def build_record(grammar: TemplateGrammar, skeleton: Skeleton,
                  slots: dict[str, str]) -> AttributeRecord:
     """The record of a (skeleton, slots) pair: its included slots and its text."""
-    variant, mask = skeleton
-    text = " ".join(clause.template.format(**slots) for clause, included
-                    in zip(grammar.variants[variant], mask) if included)
+    template, names = grammar.skeleton_plan(skeleton)
     return AttributeRecord(
         skeleton=skeleton,
-        slots=tuple((name, slots[name])
-                    for name in grammar.slots_in_skeleton(skeleton)),
-        text=text,
+        slots=tuple((name, slots[name]) for name in names),
+        text=template.format(**slots),
     )
 
 
-def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
+def render(scene: Scene, cfg: RenderConfig,
+           rng: Optional[np.random.Generator],
            grammar: TemplateGrammar) -> AttributeRecord:
-    """Render one scene into one text under the given degradation config."""
+    """Render one scene into one text under the given degradation config.
+
+    ``rng`` may be None when ``cfg.draws`` is False.
+    """
     slots = grammar.scene_slots(scene)
     for name, value in slots.items():
         slot_def = grammar.slots.get(name)
@@ -89,11 +97,12 @@ def render(scene: Scene, cfg: RenderConfig, rng: np.random.Generator,
                 f"{grammar.scenario_id} template grammar"
             )
     variant = int(rng.integers(len(grammar.variants))) if cfg.paraphrase else 0
-    mask = tuple(
-        (not clause.optional) or (cfg.omission_prob == 0.0)
-        or (rng.random() >= cfg.omission_prob)
-        for clause in grammar.variants[variant]
-    )
+    clauses = grammar.variants[variant]
+    if cfg.omission_prob == 0.0:
+        mask = (True,) * len(clauses)
+    else:
+        mask = tuple(not clause.optional or rng.random() >= cfg.omission_prob
+                     for clause in clauses)
     if cfg.corruption_prob > 0.0:
         for name, slot_def in grammar.slots.items():
             if slot_def.aspect is None and rng.random() < cfg.corruption_prob:

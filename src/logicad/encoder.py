@@ -44,16 +44,14 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.token_to_id)
 
-    def lookup(self, token: str) -> int:
-        return self.token_to_id.get(token, UNKNOWN_ID)
-
 
 def tokenize(text: str, vocab: Vocabulary) -> np.ndarray:
     """Lowercase, split on whitespace/punctuation, map OOV tokens to UNKNOWN."""
     tokens = _TOKEN_RE.findall(text.lower())
     if not tokens:
         raise EncodeError(f"text has no tokens: {text!r}")
-    return np.array([vocab.lookup(t) for t in tokens], dtype=np.int64)
+    get = vocab.token_to_id.get
+    return np.array([get(t, UNKNOWN_ID) for t in tokens], dtype=np.int64)
 
 
 @dataclass(eq=False)
@@ -123,17 +121,6 @@ def normalize_rows(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pooled / norms[:, None], norms
 
 
-def token_counts(token_lists: list[np.ndarray], vocab_size: int) -> np.ndarray:
-    """(texts, V) matrix of how often each id occurs in each text."""
-    keys = np.repeat(np.arange(len(token_lists)) * vocab_size,
-                     [len(t) for t in token_lists])
-    if token_lists:
-        keys += np.concatenate(token_lists)
-    counts = np.zeros((len(token_lists), vocab_size))
-    np.add.at(counts.ravel(), keys, 1.0)
-    return counts
-
-
 @dataclass
 class TokenRows:
     """Texts as token ids, per-id count rows and lengths, row by row."""
@@ -143,9 +130,21 @@ class TokenRows:
     lengths: np.ndarray  # (texts,) tokens per text
 
     @classmethod
-    def build(cls, tokens: list[np.ndarray], vocab_size: int) -> "TokenRows":
-        return cls(tokens, token_counts(tokens, vocab_size),
-                   np.array([len(t) for t in tokens]))
+    def build(cls, texts: list[str], vocab: Vocabulary) -> "TokenRows":
+        """The rows of ``texts`` over ``vocab``; a repeated text is tokenized
+        and counted once and its rows are copied."""
+        first: dict[str, int] = {}
+        row_of = np.array([first.setdefault(t, len(first)) for t in texts],
+                          dtype=np.intp)
+        tokens = [tokenize(t, vocab) for t in first]
+        lengths = np.array([len(t) for t in tokens], dtype=np.int64)
+        keys = np.repeat(np.arange(len(tokens)) * vocab.size, lengths)
+        if tokens:
+            keys += np.concatenate(tokens)
+        counts = np.bincount(keys, minlength=len(tokens) * vocab.size)
+        counts = counts.reshape(len(tokens), vocab.size).astype(np.float64)
+        return cls([tokens[i] for i in row_of], counts[row_of],
+                   lengths[row_of])
 
     def take(self, rows: np.ndarray) -> "TokenRows":
         return TokenRows([self.tokens[i] for i in rows], self.counts[rows],
@@ -155,8 +154,7 @@ class TokenRows:
 def encode_texts(texts: list[str], params: EncoderParams,
                  vocab: Vocabulary) -> np.ndarray:
     """Deterministic encodings of many texts: normalize(counts @ table / T)."""
-    rows = TokenRows.build([tokenize(t, vocab) for t in texts],
-                           params.embedding.shape[0])
+    rows = TokenRows.build(texts, vocab)
     pooled = rows.counts @ activation_table(params)
     pooled /= rows.lengths[:, None]
     return normalize_rows(pooled)[0]

@@ -74,12 +74,16 @@ def make_task_report(task_id: str, scenario_id: str, condition: Condition,
     """Build a per-task report from test scores and their labels.
 
     ``labels`` are Label values; subsets compare all test normals against
-    each violation subset's anomalies.
+    each violation subset's anomalies.  An AUROC that cannot be computed
+    raises ``MetricError`` naming the task.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = list(labels)
     normal_mask = np.array([l == Label.NORMAL for l in labels], dtype=bool)
-    overall = auroc(scores, normal_mask)
+    try:
+        overall = auroc(scores, normal_mask)
+    except MetricError as exc:
+        raise MetricError(f"{task_id}: {exc}") from None
     subset = {}
     for sub in (Label.SINGLE_A, Label.SINGLE_B, Label.DUAL):
         sub_mask = np.array([l == sub for l in labels], dtype=bool)

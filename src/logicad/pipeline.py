@@ -108,8 +108,9 @@ def generate_task(config: PipelineConfig, scenario_id: str,
     texts = {}
     pairs = {}
     for sample in task.samples:
+        # a config that draws nothing needs no stream: white_bg renders clean
         rng = derive_rng(config.master_seed, scenario_id, condition.value,
-                        "render", sample.sample_id)
+                         "render", sample.sample_id) if render_cfg.draws else None
         record = describe.render(sample.scene, render_cfg, rng, grammar)
         texts[sample.sample_id] = record.text
         if sample.split == "train":

@@ -71,13 +71,24 @@ class TemplateGrammar:
                 slots[name] = slot.values[0]
         return slots
 
-    def slots_in_skeleton(self, skeleton: Skeleton) -> list[str]:
-        variant, mask = skeleton
-        names: list[str] = []
-        for clause, included in zip(self.variants[variant], mask):
-            if included:
-                names.extend(clause.slot_names)
-        return names
+    def skeleton_plan(self, skeleton: Skeleton) -> tuple[str, tuple[str, ...]]:
+        """One format string for the skeleton's text, its included clauses
+        joined by spaces, and the slot names it fills in order; made once
+        per skeleton."""
+        plan = self._plans.get(skeleton)
+        if plan is None:
+            variant, mask = skeleton
+            clauses = [clause for clause, included
+                       in zip(self.variants[variant], mask) if included]
+            plan = (" ".join(clause.template for clause in clauses),
+                    tuple(name for clause in clauses
+                          for name in clause.slot_names))
+            self._plans[skeleton] = plan
+        return plan
+
+    @functools.cached_property
+    def _plans(self) -> dict[Skeleton, tuple[str, tuple[str, ...]]]:
+        return {}
 
 
 def _plural_fruit(category: str) -> str:

@@ -22,7 +22,6 @@ from .encoder import (
     activation_table,
     normalize_rows,
     table_grads,
-    tokenize,
 )
 
 ADAM_BETA1 = 0.9
@@ -188,8 +187,7 @@ def fit(
     params = init.copy()
     n = len(pos_texts)
     # positives in rows 0..n-1, their negatives in rows n..2n-1
-    texts = TokenRows.build([tokenize(t, vocab) for t in pos_texts + neg_texts],
-                            params.embedding.shape[0])
+    texts = TokenRows.build(pos_texts + neg_texts, vocab)
 
     rng = np.random.default_rng(seed)
     grads = params.zeros_like()

@@ -86,7 +86,10 @@ def parse(text: str, grammar: TemplateGrammar) -> AttributeRecord:
         m = regex.fullmatch(text)
         if m is None:
             continue
-        ordered = grammar.slots_in_skeleton(skeleton)
+        variant, mask = skeleton
+        ordered = [name for clause, included
+                   in zip(grammar.variants[variant], mask) if included
+                   for name in clause.slot_names]
         return AttributeRecord(
             skeleton=skeleton,
             slots=tuple((name, m.group(name)) for name in ordered),

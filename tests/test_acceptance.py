@@ -15,7 +15,7 @@ from test_scenes import _ENUMERATIONS
 
 from logicad import cli, pipeline
 from logicad.describe import RenderConfig, build_record, render
-from logicad.encoder import Vocabulary, init_params, tokenize
+from logicad.encoder import Vocabulary, init_params
 from logicad.knn import ReferenceLibrary, score
 from logicad.metrics import aggregate, auroc, emit_report
 from logicad.negatives import synthesize_negative
@@ -43,9 +43,7 @@ def test_criterion_01_gradient_oracle():
                  "The total number of items is three."]
     vocab = Vocabulary.build(pos_texts + neg_texts)
     params = init_params(vocab.size, dim=8, seed=0)
-    pos_tokens = [tokenize(t, vocab) for t in pos_texts]
-    neg_tokens = [tokenize(t, vocab) for t in neg_texts]
-    batch = TokenRows.build([*pos_tokens, *pos_tokens, *neg_tokens], vocab.size)
+    batch = TokenRows.build([*pos_texts, *pos_texts, *neg_texts], vocab)
     masks = BatchMasks.sample(int(batch.lengths.sum()) * 8, 0.1,
                               np.random.default_rng(1))
     grads, scratch = params.zeros_like(), params.zeros_like()
@@ -102,7 +100,7 @@ def test_criterion_03_scorer_oracle():
             ids=tuple(f"train-{i:04d}" for i in range(n)),
         )
         query = _random_unit_rows(rng, 1, d)[0]
-        got = score(query, library, k=5)
+        got = score(query[None], library, k=5)[0]
         pairs = sorted(
             (float(np.linalg.norm(row - query)), i)
             for i, row in enumerate(library.vectors)
@@ -123,7 +121,7 @@ def test_criterion_04_score_bounds():
         ids=tuple(str(i) for i in range(60)),
     )
     in_bounds = all(
-        1.0 / 3.0 - 1e-12 <= score(q, library, k=5).score <= 1.0 + 1e-12
+        1.0 / 3.0 - 1e-12 <= score(q[None], library, k=5)[0].score <= 1.0 + 1e-12
         for q in _random_unit_rows(rng, 300, 8)
     )
     base = _random_unit_rows(rng, 1, 8)[0]
@@ -131,8 +129,8 @@ def test_criterion_04_score_bounds():
         vectors=np.stack([base] * 5 + list(_random_unit_rows(rng, 5, 8))),
         ids=tuple(str(i) for i in range(10)),
     )
-    dup_is_one = score(base, dup_library, k=5).score == 1.0
-    near_miss = score(base, library, k=5).score < 1.0
+    dup_is_one = score(base[None], dup_library, k=5)[0].score == 1.0
+    near_miss = score(base[None], library, k=5)[0].score < 1.0
     ok = in_bounds and dup_is_one and near_miss
     _verdict(4, ok, f"bounds hold: {in_bounds}, duplicate scores 1.0: {dup_is_one}")
 

@@ -90,9 +90,9 @@ def test_inverted_dropout_mask_is_unbiased():
     assert np.all(make_dropout_mask(10, 4, 0.0, rng) == 1.0)
 
 
-def _batch(pos_tokens, neg_tokens, vocab_size):
+def _batch(pos_texts, neg_texts, vocab):
     """Anchors, positives (the same texts again) and negatives, as fit stacks them."""
-    return TokenRows.build([*pos_tokens, *pos_tokens, *neg_tokens], vocab_size)
+    return TokenRows.build([*pos_texts, *pos_texts, *neg_texts], vocab)
 
 
 def _per_text_masks(pos_tokens, neg_tokens, dim, rate, rng):
@@ -123,7 +123,7 @@ def test_vectorised_step_matches_the_per_text_reference(task_texts, rate):
         batch_pos = [pos_tokens[i] for i in idx]
         batch_neg = [neg_tokens[i] for i in idx]
         params = init_params(vocab.size, dim=32, seed=trial)
-        batch = _batch(batch_pos, batch_neg, vocab.size)
+        batch = _batch([pos[i] for i in idx], [neg[i] for i in idx], vocab)
         masks = BatchMasks.sample(int(batch.lengths.sum()) * 32, rate,
                                   np.random.default_rng(trial))
         ref_masks = _per_text_masks(batch_pos, batch_neg, 32, rate,
@@ -143,7 +143,7 @@ def test_one_mask_draw_equals_the_per_text_draws(task_texts):
     pos_tokens = [tokenize(t, vocab) for t in pos[:7]]
     neg_tokens = [tokenize(t, vocab) for t in neg[:7]]
     rng_batch, rng_texts = np.random.default_rng(4), np.random.default_rng(4)
-    n = int(_batch(pos_tokens, neg_tokens, vocab.size).lengths.sum()) * 16
+    n = int(_batch(pos[:7], neg[:7], vocab).lengths.sum()) * 16
     masks = BatchMasks.sample(n, 0.1, rng_batch)
     per_text = _per_text_masks(pos_tokens, neg_tokens, 16, 0.1, rng_texts)
     grid = np.concatenate([m for view in per_text for m in view])
@@ -169,7 +169,7 @@ def test_a_text_with_every_entry_dropped_has_no_direction(task_texts):
     # the first anchor's rows lead the grid
     masks = BatchMasks(np.arange(len(pos_tokens[0]) * 16), DROPOUT_RATE)
     with pytest.raises(EncodeError):
-        batch_step(_batch(pos_tokens, neg_tokens, vocab.size), params, masks,
+        batch_step(_batch(pos[:3], neg[:3], vocab), params, masks,
                    0.5, params.zeros_like())
 
 

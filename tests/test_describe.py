@@ -203,3 +203,38 @@ def test_condition_defaults_keep_white_background_clean():
         cfg = CONDITION_RENDER_DEFAULTS[condition]
         assert cfg.omission_prob == 0.15
         assert cfg.corruption_prob == 0.05
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_build_record_equals_clause_by_clause_formatting(scenario_id):
+    grammar = get_grammar(scenario_id)
+    for shift in range(3):
+        slots = {name: slot.values[shift % len(slot.values)]
+                 for name, slot in grammar.slots.items()}
+        for variant, clauses in enumerate(grammar.variants):
+            for mask in clause_masks(grammar, variant):
+                included = [c for c, keep in zip(clauses, mask) if keep]
+                record = build_record(grammar, (variant, mask), slots)
+                assert record.text == " ".join(
+                    c.template.format(**slots) for c in included)
+                assert record.slots == tuple(
+                    (name, slots[name]) for c in included
+                    for name in c.slot_names)
+                assert record.skeleton == (variant, mask)
+
+
+def test_a_config_that_draws_nothing_needs_no_stream():
+    drawing = {c for c, cfg in CONDITION_RENDER_DEFAULTS.items() if cfg.draws}
+    assert drawing == set(Condition) - {Condition.WHITE_BG}
+    assert not CLEAN.draws
+    for cfg in (RenderConfig(True), RenderConfig(omission_prob=0.1),
+                RenderConfig(corruption_prob=0.1)):
+        assert cfg.draws
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    for scenario_id in sorted(SCENARIOS):
+        scene = _canonical_scene(scenario_id)
+        grammar = get_grammar(scenario_id)
+        assert render(scene, CLEAN, None, grammar) \
+            == render(scene, CLEAN, rng, grammar)
+    assert rng.bit_generator.state == before

@@ -7,6 +7,7 @@ from logicad.encoder import (
     UNKNOWN_ID,
     EncodeError,
     EncoderParams,
+    TokenRows,
     Vocabulary,
     encode_texts,
     init_params,
@@ -28,16 +29,46 @@ def _setup(dim=16, seed=0):
 def test_vocabulary_is_sorted_and_reserves_unknown():
     vocab = Vocabulary.build(["b a", "c a"])
     assert vocab.token_to_id == {"<unk>": 0, "a": 1, "b": 2, "c": 3}
-    assert vocab.lookup("zzz") == UNKNOWN_ID
+    assert tokenize("zzz", vocab).tolist() == [UNKNOWN_ID]
 
 
 def test_tokenize_lowercases_and_maps_oov_to_unknown():
     vocab = Vocabulary.build(["alpha beta"])
     ids = tokenize("Alpha GAMMA beta!", vocab)
-    assert ids.tolist() == [vocab.lookup("alpha"), UNKNOWN_ID,
-                            vocab.lookup("beta")]
+    assert ids.tolist() == [vocab.token_to_id["alpha"], UNKNOWN_ID,
+                            vocab.token_to_id["beta"]]
     with pytest.raises(EncodeError):
         tokenize("...", vocab)
+
+
+def test_token_rows_of_repeated_texts_equal_per_text_tokenize():
+    vocab = Vocabulary.build(TEXTS[:2])
+    # repeats, a text with unknown tokens, and one that differs only in case
+    texts = [TEXTS[0], TEXTS[1], TEXTS[0], TEXTS[2], TEXTS[0].upper(),
+             TEXTS[1], TEXTS[2]]
+    rows = TokenRows.build(texts, vocab)
+    want_tokens = [tokenize(t, vocab) for t in texts]
+    keys = np.repeat(np.arange(len(texts)) * vocab.size,
+                     [len(t) for t in want_tokens]) + np.concatenate(want_tokens)
+    want_counts = np.zeros((len(texts), vocab.size))
+    np.add.at(want_counts.ravel(), keys, 1.0)
+    assert len(rows.tokens) == len(texts)
+    for got, want in zip(rows.tokens, want_tokens):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert rows.lengths.tolist() == [len(t) for t in want_tokens]
+    assert rows.counts.dtype == np.float64
+    assert np.array_equal(rows.counts, want_counts)
+    assert rows.counts[:, UNKNOWN_ID].tolist() == [0, 0, 0, 9, 0, 0, 9]
+    # the rows of a repeat are copies: changing one leaves the others alone
+    rows.counts[0] = -1.0
+    assert np.array_equal(rows.counts[2], want_counts[2])
+
+
+def test_token_rows_of_no_texts_are_empty():
+    vocab = Vocabulary.build(TEXTS)
+    rows = TokenRows.build([], vocab)
+    assert rows.tokens == [] and rows.lengths.shape == (0,)
+    assert rows.counts.shape == (0, vocab.size)
 
 
 def test_deterministic_encoding_is_unit_norm_and_repeatable():

@@ -135,6 +135,14 @@ def test_task_report_subsets_compare_normals_to_each_violation_type():
     assert abs(report.subset_auroc[Label.SINGLE_B] - 1.0) < 1e-12
 
 
+def test_task_report_of_one_class_names_the_task():
+    for labels in ([Label.NORMAL] * 3, [Label.SINGLE_A, Label.DUAL]):
+        with pytest.raises(MetricError,
+                           match="^sticks-white_bg: AUROC needs at least one"):
+            make_task_report("sticks-white_bg", "sticks", Condition.WHITE_BG,
+                             [0.5] * len(labels), labels)
+
+
 def _report(scenario, condition, value):
     return TaskReport(f"{scenario}-{condition.value}", scenario, condition,
                       value, {})

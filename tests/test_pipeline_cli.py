@@ -754,6 +754,25 @@ def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, damage):
     assert not list(tmp_path.glob("report.*"))
 
 
+def test_cli_reading_a_score_file_of_one_class_names_the_task(tmp_path):
+    out = str(tmp_path)
+    assert _run(["all", *ARGS, "--baseline", "--out-dir", out]) == 0
+    (tmp_path / "report.md").unlink()
+    path = tmp_path / "tapes-white_bg.scores.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    normal = [line for line in lines if json.loads(line)["label"] == "normal"]
+    assert 0 < len(normal) < len(lines)
+    path.write_text("".join(normal))
+    for command in ("eval", "report"):
+        done = _run_in_subprocess([command, *ARGS, "--out-dir", out])
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [
+            "error: tapes-white_bg: AUROC needs at least one sample of each "
+            "class"]
+    assert not list(tmp_path.glob("report.*"))
+
+
 def test_only_the_pipeline_imports_json():
     src = Path(__file__).resolve().parents[1] / "src" / "logicad"
 

@@ -12,7 +12,6 @@ from logicad.encoder import (
     EncoderParams,
     Vocabulary,
     init_params,
-    tokenize,
 )
 from logicad.trainer import (
     ADAM_BETA1,
@@ -106,9 +105,7 @@ def test_analytic_gradients_match_central_finite_differences():
     start = time.monotonic()
     vocab = Vocabulary.build(POS_TEXTS + NEG_TEXTS)
     params = init_params(vocab.size, dim=8, seed=4)
-    pos_tokens = [tokenize(t, vocab) for t in POS_TEXTS]
-    neg_tokens = [tokenize(t, vocab) for t in NEG_TEXTS]
-    batch = TokenRows.build([*pos_tokens, *pos_tokens, *neg_tokens], vocab.size)
+    batch = TokenRows.build([*POS_TEXTS, *POS_TEXTS, *NEG_TEXTS], vocab)
     masks = BatchMasks.sample(int(batch.lengths.sum()) * 8, 0.1,
                               np.random.default_rng(0))
     scratch = params.zeros_like()
