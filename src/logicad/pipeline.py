@@ -24,6 +24,7 @@ the output directory; the other modules hold no file format.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass, field
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import describe, knn, metrics, negatives, scenarios, scenes, trainer
 from .describe import CONDITION_RENDER_DEFAULTS
-from .encoder import EncoderParams, Vocabulary, init_params
+from .encoder import EncoderParams, Vocabulary, encode_texts, init_params
 from .seeding import derive_rng, derive_seed
 from .templates import get_grammar
 
@@ -146,29 +147,27 @@ def train_task(config: PipelineConfig, artifacts: TaskArtifacts) -> TrainedTask:
 @dataclass
 class ScoredTask:
     report: metrics.TaskReport
-    results: list[tuple[str, scenes.Label, knn.NormalityScore]]
+    # per test sample: (sample_id, label, score, mean distance, neighbor ids)
+    results: list[tuple[str, scenes.Label, float, float, list[str]]]
 
 
 def score_task(config: PipelineConfig, artifacts: TaskArtifacts,
                trained: TrainedTask) -> ScoredTask:
-    """Build the reference library from train texts and score the test split."""
-    train_samples = artifacts.task.split("train")
-    library = knn.build_library(
-        [artifacts.texts[s.sample_id] for s in train_samples],
-        trained.params, trained.vocab, [s.sample_id for s in train_samples],
-    )
-    test_samples = artifacts.task.split("test")
-    scored = knn.score_split(
-        [artifacts.texts[s.sample_id] for s in test_samples],
-        trained.params, trained.vocab, library, k=config.k,
-    )
-    results = [(s.sample_id, s.label, r) for s, r in zip(test_samples, scored)]
-    report = metrics.make_task_report(
-        artifacts.task.task_id, artifacts.task.scenario_id,
-        artifacts.task.condition,
-        [r.score for _, _, r in results],
-        [label for _, label, _ in results],
-    )
+    """Encode the train split as the reference library and score the test split."""
+    task = artifacts.task
+    train, test = task.split("train"), task.split("test")
+    library, queries = (
+        encode_texts([artifacts.texts[s.sample_id] for s in samples],
+                     trained.params, trained.vocab)
+        for samples in (train, test))
+    scores, means, nearest = knn.score(queries, library, config.k)
+    results = [(s.sample_id, s.label, score, mean,
+                [train[i].sample_id for i in row])
+               for s, score, mean, row in zip(test, scores.tolist(),
+                                              means.tolist(), nearest.tolist())]
+    report = metrics.make_task_report(task.task_id, task.scenario_id,
+                                      task.condition, scores,
+                                      [s.label for s in test])
     return ScoredTask(report=report, results=results)
 
 
@@ -293,9 +292,8 @@ def write_score_file(out_dir: Path, scored: ScoredTask) -> None:
     task_id = scored.report.task_id
     _write_jsonl(_task_path(out_dir, task_id, "scores.jsonl"), (
         {"task_id": task_id, "sample_id": sample_id, "label": label.value,
-         "score": result.score, "mean_distance": result.mean_distance,
-         "neighbor_ids": list(result.neighbor_ids)}
-        for sample_id, label, result in scored.results))
+         "score": score, "mean_distance": mean, "neighbor_ids": neighbor_ids}
+        for sample_id, label, score, mean, neighbor_ids in scored.results))
 
 
 def read_score_file(out_dir: Path, task_id: str
@@ -310,9 +308,13 @@ def read_score_file(out_dir: Path, task_id: str
         for lineno, line in enumerate(fh, start=1):
             try:  # json.loads decodes the bytes, so bad UTF-8 names its line
                 record = json.loads(line)
-                scores.append(record["score"])
+                score = record["score"]
+                if (isinstance(score, bool) or not isinstance(score, (int, float))
+                        or not math.isfinite(score)):
+                    raise ValueError(f"score {score!r} is not a finite number")
+                scores.append(score)
                 labels.append(scenes.Label(record["label"]))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a score record "
                                  f"({type(exc).__name__}: {exc})") from None
     if not scores:
@@ -384,8 +386,10 @@ def load_checkpoint(path) -> TrainedTask:
                        fingerprint=fingerprint)
 
 
-# Settings a checkpoint must share with the run that scores with it.  The
-# training settings are not compared: `score` cannot set them.
+# A checkpoint is matched on task, master seed, dim, vocabulary and
+# skip_training: the fingerprint settings below, and the other two in
+# ``checkpoint_mismatches``.  Scoring reads no training setting, so none is
+# compared, though ``score --config`` can set them.
 _MATCHED_SETTINGS = ("task_id", "master_seed", "dim")
 
 

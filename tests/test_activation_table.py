@@ -17,7 +17,6 @@ from logicad.encoder import (
     init_params,
     tokenize,
 )
-from logicad.knn import build_library
 from logicad.trainer import (
     DROPOUT_RATE,
     AdamState,
@@ -213,9 +212,9 @@ def test_batched_library_equals_per_text_encodings(task_texts):
     pos, neg, vocab = task_texts
     texts = pos + neg + ["an utterly unknown sentence"]
     params = init_params(vocab.size, dim=64, seed=3)
-    library = build_library(texts, params, vocab,
-                            [f"train-{i:04d}" for i in range(len(texts))])
-    for text, row in zip(texts, library.vectors):
+    library = encode_texts(texts, params, vocab)
+    assert library.shape == (len(texts), 64)
+    for text, row in zip(texts, library):
         assert np.abs(row - encode_texts([text], params, vocab)[0]).max() < TOL
         want = _reference_forward(tokenize(text, vocab), params)["z"]
         assert np.abs(row - want).max() < TOL

@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from logicad import knn, metrics, pipeline
-from logicad.encoder import Vocabulary, init_params
-from logicad.knn import (
-    DEFAULT_K,
-    LibraryError,
-    ReferenceLibrary,
-    build_library,
-    score,
-    score_split,
-)
+from logicad.encoder import Vocabulary, encode_texts, init_params
+from logicad.knn import DEFAULT_K, LibraryError, score
 from logicad.scenes import Condition, Label
 
 
@@ -23,21 +16,28 @@ def _random_unit_rows(rng, n, d):
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def _library(rng, n, d):
-    return ReferenceLibrary(
-        vectors=_random_unit_rows(rng, n, d),
-        ids=tuple(f"train-{i:04d}" for i in range(n)),
-    )
+def _score_one(query, library, k):
+    """(score, mean distance, neighbor indices) of one row scored alone."""
+    scores, means, nearest = score(query[None], library, k=k)
+    assert scores.shape == means.shape == (1,)
+    assert nearest.shape == (1, min(k, len(library)))
+    return scores[0], means[0], nearest[0]
 
 
 def _brute_force(test_vector, library, k):
     """Full sort over (distance, index) pairs; no partial selection tricks."""
     pairs = sorted(
         (float(np.linalg.norm(row - test_vector)), i)
-        for i, row in enumerate(library.vectors)
-    )[: min(k, library.size)]
+        for i, row in enumerate(library)
+    )[: min(k, len(library))]
     mean_distance = sum(d for d, _ in pairs) / len(pairs)
-    return 1.0 / (1.0 + mean_distance), mean_distance, [library.ids[i] for _, i in pairs]
+    return 1.0 / (1.0 + mean_distance), mean_distance, [i for _, i in pairs]
+
+
+def _assert_rows_equal(got, rows):
+    """A block's three arrays equal the stacked results of its rows, exactly."""
+    for got_part, want_part in zip(got, zip(*rows)):
+        assert np.array_equal(got_part, np.array(want_part))
 
 
 def test_score_matches_brute_force_on_random_libraries():
@@ -45,41 +45,36 @@ def test_score_matches_brute_force_on_random_libraries():
     for trial in range(100):
         n = int(rng.integers(1, 201))
         d = int(rng.integers(2, 17))
-        library = _library(rng, n, d)
+        library = _random_unit_rows(rng, n, d)
         if trial % 3 == 0:
             # duplicated rows: exact distance ties, broken by library index
-            dup = rng.integers(0, n, size=n)
-            library = ReferenceLibrary(vectors=library.vectors[dup],
-                                       ids=library.ids)
+            library = library[rng.integers(0, n, size=n)]
         # k > N in about a quarter of the trials
         k = int(rng.integers(1, 8)) if trial % 4 else n + int(rng.integers(1, 4))
         queries = _random_unit_rows(rng, int(rng.integers(1, 25)), d)
         if trial % 5 == 0:
             # a query on a library row, so its nearest distances tie at zero
-            queries[0] = library.vectors[int(rng.integers(n))]
+            queries[0] = library[int(rng.integers(n))]
         single = []
         for query in queries:
-            got = score(query[None], library, k=k)
-            assert len(got) == 1
-            want_score, want_mean, want_ids = _brute_force(query, library, k)
-            assert abs(got[0].mean_distance - want_mean) < 1e-12
-            assert abs(got[0].score - want_score) < 1e-12
-            assert list(got[0].neighbor_ids) == want_ids
-            single.extend(got)
+            got = _score_one(query, library, k)
+            want_score, want_mean, want_nearest = _brute_force(query, library, k)
+            assert abs(got[1] - want_mean) < 1e-12
+            assert abs(got[0] - want_score) < 1e-12
+            assert got[2].tolist() == want_nearest
+            single.append(got)
         # one block scores every query exactly as it scores alone
-        assert score(queries, library, k=k) == single
+        _assert_rows_equal(score(queries, library, k=k), single)
 
 
 @pytest.mark.parametrize("rows", [1, 3, 8])
 def test_block_boundaries_leave_every_score_unchanged(monkeypatch, rows):
     rng = np.random.default_rng(rows)
-    library = _library(rng, 50, 64)
-    library = ReferenceLibrary(vectors=np.vstack([library.vectors] * 2),
-                               ids=tuple(f"t{i}" for i in range(100)))
+    library = np.vstack([_random_unit_rows(rng, 50, 64)] * 2)
     queries = _random_unit_rows(rng, 20, 64)
-    single = [score(q[None], library, k=DEFAULT_K)[0] for q in queries]
-    monkeypatch.setattr(knn, "_BLOCK_BYTES", rows * library.vectors.nbytes)
-    assert score(queries, library, k=DEFAULT_K) == single
+    single = [_score_one(q, library, DEFAULT_K) for q in queries]
+    monkeypatch.setattr(knn, "_BLOCK_BYTES", rows * library.nbytes)
+    _assert_rows_equal(score(queries, library, k=DEFAULT_K), single)
 
 
 def test_the_default_block_holds_8_rows_of_a_50_by_64_library():
@@ -88,7 +83,7 @@ def test_the_default_block_holds_8_rows_of_a_50_by_64_library():
 
 def test_a_block_names_its_first_non_unit_row():
     rng = np.random.default_rng(12)
-    library = _library(rng, 10, 4)
+    library = _random_unit_rows(rng, 10, 4)
     queries = _random_unit_rows(rng, 5, 4)
     for bad, value in ((2, 3.0), (4, np.nan), (0, 0.0)):
         block = queries.copy()
@@ -96,42 +91,40 @@ def test_a_block_names_its_first_non_unit_row():
         block[-1] *= 2.0
         with pytest.raises(LibraryError, match=f"^query {bad} has norm"):
             score(block, library, k=5)
-    assert score(queries[:0], library, k=5) == []
+    scores, means, nearest = score(queries[:0], library, k=5)
+    assert scores.shape == means.shape == (0,)
+    assert nearest.shape == (0, 5)
 
 
 def test_score_bounds_for_unit_norm_inputs():
     rng = np.random.default_rng(2)
-    library = _library(rng, 50, 8)
+    library = _random_unit_rows(rng, 50, 8)
     for _ in range(200):
-        result = score(_random_unit_rows(rng, 1, 8), library, k=5)[0]
-        assert 1.0 / 3.0 - 1e-12 <= result.score <= 1.0 + 1e-12
+        s, _, _ = _score_one(_random_unit_rows(rng, 1, 8)[0], library, 5)
+        assert 1.0 / 3.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 
 def test_duplicate_of_library_vectors_scores_exactly_one():
     rng = np.random.default_rng(4)
     base = _random_unit_rows(rng, 1, 6)[0]
     vectors = np.stack([base] * 5 + list(_random_unit_rows(rng, 10, 6)))
-    library = ReferenceLibrary(vectors=vectors,
-                               ids=tuple(f"t{i}" for i in range(15)))
-    result = score(base[None], library, k=5)[0]
-    assert result.score == 1.0
-    assert result.mean_distance == 0.0
-    assert result.neighbor_ids == ("t0", "t1", "t2", "t3", "t4")
+    s, mean, nearest = _score_one(base, vectors, 5)
+    assert s == 1.0
+    assert mean == 0.0
+    assert nearest.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_orthonormal_library_gives_the_closed_form_score():
-    library = ReferenceLibrary(vectors=np.eye(6), ids=tuple("abcdef"))
-    result = score(np.eye(6)[:1], library, k=5)[0]
+    _, mean, _ = _score_one(np.eye(6)[0], np.eye(6), 5)
     # a library member: one zero distance and four sqrt(2) distances
-    assert abs(result.mean_distance - 4 * np.sqrt(2.0) / 5.0) < 1e-12
+    assert abs(mean - 4 * np.sqrt(2.0) / 5.0) < 1e-12
     # a query orthogonal to every member sits at sqrt(2) from all of them
-    library7 = ReferenceLibrary(vectors=np.hstack([np.eye(6), np.zeros((6, 1))]),
-                                ids=tuple("abcdef"))
+    library7 = np.hstack([np.eye(6), np.zeros((6, 1))])
     q = np.zeros(7)
     q[6] = 1.0
-    result = score(q[None], library7, k=5)[0]
-    assert abs(result.score - 1.0 / (1.0 + np.sqrt(2.0))) < 1e-12
-    assert abs(result.score - 0.41421) < 5e-6
+    s, _, _ = _score_one(q, library7, 5)
+    assert abs(s - 1.0 / (1.0 + np.sqrt(2.0))) < 1e-12
+    assert abs(s - 0.41421) < 5e-6
 
 
 def test_exact_distance_ties_break_by_ascending_library_index():
@@ -139,19 +132,17 @@ def test_exact_distance_ties_break_by_ascending_library_index():
     vectors = np.stack([[0.0, 1.0], [0.0, -1.0], [0.0, 1.0], [-1.0, 0.0],
                         [0.0, -1.0]])
     vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-    library = ReferenceLibrary(vectors=vectors, ids=("a", "b", "c", "d", "e"))
-    result = score(base[None], library, k=2)[0]
-    assert result.neighbor_ids == ("a", "b")
+    _, _, nearest = _score_one(base, vectors, 2)
+    assert nearest.tolist() == [0, 1]
 
 
 def test_k_larger_than_library_uses_every_member():
     rng = np.random.default_rng(6)
-    library = _library(rng, 3, 5)
+    library = _random_unit_rows(rng, 3, 5)
     query = _random_unit_rows(rng, 1, 5)[0]
-    result = score(query[None], library, k=10)[0]
-    assert len(result.neighbor_ids) == 3
-    assert abs(result.mean_distance
-               - np.linalg.norm(library.vectors - query, axis=1).mean()) < 1e-12
+    _, mean, nearest = _score_one(query, library, 10)
+    assert len(nearest) == 3
+    assert abs(mean - np.linalg.norm(library - query, axis=1).mean()) < 1e-12
 
 
 def test_adding_a_library_vector_never_increases_the_mean_distance():
@@ -159,76 +150,71 @@ def test_adding_a_library_vector_never_increases_the_mean_distance():
     query = _random_unit_rows(rng, 1, 6)[0]
     vectors = _random_unit_rows(rng, 30, 6)
     for extra in _random_unit_rows(rng, 10, 6):
-        small = ReferenceLibrary(vectors=vectors,
-                                 ids=tuple(str(i) for i in range(len(vectors))))
-        grown = ReferenceLibrary(
-            vectors=np.vstack([vectors, extra[None, :]]),
-            ids=tuple(str(i) for i in range(len(vectors) + 1)),
-        )
-        assert score(query[None], grown, k=5)[0].mean_distance \
-            <= score(query[None], small, k=5)[0].mean_distance + 1e-12
+        grown = np.vstack([vectors, extra[None, :]])
+        assert _score_one(query, grown, 5)[1] \
+            <= _score_one(query, vectors, 5)[1] + 1e-12
 
 
 def test_non_unit_queries_are_rejected():
     rng = np.random.default_rng(10)
-    library = _library(rng, 20, 4)
+    library = _random_unit_rows(rng, 20, 4)
     query = _random_unit_rows(rng, 1, 4)[0]
-    unit = score(query[None], library, k=5)[0]
-    assert score((query * (1.0 + 5e-7))[None], library, k=5)[0].neighbor_ids \
-        == unit.neighbor_ids
+    _, _, unit = _score_one(query, library, 5)
+    assert _score_one(query * (1.0 + 5e-7), library, 5)[2].tolist() \
+        == unit.tolist()
     for scale in (7.5, 1.0 + 2e-6, 1.0 - 2e-6, 0.0):
         with pytest.raises(LibraryError):
             score((query * scale)[None], library, k=5)
 
 
-def test_build_library_and_score_split_are_order_preserving():
+def test_encoded_texts_score_in_row_order():
     texts = ["three oranges two kiwis", "two oranges two kiwis",
              "four oranges one kiwi"]
     vocab = Vocabulary.build(texts)
     params = init_params(vocab.size, dim=8, seed=0)
-    library = build_library(texts, params, vocab,
-                            [f"train-{i:04d}" for i in range(len(texts))])
-    assert library.ids == ("train-0000", "train-0001", "train-0002")
-    assert np.allclose(np.linalg.norm(library.vectors, axis=1), 1.0)
-    results = score_split(texts, params, vocab, library, k=1)
+    library = encode_texts(texts, params, vocab)
+    assert library.shape == (3, 8)
+    assert np.allclose(np.linalg.norm(library, axis=1), 1.0)
+    scores, _, nearest = score(encode_texts(texts, params, vocab), library, k=1)
     # every training text is its own nearest neighbor
-    for i, result in enumerate(results):
-        assert result.neighbor_ids == (f"train-{i:04d}",)
-        assert result.score == 1.0
+    assert nearest.tolist() == [[0], [1], [2]]
+    assert scores.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_library_validation_errors():
-    with pytest.raises(LibraryError):
-        build_library([], None, None, [])
-    with pytest.raises(LibraryError):
-        ReferenceLibrary(vectors=np.eye(3), ids=("a", "b"))
+    vocab = Vocabulary.build(["two kiwis"])
+    params = init_params(vocab.size, dim=4, seed=0)
+    with pytest.raises(LibraryError, match="empty"):
+        score(np.eye(4)[:1], encode_texts([], params, vocab), k=5)
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        score(np.array([[1.0, 0.0]]), _library(rng, 4, 2), k=0)
+        score(np.array([[1.0, 0.0]]), _random_unit_rows(rng, 4, 2), k=0)
 
 
 def test_score_file_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    library = _library(rng, 8, 4)
+    library = _random_unit_rows(rng, 8, 4)
     labels = [Label.NORMAL, Label.SINGLE_A, Label.NORMAL, Label.DUAL]
-    results = [(f"test-{label.value}-{i:04d}", label,
-                score(row[None], library, k=DEFAULT_K)[0])
-               for i, (label, row) in enumerate(
-                   zip(labels, _random_unit_rows(rng, len(labels), 4)))]
+    scores, means, nearest = score(_random_unit_rows(rng, len(labels), 4),
+                                   library, k=DEFAULT_K)
+    results = [(f"test-{label.value}-{i:04d}", label, s, mean,
+                [f"train-{j:04d}" for j in row])
+               for i, (label, s, mean, row) in enumerate(
+                   zip(labels, scores.tolist(), means.tolist(),
+                       nearest.tolist()))]
     report = metrics.make_task_report(
-        "sticks-white_bg", "sticks", Condition.WHITE_BG,
-        [r.score for _, _, r in results], labels)
+        "sticks-white_bg", "sticks", Condition.WHITE_BG, scores, labels)
     pipeline.write_score_file(tmp_path, pipeline.ScoredTask(report, results))
 
-    scores, read_labels = pipeline.read_score_file(tmp_path, "sticks-white_bg")
+    read_scores, read_labels = pipeline.read_score_file(tmp_path,
+                                                        "sticks-white_bg")
     # bit for bit: a float's repr reads back as the same float
-    assert [s.hex() for s in scores] == [r.score.hex() for _, _, r in results]
+    assert [s.hex() for s in read_scores] == [s.hex() for s in scores.tolist()]
     assert read_labels == labels
     lines = (tmp_path / "sticks-white_bg.scores.jsonl").read_text().splitlines()
-    sample_id, label, result = results[1]
+    sample_id, label, s, mean, neighbor_ids = results[1]
     assert json.loads(lines[1]) == {
         "task_id": "sticks-white_bg", "sample_id": sample_id,
-        "label": label.value, "score": result.score,
-        "mean_distance": result.mean_distance,
-        "neighbor_ids": list(result.neighbor_ids),
+        "label": label.value, "score": s, "mean_distance": mean,
+        "neighbor_ids": neighbor_ids,
     }

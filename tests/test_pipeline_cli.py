@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from logicad import cli, pipeline, trainer
+from logicad.encoder import encode_texts
 from logicad.negatives import pair_edits
 from logicad.scenarios import DEFAULT_SPLIT_COUNTS, SCENARIOS
 from logicad.scenes import Condition, Label, SplitCounts, scene_fields, task_id_for
@@ -117,6 +118,40 @@ def test_run_benchmark_preserves_task_order(tmp_path):
         assert line == f"{report.task_id}: AUROC {report.auroc:.4f}"
         assert 0.0 <= report.auroc <= 1.0
         assert (tmp_path / f"{report.task_id}.scores.jsonl").exists()
+
+
+@pytest.mark.parametrize("condition", SMALL.conditions, ids=lambda c: c.value)
+def test_score_lines_name_the_nearest_train_samples(tmp_path, condition):
+    artifacts = _small_task(condition)
+    trained = pipeline.train_task(SMALL, artifacts)
+    pipeline.write_score_file(
+        tmp_path, pipeline.score_task(SMALL, artifacts, trained))
+    lines = (tmp_path / f"tapes-{condition.value}.scores.jsonl"
+             ).read_text().splitlines()
+    train, test = artifacts.task.split("train"), artifacts.task.split("test")
+
+    def encode(samples):
+        return encode_texts([artifacts.texts[s.sample_id] for s in samples],
+                            trained.params, trained.vocab)
+
+    library = encode(train)
+    assert len(lines) == len(test)
+    ties = 0
+    for line, sample, query in zip(lines, test, encode(test)):
+        record = json.loads(line)
+        # full sort over (distance, train index): ties go to the earlier sample
+        pairs = sorted((float(np.linalg.norm(row - query)), i)
+                       for i, row in enumerate(library))
+        nearest = pairs[:SMALL.k]
+        ties += pairs[SMALL.k - 1][0] == pairs[SMALL.k][0]
+        assert record["sample_id"] == sample.sample_id
+        assert record["neighbor_ids"] == [train[i].sample_id for _, i in nearest]
+        mean = sum(d for d, _ in nearest) / len(nearest)
+        assert abs(record["mean_distance"] - mean) < 1e-12
+        assert abs(record["score"] - 1.0 / (1.0 + mean)) < 1e-12
+    if condition == Condition.WHITE_BG:
+        # one repeated train text: the tie rule picks every line's neighbors
+        assert ties == len(test)
 
 
 # --- CLI -------------------------------------------------------------------
@@ -722,8 +757,13 @@ def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
     assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()
 
 
+# a score that is not a finite JSON number, by damage
+BAD_SCORES = {"string_score": "0.5", "bool_score": True,
+              "nan_score": float("nan")}
+
+
 @pytest.mark.parametrize("damage", ["truncated", "no_score", "empty",
-                                    "not_utf8"])
+                                    "not_utf8", *BAD_SCORES])
 def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, damage):
     out = str(tmp_path)
     assert _run(["all", *ARGS, "--baseline", "--out-dir", out]) == 0
@@ -733,9 +773,12 @@ def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, damage):
     if damage == "truncated":
         path.write_text("".join(lines[:-1]) + lines[-1][:59])
         where = f"{path}:{len(lines)}: not a score record"
-    elif damage == "no_score":
+    elif damage == "no_score" or damage in BAD_SCORES:
         record = json.loads(lines[1])
-        del record["score"]
+        if damage == "no_score":
+            del record["score"]
+        else:
+            record["score"] = BAD_SCORES[damage]
         lines[1] = json.dumps(record, sort_keys=True) + "\n"
         path.write_text("".join(lines))
         where = f"{path}:2: not a score record"
