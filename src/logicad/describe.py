@@ -1,10 +1,11 @@
 """Rendering scenes into logic-focused texts.
 
 The built-in renderer stands in for a frozen image-to-text model: one text
-per scene, produced from the scenario's template grammar.  Capture
-conditions degrade the text linguistically (dropped optional clauses,
-corrupted decorative adjectives, paraphrase variation) without ever
-changing the logical label of the underlying scene.
+per scene, which the grammar of the scene's scenario spec renders from the
+view that spec reads off the scene.  Capture conditions degrade the text
+linguistically (dropped optional clauses, corrupted decorative adjectives,
+paraphrase variation) without ever changing the logical label of the
+underlying scene.
 
 ``render`` returns the slot record it wrote along with the text, so the
 pipeline never parses a text back; ``tests/oracles.py`` does, to check the
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenes import Condition, Scene
+from .scenes import Condition, Scene, ScenarioSpec
 from .templates import Skeleton, TemplateGrammar
 
 
@@ -83,18 +84,19 @@ def build_record(grammar: TemplateGrammar, skeleton: Skeleton,
 
 def render(scene: Scene, cfg: RenderConfig,
            rng: Optional[np.random.Generator],
-           grammar: TemplateGrammar) -> AttributeRecord:
-    """Render one scene into one text under the given degradation config.
+           spec: ScenarioSpec) -> AttributeRecord:
+    """Render one scene of ``spec`` into one text under a degradation config.
 
     ``rng`` may be None when ``cfg.draws`` is False.
     """
-    slots = grammar.scene_slots(scene)
+    grammar = spec.grammar
+    slots = grammar.view_slots(spec.view(scene))
     for name, value in slots.items():
         slot_def = grammar.slots.get(name)
         if slot_def is None or value not in slot_def.values:
             raise RenderError(
                 f"value {value!r} for slot {name!r} is outside the "
-                f"{grammar.scenario_id} template grammar"
+                f"{spec.scenario_id} template grammar"
             )
     variant = int(rng.integers(len(grammar.variants))) if cfg.paraphrase else 0
     clauses = grammar.variants[variant]

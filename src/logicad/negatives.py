@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .describe import AttributeRecord, build_record
-from .scenarios import NUMBER_WORDS, word_number
-from .templates import SlotDef, TemplateGrammar
+from .templates import NUMBER_WORDS, SlotDef, TemplateGrammar, word_number
 
 # "at least one" contradiction per the synthesis constraints; a second edit
 # with small probability adds hardness without changing structure.
@@ -59,9 +58,8 @@ def synthesize_negative(
     ]
     if not editable:
         raise SynthesisError(
-            f"no logical slot with a non-empty contradiction pool in "
-            f"{grammar.scenario_id} positive"
-        )
+            "no logical slot of the positive has a non-empty contradiction "
+            "pool")
     u = rng.random()
     n_edits = 1
     acc = 0.0

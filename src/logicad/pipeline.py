@@ -37,7 +37,6 @@ from . import describe, knn, metrics, negatives, scenarios, scenes, trainer
 from .describe import CONDITION_RENDER_DEFAULTS
 from .encoder import EncoderParams, Vocabulary, encode_texts, init_params
 from .seeding import derive_rng, derive_seed
-from .templates import get_grammar
 
 CHECKPOINT_VERSION = 1
 
@@ -51,7 +50,7 @@ class PipelineConfig:
     k: int = knn.DEFAULT_K
     dim: int = 64
     skip_training: bool = False  # frozen random-init encoder baseline
-    jobs: int = 0  # 0 -> logical core count
+    jobs: int = 0  # 0 -> one per CPU this process may run on
 
     def __post_init__(self):
         if not self.scenario_ids or not self.conditions:
@@ -67,7 +66,7 @@ class PipelineConfig:
         if self.dim < 2:
             raise ValueError("embedding dimension must be >= 2")
         if self.jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 means one per core)")
+            raise ValueError("jobs must be >= 0 (0 means one per usable CPU)")
 
     def tasks(self) -> list[tuple[str, scenes.Condition]]:
         return [(s, c) for s in self.scenario_ids for c in self.conditions]
@@ -100,7 +99,6 @@ def generate_task(config: PipelineConfig, scenario_id: str,
     texts and pairs.
     """
     spec = scenarios.get_scenario(scenario_id)
-    grammar = get_grammar(scenario_id)
     render_cfg = CONDITION_RENDER_DEFAULTS[condition]
     task = scenes.build_task(
         spec, condition, counts,
@@ -112,13 +110,14 @@ def generate_task(config: PipelineConfig, scenario_id: str,
         # a config that draws nothing needs no stream: white_bg renders clean
         rng = derive_rng(config.master_seed, scenario_id, condition.value,
                          "render", sample.sample_id) if render_cfg.draws else None
-        record = describe.render(sample.scene, render_cfg, rng, grammar)
+        record = describe.render(sample.scene, render_cfg, rng, spec)
         texts[sample.sample_id] = record.text
         if sample.split == "train":
             neg_rng = derive_rng(config.master_seed, scenario_id,
                                  condition.value, "negative", sample.sample_id)
             pairs[sample.sample_id] = (
-                record, negatives.synthesize_negative(record, grammar, neg_rng))
+                record, negatives.synthesize_negative(record, spec.grammar,
+                                                      neg_rng))
     return TaskArtifacts(task=task, texts=texts, pairs=pairs)
 
 
@@ -189,7 +188,7 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
     ``all`` does all three.  Returns the line to print and, when the task
     was scored, its report.
     """
-    counts = scenarios.DEFAULT_SPLIT_COUNTS[scenario_id]
+    counts = scenarios.get_scenario(scenario_id).counts
     if stages == "train":
         # training reads only the train pairs: generate no test scene
         counts = scenes.SplitCounts(counts.train_normal, 0, 0, 0, 0)
@@ -221,6 +220,14 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
     return f"{prefix}{task_id}: AUROC {scored.report.auroc:.4f}", scored.report
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; the machine's count where the
+    platform cannot tell (macOS has no ``sched_getaffinity``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
                   ) -> Iterator[tuple[str, Optional[metrics.TaskReport]]]:
     """Run one command's stages over every selected task, yielding in task order.
@@ -240,7 +247,7 @@ def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
                 raise CheckpointError(
                     f"no checkpoint for {task_id}; run `logicad train` first")
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = config.jobs if config.jobs > 0 else os.cpu_count() or 1
+    jobs = config.jobs if config.jobs > 0 else usable_cpus()
     if jobs == 1 or len(tasks) <= 1:
         for scenario_id, condition in tasks:
             yield run_task(config, out_dir, stages, scenario_id, condition)
@@ -271,9 +278,9 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
 def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
     """The task's scene, description and negative-pair files."""
     task = artifacts.task
-    grammar = get_grammar(task.scenario_id)
+    grammar = scenarios.get_scenario(task.scenario_id).grammar
     _write_jsonl(_task_path(out_dir, task.task_id, "scenes.jsonl"), (
-        {"task_id": task.task_id, "scenario": s.scene.scenario_id,
+        {"task_id": task.task_id, "scenario": task.scenario_id,
          "condition": task.condition.value, "split": s.split,
          "label": s.label.value, "scene": scenes.scene_fields(s.scene)}
         for s in task.samples))

@@ -1,8 +1,11 @@
-"""The ten built-in scenarios: rules, views and edits.
+"""The ten built-in scenarios, one ``ScenarioSpec`` each.
 
-Each scenario pairs two rule aspects.  Its view, the logical state that
-the grammar renders (a dict; a list for dishes), is what ``normal`` draws
-and what each aspect's rule-breaking edit changes in place.
+A spec is the whole record of its scenario: its two rule aspects and
+rules, its view, its edits, its split counts and its grammar, which
+``templates`` defines along with the attribute domains the rules share.
+Its view, the logical state that the grammar renders (a dict; a list for
+dishes), is what ``normal`` draws and what each aspect's rule-breaking
+edit changes in place.
 ``scenes.sample_anomaly`` combines the edits with rejection sampling to hit
 a target label exactly, and builds the scene once.
 
@@ -25,24 +28,15 @@ from typing import Optional
 import numpy as np
 
 from .scenes import Aspect, ObjectInstance, Scene, ScenarioSpec, SplitCounts
-
-MAX_COUNT = 6  # upper bound for any per-group object count
-
-NUMBER_WORDS = (
-    "zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
-    "nine", "ten", "eleven", "twelve",
+from .templates import (
+    BALL_COLORS, BALLS_GRAMMAR, BLOCK_BINS, BLOCK_SHAPES, BLOCKS_GRAMMAR,
+    COOKIE_COLORS, COOKIES_GRAMMAR, DISH_INTRUDERS, DISH_ITEMS, DISHES_GRAMMAR,
+    FRUIT_TYPES, FRUITS_GRAMMAR, LENGTHS, ROPE_COLORS, ROPES_GRAMMAR,
+    STATIONERY_GRAMMAR, STICKS_GRAMMAR, TAPE_COLORS, TAPES_GRAMMAR, TOOL_BINS,
+    TOOLS_GRAMMAR, TemplateGrammar,
 )
 
-# relative length classes of sticks and tapes; contradiction pools draw by index
-_LENGTHS = ("long", "short", "similar")
-
-
-def number_word(n: int) -> str:
-    return NUMBER_WORDS[n]
-
-
-def word_number(w: str) -> int:
-    return NUMBER_WORDS.index(w)
+MAX_COUNT = 6  # upper bound for any per-group object count
 
 
 def _pick(rng: np.random.Generator, options):
@@ -104,7 +98,6 @@ class GroupLayout:
     the fixed category, or None when the key is the category.
     """
 
-    scenario_id: str
     key: str
     attr: str
     category: Optional[str]
@@ -126,7 +119,7 @@ class GroupLayout:
                       self.attr: view[attr]}
             for _ in range(view[count]):
                 objects.append(ObjectInstance(**fields, order_index=len(objects)))
-        return Scene(self.scenario_id, tuple(objects))
+        return Scene(tuple(objects))
 
     def normal(self, rng: np.random.Generator) -> dict:
         view = {}
@@ -154,11 +147,12 @@ class GroupLayout:
         view[attr] = _pick(rng, [v for v in self.values if v != canon])
 
 
-def _grouped_spec(layout: GroupLayout, aspects: tuple[Aspect, Aspect],
-                  count_edit=None) -> ScenarioSpec:
+def _grouped_spec(scenario_id: str, layout: GroupLayout,
+                  aspects: tuple[Aspect, Aspect], counts: SplitCounts,
+                  grammar: TemplateGrammar, count_edit=None) -> ScenarioSpec:
     """Rule a holds the counts and rule b the attributes."""
     return ScenarioSpec(
-        scenario_id=layout.scenario_id,
+        scenario_id=scenario_id,
         aspects=aspects,
         rule_a=layout.counts_hold,
         rule_b=layout.attrs_hold,
@@ -167,6 +161,7 @@ def _grouped_spec(layout: GroupLayout, aspects: tuple[Aspect, Aspect],
         normal=layout.normal,
         edits={aspects[0]: count_edit or layout.bump_count,
                aspects[1]: layout.change_attr},
+        counts=counts, grammar=grammar,
     )
 
 
@@ -175,20 +170,19 @@ def _grouped_spec(layout: GroupLayout, aspects: tuple[Aspect, Aspect],
 # ---------------------------------------------------------------------------
 
 STICKS_LAYOUT = GroupLayout(
-    "sticks", key="color", attr="length_class", category="stick",
-    values=_LENGTHS,
+    key="color", attr="length_class", category="stick", values=LENGTHS,
     groups=(("blue", "count_blue", "len_blue", 2, "long"),
             ("red", "count_red", "len_red", 1, "short")),
 )
 
-STICKS = _grouped_spec(STICKS_LAYOUT, (Aspect.QUANTITY, Aspect.LENGTH))
+STICKS = _grouped_spec("sticks", STICKS_LAYOUT, (Aspect.QUANTITY, Aspect.LENGTH),
+                       SplitCounts(50, 50, 48, 48, 8), STICKS_GRAMMAR)
 
 
 # ---------------------------------------------------------------------------
 # Fruits (Quantity + Type): three oranges and two kiwifruits.
 # ---------------------------------------------------------------------------
 
-_FRUIT_TYPES = ("orange", "kiwi", "apple", "lemon", "banana")
 _FRUITS_NORMAL = {"count_a": 3, "cat_a": "orange", "count_b": 2, "cat_b": "kiwi"}
 
 
@@ -218,7 +212,7 @@ def _fruits_build(view: dict) -> Scene:
         for _ in range(view[f"count_{side}"]):
             objects.append(ObjectInstance(view[f"cat_{side}"], order_index=order))
             order += 1
-    return Scene("fruits", tuple(objects))
+    return Scene(tuple(objects))
 
 
 def _two_runs(scene: Scene) -> bool:
@@ -234,7 +228,7 @@ def _fruits_edit_t(view: dict, rng: np.random.Generator) -> None:
     side = _pick(rng, ("a", "b"))
     other = view["cat_b" if side == "a" else "cat_a"]
     view[f"cat_{side}"] = _pick(
-        rng, [c for c in _FRUIT_TYPES if c not in (view[f"cat_{side}"], other)]
+        rng, [c for c in FRUIT_TYPES if c not in (view[f"cat_{side}"], other)]
     )
 
 
@@ -248,6 +242,7 @@ FRUITS = ScenarioSpec(
     build=_fruits_build,
     normal=_fixed(_FRUITS_NORMAL),
     edits={Aspect.QUANTITY: _fruits_edit_q, Aspect.TYPE: _fruits_edit_t},
+    counts=SplitCounts(50, 50, 48, 44, 8), grammar=FRUITS_GRAMMAR,
 )
 
 
@@ -256,14 +251,14 @@ FRUITS = ScenarioSpec(
 # ---------------------------------------------------------------------------
 
 TOOLS_LAYOUT = GroupLayout(
-    "tools", key="category", attr="region", category=None,
-    values=("left", "middle", "right"),
+    key="category", attr="region", category=None, values=TOOL_BINS,
     groups=(("bolt", "count_bolt", "region_bolt", 2, "left"),
             ("washer", "count_washer", "region_washer", 2, "middle"),
             ("nut", "count_nut", "region_nut", 2, "right")),
 )
 
-TOOLS = _grouped_spec(TOOLS_LAYOUT, (Aspect.QUANTITY, Aspect.PLACEMENT))
+TOOLS = _grouped_spec("tools", TOOLS_LAYOUT, (Aspect.QUANTITY, Aspect.PLACEMENT),
+                      SplitCounts(50, 50, 52, 50, 8), TOOLS_GRAMMAR)
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +266,14 @@ TOOLS = _grouped_spec(TOOLS_LAYOUT, (Aspect.QUANTITY, Aspect.PLACEMENT))
 # black cookie on the round dish.
 # ---------------------------------------------------------------------------
 
-_COOKIE_COLORS = ("yellow", "black", "white", "brown", "pink")
-
 COOKIES_LAYOUT = GroupLayout(
-    "cookies", key="region", attr="color", category="cookie",
-    values=_COOKIE_COLORS,
+    key="region", attr="color", category="cookie", values=COOKIE_COLORS,
     groups=(("square_dish", "count_square", "color_square", 2, "yellow"),
             ("round_dish", "count_round", "color_round", 1, "black")),
 )
 
-COOKIES = _grouped_spec(COOKIES_LAYOUT, (Aspect.QUANTITY, Aspect.RELATION))
+COOKIES = _grouped_spec("cookies", COOKIES_LAYOUT, (Aspect.QUANTITY, Aspect.RELATION),
+                        SplitCounts(50, 50, 50, 50, 6), COOKIES_GRAMMAR)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +283,6 @@ COOKIES = _grouped_spec(COOKIES_LAYOUT, (Aspect.QUANTITY, Aspect.RELATION))
 
 _TAPES_NORMAL = {"len_first": "long", "color_first": "green",
                  "len_second": "short", "color_second": "red"}
-_TAPE_COLORS = ("green", "red", "blue", "yellow", "black")
 _TAPE_LEN_SLOTS = ("len_first", "len_second")
 _TAPE_COLOR_SLOTS = ("color_first", "color_second")
 
@@ -309,7 +301,7 @@ def _tapes_build(view: dict) -> Scene:
                        length_class=view[f"len_{w}"], order_index=i)
         for i, w in enumerate(("first", "second"))
     )
-    return Scene("tapes", objects)
+    return Scene(objects)
 
 
 TAPES = ScenarioSpec(
@@ -321,8 +313,9 @@ TAPES = ScenarioSpec(
     view=_tapes_view,
     build=_tapes_build,
     normal=_fixed(_TAPES_NORMAL),
-    edits={Aspect.LENGTH: _swap(_TAPE_LEN_SLOTS, _LENGTHS, _TAPES_NORMAL),
-           Aspect.TYPE: _swap(_TAPE_COLOR_SLOTS, _TAPE_COLORS, _TAPES_NORMAL)},
+    edits={Aspect.LENGTH: _swap(_TAPE_LEN_SLOTS, LENGTHS, _TAPES_NORMAL),
+           Aspect.TYPE: _swap(_TAPE_COLOR_SLOTS, TAPE_COLORS, _TAPES_NORMAL)},
+    counts=SplitCounts(50, 50, 50, 50, 10), grammar=TAPES_GRAMMAR,
 )
 
 
@@ -369,7 +362,7 @@ def _stationery_build(view: dict) -> Scene:
                                region=f"{side}_bin", order_index=order)
             )
             order += 1
-    return Scene("stationery", tuple(objects))
+    return Scene(tuple(objects))
 
 
 def _stationery_edit_l(view: dict, rng: np.random.Generator) -> None:
@@ -393,6 +386,7 @@ STATIONERY = ScenarioSpec(
     edits={Aspect.LENGTH: _stationery_edit_l,
            Aspect.PLACEMENT: _swap(_STATIONERY_ORDER_SLOTS, ("eraser", "pencil"),
                                    _STATIONERY_NORMAL)},
+    counts=SplitCounts(50, 50, 50, 50, 10), grammar=STATIONERY_GRAMMAR,
 )
 
 
@@ -401,7 +395,6 @@ STATIONERY = ScenarioSpec(
 # color matching the text label.
 # ---------------------------------------------------------------------------
 
-_ROPE_COLORS = ("red", "blue", "green", "yellow", "white")
 _ROPE_LENGTHS = ("similar", "long", "short")
 
 
@@ -417,11 +410,11 @@ def _ropes_view(scene: Scene) -> dict:
 def _ropes_build(view: dict) -> Scene:
     rope = ObjectInstance("rope", color=view["rope_color"],
                           length_class=view["rope_len"], order_index=0)
-    return Scene("ropes", (rope,), context=(("label", view["label_color"]),))
+    return Scene((rope,), context=(("label", view["label_color"]),))
 
 
 def _ropes_normal(rng: np.random.Generator) -> dict:
-    color = _pick(rng, _ROPE_COLORS)
+    color = _pick(rng, ROPE_COLORS)
     return {"rope_len": "similar", "rope_color": color, "label_color": color}
 
 
@@ -436,7 +429,7 @@ def _ropes_rule_r(scene: Scene) -> bool:
 
 def _ropes_edit_r(view: dict, rng: np.random.Generator) -> None:
     view["rope_color"] = _pick(
-        rng, [c for c in _ROPE_COLORS if c != view["label_color"]]
+        rng, [c for c in ROPE_COLORS if c != view["label_color"]]
     )
 
 
@@ -451,6 +444,7 @@ ROPES = ScenarioSpec(
     edits={Aspect.LENGTH: _swap(("rope_len",), _ROPE_LENGTHS,
                                 {"rope_len": "similar"}),
            Aspect.RELATION: _ropes_edit_r},
+    counts=SplitCounts(50, 50, 48, 50, 12), grammar=ROPES_GRAMMAR,
 )
 
 
@@ -459,8 +453,6 @@ ROPES = ScenarioSpec(
 # top/middle/bottom bins.
 # ---------------------------------------------------------------------------
 
-_BLOCK_SHAPES = ("circle", "triangle", "square", "star", "hexagon")
-_BLOCK_BINS = ("top", "middle", "bottom")
 _BLOCKS_NORMAL = {"shape_a": "circle", "region_a": "top",
                   "shape_b": "triangle", "region_b": "middle",
                   "shape_c": "square", "region_c": "bottom"}
@@ -490,7 +482,7 @@ def _blocks_build(view: dict) -> Scene:
                                region=view[f"region_{slot}"], order_index=order)
             )
             order += 1
-    return Scene("blocks", tuple(objects))
+    return Scene(tuple(objects))
 
 
 def _blocks_valid_groups(scene: Scene) -> bool:
@@ -508,9 +500,10 @@ BLOCKS = ScenarioSpec(
     view=_blocks_view,
     build=_blocks_build,
     normal=_fixed(_BLOCKS_NORMAL),
-    edits={Aspect.TYPE: _swap(_BLOCK_SHAPE_SLOTS, _BLOCK_SHAPES, _BLOCKS_NORMAL),
-           Aspect.PLACEMENT: _swap(_BLOCK_REGION_SLOTS, _BLOCK_BINS,
+    edits={Aspect.TYPE: _swap(_BLOCK_SHAPE_SLOTS, BLOCK_SHAPES, _BLOCKS_NORMAL),
+           Aspect.PLACEMENT: _swap(_BLOCK_REGION_SLOTS, BLOCK_BINS,
                                    _BLOCKS_NORMAL)},
+    counts=SplitCounts(50, 50, 52, 50, 8), grammar=BLOCKS_GRAMMAR,
 )
 
 
@@ -518,9 +511,7 @@ BLOCKS = ScenarioSpec(
 # Dishes (Type + Relation): a fork, a plate, and a spoon in left-to-right order.
 # ---------------------------------------------------------------------------
 
-_DISH_ITEMS = ("fork", "plate", "spoon")
-_DISH_INTRUDERS = ("knife", "cup")
-_DISH_RANK = {item: i for i, item in enumerate(_DISH_ITEMS)}
+_DISH_RANK = {item: i for i, item in enumerate(DISH_ITEMS)}
 
 
 def _dishes_items(scene: Scene) -> list[str]:
@@ -528,15 +519,13 @@ def _dishes_items(scene: Scene) -> list[str]:
 
 
 def _dishes_build(items: list[str]) -> Scene:
-    return Scene(
-        "dishes",
-        tuple(ObjectInstance(cat, order_index=i) for i, cat in enumerate(items)),
-    )
+    return Scene(tuple(ObjectInstance(cat, order_index=i)
+                       for i, cat in enumerate(items)))
 
 
 def _dishes_rule_t(scene: Scene) -> bool:
     items = _dishes_items(scene)
-    return sorted(items) == sorted(_DISH_ITEMS)
+    return sorted(items) == sorted(DISH_ITEMS)
 
 
 def _dishes_rule_r(scene: Scene) -> bool:
@@ -561,9 +550,10 @@ DISHES = ScenarioSpec(
     rule_b=_dishes_rule_r,
     view=_dishes_items,
     build=_dishes_build,
-    normal=_fixed(_DISH_ITEMS),
-    edits={Aspect.TYPE: _swap((0, 1, 2), _DISH_INTRUDERS, _DISH_ITEMS),
+    normal=_fixed(DISH_ITEMS),
+    edits={Aspect.TYPE: _swap((0, 1, 2), DISH_INTRUDERS, DISH_ITEMS),
            Aspect.RELATION: _dishes_edit_r},
+    counts=SplitCounts(50, 50, 48, 48, 15), grammar=DISHES_GRAMMAR,
 )
 
 
@@ -572,11 +562,8 @@ DISHES = ScenarioSpec(
 # in the top row and white in the bottom row.
 # ---------------------------------------------------------------------------
 
-_BALL_COLORS = ("orange", "white", "green", "purple")
-
 BALLS_LAYOUT = GroupLayout(
-    "balls", key="region", attr="color", category="ball",
-    values=_BALL_COLORS,
+    key="region", attr="color", category="ball", values=BALL_COLORS,
     groups=(("top_left", "n_tl", "c_tl", 1, "orange"),
             ("top_right", "n_tr", "c_tr", 1, "orange"),
             ("bottom_left", "n_bl", "c_bl", 1, "white"),
@@ -594,7 +581,8 @@ def _balls_edit_p(view: dict, rng: np.random.Generator) -> None:
     view[f"n_{dst}"] += 1
 
 
-BALLS = _grouped_spec(BALLS_LAYOUT, (Aspect.PLACEMENT, Aspect.RELATION),
+BALLS = _grouped_spec("balls", BALLS_LAYOUT, (Aspect.PLACEMENT, Aspect.RELATION),
+                      SplitCounts(50, 50, 48, 48, 12), BALLS_GRAMMAR,
                       count_edit=_balls_edit_p)
 
 
@@ -602,20 +590,6 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     spec.scenario_id: spec
     for spec in (STICKS, FRUITS, TOOLS, COOKIES, TAPES,
                  STATIONERY, ROPES, BLOCKS, DISHES, BALLS)
-}
-
-# Per-task split sizes: train normal / test normal / single-A / single-B / dual.
-DEFAULT_SPLIT_COUNTS: dict[str, SplitCounts] = {
-    "sticks": SplitCounts(50, 50, 48, 48, 8),
-    "fruits": SplitCounts(50, 50, 48, 44, 8),
-    "tools": SplitCounts(50, 50, 52, 50, 8),
-    "cookies": SplitCounts(50, 50, 50, 50, 6),
-    "tapes": SplitCounts(50, 50, 50, 50, 10),
-    "stationery": SplitCounts(50, 50, 50, 50, 10),
-    "ropes": SplitCounts(50, 50, 48, 50, 12),
-    "blocks": SplitCounts(50, 50, 52, 50, 8),
-    "dishes": SplitCounts(50, 50, 48, 48, 15),
-    "balls": SplitCounts(50, 50, 48, 48, 12),
 }
 
 

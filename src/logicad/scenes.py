@@ -1,12 +1,15 @@
-"""Core scene model: objects, scenario rule specs, classification and sampling.
+"""Core scene model: objects, scenario specs, classification and sampling.
 
 A scene is a structured set of object instances plus optional scenario
-context (e.g. the text label the rope color has to match).  Each scenario
-declares two rule aspects; a scene is normal iff both rule predicates hold.
-Scenarios sample and edit a scene's view, its logical state, and build the
-scene from the view once; the rules judge the built scene.
-A scene holds no capture condition: its task does, and the condition only
-affects rendering downstream, never the logical state.
+context (e.g. the text label the rope color has to match).  A
+``ScenarioSpec`` is the one record of a scenario: its two rule aspects and
+rules, its view, its edits, its split counts and its text grammar.  A scene
+is normal iff both rule predicates hold.  Scenarios sample and edit a
+scene's view, its logical state, and build the scene from the view once;
+the rules judge the built scene, and the grammar renders the view.
+A scene holds neither its scenario nor a capture condition: its spec and
+its task do, and the condition only affects rendering downstream, never
+the logical state.
 ``scene_fields`` gives a scene's part of a scene-file line for ``pipeline``.
 """
 
@@ -14,9 +17,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # templates imports this module
+    from .templates import TemplateGrammar
 
 MUTATION_ATTEMPTS = 1000
 
@@ -59,14 +65,13 @@ class ObjectInstance:
 
 @dataclass(frozen=True)
 class Scene:
-    scenario_id: str
     objects: tuple[ObjectInstance, ...]
     context: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario: its aspect pair, rules, views and edits.
+    """One scenario: its aspect pair, rules, views, edits, counts and grammar.
 
     ``rule_a``/``rule_b`` return True when the rule is satisfied.  They are
     total over well-formed scenes; the empty-scene degenerate case is
@@ -74,7 +79,8 @@ class ScenarioSpec:
     ``view`` reads a scene's logical state and ``build`` makes the scene of
     a view.  ``normal`` draws the view of a normal scene, and ``edits`` map
     each aspect to a single rule-breaking edit of a view, made in place,
-    used by targeted anomaly sampling.
+    used by targeted anomaly sampling.  ``counts`` are the sizes of each
+    of its tasks' splits, and ``grammar`` renders its view as text.
     """
 
     scenario_id: str
@@ -85,6 +91,8 @@ class ScenarioSpec:
     build: Callable[[Any], Scene]
     normal: Callable[[np.random.Generator], Any]
     edits: dict[Aspect, Callable[[Any, np.random.Generator], None]]
+    counts: SplitCounts
+    grammar: TemplateGrammar
 
 
 def check_rules(scene: Scene, spec: ScenarioSpec) -> set[Aspect]:

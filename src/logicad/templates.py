@@ -1,13 +1,16 @@
-"""Slot-grammar templates that turn scenes into logic-focused texts.
+"""Slot-grammar templates that turn a scenario's view into logic-focused texts.
 
 Every scenario ships one grammar with three paraphrase variants.  A variant
 is a sequence of clauses; a clause is a format string over named slots plus
 an "optional" flag (optional clauses can be dropped by condition-dependent
 omission).
 
-A grammar renders its scenario's view, the one ``scenarios`` reads: its
-``logical_slots`` turn that view into the words of the logical slots, by
-default each count as its number word.
+A grammar renders the view it is given, the logical state its scenario's
+spec reads off a scene: its ``logical_slots`` turn that view into the
+words of the logical slots, by default each count as its number word.
+This module also holds the number words and the attribute domains that
+the rules in ``scenarios`` and the grammars here share; it imports nothing
+of ``scenarios``.
 
 The skeleton of a text is its ``(variant, clause mask)`` pair; a
 (skeleton, slots) pair determines the text byte for byte.
@@ -20,9 +23,34 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .scenes import Aspect, Scene
-from . import scenarios
-from .scenarios import NUMBER_WORDS, number_word
+from .scenes import Aspect
+
+NUMBER_WORDS = (
+    "zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
+    "nine", "ten", "eleven", "twelve",
+)
+
+# Attribute domains that the rules in ``scenarios`` and the grammars share.
+# Edits draw from them by index, so the order is part of the data.
+LENGTHS = ("long", "short", "similar")  # relative, of sticks and tapes
+FRUIT_TYPES = ("orange", "kiwi", "apple", "lemon", "banana")
+TOOL_BINS = ("left", "middle", "right")
+COOKIE_COLORS = ("yellow", "black", "white", "brown", "pink")
+TAPE_COLORS = ("green", "red", "blue", "yellow", "black")
+ROPE_COLORS = ("red", "blue", "green", "yellow", "white")
+BLOCK_SHAPES = ("circle", "triangle", "square", "star", "hexagon")
+BLOCK_BINS = ("top", "middle", "bottom")
+DISH_ITEMS = ("fork", "plate", "spoon")
+DISH_INTRUDERS = ("knife", "cup")
+BALL_COLORS = ("orange", "white", "green", "purple")
+
+
+def number_word(n: int) -> str:
+    return NUMBER_WORDS[n]
+
+
+def word_number(w: str) -> int:
+    return NUMBER_WORDS.index(w)
 
 
 @dataclass(frozen=True)
@@ -56,15 +84,13 @@ def _number_words(view: dict) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class TemplateGrammar:
-    scenario_id: str
     slots: dict[str, SlotDef]
     variants: tuple[tuple[Clause, ...], ...]
     # the words of the logical slots, from the scenario's view
     logical_slots: Callable[[Any], dict[str, str]] = _number_words
 
-    def scene_slots(self, scene: Scene) -> dict[str, str]:
-        """The scene's logical slot values plus every decorative slot's clean value."""
-        view = scenarios.get_scenario(self.scenario_id).view(scene)
+    def view_slots(self, view: Any) -> dict[str, str]:
+        """The view's logical slot values plus every decorative slot's clean value."""
         slots = self.logical_slots(view)
         for name, slot in self.slots.items():
             if slot.aspect is None:
@@ -95,7 +121,7 @@ def _plural_fruit(category: str) -> str:
     return f"{category}s"
 
 
-_FRUIT_PLURALS = tuple(_plural_fruit(c) for c in scenarios._FRUIT_TYPES)
+_FRUIT_PLURALS = tuple(_plural_fruit(c) for c in FRUIT_TYPES)
 
 
 def _slot_table(*slots: SlotDef) -> dict[str, SlotDef]:
@@ -119,7 +145,6 @@ def _fruits_slots(view: dict) -> dict[str, str]:
 
 
 FRUITS_GRAMMAR = TemplateGrammar(
-    scenario_id="fruits",
     slots=_slot_table(
         SlotDef("count_a", NUMBER_WORDS, Aspect.QUANTITY),
         SlotDef("type_a", _FRUIT_PLURALS, Aspect.TYPE),
@@ -181,12 +206,11 @@ _STICK_DECOR = ("wooden", "plastic", "painted", "polished", "smooth", "matte")
 
 
 STICKS_GRAMMAR = TemplateGrammar(
-    scenario_id="sticks",
     slots=_slot_table(
         SlotDef("count_blue", NUMBER_WORDS, Aspect.QUANTITY),
         SlotDef("count_red", NUMBER_WORDS, Aspect.QUANTITY),
-        SlotDef("len_blue", scenarios._LENGTHS, Aspect.LENGTH),
-        SlotDef("len_red", scenarios._LENGTHS, Aspect.LENGTH),
+        SlotDef("len_blue", LENGTHS, Aspect.LENGTH),
+        SlotDef("len_red", LENGTHS, Aspect.LENGTH),
         SlotDef("decor_sticks", _STICK_DECOR),
         SlotDef("decor_tray", ("metal", "white", "gray",
                                "shallow", "wide", "round")),
@@ -257,14 +281,13 @@ def _tools_slots(view: dict) -> dict[str, str]:
 
 
 TOOLS_GRAMMAR = TemplateGrammar(
-    scenario_id="tools",
     slots=_slot_table(
         SlotDef("count_bolt", NUMBER_WORDS, Aspect.QUANTITY),
-        SlotDef("region_bolt", scenarios.TOOLS_LAYOUT.values, Aspect.PLACEMENT),
+        SlotDef("region_bolt", TOOL_BINS, Aspect.PLACEMENT),
         SlotDef("count_washer", NUMBER_WORDS, Aspect.QUANTITY),
-        SlotDef("region_washer", scenarios.TOOLS_LAYOUT.values, Aspect.PLACEMENT),
+        SlotDef("region_washer", TOOL_BINS, Aspect.PLACEMENT),
         SlotDef("count_nut", NUMBER_WORDS, Aspect.QUANTITY),
-        SlotDef("region_nut", scenarios.TOOLS_LAYOUT.values, Aspect.PLACEMENT),
+        SlotDef("region_nut", TOOL_BINS, Aspect.PLACEMENT),
         SlotDef("total_tools", NUMBER_WORDS, Aspect.QUANTITY),
         SlotDef("decor_tools", _TOOL_DECOR),
         SlotDef("decor_bench", ("scuffed", "clean", "broad",
@@ -338,14 +361,11 @@ _COOKIE_DECOR = ("baked", "sugar", "crunchy", "glazed", "plain", "soft")
 
 
 COOKIES_GRAMMAR = TemplateGrammar(
-    scenario_id="cookies",
     slots=_slot_table(
         SlotDef("count_square", NUMBER_WORDS, Aspect.QUANTITY),
-        SlotDef("color_square", scenarios._COOKIE_COLORS,
-                Aspect.RELATION),
+        SlotDef("color_square", COOKIE_COLORS, Aspect.RELATION),
         SlotDef("count_round", NUMBER_WORDS, Aspect.QUANTITY),
-        SlotDef("color_round", scenarios._COOKIE_COLORS,
-                Aspect.RELATION),
+        SlotDef("color_round", COOKIE_COLORS, Aspect.RELATION),
         SlotDef("decor_cookies", _COOKIE_DECOR),
         SlotDef("decor_table", ("marble", "tiled", "waxed",
                                 "narrow", "oak", "spotless")),
@@ -412,13 +432,11 @@ _TAPE_DECOR = ("adhesive", "glossy", "new", "wide", "narrow", "dusty")
 
 
 TAPES_GRAMMAR = TemplateGrammar(
-    scenario_id="tapes",
     slots=_slot_table(
-        SlotDef("len_first", scenarios._LENGTHS, Aspect.LENGTH),
-        SlotDef("color_first", scenarios._TAPE_COLORS, Aspect.TYPE),
-        SlotDef("len_second", scenarios._LENGTHS, Aspect.LENGTH),
-        SlotDef("color_second", scenarios._TAPE_COLORS,
-                Aspect.TYPE),
+        SlotDef("len_first", LENGTHS, Aspect.LENGTH),
+        SlotDef("color_first", TAPE_COLORS, Aspect.TYPE),
+        SlotDef("len_second", LENGTHS, Aspect.LENGTH),
+        SlotDef("color_second", TAPE_COLORS, Aspect.TYPE),
         SlotDef("decor_tapes", _TAPE_DECOR),
         SlotDef("decor_desk", ("walnut", "laminate", "tidy",
                                "slim", "corner", "bare")),
@@ -484,7 +502,6 @@ _ORDER2 = ("eraser", "pencil")
 
 
 STATIONERY_GRAMMAR = TemplateGrammar(
-    scenario_id="stationery",
     slots=_slot_table(
         SlotDef("len_left_pencil", _LEN2, Aspect.LENGTH),
         SlotDef("len_left_eraser", _LEN2, Aspect.LENGTH),
@@ -573,13 +590,10 @@ def _ropes_slots(view: dict) -> dict[str, str]:
 
 
 ROPES_GRAMMAR = TemplateGrammar(
-    scenario_id="ropes",
     slots=_slot_table(
         SlotDef("rope_len", _ROPE_LEN, Aspect.LENGTH),
-        SlotDef("rope_color", scenarios._ROPE_COLORS,
-                Aspect.RELATION),
-        SlotDef("label_color", scenarios._ROPE_COLORS,
-                Aspect.RELATION),
+        SlotDef("rope_color", ROPE_COLORS, Aspect.RELATION),
+        SlotDef("label_color", ROPE_COLORS, Aspect.RELATION),
         SlotDef("decor_ropes", _ROPE_DECOR),
         SlotDef("decor_hook", ("brass", "rusty", "double",
                                "bolted", "curved", "sturdy")),
@@ -639,14 +653,13 @@ _BLOCK_DECOR = ("wooden", "colorful", "stacked", "small", "large", "plastic")
 
 
 BLOCKS_GRAMMAR = TemplateGrammar(
-    scenario_id="blocks",
     slots=_slot_table(
-        SlotDef("shape_a", scenarios._BLOCK_SHAPES, Aspect.TYPE),
-        SlotDef("region_a", scenarios._BLOCK_BINS, Aspect.PLACEMENT),
-        SlotDef("shape_b", scenarios._BLOCK_SHAPES, Aspect.TYPE),
-        SlotDef("region_b", scenarios._BLOCK_BINS, Aspect.PLACEMENT),
-        SlotDef("shape_c", scenarios._BLOCK_SHAPES, Aspect.TYPE),
-        SlotDef("region_c", scenarios._BLOCK_BINS, Aspect.PLACEMENT),
+        SlotDef("shape_a", BLOCK_SHAPES, Aspect.TYPE),
+        SlotDef("region_a", BLOCK_BINS, Aspect.PLACEMENT),
+        SlotDef("shape_b", BLOCK_SHAPES, Aspect.TYPE),
+        SlotDef("region_b", BLOCK_BINS, Aspect.PLACEMENT),
+        SlotDef("shape_c", BLOCK_SHAPES, Aspect.TYPE),
+        SlotDef("region_c", BLOCK_BINS, Aspect.PLACEMENT),
         SlotDef("decor_blocks", _BLOCK_DECOR),
         SlotDef("decor_rack", ("beige", "welded", "tiered",
                                "mobile", "squat", "bolted")),
@@ -713,8 +726,7 @@ _DISH_DECOR = ("gray", "bamboo", "striped", "woven", "rubber", "folded")
 # Order matters for mean-pooled encoders, so position and item are fused into
 # one token per slot.
 _DISH_POS_VALUES = {
-    word: tuple(f"{word}_{item}" for item in scenarios._DISH_ITEMS
-                + scenarios._DISH_INTRUDERS)
+    word: tuple(f"{word}_{item}" for item in DISH_ITEMS + DISH_INTRUDERS)
     for word in ("first", "second", "third")
 }
 
@@ -725,7 +737,6 @@ def _dishes_slots(items: list[str]) -> dict[str, str]:
 
 
 DISHES_GRAMMAR = TemplateGrammar(
-    scenario_id="dishes",
     slots=_slot_table(
         SlotDef("pos_first", _DISH_POS_VALUES["first"], Aspect.TYPE),
         SlotDef("pos_second", _DISH_POS_VALUES["second"],
@@ -796,16 +807,15 @@ _BALL_DECOR = ("rubber", "bouncy", "matte", "glossy", "new", "worn")
 
 
 BALLS_GRAMMAR = TemplateGrammar(
-    scenario_id="balls",
     slots=_slot_table(
         SlotDef("n_tl", NUMBER_WORDS[:3], Aspect.PLACEMENT),
-        SlotDef("c_tl", scenarios._BALL_COLORS, Aspect.RELATION),
+        SlotDef("c_tl", BALL_COLORS, Aspect.RELATION),
         SlotDef("n_tr", NUMBER_WORDS[:3], Aspect.PLACEMENT),
-        SlotDef("c_tr", scenarios._BALL_COLORS, Aspect.RELATION),
+        SlotDef("c_tr", BALL_COLORS, Aspect.RELATION),
         SlotDef("n_bl", NUMBER_WORDS[:3], Aspect.PLACEMENT),
-        SlotDef("c_bl", scenarios._BALL_COLORS, Aspect.RELATION),
+        SlotDef("c_bl", BALL_COLORS, Aspect.RELATION),
         SlotDef("n_br", NUMBER_WORDS[:3], Aspect.PLACEMENT),
-        SlotDef("c_br", scenarios._BALL_COLORS, Aspect.RELATION),
+        SlotDef("c_br", BALL_COLORS, Aspect.RELATION),
         SlotDef("decor_balls", _BALL_DECOR),
         SlotDef("decor_case", ("padded", "molded", "aluminum",
                                "scuffed", "latching", "slim")),
@@ -868,17 +878,3 @@ BALLS_GRAMMAR = TemplateGrammar(
     ),
 )
 
-
-GRAMMARS: dict[str, TemplateGrammar] = {
-    g.scenario_id: g
-    for g in (STICKS_GRAMMAR, FRUITS_GRAMMAR, TOOLS_GRAMMAR, COOKIES_GRAMMAR,
-              TAPES_GRAMMAR, STATIONERY_GRAMMAR, ROPES_GRAMMAR, BLOCKS_GRAMMAR,
-              DISHES_GRAMMAR, BALLS_GRAMMAR)
-}
-
-
-def get_grammar(scenario_id: str) -> TemplateGrammar:
-    try:
-        return GRAMMARS[scenario_id]
-    except KeyError:
-        raise KeyError(f"no template grammar for scenario {scenario_id!r}") from None

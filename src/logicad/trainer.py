@@ -48,6 +48,9 @@ class TrainConfig:
     clip_norm: float = 1.0
 
     def __post_init__(self):
+        for name in ("temperature", "learning_rate", "weight_decay", "clip_norm"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name.replace('_', ' ')} must be finite")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.batch_size < 1:

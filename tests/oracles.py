@@ -20,7 +20,7 @@ from logicad.templates import Skeleton, TemplateGrammar
 
 
 class ParseError(ValueError):
-    """Text does not match any template skeleton of the scenario."""
+    """Text does not match any template skeleton of the grammar."""
 
 
 def clause_masks(grammar: TemplateGrammar, variant: int):
@@ -95,9 +95,8 @@ def parse(text: str, grammar: TemplateGrammar) -> AttributeRecord:
             slots=tuple((name, m.group(name)) for name in ordered),
             text=text,
         )
-    raise ParseError(
-        f"text does not match any {grammar.scenario_id} template: {text!r}"
-    )
+    raise ParseError(f"text does not match any template of the grammar: "
+                     f"{text!r}")
 
 
 @dataclass(frozen=True)

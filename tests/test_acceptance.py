@@ -21,7 +21,6 @@ from logicad.metrics import aggregate, auroc, emit_report
 from logicad.negatives import synthesize_negative
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import classify, sample_normal, task_id_for
-from logicad.templates import get_grammar
 from logicad.trainer import BatchMasks, TokenRows, batch_step, nt_xent
 
 
@@ -178,11 +177,11 @@ def test_criterion_07_negative_validity():
     total = 0
     for scenario_id in sorted(SCENARIOS):
         spec = get_scenario(scenario_id)
-        grammar = get_grammar(scenario_id)
+        grammar = spec.grammar
         rng = np.random.default_rng(70)
         for i in range(1000):
             cfg = clean if i % 2 == 0 else noisy
-            pos = render(sample_normal(spec, rng), cfg, rng, grammar)
+            pos = render(sample_normal(spec, rng), cfg, rng, spec)
             neg = synthesize_negative(pos, grammar, rng)
             total += 1
             if not validate_negative(pos.text, neg.text, grammar).passed:
@@ -195,9 +194,10 @@ def test_criterion_08_round_trip_identity():
     mismatches = 0
     texts = 0
     for scenario_id in sorted(SCENARIOS):
-        grammar = get_grammar(scenario_id)
-        slots = grammar.scene_slots(
-            sample_normal(get_scenario(scenario_id), np.random.default_rng(0)))
+        spec = get_scenario(scenario_id)
+        grammar = spec.grammar
+        slots = grammar.view_slots(
+            spec.view(sample_normal(spec, np.random.default_rng(0))))
         for variant in range(len(grammar.variants)):
             for mask in clause_masks(grammar, variant):
                 text = build_record(grammar, (variant, mask), slots).text

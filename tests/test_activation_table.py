@@ -106,7 +106,7 @@ def _per_text_masks(pos_tokens, neg_tokens, dim, rate, rng):
 def task_texts():
     config = pipeline.PipelineConfig(master_seed=0)
     artifacts = pipeline.generate_task(config, "sticks", scenes.Condition.MESH_BG,
-                                       scenarios.DEFAULT_SPLIT_COUNTS["sticks"])
+                                       scenarios.get_scenario("sticks").counts)
     pos, neg = artifacts.train_pairs()
     return pos, neg, artifacts.vocabulary()
 

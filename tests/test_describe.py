@@ -14,7 +14,7 @@ from logicad.describe import (
 )
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Condition, ObjectInstance, Scene, sample_normal
-from logicad.templates import SlotDef, _slot_table, get_grammar
+from logicad.templates import SlotDef, _slot_table
 
 CLEAN = RenderConfig(False, 0.0, 0.0)
 
@@ -25,7 +25,7 @@ def _canonical_scene(scenario_id):
 
 def test_canonical_fruits_text_is_pinned():
     text = render(_canonical_scene("fruits"), CLEAN, np.random.default_rng(0),
-                  get_grammar("fruits"))
+                  get_scenario("fruits"))
     assert text.text == (
         "There are three oranges and two kiwis. "
         "The total number of items is five."
@@ -35,13 +35,13 @@ def test_canonical_fruits_text_is_pinned():
 def test_clean_rendering_is_deterministic_and_variant_zero():
     for scenario_id in sorted(SCENARIOS):
         scene = _canonical_scene(scenario_id)
+        spec = get_scenario(scenario_id)
         texts = {
-            render(scene, CLEAN, np.random.default_rng(seed),
-                   get_grammar(scenario_id)).text
+            render(scene, CLEAN, np.random.default_rng(seed), spec).text
             for seed in range(5)
         }
         assert len(texts) == 1
-        record = parse(texts.pop(), get_grammar(scenario_id))
+        record = parse(texts.pop(), spec.grammar)
         variant, mask = record.skeleton
         assert variant == 0
         assert all(mask)
@@ -50,15 +50,16 @@ def test_clean_rendering_is_deterministic_and_variant_zero():
 def test_same_rng_stream_gives_identical_noisy_renders():
     scene = _canonical_scene("tools")
     cfg = CONDITION_RENDER_DEFAULTS[Condition.LOWLIGHT_CD]
-    grammar = get_grammar("tools")
-    a = render(scene, cfg, np.random.default_rng(123), grammar).text
-    b = render(scene, cfg, np.random.default_rng(123), grammar).text
+    spec = get_scenario("tools")
+    a = render(scene, cfg, np.random.default_rng(123), spec).text
+    b = render(scene, cfg, np.random.default_rng(123), spec).text
     assert a == b
 
 
 def test_omission_frequency_matches_configured_probability():
     scene = _canonical_scene("sticks")
-    grammar = get_grammar("sticks")
+    spec = get_scenario("sticks")
+    grammar = spec.grammar
     cfg = RenderConfig(False, 0.3, 0.0)
     optional_idx = [i for i, c in enumerate(grammar.variants[0]) if c.optional]
     assert optional_idx, "sticks variant 0 needs optional clauses for this check"
@@ -66,7 +67,7 @@ def test_omission_frequency_matches_configured_probability():
     n = 1000
     rng = np.random.default_rng(99)
     for _ in range(n):
-        record = parse(render(scene, cfg, rng, grammar).text, grammar)
+        record = parse(render(scene, cfg, rng, spec).text, grammar)
         _, mask = record.skeleton
         for j, i in enumerate(optional_idx):
             included[j] += mask[i]
@@ -76,10 +77,11 @@ def test_omission_frequency_matches_configured_probability():
 
 def test_certain_corruption_flips_every_decorative_slot():
     scene = _canonical_scene("sticks")
-    grammar = get_grammar("sticks")
-    clean_slots = grammar.scene_slots(scene)
+    spec = get_scenario("sticks")
+    grammar = spec.grammar
+    clean_slots = grammar.view_slots(spec.view(scene))
     rendered = render(scene, RenderConfig(False, 0.0, 1.0),
-                      np.random.default_rng(5), grammar)
+                      np.random.default_rng(5), spec)
     record = parse(rendered.text, grammar)
     seen_decorative = 0
     for name, value in record.slots:
@@ -93,30 +95,32 @@ def test_certain_corruption_flips_every_decorative_slot():
 
 def test_zero_corruption_never_touches_slots():
     scene = _canonical_scene("cookies")
-    grammar = get_grammar("cookies")
-    clean_slots = grammar.scene_slots(scene)
+    spec = get_scenario("cookies")
+    grammar = spec.grammar
+    clean_slots = grammar.view_slots(spec.view(scene))
     rng = np.random.default_rng(17)
     for _ in range(20):
         record = parse(render(scene, RenderConfig(True, 0.2, 0.0), rng,
-                              grammar).text, grammar)
+                              spec).text, grammar)
         for name, value in record.slots:
             assert value == clean_slots[name]
 
 
 def test_paraphrase_selects_variants():
     scene = _canonical_scene("balls")
-    grammar = get_grammar("balls")
+    spec = get_scenario("balls")
+    grammar = spec.grammar
     rng = np.random.default_rng(31)
     variants = set()
     for _ in range(60):
         record = parse(render(scene, RenderConfig(True, 0.0, 0.0), rng,
-                              grammar).text, grammar)
+                              spec).text, grammar)
         variants.add(record.skeleton[0])
     assert variants == set(range(len(grammar.variants)))
     # without paraphrase only the canonical phrasing appears
     for _ in range(10):
         record = parse(render(scene, RenderConfig(False, 0.0, 0.0), rng,
-                              grammar).text, grammar)
+                              spec).text, grammar)
         assert record.skeleton[0] == 0
 
 
@@ -125,8 +129,9 @@ def test_grammar_fits_its_scenario(scenario_id):
     """The grammar's slots are the ones its scenario's view fills, and each
     logical slot names one of the scenario's two aspects."""
     spec = get_scenario(scenario_id)
-    grammar = get_grammar(scenario_id)
-    slots = grammar.scene_slots(spec.build(spec.normal(np.random.default_rng(0))))
+    grammar = spec.grammar
+    slots = grammar.view_slots(
+        spec.view(spec.build(spec.normal(np.random.default_rng(0)))))
     assert set(slots) == set(grammar.slots)
     for slot in grammar.slots.values():
         assert slot.aspect is None or slot.aspect in spec.aspects, slot.name
@@ -134,8 +139,9 @@ def test_grammar_fits_its_scenario(scenario_id):
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_round_trip_identity_on_every_skeleton(scenario_id):
-    grammar = get_grammar(scenario_id)
-    slots = grammar.scene_slots(_canonical_scene(scenario_id))
+    spec = get_scenario(scenario_id)
+    grammar = spec.grammar
+    slots = grammar.view_slots(spec.view(_canonical_scene(scenario_id)))
     for variant in range(len(grammar.variants)):
         for mask in clause_masks(grammar, variant):
             text = build_record(grammar, (variant, mask), slots).text
@@ -148,11 +154,11 @@ def test_round_trip_identity_on_every_skeleton(scenario_id):
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_round_trip_identity_under_noisy_rendering(scenario_id):
     spec = get_scenario(scenario_id)
-    grammar = get_grammar(scenario_id)
+    grammar = spec.grammar
     rng = np.random.default_rng(47)
     cfg = RenderConfig(True, 0.2, 0.3)
     for _ in range(25):
-        rendered = render(sample_normal(spec, rng), cfg, rng, grammar)
+        rendered = render(sample_normal(spec, rng), cfg, rng, spec)
         record = parse(rendered.text, grammar)
         assert record == rendered
         assert build_record(grammar, record.skeleton,
@@ -165,12 +171,12 @@ def test_render_rejects_values_outside_the_grammar():
         ObjectInstance("tape", color="red", length_class="short", order_index=1),
     )
     with pytest.raises(RenderError):
-        render(Scene("tapes", objects), CLEAN, np.random.default_rng(0),
-               get_grammar("tapes"))
+        render(Scene(objects), CLEAN, np.random.default_rng(0),
+               get_scenario("tapes"))
 
 
 def test_parse_rejects_unmatched_text():
-    grammar = get_grammar("fruits")
+    grammar = get_scenario("fruits").grammar
     with pytest.raises(ParseError):
         parse("There are plenty of fruits on the tray.", grammar)
     with pytest.raises(ParseError):
@@ -207,7 +213,7 @@ def test_condition_defaults_keep_white_background_clean():
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_build_record_equals_clause_by_clause_formatting(scenario_id):
-    grammar = get_grammar(scenario_id)
+    grammar = get_scenario(scenario_id).grammar
     for shift in range(3):
         slots = {name: slot.values[shift % len(slot.values)]
                  for name, slot in grammar.slots.items()}
@@ -234,7 +240,7 @@ def test_a_config_that_draws_nothing_needs_no_stream():
     before = rng.bit_generator.state
     for scenario_id in sorted(SCENARIOS):
         scene = _canonical_scene(scenario_id)
-        grammar = get_grammar(scenario_id)
-        assert render(scene, CLEAN, None, grammar) \
-            == render(scene, CLEAN, rng, grammar)
+        spec = get_scenario(scenario_id)
+        assert render(scene, CLEAN, None, spec) \
+            == render(scene, CLEAN, rng, spec)
     assert rng.bit_generator.state == before

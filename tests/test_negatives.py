@@ -12,9 +12,15 @@ from logicad.negatives import (
     pair_edits,
     synthesize_negative,
 )
-from logicad.scenarios import NUMBER_WORDS, SCENARIOS, get_scenario, word_number
+from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Aspect, sample_normal
-from logicad.templates import Clause, SlotDef, TemplateGrammar, get_grammar
+from logicad.templates import (
+    NUMBER_WORDS,
+    Clause,
+    SlotDef,
+    TemplateGrammar,
+    word_number,
+)
 
 CLEAN = RenderConfig(False, 0.0, 0.0)
 NOISY = RenderConfig(True, 0.15, 0.05)
@@ -23,11 +29,11 @@ NOISY = RenderConfig(True, 0.15, 0.05)
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
     spec = get_scenario(scenario_id)
-    grammar = get_grammar(scenario_id)
+    grammar = spec.grammar
     rng = np.random.default_rng(2024)
     for i in range(200):
         cfg = CLEAN if i % 2 == 0 else NOISY
-        pos = render(sample_normal(spec, rng), cfg, rng, grammar)
+        pos = render(sample_normal(spec, rng), cfg, rng, spec)
         neg = synthesize_negative(pos, grammar, rng)
         assert neg.text != pos.text
         assert parse(neg.text, grammar) == neg
@@ -44,9 +50,10 @@ def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
 
 
 def test_synthesis_is_seed_deterministic():
-    grammar = get_grammar("tools")
-    pos = render(sample_normal(get_scenario("tools"), np.random.default_rng(1)),
-                 CLEAN, np.random.default_rng(1), grammar)
+    spec = get_scenario("tools")
+    grammar = spec.grammar
+    pos = render(sample_normal(spec, np.random.default_rng(1)),
+                 CLEAN, np.random.default_rng(1), spec)
     neg_a = synthesize_negative(pos, grammar, np.random.default_rng(8))
     neg_b = synthesize_negative(pos, grammar, np.random.default_rng(8))
     assert neg_a == neg_b
@@ -58,7 +65,6 @@ def _mini_grammar():
         "shade": SlotDef("shade", ("matte", "glossy")),
     }
     return TemplateGrammar(
-        scenario_id="mini",
         slots=slots,
         variants=((Clause("The {shade} item is {color}."),),),
     )
@@ -79,7 +85,6 @@ def test_single_editable_slot_forces_the_only_contradiction():
 def test_synthesis_fails_without_any_contradiction_pool():
     slots = {"color": SlotDef("color", ("red",), Aspect.TYPE)}
     grammar = TemplateGrammar(
-        scenario_id="mini",
         slots=slots,
         variants=((Clause("The item is {color}."),),),
     )
@@ -95,9 +100,10 @@ def test_contradiction_pool_respects_the_count_window():
 
 
 def test_validation_flags_skeleton_changes():
-    grammar = get_grammar("sticks")
-    slots = grammar.scene_slots(
-        sample_normal(get_scenario("sticks"), np.random.default_rng(0)))
+    spec = get_scenario("sticks")
+    grammar = spec.grammar
+    slots = grammar.view_slots(
+        spec.view(sample_normal(spec, np.random.default_rng(0))))
     masks = list(clause_masks(grammar, 0))
     full = build_record(grammar, (0, masks[0]), slots).text
     partial_mask = next(m for m in masks if not all(m))
@@ -108,9 +114,10 @@ def test_validation_flags_skeleton_changes():
 
 
 def test_validation_requires_an_actual_contradiction():
-    grammar = get_grammar("sticks")
-    text = render(sample_normal(get_scenario("sticks"), np.random.default_rng(0)),
-                  CLEAN, np.random.default_rng(0), grammar).text
+    spec = get_scenario("sticks")
+    grammar = spec.grammar
+    text = render(sample_normal(spec, np.random.default_rng(0)),
+                  CLEAN, np.random.default_rng(0), spec).text
     report = validate_negative(text, text, grammar)
     assert report.skeleton_preserved
     assert report.replacement_only
@@ -119,9 +126,10 @@ def test_validation_requires_an_actual_contradiction():
 
 
 def test_validation_handles_unparseable_negatives():
-    grammar = get_grammar("sticks")
-    text = render(sample_normal(get_scenario("sticks"), np.random.default_rng(0)),
-                  CLEAN, np.random.default_rng(0), grammar).text
+    spec = get_scenario("sticks")
+    grammar = spec.grammar
+    text = render(sample_normal(spec, np.random.default_rng(0)),
+                  CLEAN, np.random.default_rng(0), spec).text
     report = validate_negative(text, "not a template at all", grammar)
     assert report == type(report)(False, False, False, False)
 

@@ -1,4 +1,5 @@
-"""Every top-level name under ``src/logicad`` is used somewhere else in ``src/``.
+"""Every top-level name under ``src/logicad`` is used somewhere else in
+``src/``, and no module there reads another module's underscore name.
 
 A top-level function, class or constant, or a method of a top-level class,
 fails this test when its name occurs in no ``Name`` or ``Attribute`` node of
@@ -9,6 +10,10 @@ are exempt, since Python calls them.
 The check matches by name alone, not by binding.  So a use of another object
 with the same name hides dead code: ``encoder.encode`` would pass because of
 ``str.encode``, and ``EncoderParams.zeros_like`` because of ``np.zeros_like``.
+
+An underscore name (``_x``, not a dunder) is private to its module.  Another
+module reads it by ``module._x`` through a package module it imported, under
+its own name or an alias, or by ``from .module import _x``.
 """
 
 import ast
@@ -93,3 +98,72 @@ def test_the_check_finds_dead_code_in_a_small_package(tmp_path):
     # imported only, called only by itself, never called
     assert sorted(unreferenced(tmp_path)) == [
         "a.Box.spare", "a.UNUSED", "a.only_itself"]
+
+
+PACKAGE = "logicad"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _imports_from_package(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == PACKAGE
+
+
+def private_reads(src: Path = SRC) -> list[str]:
+    """``file:line: code`` of each read of another module's underscore name."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # the names this file binds to package modules
+        reads = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and _imports_from_package(node):
+                for alias in node.names:
+                    if _private(alias.name):
+                        reads.append((node.lineno, f"from {'.' * node.level}"
+                                      f"{node.module or ''} import {alias.name}"))
+                    elif node.module is None or node.module == PACKAGE:
+                        modules.add(alias.asname or alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == PACKAGE:
+                        modules.add(alias.asname or PACKAGE)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and _private(node.attr)):
+                continue
+            owner = node.value
+            while isinstance(owner, ast.Attribute):  # logicad.scenarios._x
+                owner = owner.value
+            if isinstance(owner, ast.Name) and owner.id in modules:
+                reads.append((node.lineno, ast.unparse(node)))
+        found += [f"{path.name}:{line}: {code}" for line, code in sorted(reads)]
+    return found
+
+
+def test_no_module_reads_another_modules_underscore_name():
+    assert private_reads() == []
+
+
+def test_the_check_finds_private_reads_in_a_small_package(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_HIDDEN = 1\n"
+        "PUBLIC = 2\n"
+        "def _helper():\n    return _HIDDEN\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from . import a as alias\n"
+        "from .a import PUBLIC, _helper\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self._own = a.PUBLIC + a.__doc__\n"
+        "    def size(self):\n        return self._own + a._HIDDEN\n"
+        "def spare():\n    return alias._helper() + _helper()\n"
+    )
+    # its own names, an attribute of an object, a public name and a dunder pass
+    assert private_reads(tmp_path) == [
+        "b.py:3: from .a import _helper",
+        "b.py:8: a._HIDDEN",
+        "b.py:10: alias._helper",
+    ]

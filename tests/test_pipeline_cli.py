@@ -15,9 +15,8 @@ import pytest
 from logicad import cli, pipeline, trainer
 from logicad.encoder import encode_texts
 from logicad.negatives import pair_edits
-from logicad.scenarios import DEFAULT_SPLIT_COUNTS, SCENARIOS
+from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Condition, Label, SplitCounts, scene_fields, task_id_for
-from logicad.templates import get_grammar
 from logicad.trainer import TrainConfig
 
 SMALL = pipeline.PipelineConfig(
@@ -59,7 +58,7 @@ PREFIX_CASES = [
 def test_train_only_generation_is_the_prefix_of_the_full_task(config, scenario,
                                                                condition):
     # SMALL's task is small; the other cases use the scenario's own counts
-    counts = SMALL_COUNTS if config is SMALL else DEFAULT_SPLIT_COUNTS[scenario]
+    counts = SMALL_COUNTS if config is SMALL else get_scenario(scenario).counts
     full = pipeline.generate_task(config, scenario, condition, counts)
     train = pipeline.generate_task(config, scenario, condition,
                                    SplitCounts(counts.train_normal, 0, 0, 0, 0))
@@ -109,6 +108,16 @@ def test_checkpoint_round_trip_and_version_guard(tmp_path):
     with pytest.raises(ValueError, match="partial.ckpt.npz is not a readable "
                        "checkpoint: it lacks version, fingerprint$"):
         pipeline.load_checkpoint(tmp_path / "partial.ckpt.npz")
+
+
+def test_usable_cpus_counts_the_affinity_set_where_there_is_one(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pipeline.usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert pipeline.usable_cpus() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pipeline.usable_cpus() == 1
 
 
 def test_run_benchmark_preserves_task_order(tmp_path):
@@ -215,7 +224,7 @@ def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
     assert line("pairs", 0) == {
         "task_id": "tapes-mesh_bg", "sample_id": first.sample_id,
         "pos_text": pos.text, "neg_text": neg.text,
-        "edits": pair_edits(pos, neg, get_grammar("tapes")),
+        "edits": pair_edits(pos, neg, get_scenario("tapes").grammar),
     }
 
 
@@ -667,6 +676,13 @@ def test_cli_score_refuses_another_seed_alike_in_worker_processes(tmp_path, caps
     (["train"], "clip_norm = 0"),
     (["train"], "weight_decay = -1e-5"),
     (["all"], "skip_training = maybe"),
+    # a setting that is not finite would fail, or train wrongly, mid-run
+    (["train"], "temperature = nan"),
+    (["train"], "learning_rate = nan"),
+    (["train"], "weight_decay = inf"),
+    (["train"], "clip_norm = nan"),
+    (["train"], "temperature = inf"),
+    (["train", "--learning-rate", "nan"], None),
 ])
 def test_cli_bad_setting_exits_2_before_any_work(tmp_path, argv, setting):
     out = tmp_path / "out"

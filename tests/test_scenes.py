@@ -15,7 +15,6 @@ import pytest
 from logicad.scenarios import (
     BALLS_LAYOUT,
     COOKIES_LAYOUT,
-    DEFAULT_SPLIT_COUNTS,
     SCENARIOS,
     STICKS_LAYOUT,
     TOOLS_LAYOUT,
@@ -75,7 +74,7 @@ def _enum_sticks():
                            order_index=n_blue + i)
             for i in range(n_red)
         ]
-        scene = Scene("sticks", tuple(objects))
+        scene = Scene(tuple(objects))
         ok_q = n_blue == 2 and n_red == 1
         ok_l = (n_blue == 0 or len_blue == "long") and (n_red == 0 or len_red == "short")
         yield scene, _label(ok_q, ok_l, not objects)
@@ -87,7 +86,7 @@ def _enum_fruits():
         objects = [ObjectInstance(ca, order_index=i) for i in range(na)] + [
             ObjectInstance(cb, order_index=na + i) for i in range(nb)
         ]
-        scene = Scene("fruits", tuple(objects))
+        scene = Scene(tuple(objects))
         runs = _runs([o.category for o in objects])
         ok_q = len(runs) == 2 and runs[0][1] == 3 and runs[1][1] == 2
         ok_t = len(runs) == 2 and runs[0][0] == "orange" and runs[1][0] == "kiwi"
@@ -105,7 +104,7 @@ def _enum_tools():
                 for _ in range(n):
                     objects.append(ObjectInstance(cat, region=region, order_index=order))
                     order += 1
-            scene = Scene("tools", tuple(objects))
+            scene = Scene(tuple(objects))
             ok_q = all(n == 2 for n in counts)
             ok_p = all(o.region == canon[o.category] for o in objects)
             yield scene, _label(ok_q, ok_p, not objects)
@@ -121,7 +120,7 @@ def _enum_cookies():
             ObjectInstance("cookie", color=cr, region="round_dish", order_index=ns + i)
             for i in range(nr)
         ]
-        scene = Scene("cookies", tuple(objects))
+        scene = Scene(tuple(objects))
         ok_q = ns == 2 and nr == 1
         ok_r = (ns == 0 or cs == "yellow") and (nr == 0 or cr == "black")
         yield scene, _label(ok_q, ok_r, not objects)
@@ -135,7 +134,7 @@ def _enum_tapes():
             ObjectInstance("tape", color=c1, length_class=l1, order_index=0),
             ObjectInstance("tape", color=c2, length_class=l2, order_index=1),
         )
-        scene = Scene("tapes", objects)
+        scene = Scene(objects)
         ok_l = l1 == "long" and l2 == "short"
         ok_t = c1 == "green" and c2 == "red"
         yield scene, _label(ok_l, ok_t, False)
@@ -162,7 +161,7 @@ def _enum_stationery():
                         length_class=length[(bin_, cat)],
                         region=bin_, order_index=order))
                     order += 1
-            scene = Scene("stationery", tuple(objects))
+            scene = Scene(tuple(objects))
             ok_l = all(length[k] == v[1] for k, v in canon.items())
             ok_p = first_left == "eraser" and first_right == "eraser"
             yield scene, _label(ok_l, ok_p, False)
@@ -174,7 +173,6 @@ def _enum_ropes():
         ("similar", "long", "short"), colors, colors
     ):
         scene = Scene(
-            "ropes",
             (ObjectInstance("rope", color=rope_color, length_class=rope_len,
                             order_index=0),),
             context=(("label", label_color),),
@@ -197,7 +195,7 @@ def _enum_blocks():
                     objects.append(ObjectInstance(shape, region=region,
                                                   order_index=order))
                     order += 1
-            scene = Scene("blocks", tuple(objects))
+            scene = Scene(tuple(objects))
             runs = _runs([(o.category, o.region) for o in objects])
             valid = len(runs) == 3 and all(n == 2 for _, n in runs)
             ok_t = valid and all(r[0][0] == c[0] for r, c in zip(runs, canon))
@@ -213,7 +211,7 @@ def _enum_dishes():
             objects = tuple(
                 ObjectInstance(cat, order_index=i) for i, cat in enumerate(items)
             )
-            scene = Scene("dishes", objects)
+            scene = Scene(objects)
             ok_t = sorted(items) == sorted(("fork", "plate", "spoon"))
             ranks = [rank[c] for c in items if c in rank]
             ok_r = length == 3 and ranks == sorted(ranks)
@@ -235,7 +233,7 @@ def _enum_balls():
                     "ball", color=row_color[region.split("_")[0]],
                     region=region, order_index=order))
                 order += 1
-        scene = Scene("balls", tuple(objects))
+        scene = Scene(tuple(objects))
         ok_p = all(n == 1 for n in counts)
         yield scene, _label(ok_p, True, not objects)
     for chosen in itertools.product(colors, repeat=4):
@@ -243,7 +241,7 @@ def _enum_balls():
             ObjectInstance("ball", color=c, region=r, order_index=i)
             for i, (r, c) in enumerate(zip(regions, chosen))
         )
-        scene = Scene("balls", objects)
+        scene = Scene(objects)
         ok_r = all(o.color == row_color[o.region.split("_")[0]] for o in objects)
         yield scene, _label(True, ok_r, False)
 
@@ -298,7 +296,7 @@ def _changed(before: dict, after: dict) -> list[str]:
 
 @pytest.mark.parametrize("layout", [STICKS_LAYOUT, TOOLS_LAYOUT,
                                     COOKIES_LAYOUT, BALLS_LAYOUT],
-                         ids=lambda layout: layout.scenario_id)
+                         ids=["sticks", "tools", "cookies", "balls"])
 def test_grouped_mutators_edit_only_their_own_aspect(layout):
     counts = {g[1] for g in layout.groups}
     canon = {g[2]: g[4] for g in layout.groups}
@@ -376,7 +374,7 @@ def test_capture_condition_never_changes_the_label(scenario_id):
 
 def test_empty_scene_violates_both_aspects():
     spec = get_scenario("sticks")
-    empty = Scene("sticks", ())
+    empty = Scene(())
     assert check_rules(empty, spec) == set(spec.aspects)
     assert classify(empty, spec) == Label.DUAL
 
@@ -409,8 +407,8 @@ def test_build_task_is_seed_deterministic():
 
 
 def test_default_split_counts_cover_every_scenario():
-    assert set(DEFAULT_SPLIT_COUNTS) == set(SCENARIOS)
-    for counts in DEFAULT_SPLIT_COUNTS.values():
+    for spec in SCENARIOS.values():
+        counts = spec.counts
         counts.validate()
         assert counts.train_normal == 50
         assert counts.test_normal == 50
@@ -452,7 +450,7 @@ def test_view_rebuilds_every_generated_scene(scenario_id):
     spec = get_scenario(scenario_id)
     wrong = []
     for condition in Condition:
-        task = build_task(spec, condition, DEFAULT_SPLIT_COUNTS[scenario_id],
+        task = build_task(spec, condition, spec.counts,
                           derive_seed(0, scenario_id, condition.value, "scenes"))
         wrong += [f"{task.task_id} {s.sample_id}" for s in task.samples
                   if spec.build(spec.view(s.scene)) != s.scene]
