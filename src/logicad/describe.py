@@ -1,11 +1,11 @@
-"""Rendering scenes into logic-focused texts.
+"""Rendering views into logic-focused texts.
 
 The built-in renderer stands in for a frozen image-to-text model: one text
-per scene, which the grammar of the scene's scenario spec renders from the
-view that spec reads off the scene.  Capture conditions degrade the text
+per sample, which the grammar of the sample's scenario spec renders from
+the view the sample was drawn as.  Capture conditions degrade the text
 linguistically (dropped optional clauses, corrupted decorative adjectives,
 paraphrase variation) without ever changing the logical label of the
-underlying scene.
+underlying view.
 
 ``render`` returns the slot record it wrote along with the text, so the
 pipeline never parses a text back; ``tests/oracles.py`` does, to check the
@@ -16,16 +16,16 @@ description file.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from .scenes import Condition, Scene, ScenarioSpec
+from .scenes import Condition, ScenarioSpec
 from .templates import Skeleton, TemplateGrammar
 
 
 class RenderError(ValueError):
-    """Scene attributes fall outside the template grammar."""
+    """View values fall outside the template grammar."""
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,15 @@ def build_record(grammar: TemplateGrammar, skeleton: Skeleton,
     )
 
 
-def render(scene: Scene, cfg: RenderConfig,
+def render(view: Any, cfg: RenderConfig,
            rng: Optional[np.random.Generator],
            spec: ScenarioSpec) -> AttributeRecord:
-    """Render one scene of ``spec`` into one text under a degradation config.
+    """Render one view of ``spec`` into one text under a degradation config.
 
     ``rng`` may be None when ``cfg.draws`` is False.
     """
     grammar = spec.grammar
-    slots = grammar.view_slots(spec.view(scene))
+    slots = grammar.view_slots(view)
     for name, value in slots.items():
         slot_def = grammar.slots.get(name)
         if slot_def is None or value not in slot_def.values:

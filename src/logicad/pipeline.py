@@ -13,8 +13,8 @@ only the train and test texts; it synthesises the train negatives only so
 that ``checkpoint_mismatches`` can rebuild the vocabulary from the train
 pairs and refuse a checkpoint whose vocabulary differs.  ``train`` reads
 only the train pairs, so it generates only the train split; that split
-leads the task's scene stream and every render and negative is seeded by
-its sample id, so its scenes, texts, pairs and vocabulary are those of the
+leads the task's view stream and every render and negative is seeded by
+its sample id, so its views, texts, pairs and vocabulary are those of the
 whole task.
 
 Only the run-directory section at the end names, writes or reads a file of
@@ -93,7 +93,7 @@ class TaskArtifacts:
 def generate_task(config: PipelineConfig, scenario_id: str,
                   condition: scenes.Condition,
                   counts: scenes.SplitCounts) -> TaskArtifacts:
-    """Scenes, descriptions and negative pairs for one task.
+    """Views, descriptions and negative pairs for one task.
 
     Any counts with the same ``train_normal`` give the same train samples,
     texts and pairs.
@@ -110,7 +110,7 @@ def generate_task(config: PipelineConfig, scenario_id: str,
         # a config that draws nothing needs no stream: white_bg renders clean
         rng = derive_rng(config.master_seed, scenario_id, condition.value,
                          "render", sample.sample_id) if render_cfg.draws else None
-        record = describe.render(sample.scene, render_cfg, rng, spec)
+        record = describe.render(sample.view, render_cfg, rng, spec)
         texts[sample.sample_id] = record.text
         if sample.split == "train":
             neg_rng = derive_rng(config.master_seed, scenario_id,
@@ -190,7 +190,7 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
     """
     counts = scenarios.get_scenario(scenario_id).counts
     if stages == "train":
-        # training reads only the train pairs: generate no test scene
+        # training reads only the train pairs: generate no test view
         counts = scenes.SplitCounts(counts.train_normal, 0, 0, 0, 0)
     artifacts = generate_task(config, scenario_id, condition, counts)
     task_id = artifacts.task.task_id
@@ -276,13 +276,17 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
 
 
 def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
-    """The task's scene, description and negative-pair files."""
+    """The task's scene, description and negative-pair files.
+
+    A sample's scene is built here, once, for the scene file only.
+    """
     task = artifacts.task
-    grammar = scenarios.get_scenario(task.scenario_id).grammar
+    spec = scenarios.get_scenario(task.scenario_id)
     _write_jsonl(_task_path(out_dir, task.task_id, "scenes.jsonl"), (
         {"task_id": task.task_id, "scenario": task.scenario_id,
          "condition": task.condition.value, "split": s.split,
-         "label": s.label.value, "scene": scenes.scene_fields(s.scene)}
+         "label": s.label.value,
+         "scene": scenes.scene_fields(spec.build(s.view))}
         for s in task.samples))
     _write_jsonl(_task_path(out_dir, task.task_id, "descriptions.jsonl"), (
         {"task_id": task.task_id, "sample_id": s.sample_id, "split": s.split,
@@ -291,7 +295,7 @@ def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
     _write_jsonl(_task_path(out_dir, task.task_id, "pairs.jsonl"), (
         {"task_id": task.task_id, "sample_id": sample_id,
          "pos_text": pos.text, "neg_text": neg.text,
-         "edits": negatives.pair_edits(pos, neg, grammar)}
+         "edits": negatives.pair_edits(pos, neg, spec.grammar)}
         for sample_id, (pos, neg) in artifacts.pairs.items()))
 
 

@@ -1,18 +1,18 @@
 """The ten built-in scenarios, one ``ScenarioSpec`` each.
 
 A spec is the whole record of its scenario: its two rule aspects and
-rules, its view, its edits, its split counts and its grammar, which
-``templates`` defines along with the attribute domains the rules share.
-Its view, the logical state that the grammar renders (a dict; a list for
-dishes), is what ``normal`` draws and what each aspect's rule-breaking
-edit changes in place.
+rules, its edits, its split counts and its grammar, which ``templates``
+defines along with the attribute domains the rules share.  Its view, the
+logical state (a dict; a list for dishes), is what ``normal`` draws, what
+each aspect's rule-breaking edit changes in place, what the rules judge
+and what the grammar renders.
 ``scenes.sample_anomaly`` combines the edits with rejection sampling to hit
-a target label exactly, and builds the scene once.
+a target label exactly.  ``build`` makes the scene of a view, for the
+scene file only.
 
 Fruits, tapes, stationery, blocks and dishes state their normal view once,
-as a constant: ``normal`` copies it, view readers start from it, each rule
-compares a scene's view with it on one aspect's slots (``_agrees``), and
-``_swap`` moves one slot away from it.
+as a constant: ``normal`` copies it, each rule compares a view with it on
+one aspect's slots (``_agrees``), and ``_swap`` moves one slot away from it.
 
 Object lists are constructed in a fixed, semantically meaningful order
 (groups are contiguous runs; ``order_index`` is globally unique where order
@@ -21,8 +21,8 @@ matters), which keeps serialization reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -71,31 +71,25 @@ def _fixed(view):
     return lambda rng: dict(view) if isinstance(view, dict) else list(view)
 
 
-def _agrees(view, normal, slots: Sequence[str], shape):
-    """The rule "the scene has the normal's shape, and its view equals the
-    normal view on ``slots``"."""
-    def rule(scene: Scene) -> bool:
-        if not shape(scene):
-            return False
-        seen = view(scene)
-        return all(seen[slot] == normal[slot] for slot in slots)
+def _agrees(normal, slots: Sequence[str], shape=lambda view: True):
+    """The rule "the view has the normal's shape and equals the normal view
+    on ``slots``"."""
+    def rule(view) -> bool:
+        return shape(view) and all(view[slot] == normal[slot] for slot in slots)
     return rule
 
 
-def _n_objects(n: int):
-    return lambda scene: len(scene.objects) == n
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class GroupLayout:
-    """A scene of groups in a fixed order, one group per key.
+    """Groups in a fixed order, one group per key.
 
-    A group is every object whose ``key`` field (a color, a category or a
-    region) equals the group's key; it has a count, and its objects share
-    one ``attr`` field.  Each row of ``groups`` is (key, count slot,
-    attribute slot, canonical count, canonical attribute); the slot names
-    are both the view's keys and the grammar's slot names.  ``category`` is
-    the fixed category, or None when the key is the category.
+    A group has a count and one attribute that all its objects share.  Each
+    row of ``groups`` is (key, count slot, attribute slot, canonical count,
+    canonical attribute); the slot names are both the view's keys and the
+    grammar's slot names.  In the built scene a group is every object whose
+    ``key`` field (a color, a category or a region) equals the group's key,
+    with the attribute in its ``attr`` field.  ``category`` is the fixed
+    category, or None when the key is the category.
     """
 
     key: str
@@ -103,14 +97,6 @@ class GroupLayout:
     category: Optional[str]
     values: tuple[str, ...]  # allowed attribute values
     groups: tuple[tuple[str, str, str, int, str], ...]
-
-    def view(self, scene: Scene) -> dict:
-        view = {}
-        for key, count, attr, _, canon in self.groups:
-            group = [o for o in scene.objects if getattr(o, self.key) == key]
-            view[count] = len(group)
-            view[attr] = getattr(group[0], self.attr) if group else canon
-        return view
 
     def build(self, view: dict) -> Scene:
         objects = []
@@ -127,16 +113,19 @@ class GroupLayout:
             view[count], view[attr] = n, canon
         return view
 
-    def counts_hold(self, scene: Scene) -> bool:
-        view = self.view(scene)
-        return all(view[count] == n for _, count, _, n, _ in self.groups)
+    def placed(self, view: dict) -> bool:
+        """Whether any group has an object: an empty tray breaks both rules."""
+        return any(view[count] > 0 for _, count, _, _, _ in self.groups)
 
-    def attrs_hold(self, scene: Scene) -> bool:
-        canon = {key: a for key, _, _, _, a in self.groups}
-        return all(
-            getattr(o, self.attr) == canon[getattr(o, self.key)]
-            for o in scene.objects if getattr(o, self.key) in canon
-        )
+    def counts_hold(self, view: dict) -> bool:
+        return self.placed(view) and all(
+            view[count] == n for _, count, _, n, _ in self.groups)
+
+    def attrs_hold(self, view: dict) -> bool:
+        """Every group that has objects has its canonical attribute."""
+        return self.placed(view) and all(
+            view[count] == 0 or view[attr] == canon
+            for _, count, attr, _, canon in self.groups)
 
     def bump_count(self, view: dict, rng: np.random.Generator) -> None:
         count = _pick(rng, [g[1] for g in self.groups])
@@ -156,7 +145,6 @@ def _grouped_spec(scenario_id: str, layout: GroupLayout,
         aspects=aspects,
         rule_a=layout.counts_hold,
         rule_b=layout.attrs_hold,
-        view=layout.view,
         build=layout.build,
         normal=layout.normal,
         edits={aspects[0]: count_edit or layout.bump_count,
@@ -186,25 +174,6 @@ STICKS = _grouped_spec("sticks", STICKS_LAYOUT, (Aspect.QUANTITY, Aspect.LENGTH)
 _FRUITS_NORMAL = {"count_a": 3, "cat_a": "orange", "count_b": 2, "cat_b": "kiwi"}
 
 
-def _runs(scene: Scene, key) -> list[tuple]:
-    """Contiguous runs of equal key over the ordered object list."""
-    runs: list[tuple] = []
-    for obj in scene.objects:
-        k = key(obj)
-        if runs and runs[-1][0] == k:
-            runs[-1] = (k, runs[-1][1] + 1)
-        else:
-            runs.append((k, 1))
-    return runs
-
-
-def _fruits_view(scene: Scene) -> dict:
-    view = _FRUITS_NORMAL | {"count_a": 0, "count_b": 0}
-    for side, (cat, n) in zip(("a", "b"), _runs(scene, lambda o: o.category)):
-        view[f"cat_{side}"], view[f"count_{side}"] = cat, n
-    return view
-
-
 def _fruits_build(view: dict) -> Scene:
     objects = []
     order = 0
@@ -215,8 +184,10 @@ def _fruits_build(view: dict) -> Scene:
     return Scene(tuple(objects))
 
 
-def _two_runs(scene: Scene) -> bool:
-    return len(_runs(scene, lambda o: o.category)) == 2
+def _two_kinds(view: dict) -> bool:
+    """Two nonempty rows of two different fruits."""
+    return (view["count_a"] > 0 and view["count_b"] > 0
+            and view["cat_a"] != view["cat_b"])
 
 
 def _fruits_edit_q(view: dict, rng: np.random.Generator) -> None:
@@ -235,10 +206,8 @@ def _fruits_edit_t(view: dict, rng: np.random.Generator) -> None:
 FRUITS = ScenarioSpec(
     scenario_id="fruits",
     aspects=(Aspect.QUANTITY, Aspect.TYPE),
-    rule_a=_agrees(_fruits_view, _FRUITS_NORMAL, ("count_a", "count_b"),
-                   _two_runs),
-    rule_b=_agrees(_fruits_view, _FRUITS_NORMAL, ("cat_a", "cat_b"), _two_runs),
-    view=_fruits_view,
+    rule_a=_agrees(_FRUITS_NORMAL, ("count_a", "count_b"), _two_kinds),
+    rule_b=_agrees(_FRUITS_NORMAL, ("cat_a", "cat_b"), _two_kinds),
     build=_fruits_build,
     normal=_fixed(_FRUITS_NORMAL),
     edits={Aspect.QUANTITY: _fruits_edit_q, Aspect.TYPE: _fruits_edit_t},
@@ -287,14 +256,6 @@ _TAPE_LEN_SLOTS = ("len_first", "len_second")
 _TAPE_COLOR_SLOTS = ("color_first", "color_second")
 
 
-def _tapes_view(scene: Scene) -> dict:
-    view = dict(_TAPES_NORMAL)
-    tapes = sorted(scene.objects, key=lambda o: o.order_index or 0)
-    for word, tape in zip(("first", "second"), tapes):
-        view[f"len_{word}"], view[f"color_{word}"] = tape.length_class, tape.color
-    return view
-
-
 def _tapes_build(view: dict) -> Scene:
     objects = tuple(
         ObjectInstance("tape", color=view[f"color_{w}"],
@@ -307,10 +268,8 @@ def _tapes_build(view: dict) -> Scene:
 TAPES = ScenarioSpec(
     scenario_id="tapes",
     aspects=(Aspect.LENGTH, Aspect.TYPE),
-    rule_a=_agrees(_tapes_view, _TAPES_NORMAL, _TAPE_LEN_SLOTS, _n_objects(2)),
-    rule_b=_agrees(_tapes_view, _TAPES_NORMAL, _TAPE_COLOR_SLOTS,
-                   _n_objects(2)),
-    view=_tapes_view,
+    rule_a=_agrees(_TAPES_NORMAL, _TAPE_LEN_SLOTS),
+    rule_b=_agrees(_TAPES_NORMAL, _TAPE_COLOR_SLOTS),
     build=_tapes_build,
     normal=_fixed(_TAPES_NORMAL),
     edits={Aspect.LENGTH: _swap(_TAPE_LEN_SLOTS, LENGTHS, _TAPES_NORMAL),
@@ -333,20 +292,6 @@ _STATIONERY_NORMAL = {
 _STATIONERY_ORDER_SLOTS = ("order_left", "order_right")
 _STATIONERY_COLORS = {("left", "pencil"): "black", ("left", "eraser"): "blue",
                       ("right", "pencil"): "red", ("right", "eraser"): "red"}
-
-
-def _stationery_view(scene: Scene) -> dict:
-    view = dict(_STATIONERY_NORMAL)
-    for side in ("left", "right"):
-        items = [o for o in scene.objects if o.region == f"{side}_bin"]
-        for cat in ("pencil", "eraser"):
-            found = [o for o in items if o.category == cat]
-            if found:
-                view[f"len_{side}_{cat}"] = found[0].length_class
-        if items:
-            first = min(items, key=lambda o: o.order_index or 0)
-            view[f"order_{side}"] = first.category
-    return view
 
 
 def _stationery_build(view: dict) -> Scene:
@@ -375,12 +320,10 @@ def _stationery_edit_l(view: dict, rng: np.random.Generator) -> None:
 STATIONERY = ScenarioSpec(
     scenario_id="stationery",
     aspects=(Aspect.LENGTH, Aspect.PLACEMENT),
-    rule_a=_agrees(_stationery_view, _STATIONERY_NORMAL,
+    rule_a=_agrees(_STATIONERY_NORMAL,
                    ("len_left_pencil", "len_left_eraser", "len_right_pencil",
-                    "len_right_eraser"), _n_objects(4)),
-    rule_b=_agrees(_stationery_view, _STATIONERY_NORMAL,
-                   _STATIONERY_ORDER_SLOTS, _n_objects(4)),
-    view=_stationery_view,
+                    "len_right_eraser")),
+    rule_b=_agrees(_STATIONERY_NORMAL, _STATIONERY_ORDER_SLOTS),
     build=_stationery_build,
     normal=_fixed(_STATIONERY_NORMAL),
     edits={Aspect.LENGTH: _stationery_edit_l,
@@ -398,15 +341,6 @@ STATIONERY = ScenarioSpec(
 _ROPE_LENGTHS = ("similar", "long", "short")
 
 
-def _ropes_view(scene: Scene) -> dict:
-    label = dict(scene.context).get("label", "red")
-    if scene.objects:
-        rope = scene.objects[0]
-        return {"rope_len": rope.length_class, "rope_color": rope.color,
-                "label_color": label}
-    return {"rope_len": "similar", "rope_color": label, "label_color": label}
-
-
 def _ropes_build(view: dict) -> Scene:
     rope = ObjectInstance("rope", color=view["rope_color"],
                           length_class=view["rope_len"], order_index=0)
@@ -418,13 +352,12 @@ def _ropes_normal(rng: np.random.Generator) -> dict:
     return {"rope_len": "similar", "rope_color": color, "label_color": color}
 
 
-def _ropes_rule_l(scene: Scene) -> bool:
-    return all(o.length_class == "similar" for o in scene.objects)
+def _ropes_rule_l(view: dict) -> bool:
+    return view["rope_len"] == "similar"
 
 
-def _ropes_rule_r(scene: Scene) -> bool:
-    label = dict(scene.context).get("label")
-    return all(o.color == label for o in scene.objects)
+def _ropes_rule_r(view: dict) -> bool:
+    return view["rope_color"] == view["label_color"]
 
 
 def _ropes_edit_r(view: dict, rng: np.random.Generator) -> None:
@@ -438,7 +371,6 @@ ROPES = ScenarioSpec(
     aspects=(Aspect.LENGTH, Aspect.RELATION),
     rule_a=_ropes_rule_l,
     rule_b=_ropes_rule_r,
-    view=_ropes_view,
     build=_ropes_build,
     normal=_ropes_normal,
     edits={Aspect.LENGTH: _swap(("rope_len",), _ROPE_LENGTHS,
@@ -460,18 +392,6 @@ _BLOCK_SHAPE_SLOTS = ("shape_a", "shape_b", "shape_c")
 _BLOCK_REGION_SLOTS = ("region_a", "region_b", "region_c")
 
 
-def _blocks_groups(scene: Scene) -> list[tuple[str, str, int]]:
-    runs = _runs(scene, lambda o: (o.category, o.region))
-    return [(cat, region, n) for (cat, region), n in runs]
-
-
-def _blocks_view(scene: Scene) -> dict:
-    view = dict(_BLOCKS_NORMAL)
-    for slot, (shape, region, _) in zip(("a", "b", "c"), _blocks_groups(scene)):
-        view[f"shape_{slot}"], view[f"region_{slot}"] = shape, region
-    return view
-
-
 def _blocks_build(view: dict) -> Scene:
     objects = []
     order = 0
@@ -485,25 +405,43 @@ def _blocks_build(view: dict) -> Scene:
     return Scene(tuple(objects))
 
 
-def _blocks_valid_groups(scene: Scene) -> bool:
-    groups = _blocks_groups(scene)
-    return len(groups) == 3 and all(n == 2 for _, _, n in groups)
+def _blocks_distinct(view: dict) -> bool:
+    """No two adjacent (shape, region) groups are equal."""
+    a, b, c = ((view[f"shape_{s}"], view[f"region_{s}"]) for s in "abc")
+    return a != b and b != c
+
+
+def _blocks_slots(view: dict) -> dict[str, str]:
+    """The words of a blocks view as its text reads them.
+
+    Adjacent equal groups are named once, and the slots that frees keep the
+    normal values; so a dual anomaly whose edits make two adjacent groups
+    equal is described as another view.  ROADMAP item 5(a) renders every
+    view as drawn, re-pins the seed-0 digests and deletes this shim.
+    """
+    groups: list[tuple[str, str]] = []
+    for slot in ("a", "b", "c"):
+        group = (view[f"shape_{slot}"], view[f"region_{slot}"])
+        if not groups or groups[-1] != group:
+            groups.append(group)
+    slots = dict(_BLOCKS_NORMAL)
+    for slot, (shape, region) in zip(("a", "b", "c"), groups):
+        slots[f"shape_{slot}"], slots[f"region_{slot}"] = shape, region
+    return slots
 
 
 BLOCKS = ScenarioSpec(
     scenario_id="blocks",
     aspects=(Aspect.TYPE, Aspect.PLACEMENT),
-    rule_a=_agrees(_blocks_view, _BLOCKS_NORMAL, _BLOCK_SHAPE_SLOTS,
-                   _blocks_valid_groups),
-    rule_b=_agrees(_blocks_view, _BLOCKS_NORMAL, _BLOCK_REGION_SLOTS,
-                   _blocks_valid_groups),
-    view=_blocks_view,
+    rule_a=_agrees(_BLOCKS_NORMAL, _BLOCK_SHAPE_SLOTS, _blocks_distinct),
+    rule_b=_agrees(_BLOCKS_NORMAL, _BLOCK_REGION_SLOTS, _blocks_distinct),
     build=_blocks_build,
     normal=_fixed(_BLOCKS_NORMAL),
     edits={Aspect.TYPE: _swap(_BLOCK_SHAPE_SLOTS, BLOCK_SHAPES, _BLOCKS_NORMAL),
            Aspect.PLACEMENT: _swap(_BLOCK_REGION_SLOTS, BLOCK_BINS,
                                    _BLOCKS_NORMAL)},
-    counts=SplitCounts(50, 50, 52, 50, 8), grammar=BLOCKS_GRAMMAR,
+    counts=SplitCounts(50, 50, 52, 50, 8),
+    grammar=dataclasses.replace(BLOCKS_GRAMMAR, logical_slots=_blocks_slots),
 )
 
 
@@ -514,24 +452,19 @@ BLOCKS = ScenarioSpec(
 _DISH_RANK = {item: i for i, item in enumerate(DISH_ITEMS)}
 
 
-def _dishes_items(scene: Scene) -> list[str]:
-    return [o.category for o in sorted(scene.objects, key=lambda o: o.order_index or 0)]
-
-
 def _dishes_build(items: list[str]) -> Scene:
     return Scene(tuple(ObjectInstance(cat, order_index=i)
                        for i, cat in enumerate(items)))
 
 
-def _dishes_rule_t(scene: Scene) -> bool:
-    items = _dishes_items(scene)
+def _dishes_rule_t(items: list[str]) -> bool:
     return sorted(items) == sorted(DISH_ITEMS)
 
 
-def _dishes_rule_r(scene: Scene) -> bool:
-    if len(scene.objects) != 3:
+def _dishes_rule_r(items: list[str]) -> bool:
+    if len(items) != 3:
         return False
-    ranks = [_DISH_RANK[c] for c in _dishes_items(scene) if c in _DISH_RANK]
+    ranks = [_DISH_RANK[c] for c in items if c in _DISH_RANK]
     return ranks == sorted(ranks)
 
 
@@ -548,7 +481,6 @@ DISHES = ScenarioSpec(
     aspects=(Aspect.TYPE, Aspect.RELATION),
     rule_a=_dishes_rule_t,
     rule_b=_dishes_rule_r,
-    view=_dishes_items,
     build=_dishes_build,
     normal=_fixed(DISH_ITEMS),
     edits={Aspect.TYPE: _swap((0, 1, 2), DISH_INTRUDERS, DISH_ITEMS),

@@ -1,16 +1,19 @@
 """Core scene model: objects, scenario specs, classification and sampling.
 
-A scene is a structured set of object instances plus optional scenario
-context (e.g. the text label the rope color has to match).  A
+A scenario's *view* is its logical state: the counts, attributes and
+order that its two rules constrain (a dict; a list for dishes).  A
 ``ScenarioSpec`` is the one record of a scenario: its two rule aspects and
-rules, its view, its edits, its split counts and its text grammar.  A scene
-is normal iff both rule predicates hold.  Scenarios sample and edit a
-scene's view, its logical state, and build the scene from the view once;
-the rules judge the built scene, and the grammar renders the view.
-A scene holds neither its scenario nor a capture condition: its spec and
-its task do, and the condition only affects rendering downstream, never
-the logical state.
-``scene_fields`` gives a scene's part of a scene-file line for ``pipeline``.
+rules, its edits, its split counts and its text grammar.  Scenarios draw a
+view and edit it; the rules judge the view, a view is normal iff both rule
+predicates hold, and the grammar renders it.  Each sample holds the view it
+was drawn as.
+A scene is a structured set of object instances plus optional scenario
+context (e.g. the text label the rope color has to match); ``build`` makes
+the scene of a view, and ``scene_fields`` gives a scene's part of a
+scene-file line for ``pipeline``.
+Neither a view nor a scene holds its scenario or a capture condition: its
+spec and its task do, and the condition only affects rendering downstream,
+never the logical state.
 """
 
 from __future__ import annotations
@@ -71,23 +74,20 @@ class Scene:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario: its aspect pair, rules, views, edits, counts and grammar.
+    """One scenario: its aspect pair, rules, edits, counts and grammar.
 
-    ``rule_a``/``rule_b`` return True when the rule is satisfied.  They are
-    total over well-formed scenes; the empty-scene degenerate case is
-    handled centrally in :func:`check_rules` (both rules count as violated).
-    ``view`` reads a scene's logical state and ``build`` makes the scene of
-    a view.  ``normal`` draws the view of a normal scene, and ``edits`` map
-    each aspect to a single rule-breaking edit of a view, made in place,
-    used by targeted anomaly sampling.  ``counts`` are the sizes of each
-    of its tasks' splits, and ``grammar`` renders its view as text.
+    ``rule_a``/``rule_b`` return True when a view satisfies the rule; a view
+    with nothing on the tray satisfies neither.  ``build`` makes the scene
+    of a view.  ``normal`` draws a normal view, and ``edits`` map each
+    aspect to a single rule-breaking edit of a view, made in place, used by
+    targeted anomaly sampling.  ``counts`` are the sizes of each of its
+    tasks' splits, and ``grammar`` renders its view as text.
     """
 
     scenario_id: str
     aspects: tuple[Aspect, Aspect]
-    rule_a: Callable[[Scene], bool]
-    rule_b: Callable[[Scene], bool]
-    view: Callable[[Scene], Any]
+    rule_a: Callable[[Any], bool]
+    rule_b: Callable[[Any], bool]
     build: Callable[[Any], Scene]
     normal: Callable[[np.random.Generator], Any]
     edits: dict[Aspect, Callable[[Any, np.random.Generator], None]]
@@ -95,21 +95,18 @@ class ScenarioSpec:
     grammar: TemplateGrammar
 
 
-def check_rules(scene: Scene, spec: ScenarioSpec) -> set[Aspect]:
-    """Return the subset of the spec's two aspects whose rule the scene violates."""
-    if not scene.objects:
-        # An empty tray satisfies no manufacturing rule.
-        return set(spec.aspects)
+def check_rules(view: Any, spec: ScenarioSpec) -> set[Aspect]:
+    """Return the subset of the spec's two aspects whose rule the view violates."""
     violated = set()
-    if not spec.rule_a(scene):
+    if not spec.rule_a(view):
         violated.add(spec.aspects[0])
-    if not spec.rule_b(scene):
+    if not spec.rule_b(view):
         violated.add(spec.aspects[1])
     return violated
 
 
-def classify(scene: Scene, spec: ScenarioSpec) -> Label:
-    violated = check_rules(scene, spec)
+def classify(view: Any, spec: ScenarioSpec) -> Label:
+    violated = check_rules(view, spec)
     if not violated:
         return Label.NORMAL
     if violated == {spec.aspects[0]}:
@@ -119,17 +116,13 @@ def classify(scene: Scene, spec: ScenarioSpec) -> Label:
     return Label.DUAL
 
 
-def sample_normal(spec: ScenarioSpec, rng: np.random.Generator) -> Scene:
-    return spec.build(spec.normal(rng))
-
-
 def sample_anomaly(
     spec: ScenarioSpec, target: Label, rng: np.random.Generator
-) -> Scene:
-    """Sample a scene whose classification is exactly ``target``.
+) -> Any:
+    """Sample a view whose classification is exactly ``target``.
 
-    Constructive edits of a normal view, one per target aspect, then one
-    build and a classify check; rejection-sampled because a second edit can
+    Constructive edits of a normal view, one per target aspect, then a
+    classify check; rejection-sampled because a second edit can
     accidentally repair or extend the first one.
     """
     if target == Label.NORMAL:
@@ -144,9 +137,8 @@ def sample_anomaly(
         view = spec.normal(rng)
         for aspect in aspects:
             spec.edits[aspect](view, rng)
-        scene = spec.build(view)
-        if classify(scene, spec) == target:
-            return scene
+        if classify(view, spec) == target:
+            return view
     raise GenerationError(
         f"could not realize {target.value} for {spec.scenario_id} "
         f"within {MUTATION_ATTEMPTS} attempts"
@@ -172,7 +164,7 @@ class TaskSample:
     sample_id: str
     split: str  # "train" | "test"
     label: Label
-    scene: Scene
+    view: Any
 
 
 @dataclass(frozen=True)
@@ -196,24 +188,24 @@ def build_task(
     counts: SplitCounts,
     seed: int,
 ) -> TaskScenes:
-    """Generate the labelled scene collection for one (scenario, condition) task.
+    """Generate the labelled views of one (scenario, condition) task.
 
-    Every scene is drawn from one stream seeded by ``seed``, train scenes
-    first, so the train scenes depend only on ``counts.train_normal``: a
+    Every view is drawn from one stream seeded by ``seed``, train views
+    first, so the train views depend only on ``counts.train_normal``: a
     call with the test counts set to zero gives the same train samples.
     """
     counts.validate()
     rng = np.random.default_rng(seed)
     samples: list[TaskSample] = []
 
-    def add(split: str, label: Label, scene: Scene, index: int) -> None:
+    def add(split: str, label: Label, view: Any, index: int) -> None:
         sample_id = f"{split}-{label.value}-{index:04d}"
-        samples.append(TaskSample(sample_id, split, label, scene))
+        samples.append(TaskSample(sample_id, split, label, view))
 
     for i in range(counts.train_normal):
-        add("train", Label.NORMAL, sample_normal(spec, rng), i)
+        add("train", Label.NORMAL, spec.normal(rng), i)
     for i in range(counts.test_normal):
-        add("test", Label.NORMAL, sample_normal(spec, rng), i)
+        add("test", Label.NORMAL, spec.normal(rng), i)
     for label, n in (
         (Label.SINGLE_A, counts.single_a),
         (Label.SINGLE_B, counts.single_b),

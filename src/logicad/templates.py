@@ -6,8 +6,8 @@ an "optional" flag (optional clauses can be dropped by condition-dependent
 omission).
 
 A grammar renders the view it is given, the logical state its scenario's
-spec reads off a scene: its ``logical_slots`` turn that view into the
-words of the logical slots, by default each count as its number word.
+spec draws and edits: its ``logical_slots`` turn that view into the words
+of the logical slots, by default each count as its number word.
 This module also holds the number words and the attribute domains that
 the rules in ``scenarios`` and the grammars here share; it imports nothing
 of ``scenarios``.

@@ -13,18 +13,18 @@ from logicad.describe import (
     render,
 )
 from logicad.scenarios import SCENARIOS, get_scenario
-from logicad.scenes import Condition, ObjectInstance, Scene, sample_normal
+from logicad.scenes import Condition
 from logicad.templates import SlotDef, _slot_table
 
 CLEAN = RenderConfig(False, 0.0, 0.0)
 
 
-def _canonical_scene(scenario_id):
-    return sample_normal(get_scenario(scenario_id), np.random.default_rng(0))
+def _canonical_view(scenario_id):
+    return get_scenario(scenario_id).normal(np.random.default_rng(0))
 
 
 def test_canonical_fruits_text_is_pinned():
-    text = render(_canonical_scene("fruits"), CLEAN, np.random.default_rng(0),
+    text = render(_canonical_view("fruits"), CLEAN, np.random.default_rng(0),
                   get_scenario("fruits"))
     assert text.text == (
         "There are three oranges and two kiwis. "
@@ -34,10 +34,10 @@ def test_canonical_fruits_text_is_pinned():
 
 def test_clean_rendering_is_deterministic_and_variant_zero():
     for scenario_id in sorted(SCENARIOS):
-        scene = _canonical_scene(scenario_id)
+        view = _canonical_view(scenario_id)
         spec = get_scenario(scenario_id)
         texts = {
-            render(scene, CLEAN, np.random.default_rng(seed), spec).text
+            render(view, CLEAN, np.random.default_rng(seed), spec).text
             for seed in range(5)
         }
         assert len(texts) == 1
@@ -48,16 +48,16 @@ def test_clean_rendering_is_deterministic_and_variant_zero():
 
 
 def test_same_rng_stream_gives_identical_noisy_renders():
-    scene = _canonical_scene("tools")
+    view = _canonical_view("tools")
     cfg = CONDITION_RENDER_DEFAULTS[Condition.LOWLIGHT_CD]
     spec = get_scenario("tools")
-    a = render(scene, cfg, np.random.default_rng(123), spec).text
-    b = render(scene, cfg, np.random.default_rng(123), spec).text
+    a = render(view, cfg, np.random.default_rng(123), spec).text
+    b = render(view, cfg, np.random.default_rng(123), spec).text
     assert a == b
 
 
 def test_omission_frequency_matches_configured_probability():
-    scene = _canonical_scene("sticks")
+    view = _canonical_view("sticks")
     spec = get_scenario("sticks")
     grammar = spec.grammar
     cfg = RenderConfig(False, 0.3, 0.0)
@@ -67,7 +67,7 @@ def test_omission_frequency_matches_configured_probability():
     n = 1000
     rng = np.random.default_rng(99)
     for _ in range(n):
-        record = parse(render(scene, cfg, rng, spec).text, grammar)
+        record = parse(render(view, cfg, rng, spec).text, grammar)
         _, mask = record.skeleton
         for j, i in enumerate(optional_idx):
             included[j] += mask[i]
@@ -76,11 +76,11 @@ def test_omission_frequency_matches_configured_probability():
 
 
 def test_certain_corruption_flips_every_decorative_slot():
-    scene = _canonical_scene("sticks")
+    view = _canonical_view("sticks")
     spec = get_scenario("sticks")
     grammar = spec.grammar
-    clean_slots = grammar.view_slots(spec.view(scene))
-    rendered = render(scene, RenderConfig(False, 0.0, 1.0),
+    clean_slots = grammar.view_slots(view)
+    rendered = render(view, RenderConfig(False, 0.0, 1.0),
                       np.random.default_rng(5), spec)
     record = parse(rendered.text, grammar)
     seen_decorative = 0
@@ -94,32 +94,32 @@ def test_certain_corruption_flips_every_decorative_slot():
 
 
 def test_zero_corruption_never_touches_slots():
-    scene = _canonical_scene("cookies")
+    view = _canonical_view("cookies")
     spec = get_scenario("cookies")
     grammar = spec.grammar
-    clean_slots = grammar.view_slots(spec.view(scene))
+    clean_slots = grammar.view_slots(view)
     rng = np.random.default_rng(17)
     for _ in range(20):
-        record = parse(render(scene, RenderConfig(True, 0.2, 0.0), rng,
+        record = parse(render(view, RenderConfig(True, 0.2, 0.0), rng,
                               spec).text, grammar)
         for name, value in record.slots:
             assert value == clean_slots[name]
 
 
 def test_paraphrase_selects_variants():
-    scene = _canonical_scene("balls")
+    view = _canonical_view("balls")
     spec = get_scenario("balls")
     grammar = spec.grammar
     rng = np.random.default_rng(31)
     variants = set()
     for _ in range(60):
-        record = parse(render(scene, RenderConfig(True, 0.0, 0.0), rng,
+        record = parse(render(view, RenderConfig(True, 0.0, 0.0), rng,
                               spec).text, grammar)
         variants.add(record.skeleton[0])
     assert variants == set(range(len(grammar.variants)))
     # without paraphrase only the canonical phrasing appears
     for _ in range(10):
-        record = parse(render(scene, RenderConfig(False, 0.0, 0.0), rng,
+        record = parse(render(view, RenderConfig(False, 0.0, 0.0), rng,
                               spec).text, grammar)
         assert record.skeleton[0] == 0
 
@@ -130,8 +130,7 @@ def test_grammar_fits_its_scenario(scenario_id):
     logical slot names one of the scenario's two aspects."""
     spec = get_scenario(scenario_id)
     grammar = spec.grammar
-    slots = grammar.view_slots(
-        spec.view(spec.build(spec.normal(np.random.default_rng(0)))))
+    slots = grammar.view_slots(spec.normal(np.random.default_rng(0)))
     assert set(slots) == set(grammar.slots)
     for slot in grammar.slots.values():
         assert slot.aspect is None or slot.aspect in spec.aspects, slot.name
@@ -141,7 +140,7 @@ def test_grammar_fits_its_scenario(scenario_id):
 def test_round_trip_identity_on_every_skeleton(scenario_id):
     spec = get_scenario(scenario_id)
     grammar = spec.grammar
-    slots = grammar.view_slots(spec.view(_canonical_scene(scenario_id)))
+    slots = grammar.view_slots(_canonical_view(scenario_id))
     for variant in range(len(grammar.variants)):
         for mask in clause_masks(grammar, variant):
             text = build_record(grammar, (variant, mask), slots).text
@@ -158,7 +157,7 @@ def test_round_trip_identity_under_noisy_rendering(scenario_id):
     rng = np.random.default_rng(47)
     cfg = RenderConfig(True, 0.2, 0.3)
     for _ in range(25):
-        rendered = render(sample_normal(spec, rng), cfg, rng, spec)
+        rendered = render(spec.normal(rng), cfg, rng, spec)
         record = parse(rendered.text, grammar)
         assert record == rendered
         assert build_record(grammar, record.skeleton,
@@ -166,13 +165,10 @@ def test_round_trip_identity_under_noisy_rendering(scenario_id):
 
 
 def test_render_rejects_values_outside_the_grammar():
-    objects = (
-        ObjectInstance("tape", color="purple", length_class="long", order_index=0),
-        ObjectInstance("tape", color="red", length_class="short", order_index=1),
-    )
+    view = {"len_first": "long", "color_first": "purple",
+            "len_second": "short", "color_second": "red"}
     with pytest.raises(RenderError):
-        render(Scene(objects), CLEAN, np.random.default_rng(0),
-               get_scenario("tapes"))
+        render(view, CLEAN, np.random.default_rng(0), get_scenario("tapes"))
 
 
 def test_parse_rejects_unmatched_text():
@@ -239,8 +235,8 @@ def test_a_config_that_draws_nothing_needs_no_stream():
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
     for scenario_id in sorted(SCENARIOS):
-        scene = _canonical_scene(scenario_id)
+        view = _canonical_view(scenario_id)
         spec = get_scenario(scenario_id)
-        assert render(scene, CLEAN, None, spec) \
-            == render(scene, CLEAN, rng, spec)
+        assert render(view, CLEAN, None, spec) \
+            == render(view, CLEAN, rng, spec)
     assert rng.bit_generator.state == before

@@ -13,7 +13,7 @@ from logicad.negatives import (
     synthesize_negative,
 )
 from logicad.scenarios import SCENARIOS, get_scenario
-from logicad.scenes import Aspect, sample_normal
+from logicad.scenes import Aspect
 from logicad.templates import (
     NUMBER_WORDS,
     Clause,
@@ -33,7 +33,7 @@ def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
     rng = np.random.default_rng(2024)
     for i in range(200):
         cfg = CLEAN if i % 2 == 0 else NOISY
-        pos = render(sample_normal(spec, rng), cfg, rng, spec)
+        pos = render(spec.normal(rng), cfg, rng, spec)
         neg = synthesize_negative(pos, grammar, rng)
         assert neg.text != pos.text
         assert parse(neg.text, grammar) == neg
@@ -52,7 +52,7 @@ def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
 def test_synthesis_is_seed_deterministic():
     spec = get_scenario("tools")
     grammar = spec.grammar
-    pos = render(sample_normal(spec, np.random.default_rng(1)),
+    pos = render(spec.normal(np.random.default_rng(1)),
                  CLEAN, np.random.default_rng(1), spec)
     neg_a = synthesize_negative(pos, grammar, np.random.default_rng(8))
     neg_b = synthesize_negative(pos, grammar, np.random.default_rng(8))
@@ -102,8 +102,7 @@ def test_contradiction_pool_respects_the_count_window():
 def test_validation_flags_skeleton_changes():
     spec = get_scenario("sticks")
     grammar = spec.grammar
-    slots = grammar.view_slots(
-        spec.view(sample_normal(spec, np.random.default_rng(0))))
+    slots = grammar.view_slots(spec.normal(np.random.default_rng(0)))
     masks = list(clause_masks(grammar, 0))
     full = build_record(grammar, (0, masks[0]), slots).text
     partial_mask = next(m for m in masks if not all(m))
@@ -116,7 +115,7 @@ def test_validation_flags_skeleton_changes():
 def test_validation_requires_an_actual_contradiction():
     spec = get_scenario("sticks")
     grammar = spec.grammar
-    text = render(sample_normal(spec, np.random.default_rng(0)),
+    text = render(spec.normal(np.random.default_rng(0)),
                   CLEAN, np.random.default_rng(0), spec).text
     report = validate_negative(text, text, grammar)
     assert report.skeleton_preserved
@@ -128,7 +127,7 @@ def test_validation_requires_an_actual_contradiction():
 def test_validation_handles_unparseable_negatives():
     spec = get_scenario("sticks")
     grammar = spec.grammar
-    text = render(sample_normal(spec, np.random.default_rng(0)),
+    text = render(spec.normal(np.random.default_rng(0)),
                   CLEAN, np.random.default_rng(0), spec).text
     report = validate_negative(text, "not a template at all", grammar)
     assert report == type(report)(False, False, False, False)

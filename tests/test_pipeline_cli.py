@@ -212,7 +212,8 @@ def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
     assert line("scenes", -1) == {
         "task_id": "tapes-mesh_bg", "scenario": "tapes",
         "condition": "mesh_bg", "split": "test", "label": "dual",
-        "scene": json.loads(json.dumps(scene_fields(sample.scene))),
+        "scene": json.loads(json.dumps(
+            scene_fields(get_scenario("tapes").build(sample.view)))),
     }
     assert line("descriptions", -1) == {
         "task_id": "tapes-mesh_bg", "sample_id": sample.sample_id,
