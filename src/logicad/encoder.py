@@ -5,11 +5,14 @@ table.  Encoding is deterministic, a pure function of (text, params): no
 dropout, ``normalize(counts @ table / T)``.  Training draws its dropout in
 ``trainer.BatchMasks`` and backpropagates onto the same table.  Both hold
 their texts as one ``TokenRows``: token ids, id counts and lengths.
+
+A token is a maximal run of a-z, 0-9, ``_`` and ``'`` in the lowercased
+text; every other character separates tokens.  ``Vocabulary.build`` and
+``TokenRows.build`` tokenize each distinct text once.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -19,7 +22,21 @@ UNKNOWN_ID = 0
 UNKNOWN_TOKEN = "<unk>"
 _NORM_EPS = 1e-12
 
-_TOKEN_RE = re.compile(r"[a-z0-9_']+")
+
+class _Separators(dict):
+    """str.translate table: token characters map to themselves, any other
+    code point to a space."""
+
+    def __missing__(self, code: int) -> str:
+        return " "
+
+
+_SPLIT = _Separators((ord(c), c)
+                     for c in "abcdefghijklmnopqrstuvwxyz0123456789_'")
+
+
+def _tokens(text: str) -> list[str]:
+    return text.lower().translate(_SPLIT).split()
 
 
 class EncodeError(ValueError):
@@ -33,8 +50,8 @@ class Vocabulary:
     @classmethod
     def build(cls, texts: Iterable[str]) -> "Vocabulary":
         tokens = set()
-        for text in texts:
-            tokens.update(_TOKEN_RE.findall(text.lower()))
+        for text in set(texts):
+            tokens.update(_tokens(text))
         mapping = {UNKNOWN_TOKEN: UNKNOWN_ID}
         for i, token in enumerate(sorted(tokens), start=1):
             mapping[token] = i
@@ -46,8 +63,8 @@ class Vocabulary:
 
 
 def tokenize(text: str, vocab: Vocabulary) -> np.ndarray:
-    """Lowercase, split on whitespace/punctuation, map OOV tokens to UNKNOWN."""
-    tokens = _TOKEN_RE.findall(text.lower())
+    """The ids of the tokens of ``text``; OOV tokens map to UNKNOWN."""
+    tokens = _tokens(text)
     if not tokens:
         raise EncodeError(f"text has no tokens: {text!r}")
     get = vocab.token_to_id.get

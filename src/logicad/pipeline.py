@@ -278,16 +278,26 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
 def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
     """The task's scene, description and negative-pair files.
 
-    A sample's scene is built here, once, for the scene file only.
+    A scene line holds no sample id, so it is built here, for the scene file
+    only, once per distinct (split, label, view) and written again for each
+    later sample that repeats it.
     """
     task = artifacts.task
     spec = scenarios.get_scenario(task.scenario_id)
-    _write_jsonl(_task_path(out_dir, task.task_id, "scenes.jsonl"), (
-        {"task_id": task.task_id, "scenario": task.scenario_id,
-         "condition": task.condition.value, "split": s.split,
-         "label": s.label.value,
-         "scene": scenes.scene_fields(spec.build(s.view))}
-        for s in task.samples))
+    lines: dict[tuple, str] = {}
+    with open(_task_path(out_dir, task.task_id, "scenes.jsonl"), "w",
+              encoding="utf-8") as fh:
+        for s in task.samples:
+            key = (s.split, s.label, repr(s.view))
+            line = lines.get(key)
+            if line is None:
+                line = lines[key] = json.dumps(
+                    {"task_id": task.task_id, "scenario": task.scenario_id,
+                     "condition": task.condition.value, "split": s.split,
+                     "label": s.label.value,
+                     "scene": scenes.scene_fields(spec.build(s.view))},
+                    sort_keys=True) + "\n"
+            fh.write(line)
     _write_jsonl(_task_path(out_dir, task.task_id, "descriptions.jsonl"), (
         {"task_id": task.task_id, "sample_id": s.sample_id, "split": s.split,
          "label": s.label.value, "text": artifacts.texts[s.sample_id]}

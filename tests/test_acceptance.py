@@ -13,7 +13,7 @@ import numpy as np
 from oracles import clause_masks, parse, validate_negative
 from test_scenes import _ENUMERATIONS
 
-from logicad import cli, pipeline
+from logicad import cli
 from logicad.describe import RenderConfig, build_record, render
 from logicad.encoder import Vocabulary, init_params
 from logicad.knn import score

@@ -1,7 +1,11 @@
 """Encoder forward pass and dropout statistics."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicad.encoder import (
     UNKNOWN_ID,
@@ -39,6 +43,50 @@ def test_tokenize_lowercases_and_maps_oov_to_unknown():
                             vocab.token_to_id["beta"]]
     with pytest.raises(EncodeError):
         tokenize("...", vocab)
+
+
+def _oracle_tokens(text):
+    """The token rule as a regex: maximal runs of a-z, 0-9, _ and '."""
+    return re.findall(r"[a-z0-9_']+", text.lower())
+
+
+def _check_tokenize_matches_the_regex(text):
+    tokens = _oracle_tokens(text)
+    own = Vocabulary.build([text])
+    assert set(own.token_to_id) == {"<unk>", *tokens}
+    for vocab in (own, Vocabulary.build(TEXTS)):
+        if not tokens:
+            with pytest.raises(EncodeError):
+                tokenize(text, vocab)
+            continue
+        want = [vocab.token_to_id.get(t, UNKNOWN_ID) for t in tokens]
+        assert tokenize(text, vocab).tolist() == want
+
+
+@pytest.mark.parametrize("text", [
+    "İstanbul",           # lowercases to i + a combining dot above
+    "ﬀ",                  # a ligature that lower() keeps
+    "a\x1cb",             # a separator that str.split() also splits on
+    "Alpha GAMMA beta!",
+    "don't stop_it 42x",
+    "...",
+    "",
+])
+def test_tokenize_matches_the_regex_rule_on_fixed_cases(text):
+    _check_tokenize_matches_the_regex(text)
+
+
+@settings(max_examples=300)
+@given(st.text())
+def test_tokenize_matches_the_regex_rule_on_any_text(text):
+    _check_tokenize_matches_the_regex(text)
+
+
+@given(st.lists(st.text(alphabet="ab C'_9.\u0130", max_size=6), max_size=8))
+def test_vocabulary_of_repeated_texts_equals_that_of_distinct_texts(texts):
+    repeated = texts + texts[::-1] + texts[:1]
+    assert Vocabulary.build(repeated) == Vocabulary.build(sorted(set(texts)))
+    assert Vocabulary.build(iter(repeated)) == Vocabulary.build(texts)
 
 
 def test_token_rows_of_repeated_texts_equal_per_text_tokenize():

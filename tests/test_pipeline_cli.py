@@ -229,6 +229,40 @@ def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
     }
 
 
+def _scene_lines(task):
+    """Each sample's own scene record, as the scene file writes it."""
+    spec = get_scenario(task.scenario_id)
+    return [json.dumps({
+        "task_id": task.task_id, "scenario": task.scenario_id,
+        "condition": task.condition.value, "split": s.split,
+        "label": s.label.value,
+        "scene": scene_fields(spec.build(s.view))}, sort_keys=True)
+        for s in task.samples]
+
+
+def test_scene_file_writes_each_sample_its_own_line_when_views_repeat(tmp_path):
+    spec = get_scenario("sticks")
+    artifacts = pipeline.generate_task(pipeline.PipelineConfig(), "sticks",
+                                       Condition.WHITE_BG, spec.counts)
+    task = artifacts.task
+    views = {(s.split, s.label): set() for s in task.samples}
+    for s in task.samples:
+        views[s.split, s.label].add(repr(s.view))
+    # the canonical normal view is both a train and a test normal line
+    assert views["train", Label.NORMAL] & views["test", Label.NORMAL]
+    assert len({repr(s.view) for s in task.samples}) < len(task.samples) / 5
+    pipeline.write_task_files(tmp_path, artifacts)
+    path = tmp_path / "sticks-white_bg.scenes.jsonl"
+    assert path.read_text().splitlines() == _scene_lines(task)
+
+    # a repeated view under another label still gets a line of its own label
+    normal = next(s for s in task.split("test") if s.label == Label.NORMAL)
+    relabelled = replace(task, samples=(
+        *task.samples, replace(normal, label=Label.SINGLE_A)))
+    pipeline.write_task_files(tmp_path, replace(artifacts, task=relabelled))
+    assert path.read_text().splitlines() == _scene_lines(relabelled)
+
+
 def test_cli_full_flow_and_byte_identical_reruns(tmp_path, capsys):
     out = str(tmp_path)
     assert _run(["train", *ARGS, "--out-dir", out, "--epochs", "3"]) == 0
