@@ -1,9 +1,14 @@
 """Command line interface: gen / train / score / eval / report / all.
 
-Settings resolve in order: the defaults of ``PipelineConfig`` and
-``TrainConfig``, then a flat ``key=value`` config file, then explicit flags.
-Unknown config keys are rejected so a typo cannot silently fall back to a
-default.
+``COMMANDS`` holds each command's help line and runner.  ``SETTINGS`` holds
+one row per config key: its value parser, the ``PipelineConfig`` or
+``TrainConfig`` field it sets, and the commands that also take it as a
+``--flag``.  The config file, the flags and ``resolve_config`` read it.
+
+Settings resolve in order: the dataclass defaults, then a flat ``key=value``
+config file, then explicit flags.  An unknown config key is rejected so a
+typo cannot silently fall back to a default; a known key is accepted by
+every command, also by one that does not read it.
 """
 
 from __future__ import annotations
@@ -13,171 +18,17 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import metrics, pipeline, scenarios, scenes, trainer
 
 OUT_DIR_ENV = "LOGICAD_OUT_DIR"
-
-_BOOLEANS = {"1": True, "true": True, "yes": True,
-             "0": False, "false": False, "no": False}
-
-
-def _parse_bool(raw: str) -> bool:
-    try:
-        return _BOOLEANS[raw.lower()]
-    except KeyError:
-        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, "
-                         f"got {raw!r}") from None
-
-
-_CONFIG_KEYS = {
-    "seed": int,
-    "out_dir": str,
-    "k": int,
-    "jobs": int,
-    "dim": int,
-    "scenario": str,
-    "condition": str,
-    "epochs": int,
-    "batch_size": int,
-    "temperature": float,
-    "learning_rate": float,
-    "weight_decay": float,
-    "clip_norm": float,
-    "skip_training": _parse_bool,
-}
-# config keys named after the TrainConfig and the PipelineConfig field they
-# set; resolve_config maps seed, scenario, condition and out_dir itself
-_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(trainer.TrainConfig))
-_PIPELINE_KEYS = ("k", "dim", "jobs", "skip_training")
 
 
 class CliError(SystemExit):
     def __init__(self, message: str):
         print(f"error: {message}", file=sys.stderr)
         super().__init__(2)
-
-
-def load_config_file(path: str) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc.strerror}")
-    except UnicodeDecodeError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}")
-    values, set_on = {}, {}
-    # read_text turns \r\n and \r into \n, so these are the file's lines
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
-        if key in set_on:
-            raise CliError(f"{path}:{lineno}: {key} is already set on line "
-                           f"{set_on[key]}")
-        set_on[key] = lineno
-        try:
-            values[key] = _CONFIG_KEYS[key](value.strip())
-        except ValueError as exc:
-            raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}")
-    return values
-
-
-def _parse_names(raw: str, kind: str, choices) -> tuple[str, ...]:
-    """The names of a comma list; an unknown one exits 2 and lists ``choices``."""
-    names = tuple(s.strip() for s in raw.split(",") if s.strip())
-    for name in names:
-        if name not in choices:
-            raise CliError(f"unknown {kind} {name!r}; choose from "
-                           f"{', '.join(choices)}")
-    return names
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="logicad",
-        description="Logical anomaly detection over rendered scene descriptions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, help="master seed (default "
-                       f"{pipeline.PipelineConfig.master_seed})")
-        p.add_argument("--scenario", help="comma-separated scenario ids")
-        p.add_argument("--condition", help="comma-separated capture conditions")
-        p.add_argument("--out-dir", help=f"output directory (or ${OUT_DIR_ENV})")
-
-    def add_task_common(p):
-        add_common(p)
-        p.add_argument("--jobs", type=int, help="parallel task workers (0=auto)")
-
-    p_gen = sub.add_parser("gen", help="generate scenes, descriptions, pairs")
-    add_task_common(p_gen)
-
-    p_train = sub.add_parser("train", help="fit per-task encoders, save checkpoints")
-    add_task_common(p_train)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--learning-rate", type=float)
-
-    p_score = sub.add_parser("score", help="score test splits with saved encoders")
-    add_task_common(p_score)
-    p_score.add_argument("--k", type=int, help="neighbors (default "
-                         f"{pipeline.PipelineConfig.k})")
-
-    p_eval = sub.add_parser("eval", help="per-task AUROC from score files")
-    add_common(p_eval)
-
-    p_report = sub.add_parser("report", help="aggregate report over all tasks")
-    add_common(p_report)
-    p_report.add_argument("--format", choices=("csv", "markdown"),
-                          default="markdown")
-
-    p_all = sub.add_parser("all", help="run the whole pipeline end to end")
-    add_task_common(p_all)
-    p_all.add_argument("--k", type=int)
-    p_all.add_argument("--epochs", type=int)
-    p_all.add_argument("--learning-rate", type=float)
-    p_all.add_argument("--format", choices=("csv", "markdown"),
-                       default="markdown")
-    p_all.add_argument("--baseline", action="store_true",
-                       help="skip training; score with the random-init encoder")
-    return parser
-
-
-def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
-    values = load_config_file(args.config) if args.config else {}
-    values.update((key, getattr(args, key)) for key in _CONFIG_KEYS
-                  if getattr(args, key, None) is not None)
-    if getattr(args, "baseline", False):
-        values["skip_training"] = True
-
-    out_dir = values.pop("out_dir", None) or os.environ.get(OUT_DIR_ENV)
-    if not out_dir:
-        raise CliError(f"no output directory: pass --out-dir or set ${OUT_DIR_ENV}")
-
-    fields = {key: values[key] for key in _PIPELINE_KEYS if key in values}
-    if "seed" in values:
-        fields["master_seed"] = values["seed"]
-    if "scenario" in values:
-        fields["scenario_ids"] = _parse_names(
-            values["scenario"], "scenario", sorted(scenarios.SCENARIOS))
-    if "condition" in values:
-        names = _parse_names(values["condition"], "condition",
-                             [c.value for c in scenes.Condition])
-        fields["conditions"] = tuple(scenes.Condition(n) for n in names)
-    try:
-        fields["train"] = trainer.TrainConfig(
-            **{key: values[key] for key in _TRAIN_KEYS if key in values})
-        config = pipeline.PipelineConfig(**fields)
-    except ValueError as exc:
-        raise CliError(f"bad setting: {exc}")
-    return config, Path(out_dir)
 
 
 def _reports_from_files(config: pipeline.PipelineConfig,
@@ -232,21 +83,164 @@ def cmd_report(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "gen": cmd_tasks,
-    "train": cmd_tasks,
-    "score": cmd_tasks,
-    "eval": cmd_eval,
-    "report": cmd_report,
-    "all": cmd_tasks,
+# command -> (help line, runner); the per-task ones are pipeline.STAGES
+COMMANDS = {
+    "gen": ("generate scenes, descriptions, pairs", cmd_tasks),
+    "train": ("fit per-task encoders, save checkpoints", cmd_tasks),
+    "score": ("score test splits with saved encoders", cmd_tasks),
+    "eval": ("per-task AUROC from score files", cmd_eval),
+    "report": ("aggregate report over all tasks", cmd_report),
+    "all": ("run the whole pipeline end to end", cmd_tasks),
 }
+
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return _BOOLEANS[raw.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, "
+                         f"got {raw!r}") from None
+
+
+def _parse_names(kind: str, choices: dict) -> Callable[[str], tuple]:
+    """A parser of a comma list of ``choices`` keys into their values; an
+    unknown name exits 2 and lists the keys."""
+    def parse(raw: str) -> tuple:
+        names = [s.strip() for s in raw.split(",") if s.strip()]
+        for name in names:
+            if name not in choices:
+                raise CliError(f"unknown {kind} {name!r}; choose from "
+                               f"{', '.join(choices)}")
+        return tuple(choices[name] for name in names)
+    return parse
+
+
+def _parse_out_dir(raw: str) -> str:
+    if not raw:
+        raise CliError(f"empty output directory: give a path, or leave it "
+                       f"unset to use ${OUT_DIR_ENV}")
+    return raw
+
+
+class Setting(NamedTuple):
+    parse: Callable[[str], object]
+    field: str | None  # the PipelineConfig or TrainConfig field it sets
+    commands: tuple[str, ...] = ()  # the commands that take it as a --flag
+    help: str | None = None
+
+
+_EVERY_COMMAND = tuple(COMMANDS)
+SETTINGS = {
+    "seed": Setting(int, "master_seed", _EVERY_COMMAND, "master seed "
+                    f"(default {pipeline.PipelineConfig.master_seed})"),
+    "scenario": Setting(
+        _parse_names("scenario", {s: s for s in sorted(scenarios.SCENARIOS)}),
+        "scenario_ids", _EVERY_COMMAND, "comma-separated scenario ids"),
+    "condition": Setting(
+        _parse_names("condition", {c.value: c for c in scenes.Condition}),
+        "conditions", _EVERY_COMMAND, "comma-separated capture conditions"),
+    "out_dir": Setting(_parse_out_dir, None, _EVERY_COMMAND,
+                       f"output directory (or ${OUT_DIR_ENV})"),
+    "jobs": Setting(int, "jobs", pipeline.STAGES,
+                    "parallel task workers (0=auto)"),
+    "k": Setting(int, "k", ("score", "all"),
+                 f"neighbors (default {pipeline.PipelineConfig.k})"),
+    "epochs": Setting(int, "epochs", ("train", "all")),
+    "learning_rate": Setting(float, "learning_rate", ("train", "all")),
+    "dim": Setting(int, "dim"),
+    "batch_size": Setting(int, "batch_size"),
+    "temperature": Setting(float, "temperature"),
+    "weight_decay": Setting(float, "weight_decay"),
+    "clip_norm": Setting(float, "clip_norm"),
+    "skip_training": Setting(_parse_bool, "skip_training"),
+}
+
+
+def load_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read config file {path}: {exc}")
+    values, set_on = {}, {}
+    # read_text turns \r\n and \r into \n, so these are the file's lines
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in SETTINGS:
+            raise CliError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise CliError(f"{path}:{lineno}: {key} is already set on line "
+                           f"{set_on[key]}")
+        set_on[key] = lineno
+        try:
+            values[key] = SETTINGS[key].parse(value.strip())
+        except ValueError as exc:
+            raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    return values
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="logicad",
+        description="Logical anomaly detection over rendered scene descriptions.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_line, run) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.set_defaults(run=run)
+        p.add_argument("--config", help="flat key=value config file")
+        for key, setting in SETTINGS.items():
+            if command in setting.commands:
+                p.add_argument("--" + key.replace("_", "-"),
+                               type=setting.parse, help=setting.help)
+        if command in ("report", "all"):
+            p.add_argument("--format", choices=("csv", "markdown"),
+                           default="markdown")
+        if command == "all":
+            p.add_argument("--baseline", action="store_true",
+                           help="skip training; score with the random-init encoder")
+    return parser
+
+
+def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
+    values = load_config_file(args.config) if args.config else {}
+    values.update((key, getattr(args, key)) for key in SETTINGS
+                  if getattr(args, key, None) is not None)
+    if getattr(args, "baseline", False):
+        values["skip_training"] = True
+
+    out_dir = values.pop("out_dir", None) or os.environ.get(OUT_DIR_ENV)
+    if not out_dir:
+        raise CliError(f"no output directory: pass --out-dir or set ${OUT_DIR_ENV}")
+
+    train_fields = {f.name for f in dataclasses.fields(trainer.TrainConfig)}
+    fields, train = {}, {}
+    for key, value in values.items():
+        field = SETTINGS[key].field
+        (train if field in train_fields else fields)[field] = value
+    try:
+        config = pipeline.PipelineConfig(
+            **fields, train=trainer.TrainConfig(**train))
+    except ValueError as exc:
+        raise CliError(f"bad setting: {exc}")
+    return config, Path(out_dir)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config, out_dir = resolve_config(args)
-        return _COMMANDS[args.command](config, out_dir, args)
+        return args.run(config, out_dir, args)
     except CliError:
         raise
     except pipeline.CheckpointError as exc:

@@ -1,6 +1,8 @@
 """Pipeline orchestration and the command-line interface, end to end."""
 
+import argparse
 import ast
+import dataclasses
 import hashlib
 import json
 import os
@@ -397,15 +399,118 @@ def test_cli_train_needs_no_earlier_gen_and_builds_only_the_train_split(
 
 
 def test_cli_rejects_unknown_scenario_and_condition(tmp_path, capsys):
-    for flag, raw, choices in (
-            ("--scenario", "tapes,gears", sorted(SCENARIOS)),
-            ("--condition", "white_bg,night", [c.value for c in Condition])):
-        with pytest.raises(SystemExit) as exc:
-            _run(["gen", flag, raw, "--out-dir", str(tmp_path)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        bad = raw.split(",")[1]
-        assert f"unknown {flag[2:]} {bad!r}; choose from {', '.join(choices)}" in err
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    for key, raw, bad, choices in (
+            ("scenario", "tapes,gears", "gears", sorted(SCENARIOS)),
+            ("condition", "white_bg,night", "night",
+             [c.value for c in Condition]),
+            ("condition", "night", "night", [c.value for c in Condition])):
+        config.write_text(f"{key} = {raw}\n")
+        # the flag route, then the config file route
+        for extra in (["--" + key, raw], ["--config", str(config)]):
+            with pytest.raises(SystemExit) as exc:
+                _run(["gen", *extra, "--out-dir", str(out)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert (f"unknown {key} {bad!r}; choose from {', '.join(choices)}"
+                    in err)
+            assert not out.exists()
+
+
+# Every command's options: option string -> (dest, type, default).  A flag
+# read as text is pinned as ``str`` whatever validator parses it; a number
+# flag is pinned by its type, so a flag that changes type or moves off a
+# command fails here.
+_COMMON_OPTIONS = {
+    "-h": ("help", str, argparse.SUPPRESS),
+    "--help": ("help", str, argparse.SUPPRESS),
+    "--config": ("config", str, None),
+    "--seed": ("seed", int, None),
+    "--scenario": ("scenario", str, None),
+    "--condition": ("condition", str, None),
+    "--out-dir": ("out_dir", str, None),
+}
+_TASK_OPTIONS = {**_COMMON_OPTIONS, "--jobs": ("jobs", int, None)}
+_TRAIN_OPTIONS = {"--epochs": ("epochs", int, None),
+                  "--learning-rate": ("learning_rate", float, None)}
+_K_OPTION = {"--k": ("k", int, None)}
+_FORMAT_OPTION = {"--format": ("format", str, "markdown")}
+PINNED_OPTIONS = {
+    "gen": _TASK_OPTIONS,
+    "train": {**_TASK_OPTIONS, **_TRAIN_OPTIONS},
+    "score": {**_TASK_OPTIONS, **_K_OPTION},
+    "eval": _COMMON_OPTIONS,
+    "report": {**_COMMON_OPTIONS, **_FORMAT_OPTION},
+    "all": {**_TASK_OPTIONS, **_K_OPTION, **_TRAIN_OPTIONS, **_FORMAT_OPTION,
+            "--baseline": ("baseline", str, False)},
+}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+def test_every_command_keeps_its_options_with_their_dest_type_and_default():
+    commands = _subparsers()
+    assert list(commands) == list(PINNED_OPTIONS)
+    for command, subparser in commands.items():
+        options = {
+            option: (action.dest,
+                     action.type if action.type in (int, float) else str,
+                     action.default)
+            for action in subparser._actions
+            for option in action.option_strings}
+        assert options == PINNED_OPTIONS[command], command
+
+
+def test_every_setting_sets_a_config_field_and_parses_its_flag():
+    fields = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+    fields |= {f.name for f in dataclasses.fields(TrainConfig)}
+    assert {key: s.field for key, s in cli.SETTINGS.items()
+            if s.field not in fields} == {"out_dir": None}
+    for command, subparser in _subparsers().items():
+        for action in subparser._actions:
+            setting = cli.SETTINGS.get(action.dest)
+            if setting is not None:
+                assert command in setting.commands
+                assert action.type is setting.parse, (command, action.dest)
+
+
+def _readme_settings_rows():
+    """(key, flag, commands) of each row of README's settings table."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Settings", 1)[1]
+    table = [line for line in section.split("\n## ", 1)[0].split("\n")
+             if line.startswith("|")]
+    rows = []
+    for line in table[2:]:  # below the header and its rule
+        key, flag, commands = (cell.strip().strip("`")
+                               for cell in line.strip("|").split("|")[:3])
+        if commands == "every command":
+            commands = ", ".join(cli.COMMANDS)
+        rows.append((key, flag, tuple(c.strip("` ") for c in commands.split(",")
+                                      if c.strip())))
+    return rows
+
+
+def test_the_readme_settings_table_lists_every_key_and_every_flag():
+    rows = _readme_settings_rows()
+    assert sorted(key for key, _, _ in rows if key) == sorted(cli.SETTINGS)
+    for key, flag, _ in rows:
+        if key:
+            named = "--" + key.replace("_", "-")
+            assert flag == (named if cli.SETTINGS[key].commands else ""), key
+    flags = {}
+    for command, subparser in _subparsers().items():
+        for action in subparser._actions:
+            for option in action.option_strings:
+                if option not in ("-h", "--help"):
+                    flags.setdefault(option, []).append(command)
+    assert {flag: commands for _, flag, commands in rows if flag} == {
+        flag: tuple(commands) for flag, commands in flags.items()}
 
 
 def test_cli_requires_an_output_directory(monkeypatch):
@@ -419,6 +524,26 @@ def test_cli_out_dir_env_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path))
     assert _run(["gen", *ARGS]) == 0
     assert (tmp_path / "tapes-white_bg.scenes.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, setting", [
+    (["--out-dir", ""], None),
+    ([], "out_dir ="),
+])
+def test_an_empty_output_directory_exits_2_and_ignores_the_environment(
+        tmp_path, monkeypatch, capsys, argv, setting):
+    env_dir = tmp_path / "from_env"
+    monkeypatch.setenv(cli.OUT_DIR_ENV, str(env_dir))
+    extra = []
+    if setting is not None:
+        config = tmp_path / "empty.cfg"
+        config.write_text(setting + "\n")
+        extra = ["--config", str(config)]
+    with pytest.raises(SystemExit) as exc:
+        _run(["gen", *ARGS, *argv, *extra])
+    assert exc.value.code == 2
+    assert "empty output directory" in capsys.readouterr().err
+    assert not env_dir.exists()
 
 
 def test_config_file_values_apply_and_flags_win(tmp_path):
@@ -463,7 +588,7 @@ def _every_key_file(tmp_path, **changed):
 
 
 def test_every_config_key_reaches_its_field(tmp_path):
-    assert sorted(EVERY_KEY) == sorted(cli._CONFIG_KEYS)
+    assert sorted(EVERY_KEY) == sorted(cli.SETTINGS)
     config, out_dir = _resolve(["train", "--config", _every_key_file(tmp_path)])
     assert out_dir == Path("from_file")
     want = pipeline.PipelineConfig(
