@@ -1,5 +1,3 @@
 """Language-based one-class logical anomaly detection on synthetic scenes."""
 
 __version__ = "0.1.0"
-
-from .scenes import Aspect, Condition, Label  # noqa: F401

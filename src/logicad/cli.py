@@ -161,7 +161,7 @@ SETTINGS = {
 
 def load_config_file(path: str) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:

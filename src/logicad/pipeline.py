@@ -295,7 +295,7 @@ def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
                     {"task_id": task.task_id, "scenario": task.scenario_id,
                      "condition": task.condition.value, "split": s.split,
                      "label": s.label.value,
-                     "scene": scenes.scene_fields(spec.build(s.view))},
+                     "scene": spec.build(s.view)},
                     sort_keys=True) + "\n"
             fh.write(line)
     _write_jsonl(_task_path(out_dir, task.task_id, "descriptions.jsonl"), (
@@ -387,22 +387,34 @@ def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
 
 def load_checkpoint(path) -> TrainedTask:
     """The checkpoint at ``path``; a file that is not one raises ValueError."""
+    def unreadable(reason: str) -> ValueError:
+        return ValueError(f"{path} is not a readable checkpoint: {reason}")
+
+    def json_object(data, name: str) -> dict:
+        try:
+            value = json.loads(bytes(data[name]).decode("utf-8"))
+        except ValueError:  # not UTF-8, or not JSON
+            value = None
+        if not isinstance(value, dict):
+            raise unreadable(f"{name} is not a JSON object")
+        return value
+
     if not zipfile.is_zipfile(path):
-        raise ValueError(f"{path} is not a readable checkpoint: not a whole "
-                         "npz archive")
+        raise unreadable("not a whole npz archive")
     with np.load(path) as data:
         missing = [name for name in _CHECKPOINT_MEMBERS if name not in data]
         if missing:
-            raise ValueError(f"{path} is not a readable checkpoint: it lacks "
-                             + ", ".join(missing))
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
+            raise unreadable("it lacks " + ", ".join(missing))
+        version = data["version"]
+        if version.ndim or not np.issubdtype(version.dtype, np.integer):
+            raise unreadable("version is not an integer")
+        if int(version) != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         params = EncoderParams.from_arrays(data["embedding"], data["proj_w"],
                                            data["proj_b"])
-        vocab = Vocabulary(json.loads(bytes(data["vocab_json"]).decode("utf-8")))
+        vocab = Vocabulary(json_object(data, "vocab_json"))
         losses = [float(x) for x in data["epoch_losses"]]
-        fingerprint = json.loads(bytes(data["fingerprint"]).decode("utf-8"))
+        fingerprint = json_object(data, "fingerprint")
     return TrainedTask(vocab=vocab, params=params, epoch_losses=losses,
                        fingerprint=fingerprint)
 

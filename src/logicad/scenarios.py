@@ -7,16 +7,17 @@ logical state (a dict; a list for dishes), is what ``normal`` draws, what
 each aspect's rule-breaking edit changes in place, what the rules judge
 and what the grammar renders.
 ``scenes.sample_anomaly`` combines the edits with rejection sampling to hit
-a target label exactly.  ``build`` makes the scene of a view, for the
-scene file only.
+a target label exactly.  ``build`` makes the scene record of a view, for
+the scene file only: each builder writes its objects' field names, and
+``_scene`` numbers the objects and adds the context.
 
 Fruits, tapes, stationery, blocks and dishes state their normal view once,
 as a constant: ``normal`` copies it, each rule compares a view with it on
 one aspect's slots (``_agrees``), and ``_swap`` moves one slot away from it.
 
-Object lists are constructed in a fixed, semantically meaningful order
-(groups are contiguous runs; ``order_index`` is globally unique where order
-matters), which keeps serialization reproducible.
+A scene lists its objects in a fixed, meaningful order (groups are
+contiguous runs), and an object's ``order_index`` is its position in that
+list, which keeps the scene file reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenes import Aspect, ObjectInstance, Scene, ScenarioSpec, SplitCounts
+from .scenes import Aspect, ScenarioSpec, SplitCounts
 from .templates import (
     BALL_COLORS, BALLS_GRAMMAR, BLOCK_BINS, BLOCK_SHAPES, BLOCKS_GRAMMAR,
     COOKIE_COLORS, COOKIES_GRAMMAR, DISH_INTRUDERS, DISH_ITEMS, DISHES_GRAMMAR,
@@ -49,6 +50,13 @@ def _pick(rng: np.random.Generator, options):
 def _bump(rng: np.random.Generator, count: int, lo: int = 0) -> int:
     deltas = [d for d in (-1, 1) if lo <= count + d <= MAX_COUNT]
     return count + _pick(rng, deltas)
+
+
+def _scene(objects: list[dict], **context: str) -> dict:
+    """The scene record of ``objects``, each numbered by its list position."""
+    for i, obj in enumerate(objects):
+        obj["order_index"] = i
+    return {"objects": objects, "context": context}
 
 
 def _swap(slots: Sequence, values: Sequence[str], normal):
@@ -98,14 +106,14 @@ class GroupLayout:
     values: tuple[str, ...]  # allowed attribute values
     groups: tuple[tuple[str, str, str, int, str], ...]
 
-    def build(self, view: dict) -> Scene:
+    def build(self, view: dict) -> dict:
         objects = []
         for key, count, attr, _, _ in self.groups:
             fields = {"category": self.category, self.key: key,
                       self.attr: view[attr]}
             for _ in range(view[count]):
-                objects.append(ObjectInstance(**fields, order_index=len(objects)))
-        return Scene(tuple(objects))
+                objects.append(dict(fields))
+        return _scene(objects)
 
     def normal(self, rng: np.random.Generator) -> dict:
         view = {}
@@ -174,14 +182,12 @@ STICKS = _grouped_spec("sticks", STICKS_LAYOUT, (Aspect.QUANTITY, Aspect.LENGTH)
 _FRUITS_NORMAL = {"count_a": 3, "cat_a": "orange", "count_b": 2, "cat_b": "kiwi"}
 
 
-def _fruits_build(view: dict) -> Scene:
+def _fruits_build(view: dict) -> dict:
     objects = []
-    order = 0
     for side in ("a", "b"):
         for _ in range(view[f"count_{side}"]):
-            objects.append(ObjectInstance(view[f"cat_{side}"], order_index=order))
-            order += 1
-    return Scene(tuple(objects))
+            objects.append({"category": view[f"cat_{side}"]})
+    return _scene(objects)
 
 
 def _two_kinds(view: dict) -> bool:
@@ -256,13 +262,10 @@ _TAPE_LEN_SLOTS = ("len_first", "len_second")
 _TAPE_COLOR_SLOTS = ("color_first", "color_second")
 
 
-def _tapes_build(view: dict) -> Scene:
-    objects = tuple(
-        ObjectInstance("tape", color=view[f"color_{w}"],
-                       length_class=view[f"len_{w}"], order_index=i)
-        for i, w in enumerate(("first", "second"))
-    )
-    return Scene(objects)
+def _tapes_build(view: dict) -> dict:
+    return _scene([{"category": "tape", "color": view[f"color_{w}"],
+                    "length_class": view[f"len_{w}"]}
+                   for w in ("first", "second")])
 
 
 TAPES = ScenarioSpec(
@@ -294,20 +297,17 @@ _STATIONERY_COLORS = {("left", "pencil"): "black", ("left", "eraser"): "blue",
                       ("right", "pencil"): "red", ("right", "eraser"): "red"}
 
 
-def _stationery_build(view: dict) -> Scene:
+def _stationery_build(view: dict) -> dict:
     objects = []
-    order = 0
     for side in ("left", "right"):
         first = view[f"order_{side}"]
         cats = (first, "pencil" if first == "eraser" else "eraser")
         for cat in cats:
-            objects.append(
-                ObjectInstance(cat, color=_STATIONERY_COLORS[(side, cat)],
-                               length_class=view[f"len_{side}_{cat}"],
-                               region=f"{side}_bin", order_index=order)
-            )
-            order += 1
-    return Scene(tuple(objects))
+            objects.append({"category": cat,
+                            "color": _STATIONERY_COLORS[(side, cat)],
+                            "length_class": view[f"len_{side}_{cat}"],
+                            "region": f"{side}_bin"})
+    return _scene(objects)
 
 
 def _stationery_edit_l(view: dict, rng: np.random.Generator) -> None:
@@ -341,10 +341,10 @@ STATIONERY = ScenarioSpec(
 _ROPE_LENGTHS = ("similar", "long", "short")
 
 
-def _ropes_build(view: dict) -> Scene:
-    rope = ObjectInstance("rope", color=view["rope_color"],
-                          length_class=view["rope_len"], order_index=0)
-    return Scene((rope,), context=(("label", view["label_color"]),))
+def _ropes_build(view: dict) -> dict:
+    rope = {"category": "rope", "color": view["rope_color"],
+            "length_class": view["rope_len"]}
+    return _scene([rope], label=view["label_color"])
 
 
 def _ropes_normal(rng: np.random.Generator) -> dict:
@@ -392,17 +392,13 @@ _BLOCK_SHAPE_SLOTS = ("shape_a", "shape_b", "shape_c")
 _BLOCK_REGION_SLOTS = ("region_a", "region_b", "region_c")
 
 
-def _blocks_build(view: dict) -> Scene:
+def _blocks_build(view: dict) -> dict:
     objects = []
-    order = 0
     for slot in ("a", "b", "c"):
         for _ in range(2):
-            objects.append(
-                ObjectInstance(view[f"shape_{slot}"],
-                               region=view[f"region_{slot}"], order_index=order)
-            )
-            order += 1
-    return Scene(tuple(objects))
+            objects.append({"category": view[f"shape_{slot}"],
+                            "region": view[f"region_{slot}"]})
+    return _scene(objects)
 
 
 def _blocks_distinct(view: dict) -> bool:
@@ -452,9 +448,8 @@ BLOCKS = ScenarioSpec(
 _DISH_RANK = {item: i for i, item in enumerate(DISH_ITEMS)}
 
 
-def _dishes_build(items: list[str]) -> Scene:
-    return Scene(tuple(ObjectInstance(cat, order_index=i)
-                       for i, cat in enumerate(items)))
+def _dishes_build(items: list[str]) -> dict:
+    return _scene([{"category": cat} for cat in items])
 
 
 def _dishes_rule_t(items: list[str]) -> bool:

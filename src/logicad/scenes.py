@@ -1,4 +1,4 @@
-"""Core scene model: objects, scenario specs, classification and sampling.
+"""Core scene model: scenario specs, classification and sampling.
 
 A scenario's *view* is its logical state: the counts, attributes and
 order that its two rules constrain (a dict; a list for dishes).  A
@@ -7,10 +7,9 @@ rules, its edits, its split counts and its text grammar.  Scenarios draw a
 view and edit it; the rules judge the view, a view is normal iff both rule
 predicates hold, and the grammar renders it.  Each sample holds the view it
 was drawn as.
-A scene is a structured set of object instances plus optional scenario
-context (e.g. the text label the rope color has to match); ``build`` makes
-the scene of a view, and ``scene_fields`` gives a scene's part of a
-scene-file line for ``pipeline``.
+A scene is the record of a view that the scene file holds: its objects,
+one field dict each, and its context (e.g. the text label the rope color
+has to match); ``build`` makes it, for ``pipeline`` only.
 Neither a view nor a scene holds its scenario or a capture condition: its
 spec and its task do, and the condition only affects rendering downstream,
 never the logical state.
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -58,29 +57,15 @@ class GenerationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ObjectInstance:
-    category: str
-    color: Optional[str] = None
-    length_class: Optional[str] = None
-    region: Optional[str] = None
-    order_index: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class Scene:
-    objects: tuple[ObjectInstance, ...]
-    context: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """One scenario: its aspect pair, rules, edits, counts and grammar.
 
     ``rule_a``/``rule_b`` return True when a view satisfies the rule; a view
     with nothing on the tray satisfies neither.  ``build`` makes the scene
-    of a view.  ``normal`` draws a normal view, and ``edits`` map each
-    aspect to a single rule-breaking edit of a view, made in place, used by
-    targeted anomaly sampling.  ``counts`` are the sizes of each of its
+    record of a view, ``{"objects": [...], "context": {...}}``.  ``normal``
+    draws a normal view, and ``edits`` map each aspect to a single
+    rule-breaking edit of a view, made in place, used by targeted anomaly
+    sampling.  ``counts`` are the sizes of each of its
     tasks' splits, and ``grammar`` renders its view as text.
     """
 
@@ -88,7 +73,7 @@ class ScenarioSpec:
     aspects: tuple[Aspect, Aspect]
     rule_a: Callable[[Any], bool]
     rule_b: Callable[[Any], bool]
-    build: Callable[[Any], Scene]
+    build: Callable[[Any], dict]
     normal: Callable[[np.random.Generator], Any]
     edits: dict[Aspect, Callable[[Any, np.random.Generator], None]]
     counts: SplitCounts
@@ -217,22 +202,3 @@ def build_task(
         task_id_for(spec.scenario_id, condition), spec.scenario_id, condition,
         tuple(samples),
     )
-
-
-def _object_fields(obj: ObjectInstance) -> dict:
-    out: dict = {"category": obj.category}
-    if obj.color is not None:
-        out["color"] = obj.color
-    if obj.length_class is not None:
-        out["length_class"] = obj.length_class
-    if obj.region is not None:
-        out["region"] = obj.region
-    if obj.order_index is not None:
-        out["order_index"] = obj.order_index
-    return out
-
-
-def scene_fields(scene: Scene) -> dict:
-    """The objects and the context of a scene, as the scene file holds them."""
-    return {"objects": [_object_fields(o) for o in scene.objects],
-            "context": dict(scene.context)}

@@ -14,6 +14,10 @@ with the same name hides dead code: ``encoder.encode`` would pass because of
 An underscore name (``_x``, not a dunder) is private to its module.  Another
 module reads it by ``module._x`` through a package module it imported, under
 its own name or an alias, or by ``from .module import _x``.
+
+A name that a module-level import binds in ``src/logicad/*.py`` or
+``tests/*.py`` must be read in its own file; ``from __future__`` imports
+bind none.
 """
 
 import ast
@@ -21,6 +25,7 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "logicad"
+TESTS = Path(__file__).resolve().parent
 
 # Names kept without a caller in src/, as ``module.qualname``.
 ALLOWED = {"__init__.__version__"}
@@ -167,3 +172,54 @@ def test_the_check_finds_private_reads_in_a_small_package(tmp_path):
         "b.py:8: a._HIDDEN",
         "b.py:10: alias._helper",
     ]
+
+
+def _module_imports(body: list[ast.stmt]):
+    """The import statements of a module body, also under ``if``/``try``."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, ast.If):
+            yield from _module_imports(node.body + node.orelse)
+        elif isinstance(node, ast.Try):
+            yield from _module_imports(
+                node.body + node.orelse + node.finalbody
+                + [stmt for handler in node.handlers for stmt in handler.body])
+
+
+def unused_imports(paths) -> list[str]:
+    """``file:line: name`` of each module-level import its file never reads."""
+    found = []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in _module_imports(tree.body):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_every_module_level_import_is_read_in_its_file():
+    assert unused_imports([*SRC.glob("*.py"), *TESTS.glob("*.py")]) == []
+
+
+def test_the_check_finds_unused_imports_in_a_small_package(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as codec\n"
+        "from typing import TYPE_CHECKING, Optional\n"
+        "if TYPE_CHECKING:\n    from .b import Box\n"
+        "try:\n    import numpy\nexcept ImportError:\n    numpy = None\n"
+        "def size(box: Box) -> int:\n"
+        "    import sys\n"
+        "    return len(os.sep)\n"
+    )
+    # read by attribute, by annotation, or bound inside a function: all pass
+    assert unused_imports([tmp_path / "a.py"]) == [
+        "a.py:3: codec", "a.py:4: Optional", "a.py:8: numpy"]

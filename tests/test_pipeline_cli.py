@@ -18,7 +18,7 @@ from logicad import cli, pipeline, trainer
 from logicad.encoder import encode_texts
 from logicad.negatives import pair_edits
 from logicad.scenarios import SCENARIOS, get_scenario
-from logicad.scenes import Condition, Label, SplitCounts, scene_fields, task_id_for
+from logicad.scenes import Condition, Label, SplitCounts, task_id_for
 from logicad.trainer import TrainConfig
 
 SMALL = pipeline.PipelineConfig(
@@ -214,8 +214,7 @@ def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
     assert line("scenes", -1) == {
         "task_id": "tapes-mesh_bg", "scenario": "tapes",
         "condition": "mesh_bg", "split": "test", "label": "dual",
-        "scene": json.loads(json.dumps(
-            scene_fields(get_scenario("tapes").build(sample.view)))),
+        "scene": get_scenario("tapes").build(sample.view),
     }
     assert line("descriptions", -1) == {
         "task_id": "tapes-mesh_bg", "sample_id": sample.sample_id,
@@ -238,7 +237,7 @@ def _scene_lines(task):
         "task_id": task.task_id, "scenario": task.scenario_id,
         "condition": task.condition.value, "split": s.split,
         "label": s.label.value,
-        "scene": scene_fields(spec.build(s.view))}, sort_keys=True)
+        "scene": spec.build(s.view)}, sort_keys=True)
         for s in task.samples]
 
 
@@ -687,6 +686,14 @@ def test_an_unreadable_config_file_exits_2_before_any_work(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_a_config_file_with_a_byte_order_mark_sets_its_first_key(tmp_path):
+    # the mark used to stick to the first key: unknown config key '\ufeffseed'
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfseed = 7\n")
+    config, _ = _resolve(["gen", "--config", str(path), "--out-dir", "out"])
+    assert config.master_seed == 7
+
+
 def test_config_file_rejects_a_key_set_twice(tmp_path, capsys):
     # the last value used to win silently: this file trained 2 epochs
     config = tmp_path / "twice.cfg"
@@ -910,7 +917,16 @@ def test_gen_bytes_at_seed_0_are_pinned(benchmark_runs):
     assert digests == GEN_DIGESTS
 
 
-@pytest.mark.parametrize("damage", ["truncated", "not_zip", "no_members"])
+# a whole checkpoint with one member replaced, by damage
+BAD_MEMBERS = {
+    "vector_version": ("version", np.array([1, 1]), "version is not an integer"),
+    "list_fingerprint": ("fingerprint", np.bytes_(b"[1]"),
+                         "fingerprint is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("damage", ["truncated", "not_zip", "no_members",
+                                    *BAD_MEMBERS])
 def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
     out = str(tmp_path)
     assert _run(["train", *ARGS, "--epochs", "1", "--out-dir", out]) == 0
@@ -920,6 +936,11 @@ def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
         checkpoint.write_bytes(checkpoint.read_bytes()[:100])
     elif damage == "not_zip":
         checkpoint.write_text("not a checkpoint\n")
+    elif damage in BAD_MEMBERS:
+        name, value, reason = BAD_MEMBERS[damage]
+        with np.load(checkpoint) as data:
+            members = dict(data)
+        np.savez(checkpoint, **{**members, name: value})
     else:
         # a whole npz archive that holds none of the checkpoint's members
         np.savez(checkpoint, a=np.arange(3))

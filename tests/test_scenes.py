@@ -1,12 +1,11 @@
 """Rule engine checks: classification vs. independent predicate evaluators.
 
 Every scenario gets a brute-force oracle written directly over the raw
-object tuples (no shared helpers with the package), evaluated on an
+object records (no shared helpers with the package), evaluated on an
 exhaustively enumerated reduced view space: each view is classified, and
-its scene is the one the oracle judged.
+its scene record is the one the oracle judged.
 """
 
-import dataclasses
 import itertools
 import json
 
@@ -27,14 +26,11 @@ from logicad.scenarios import (
 from logicad.scenes import (
     Condition,
     Label,
-    ObjectInstance,
-    Scene,
     SplitCounts,
     build_task,
     check_rules,
     classify,
     sample_anomaly,
-    scene_fields,
 )
 from logicad.seeding import derive_seed
 
@@ -70,14 +66,15 @@ def _enum_sticks():
         range(4), range(4), ("long", "short", "similar"), ("long", "short", "similar")
     ):
         objects = [
-            ObjectInstance("stick", color="blue", length_class=len_blue, order_index=i)
+            {"category": "stick", "color": "blue", "length_class": len_blue,
+             "order_index": i}
             for i in range(n_blue)
         ] + [
-            ObjectInstance("stick", color="red", length_class=len_red,
-                           order_index=n_blue + i)
+            {"category": "stick", "color": "red", "length_class": len_red,
+             "order_index": n_blue + i}
             for i in range(n_red)
         ]
-        scene = Scene(tuple(objects))
+        scene = {"objects": objects, "context": {}}
         view = {"count_blue": n_blue, "len_blue": len_blue,
                 "count_red": n_red, "len_red": len_red}
         ok_q = n_blue == 2 and n_red == 1
@@ -88,12 +85,12 @@ def _enum_sticks():
 def _enum_fruits():
     cats = ("orange", "kiwi", "apple", "lemon", "banana")
     for ca, na, cb, nb in itertools.product(cats, range(5), cats, range(5)):
-        objects = [ObjectInstance(ca, order_index=i) for i in range(na)] + [
-            ObjectInstance(cb, order_index=na + i) for i in range(nb)
+        objects = [{"category": ca, "order_index": i} for i in range(na)] + [
+            {"category": cb, "order_index": na + i} for i in range(nb)
         ]
-        scene = Scene(tuple(objects))
+        scene = {"objects": objects, "context": {}}
         view = {"count_a": na, "cat_a": ca, "count_b": nb, "cat_b": cb}
-        runs = _runs([o.category for o in objects])
+        runs = _runs([o["category"] for o in objects])
         ok_q = len(runs) == 2 and runs[0][1] == 3 and runs[1][1] == 2
         ok_t = len(runs) == 2 and runs[0][0] == "orange" and runs[1][0] == "kiwi"
         yield view, scene, _label(ok_q, ok_t, not objects)
@@ -108,14 +105,15 @@ def _enum_tools():
             order = 0
             for (cat, region), n in zip(zip(canon, placed), counts):
                 for _ in range(n):
-                    objects.append(ObjectInstance(cat, region=region, order_index=order))
+                    objects.append({"category": cat, "region": region,
+                                    "order_index": order})
                     order += 1
-            scene = Scene(tuple(objects))
+            scene = {"objects": objects, "context": {}}
             view = {}
             for cat, region, n in zip(canon, placed, counts):
                 view[f"count_{cat}"], view[f"region_{cat}"] = n, region
             ok_q = all(n == 2 for n in counts)
-            ok_p = all(o.region == canon[o.category] for o in objects)
+            ok_p = all(o["region"] == canon[o["category"]] for o in objects)
             yield view, scene, _label(ok_q, ok_p, not objects)
 
 
@@ -123,13 +121,15 @@ def _enum_cookies():
     colors = ("yellow", "black", "white", "brown", "pink")
     for ns, cs, nr, cr in itertools.product(range(4), colors, range(4), colors):
         objects = [
-            ObjectInstance("cookie", color=cs, region="square_dish", order_index=i)
+            {"category": "cookie", "color": cs, "region": "square_dish",
+             "order_index": i}
             for i in range(ns)
         ] + [
-            ObjectInstance("cookie", color=cr, region="round_dish", order_index=ns + i)
+            {"category": "cookie", "color": cr, "region": "round_dish",
+             "order_index": ns + i}
             for i in range(nr)
         ]
-        scene = Scene(tuple(objects))
+        scene = {"objects": objects, "context": {}}
         view = {"count_square": ns, "color_square": cs,
                 "count_round": nr, "color_round": cr}
         ok_q = ns == 2 and nr == 1
@@ -141,11 +141,13 @@ def _enum_tapes():
     lens = ("long", "short", "similar")
     colors = ("green", "red", "blue", "yellow", "black")
     for l1, c1, l2, c2 in itertools.product(lens, colors, lens, colors):
-        objects = (
-            ObjectInstance("tape", color=c1, length_class=l1, order_index=0),
-            ObjectInstance("tape", color=c2, length_class=l2, order_index=1),
-        )
-        scene = Scene(objects)
+        objects = [
+            {"category": "tape", "color": c1, "length_class": l1,
+             "order_index": 0},
+            {"category": "tape", "color": c2, "length_class": l2,
+             "order_index": 1},
+        ]
+        scene = {"objects": objects, "context": {}}
         view = {"len_first": l1, "color_first": c1,
                 "len_second": l2, "color_second": c2}
         ok_l = l1 == "long" and l2 == "short"
@@ -169,12 +171,12 @@ def _enum_stationery():
             order = 0
             for bin_, first in (("left_bin", first_left), ("right_bin", first_right)):
                 for cat in (first, "pencil" if first == "eraser" else "eraser"):
-                    objects.append(ObjectInstance(
-                        cat, color=canon[(bin_, cat)][0],
-                        length_class=length[(bin_, cat)],
-                        region=bin_, order_index=order))
+                    objects.append({
+                        "category": cat, "color": canon[(bin_, cat)][0],
+                        "length_class": length[(bin_, cat)],
+                        "region": bin_, "order_index": order})
                     order += 1
-            scene = Scene(tuple(objects))
+            scene = {"objects": objects, "context": {}}
             view = {"len_left_pencil": lp, "len_left_eraser": le,
                     "len_right_pencil": rp, "len_right_eraser": re_,
                     "order_left": first_left, "order_right": first_right}
@@ -188,11 +190,11 @@ def _enum_ropes():
     for rope_len, rope_color, label_color in itertools.product(
         ("similar", "long", "short"), colors, colors
     ):
-        scene = Scene(
-            (ObjectInstance("rope", color=rope_color, length_class=rope_len,
-                            order_index=0),),
-            context=(("label", label_color),),
-        )
+        scene = {
+            "objects": [{"category": "rope", "color": rope_color,
+                         "length_class": rope_len, "order_index": 0}],
+            "context": {"label": label_color},
+        }
         view = {"rope_len": rope_len, "rope_color": rope_color,
                 "label_color": label_color}
         ok_l = rope_len == "similar"
@@ -210,14 +212,14 @@ def _enum_blocks():
             order = 0
             for shape, region in zip(chosen_shapes, chosen_regions):
                 for _ in range(2):
-                    objects.append(ObjectInstance(shape, region=region,
-                                                  order_index=order))
+                    objects.append({"category": shape, "region": region,
+                                    "order_index": order})
                     order += 1
-            scene = Scene(tuple(objects))
+            scene = {"objects": objects, "context": {}}
             view = {}
             for slot, shape, region in zip("abc", chosen_shapes, chosen_regions):
                 view[f"shape_{slot}"], view[f"region_{slot}"] = shape, region
-            runs = _runs([(o.category, o.region) for o in objects])
+            runs = _runs([(o["category"], o["region"]) for o in objects])
             valid = len(runs) == 3 and all(n == 2 for _, n in runs)
             ok_t = valid and all(r[0][0] == c[0] for r, c in zip(runs, canon))
             ok_p = valid and all(r[0][1] == c[1] for r, c in zip(runs, canon))
@@ -229,10 +231,9 @@ def _enum_dishes():
     rank = {"fork": 0, "plate": 1, "spoon": 2}
     for length in (2, 3, 4):
         for items in itertools.product(cats, repeat=length):
-            objects = tuple(
-                ObjectInstance(cat, order_index=i) for i, cat in enumerate(items)
-            )
-            scene = Scene(objects)
+            objects = [{"category": cat, "order_index": i}
+                       for i, cat in enumerate(items)]
+            scene = {"objects": objects, "context": {}}
             ok_t = sorted(items) == sorted(("fork", "plate", "spoon"))
             ranks = [rank[c] for c in items if c in rank]
             ok_r = length == 3 and ranks == sorted(ranks)
@@ -251,11 +252,11 @@ def _enum_balls():
         order = 0
         for region, n in zip(regions, counts):
             for _ in range(n):
-                objects.append(ObjectInstance(
-                    "ball", color=row_color[region.split("_")[0]],
-                    region=region, order_index=order))
+                objects.append({
+                    "category": "ball", "color": row_color[region.split("_")[0]],
+                    "region": region, "order_index": order})
                 order += 1
-        scene = Scene(tuple(objects))
+        scene = {"objects": objects, "context": {}}
         view = {}
         for slot, region, n in zip(slots, regions, counts):
             view[f"n_{slot}"] = n
@@ -263,15 +264,16 @@ def _enum_balls():
         ok_p = all(n == 1 for n in counts)
         yield view, scene, _label(ok_p, True, not objects)
     for chosen in itertools.product(colors, repeat=4):
-        objects = tuple(
-            ObjectInstance("ball", color=c, region=r, order_index=i)
+        objects = [
+            {"category": "ball", "color": c, "region": r, "order_index": i}
             for i, (r, c) in enumerate(zip(regions, chosen))
-        )
-        scene = Scene(objects)
+        ]
+        scene = {"objects": objects, "context": {}}
         view = {}
         for slot, color in zip(slots, chosen):
             view[f"n_{slot}"], view[f"c_{slot}"] = 1, color
-        ok_r = all(o.color == row_color[o.region.split("_")[0]] for o in objects)
+        ok_r = all(o["color"] == row_color[o["region"].split("_")[0]]
+                   for o in objects)
         yield view, scene, _label(True, ok_r, False)
 
 
@@ -403,7 +405,7 @@ def test_empty_scene_violates_both_aspects(scenario_id):
     # every count zero, or no dish at all
     empty = [] if isinstance(normal, list) else {
         k: 0 if isinstance(v, int) else v for k, v in normal.items()}
-    assert spec.build(empty) == Scene(())
+    assert spec.build(empty) == {"objects": [], "context": {}}
     assert check_rules(empty, spec) == set(spec.aspects)
     assert classify(empty, spec) == Label.DUAL
 
@@ -446,23 +448,6 @@ def test_default_split_counts_cover_every_scenario():
         assert 6 <= counts.dual <= 15
 
 
-def test_scene_record_round_trip():
-    # the scene part of a scene-file line; test_pipeline_cli checks the line
-    spec = get_scenario("ropes")
-    rng = np.random.default_rng(1)
-    scene = spec.build(sample_anomaly(spec, Label.DUAL, rng))
-    fields = scene_fields(scene)
-    assert scene.objects and scene.context
-    assert json.loads(json.dumps(fields)) == {
-        "objects": [{k: v for k, v in dataclasses.asdict(o).items()
-                     if v is not None} for o in scene.objects],
-        "context": dict(scene.context),
-    }
-    # serialization is itself deterministic
-    assert json.dumps(scene_fields(scene), sort_keys=True) == json.dumps(
-        fields, sort_keys=True)
-
-
 # The blocks text names adjacent equal (shape, region) groups once
 # (``scenarios._blocks_slots``): when a dual edit makes two adjacent groups
 # equal, the freed slots keep the normal values, so the text describes
@@ -495,8 +480,7 @@ def test_view_rebuilds_every_generated_scene(scenario_id, benchmark_runs):
         assert len(scene_lines) == len(text_lines) == len(task.samples)
         for sample, scene_line, text_line in zip(task.samples, scene_lines,
                                                   text_lines):
-            assert json.loads(scene_line)["scene"] == json.loads(json.dumps(
-                scene_fields(spec.build(sample.view))))
+            assert json.loads(scene_line)["scene"] == spec.build(sample.view)
             line = json.loads(text_line)
             assert line["sample_id"] == sample.sample_id
             record = parse(line["text"], grammar)
