@@ -17,9 +17,10 @@ import numpy as np
 from .describe import AttributeRecord, build_record
 from .templates import NUMBER_WORDS, SlotDef, TemplateGrammar, word_number
 
-# "at least one" contradiction per the synthesis constraints; a second edit
-# with small probability adds hardness without changing structure.
-EDIT_COUNT_PROBS = ((1, 0.7), (2, 0.3))
+# "at least one" contradiction per the synthesis constraints; a second edit,
+# drawn with probability 1 - ONE_EDIT_PROB, adds hardness without changing
+# structure.
+ONE_EDIT_PROB = 0.7
 COUNT_EDIT_WINDOW = 2  # count replacements stay within +/- this of the truth
 
 
@@ -60,14 +61,7 @@ def synthesize_negative(
         raise SynthesisError(
             "no logical slot of the positive has a non-empty contradiction "
             "pool")
-    u = rng.random()
-    n_edits = 1
-    acc = 0.0
-    for count, prob in EDIT_COUNT_PROBS:
-        acc += prob
-        if u < acc:
-            n_edits = count
-            break
+    n_edits = 1 if rng.random() < ONE_EDIT_PROB else 2
     n_edits = min(n_edits, len(editable))
     chosen = list(rng.choice(len(editable), size=n_edits, replace=False))
     for idx in sorted(int(i) for i in chosen):

@@ -10,15 +10,16 @@ Each stage regenerates what it reads instead of loading the files of an
 earlier stage.  ``gen``, ``score`` and ``all`` generate the whole task:
 ``gen`` writes it out, and scoring reads the test split.  ``score`` reads
 only the train and test texts; it synthesises the train negatives only so
-that ``checkpoint_mismatches`` can rebuild the vocabulary from the train
-pairs and refuse a checkpoint whose vocabulary differs.  ``train`` reads
+that ``load_checkpoint`` can rebuild the vocabulary from the train pairs
+and refuse a checkpoint whose vocabulary differs.  ``train`` reads
 only the train pairs, so it generates only the train split; that split
 leads the task's view stream and every render and negative is seeded by
 its sample id, so its views, texts, pairs and vocabulary are those of the
 whole task.
 
-Only the run-directory section at the end names, writes or reads a file of
-the output directory; the other modules hold no file format.
+Only the run-directory section at the end writes or reads a file of the
+output directory; ``run_task`` and ``run_benchmark`` also name a task's
+checkpoint.  The other modules hold no file format.
 """
 
 from __future__ import annotations
@@ -74,13 +75,22 @@ class PipelineConfig:
 
 @dataclass
 class TaskArtifacts:
-    task: scenes.TaskScenes
+    scenario_id: str
+    condition: scenes.Condition
+    samples: tuple[scenes.TaskSample, ...]  # train samples first
     texts: dict[str, str]            # sample_id -> description
     # train sample_id -> (positive record, negative record)
     pairs: dict[str, tuple[describe.AttributeRecord, describe.AttributeRecord]]
 
+    @property
+    def task_id(self) -> str:
+        return scenes.task_id_for(self.scenario_id, self.condition)
+
+    def split(self, split: str) -> list[scenes.TaskSample]:
+        return [s for s in self.samples if s.split == split]
+
     def train_pairs(self) -> tuple[list[str], list[str]]:
-        ids = [s.sample_id for s in self.task.split("train")]
+        ids = [s.sample_id for s in self.split("train")]
         pos = [self.pairs[i][0].text for i in ids]
         neg = [self.pairs[i][1].text for i in ids]
         return pos, neg
@@ -100,13 +110,12 @@ def generate_task(config: PipelineConfig, scenario_id: str,
     """
     spec = scenarios.get_scenario(scenario_id)
     render_cfg = CONDITION_RENDER_DEFAULTS[condition]
-    task = scenes.build_task(
-        spec, condition, counts,
-        derive_seed(config.master_seed, scenario_id, condition.value, "scenes"),
-    )
+    samples = scenes.build_task(
+        spec, counts,
+        derive_seed(config.master_seed, scenario_id, condition.value, "scenes"))
     texts = {}
     pairs = {}
-    for sample in task.samples:
+    for sample in samples:
         # a config that draws nothing needs no stream: white_bg renders clean
         rng = derive_rng(config.master_seed, scenario_id, condition.value,
                          "render", sample.sample_id) if render_cfg.draws else None
@@ -118,7 +127,7 @@ def generate_task(config: PipelineConfig, scenario_id: str,
             pairs[sample.sample_id] = (
                 record, negatives.synthesize_negative(record, spec.grammar,
                                                       neg_rng))
-    return TaskArtifacts(task=task, texts=texts, pairs=pairs)
+    return TaskArtifacts(scenario_id, condition, samples, texts, pairs)
 
 
 @dataclass
@@ -126,15 +135,14 @@ class TrainedTask:
     vocab: Vocabulary
     params: EncoderParams
     epoch_losses: list[float]
-    fingerprint: Optional[dict] = None  # the config a loaded checkpoint was saved under
 
 
 def train_task(config: PipelineConfig, artifacts: TaskArtifacts) -> TrainedTask:
     """Fit (or, for the baseline, just initialize) the task's encoder."""
     pos_texts, neg_texts = artifacts.train_pairs()
     vocab = artifacts.vocabulary()
-    seed = derive_seed(config.master_seed, artifacts.task.scenario_id,
-                       artifacts.task.condition.value, "train")
+    seed = derive_seed(config.master_seed, artifacts.scenario_id,
+                       artifacts.condition.value, "train")
     init = init_params(vocab.size, dim=config.dim, seed=seed)
     if config.skip_training:
         return TrainedTask(vocab=vocab, params=init, epoch_losses=[])
@@ -153,8 +161,7 @@ class ScoredTask:
 def score_task(config: PipelineConfig, artifacts: TaskArtifacts,
                trained: TrainedTask) -> ScoredTask:
     """Encode the train split as the reference library and score the test split."""
-    task = artifacts.task
-    train, test = task.split("train"), task.split("test")
+    train, test = artifacts.split("train"), artifacts.split("test")
     library, queries = (
         encode_texts([artifacts.texts[s.sample_id] for s in samples],
                      trained.params, trained.vocab)
@@ -164,8 +171,8 @@ def score_task(config: PipelineConfig, artifacts: TaskArtifacts,
                 [train[i].sample_id for i in row])
                for s, score, mean, row in zip(test, scores.tolist(),
                                               means.tolist(), nearest.tolist())]
-    report = metrics.make_task_report(task.task_id, task.scenario_id,
-                                      task.condition, scores,
+    report = metrics.make_task_report(artifacts.task_id, artifacts.scenario_id,
+                                      artifacts.condition, scores,
                                       [s.label for s in test])
     return ScoredTask(report=report, results=results)
 
@@ -193,18 +200,14 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
         # training reads only the train pairs: generate no test view
         counts = scenes.SplitCounts(counts.train_normal, 0, 0, 0, 0)
     artifacts = generate_task(config, scenario_id, condition, counts)
-    task_id = artifacts.task.task_id
+    task_id = artifacts.task_id
     if stages in ("gen", "all"):
         write_task_files(out_dir, artifacts)
         if stages == "gen":
-            return f"gen {task_id}: {len(artifacts.task.samples)} samples", None
+            return f"gen {task_id}: {len(artifacts.samples)} samples", None
     checkpoint = _task_path(out_dir, task_id, "ckpt.npz")
     if stages == "score":
-        trained = load_checkpoint(checkpoint)
-        mismatches = checkpoint_mismatches(trained, config, artifacts)
-        if mismatches:
-            raise CheckpointError(f"{checkpoint} was not trained for this run: "
-                                  + "; ".join(mismatches))
+        trained = load_checkpoint(checkpoint, config, artifacts)
     else:
         trained = train_task(config, artifacts)
         save_checkpoint(checkpoint, trained, config, task_id)
@@ -282,28 +285,28 @@ def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
     only, once per distinct (split, label, view) and written again for each
     later sample that repeats it.
     """
-    task = artifacts.task
-    spec = scenarios.get_scenario(task.scenario_id)
+    task_id = artifacts.task_id
+    spec = scenarios.get_scenario(artifacts.scenario_id)
     lines: dict[tuple, str] = {}
-    with open(_task_path(out_dir, task.task_id, "scenes.jsonl"), "w",
+    with open(_task_path(out_dir, task_id, "scenes.jsonl"), "w",
               encoding="utf-8") as fh:
-        for s in task.samples:
+        for s in artifacts.samples:
             key = (s.split, s.label, repr(s.view))
             line = lines.get(key)
             if line is None:
                 line = lines[key] = json.dumps(
-                    {"task_id": task.task_id, "scenario": task.scenario_id,
-                     "condition": task.condition.value, "split": s.split,
+                    {"task_id": task_id, "scenario": artifacts.scenario_id,
+                     "condition": artifacts.condition.value, "split": s.split,
                      "label": s.label.value,
                      "scene": spec.build(s.view)},
                     sort_keys=True) + "\n"
             fh.write(line)
-    _write_jsonl(_task_path(out_dir, task.task_id, "descriptions.jsonl"), (
-        {"task_id": task.task_id, "sample_id": s.sample_id, "split": s.split,
+    _write_jsonl(_task_path(out_dir, task_id, "descriptions.jsonl"), (
+        {"task_id": task_id, "sample_id": s.sample_id, "split": s.split,
          "label": s.label.value, "text": artifacts.texts[s.sample_id]}
-        for s in task.samples))
-    _write_jsonl(_task_path(out_dir, task.task_id, "pairs.jsonl"), (
-        {"task_id": task.task_id, "sample_id": sample_id,
+        for s in artifacts.samples))
+    _write_jsonl(_task_path(out_dir, task_id, "pairs.jsonl"), (
+        {"task_id": task_id, "sample_id": sample_id,
          "pos_text": pos.text, "neg_text": neg.text,
          "edits": negatives.pair_edits(pos, neg, spec.grammar)}
         for sample_id, (pos, neg) in artifacts.pairs.items()))
@@ -385,8 +388,23 @@ def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
     )
 
 
-def load_checkpoint(path) -> TrainedTask:
-    """The checkpoint at ``path``; a file that is not one raises ValueError."""
+# A checkpoint is matched on task, master seed, dim, vocabulary and
+# skip_training: the fingerprint settings below, and the other two in
+# ``load_checkpoint``.  Scoring reads no training setting, so none is
+# compared, though ``score --config`` can set them.
+_MATCHED_SETTINGS = ("task_id", "master_seed", "dim")
+
+
+def load_checkpoint(path, config: PipelineConfig,
+                    artifacts: TaskArtifacts) -> TrainedTask:
+    """The checkpoint at ``path``, checked against this run's task.
+
+    A file that is not a whole checkpoint raises ValueError naming any
+    damaged member; one saved for another run raises CheckpointError naming
+    what differs.  A trained checkpoint holds at least one epoch loss and a
+    baseline one none, so one kind never scores a run of the other.  The
+    vocabulary is rebuilt from the train pairs, negatives included.
+    """
     def unreadable(reason: str) -> ValueError:
         return ValueError(f"{path} is not a readable checkpoint: {reason}")
 
@@ -397,6 +415,16 @@ def load_checkpoint(path) -> TrainedTask:
             value = None
         if not isinstance(value, dict):
             raise unreadable(f"{name} is not a JSON object")
+        return value
+
+    def finite_floats(data, name: str, shape: str, *sizes) -> np.ndarray:
+        """Member ``name``, a float array of ``sizes`` (None: any size)."""
+        value = data[name]
+        if (not np.issubdtype(value.dtype, np.floating)
+                or value.ndim != len(sizes)
+                or any(n not in (None, m) for n, m in zip(sizes, value.shape))
+                or not np.isfinite(value).all()):
+            raise unreadable(f"{name} is not a {shape} array of finite floats")
         return value
 
     if not zipfile.is_zipfile(path):
@@ -410,39 +438,24 @@ def load_checkpoint(path) -> TrainedTask:
             raise unreadable("version is not an integer")
         if int(version) != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        params = EncoderParams.from_arrays(data["embedding"], data["proj_w"],
-                                           data["proj_b"])
+        proj_b = finite_floats(data, "proj_b", "(D,)", None)
+        dim = proj_b.size
+        params = EncoderParams.from_arrays(
+            finite_floats(data, "embedding", "(V, D)", None, dim),
+            finite_floats(data, "proj_w", "(D, D)", dim, dim), proj_b)
         vocab = Vocabulary(json_object(data, "vocab_json"))
-        losses = [float(x) for x in data["epoch_losses"]]
-        fingerprint = json_object(data, "fingerprint")
-    return TrainedTask(vocab=vocab, params=params, epoch_losses=losses,
-                       fingerprint=fingerprint)
-
-
-# A checkpoint is matched on task, master seed, dim, vocabulary and
-# skip_training: the fingerprint settings below, and the other two in
-# ``checkpoint_mismatches``.  Scoring reads no training setting, so none is
-# compared, though ``score --config`` can set them.
-_MATCHED_SETTINGS = ("task_id", "master_seed", "dim")
-
-
-def checkpoint_mismatches(trained: TrainedTask, config: PipelineConfig,
-                          artifacts: TaskArtifacts) -> list[str]:
-    """How a loaded checkpoint disagrees with this run's task; empty if it fits.
-
-    A trained checkpoint holds at least one epoch loss and a baseline one
-    none, so one kind never scores a run of the other.  The vocabulary is
-    rebuilt from the train pairs, negatives included; this check is the only
-    reason ``score`` synthesises those negatives.
-    """
-    expected = _fingerprint(config, artifacts.task.task_id)
-    stored = trained.fingerprint or {}
+        losses = finite_floats(data, "epoch_losses", "1-D", None).tolist()
+        stored = json_object(data, "fingerprint")
+    expected = _fingerprint(config, artifacts.task_id)
     problems = [f"{key} is {stored.get(key)!r}, expected {expected[key]!r}"
                 for key in _MATCHED_SETTINGS if stored.get(key) != expected[key]]
-    skipped = not trained.epoch_losses
+    skipped = not losses
     if skipped != config.skip_training:
         problems.append(f"skip_training is {skipped}, expected "
                         f"{config.skip_training}")
-    if trained.vocab != artifacts.vocabulary():
+    if vocab != artifacts.vocabulary():
         problems.append("vocabulary differs from the one the training pairs build")
-    return problems
+    if problems:
+        raise CheckpointError(f"{path} was not trained for this run: "
+                              + "; ".join(problems))
+    return TrainedTask(vocab=vocab, params=params, epoch_losses=losses)

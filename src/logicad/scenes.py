@@ -10,9 +10,10 @@ was drawn as.
 A scene is the record of a view that the scene file holds: its objects,
 one field dict each, and its context (e.g. the text label the rope color
 has to match); ``build`` makes it, for ``pipeline`` only.
-Neither a view nor a scene holds its scenario or a capture condition: its
-spec and its task do, and the condition only affects rendering downstream,
-never the logical state.
+Neither a view, a scene nor a task's samples hold a capture condition:
+``build_task`` never sees one.  The condition reaches the views only through
+the seed the pipeline derives, so it changes which views are drawn but never
+how a view is judged; downstream it selects the rendering.
 """
 
 from __future__ import annotations
@@ -152,28 +153,13 @@ class TaskSample:
     view: Any
 
 
-@dataclass(frozen=True)
-class TaskScenes:
-    task_id: str
-    scenario_id: str
-    condition: Condition
-    samples: tuple[TaskSample, ...]
-
-    def split(self, split: str) -> list[TaskSample]:
-        return [s for s in self.samples if s.split == split]
-
-
 def task_id_for(scenario_id: str, condition: Condition) -> str:
     return f"{scenario_id}-{condition.value}"
 
 
-def build_task(
-    spec: ScenarioSpec,
-    condition: Condition,
-    counts: SplitCounts,
-    seed: int,
-) -> TaskScenes:
-    """Generate the labelled views of one (scenario, condition) task.
+def build_task(spec: ScenarioSpec, counts: SplitCounts,
+               seed: int) -> tuple[TaskSample, ...]:
+    """Generate the labelled views of one task, train samples first.
 
     Every view is drawn from one stream seeded by ``seed``, train views
     first, so the train views depend only on ``counts.train_normal``: a
@@ -198,7 +184,4 @@ def build_task(
     ):
         for i in range(n):
             add("test", label, sample_anomaly(spec, label, rng), i)
-    return TaskScenes(
-        task_id_for(spec.scenario_id, condition), spec.scenario_id, condition,
-        tuple(samples),
-    )
+    return tuple(samples)

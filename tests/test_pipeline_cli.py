@@ -38,11 +38,12 @@ def _small_task(condition):
 def test_generate_task_is_deterministic_and_complete():
     a = _small_task(Condition.MESH_BG)
     b = _small_task(Condition.MESH_BG)
-    assert a.task == b.task
+    assert (a.scenario_id, a.condition, a.samples) == (b.scenario_id,
+                                                       b.condition, b.samples)
     assert a.texts == b.texts
     assert a.pairs == b.pairs
-    assert len(a.texts) == len(a.task.samples) == 26
-    assert set(a.pairs) == {s.sample_id for s in a.task.split("train")}
+    assert len(a.texts) == len(a.samples) == 26
+    assert set(a.pairs) == {s.sample_id for s in a.split("train")}
     pos, neg = a.train_pairs()
     assert len(pos) == len(neg) == 8
     assert all(p != n for p, n in zip(pos, neg))
@@ -64,11 +65,11 @@ def test_train_only_generation_is_the_prefix_of_the_full_task(config, scenario,
     full = pipeline.generate_task(config, scenario, condition, counts)
     train = pipeline.generate_task(config, scenario, condition,
                                    SplitCounts(counts.train_normal, 0, 0, 0, 0))
-    assert train.task.split("test") == []
-    assert train.task.samples == tuple(full.task.split("train"))
-    assert len(train.task.samples) == counts.train_normal
+    assert train.split("test") == []
+    assert train.samples == tuple(full.split("train"))
+    assert len(train.samples) == counts.train_normal
     assert train.texts == {s.sample_id: full.texts[s.sample_id]
-                           for s in train.task.samples}
+                           for s in train.samples}
     assert train.pairs == full.pairs
     assert train.vocabulary() == full.vocabulary()
 
@@ -76,7 +77,7 @@ def test_train_only_generation_is_the_prefix_of_the_full_task(config, scenario,
 def test_task_seeds_differ_across_conditions_and_stages():
     white = _small_task(Condition.WHITE_BG)
     mesh = _small_task(Condition.MESH_BG)
-    assert white.task.task_id != mesh.task.task_id
+    assert white.task_id != mesh.task_id
     assert list(white.texts.values()) != list(mesh.texts.values())
 
 
@@ -94,7 +95,7 @@ def test_checkpoint_round_trip_and_version_guard(tmp_path):
     trained = pipeline.train_task(SMALL, artifacts)
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
-    loaded = pipeline.load_checkpoint(path)
+    loaded = pipeline.load_checkpoint(path, SMALL, artifacts)
     assert np.array_equal(loaded.params.embedding, trained.params.embedding)
     assert np.array_equal(loaded.params.proj_w, trained.params.proj_w)
     assert loaded.vocab.token_to_id == trained.vocab.token_to_id
@@ -104,12 +105,14 @@ def test_checkpoint_round_trip_and_version_guard(tmp_path):
     data["version"] = np.int64(99)
     np.savez(tmp_path / "future.ckpt.npz", **data)
     with pytest.raises(ValueError):
-        pipeline.load_checkpoint(tmp_path / "future.ckpt.npz")
+        pipeline.load_checkpoint(tmp_path / "future.ckpt.npz", SMALL,
+                                 artifacts)
     del data["version"], data["fingerprint"]
     np.savez(tmp_path / "partial.ckpt.npz", **data)
     with pytest.raises(ValueError, match="partial.ckpt.npz is not a readable "
                        "checkpoint: it lacks version, fingerprint$"):
-        pipeline.load_checkpoint(tmp_path / "partial.ckpt.npz")
+        pipeline.load_checkpoint(tmp_path / "partial.ckpt.npz", SMALL,
+                                 artifacts)
 
 
 def test_usable_cpus_counts_the_affinity_set_where_there_is_one(monkeypatch):
@@ -139,7 +142,7 @@ def test_score_lines_name_the_nearest_train_samples(tmp_path, condition):
         tmp_path, pipeline.score_task(SMALL, artifacts, trained))
     lines = (tmp_path / f"tapes-{condition.value}.scores.jsonl"
              ).read_text().splitlines()
-    train, test = artifacts.task.split("train"), artifacts.task.split("test")
+    train, test = artifacts.split("train"), artifacts.split("test")
 
     def encode(samples):
         return encode_texts([artifacts.texts[s.sample_id] for s in samples],
@@ -198,8 +201,7 @@ def test_cli_gen_writes_the_three_task_files(tmp_path):
 def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
     artifacts = _small_task(Condition.MESH_BG)
     pipeline.write_task_files(tmp_path, artifacts)
-    task = artifacts.task
-    sample = task.samples[-1]
+    sample = artifacts.samples[-1]
 
     def line(kind, index):
         text = (tmp_path / f"tapes-mesh_bg.{kind}.jsonl").read_text()
@@ -221,7 +223,7 @@ def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
         "split": "test", "label": "dual",
         "text": artifacts.texts[sample.sample_id],
     }
-    first = task.samples[0]
+    first = artifacts.samples[0]
     pos, neg = artifacts.pairs[first.sample_id]
     assert line("pairs", 0) == {
         "task_id": "tapes-mesh_bg", "sample_id": first.sample_id,
@@ -230,37 +232,37 @@ def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
     }
 
 
-def _scene_lines(task):
+def _scene_lines(artifacts):
     """Each sample's own scene record, as the scene file writes it."""
-    spec = get_scenario(task.scenario_id)
+    spec = get_scenario(artifacts.scenario_id)
     return [json.dumps({
-        "task_id": task.task_id, "scenario": task.scenario_id,
-        "condition": task.condition.value, "split": s.split,
+        "task_id": artifacts.task_id, "scenario": artifacts.scenario_id,
+        "condition": artifacts.condition.value, "split": s.split,
         "label": s.label.value,
         "scene": spec.build(s.view)}, sort_keys=True)
-        for s in task.samples]
+        for s in artifacts.samples]
 
 
 def test_scene_file_writes_each_sample_its_own_line_when_views_repeat(tmp_path):
     spec = get_scenario("sticks")
     artifacts = pipeline.generate_task(pipeline.PipelineConfig(), "sticks",
                                        Condition.WHITE_BG, spec.counts)
-    task = artifacts.task
-    views = {(s.split, s.label): set() for s in task.samples}
-    for s in task.samples:
+    samples = artifacts.samples
+    views = {(s.split, s.label): set() for s in samples}
+    for s in samples:
         views[s.split, s.label].add(repr(s.view))
     # the canonical normal view is both a train and a test normal line
     assert views["train", Label.NORMAL] & views["test", Label.NORMAL]
-    assert len({repr(s.view) for s in task.samples}) < len(task.samples) / 5
+    assert len({repr(s.view) for s in samples}) < len(samples) / 5
     pipeline.write_task_files(tmp_path, artifacts)
     path = tmp_path / "sticks-white_bg.scenes.jsonl"
-    assert path.read_text().splitlines() == _scene_lines(task)
+    assert path.read_text().splitlines() == _scene_lines(artifacts)
 
     # a repeated view under another label still gets a line of its own label
-    normal = next(s for s in task.split("test") if s.label == Label.NORMAL)
-    relabelled = replace(task, samples=(
-        *task.samples, replace(normal, label=Label.SINGLE_A)))
-    pipeline.write_task_files(tmp_path, replace(artifacts, task=relabelled))
+    normal = next(s for s in artifacts.split("test") if s.label == Label.NORMAL)
+    relabelled = replace(artifacts, samples=(
+        *samples, replace(normal, label=Label.SINGLE_A)))
+    pipeline.write_task_files(tmp_path, relabelled)
     assert path.read_text().splitlines() == _scene_lines(relabelled)
 
 
@@ -332,7 +334,7 @@ def test_cli_all_keeps_the_files_of_tasks_done_before_a_failure(tmp_path,
     real_train = pipeline.train_task
 
     def train_then_fail(config, artifacts):
-        if artifacts.task.task_id == "tapes-mesh_bg":
+        if artifacts.task_id == "tapes-mesh_bg":
             raise RuntimeError("injected training failure")
         return real_train(config, artifacts)
 
@@ -381,7 +383,7 @@ def test_cli_train_needs_no_earlier_gen_and_builds_only_the_train_split(
 
     def recording_generate(*args, **kwargs):
         artifacts = real_generate(*args, **kwargs)
-        built.append(artifacts.task)
+        built.append(artifacts)
         return artifacts
 
     monkeypatch.setattr(pipeline, "generate_task", recording_generate)
@@ -391,10 +393,10 @@ def test_cli_train_needs_no_earlier_gen_and_builds_only_the_train_split(
     assert sorted(p.name for p in out.iterdir()) == sorted(
         f"tapes-{c}.{suffix}" for c in ("white_bg", "mesh_bg")
         for suffix in ("ckpt.npz", "loss.txt"))
-    assert [t.task_id for t in built] == ["tapes-white_bg", "tapes-mesh_bg"]
-    for task in built:
-        assert task.split("test") == []
-        assert len(task.samples) == 50
+    assert [a.task_id for a in built] == ["tapes-white_bg", "tapes-mesh_bg"]
+    for artifacts in built:
+        assert artifacts.split("test") == []
+        assert len(artifacts.samples) == 50
 
 
 def test_cli_rejects_unknown_scenario_and_condition(tmp_path, capsys):
@@ -765,17 +767,21 @@ def test_checkpoint_mismatches_name_what_differs(tmp_path):
     trained = pipeline.train_task(SMALL, artifacts)
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
-    loaded = pipeline.load_checkpoint(path)
-    assert pipeline.checkpoint_mismatches(loaded, SMALL, artifacts) == []
+    pipeline.load_checkpoint(path, SMALL, artifacts)
     # epochs cannot be set by `score`, so it is not compared
     longer = replace(SMALL, train=replace(SMALL.train, epochs=9))
-    assert pipeline.checkpoint_mismatches(loaded, longer, artifacts) == []
+    pipeline.load_checkpoint(path, longer, artifacts)
 
-    problems = pipeline.checkpoint_mismatches(loaded, replace(SMALL, dim=8),
-                                              artifacts)
-    assert problems == ["dim is 16, expected 8"]
-    other = _small_task(Condition.MESH_BG)
-    problems = pipeline.checkpoint_mismatches(loaded, SMALL, other)
+    def mismatches(config, task):
+        with pytest.raises(pipeline.CheckpointError) as exc:
+            pipeline.load_checkpoint(path, config, task)
+        prefix = f"{path} was not trained for this run: "
+        assert str(exc.value).startswith(prefix)
+        return str(exc.value)[len(prefix):].split("; ")
+
+    assert mismatches(replace(SMALL, dim=8), artifacts) == [
+        "dim is 16, expected 8"]
+    problems = mismatches(SMALL, _small_task(Condition.MESH_BG))
     assert any(p.startswith("task_id") for p in problems)
     assert any(p.startswith("vocabulary") for p in problems)
 
@@ -922,6 +928,18 @@ BAD_MEMBERS = {
     "vector_version": ("version", np.array([1, 1]), "version is not an integer"),
     "list_fingerprint": ("fingerprint", np.bytes_(b"[1]"),
                          "fingerprint is not a JSON object"),
+    "2d_losses": ("epoch_losses", np.array([[0.5]]),
+                  "epoch_losses is not a 1-D array of finite floats"),
+    "string_losses": ("epoch_losses", np.array(["x"]),
+                      "epoch_losses is not a 1-D array of finite floats"),
+    "string_embedding": ("embedding", np.full((45, 64), "0.1"),
+                         "embedding is not a (V, D) array of finite floats"),
+    "string_proj_w": ("proj_w", np.full((64, 64), "0.1"),
+                      "proj_w is not a (D, D) array of finite floats"),
+    "narrow_embedding": ("embedding", np.zeros((45, 3)),
+                         "embedding is not a (V, D) array of finite floats"),
+    "nan_embedding": ("embedding", np.full((45, 64), np.nan),
+                      "embedding is not a (V, D) array of finite floats"),
 }
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from oracles import parse
 
-from logicad import templates
+from logicad import pipeline, templates
 from logicad.scenarios import (
     BALLS_LAYOUT,
     COOKIES_LAYOUT,
@@ -31,6 +31,7 @@ from logicad.scenes import (
     check_rules,
     classify,
     sample_anomaly,
+    task_id_for,
 )
 from logicad.seeding import derive_seed
 
@@ -387,13 +388,9 @@ def test_sample_anomaly_rejects_normal_target():
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_capture_condition_never_changes_the_label(scenario_id):
-    """A scene holds no condition; its task's condition only names the task."""
+    """``build_task`` takes no condition, so a sample's label is its view's."""
     spec = get_scenario(scenario_id)
-    counts = SplitCounts(2, 2, 2, 2, 2)
-    tasks = [build_task(spec, condition, counts, seed=3) for condition in Condition]
-    for task in tasks[1:]:
-        assert task.samples == tasks[0].samples
-    for sample in tasks[0].samples:
+    for sample in build_task(spec, SplitCounts(2, 2, 2, 2, 2), seed=3):
         assert classify(sample.view, spec) == sample.label
 
 
@@ -413,26 +410,28 @@ def test_empty_scene_violates_both_aspects(scenario_id):
 def test_build_task_counts_and_ids():
     spec = get_scenario("fruits")
     counts = SplitCounts(5, 4, 3, 2, 1)
-    task = build_task(spec, Condition.MESH_BG, counts, seed=42)
-    assert task.task_id == "fruits-mesh_bg"
-    assert len(task.split("train")) == 5
-    test_labels = [s.label for s in task.split("test")]
+    samples = build_task(spec, counts, seed=42)
+    assert [s.split for s in samples] == ["train"] * 5 + ["test"] * 10
+    test_labels = [s.label for s in samples if s.split == "test"]
     assert test_labels.count(Label.NORMAL) == 4
     assert test_labels.count(Label.SINGLE_A) == 3
     assert test_labels.count(Label.SINGLE_B) == 2
     assert test_labels.count(Label.DUAL) == 1
-    assert task.samples[0].sample_id == "train-normal-0000"
-    assert task.condition == Condition.MESH_BG
-    for sample in task.samples:
+    assert samples[0].sample_id == "train-normal-0000"
+    for sample in samples:
         assert classify(sample.view, spec) == sample.label
+    artifacts = pipeline.generate_task(pipeline.PipelineConfig(), "fruits",
+                                       Condition.MESH_BG, counts)
+    assert artifacts.task_id == "fruits-mesh_bg"
+    assert artifacts.condition == Condition.MESH_BG
 
 
 def test_build_task_is_seed_deterministic():
     spec = get_scenario("balls")
     counts = SplitCounts(4, 4, 2, 2, 1)
-    a = build_task(spec, Condition.WHITE_BG, counts, seed=9)
-    b = build_task(spec, Condition.WHITE_BG, counts, seed=9)
-    c = build_task(spec, Condition.WHITE_BG, counts, seed=10)
+    a = build_task(spec, counts, seed=9)
+    b = build_task(spec, counts, seed=9)
+    c = build_task(spec, counts, seed=10)
     assert a == b
     assert a != c
 
@@ -471,14 +470,14 @@ def test_view_rebuilds_every_generated_scene(scenario_id, benchmark_runs):
     _, out, _ = runs["trained"]
     wrong = []
     for condition in Condition:
-        task = build_task(spec, condition, spec.counts,
-                          derive_seed(0, scenario_id, condition.value, "scenes"))
-        task_id = task.task_id
+        samples = build_task(spec, spec.counts,
+                             derive_seed(0, scenario_id, condition.value, "scenes"))
+        task_id = task_id_for(scenario_id, condition)
         scene_lines = (out / f"{task_id}.scenes.jsonl").read_text().splitlines()
         text_lines = (out / f"{task_id}.descriptions.jsonl"
                       ).read_text().splitlines()
-        assert len(scene_lines) == len(text_lines) == len(task.samples)
-        for sample, scene_line, text_line in zip(task.samples, scene_lines,
+        assert len(scene_lines) == len(text_lines) == len(samples)
+        for sample, scene_line, text_line in zip(samples, scene_lines,
                                                   text_lines):
             assert json.loads(scene_line)["scene"] == spec.build(sample.view)
             line = json.loads(text_line)
