@@ -222,6 +222,8 @@ def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
     out_dir = values.pop("out_dir", None) or os.environ.get(OUT_DIR_ENV)
     if not out_dir:
         raise CliError(f"no output directory: pass --out-dir or set ${OUT_DIR_ENV}")
+    if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+        raise CliError(f"output directory {out_dir} is not a directory")
 
     train_fields = {f.name for f in dataclasses.fields(trainer.TrainConfig)}
     fields, train = {}, {}
@@ -241,8 +243,6 @@ def main(argv=None) -> int:
     try:
         config, out_dir = resolve_config(args)
         return args.run(config, out_dir, args)
-    except CliError:
-        raise
     except pipeline.CheckpointError as exc:
         raise CliError(str(exc))
     except (ValueError, KeyError, OSError, RuntimeError) as exc:

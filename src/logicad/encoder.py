@@ -9,6 +9,10 @@ their texts as one ``TokenRows``: token ids, id counts and lengths.
 A token is a maximal run of a-z, 0-9, ``_`` and ``'`` in the lowercased
 text; every other character separates tokens.  ``Vocabulary.build`` and
 ``TokenRows.build`` tokenize each distinct text once.
+
+``EncoderParams`` checks no shape: ``init_params`` makes its buffer, and
+``pipeline.load_checkpoint`` checks a checkpoint's arrays against the run's
+vocabulary size and dimension before it builds one.
 """
 
 from __future__ import annotations
@@ -89,19 +93,6 @@ class EncoderParams:
     def arrays(self):
         return (self.embedding, self.proj_w, self.proj_b)
 
-    @classmethod
-    def from_arrays(cls, embedding: np.ndarray, proj_w: np.ndarray,
-                    proj_b: np.ndarray) -> "EncoderParams":
-        """The three arrays copied into one new buffer; checks their shapes."""
-        dim = proj_b.size
-        if (embedding.ndim != 2 or embedding.shape[1] != dim
-                or proj_w.shape != (dim, dim) or proj_b.shape != (dim,)):
-            raise ValueError(
-                f"parameter shapes {embedding.shape}, {proj_w.shape} and "
-                f"{proj_b.shape} are not (V, D), (D, D) and (D,)")
-        flat = np.concatenate([embedding.ravel(), proj_w.ravel(), proj_b])
-        return cls(flat, dim)
-
     def copy(self) -> "EncoderParams":
         return EncoderParams(self.flat.copy(), self.dim)
 
@@ -110,15 +101,13 @@ class EncoderParams:
 
 
 def init_params(vocab_size: int, dim: int, seed: int) -> EncoderParams:
-    if dim < 2:
-        raise ValueError("embedding dimension must be >= 2")
-    rng = np.random.default_rng(seed)
+    """Embedding and projection uniform in +-1/sqrt(dim), drawn in that order
+    (one draw takes the stream two would), and a zero bias."""
+    flat = np.zeros((vocab_size + dim + 1) * dim)
     scale = 1.0 / np.sqrt(dim)
-    return EncoderParams.from_arrays(
-        embedding=rng.uniform(-scale, scale, size=(vocab_size, dim)),
-        proj_w=rng.uniform(-scale, scale, size=(dim, dim)),
-        proj_b=np.zeros(dim),
-    )
+    flat[:-dim] = np.random.default_rng(seed).uniform(-scale, scale,
+                                                      size=flat.size - dim)
+    return EncoderParams(flat, dim)
 
 
 def activation_table(params: EncoderParams) -> np.ndarray:

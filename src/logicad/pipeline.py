@@ -19,7 +19,8 @@ whole task.
 
 Only the run-directory section at the end writes or reads a file of the
 output directory; ``run_task`` and ``run_benchmark`` also name a task's
-checkpoint.  The other modules hold no file format.
+checkpoint.  The other modules hold no file format.  ``load_checkpoint`` is
+the one place a checkpoint is checked, against the run that loads it.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def generate_task(config: PipelineConfig, scenario_id: str,
         # a config that draws nothing needs no stream: white_bg renders clean
         rng = derive_rng(config.master_seed, scenario_id, condition.value,
                          "render", sample.sample_id) if render_cfg.draws else None
-        record = describe.render(sample.view, render_cfg, rng, spec)
+        record = describe.render(sample.view, render_cfg, rng, spec.grammar)
         texts[sample.sample_id] = record.text
         if sample.split == "train":
             neg_rng = derive_rng(config.master_seed, scenario_id,
@@ -360,13 +361,15 @@ def write_loss_curve(out_dir: Path, task_id: str, losses: list[float]) -> None:
 
 
 def _fingerprint(config: PipelineConfig, task_id: str) -> dict:
+    # dropout_rate is kept for a reader of the file: no setting sets it and
+    # nothing loads it
     return {"task_id": task_id, **asdict(config.train),
-            "dim": config.dim, "master_seed": config.master_seed}
+            "dropout_rate": trainer.DROPOUT_RATE, "dim": config.dim,
+            "master_seed": config.master_seed}
 
 
 _CHECKPOINT_MEMBERS = ("version", "embedding", "proj_w", "proj_b",
-                       "dropout_rate", "vocab_json", "fingerprint",
-                       "epoch_losses")
+                       "vocab_json", "fingerprint", "epoch_losses")
 
 
 def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
@@ -380,8 +383,6 @@ def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
         embedding=trained.params.embedding,
         proj_w=trained.params.proj_w,
         proj_b=trained.params.proj_b,
-        # the rate training drew at, kept for the reader: nothing loads it
-        dropout_rate=np.float64(trainer.DROPOUT_RATE),
         vocab_json=np.bytes_(vocab_json.encode("utf-8")),
         fingerprint=np.bytes_(fingerprint.encode("utf-8")),
         epoch_losses=np.asarray(trained.epoch_losses, dtype=np.float64),
@@ -399,53 +400,58 @@ def load_checkpoint(path, config: PipelineConfig,
                     artifacts: TaskArtifacts) -> TrainedTask:
     """The checkpoint at ``path``, checked against this run's task.
 
-    A file that is not a whole checkpoint raises ValueError naming any
-    damaged member; one saved for another run raises CheckpointError naming
-    what differs.  A trained checkpoint holds at least one epoch loss and a
-    baseline one none, so one kind never scores a run of the other.  The
-    vocabulary is rebuilt from the train pairs, negatives included.
+    Every member is read through one guard; a file that is not a whole
+    checkpoint raises ValueError naming the damaged member.  One of another
+    task, seed, dim, vocabulary (rebuilt from the train pairs, negatives
+    included) or kind (a trained checkpoint holds at least one epoch loss, a
+    baseline one none) raises CheckpointError naming what differs.  Only then
+    are the parameters checked: finite floats of this run's (V, D), (D, D)
+    and (D,).
     """
     def unreadable(reason: str) -> ValueError:
         return ValueError(f"{path} is not a readable checkpoint: {reason}")
 
-    def json_object(data, name: str) -> dict:
+    if not zipfile.is_zipfile(path):
+        raise unreadable("not a whole npz archive")
+    members = {}
+    with np.load(path) as data:
+        missing = [name for name in _CHECKPOINT_MEMBERS if name not in data]
+        if missing:
+            raise unreadable("it lacks " + ", ".join(missing))
+        for name in _CHECKPOINT_MEMBERS:
+            try:
+                members[name] = data[name]
+            except (ValueError, OSError, zipfile.BadZipFile) as exc:
+                raise unreadable(f"{name} cannot be read ({exc})") from None
+
+    def json_object(name: str) -> dict:
         try:
-            value = json.loads(bytes(data[name]).decode("utf-8"))
+            value = json.loads(bytes(members[name]).decode("utf-8"))
         except ValueError:  # not UTF-8, or not JSON
             value = None
         if not isinstance(value, dict):
             raise unreadable(f"{name} is not a JSON object")
         return value
 
-    def finite_floats(data, name: str, shape: str, *sizes) -> np.ndarray:
-        """Member ``name``, a float array of ``sizes`` (None: any size)."""
-        value = data[name]
+    def finite_floats(name: str, shape: tuple) -> np.ndarray:
+        """Member ``name``, a float array of ``shape`` (None: any size)."""
+        value = members[name]
         if (not np.issubdtype(value.dtype, np.floating)
-                or value.ndim != len(sizes)
-                or any(n not in (None, m) for n, m in zip(sizes, value.shape))
+                or value.ndim != len(shape)
+                or any(n not in (None, m) for n, m in zip(shape, value.shape))
                 or not np.isfinite(value).all()):
-            raise unreadable(f"{name} is not a {shape} array of finite floats")
+            size = "1-D" if None in shape else f"{shape}"
+            raise unreadable(f"{name} is not a {size} array of finite floats")
         return value
 
-    if not zipfile.is_zipfile(path):
-        raise unreadable("not a whole npz archive")
-    with np.load(path) as data:
-        missing = [name for name in _CHECKPOINT_MEMBERS if name not in data]
-        if missing:
-            raise unreadable("it lacks " + ", ".join(missing))
-        version = data["version"]
-        if version.ndim or not np.issubdtype(version.dtype, np.integer):
-            raise unreadable("version is not an integer")
-        if int(version) != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        proj_b = finite_floats(data, "proj_b", "(D,)", None)
-        dim = proj_b.size
-        params = EncoderParams.from_arrays(
-            finite_floats(data, "embedding", "(V, D)", None, dim),
-            finite_floats(data, "proj_w", "(D, D)", dim, dim), proj_b)
-        vocab = Vocabulary(json_object(data, "vocab_json"))
-        losses = finite_floats(data, "epoch_losses", "1-D", None).tolist()
-        stored = json_object(data, "fingerprint")
+    version = members["version"]
+    if version.ndim or not np.issubdtype(version.dtype, np.integer):
+        raise unreadable("version is not an integer")
+    if int(version) != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    stored = json_object("fingerprint")
+    vocab = Vocabulary(json_object("vocab_json"))
+    losses = finite_floats("epoch_losses", (None,)).tolist()
     expected = _fingerprint(config, artifacts.task_id)
     problems = [f"{key} is {stored.get(key)!r}, expected {expected[key]!r}"
                 for key in _MATCHED_SETTINGS if stored.get(key) != expected[key]]
@@ -458,4 +464,9 @@ def load_checkpoint(path, config: PipelineConfig,
     if problems:
         raise CheckpointError(f"{path} was not trained for this run: "
                               + "; ".join(problems))
-    return TrainedTask(vocab=vocab, params=params, epoch_losses=losses)
+    v, d = vocab.size, config.dim
+    flat = np.concatenate([finite_floats(name, shape).ravel() for name, shape
+                           in (("embedding", (v, d)), ("proj_w", (d, d)),
+                               ("proj_b", (d,)))])
+    return TrainedTask(vocab=vocab, params=EncoderParams(flat, d),
+                       epoch_losses=losses)

@@ -32,9 +32,9 @@ from .scenes import Aspect, ScenarioSpec, SplitCounts
 from .templates import (
     BALL_COLORS, BALLS_GRAMMAR, BLOCK_BINS, BLOCK_SHAPES, BLOCKS_GRAMMAR,
     COOKIE_COLORS, COOKIES_GRAMMAR, DISH_INTRUDERS, DISH_ITEMS, DISHES_GRAMMAR,
-    FRUIT_TYPES, FRUITS_GRAMMAR, LENGTHS, ROPE_COLORS, ROPES_GRAMMAR,
-    STATIONERY_GRAMMAR, STICKS_GRAMMAR, TAPE_COLORS, TAPES_GRAMMAR, TOOL_BINS,
-    TOOLS_GRAMMAR, TemplateGrammar,
+    FRUIT_TYPES, FRUITS_GRAMMAR, LENGTHS, ORDER2, ROPE_COLORS, ROPE_LENGTHS,
+    ROPES_GRAMMAR, STATIONERY_GRAMMAR, STICKS_GRAMMAR, TAPE_COLORS,
+    TAPES_GRAMMAR, TOOL_BINS, TOOLS_GRAMMAR, TemplateGrammar,
 )
 
 MAX_COUNT = 6  # upper bound for any per-group object count
@@ -327,7 +327,7 @@ STATIONERY = ScenarioSpec(
     build=_stationery_build,
     normal=_fixed(_STATIONERY_NORMAL),
     edits={Aspect.LENGTH: _stationery_edit_l,
-           Aspect.PLACEMENT: _swap(_STATIONERY_ORDER_SLOTS, ("eraser", "pencil"),
+           Aspect.PLACEMENT: _swap(_STATIONERY_ORDER_SLOTS, ORDER2,
                                    _STATIONERY_NORMAL)},
     counts=SplitCounts(50, 50, 50, 50, 10), grammar=STATIONERY_GRAMMAR,
 )
@@ -337,9 +337,6 @@ STATIONERY = ScenarioSpec(
 # Ropes (Length + Relation): rope length similar to the reference stick, rope
 # color matching the text label.
 # ---------------------------------------------------------------------------
-
-_ROPE_LENGTHS = ("similar", "long", "short")
-
 
 def _ropes_build(view: dict) -> dict:
     rope = {"category": "rope", "color": view["rope_color"],
@@ -373,7 +370,7 @@ ROPES = ScenarioSpec(
     rule_b=_ropes_rule_r,
     build=_ropes_build,
     normal=_ropes_normal,
-    edits={Aspect.LENGTH: _swap(("rope_len",), _ROPE_LENGTHS,
+    edits={Aspect.LENGTH: _swap(("rope_len",), ROPE_LENGTHS,
                                 {"rope_len": "similar"}),
            Aspect.RELATION: _ropes_edit_r},
     counts=SplitCounts(50, 50, 48, 50, 12), grammar=ROPES_GRAMMAR,

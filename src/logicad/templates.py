@@ -38,6 +38,8 @@ TOOL_BINS = ("left", "middle", "right")
 COOKIE_COLORS = ("yellow", "black", "white", "brown", "pink")
 TAPE_COLORS = ("green", "red", "blue", "yellow", "black")
 ROPE_COLORS = ("red", "blue", "green", "yellow", "white")
+ROPE_LENGTHS = ("similar", "long", "short")  # beside the reference stick
+ORDER2 = ("eraser", "pencil")  # the first item of a stationery bin
 BLOCK_SHAPES = ("circle", "triangle", "square", "star", "hexagon")
 BLOCK_BINS = ("top", "middle", "bottom")
 DISH_ITEMS = ("fork", "plate", "spoon")
@@ -498,17 +500,16 @@ TAPES_GRAMMAR = TemplateGrammar(
 
 _STATIONERY_DECOR = ("new", "used", "clean", "branded", "cheap", "classic")
 _LEN2 = ("long", "short")
-_ORDER2 = ("eraser", "pencil")
 
 
 STATIONERY_GRAMMAR = TemplateGrammar(
     slots=_slot_table(
         SlotDef("len_left_pencil", _LEN2, Aspect.LENGTH),
         SlotDef("len_left_eraser", _LEN2, Aspect.LENGTH),
-        SlotDef("order_left", _ORDER2, Aspect.PLACEMENT),
+        SlotDef("order_left", ORDER2, Aspect.PLACEMENT),
         SlotDef("len_right_pencil", _LEN2, Aspect.LENGTH),
         SlotDef("len_right_eraser", _LEN2, Aspect.LENGTH),
-        SlotDef("order_right", _ORDER2, Aspect.PLACEMENT),
+        SlotDef("order_right", ORDER2, Aspect.PLACEMENT),
         SlotDef("decor_stationery", _STATIONERY_DECOR),
         SlotDef("decor_shelf", ("white", "steel", "slanted",
                                 "narrow", "high", "dusty")),
@@ -582,7 +583,7 @@ STATIONERY_GRAMMAR = TemplateGrammar(
 
 _ROPE_DECOR = ("braided", "coiled", "thick", "thin", "frayed", "waxed")
 _ROPE_LEN = ("similar", "longer", "shorter")
-_ROPE_LEN_WORD = {"similar": "similar", "long": "longer", "short": "shorter"}
+_ROPE_LEN_WORD = dict(zip(ROPE_LENGTHS, _ROPE_LEN))
 
 
 def _ropes_slots(view: dict) -> dict[str, str]:

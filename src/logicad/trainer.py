@@ -35,7 +35,7 @@ MASK_BLOCK = 81_920
 
 
 class TrainingError(RuntimeError):
-    """Non-finite loss or gradient."""
+    """Non-finite similarity or gradient in a training step."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ def nt_xent(anchors: np.ndarray, positives: np.ndarray, negatives: np.ndarray,
     """
     pos_sim = (anchors * positives).sum(axis=1, keepdims=True)
     logits = np.concatenate([pos_sim, anchors @ negatives.T], axis=1) / temperature
+    # finite logits give a finite loss, so no caller checks the loss again
     if not np.all(np.isfinite(logits)):
         raise TrainingError("non-finite similarity in contrastive batch")
     m = logits.max(axis=1, keepdims=True)
@@ -205,15 +206,10 @@ def fit(
             batch = texts.take(np.concatenate([idx, idx, idx + n]))
             masks = BatchMasks.sample(int(batch.lengths.sum()) * params.dim,
                                       DROPOUT_RATE, rng)
-            loss = batch_step(batch, params, masks, cfg.temperature, grads)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {len(epoch_losses)}, "
-                    f"step {start // cfg.batch_size}"
-                )
+            step_losses.append(batch_step(batch, params, masks,
+                                          cfg.temperature, grads))
             clip_gradients(grads, cfg.clip_norm)
             adam_update(params, grads, state, cfg)
-            step_losses.append(loss)
         epoch_losses.append(float(np.mean(step_losses)))
     return params, epoch_losses
 

@@ -181,7 +181,7 @@ def test_criterion_07_negative_validity():
         rng = np.random.default_rng(70)
         for i in range(1000):
             cfg = clean if i % 2 == 0 else noisy
-            pos = render(spec.normal(rng), cfg, rng, spec)
+            pos = render(spec.normal(rng), cfg, rng, spec.grammar)
             neg = synthesize_negative(pos, grammar, rng)
             total += 1
             if not validate_negative(pos.text, neg.text, grammar).passed:

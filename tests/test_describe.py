@@ -8,12 +8,11 @@ from oracles import ParseError, clause_masks, parse
 from logicad.describe import (
     CONDITION_RENDER_DEFAULTS,
     RenderConfig,
-    RenderError,
     build_record,
     render,
 )
 from logicad.scenarios import SCENARIOS, get_scenario
-from logicad.scenes import Condition
+from logicad.scenes import Condition, build_task
 from logicad.templates import SlotDef, _slot_table
 
 CLEAN = RenderConfig(False, 0.0, 0.0)
@@ -25,7 +24,7 @@ def _canonical_view(scenario_id):
 
 def test_canonical_fruits_text_is_pinned():
     text = render(_canonical_view("fruits"), CLEAN, np.random.default_rng(0),
-                  get_scenario("fruits"))
+                  get_scenario("fruits").grammar)
     assert text.text == (
         "There are three oranges and two kiwis. "
         "The total number of items is five."
@@ -37,7 +36,7 @@ def test_clean_rendering_is_deterministic_and_variant_zero():
         view = _canonical_view(scenario_id)
         spec = get_scenario(scenario_id)
         texts = {
-            render(view, CLEAN, np.random.default_rng(seed), spec).text
+            render(view, CLEAN, np.random.default_rng(seed), spec.grammar).text
             for seed in range(5)
         }
         assert len(texts) == 1
@@ -51,8 +50,8 @@ def test_same_rng_stream_gives_identical_noisy_renders():
     view = _canonical_view("tools")
     cfg = CONDITION_RENDER_DEFAULTS[Condition.LOWLIGHT_CD]
     spec = get_scenario("tools")
-    a = render(view, cfg, np.random.default_rng(123), spec).text
-    b = render(view, cfg, np.random.default_rng(123), spec).text
+    a = render(view, cfg, np.random.default_rng(123), spec.grammar).text
+    b = render(view, cfg, np.random.default_rng(123), spec.grammar).text
     assert a == b
 
 
@@ -67,7 +66,7 @@ def test_omission_frequency_matches_configured_probability():
     n = 1000
     rng = np.random.default_rng(99)
     for _ in range(n):
-        record = parse(render(view, cfg, rng, spec).text, grammar)
+        record = parse(render(view, cfg, rng, spec.grammar).text, grammar)
         _, mask = record.skeleton
         for j, i in enumerate(optional_idx):
             included[j] += mask[i]
@@ -81,7 +80,7 @@ def test_certain_corruption_flips_every_decorative_slot():
     grammar = spec.grammar
     clean_slots = grammar.view_slots(view)
     rendered = render(view, RenderConfig(False, 0.0, 1.0),
-                      np.random.default_rng(5), spec)
+                      np.random.default_rng(5), spec.grammar)
     record = parse(rendered.text, grammar)
     seen_decorative = 0
     for name, value in record.slots:
@@ -101,7 +100,7 @@ def test_zero_corruption_never_touches_slots():
     rng = np.random.default_rng(17)
     for _ in range(20):
         record = parse(render(view, RenderConfig(True, 0.2, 0.0), rng,
-                              spec).text, grammar)
+                              spec.grammar).text, grammar)
         for name, value in record.slots:
             assert value == clean_slots[name]
 
@@ -114,13 +113,13 @@ def test_paraphrase_selects_variants():
     variants = set()
     for _ in range(60):
         record = parse(render(view, RenderConfig(True, 0.0, 0.0), rng,
-                              spec).text, grammar)
+                              spec.grammar).text, grammar)
         variants.add(record.skeleton[0])
     assert variants == set(range(len(grammar.variants)))
     # without paraphrase only the canonical phrasing appears
     for _ in range(10):
         record = parse(render(view, RenderConfig(False, 0.0, 0.0), rng,
-                              spec).text, grammar)
+                              spec.grammar).text, grammar)
         assert record.skeleton[0] == 0
 
 
@@ -157,18 +156,28 @@ def test_round_trip_identity_under_noisy_rendering(scenario_id):
     rng = np.random.default_rng(47)
     cfg = RenderConfig(True, 0.2, 0.3)
     for _ in range(25):
-        rendered = render(spec.normal(rng), cfg, rng, spec)
+        rendered = render(spec.normal(rng), cfg, rng, spec.grammar)
         record = parse(rendered.text, grammar)
         assert record == rendered
         assert build_record(grammar, record.skeleton,
                             record.slot_map()).text == rendered.text
 
 
-def test_render_rejects_values_outside_the_grammar():
-    view = {"len_first": "long", "color_first": "purple",
-            "len_second": "short", "color_second": "red"}
-    with pytest.raises(RenderError):
-        render(view, CLEAN, np.random.default_rng(0), get_scenario("tapes"))
+def test_every_drawn_view_renders_only_words_its_grammar_lists():
+    """``render`` checks no value, so every view ``build_task`` draws must
+    fill each slot of its grammar with a value that slot lists."""
+    for scenario_id in sorted(SCENARIOS):
+        spec = get_scenario(scenario_id)
+        grammar = spec.grammar
+        for seed in range(3):
+            for sample in build_task(spec, spec.counts, seed):
+                slots = grammar.view_slots(sample.view)
+                assert slots.keys() == grammar.slots.keys()
+                for name, value in slots.items():
+                    assert value in grammar.slots[name].values, (
+                        scenario_id, seed, sample.sample_id, name, value)
+                record = render(sample.view, CLEAN, None, grammar)
+                assert set(record.slots) <= set(slots.items())
 
 
 def test_parse_rejects_unmatched_text():
@@ -237,6 +246,6 @@ def test_a_config_that_draws_nothing_needs_no_stream():
     for scenario_id in sorted(SCENARIOS):
         view = _canonical_view(scenario_id)
         spec = get_scenario(scenario_id)
-        assert render(view, CLEAN, None, spec) \
-            == render(view, CLEAN, rng, spec)
+        assert render(view, CLEAN, None, spec.grammar) \
+            == render(view, CLEAN, rng, spec.grammar)
     assert rng.bit_generator.state == before

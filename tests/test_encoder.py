@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicad import pipeline
 from logicad.encoder import (
     UNKNOWN_ID,
     EncodeError,
-    EncoderParams,
     TokenRows,
     Vocabulary,
     encode_texts,
     init_params,
     tokenize,
 )
+from logicad.scenes import Condition, SplitCounts
+from logicad.trainer import TrainConfig
 
 TEXTS = [
     "There are three oranges and two kiwis.",
@@ -139,23 +141,48 @@ def test_init_params_shapes_and_dim_floor():
     assert params.embedding.shape == (7, 4)
     assert params.proj_w.shape == (4, 4)
     assert np.all(params.proj_b == 0.0)
-    with pytest.raises(ValueError):
-        init_params(7, dim=1, seed=0)
+    # the floor is the run's: a config of dim 1 is refused before any params
+    with pytest.raises(ValueError, match="embedding dimension must be >= 2"):
+        pipeline.PipelineConfig(dim=1)
 
 
-def test_params_from_arrays_copy_them_into_one_buffer_and_check_shapes():
-    rng = np.random.default_rng(0)
-    embedding, proj_w, proj_b = (rng.normal(size=shape)
-                                 for shape in ((7, 4), (4, 4), (4,)))
-    params = EncoderParams.from_arrays(embedding, proj_w, proj_b)
+def test_params_from_arrays_copy_them_into_one_buffer_and_check_shapes(
+        tmp_path):
+    # load_checkpoint builds the params from a checkpoint's three arrays
+    config = pipeline.PipelineConfig(
+        scenario_ids=("tapes",), conditions=(Condition.WHITE_BG,),
+        train=TrainConfig(epochs=1, batch_size=8), dim=4, skip_training=True)
+    artifacts = pipeline.generate_task(config, "tapes", Condition.WHITE_BG,
+                                       SplitCounts(8, 0, 0, 0, 0))
+    trained = pipeline.train_task(config, artifacts)
+    path = tmp_path / "task.ckpt.npz"
+    pipeline.save_checkpoint(path, trained, config, artifacts.task_id)
+    params = pipeline.load_checkpoint(path, config, artifacts).params
     assert params.dim == 4
-    for got, want in zip((params.embedding, params.proj_w, params.proj_b),
-                         (embedding, proj_w, proj_b)):
+    for got, want in zip(params.arrays(), trained.params.arrays()):
         assert np.array_equal(got, want) and not np.shares_memory(got, want)
         assert np.shares_memory(got, params.flat)
-    for bad in ((embedding[:, :3], proj_w, proj_b),
-                (embedding, proj_w[:3], proj_b),
-                (embedding.ravel(), proj_w, proj_b),
-                (embedding[:, :1], proj_w[:1, :1], np.float64(0.0))):
-        with pytest.raises(ValueError, match="parameter shapes"):
-            EncoderParams.from_arrays(*bad)
+    data = dict(np.load(path, allow_pickle=False))
+    embedding, proj_w, proj_b = (data[n] for n in ("embedding", "proj_w",
+                                                   "proj_b"))
+    for name, bad in (("embedding", (embedding[:, :3], proj_w, proj_b)),
+                      ("proj_w", (embedding, proj_w[:3], proj_b)),
+                      ("embedding", (embedding.ravel(), proj_w, proj_b)),
+                      ("embedding", (embedding[:, :1], proj_w[:1, :1],
+                                     np.float64(0.0)))):
+        damaged = dict(data, embedding=bad[0], proj_w=bad[1], proj_b=bad[2])
+        np.savez(path, **damaged)
+        with pytest.raises(ValueError, match=f"{name} is not a"):
+            pipeline.load_checkpoint(path, config, artifacts)
+
+
+def test_init_params_fill_one_buffer_in_draw_order():
+    params = init_params(7, dim=4, seed=1)
+    for array in params.arrays():
+        assert np.shares_memory(array, params.flat)
+    # one draw per array, the embedding first, takes the same stream
+    rng = np.random.default_rng(1)
+    embedding = rng.uniform(-0.5, 0.5, size=(7, 4))
+    proj_w = rng.uniform(-0.5, 0.5, size=(4, 4))
+    assert params.embedding.tobytes() == embedding.tobytes()
+    assert params.proj_w.tobytes() == proj_w.tobytes()

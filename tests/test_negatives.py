@@ -33,7 +33,7 @@ def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
     rng = np.random.default_rng(2024)
     for i in range(200):
         cfg = CLEAN if i % 2 == 0 else NOISY
-        pos = render(spec.normal(rng), cfg, rng, spec)
+        pos = render(spec.normal(rng), cfg, rng, spec.grammar)
         neg = synthesize_negative(pos, grammar, rng)
         assert neg.text != pos.text
         assert parse(neg.text, grammar) == neg
@@ -53,7 +53,7 @@ def test_synthesis_is_seed_deterministic():
     spec = get_scenario("tools")
     grammar = spec.grammar
     pos = render(spec.normal(np.random.default_rng(1)),
-                 CLEAN, np.random.default_rng(1), spec)
+                 CLEAN, np.random.default_rng(1), spec.grammar)
     neg_a = synthesize_negative(pos, grammar, np.random.default_rng(8))
     neg_b = synthesize_negative(pos, grammar, np.random.default_rng(8))
     assert neg_a == neg_b
@@ -116,7 +116,7 @@ def test_validation_requires_an_actual_contradiction():
     spec = get_scenario("sticks")
     grammar = spec.grammar
     text = render(spec.normal(np.random.default_rng(0)),
-                  CLEAN, np.random.default_rng(0), spec).text
+                  CLEAN, np.random.default_rng(0), spec.grammar).text
     report = validate_negative(text, text, grammar)
     assert report.skeleton_preserved
     assert report.replacement_only
@@ -128,7 +128,7 @@ def test_validation_handles_unparseable_negatives():
     spec = get_scenario("sticks")
     grammar = spec.grammar
     text = render(spec.normal(np.random.default_rng(0)),
-                  CLEAN, np.random.default_rng(0), spec).text
+                  CLEAN, np.random.default_rng(0), spec.grammar).text
     report = validate_negative(text, "not a template at all", grammar)
     assert report == type(report)(False, False, False, False)
 

@@ -177,6 +177,11 @@ def _run(argv):
     return cli.main(argv)
 
 
+def _fingerprint(checkpoint):
+    with np.load(checkpoint) as data:
+        return json.loads(bytes(data["fingerprint"]))
+
+
 def _run_in_subprocess(argv):
     """``logicad`` with ``argv`` in a new process, so a traceback would show."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -269,8 +274,8 @@ def test_scene_file_writes_each_sample_its_own_line_when_views_repeat(tmp_path):
 def test_cli_full_flow_and_byte_identical_reruns(tmp_path, capsys):
     out = str(tmp_path)
     assert _run(["train", *ARGS, "--out-dir", out, "--epochs", "3"]) == 0
-    with np.load(tmp_path / "tapes-white_bg.ckpt.npz") as data:
-        assert float(data["dropout_rate"]) == trainer.DROPOUT_RATE
+    assert _fingerprint(tmp_path / "tapes-white_bg.ckpt.npz")[
+        "dropout_rate"] == trainer.DROPOUT_RATE
     loss_txt = (tmp_path / "tapes-white_bg.loss.txt").read_text()
     assert loss_txt.startswith("epoch\tmean_loss\n")
     assert len(loss_txt.splitlines()) == 4
@@ -547,6 +552,30 @@ def test_an_empty_output_directory_exits_2_and_ignores_the_environment(
     assert not env_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "eval"])
+@pytest.mark.parametrize("via", ["flag", "config", "environment"])
+def test_an_output_directory_that_is_a_file_exits_2_before_any_work(
+        tmp_path, monkeypatch, capsys, command, via):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+    extra = []
+    if via == "flag":
+        extra = ["--out-dir", str(afile)]
+    elif via == "config":
+        config = tmp_path / "out.cfg"
+        config.write_text(f"out_dir = {afile}\n")
+        extra = ["--config", str(config)]
+    else:
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(afile))
+    with pytest.raises(SystemExit) as exc:
+        _run([command, *ARGS, *extra])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: output directory {afile} is not a directory\n")
+    assert afile.read_text() == "kept\n"
+
+
 def test_config_file_values_apply_and_flags_win(tmp_path):
     out = str(tmp_path)
     config = tmp_path / "run.cfg"
@@ -666,8 +695,8 @@ def test_train_draws_at_the_rate_its_checkpoint_stores(tmp_path, monkeypatch):
                  "--jobs", "1"]) == 0
     # 50 train pairs in batches of 16
     assert drawn == [0.25] * 4
-    with np.load(tmp_path / "tapes-white_bg.ckpt.npz") as data:
-        assert float(data["dropout_rate"]) == 0.25
+    assert _fingerprint(tmp_path / "tapes-white_bg.ckpt.npz")[
+        "dropout_rate"] == 0.25
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
@@ -923,28 +952,41 @@ def test_gen_bytes_at_seed_0_are_pinned(benchmark_runs):
     assert digests == GEN_DIGESTS
 
 
-# a whole checkpoint with one member replaced, by damage
+# a whole checkpoint of tapes-white_bg (V = 45, D = 64) with members
+# replaced, by damage
 BAD_MEMBERS = {
-    "vector_version": ("version", np.array([1, 1]), "version is not an integer"),
-    "list_fingerprint": ("fingerprint", np.bytes_(b"[1]"),
+    "vector_version": ({"version": np.array([1, 1])},
+                       "version is not an integer"),
+    "list_fingerprint": ({"fingerprint": np.bytes_(b"[1]")},
                          "fingerprint is not a JSON object"),
-    "2d_losses": ("epoch_losses", np.array([[0.5]]),
+    "2d_losses": ({"epoch_losses": np.array([[0.5]])},
                   "epoch_losses is not a 1-D array of finite floats"),
-    "string_losses": ("epoch_losses", np.array(["x"]),
+    "string_losses": ({"epoch_losses": np.array(["x"])},
                       "epoch_losses is not a 1-D array of finite floats"),
-    "string_embedding": ("embedding", np.full((45, 64), "0.1"),
-                         "embedding is not a (V, D) array of finite floats"),
-    "string_proj_w": ("proj_w", np.full((64, 64), "0.1"),
-                      "proj_w is not a (D, D) array of finite floats"),
-    "narrow_embedding": ("embedding", np.zeros((45, 3)),
-                         "embedding is not a (V, D) array of finite floats"),
-    "nan_embedding": ("embedding", np.full((45, 64), np.nan),
-                      "embedding is not a (V, D) array of finite floats"),
+    "string_embedding": ({"embedding": np.full((45, 64), "0.1")},
+                         "embedding is not a (45, 64) array of finite floats"),
+    "string_proj_w": ({"proj_w": np.full((64, 64), "0.1")},
+                      "proj_w is not a (64, 64) array of finite floats"),
+    "narrow_embedding": ({"embedding": np.zeros((45, 3))},
+                         "embedding is not a (45, 64) array of finite floats"),
+    "nan_embedding": ({"embedding": np.full((45, 64), np.nan)},
+                      "embedding is not a (45, 64) array of finite floats"),
+    "short_embedding": ({"embedding": np.zeros((44, 64))},
+                        "embedding is not a (45, 64) array of finite floats"),
+    "long_embedding": ({"embedding": np.zeros((46, 64))},
+                       "embedding is not a (45, 64) array of finite floats"),
+    "object_embedding": ({"embedding": np.zeros((45, 64)).astype(object)},
+                         "embedding cannot be read (Object arrays cannot be "
+                         "loaded when allow_pickle=False)"),
+    # self-consistent, but 16 wide under a fingerprint that says dim = 64
+    "narrow_arrays": ({"embedding": np.zeros((45, 16)),
+                       "proj_w": np.zeros((16, 16)), "proj_b": np.zeros(16)},
+                      "embedding is not a (45, 64) array of finite floats"),
 }
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not_zip", "no_members",
-                                    *BAD_MEMBERS])
+                                    "corrupt_embedding", *BAD_MEMBERS])
 def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
     out = str(tmp_path)
     assert _run(["train", *ARGS, "--epochs", "1", "--out-dir", out]) == 0
@@ -954,22 +996,46 @@ def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
         checkpoint.write_bytes(checkpoint.read_bytes()[:100])
     elif damage == "not_zip":
         checkpoint.write_text("not a checkpoint\n")
+    elif damage == "corrupt_embedding":
+        # one flipped byte in the stored array: the zip CRC no longer matches
+        raw = bytearray(checkpoint.read_bytes())
+        with np.load(checkpoint) as data:
+            raw[raw.find(data["embedding"].tobytes())] ^= 0xFF
+        checkpoint.write_bytes(raw)
+        reason = ("embedding cannot be read (Bad CRC-32 for file "
+                  "'embedding.npy')")
     elif damage in BAD_MEMBERS:
-        name, value, reason = BAD_MEMBERS[damage]
+        replaced, reason = BAD_MEMBERS[damage]
         with np.load(checkpoint) as data:
             members = dict(data)
-        np.savez(checkpoint, **{**members, name: value})
+        np.savez(checkpoint, **{**members, **replaced})
     else:
         # a whole npz archive that holds none of the checkpoint's members
         np.savez(checkpoint, a=np.arange(3))
-        reason = ("it lacks version, embedding, proj_w, proj_b, dropout_rate, "
-                  "vocab_json, fingerprint, epoch_losses")
+        reason = ("it lacks version, embedding, proj_w, proj_b, vocab_json, "
+                  "fingerprint, epoch_losses")
     done = _run_in_subprocess(["score", *ARGS, "--jobs", "1", "--out-dir", out])
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert done.stderr.splitlines() == [
         f"error: {checkpoint} is not a readable checkpoint: {reason}"]
     assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()
+
+
+def test_a_checkpoint_that_stores_its_dropout_rate_as_a_member_loads(tmp_path):
+    # the checkpoint layout before the rate moved into the fingerprint
+    artifacts = _small_task(Condition.WHITE_BG)
+    path = tmp_path / "task.ckpt.npz"
+    trained = pipeline.train_task(SMALL, artifacts)
+    pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
+    with np.load(path) as data:
+        members = dict(data)
+    fingerprint = json.loads(bytes(members["fingerprint"]))
+    del fingerprint["dropout_rate"]
+    members["fingerprint"] = np.bytes_(json.dumps(fingerprint).encode())
+    np.savez(path, **members, dropout_rate=np.float64(trainer.DROPOUT_RATE))
+    loaded = pipeline.load_checkpoint(path, SMALL, artifacts)
+    assert loaded.params.flat.tobytes() == trained.params.flat.tobytes()
 
 
 # a score that is not a finite JSON number, by damage
