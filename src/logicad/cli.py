@@ -46,7 +46,7 @@ def _write_report(config: pipeline.PipelineConfig, out_dir: Path,
                   reports: list[metrics.TaskReport], fmt: str
                   ) -> tuple[metrics.AggregateReport, Path]:
     """Aggregate, write the report file and print it."""
-    agg = metrics.aggregate(reports, config.tasks())
+    agg = metrics.aggregate(reports)
     text = metrics.emit_report(agg, fmt)
     path = pipeline.write_report(out_dir, text, fmt)
     print(text, end="")

@@ -43,12 +43,6 @@ class RenderConfig:
     omission_prob: float = 0.0
     corruption_prob: float = 0.0
 
-    def __post_init__(self):
-        for name in ("omission_prob", "corruption_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-
     @property
     def draws(self) -> bool:
         """Whether rendering may take random draws; if not, it needs no rng."""

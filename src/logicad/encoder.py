@@ -67,12 +67,13 @@ class Vocabulary:
 
 
 def tokenize(text: str, vocab: Vocabulary) -> np.ndarray:
-    """The ids of the tokens of ``text``; OOV tokens map to UNKNOWN."""
-    tokens = _tokens(text)
-    if not tokens:
-        raise EncodeError(f"text has no tokens: {text!r}")
+    """The ids of the tokens of ``text``; OOV tokens map to UNKNOWN.
+
+    Every text the pipeline encodes is rendered from grammar clauses, so it
+    holds at least one token."""
     get = vocab.token_to_id.get
-    return np.array([get(t, UNKNOWN_ID) for t in tokens], dtype=np.int64)
+    return np.array([get(t, UNKNOWN_ID) for t in _tokens(text)],
+                    dtype=np.int64)
 
 
 @dataclass(eq=False)

@@ -5,14 +5,14 @@ an (N, D) library, and back the scores, the mean distances and the
 (B, min(k, N)) indices of each row's nearest library rows, nearest first.
 The score of a row is S = 1 / (1 + mean distance to its k nearest library
 rows).  Queries must be unit-norm, as ``encode_texts`` rows are (any other
-raises ``LibraryError``, as does an empty library), so distances are
-bounded by 2 and S lies in [1/3, 1].  The block is ranked a few rows at a
-time so that the (rows, N, D) squared differences stay within a fixed
-budget; each row's distances, order and mean are those of scoring it
-alone, bit for bit.  Ties at the k-th distance are broken by ascending
-library index so exactly min(k, N) neighbors are selected.  ``pipeline``
-encodes the splits, names the neighbors by sample id and writes the score
-file.
+raises ``LibraryError``), so distances are bounded by 2 and S lies in
+[1/3, 1].  ``PipelineConfig`` refuses ``k < 1``, and every library is a
+task's train split.  The block is ranked a few rows at a time so that the
+(rows, N, D) squared differences stay within a fixed budget; each row's
+distances, order and mean are those of scoring it alone, bit for bit.
+Ties at the k-th distance are broken by ascending library index so exactly
+min(k, N) neighbors are selected.  ``pipeline`` encodes the splits, names
+the neighbors by sample id and writes the score file.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class LibraryError(ValueError):
 def score(queries: np.ndarray, library: np.ndarray, k: int
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(scores, mean distances, neighbor indices) of a (B, D) block, in row order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if len(library) < 1:
-        raise LibraryError("reference library is empty")
     queries = np.asarray(queries, dtype=np.float64)
     norms = np.linalg.norm(queries, axis=1)
     bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))

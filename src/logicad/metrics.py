@@ -41,14 +41,10 @@ def average_ranks(scores) -> np.ndarray:
 def auroc(scores, is_normal) -> float:
     """Probability that a random normal outscores a random anomaly (ties 1/2).
 
-    ``is_normal`` holds booleans, True for a normal sample; any other dtype
-    raises ``MetricError``.
+    ``is_normal`` is a boolean mask, True for a normal sample.
     """
     scores = np.asarray(scores, dtype=np.float64)
     is_normal = np.asarray(is_normal)
-    if is_normal.dtype != bool:
-        raise MetricError(f"AUROC labels must be booleans (True = normal), "
-                          f"not {is_normal.dtype}")
     n_normal = int(is_normal.sum())
     n_anomaly = len(scores) - n_normal
     if n_normal == 0 or n_anomaly == 0:
@@ -112,31 +108,15 @@ class AggregateReport:
     scenario_means: dict[str, float]
 
 
-def aggregate(reports: list[TaskReport],
-              cells: list[tuple[str, Condition]]) -> AggregateReport:
-    """Aggregate per-task AUROC over the selected scenario x condition grid.
+def aggregate(reports: list[TaskReport]) -> AggregateReport:
+    """Aggregate per-task AUROC over a scenario x condition grid.
 
-    ``cells`` is the selection, a full grid such as ``PipelineConfig.tasks()``.
-    The reports must hold exactly one report per selected cell.
+    ``reports`` hold one report per cell of a full grid, as both callers
+    build them from ``PipelineConfig.tasks()``.
     """
-    scenario_ids = sorted({s for s, _ in cells})
-    conditions = sorted({c for _, c in cells}, key=lambda c: c.value)
-    grid = {(s, c) for s in scenario_ids for c in conditions}
-    if not grid or set(cells) != grid:
-        raise MetricError(f"selected cells are not a non-empty full grid; "
-                          f"missing {sorted(grid - set(cells), key=str)}")
-    auroc_of: dict[tuple[str, Condition], float] = {}
-    for report in reports:
-        key = (report.scenario_id, report.condition)
-        if key in auroc_of:
-            raise MetricError(f"duplicate report for cell {key}")
-        auroc_of[key] = report.auroc
-    missing, extra = grid - set(auroc_of), set(auroc_of) - grid
-    if missing or extra:
-        raise MetricError(f"reports do not match the selected cells; missing "
-                          f"{sorted(missing, key=str)}, extra "
-                          f"{sorted(extra, key=str)}")
-
+    scenario_ids = sorted({r.scenario_id for r in reports})
+    conditions = sorted({r.condition for r in reports}, key=lambda c: c.value)
+    auroc_of = {(r.scenario_id, r.condition): r.auroc for r in reports}
     condition_means = {
         c: float(np.mean([auroc_of[(s, c)] for s in scenario_ids]))
         for c in conditions
@@ -164,7 +144,7 @@ _CONDITION_TITLES = {
 
 
 def emit_report(agg: AggregateReport, fmt: str) -> str:
-    """Render the aggregate as CSV or markdown; byte-deterministic."""
+    """Byte-deterministic CSV (``fmt`` "csv") or markdown of the aggregate."""
     conditions = sorted(agg.condition_means, key=lambda c: c.value)
     scenarios = sorted(agg.scenario_sensitivity)
     if fmt == "csv":
@@ -179,16 +159,14 @@ def emit_report(agg: AggregateReport, fmt: str) -> str:
             out.write(f"{s},{agg.scenario_means[s]:.6f},"
                       f"{agg.scenario_sensitivity[s]:.6f}\n")
         return out.getvalue()
-    if fmt == "markdown":
-        out = io.StringIO()
-        out.write("| Condition | Mean AUROC |\n|---|---|\n")
-        for c in conditions:
-            out.write(f"| {_CONDITION_TITLES[c]} | {agg.condition_means[c]:.3f} |\n")
-        out.write(f"| Mean ± Std | {agg.mean_of_means:.3f} ± "
-                  f"{agg.std_of_means:.3f} |\n")
-        out.write("\n| Scenario | Mean AUROC | Sensitivity (std) |\n|---|---|---|\n")
-        for s in scenarios:
-            out.write(f"| {s} | {agg.scenario_means[s]:.3f} | "
-                      f"{agg.scenario_sensitivity[s]:.3f} |\n")
-        return out.getvalue()
-    raise ValueError(f"unknown report format {fmt!r}")
+    out = io.StringIO()
+    out.write("| Condition | Mean AUROC |\n|---|---|\n")
+    for c in conditions:
+        out.write(f"| {_CONDITION_TITLES[c]} | {agg.condition_means[c]:.3f} |\n")
+    out.write(f"| Mean ± Std | {agg.mean_of_means:.3f} ± "
+              f"{agg.std_of_means:.3f} |\n")
+    out.write("\n| Scenario | Mean AUROC | Sensitivity (std) |\n|---|---|---|\n")
+    for s in scenarios:
+        out.write(f"| {s} | {agg.scenario_means[s]:.3f} | "
+                  f"{agg.scenario_sensitivity[s]:.3f} |\n")
+    return out.getvalue()

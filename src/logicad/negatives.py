@@ -24,10 +24,6 @@ ONE_EDIT_PROB = 0.7
 COUNT_EDIT_WINDOW = 2  # count replacements stay within +/- this of the truth
 
 
-class SynthesisError(ValueError):
-    """No contradiction is possible for any slot of the positive."""
-
-
 def _is_count_slot(slot: SlotDef) -> bool:
     return all(v in NUMBER_WORDS for v in slot.values)
 
@@ -49,7 +45,9 @@ def synthesize_negative(
     """Build one contradictory negative record for a positive's record.
 
     Its edits are the slots where it differs from the positive: no variant
-    repeats a slot, and every pool excludes the current value.
+    repeats a slot, and every pool excludes the current value.  Every
+    skeleton includes a logical slot with a contradiction, which the tests
+    check for each grammar.
     """
     slot_map = pos.slot_map()
     editable = [
@@ -57,10 +55,6 @@ def synthesize_negative(
         if grammar.slots[name].aspect is not None
         and contradiction_pool(grammar.slots[name], value)
     ]
-    if not editable:
-        raise SynthesisError(
-            "no logical slot of the positive has a non-empty contradiction "
-            "pool")
     n_edits = 1 if rng.random() < ONE_EDIT_PROB else 2
     n_edits = min(n_edits, len(editable))
     chosen = list(rng.choice(len(editable), size=n_edits, replace=False))

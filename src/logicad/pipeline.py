@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import zipfile
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -241,8 +240,6 @@ def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
     otherwise.  ``score`` first checks that every checkpoint exists, so a
     missing one stops the run before any task starts.
     """
-    if stages not in STAGES:
-        raise ValueError(f"unknown stages {stages!r}; choose from {STAGES}")
     tasks = config.tasks()
     if stages == "score":
         for scenario_id, condition in tasks:
@@ -339,7 +336,8 @@ def read_score_file(out_dir: Path, task_id: str
                     raise ValueError(f"score {score!r} is not a finite number")
                 scores.append(score)
                 labels.append(scenes.Label(record["label"]))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError,
+                    RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a score record "
                                  f"({type(exc).__name__}: {exc})") from None
     if not scores:
@@ -400,8 +398,9 @@ def load_checkpoint(path, config: PipelineConfig,
                     artifacts: TaskArtifacts) -> TrainedTask:
     """The checkpoint at ``path``, checked against this run's task.
 
-    Every member is read through one guard; a file that is not a whole
-    checkpoint raises ValueError naming the damaged member.  One of another
+    The archive is opened and every member read through one guard; a file
+    that is not a whole checkpoint raises ValueError naming the damaged
+    member, or the archive when it cannot be opened.  One of another
     task, seed, dim, vocabulary (rebuilt from the train pairs, negatives
     included) or kind (a trained checkpoint holds at least one epoch loss, a
     baseline one none) raises CheckpointError naming what differs.  Only then
@@ -411,18 +410,18 @@ def load_checkpoint(path, config: PipelineConfig,
     def unreadable(reason: str) -> ValueError:
         return ValueError(f"{path} is not a readable checkpoint: {reason}")
 
-    if not zipfile.is_zipfile(path):
-        raise unreadable("not a whole npz archive")
-    members = {}
-    with np.load(path) as data:
-        missing = [name for name in _CHECKPOINT_MEMBERS if name not in data]
-        if missing:
-            raise unreadable("it lacks " + ", ".join(missing))
-        for name in _CHECKPOINT_MEMBERS:
-            try:
-                members[name] = data[name]
-            except (ValueError, OSError, zipfile.BadZipFile) as exc:
-                raise unreadable(f"{name} cannot be read ({exc})") from None
+    members, name = {}, None
+    try:
+        with np.load(path) as data:
+            missing = [m for m in _CHECKPOINT_MEMBERS if m not in data]
+            if not missing:
+                for name in _CHECKPOINT_MEMBERS:
+                    members[name] = data[name]
+    except Exception as exc:  # zipfile and numpy each raise their own kinds
+        raise unreadable("not a whole npz archive" if name is None
+                         else f"{name} cannot be read ({exc})") from None
+    if missing:
+        raise unreadable("it lacks " + ", ".join(missing))
 
     def json_object(name: str) -> dict:
         try:

@@ -42,8 +42,6 @@ MAX_COUNT = 6  # upper bound for any per-group object count
 
 def _pick(rng: np.random.Generator, options):
     options = list(options)
-    if not options:
-        raise ValueError("empty option pool")
     return options[int(rng.integers(len(options)))]
 
 

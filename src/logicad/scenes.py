@@ -111,8 +111,6 @@ def sample_anomaly(
     classify check; rejection-sampled because a second edit can
     accidentally repair or extend the first one.
     """
-    if target == Label.NORMAL:
-        raise ValueError("target must be an anomaly label")
     if target == Label.SINGLE_A:
         aspects = (spec.aspects[0],)
     elif target == Label.SINGLE_B:
@@ -139,11 +137,6 @@ class SplitCounts:
     single_b: int
     dual: int
 
-    def validate(self) -> None:
-        for name in ("train_normal", "test_normal", "single_a", "single_b", "dual"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"negative count for {name}")
-
 
 @dataclass(frozen=True)
 class TaskSample:
@@ -165,7 +158,6 @@ def build_task(spec: ScenarioSpec, counts: SplitCounts,
     first, so the train views depend only on ``counts.train_normal``: a
     call with the test counts set to zero gives the same train samples.
     """
-    counts.validate()
     rng = np.random.default_rng(seed)
     samples: list[TaskSample] = []
 

@@ -118,8 +118,6 @@ class BatchMasks:
         ``ceil(rate * 2**53) << 11``.  The raw outputs are drawn in blocks of
         ``MASK_BLOCK``, which takes the same stream with no float grid.
         """
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         if rate == 0.0:
             return cls(np.empty(0, dtype=np.intp), rate)
         threshold = np.uint64(math.ceil(rate * 2.0 ** 53) << 11)
@@ -184,10 +182,6 @@ def fit(
     Returns the trained parameters and the mean loss of each epoch.  ``seed``
     drives the batch order and the dropout masks, drawn at ``DROPOUT_RATE``.
     """
-    if len(pos_texts) != len(neg_texts):
-        raise ValueError("positive/negative lists must be index-aligned")
-    if not pos_texts:
-        raise ValueError("no training pairs")
     params = init.copy()
     n = len(pos_texts)
     # positives in rows 0..n-1, their negatives in rows n..2n-1

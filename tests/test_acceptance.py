@@ -149,7 +149,7 @@ def test_criterion_05_auroc_oracle():
            Condition.BLURRY_CD: 0.826}
     agg = aggregate([
         TaskReport(f"s-{c.value}", "s", c, v, {}) for c, v in row.items()
-    ], [("s", c) for c in row])
+    ])
     mean_ok = 0.830 <= agg.mean_of_means <= 0.831
     std_ok = 0.013 <= agg.std_of_means <= 0.014
     ok = worst < 1e-12 and mean_ok and std_ok
@@ -213,10 +213,10 @@ def test_criterion_08_round_trip_identity():
 
 def test_criterion_09_end_to_end_benchmark(benchmark_runs):
     runs, elapsed = benchmark_runs
-    config, _, trained_reports = runs["trained"]
-    baseline_config, _, baseline_reports = runs["baseline"]
-    trained = aggregate(trained_reports, config.tasks()).mean_of_means
-    baseline = aggregate(baseline_reports, baseline_config.tasks()).mean_of_means
+    _, _, trained_reports = runs["trained"]
+    _, _, baseline_reports = runs["baseline"]
+    trained = aggregate(trained_reports).mean_of_means
+    baseline = aggregate(baseline_reports).mean_of_means
     ok = (len(trained_reports) == 50 and trained >= 0.85
           and trained - baseline >= 0.10 and elapsed < 600.0)
     _verdict(9, ok, f"trained {trained:.4f}, baseline {baseline:.4f}, "
@@ -249,7 +249,7 @@ def test_seed_0_table_and_bytes_are_pinned(benchmark_runs):
     printed = ["Mean ± Std"]
     for family, row in README_TABLE.items():
         config, _, reports = runs[family]
-        agg = aggregate(reports, config.tasks())
+        agg = aggregate(reports)
         assert f"{agg.mean_of_means:.4f} +/- {agg.std_of_means:.4f}" == row
         (report_row,) = [line for line in emit_report(agg, "markdown")
                          .splitlines() if line.startswith("| Mean ± Std |")]

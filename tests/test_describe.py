@@ -195,13 +195,6 @@ def test_slot_table_keeps_the_order_and_rejects_a_repeated_name():
         _slot_table(a, b, SlotDef("a", ("z",)))
 
 
-def test_render_config_validates_probabilities():
-    with pytest.raises(ValueError):
-        RenderConfig(omission_prob=1.5)
-    with pytest.raises(ValueError):
-        RenderConfig(corruption_prob=-0.1)
-
-
 def test_condition_defaults_keep_white_background_clean():
     cfg = CONDITION_RENDER_DEFAULTS[Condition.WHITE_BG]
     assert (cfg.paraphrase, cfg.omission_prob, cfg.corruption_prob) \

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from logicad import pipeline
 from logicad.encoder import (
     UNKNOWN_ID,
-    EncodeError,
     TokenRows,
     Vocabulary,
     encode_texts,
@@ -43,8 +42,7 @@ def test_tokenize_lowercases_and_maps_oov_to_unknown():
     ids = tokenize("Alpha GAMMA beta!", vocab)
     assert ids.tolist() == [vocab.token_to_id["alpha"], UNKNOWN_ID,
                             vocab.token_to_id["beta"]]
-    with pytest.raises(EncodeError):
-        tokenize("...", vocab)
+    assert tokenize("...", vocab).tolist() == []
 
 
 def _oracle_tokens(text):
@@ -57,10 +55,6 @@ def _check_tokenize_matches_the_regex(text):
     own = Vocabulary.build([text])
     assert set(own.token_to_id) == {"<unk>", *tokens}
     for vocab in (own, Vocabulary.build(TEXTS)):
-        if not tokens:
-            with pytest.raises(EncodeError):
-                tokenize(text, vocab)
-            continue
         want = [vocab.token_to_id.get(t, UNKNOWN_ID) for t in tokens]
         assert tokenize(text, vocab).tolist() == want
 

@@ -181,16 +181,6 @@ def test_encoded_texts_score_in_row_order():
     assert scores.tolist() == [1.0, 1.0, 1.0]
 
 
-def test_library_validation_errors():
-    vocab = Vocabulary.build(["two kiwis"])
-    params = init_params(vocab.size, dim=4, seed=0)
-    with pytest.raises(LibraryError, match="empty"):
-        score(np.eye(4)[:1], encode_texts([], params, vocab), k=5)
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        score(np.array([[1.0, 0.0]]), _random_unit_rows(rng, 4, 2), k=0)
-
-
 def test_score_file_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     library = _random_unit_rows(rng, 8, 4)

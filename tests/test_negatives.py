@@ -7,7 +7,6 @@ from oracles import clause_masks, parse, validate_negative
 
 from logicad.describe import RenderConfig, build_record, render
 from logicad.negatives import (
-    SynthesisError,
     contradiction_pool,
     pair_edits,
     synthesize_negative,
@@ -82,15 +81,22 @@ def test_single_editable_slot_forces_the_only_contradiction():
             {"slot": "color", "old": "red", "new": "blue", "aspect": "type"}]
 
 
-def test_synthesis_fails_without_any_contradiction_pool():
-    slots = {"color": SlotDef("color", ("red",), Aspect.TYPE)}
-    grammar = TemplateGrammar(
-        slots=slots,
-        variants=((Clause("The item is {color}."),),),
-    )
-    pos = parse("The item is red.", grammar)
-    with pytest.raises(SynthesisError):
-        synthesize_negative(pos, grammar, np.random.default_rng(0))
+def test_every_skeleton_includes_a_logical_slot_that_can_be_contradicted():
+    # synthesize_negative edits only such a slot; in a skeleton without one
+    # the negative would equal its positive and nothing would fail
+    skeletons = 0
+    for scenario_id in sorted(SCENARIOS):
+        grammar = get_scenario(scenario_id).grammar
+        for variant in range(len(grammar.variants)):
+            for mask in clause_masks(grammar, variant):
+                _, names = grammar.skeleton_plan((variant, mask))
+                assert any(
+                    grammar.slots[name].aspect is not None
+                    and all(contradiction_pool(grammar.slots[name], value)
+                            for value in grammar.slots[name].values)
+                    for name in names), (scenario_id, variant, mask)
+                skeletons += 1
+    assert skeletons == 118
 
 
 def test_contradiction_pool_respects_the_count_window():

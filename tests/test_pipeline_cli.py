@@ -985,8 +985,33 @@ BAD_MEMBERS = {
 }
 
 
+def _central_directory(raw):
+    """The offset of the first central directory header of a zip archive."""
+    return raw.find(b"PK\x01\x02")
+
+
+def _npy_header_brace(raw, member):
+    """The offset of the ``{`` that opens a member's .npy header, after its
+    magic string, format version and header length (10 bytes)."""
+    return raw.find(b"\x93NUMPY", raw.find(member.encode())) + 10
+
+
+# (offset, xor mask, reason) of one flipped byte of the archive, by damage
+ARCHIVE_DAMAGES = {
+    "central_signature": (_central_directory, 0xFF, "not a whole npz archive"),
+    # "version needed to extract" 4.5 becomes 21.0
+    "central_version": (lambda raw: _central_directory(raw) + 6, 0xFF,
+                        "not a whole npz archive"),
+    # the header no longer parses; the tokenizer's words vary by Python
+    # version, so only this prefix is checked
+    "header_brace": (lambda raw: _npy_header_brace(raw, "proj_w.npy"), 0x80,
+                     "proj_w cannot be read ("),
+}
+
+
 @pytest.mark.parametrize("damage", ["truncated", "not_zip", "no_members",
-                                    "corrupt_embedding", *BAD_MEMBERS])
+                                    "corrupt_embedding", *BAD_MEMBERS,
+                                    *ARCHIVE_DAMAGES])
 def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
     out = str(tmp_path)
     assert _run(["train", *ARGS, "--epochs", "1", "--out-dir", out]) == 0
@@ -1009,6 +1034,11 @@ def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
         with np.load(checkpoint) as data:
             members = dict(data)
         np.savez(checkpoint, **{**members, **replaced})
+    elif damage in ARCHIVE_DAMAGES:
+        offset, mask, reason = ARCHIVE_DAMAGES[damage]
+        raw = bytearray(checkpoint.read_bytes())
+        raw[offset(raw)] ^= mask
+        checkpoint.write_bytes(raw)
     else:
         # a whole npz archive that holds none of the checkpoint's members
         np.savez(checkpoint, a=np.arange(3))
@@ -1017,9 +1047,40 @@ def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
     done = _run_in_subprocess(["score", *ARGS, "--jobs", "1", "--out-dir", out])
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
-    assert done.stderr.splitlines() == [
-        f"error: {checkpoint} is not a readable checkpoint: {reason}"]
+    line = f"error: {checkpoint} is not a readable checkpoint: {reason}"
+    if damage == "header_brace":
+        [got] = done.stderr.splitlines()
+        assert got.startswith(line) and got.endswith(")")
+    else:
+        assert done.stderr.splitlines() == [line]
     assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()
+
+
+def test_every_flipped_byte_of_the_zip_directory_is_refused_or_loads(tmp_path):
+    # each byte of the central directory and the end records, flipped in turn
+    config = replace(SMALL, skip_training=True)
+    artifacts = _small_task(Condition.WHITE_BG)
+    path = tmp_path / "task.ckpt.npz"
+    pipeline.save_checkpoint(path, pipeline.train_task(config, artifacts),
+                             config, artifacts.task_id)
+    good = path.read_bytes()
+    start = _central_directory(good)
+    escaped = []
+    for offset in range(start, len(good)):
+        raw = bytearray(good)
+        raw[offset] ^= 0xFF
+        path.write_bytes(raw)
+        try:
+            pipeline.load_checkpoint(path, config, artifacts)
+        except pipeline.CheckpointError:
+            pass
+        except Exception as exc:
+            if not (type(exc) is ValueError and str(exc).startswith(str(path))
+                    and "\n" not in str(exc)):
+                escaped.append((offset, repr(exc)))
+    assert good[start:].count(b"PK\x01\x02") == 7
+    assert good[-22:].startswith(b"PK\x05\x06")
+    assert escaped == []
 
 
 def test_a_checkpoint_that_stores_its_dropout_rate_as_a_member_loads(tmp_path):
@@ -1044,7 +1105,7 @@ BAD_SCORES = {"string_score": "0.5", "bool_score": True,
 
 
 @pytest.mark.parametrize("damage", ["truncated", "no_score", "empty",
-                                    "not_utf8", *BAD_SCORES])
+                                    "not_utf8", "nested", *BAD_SCORES])
 def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, damage):
     out = str(tmp_path)
     assert _run(["all", *ARGS, "--baseline", "--out-dir", out]) == 0
@@ -1066,6 +1127,11 @@ def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, damage):
     elif damage == "not_utf8":
         path.write_bytes(b"".join(x.encode() for x in lines[:2]) + b"\xff\n")
         where = f"{path}:3: not a score record"
+    elif damage == "nested":
+        # json.loads recurses once per bracket
+        lines[1] = "[" * 200_000 + "\n"
+        path.write_text("".join(lines))
+        where = f"{path}:2: not a score record"
     else:
         path.write_text("")
         where = f"{path} holds no scores"

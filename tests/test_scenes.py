@@ -380,12 +380,6 @@ def test_one_edit_breaks_its_aspect_and_keeps_the_view(scenario_id, index):
         assert aspect in check_rules(view, spec)
 
 
-def test_sample_anomaly_rejects_normal_target():
-    with pytest.raises(ValueError):
-        sample_anomaly(get_scenario("sticks"), Label.NORMAL,
-                       np.random.default_rng(0))
-
-
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_capture_condition_never_changes_the_label(scenario_id):
     """``build_task`` takes no condition, so a sample's label is its view's."""
@@ -439,7 +433,6 @@ def test_build_task_is_seed_deterministic():
 def test_default_split_counts_cover_every_scenario():
     for spec in SCENARIOS.values():
         counts = spec.counts
-        counts.validate()
         assert counts.train_normal == 50
         assert counts.test_normal == 50
         assert 44 <= counts.single_a <= 52
