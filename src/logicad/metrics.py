@@ -1,7 +1,7 @@
 """Image-level AUROC and the benchmark's aggregation views.
 
-AUROC is rank-based (Mann-Whitney with average ranks for ties), oriented
-so that normals scoring above anomalies gives 1.0.  Aggregation produces
+AUROC is the win rate of normals over anomalies, ties counting 1/2, so
+normals scoring above anomalies gives 1.0.  Aggregation produces
 per-condition means over scenarios, the mean and population standard
 deviation of the five condition means, and per-scenario sensitivity (the
 population standard deviation of a scenario's AUROC across conditions).
@@ -14,89 +14,63 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenes import Condition, Label
+from .scenes import Condition, Label, task_id_for
 
 
 class MetricError(ValueError):
     pass
 
 
-def average_ranks(scores) -> np.ndarray:
-    """1-based ranks of ``scores``; each tie group shares its mean rank.
-
-    A tie group occupying sorted positions ``first .. last - 1`` gets rank
-    ``(first + last + 1) / 2``.  Every rank is an integer or a half, so the
-    result is exact in float64.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(scores, kind="stable")
-    ordered = scores[order]
-    first = np.searchsorted(ordered, ordered, side="left")
-    last = np.searchsorted(ordered, ordered, side="right")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = (first + last + 1) / 2.0
-    return ranks
-
-
-def auroc(scores, is_normal) -> float:
+def auroc(normal, anomaly) -> float:
     """Probability that a random normal outscores a random anomaly (ties 1/2).
 
-    ``is_normal`` is a boolean mask, True for a normal sample.
+    Each normal score counts the anomaly scores below it and half of those
+    equal to it, by binary search in the sorted anomalies: the counts are
+    exact integers, and no (normals x anomalies) array is built.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    is_normal = np.asarray(is_normal)
-    n_normal = int(is_normal.sum())
-    n_anomaly = len(scores) - n_normal
-    if n_normal == 0 or n_anomaly == 0:
+    normal = np.asarray(normal, dtype=np.float64)
+    anomaly = np.sort(np.asarray(anomaly, dtype=np.float64))
+    if len(normal) == 0 or len(anomaly) == 0:
         raise MetricError("AUROC needs at least one sample of each class")
-    if np.isnan(scores).any():
+    if np.isnan(normal).any() or np.isnan(anomaly).any():
         raise MetricError("AUROC needs scores that are not NaN")
-    ranks = average_ranks(scores)
-    rank_sum = float(ranks[is_normal].sum())
-    return (rank_sum - n_normal * (n_normal + 1) / 2.0) / (n_normal * n_anomaly)
+    # below + not_above counts each win twice and each tie once
+    below = int(np.searchsorted(anomaly, normal, side="left").sum())
+    not_above = int(np.searchsorted(anomaly, normal, side="right").sum())
+    return (below + not_above) / 2 / (len(normal) * len(anomaly))
 
 
 @dataclass(frozen=True)
 class TaskReport:
-    task_id: str
     scenario_id: str
     condition: Condition
     auroc: float
     subset_auroc: dict[Label, float]
 
+    @property
+    def task_id(self) -> str:
+        return task_id_for(self.scenario_id, self.condition)
 
-def make_task_report(task_id: str, scenario_id: str, condition: Condition,
-                     scores, labels) -> TaskReport:
+
+def make_task_report(scenario_id: str, condition: Condition,
+                     scores, labels: list[Label]) -> TaskReport:
     """Build a per-task report from test scores and their labels.
 
-    ``labels`` are Label values; subsets compare all test normals against
-    each violation subset's anomalies.  An AUROC that cannot be computed
-    raises ``MetricError`` naming the task.
+    Overall and per violation subset, the anomalies are compared with all
+    test normals.  An AUROC that cannot be computed raises ``MetricError``
+    naming the task.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = list(labels)
-    normal_mask = np.array([l == Label.NORMAL for l in labels], dtype=bool)
+    by_label = {label: scores[[l == label for l in labels]] for label in Label}
+    normal = by_label.pop(Label.NORMAL)
     try:
-        overall = auroc(scores, normal_mask)
+        overall = auroc(normal, np.concatenate(list(by_label.values())))
     except MetricError as exc:
-        raise MetricError(f"{task_id}: {exc}") from None
-    subset = {}
-    for sub in (Label.SINGLE_A, Label.SINGLE_B, Label.DUAL):
-        sub_mask = np.array([l == sub for l in labels], dtype=bool)
-        if sub_mask.any():
-            keep = normal_mask | sub_mask
-            subset[sub] = auroc(scores[keep], normal_mask[keep])
-    return TaskReport(
-        task_id=task_id,
-        scenario_id=scenario_id,
-        condition=condition,
-        auroc=overall,
-        subset_auroc=subset,
-    )
-
-
-def _population_std(values) -> float:
-    return float(np.std(np.asarray(values, dtype=np.float64)))
+        raise MetricError(f"{task_id_for(scenario_id, condition)}: {exc}"
+                          ) from None
+    return TaskReport(scenario_id, condition, overall,
+                      {sub: auroc(normal, anomaly)
+                       for sub, anomaly in by_label.items() if len(anomaly)})
 
 
 @dataclass(frozen=True)
@@ -127,9 +101,8 @@ def aggregate(reports: list[TaskReport]) -> AggregateReport:
     return AggregateReport(
         condition_means=condition_means,
         mean_of_means=float(np.mean(means)),
-        std_of_means=_population_std(means),
-        scenario_sensitivity={s: _population_std(v)
-                              for s, v in by_scenario.items()},
+        std_of_means=float(np.std(means)),
+        scenario_sensitivity={s: float(np.std(v)) for s, v in by_scenario.items()},
         scenario_means={s: float(np.mean(v)) for s, v in by_scenario.items()},
     )
 

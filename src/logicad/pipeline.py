@@ -146,8 +146,11 @@ def train_task(config: PipelineConfig, artifacts: TaskArtifacts) -> TrainedTask:
     init = init_params(vocab.size, dim=config.dim, seed=seed)
     if config.skip_training:
         return TrainedTask(vocab=vocab, params=init, epoch_losses=[])
-    params, losses = trainer.fit(pos_texts, neg_texts, vocab, config.train,
-                                 init, seed)
+    try:
+        params, losses = trainer.fit(pos_texts, neg_texts, vocab, config.train,
+                                     init, seed)
+    except trainer.TrainingError as exc:
+        raise trainer.TrainingError(f"{artifacts.task_id}: {exc}") from None
     return TrainedTask(vocab=vocab, params=params, epoch_losses=losses)
 
 
@@ -171,9 +174,9 @@ def score_task(config: PipelineConfig, artifacts: TaskArtifacts,
                 [train[i].sample_id for i in row])
                for s, score, mean, row in zip(test, scores.tolist(),
                                               means.tolist(), nearest.tolist())]
-    report = metrics.make_task_report(artifacts.task_id, artifacts.scenario_id,
-                                      artifacts.condition, scores,
-                                      [s.label for s in test])
+    report = metrics.make_task_report(
+        artifacts.scenario_id, artifacts.condition, scores,
+        [s.label for s in test])
     return ScoredTask(report=report, results=results)
 
 

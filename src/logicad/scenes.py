@@ -81,25 +81,13 @@ class ScenarioSpec:
     grammar: TemplateGrammar
 
 
-def check_rules(view: Any, spec: ScenarioSpec) -> set[Aspect]:
-    """Return the subset of the spec's two aspects whose rule the view violates."""
-    violated = set()
-    if not spec.rule_a(view):
-        violated.add(spec.aspects[0])
-    if not spec.rule_b(view):
-        violated.add(spec.aspects[1])
-    return violated
+# (rule_a holds, rule_b holds) -> label
+_LABELS = {(True, True): Label.NORMAL, (False, True): Label.SINGLE_A,
+           (True, False): Label.SINGLE_B, (False, False): Label.DUAL}
 
 
 def classify(view: Any, spec: ScenarioSpec) -> Label:
-    violated = check_rules(view, spec)
-    if not violated:
-        return Label.NORMAL
-    if violated == {spec.aspects[0]}:
-        return Label.SINGLE_A
-    if violated == {spec.aspects[1]}:
-        return Label.SINGLE_B
-    return Label.DUAL
+    return _LABELS[spec.rule_a(view), spec.rule_b(view)]
 
 
 def sample_anomaly(

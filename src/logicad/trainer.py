@@ -169,6 +169,8 @@ def adam_update(params: EncoderParams, grads: EncoderParams, state: AdamState,
     )
 
 
+# a step refuses what overflows, so numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def fit(
     pos_texts: list[str],
     neg_texts: list[str],

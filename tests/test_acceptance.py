@@ -5,6 +5,7 @@ PASS/FAIL line; thresholds and tolerances are pinned here, not imported.
 """
 
 import hashlib
+import json
 import time
 from pathlib import Path
 
@@ -15,12 +16,12 @@ from test_scenes import _ENUMERATIONS
 
 from logicad import cli
 from logicad.describe import RenderConfig, build_record, render
-from logicad.encoder import Vocabulary, init_params
+from logicad.encoder import UNKNOWN_ID, Vocabulary, init_params
 from logicad.knn import score
-from logicad.metrics import aggregate, auroc, emit_report
+from logicad.metrics import TaskReport, aggregate, auroc, emit_report
 from logicad.negatives import synthesize_negative
 from logicad.scenarios import SCENARIOS, get_scenario
-from logicad.scenes import classify, task_id_for
+from logicad.scenes import Condition, classify, task_id_for
 from logicad.trainer import BatchMasks, TokenRows, batch_step, nt_xent
 
 
@@ -140,19 +141,18 @@ def test_criterion_05_auroc_oracle():
             for x in normals for y in anomalies
         )
         oracle = wins / (len(normals) * len(anomalies))
-        worst = max(worst, abs(auroc(scores, is_normal) - oracle))
+        got = auroc(scores[is_normal], scores[~is_normal])
+        worst = max(worst, abs(got - oracle))
 
-    from logicad.metrics import TaskReport
-    from logicad.scenes import Condition
     row = {Condition.WHITE_BG: 0.825, Condition.CABLE_BG: 0.811,
            Condition.MESH_BG: 0.848, Condition.LOWLIGHT_CD: 0.842,
            Condition.BLURRY_CD: 0.826}
     agg = aggregate([
-        TaskReport(f"s-{c.value}", "s", c, v, {}) for c, v in row.items()
+        TaskReport("s", c, v, {}) for c, v in row.items()
     ])
     mean_ok = 0.830 <= agg.mean_of_means <= 0.831
     std_ok = 0.013 <= agg.std_of_means <= 0.014
-    ok = worst < 1e-12 and mean_ok and std_ok
+    ok = worst == 0.0 and mean_ok and std_ok
     _verdict(5, ok, f"max AUROC deviation {worst:.2e}, summary "
                     f"{agg.mean_of_means:.4f}±{agg.std_of_means:.4f}")
 
@@ -221,6 +221,50 @@ def test_criterion_09_end_to_end_benchmark(benchmark_runs):
           and trained - baseline >= 0.10 and elapsed < 600.0)
     _verdict(9, ok, f"trained {trained:.4f}, baseline {baseline:.4f}, "
                     f"gap {trained - baseline:.4f}, {elapsed:.0f}s for 2x50 tasks")
+
+
+# How far each degraded condition's trained mean AUROC must stay above a
+# training-free bag of words; the smallest gap at seed 0 is 0.067 (Mesh BG)
+BAG_OF_WORDS_MARGIN = 0.05
+
+
+def _bag_of_words_auroc(out, task_id):
+    """Test AUROC of kNN over L2-normalised token counts, <unk> zeroed."""
+    def records(kind):
+        with open(out / f"{task_id}.{kind}.jsonl", encoding="utf-8") as f:
+            return [json.loads(line) for line in f]
+
+    pairs, descriptions = records("pairs"), records("descriptions")
+    vocab = Vocabulary.build([p["pos_text"] for p in pairs]
+                             + [p["neg_text"] for p in pairs])
+    rows = {}
+    for split in ("train", "test"):
+        texts = [r for r in descriptions if r["split"] == split]
+        counts = TokenRows.build([r["text"] for r in texts], vocab).counts
+        counts[:, UNKNOWN_ID] = 0.0
+        rows[split] = (counts / np.linalg.norm(counts, axis=1, keepdims=True),
+                       np.array([r["label"] == "normal" for r in texts]))
+    scores = score(rows["test"][0], rows["train"][0], k=5)[0]
+    is_normal = rows["test"][1]
+    return auroc(scores[is_normal], scores[~is_normal])
+
+
+def test_trained_encoder_beats_a_bag_of_words_under_every_distraction(
+        benchmark_runs):
+    """The gain is not what token counts alone give: kNN over bag-of-words
+    vectors of the same texts, k = 5, scores lower in each degraded
+    condition.  White BG is left out, where both reach 1.000."""
+    runs, _ = benchmark_runs
+    config, out, reports = runs["trained"]
+    trained = aggregate(reports).condition_means
+    bag = {}
+    for scenario_id, condition in config.tasks():
+        bag.setdefault(condition, []).append(
+            _bag_of_words_auroc(out, task_id_for(scenario_id, condition)))
+    gaps = {c: trained[c] - float(np.mean(v)) for c, v in bag.items()}
+    for condition, gap in gaps.items():
+        if condition != Condition.WHITE_BG:
+            assert gap > BAG_OF_WORDS_MARGIN, (condition, gap)
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -192,8 +192,8 @@ def test_score_file_round_trip(tmp_path):
                for i, (label, s, mean, row) in enumerate(
                    zip(labels, scores.tolist(), means.tolist(),
                        nearest.tolist()))]
-    report = metrics.make_task_report(
-        "sticks-white_bg", "sticks", Condition.WHITE_BG, scores, labels)
+    report = metrics.make_task_report("sticks", Condition.WHITE_BG, scores,
+                                      labels)
     pipeline.write_score_file(tmp_path, pipeline.ScoredTask(report, results))
 
     read_scores, read_labels = pipeline.read_score_file(tmp_path,

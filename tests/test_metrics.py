@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from logicad.metrics import (
     MetricError,
     TaskReport,
     aggregate,
     auroc,
-    average_ranks,
     emit_report,
     make_task_report,
 )
@@ -29,8 +30,11 @@ def _pairwise_auroc(scores, labels):
     return wins / (len(normals) * len(anomalies))
 
 
-def _is_normal(labels):
-    return np.array([l == "normal" for l in labels])
+def _auroc(scores, labels):
+    """``auroc`` over the normal and the anomaly scores of ``labels``."""
+    scores = np.asarray(scores, dtype=np.float64)
+    is_normal = np.array([l == "normal" for l in labels])
+    return auroc(scores[is_normal], scores[~is_normal])
 
 
 def test_auroc_matches_pairwise_counting_on_random_instances():
@@ -47,60 +51,43 @@ def test_auroc_matches_pairwise_counting_on_random_instances():
         scores = rng.random(n)
         if rng.random() < 0.5:
             scores = np.round(scores, 1)
-        assert abs(auroc(scores, _is_normal(labels))
-                   - _pairwise_auroc(scores, labels)) < 1e-12
+        assert _auroc(scores, labels) == _pairwise_auroc(scores, labels)
 
 
-def _oracle_ranks(scores):
-    """rank = 1 + #{smaller} + (#{equal} - 1) / 2, by direct counting."""
-    return [1 + sum(t < s for t in scores) + (sum(t == s for t in scores) - 1) / 2
-            for s in scores]
-
-
-@pytest.mark.parametrize("scores", [
-    [0.4] * 7,                                  # all scores equal
-    [0.9, 0.2, 0.5, 0.5, 0.5, 0.1, 0.7],        # one tie group
-    list(np.round(np.random.default_rng(62).random(300), 1)),  # many ties
-    [0.3, 0.8],                                 # n = 2
-    [0.8, 0.3],
-    [0.5, 0.5],
-])
-def test_average_ranks_equal_the_counting_oracle_exactly(scores):
-    assert average_ranks(scores).tolist() == _oracle_ranks(scores)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, -0.0]),
+                          st.booleans()), min_size=2, max_size=60))
+def test_auroc_equals_pairwise_counting_under_heavy_ties(cases):
+    """Scores from five values (0.0 and -0.0 among them) tie in most pairs."""
+    labels = ["normal" if normal else "anomaly" for _, normal in cases]
+    assume("normal" in labels and "anomaly" in labels)
+    scores = [score for score, _ in cases]
+    assert _auroc(scores, labels) == _pairwise_auroc(scores, labels)
 
 
 def test_auroc_rejects_nan_scores():
-    with pytest.raises(MetricError):
-        auroc([0.9, float("nan"), 0.1], [True, True, False])
+    for normal, anomaly in (([0.9, float("nan")], [0.1]),
+                            ([0.9], [float("nan"), 0.1])):
+        with pytest.raises(MetricError, match="not NaN"):
+            auroc(normal, anomaly)
 
 
 def test_auroc_known_small_instances():
-    assert auroc([0.9, 0.8, 0.3, 0.2], [True, True, False, False]) == 1.0
-    assert auroc([0.2, 0.3, 0.8, 0.9], [True, True, False, False]) == 0.0
-    assert auroc([0.5, 0.5], [True, False]) == 0.5
+    assert auroc([0.9, 0.8], [0.3, 0.2]) == 1.0
+    assert auroc([0.2, 0.3], [0.8, 0.9]) == 0.0
+    assert auroc([0.5], [0.5]) == 0.5
     # two of the four normal/anomaly pairs are correctly ordered
     scores = [0.7, 0.4, 0.5, 0.6]
     labels = ["normal", "normal", "anomaly", "anomaly"]
-    assert abs(auroc(scores, _is_normal(labels)) - 0.5) < 1e-12
-    assert abs(_pairwise_auroc(scores, labels) - 0.5) < 1e-12
+    assert _auroc(scores, labels) == 0.5
+    assert _pairwise_auroc(scores, labels) == 0.5
 
 
-def test_auroc_accepts_boolean_labels_and_needs_both_classes():
-    assert auroc([0.9, 0.1], [True, False]) == 1.0
-    with pytest.raises(MetricError):
-        auroc([0.9, 0.8], [True, True])
-    with pytest.raises(MetricError):
-        auroc([0.9, 0.8], [False, False])
-
-
-def test_auroc_accepts_a_numpy_boolean_label_array():
-    rng = np.random.default_rng(62)
-    scores = rng.random(60)
-    is_normal = rng.random(60) < 0.5
-    want = auroc(scores, [bool(b) for b in is_normal])
-    assert auroc(scores, is_normal) == want
-    assert want == _pairwise_auroc(
-        scores, ["normal" if b else "anomaly" for b in is_normal])
+def test_auroc_needs_both_classes():
+    with pytest.raises(MetricError, match="at least one sample of each class"):
+        auroc([0.9, 0.8], [])
+    with pytest.raises(MetricError, match="at least one sample of each class"):
+        auroc([], [0.9, 0.8])
 
 
 def test_auroc_is_invariant_to_monotone_transforms_and_order():
@@ -108,36 +95,34 @@ def test_auroc_is_invariant_to_monotone_transforms_and_order():
     scores = rng.random(80)
     labels = ["normal" if b else "anomaly" for b in rng.random(80) < 0.5]
     labels[0], labels[1] = "normal", "anomaly"
-    is_normal = _is_normal(labels)
-    base = auroc(scores, is_normal)
-    assert abs(auroc(np.exp(3.0 * scores), is_normal) - base) < 1e-12
+    base = _auroc(scores, labels)
+    assert _auroc(np.exp(3.0 * scores), labels) == base
     perm = rng.permutation(80)
-    assert abs(auroc(scores[perm], is_normal[perm]) - base) < 1e-12
+    assert _auroc(scores[perm], [labels[i] for i in perm]) == base
 
 
 def test_task_report_subsets_compare_normals_to_each_violation_type():
     scores = [0.9, 0.8, 0.7, 0.3, 0.6, 0.1]
     labels = [Label.NORMAL, Label.NORMAL, Label.NORMAL,
               Label.SINGLE_A, Label.SINGLE_B, Label.DUAL]
-    report = make_task_report("sticks-white_bg", "sticks", Condition.WHITE_BG,
-                              scores, labels)
+    report = make_task_report("sticks", Condition.WHITE_BG, scores, labels)
+    assert report.task_id == "sticks-white_bg"
     assert report.subset_auroc[Label.SINGLE_A] == 1.0
     assert report.subset_auroc[Label.DUAL] == 1.0
     # the singleB anomaly at 0.6 sits below all three normals
-    assert abs(report.subset_auroc[Label.SINGLE_B] - 1.0) < 1e-12
+    assert report.subset_auroc[Label.SINGLE_B] == 1.0
 
 
 def test_task_report_of_one_class_names_the_task():
     for labels in ([Label.NORMAL] * 3, [Label.SINGLE_A, Label.DUAL]):
         with pytest.raises(MetricError,
                            match="^sticks-white_bg: AUROC needs at least one"):
-            make_task_report("sticks-white_bg", "sticks", Condition.WHITE_BG,
+            make_task_report("sticks", Condition.WHITE_BG,
                              [0.5] * len(labels), labels)
 
 
 def _report(scenario, condition, value):
-    return TaskReport(f"{scenario}-{condition.value}", scenario, condition,
-                      value, {})
+    return TaskReport(scenario, condition, value, {})
 
 
 def test_condition_mean_aggregation_matches_published_style_summary():

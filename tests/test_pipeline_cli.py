@@ -1163,6 +1163,16 @@ def test_cli_reading_a_score_file_of_one_class_names_the_task(tmp_path):
     assert not list(tmp_path.glob("report.*"))
 
 
+def test_cli_training_that_overflows_names_the_task(tmp_path, capsys):
+    """A huge but finite learning rate fails in one line that names the task;
+    numpy's overflow warnings stay quiet (pytest makes them errors)."""
+    assert _run(["train", "--scenario", "ropes", "--condition", "white_bg",
+                 "--epochs", "1", "--jobs", "1", "--learning-rate", "1e308",
+                 "--out-dir", str(tmp_path)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ropes-white_bg: ")
+
+
 def test_only_the_pipeline_imports_json():
     src = Path(__file__).resolve().parents[1] / "src" / "logicad"
 
