@@ -1,7 +1,7 @@
 """Tiny trainable text encoder: embed, project, tanh, dropout, mean-pool, L2.
 
 Dropout comes after tanh, so a text pools rows of one per-id activation
-table.  Encoding is deterministic, a pure function of (text, params): no
+table.  Encoding is deterministic, a pure function of (text, table): no
 dropout, ``normalize(counts @ table / T)``.  Training draws its dropout in
 ``trainer.BatchMasks`` and backpropagates onto the same table.  Both hold
 their texts as one ``TokenRows``: token ids, id counts and lengths.
@@ -10,9 +10,8 @@ A token is a maximal run of a-z, 0-9, ``_`` and ``'`` in the lowercased
 text; every other character separates tokens.  ``Vocabulary.build`` and
 ``TokenRows.build`` tokenize each distinct text once.
 
-``EncoderParams`` checks no shape: ``init_params`` makes its buffer, and
-``pipeline.load_checkpoint`` checks a checkpoint's arrays against the run's
-vocabulary size and dimension before it builds one.
+``EncoderParams`` checks no shape: ``init_params`` makes its buffer and only
+the trainer reads it.  Scoring, and a checkpoint, hold the table alone.
 """
 
 from __future__ import annotations
@@ -158,11 +157,12 @@ class TokenRows:
                          self.lengths[rows])
 
 
-def encode_texts(texts: list[str], params: EncoderParams,
+def encode_texts(texts: list[str], table: np.ndarray,
                  vocab: Vocabulary) -> np.ndarray:
-    """Deterministic encodings of many texts: normalize(counts @ table / T)."""
+    """Deterministic encodings of many texts: normalize(counts @ table / T),
+    ``table`` being the (V, D) ``activation_table`` of the encoder."""
     rows = TokenRows.build(texts, vocab)
-    pooled = rows.counts @ activation_table(params)
+    pooled = rows.counts @ table
     pooled /= rows.lengths[:, None]
     return normalize_rows(pooled)[0]
 

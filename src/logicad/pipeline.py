@@ -19,8 +19,9 @@ whole task.
 
 Only the run-directory section at the end writes or reads a file of the
 output directory; ``run_task`` and ``run_benchmark`` also name a task's
-checkpoint.  The other modules hold no file format.  ``load_checkpoint`` is
-the one place a checkpoint is checked, against the run that loads it.
+checkpoint.  The other modules hold no file format.  A checkpoint holds
+the vocabulary and activation table that scoring reads; ``load_checkpoint``
+is the one place it is checked, against the run that loads it.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ import numpy as np
 
 from . import describe, knn, metrics, negatives, scenarios, scenes, trainer
 from .describe import CONDITION_RENDER_DEFAULTS
-from .encoder import EncoderParams, Vocabulary, encode_texts, init_params
+from .encoder import Vocabulary, activation_table, encode_texts, init_params
 from .seeding import derive_rng, derive_seed
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def generate_task(config: PipelineConfig, scenario_id: str,
 @dataclass
 class TrainedTask:
     vocab: Vocabulary
-    params: EncoderParams
+    table: np.ndarray  # (V, D) activation table: all that scoring reads
     epoch_losses: list[float]
 
 
@@ -143,15 +144,16 @@ def train_task(config: PipelineConfig, artifacts: TaskArtifacts) -> TrainedTask:
     vocab = artifacts.vocabulary()
     seed = derive_seed(config.master_seed, artifacts.scenario_id,
                        artifacts.condition.value, "train")
-    init = init_params(vocab.size, dim=config.dim, seed=seed)
-    if config.skip_training:
-        return TrainedTask(vocab=vocab, params=init, epoch_losses=[])
-    try:
-        params, losses = trainer.fit(pos_texts, neg_texts, vocab, config.train,
-                                     init, seed)
-    except trainer.TrainingError as exc:
-        raise trainer.TrainingError(f"{artifacts.task_id}: {exc}") from None
-    return TrainedTask(vocab=vocab, params=params, epoch_losses=losses)
+    params = init_params(vocab.size, dim=config.dim, seed=seed)
+    losses = []
+    if not config.skip_training:
+        try:
+            params, losses = trainer.fit(pos_texts, neg_texts, vocab,
+                                         config.train, params, seed)
+        except trainer.TrainingError as exc:
+            raise trainer.TrainingError(f"{artifacts.task_id}: {exc}") from None
+    return TrainedTask(vocab=vocab, table=activation_table(params),
+                       epoch_losses=losses)
 
 
 @dataclass
@@ -167,7 +169,7 @@ def score_task(config: PipelineConfig, artifacts: TaskArtifacts,
     train, test = artifacts.split("train"), artifacts.split("test")
     library, queries = (
         encode_texts([artifacts.texts[s.sample_id] for s in samples],
-                     trained.params, trained.vocab)
+                     trained.table, trained.vocab)
         for samples in (train, test))
     scores, means, nearest = knn.score(queries, library, config.k)
     results = [(s.sample_id, s.label, score, mean,
@@ -369,21 +371,19 @@ def _fingerprint(config: PipelineConfig, task_id: str) -> dict:
             "master_seed": config.master_seed}
 
 
-_CHECKPOINT_MEMBERS = ("version", "embedding", "proj_w", "proj_b",
-                       "vocab_json", "fingerprint", "epoch_losses")
+_CHECKPOINT_MEMBERS = ("version", "table", "vocab_json", "fingerprint",
+                       "epoch_losses")
 
 
 def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
                     task_id: str) -> None:
-    """Versioned checkpoint: encoder parameters + vocabulary + config digest."""
+    """Versioned checkpoint: activation table + vocabulary + config digest."""
     fingerprint = json.dumps(_fingerprint(config, task_id), sort_keys=True)
     vocab_json = json.dumps(trained.vocab.token_to_id, sort_keys=True)
     np.savez(
         path,
         version=np.int64(CHECKPOINT_VERSION),
-        embedding=trained.params.embedding,
-        proj_w=trained.params.proj_w,
-        proj_b=trained.params.proj_b,
+        table=trained.table,
         vocab_json=np.bytes_(vocab_json.encode("utf-8")),
         fingerprint=np.bytes_(fingerprint.encode("utf-8")),
         epoch_losses=np.asarray(trained.epoch_losses, dtype=np.float64),
@@ -403,12 +403,12 @@ def load_checkpoint(path, config: PipelineConfig,
 
     The archive is opened and every member read through one guard; a file
     that is not a whole checkpoint raises ValueError naming the damaged
-    member, or the archive when it cannot be opened.  One of another
+    member, or the archive when it cannot be opened; one of another format
+    version is refused as such, whatever members it lacks.  One of another
     task, seed, dim, vocabulary (rebuilt from the train pairs, negatives
     included) or kind (a trained checkpoint holds at least one epoch loss, a
     baseline one none) raises CheckpointError naming what differs.  Only then
-    are the parameters checked: finite floats of this run's (V, D), (D, D)
-    and (D,).
+    is the table checked: finite floats of this run's (V, D).
     """
     def unreadable(reason: str) -> ValueError:
         return ValueError(f"{path} is not a readable checkpoint: {reason}")
@@ -416,13 +416,21 @@ def load_checkpoint(path, config: PipelineConfig,
     members, name = {}, None
     try:
         with np.load(path) as data:
-            missing = [m for m in _CHECKPOINT_MEMBERS if m not in data]
-            if not missing:
-                for name in _CHECKPOINT_MEMBERS:
-                    members[name] = data[name]
+            for name in (m for m in _CHECKPOINT_MEMBERS if m in data):
+                members[name] = data[name]
     except Exception as exc:  # zipfile and numpy each raise their own kinds
         raise unreadable("not a whole npz archive" if name is None
                          else f"{name} cannot be read ({exc})") from None
+    version = members.get("version")
+    if version is not None:
+        if version.ndim or not np.issubdtype(version.dtype, np.integer):
+            raise unreadable("version is not an integer")
+        if int(version) != CHECKPOINT_VERSION:
+            raise ValueError(
+                f"{path}: unsupported checkpoint version {version}; this "
+                f"logicad reads version {CHECKPOINT_VERSION}: run `logicad "
+                "train` again")
+    missing = [m for m in _CHECKPOINT_MEMBERS if m not in members]
     if missing:
         raise unreadable("it lacks " + ", ".join(missing))
 
@@ -446,11 +454,6 @@ def load_checkpoint(path, config: PipelineConfig,
             raise unreadable(f"{name} is not a {size} array of finite floats")
         return value
 
-    version = members["version"]
-    if version.ndim or not np.issubdtype(version.dtype, np.integer):
-        raise unreadable("version is not an integer")
-    if int(version) != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
     stored = json_object("fingerprint")
     vocab = Vocabulary(json_object("vocab_json"))
     losses = finite_floats("epoch_losses", (None,)).tolist()
@@ -466,9 +469,6 @@ def load_checkpoint(path, config: PipelineConfig,
     if problems:
         raise CheckpointError(f"{path} was not trained for this run: "
                               + "; ".join(problems))
-    v, d = vocab.size, config.dim
-    flat = np.concatenate([finite_floats(name, shape).ravel() for name, shape
-                           in (("embedding", (v, d)), ("proj_w", (d, d)),
-                               ("proj_b", (d,)))])
-    return TrainedTask(vocab=vocab, params=EncoderParams(flat, d),
+    return TrainedTask(vocab=vocab,
+                       table=finite_floats("table", (vocab.size, config.dim)),
                        epoch_losses=losses)

@@ -13,6 +13,7 @@ from logicad import pipeline, scenarios, scenes
 from logicad.encoder import (
     EncodeError,
     EncoderParams,
+    activation_table,
     encode_texts,
     init_params,
     tokenize,
@@ -212,9 +213,10 @@ def test_batched_library_equals_per_text_encodings(task_texts):
     pos, neg, vocab = task_texts
     texts = pos + neg + ["an utterly unknown sentence"]
     params = init_params(vocab.size, dim=64, seed=3)
-    library = encode_texts(texts, params, vocab)
+    table = activation_table(params)
+    library = encode_texts(texts, table, vocab)
     assert library.shape == (len(texts), 64)
     for text, row in zip(texts, library):
-        assert np.abs(row - encode_texts([text], params, vocab)[0]).max() < TOL
+        assert np.abs(row - encode_texts([text], table, vocab)[0]).max() < TOL
         want = _reference_forward(tokenize(text, vocab), params)["z"]
         assert np.abs(row - want).max() < TOL

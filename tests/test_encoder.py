@@ -12,6 +12,7 @@ from logicad.encoder import (
     UNKNOWN_ID,
     TokenRows,
     Vocabulary,
+    activation_table,
     encode_texts,
     init_params,
     tokenize,
@@ -118,15 +119,15 @@ def test_token_rows_of_no_texts_are_empty():
 def test_deterministic_encoding_is_unit_norm_and_repeatable():
     vocab, params = _setup()
     for text in TEXTS:
-        z1 = encode_texts([text], params, vocab)[0]
-        z2 = encode_texts([text], params, vocab)[0]
+        z1 = encode_texts([text], activation_table(params), vocab)[0]
+        z2 = encode_texts([text], activation_table(params), vocab)[0]
         assert np.allclose(z1, z2)
         assert abs(np.linalg.norm(z1) - 1.0) < 1e-12
 
 
 def test_single_token_text_encodes():
     vocab, params = _setup()
-    z = encode_texts(["oranges"], params, vocab)[0]
+    z = encode_texts(["oranges"], activation_table(params), vocab)[0]
     assert abs(np.linalg.norm(z) - 1.0) < 1e-12
 
 
@@ -140,9 +141,7 @@ def test_init_params_shapes_and_dim_floor():
         pipeline.PipelineConfig(dim=1)
 
 
-def test_params_from_arrays_copy_them_into_one_buffer_and_check_shapes(
-        tmp_path):
-    # load_checkpoint builds the params from a checkpoint's three arrays
+def test_a_checkpoint_table_loads_only_at_the_runs_shape(tmp_path):
     config = pipeline.PipelineConfig(
         scenario_ids=("tapes",), conditions=(Condition.WHITE_BG,),
         train=TrainConfig(epochs=1, batch_size=8), dim=4, skip_training=True)
@@ -151,22 +150,15 @@ def test_params_from_arrays_copy_them_into_one_buffer_and_check_shapes(
     trained = pipeline.train_task(config, artifacts)
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, trained, config, artifacts.task_id)
-    params = pipeline.load_checkpoint(path, config, artifacts).params
-    assert params.dim == 4
-    for got, want in zip(params.arrays(), trained.params.arrays()):
-        assert np.array_equal(got, want) and not np.shares_memory(got, want)
-        assert np.shares_memory(got, params.flat)
+    table = pipeline.load_checkpoint(path, config, artifacts).table
+    assert table.shape == (trained.vocab.size, 4)
+    assert table.tobytes() == trained.table.tobytes()
     data = dict(np.load(path, allow_pickle=False))
-    embedding, proj_w, proj_b = (data[n] for n in ("embedding", "proj_w",
-                                                   "proj_b"))
-    for name, bad in (("embedding", (embedding[:, :3], proj_w, proj_b)),
-                      ("proj_w", (embedding, proj_w[:3], proj_b)),
-                      ("embedding", (embedding.ravel(), proj_w, proj_b)),
-                      ("embedding", (embedding[:, :1], proj_w[:1, :1],
-                                     np.float64(0.0)))):
-        damaged = dict(data, embedding=bad[0], proj_w=bad[1], proj_b=bad[2])
-        np.savez(path, **damaged)
-        with pytest.raises(ValueError, match=f"{name} is not a"):
+    for bad in (table[:, :3], table[:-1], table.ravel(), table[:1, :1],
+                table[None]):
+        np.savez(path, **dict(data, table=bad))
+        with pytest.raises(ValueError, match=re.escape(
+                f"table is not a {table.shape} array of finite floats")):
             pipeline.load_checkpoint(path, config, artifacts)
 
 

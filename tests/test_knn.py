@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from logicad import knn, metrics, pipeline
-from logicad.encoder import Vocabulary, encode_texts, init_params
+from logicad.encoder import (
+    Vocabulary,
+    activation_table,
+    encode_texts,
+    init_params,
+)
 from logicad.knn import DEFAULT_K, LibraryError, score
 from logicad.scenes import Condition, Label
 
@@ -171,11 +176,11 @@ def test_encoded_texts_score_in_row_order():
     texts = ["three oranges two kiwis", "two oranges two kiwis",
              "four oranges one kiwi"]
     vocab = Vocabulary.build(texts)
-    params = init_params(vocab.size, dim=8, seed=0)
-    library = encode_texts(texts, params, vocab)
+    table = activation_table(init_params(vocab.size, dim=8, seed=0))
+    library = encode_texts(texts, table, vocab)
     assert library.shape == (3, 8)
     assert np.allclose(np.linalg.norm(library, axis=1), 1.0)
-    scores, _, nearest = score(encode_texts(texts, params, vocab), library, k=1)
+    scores, _, nearest = score(encode_texts(texts, table, vocab), library, k=1)
     # every training text is its own nearest neighbor
     assert nearest.tolist() == [[0], [1], [2]]
     assert scores.tolist() == [1.0, 1.0, 1.0]

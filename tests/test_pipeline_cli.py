@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from logicad import cli, pipeline, trainer
-from logicad.encoder import encode_texts
+from logicad.encoder import activation_table, encode_texts
 from logicad.negatives import pair_edits
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Condition, Label, SplitCounts, task_id_for
@@ -87,7 +87,7 @@ def test_skip_training_keeps_the_random_initialization():
     trained = pipeline.train_task(SMALL, artifacts)
     assert frozen.epoch_losses == []
     assert len(trained.epoch_losses) == SMALL.train.epochs
-    assert not np.allclose(frozen.params.embedding, trained.params.embedding)
+    assert not np.allclose(frozen.table, trained.table)
 
 
 def test_checkpoint_round_trip_and_version_guard(tmp_path):
@@ -96,8 +96,7 @@ def test_checkpoint_round_trip_and_version_guard(tmp_path):
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
     loaded = pipeline.load_checkpoint(path, SMALL, artifacts)
-    assert np.array_equal(loaded.params.embedding, trained.params.embedding)
-    assert np.array_equal(loaded.params.proj_w, trained.params.proj_w)
+    assert loaded.table.tobytes() == trained.table.tobytes()
     assert loaded.vocab.token_to_id == trained.vocab.token_to_id
     assert loaded.epoch_losses == pytest.approx(trained.epoch_losses)
 
@@ -146,7 +145,7 @@ def test_score_lines_name_the_nearest_train_samples(tmp_path, condition):
 
     def encode(samples):
         return encode_texts([artifacts.texts[s.sample_id] for s in samples],
-                            trained.params, trained.vocab)
+                            trained.table, trained.vocab)
 
     library = encode(train)
     assert len(lines) == len(test)
@@ -963,25 +962,22 @@ BAD_MEMBERS = {
                   "epoch_losses is not a 1-D array of finite floats"),
     "string_losses": ({"epoch_losses": np.array(["x"])},
                       "epoch_losses is not a 1-D array of finite floats"),
-    "string_embedding": ({"embedding": np.full((45, 64), "0.1")},
-                         "embedding is not a (45, 64) array of finite floats"),
-    "string_proj_w": ({"proj_w": np.full((64, 64), "0.1")},
-                      "proj_w is not a (64, 64) array of finite floats"),
-    "narrow_embedding": ({"embedding": np.zeros((45, 3))},
-                         "embedding is not a (45, 64) array of finite floats"),
-    "nan_embedding": ({"embedding": np.full((45, 64), np.nan)},
-                      "embedding is not a (45, 64) array of finite floats"),
-    "short_embedding": ({"embedding": np.zeros((44, 64))},
-                        "embedding is not a (45, 64) array of finite floats"),
-    "long_embedding": ({"embedding": np.zeros((46, 64))},
-                       "embedding is not a (45, 64) array of finite floats"),
-    "object_embedding": ({"embedding": np.zeros((45, 64)).astype(object)},
-                         "embedding cannot be read (Object arrays cannot be "
-                         "loaded when allow_pickle=False)"),
-    # self-consistent, but 16 wide under a fingerprint that says dim = 64
-    "narrow_arrays": ({"embedding": np.zeros((45, 16)),
-                       "proj_w": np.zeros((16, 16)), "proj_b": np.zeros(16)},
-                      "embedding is not a (45, 64) array of finite floats"),
+    "string_table": ({"table": np.full((45, 64), "0.1")},
+                     "table is not a (45, 64) array of finite floats"),
+    "narrow_table": ({"table": np.zeros((45, 3))},
+                     "table is not a (45, 64) array of finite floats"),
+    "nan_table": ({"table": np.full((45, 64), np.nan)},
+                  "table is not a (45, 64) array of finite floats"),
+    "short_table": ({"table": np.zeros((44, 64))},
+                    "table is not a (45, 64) array of finite floats"),
+    "long_table": ({"table": np.zeros((46, 64))},
+                   "table is not a (45, 64) array of finite floats"),
+    "object_table": ({"table": np.zeros((45, 64)).astype(object)},
+                     "table cannot be read (Object arrays cannot be loaded "
+                     "when allow_pickle=False)"),
+    # a whole table of a 16-wide encoder under a fingerprint that says dim = 64
+    "dim_16_table": ({"table": np.zeros((45, 16))},
+                     "table is not a (45, 64) array of finite floats"),
 }
 
 
@@ -1004,13 +1000,13 @@ ARCHIVE_DAMAGES = {
                         "not a whole npz archive"),
     # the header no longer parses; the tokenizer's words vary by Python
     # version, so only this prefix is checked
-    "header_brace": (lambda raw: _npy_header_brace(raw, "proj_w.npy"), 0x80,
-                     "proj_w cannot be read ("),
+    "header_brace": (lambda raw: _npy_header_brace(raw, "table.npy"), 0x80,
+                     "table cannot be read ("),
 }
 
 
 @pytest.mark.parametrize("damage", ["truncated", "not_zip", "no_members",
-                                    "corrupt_embedding", *BAD_MEMBERS,
+                                    "corrupt_table", *BAD_MEMBERS,
                                     *ARCHIVE_DAMAGES])
 def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
     out = str(tmp_path)
@@ -1021,14 +1017,13 @@ def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
         checkpoint.write_bytes(checkpoint.read_bytes()[:100])
     elif damage == "not_zip":
         checkpoint.write_text("not a checkpoint\n")
-    elif damage == "corrupt_embedding":
+    elif damage == "corrupt_table":
         # one flipped byte in the stored array: the zip CRC no longer matches
         raw = bytearray(checkpoint.read_bytes())
         with np.load(checkpoint) as data:
-            raw[raw.find(data["embedding"].tobytes())] ^= 0xFF
+            raw[raw.find(data["table"].tobytes())] ^= 0xFF
         checkpoint.write_bytes(raw)
-        reason = ("embedding cannot be read (Bad CRC-32 for file "
-                  "'embedding.npy')")
+        reason = "table cannot be read (Bad CRC-32 for file 'table.npy')"
     elif damage in BAD_MEMBERS:
         replaced, reason = BAD_MEMBERS[damage]
         with np.load(checkpoint) as data:
@@ -1042,8 +1037,7 @@ def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
     else:
         # a whole npz archive that holds none of the checkpoint's members
         np.savez(checkpoint, a=np.arange(3))
-        reason = ("it lacks version, embedding, proj_w, proj_b, vocab_json, "
-                  "fingerprint, epoch_losses")
+        reason = "it lacks version, table, vocab_json, fingerprint, epoch_losses"
     done = _run_in_subprocess(["score", *ARGS, "--jobs", "1", "--out-dir", out])
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
@@ -1078,25 +1072,56 @@ def test_every_flipped_byte_of_the_zip_directory_is_refused_or_loads(tmp_path):
             if not (type(exc) is ValueError and str(exc).startswith(str(path))
                     and "\n" not in str(exc)):
                 escaped.append((offset, repr(exc)))
-    assert good[start:].count(b"PK\x01\x02") == 7
+    assert good[start:].count(b"PK\x01\x02") == 5
     assert good[-22:].startswith(b"PK\x05\x06")
     assert escaped == []
 
 
-def test_a_checkpoint_that_stores_its_dropout_rate_as_a_member_loads(tmp_path):
-    # the checkpoint layout before the rate moved into the fingerprint
+def test_cli_score_refuses_a_version_1_checkpoint_in_one_line(tmp_path):
+    # version 1 stored the parameters, (V, D), (D, D) and (D,), in place of
+    # the table
+    out = str(tmp_path)
+    assert _run(["train", *ARGS, "--epochs", "1", "--out-dir", out]) == 0
+    checkpoint = tmp_path / "tapes-white_bg.ckpt.npz"
+    with np.load(checkpoint) as data:
+        members = dict(data)
+    v, d = members.pop("table").shape
+    members["version"] = np.int64(1)
+    np.savez(checkpoint, **members, embedding=np.zeros((v, d)),
+             proj_w=np.zeros((d, d)), proj_b=np.zeros(d))
+    done = _run_in_subprocess(["score", *ARGS, "--jobs", "1", "--out-dir", out])
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"error: {checkpoint}: unsupported checkpoint version 1; this logicad "
+        "reads version 2: run `logicad train` again"]
+    assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()
+
+
+@pytest.mark.parametrize("skip_training", [False, True],
+                         ids=["trained", "frozen"])
+def test_a_checkpoint_holds_the_table_scoring_used_and_nothing_else(
+        tmp_path, monkeypatch, skip_training):
+    returned = []
+
+    def recording(function):
+        def call(*args, **kwargs):
+            returned.append(function(*args, **kwargs))
+            return returned[-1]
+        return call
+
+    monkeypatch.setattr(pipeline, "init_params",
+                        recording(pipeline.init_params))
+    monkeypatch.setattr(trainer, "fit", recording(trainer.fit))
+    config = replace(SMALL, skip_training=skip_training)
     artifacts = _small_task(Condition.WHITE_BG)
     path = tmp_path / "task.ckpt.npz"
-    trained = pipeline.train_task(SMALL, artifacts)
-    pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
+    pipeline.save_checkpoint(path, pipeline.train_task(config, artifacts),
+                             config, artifacts.task_id)
+    # init_params returns the parameters, fit (parameters, losses)
+    params = returned[-1] if skip_training else returned[-1][0]
     with np.load(path) as data:
-        members = dict(data)
-    fingerprint = json.loads(bytes(members["fingerprint"]))
-    del fingerprint["dropout_rate"]
-    members["fingerprint"] = np.bytes_(json.dumps(fingerprint).encode())
-    np.savez(path, **members, dropout_rate=np.float64(trainer.DROPOUT_RATE))
-    loaded = pipeline.load_checkpoint(path, SMALL, artifacts)
-    assert loaded.params.flat.tobytes() == trained.params.flat.tobytes()
+        assert tuple(data.files) == pipeline._CHECKPOINT_MEMBERS
+        assert data["table"].tobytes() == activation_table(params).tobytes()
 
 
 # a score that is not a finite JSON number, by damage
