@@ -29,11 +29,8 @@ from .templates import Skeleton, TemplateGrammar
 @dataclass(frozen=True)
 class AttributeRecord:
     skeleton: Skeleton
-    slots: tuple[tuple[str, str], ...]  # included (name, value) in template order
+    slots: dict[str, str]  # the included slots, in template order
     text: str
-
-    def slot_map(self) -> dict[str, str]:
-        return dict(self.slots)
 
 
 @dataclass(frozen=True)
@@ -69,7 +66,7 @@ def build_record(grammar: TemplateGrammar, skeleton: Skeleton,
     template, names = grammar.skeleton_plan(skeleton)
     return AttributeRecord(
         skeleton=skeleton,
-        slots=tuple((name, slots[name]) for name in names),
+        slots={name: slots[name] for name in names},
         text=template.format(**slots),
     )
 

@@ -49,9 +49,9 @@ def synthesize_negative(
     skeleton includes a logical slot with a contradiction, which the tests
     check for each grammar.
     """
-    slot_map = pos.slot_map()
+    slots = dict(pos.slots)
     editable = [
-        name for name, value in pos.slots
+        name for name, value in slots.items()
         if grammar.slots[name].aspect is not None
         and contradiction_pool(grammar.slots[name], value)
     ]
@@ -60,9 +60,9 @@ def synthesize_negative(
     chosen = list(rng.choice(len(editable), size=n_edits, replace=False))
     for idx in sorted(int(i) for i in chosen):
         name = editable[idx]
-        pool = contradiction_pool(grammar.slots[name], slot_map[name])
-        slot_map[name] = pool[int(rng.integers(len(pool)))]
-    return build_record(grammar, pos.skeleton, slot_map)
+        pool = contradiction_pool(grammar.slots[name], slots[name])
+        slots[name] = pool[int(rng.integers(len(pool)))]
+    return build_record(grammar, pos.skeleton, slots)
 
 
 def pair_edits(pos: AttributeRecord, neg: AttributeRecord,
@@ -70,4 +70,5 @@ def pair_edits(pos: AttributeRecord, neg: AttributeRecord,
     """The slots where a negative differs from its positive, with their aspect."""
     return [{"slot": name, "old": old, "new": new,
              "aspect": grammar.slots[name].aspect.value}
-            for (name, old), (_, new) in zip(pos.slots, neg.slots) if old != new]
+            for (name, old), new in zip(pos.slots.items(), neg.slots.values())
+            if old != new]

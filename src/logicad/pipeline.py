@@ -415,7 +415,7 @@ def load_checkpoint(path, config: PipelineConfig,
 
     members, name = {}, None
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             for name in (m for m in _CHECKPOINT_MEMBERS if m in data):
                 members[name] = data[name]
     except Exception as exc:  # zipfile and numpy each raise their own kinds

@@ -92,7 +92,7 @@ def parse(text: str, grammar: TemplateGrammar) -> AttributeRecord:
                    for name in clause.slot_names]
         return AttributeRecord(
             skeleton=skeleton,
-            slots=tuple((name, m.group(name)) for name in ordered),
+            slots={name: m.group(name) for name in ordered},
             text=text,
         )
     raise ParseError(f"text does not match any template of the grammar: "
@@ -136,16 +136,13 @@ def validate_negative(
         return NegativeValidation(False, False, False, False)
 
     skeleton_ok = pos_rec.skeleton == neg_rec.skeleton
-    pos_names = [n for n, _ in pos_rec.slots]
-    neg_names = [n for n, _ in neg_rec.slots]
-    replacement_only = pos_names == neg_names
+    pos_map, neg_map = pos_rec.slots, neg_rec.slots
+    replacement_only = list(pos_map) == list(neg_map)
 
     differing = []
     contradiction = False
     if replacement_only:
-        pos_map = dict(pos_rec.slots)
-        neg_map = dict(neg_rec.slots)
-        for name in pos_names:
+        for name in pos_map:
             if pos_map[name] != neg_map[name]:
                 differing.append(name)
                 if neg_map[name] in contradiction_pool(

@@ -200,11 +200,13 @@ def test_criterion_08_round_trip_identity():
             spec.normal(np.random.default_rng(0)))
         for variant in range(len(grammar.variants)):
             for mask in clause_masks(grammar, variant):
-                text = build_record(grammar, (variant, mask), slots).text
-                record = parse(text, grammar)
+                built = build_record(grammar, (variant, mask), slots)
+                record = parse(built.text, grammar)
                 texts += 1
-                if build_record(grammar, record.skeleton,
-                                record.slot_map()).text != text:
+                rebuilt = build_record(grammar, record.skeleton, record.slots)
+                if (rebuilt.text != built.text
+                        or list(record.slots.items())
+                        != list(built.slots.items())):
                     mismatches += 1
     ok = mismatches == 0 and texts > 0
     _verdict(8, ok, f"{texts} canonical texts round-tripped, "

@@ -83,7 +83,7 @@ def test_certain_corruption_flips_every_decorative_slot():
                       np.random.default_rng(5), spec.grammar)
     record = parse(rendered.text, grammar)
     seen_decorative = 0
-    for name, value in record.slots:
+    for name, value in record.slots.items():
         if grammar.slots[name].aspect is None:
             seen_decorative += 1
             assert value != clean_slots[name]
@@ -101,7 +101,7 @@ def test_zero_corruption_never_touches_slots():
     for _ in range(20):
         record = parse(render(view, RenderConfig(True, 0.2, 0.0), rng,
                               spec.grammar).text, grammar)
-        for name, value in record.slots:
+        for name, value in record.slots.items():
             assert value == clean_slots[name]
 
 
@@ -146,7 +146,7 @@ def test_round_trip_identity_on_every_skeleton(scenario_id):
             record = parse(text, grammar)
             assert record.skeleton == (variant, mask)
             assert build_record(grammar, record.skeleton,
-                                record.slot_map()).text == text
+                                record.slots).text == text
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
@@ -160,7 +160,7 @@ def test_round_trip_identity_under_noisy_rendering(scenario_id):
         record = parse(rendered.text, grammar)
         assert record == rendered
         assert build_record(grammar, record.skeleton,
-                            record.slot_map()).text == rendered.text
+                            record.slots).text == rendered.text
 
 
 def test_every_drawn_view_renders_only_words_its_grammar_lists():
@@ -177,7 +177,7 @@ def test_every_drawn_view_renders_only_words_its_grammar_lists():
                     assert value in grammar.slots[name].values, (
                         scenario_id, seed, sample.sample_id, name, value)
                 record = render(sample.view, CLEAN, None, grammar)
-                assert set(record.slots) <= set(slots.items())
+                assert set(record.slots.items()) <= set(slots.items())
 
 
 def test_parse_rejects_unmatched_text():
@@ -221,9 +221,9 @@ def test_build_record_equals_clause_by_clause_formatting(scenario_id):
                 record = build_record(grammar, (variant, mask), slots)
                 assert record.text == " ".join(
                     c.template.format(**slots) for c in included)
-                assert record.slots == tuple(
+                assert list(record.slots.items()) == [
                     (name, slots[name]) for c in included
-                    for name in c.slot_names)
+                    for name in c.slot_names]
                 assert record.skeleton == (variant, mask)
 
 

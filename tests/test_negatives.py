@@ -48,6 +48,24 @@ def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
                            - word_number(edit["old"])) <= 2
 
 
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_record_slots_follow_the_template_order(scenario_id):
+    """A record's slots are a dict, which compares without order, so the
+    order ``pair_edits`` zips by is checked here: the included slots of the
+    record's skeleton, in template order, for rendered, synthesized and
+    parsed records alike."""
+    spec = get_scenario(scenario_id)
+    grammar = spec.grammar
+    rng = np.random.default_rng(7)
+    for i in range(100):
+        cfg = CLEAN if i % 2 == 0 else NOISY
+        pos = render(spec.normal(rng), cfg, rng, grammar)
+        neg = synthesize_negative(pos, grammar, rng)
+        for record in (pos, neg, parse(neg.text, grammar)):
+            names = grammar.skeleton_plan(record.skeleton)[1]
+            assert list(record.slots) == list(names), (scenario_id, i)
+
+
 def test_synthesis_is_seed_deterministic():
     spec = get_scenario("tools")
     grammar = spec.grammar
@@ -76,7 +94,8 @@ def test_single_editable_slot_forces_the_only_contradiction():
     for _ in range(10):
         neg = synthesize_negative(pos, grammar, rng)
         assert neg.text == "The matte item is blue."
-        assert neg.slots == (("shade", "matte"), ("color", "blue"))
+        assert list(neg.slots.items()) == [("shade", "matte"),
+                                           ("color", "blue")]
         assert pair_edits(pos, neg, grammar) == [
             {"slot": "color", "old": "red", "new": "blue", "aspect": "type"}]
 

@@ -475,7 +475,7 @@ def test_view_rebuilds_every_generated_scene(scenario_id, benchmark_runs):
             line = json.loads(text_line)
             assert line["sample_id"] == sample.sample_id
             record = parse(line["text"], grammar)
-            logical = {name: value for name, value in record.slots
+            logical = {name: value for name, value in record.slots.items()
                        if grammar.slots[name].aspect is not None}
             expected = words(sample.view)
             if logical != {name: expected[name] for name in logical}:
