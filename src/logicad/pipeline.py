@@ -15,7 +15,9 @@ and refuse a checkpoint whose vocabulary differs.  ``train`` reads
 only the train pairs, so it generates only the train split; that split
 leads the task's view stream and every render and negative is seeded by
 its sample id, so its views, texts, pairs and vocabulary are those of the
-whole task.
+whole task.  ``generate_task`` makes a task's render streams, and its
+negative streams, each in one ``derive_rngs`` call over the sample ids;
+each sample still draws from its own generator.
 
 Only the run-directory section at the end writes or reads a file of the
 output directory; ``run_task`` and ``run_benchmark`` also name a task's
@@ -26,6 +28,7 @@ is the one place it is checked, against the run that loads it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -38,7 +41,7 @@ import numpy as np
 from . import describe, knn, metrics, negatives, scenarios, scenes, trainer
 from .describe import CONDITION_RENDER_DEFAULTS
 from .encoder import Vocabulary, activation_table, encode_texts, init_params
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rngs, derive_seed
 
 CHECKPOINT_VERSION = 2
 
@@ -111,23 +114,24 @@ def generate_task(config: PipelineConfig, scenario_id: str,
     """
     spec = scenarios.get_scenario(scenario_id)
     render_cfg = CONDITION_RENDER_DEFAULTS[condition]
-    samples = scenes.build_task(
-        spec, counts,
-        derive_seed(config.master_seed, scenario_id, condition.value, "scenes"))
+    seed_parts = (config.master_seed, scenario_id, condition.value)
+    samples = scenes.build_task(spec, counts, derive_seed(*seed_parts, "scenes"))
+    # a config that draws nothing needs no stream: white_bg renders clean
+    render_rngs = (derive_rngs(*seed_parts, "render",
+                               names=[s.sample_id for s in samples])
+                   if render_cfg.draws else itertools.repeat(None))
+    negative_rngs = derive_rngs(
+        *seed_parts, "negative",
+        names=[s.sample_id for s in samples if s.split == "train"])
     texts = {}
     pairs = {}
-    for sample in samples:
-        # a config that draws nothing needs no stream: white_bg renders clean
-        rng = derive_rng(config.master_seed, scenario_id, condition.value,
-                         "render", sample.sample_id) if render_cfg.draws else None
+    for sample, rng in zip(samples, render_rngs):
         record = describe.render(sample.view, render_cfg, rng, spec.grammar)
         texts[sample.sample_id] = record.text
         if sample.split == "train":
-            neg_rng = derive_rng(config.master_seed, scenario_id,
-                                 condition.value, "negative", sample.sample_id)
             pairs[sample.sample_id] = (
                 record, negatives.synthesize_negative(record, spec.grammar,
-                                                      neg_rng))
+                                                      next(negative_rngs)))
     return TaskArtifacts(scenario_id, condition, samples, texts, pairs)
 
 

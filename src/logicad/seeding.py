@@ -1,8 +1,21 @@
-"""Stable seed derivation so every pipeline stage can be rerun independently."""
+"""Stable seed derivation so every pipeline stage can be rerun independently.
+
+A stream is ``np.random.default_rng(derive_seed(master_seed, *parts, name))``:
+a PCG64 generator seeded through numpy's ``SeedSequence``.  A task draws one
+stream per rendered sample and one per negative, so ``derive_rngs`` makes a
+task's streams of one kind in one pass: it hashes their shared qualifiers
+once, and runs ``SeedSequence``'s hash over all their seeds at once as
+uint32 vectors (``seed_words``).  Each stream is still its own generator, in
+the state ``default_rng`` would give it; the tests check both against numpy.
+"""
+
+from __future__ import annotations
 
 import hashlib
+from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 
 def derive_seed(master_seed: int, *parts: str) -> int:
@@ -16,5 +29,90 @@ def derive_seed(master_seed: int, *parts: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def derive_rng(master_seed: int, *parts: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master_seed, *parts))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) for its default
+# pool of four 32-bit words.
+POOL_SIZE = 4
+MASK32 = 0xFFFFFFFF
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """``init * mult**i`` mod 2**32 for i < n, as a (n, 1) uint32 column."""
+    constants = [init]
+    for _ in range(n - 1):
+        constants.append(constants[-1] * mult & MASK32)
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+# hashmix call i xors its word with HASH_A[i] and multiplies it by
+# HASH_A[i + 1]: 4 calls fill the pool and 12 mix it.  generate_state's
+# word i does the same with HASH_B.
+HASH_A = _hash_constants(INIT_A, MULT_A, POOL_SIZE * POOL_SIZE + 1)
+HASH_B = _hash_constants(INIT_B, MULT_B, 2 * POOL_SIZE + 1)
+
+
+def _hashmix(words: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """One hashmix call per row of ``constants[:-1]``, in order."""
+    words = (words ^ constants[:-1]) * constants[1:]
+    return words ^ (words >> XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = MIX_MULT_L * x - MIX_MULT_R * y
+    return result ^ (result >> XSHIFT)
+
+
+def seed_words(seeds: np.ndarray) -> np.ndarray:
+    """The (N, 4) uint64 state words of ``SeedSequence(s).generate_state(4,
+    np.uint64)`` for each 64-bit seed ``s``: what seeds a PCG64.
+
+    A seed enters the pool as its entropy words (low, high); one below
+    2**32 has one word, and the pool pads it as a high word of 0 would.
+    uint32 arithmetic wraps as numpy's does.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros_like(seeds)
+    entropy = np.stack([seeds & MASK32, seeds >> 32, zero, zero])
+    pool = _hashmix(entropy.astype(np.uint32), HASH_A[:POOL_SIZE + 1])
+    calls = POOL_SIZE
+    for src in range(POOL_SIZE):
+        # pool[src] stays put while it is mixed into the other three words
+        dst = [i for i in range(POOL_SIZE) if i != src]
+        hashed = _hashmix(pool[src], HASH_A[calls:calls + POOL_SIZE])
+        calls += POOL_SIZE - 1
+        pool[dst] = _mix(pool[dst], hashed)
+    state = _hashmix(np.tile(pool, (2, 1)), HASH_B).astype(np.uint64)
+    # word j is uint32 words 2j (low) and 2j + 1 (high), on any byte order
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+
+
+class _GeneratedState(ISeedSequence):
+    """A seed sequence whose PCG64 state words ``seed_words`` made."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words  # PCG64 asks for its 4 uint64 words
+
+
+def derive_rngs(master_seed: int, *parts: str,
+                names: Iterable[str]) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(derive_seed(master_seed, *parts, name))`` for
+    each name, in order and one at a time, seeded in one pass."""
+    prefix = hashlib.sha256(
+        "|".join([str(int(master_seed)), *parts, ""]).encode("utf-8"))
+    digests = []
+    for name in names:
+        digest = prefix.copy()
+        digest.update(name.encode("utf-8"))
+        digests.append(digest.digest()[:8])
+    seeds = np.frombuffer(b"".join(digests), dtype="<u8")
+    for words in seed_words(seeds):
+        yield np.random.Generator(np.random.PCG64(_GeneratedState(words)))

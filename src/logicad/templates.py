@@ -10,7 +10,8 @@ spec draws and edits: its ``logical_slots`` turn that view into the words
 of the logical slots, by default each count as its number word.
 This module also holds the number words and the attribute domains that
 the rules in ``scenarios`` and the grammars here share; it imports nothing
-of ``scenarios``.
+of ``scenarios``.  It holds the contradiction-pool rule too, so that each
+grammar tabulates its pools once for ``negatives`` to read.
 
 The skeleton of a text is its ``(variant, clause mask)`` pair; a
 (skeleton, slots) pair determines the text byte for byte.
@@ -65,6 +66,18 @@ class SlotDef:
     aspect: Optional[Aspect] = None
 
 
+COUNT_EDIT_WINDOW = 2  # count replacements stay within +/- this of the truth
+
+
+def contradiction_pool(slot: SlotDef, current: str) -> tuple[str, ...]:
+    """Values that genuinely contradict ``current`` for this slot."""
+    pool = [v for v in slot.values if v != current]
+    if all(v in NUMBER_WORDS for v in slot.values) and current in NUMBER_WORDS:
+        truth = word_number(current)
+        pool = [v for v in pool if abs(word_number(v) - truth) <= COUNT_EDIT_WINDOW]
+    return tuple(pool)
+
+
 @dataclass(frozen=True)
 class Clause:
     template: str
@@ -117,6 +130,13 @@ class TemplateGrammar:
     @functools.cached_property
     def _plans(self) -> dict[Skeleton, tuple[str, tuple[str, ...]]]:
         return {}
+
+    @functools.cached_property
+    def contradiction_pools(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        """Each logical slot's ``contradiction_pool`` for each of its values."""
+        return {name: {value: contradiction_pool(slot, value)
+                       for value in slot.values}
+                for name, slot in self.slots.items() if slot.aspect is not None}
 
 
 def _plural_fruit(category: str) -> str:

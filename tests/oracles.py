@@ -15,8 +15,7 @@ import re
 from dataclasses import dataclass
 
 from logicad.describe import AttributeRecord
-from logicad.negatives import contradiction_pool
-from logicad.templates import Skeleton, TemplateGrammar
+from logicad.templates import Skeleton, TemplateGrammar, contradiction_pool
 
 
 class ParseError(ValueError):

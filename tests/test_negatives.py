@@ -6,18 +6,15 @@ import pytest
 from oracles import clause_masks, parse, validate_negative
 
 from logicad.describe import RenderConfig, build_record, render
-from logicad.negatives import (
-    contradiction_pool,
-    pair_edits,
-    synthesize_negative,
-)
+from logicad.negatives import pair_edits, synthesize_negative
 from logicad.scenarios import SCENARIOS, get_scenario
-from logicad.scenes import Aspect
+from logicad.scenes import Aspect, build_task
 from logicad.templates import (
     NUMBER_WORDS,
     Clause,
     SlotDef,
     TemplateGrammar,
+    contradiction_pool,
     word_number,
 )
 
@@ -122,6 +119,36 @@ def test_contradiction_pool_respects_the_count_window():
     slot = SlotDef("count", NUMBER_WORDS)
     pool = contradiction_pool(slot, "five")
     assert sorted(pool) == sorted(["three", "four", "six", "seven"])
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_the_pool_table_is_the_pool_rule(scenario_id):
+    grammar = get_scenario(scenario_id).grammar
+    logical = [name for name, slot in grammar.slots.items()
+               if slot.aspect is not None]
+    table = grammar.contradiction_pools
+    assert list(table) == logical
+    for name in logical:
+        slot = grammar.slots[name]
+        assert list(table[name]) == list(slot.values)
+        for value in slot.values:
+            assert table[name][value] == contradiction_pool(slot, value)
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_every_rendered_logical_value_is_a_key_of_the_pool_table(scenario_id):
+    # synthesize_negative looks each logical slot of a record up in the table
+    spec = get_scenario(scenario_id)
+    table = spec.grammar.contradiction_pools
+    rng = np.random.default_rng(7)
+    for seed in range(3):
+        for sample in build_task(spec, spec.counts, seed):
+            for cfg in (CLEAN, NOISY):
+                record = render(sample.view, cfg, rng, spec.grammar)
+                for name, value in record.slots.items():
+                    if spec.grammar.slots[name].aspect is not None:
+                        assert value in table[name], (
+                            scenario_id, seed, sample.sample_id, name, value)
 
 
 def test_validation_flags_skeleton_changes():
