@@ -110,13 +110,18 @@ def init_params(vocab_size: int, dim: int, seed: int) -> EncoderParams:
     return EncoderParams(flat, dim)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused below, not warned
 def activation_table(params: EncoderParams) -> np.ndarray:
     """(V, D) per-id activations tanh(E @ W.T + b).
 
     Dropout comes after tanh, so a token's activation depends only on its id
-    and every text is a pooling of rows of this table.
+    and every text is a pooling of rows of this table.  A non-finite
+    pre-activation raises EncodeError: tanh would hide it as +-1.
     """
-    return np.tanh(params.embedding @ params.proj_w.T + params.proj_b)
+    pre = params.embedding @ params.proj_w.T + params.proj_b
+    if not np.all(np.isfinite(pre)):
+        raise EncodeError("non-finite pre-activation")
+    return np.tanh(pre)
 
 
 def normalize_rows(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,8 +22,9 @@ each sample still draws from its own generator.
 Only the run-directory section at the end writes or reads a file of the
 output directory; ``run_task`` and ``run_benchmark`` also name a task's
 checkpoint.  The other modules hold no file format.  A checkpoint holds
-the vocabulary and activation table that scoring reads; ``load_checkpoint``
-is the one place it is checked, against the run that loads it.
+the activation table that scoring reads under one JSON header (format
+version, config fingerprint, vocabulary); ``load_checkpoint`` is the one
+place it is checked, against the run that loads it.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ import numpy as np
 
 from . import describe, knn, metrics, negatives, scenarios, scenes, trainer
 from .describe import CONDITION_RENDER_DEFAULTS
-from .encoder import Vocabulary, activation_table, encode_texts, init_params
+from .encoder import (EncodeError, Vocabulary, activation_table, encode_texts,
+                      init_params)
 from .seeding import derive_rngs, derive_seed
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -139,25 +141,27 @@ def generate_task(config: PipelineConfig, scenario_id: str,
 class TrainedTask:
     vocab: Vocabulary
     table: np.ndarray  # (V, D) activation table: all that scoring reads
-    epoch_losses: list[float]
 
 
-def train_task(config: PipelineConfig, artifacts: TaskArtifacts) -> TrainedTask:
-    """Fit (or, for the baseline, just initialize) the task's encoder."""
+def train_task(config: PipelineConfig, artifacts: TaskArtifacts
+               ) -> tuple[TrainedTask, list[float]]:
+    """Fit (or, for the baseline, just initialize) the task's encoder; returns
+    it with the mean loss of each epoch, none for the baseline.  A training
+    error, or a table of parameters that overflowed, names the task."""
     pos_texts, neg_texts = artifacts.train_pairs()
     vocab = artifacts.vocabulary()
     seed = derive_seed(config.master_seed, artifacts.scenario_id,
                        artifacts.condition.value, "train")
     params = init_params(vocab.size, dim=config.dim, seed=seed)
     losses = []
-    if not config.skip_training:
-        try:
+    try:
+        if not config.skip_training:
             params, losses = trainer.fit(pos_texts, neg_texts, vocab,
                                          config.train, params, seed)
-        except trainer.TrainingError as exc:
-            raise trainer.TrainingError(f"{artifacts.task_id}: {exc}") from None
-    return TrainedTask(vocab=vocab, table=activation_table(params),
-                       epoch_losses=losses)
+        table = activation_table(params)
+    except (trainer.TrainingError, EncodeError) as exc:
+        raise trainer.TrainingError(f"{artifacts.task_id}: {exc}") from None
+    return TrainedTask(vocab=vocab, table=table), losses
 
 
 @dataclass
@@ -218,14 +222,13 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
     if stages == "score":
         trained = load_checkpoint(checkpoint, config, artifacts)
     else:
-        trained = train_task(config, artifacts)
+        trained, losses = train_task(config, artifacts)
         save_checkpoint(checkpoint, trained, config, task_id)
-        write_loss_curve(out_dir, task_id, trained.epoch_losses)
+        write_loss_curve(out_dir, task_id, losses)
         if stages == "train":
-            if not trained.epoch_losses:
+            if config.skip_training:
                 return f"train {task_id}: not trained (skip_training)", None
-            return (f"train {task_id}: final loss "
-                    f"{trained.epoch_losses[-1]:.4f}", None)
+            return f"train {task_id}: final loss {losses[-1]:.4f}", None
     scored = score_task(config, artifacts, trained)
     write_score_file(out_dir, scored)
     prefix = "score " if stages == "score" else ""
@@ -372,107 +375,84 @@ def _fingerprint(config: PipelineConfig, task_id: str) -> dict:
     # nothing loads it
     return {"task_id": task_id, **asdict(config.train),
             "dropout_rate": trainer.DROPOUT_RATE, "dim": config.dim,
-            "master_seed": config.master_seed}
-
-
-_CHECKPOINT_MEMBERS = ("version", "table", "vocab_json", "fingerprint",
-                       "epoch_losses")
+            "master_seed": config.master_seed,
+            "skip_training": config.skip_training}
 
 
 def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
                     task_id: str) -> None:
-    """Versioned checkpoint: activation table + vocabulary + config digest."""
-    fingerprint = json.dumps(_fingerprint(config, task_id), sort_keys=True)
-    vocab_json = json.dumps(trained.vocab.token_to_id, sort_keys=True)
-    np.savez(
-        path,
-        version=np.int64(CHECKPOINT_VERSION),
-        table=trained.table,
-        vocab_json=np.bytes_(vocab_json.encode("utf-8")),
-        fingerprint=np.bytes_(fingerprint.encode("utf-8")),
-        epoch_losses=np.asarray(trained.epoch_losses, dtype=np.float64),
-    )
+    """The activation table under one sorted-key JSON header: the format
+    version, the config fingerprint and the vocabulary."""
+    header = {"version": CHECKPOINT_VERSION,
+              "fingerprint": _fingerprint(config, task_id),
+              "vocab": trained.vocab.token_to_id}
+    np.savez(path, header=np.bytes_(json.dumps(header, sort_keys=True).encode()),
+             table=trained.table)
 
 
-# A checkpoint is matched on task, master seed, dim, vocabulary and
-# skip_training: the fingerprint settings below, and the other two in
-# ``load_checkpoint``.  Scoring reads no training setting, so none is
-# compared, though ``score --config`` can set them.
-_MATCHED_SETTINGS = ("task_id", "master_seed", "dim")
+# A checkpoint is matched on these fingerprint settings and the vocabulary.
+# Scoring reads no training setting, so none is compared, though
+# ``score --config`` can set them.
+_MATCHED_SETTINGS = ("task_id", "master_seed", "dim", "skip_training")
 
 
 def load_checkpoint(path, config: PipelineConfig,
                     artifacts: TaskArtifacts) -> TrainedTask:
     """The checkpoint at ``path``, checked against this run's task.
 
-    The archive is opened and every member read through one guard; a file
-    that is not a whole checkpoint raises ValueError naming the damaged
-    member, or the archive when it cannot be opened; one of another format
-    version is refused as such, whatever members it lacks.  One of another
-    task, seed, dim, vocabulary (rebuilt from the train pairs, negatives
-    included) or kind (a trained checkpoint holds at least one epoch loss, a
-    baseline one none) raises CheckpointError naming what differs.  Only then
-    is the table checked: finite floats of this run's (V, D).
+    Every member is read through one guard; a file that is not a whole
+    checkpoint raises ValueError naming the damaged member, or the archive
+    when it cannot be opened.  A header that is not a JSON object, or whose
+    ``fingerprint`` or ``vocab`` is not one, is refused alike; one of
+    another version (1 and 2 held a ``version`` member and no header) is
+    refused as such.  One made for another task, seed, dim, kind or
+    vocabulary (rebuilt from the train pairs, negatives included) raises
+    CheckpointError naming what differs.  Only then is the table checked:
+    finite floats of this run's (V, D).
     """
     def unreadable(reason: str) -> ValueError:
         return ValueError(f"{path} is not a readable checkpoint: {reason}")
 
+    def unsupported(version) -> ValueError:
+        return ValueError(f"{path}: unsupported checkpoint version {version}; "
+                          f"this logicad reads version {CHECKPOINT_VERSION}: "
+                          "run `logicad train` again")
+
     members, name = {}, None
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
-            for name in (m for m in _CHECKPOINT_MEMBERS if m in data):
+            for name in (m for m in ("version", "header", "table") if m in data):
                 members[name] = data[name]
     except Exception as exc:  # zipfile and numpy each raise their own kinds
         raise unreadable("not a whole npz archive" if name is None
                          else f"{name} cannot be read ({exc})") from None
-    version = members.get("version")
-    if version is not None:
-        if version.ndim or not np.issubdtype(version.dtype, np.integer):
-            raise unreadable("version is not an integer")
-        if int(version) != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"{path}: unsupported checkpoint version {version}; this "
-                f"logicad reads version {CHECKPOINT_VERSION}: run `logicad "
-                "train` again")
-    missing = [m for m in _CHECKPOINT_MEMBERS if m not in members]
+    if "version" in members and "header" not in members:
+        raise unsupported(members["version"].tolist())
+    missing = [m for m in ("header", "table") if m not in members]
     if missing:
         raise unreadable("it lacks " + ", ".join(missing))
-
-    def json_object(name: str) -> dict:
-        try:
-            value = json.loads(bytes(members[name]).decode("utf-8"))
-        except ValueError:  # not UTF-8, or not JSON
-            value = None
-        if not isinstance(value, dict):
-            raise unreadable(f"{name} is not a JSON object")
-        return value
-
-    def finite_floats(name: str, shape: tuple) -> np.ndarray:
-        """Member ``name``, a float array of ``shape`` (None: any size)."""
-        value = members[name]
-        if (not np.issubdtype(value.dtype, np.floating)
-                or value.ndim != len(shape)
-                or any(n not in (None, m) for n, m in zip(shape, value.shape))
-                or not np.isfinite(value).all()):
-            size = "1-D" if None in shape else f"{shape}"
-            raise unreadable(f"{name} is not a {size} array of finite floats")
-        return value
-
-    stored = json_object("fingerprint")
-    vocab = Vocabulary(json_object("vocab_json"))
-    losses = finite_floats("epoch_losses", (None,)).tolist()
+    try:
+        header = json.loads(bytes(members["header"]).decode("utf-8"))
+    except ValueError:  # not UTF-8, or not JSON
+        header = None
+    if not isinstance(header, dict):
+        raise unreadable("header is not a JSON object")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise unsupported(header.get("version"))
+    for key in ("fingerprint", "vocab"):
+        if not isinstance(header.get(key), dict):
+            raise unreadable(f"header {key} is not a JSON object")
+    stored, vocab = header["fingerprint"], Vocabulary(header["vocab"])
     expected = _fingerprint(config, artifacts.task_id)
     problems = [f"{key} is {stored.get(key)!r}, expected {expected[key]!r}"
                 for key in _MATCHED_SETTINGS if stored.get(key) != expected[key]]
-    skipped = not losses
-    if skipped != config.skip_training:
-        problems.append(f"skip_training is {skipped}, expected "
-                        f"{config.skip_training}")
     if vocab != artifacts.vocabulary():
         problems.append("vocabulary differs from the one the training pairs build")
     if problems:
         raise CheckpointError(f"{path} was not trained for this run: "
                               + "; ".join(problems))
-    return TrainedTask(vocab=vocab,
-                       table=finite_floats("table", (vocab.size, config.dim)),
-                       epoch_losses=losses)
+    table, shape = members["table"], (vocab.size, config.dim)
+    if (not np.issubdtype(table.dtype, np.floating) or table.shape != shape
+            or not np.isfinite(table).all()):
+        raise unreadable(f"table is not a {shape} array of finite floats")
+    return TrainedTask(vocab=vocab, table=table)

@@ -35,7 +35,7 @@ MASK_BLOCK = 81_920
 
 
 class TrainingError(RuntimeError):
-    """Non-finite similarity or gradient in a training step."""
+    """A non-finite training step, or an encoder error while training a task."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,8 @@ def adam_update(params: EncoderParams, grads: EncoderParams, state: AdamState,
     )
 
 
-# a step refuses what overflows, so numpy's warnings would only repeat it
+# a step refuses a table, similarity or gradient that overflows, and the table
+# of the last update is refused when built, so numpy's warnings only repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def fit(
     pos_texts: list[str],

@@ -147,7 +147,7 @@ def test_a_checkpoint_table_loads_only_at_the_runs_shape(tmp_path):
         train=TrainConfig(epochs=1, batch_size=8), dim=4, skip_training=True)
     artifacts = pipeline.generate_task(config, "tapes", Condition.WHITE_BG,
                                        SplitCounts(8, 0, 0, 0, 0))
-    trained = pipeline.train_task(config, artifacts)
+    trained, _ = pipeline.train_task(config, artifacts)
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, trained, config, artifacts.task_id)
     table = pipeline.load_checkpoint(path, config, artifacts).table

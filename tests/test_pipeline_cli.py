@@ -83,33 +83,34 @@ def test_task_seeds_differ_across_conditions_and_stages():
 
 def test_skip_training_keeps_the_random_initialization():
     artifacts = _small_task(Condition.WHITE_BG)
-    frozen = pipeline.train_task(replace(SMALL, skip_training=True), artifacts)
-    trained = pipeline.train_task(SMALL, artifacts)
-    assert frozen.epoch_losses == []
-    assert len(trained.epoch_losses) == SMALL.train.epochs
+    frozen, frozen_losses = pipeline.train_task(
+        replace(SMALL, skip_training=True), artifacts)
+    trained, losses = pipeline.train_task(SMALL, artifacts)
+    assert frozen_losses == []
+    assert len(losses) == SMALL.train.epochs
     assert not np.allclose(frozen.table, trained.table)
 
 
 def test_checkpoint_round_trip_and_version_guard(tmp_path):
     artifacts = _small_task(Condition.WHITE_BG)
-    trained = pipeline.train_task(SMALL, artifacts)
+    trained, _ = pipeline.train_task(SMALL, artifacts)
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
     loaded = pipeline.load_checkpoint(path, SMALL, artifacts)
     assert loaded.table.tobytes() == trained.table.tobytes()
     assert loaded.vocab.token_to_id == trained.vocab.token_to_id
-    assert loaded.epoch_losses == pytest.approx(trained.epoch_losses)
 
-    data = dict(np.load(path, allow_pickle=False))
-    data["version"] = np.int64(99)
-    np.savez(tmp_path / "future.ckpt.npz", **data)
-    with pytest.raises(ValueError):
+    header = _header(path)
+    with np.load(path) as data:
+        table = data["table"]
+    np.savez(tmp_path / "future.ckpt.npz", table=table,
+             header=_header_bytes({**header, "version": 99}))
+    with pytest.raises(ValueError, match="unsupported checkpoint version 99;"):
         pipeline.load_checkpoint(tmp_path / "future.ckpt.npz", SMALL,
                                  artifacts)
-    del data["version"], data["fingerprint"]
-    np.savez(tmp_path / "partial.ckpt.npz", **data)
+    np.savez(tmp_path / "partial.ckpt.npz", table=table)
     with pytest.raises(ValueError, match="partial.ckpt.npz is not a readable "
-                       "checkpoint: it lacks version, fingerprint$"):
+                       "checkpoint: it lacks header$"):
         pipeline.load_checkpoint(tmp_path / "partial.ckpt.npz", SMALL,
                                  artifacts)
 
@@ -136,7 +137,7 @@ def test_run_benchmark_preserves_task_order(tmp_path):
 @pytest.mark.parametrize("condition", SMALL.conditions, ids=lambda c: c.value)
 def test_score_lines_name_the_nearest_train_samples(tmp_path, condition):
     artifacts = _small_task(condition)
-    trained = pipeline.train_task(SMALL, artifacts)
+    trained, _ = pipeline.train_task(SMALL, artifacts)
     pipeline.write_score_file(
         tmp_path, pipeline.score_task(SMALL, artifacts, trained))
     lines = (tmp_path / f"tapes-{condition.value}.scores.jsonl"
@@ -176,20 +177,17 @@ def _run(argv):
     return cli.main(argv)
 
 
-def _fingerprint(checkpoint):
+def _header(checkpoint):
     with np.load(checkpoint) as data:
-        return json.loads(bytes(data["fingerprint"]))
+        return json.loads(bytes(data["header"]))
 
 
-def _run_in_subprocess(argv):
-    """``logicad`` with ``argv`` in a new process, so a traceback would show."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    return subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from logicad.cli import main; sys.exit(main())", *argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True,
-    )
+def _header_bytes(header):
+    return np.bytes_(json.dumps(header, sort_keys=True).encode())
+
+
+def _fingerprint(checkpoint):
+    return _header(checkpoint)["fingerprint"]
 
 
 def test_cli_gen_writes_the_three_task_files(tmp_path):
@@ -792,7 +790,7 @@ def test_cli_reading_commands_leave_a_missing_directory_missing(tmp_path,
 
 def test_checkpoint_mismatches_name_what_differs(tmp_path):
     artifacts = _small_task(Condition.WHITE_BG)
-    trained = pipeline.train_task(SMALL, artifacts)
+    trained, _ = pipeline.train_task(SMALL, artifacts)
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
     pipeline.load_checkpoint(path, SMALL, artifacts)
@@ -952,16 +950,26 @@ def test_gen_bytes_at_seed_0_are_pinned(benchmark_runs):
 
 
 # a whole checkpoint of tapes-white_bg (V = 45, D = 64) with members
-# replaced, by damage
+# replaced, by damage; a reason of None: refused as another version
 BAD_MEMBERS = {
-    "vector_version": ({"version": np.array([1, 1])},
-                       "version is not an integer"),
-    "list_fingerprint": ({"fingerprint": np.bytes_(b"[1]")},
-                         "fingerprint is not a JSON object"),
-    "2d_losses": ({"epoch_losses": np.array([[0.5]])},
-                  "epoch_losses is not a 1-D array of finite floats"),
-    "string_losses": ({"epoch_losses": np.array(["x"])},
-                      "epoch_losses is not a 1-D array of finite floats"),
+    "not_utf8_header": ({"header": np.bytes_(b"\xff{}")},
+                        "header is not a JSON object"),
+    "not_json_header": ({"header": np.bytes_(b"{")},
+                        "header is not a JSON object"),
+    "list_header": ({"header": np.bytes_(b"[3]")},
+                    "header is not a JSON object"),
+    "list_fingerprint": (
+        {"header": _header_bytes({"version": 3, "fingerprint": [1],
+                                  "vocab": {}})},
+        "header fingerprint is not a JSON object"),
+    "list_vocab": (
+        {"header": _header_bytes({"version": 3, "fingerprint": {},
+                                  "vocab": [1]})},
+        "header vocab is not a JSON object"),
+    "version_2_header": (
+        {"header": _header_bytes({"version": 2, "fingerprint": {},
+                                  "vocab": {}})},
+        None),
     "string_table": ({"table": np.full((45, 64), "0.1")},
                      "table is not a (45, 64) array of finite floats"),
     "narrow_table": ({"table": np.zeros((45, 3))},
@@ -1005,10 +1013,17 @@ ARCHIVE_DAMAGES = {
 }
 
 
+def _unsupported(checkpoint, version):
+    """The line that refuses a checkpoint of another format version."""
+    return (f"error: {checkpoint}: unsupported checkpoint version {version}; "
+            "this logicad reads version 3: run `logicad train` again")
+
+
 @pytest.mark.parametrize("damage", ["truncated", "not_zip", "no_members",
                                     "corrupt_table", *BAD_MEMBERS,
                                     *ARCHIVE_DAMAGES])
-def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
+def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, capsys,
+                                                            damage):
     out = str(tmp_path)
     assert _run(["train", *ARGS, "--epochs", "1", "--out-dir", out]) == 0
     checkpoint = tmp_path / "tapes-white_bg.ckpt.npz"
@@ -1037,16 +1052,17 @@ def test_cli_score_reports_a_damaged_checkpoint_in_one_line(tmp_path, damage):
     else:
         # a whole npz archive that holds none of the checkpoint's members
         np.savez(checkpoint, a=np.arange(3))
-        reason = "it lacks version, table, vocab_json, fingerprint, epoch_losses"
-    done = _run_in_subprocess(["score", *ARGS, "--jobs", "1", "--out-dir", out])
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr
-    line = f"error: {checkpoint} is not a readable checkpoint: {reason}"
+        reason = "it lacks header, table"
+    capsys.readouterr()
+    assert _run(["score", *ARGS, "--jobs", "1", "--out-dir", out]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    line = (_unsupported(checkpoint, 2) if reason is None else
+            f"error: {checkpoint} is not a readable checkpoint: {reason}")
     if damage == "header_brace":
-        [got] = done.stderr.splitlines()
+        [got] = lines
         assert got.startswith(line) and got.endswith(")")
     else:
-        assert done.stderr.splitlines() == [line]
+        assert lines == [line]
     assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()
 
 
@@ -1055,7 +1071,7 @@ def test_every_flipped_byte_of_the_zip_directory_is_refused_or_loads(tmp_path):
     config = replace(SMALL, skip_training=True)
     artifacts = _small_task(Condition.WHITE_BG)
     path = tmp_path / "task.ckpt.npz"
-    pipeline.save_checkpoint(path, pipeline.train_task(config, artifacts),
+    pipeline.save_checkpoint(path, pipeline.train_task(config, artifacts)[0],
                              config, artifacts.task_id)
     good = path.read_bytes()
     start = _central_directory(good)
@@ -1072,29 +1088,54 @@ def test_every_flipped_byte_of_the_zip_directory_is_refused_or_loads(tmp_path):
             if not (type(exc) is ValueError and str(exc).startswith(str(path))
                     and "\n" not in str(exc)):
                 escaped.append((offset, repr(exc)))
-    assert good[start:].count(b"PK\x01\x02") == 5
+    assert good[start:].count(b"PK\x01\x02") == 2
     assert good[-22:].startswith(b"PK\x05\x06")
     assert escaped == []
 
 
-def test_cli_score_refuses_a_version_1_checkpoint_in_one_line(tmp_path):
+def _version_2_members(checkpoint):
+    """The members version 2 stored for this checkpoint: the table beside
+    its version, vocabulary, fingerprint and loss curve."""
+    header = _header(checkpoint)
+    with np.load(checkpoint) as data:
+        table = data["table"]
+    return {"version": np.int64(2), "table": table,
+            "vocab_json": np.bytes_(json.dumps(header["vocab"]).encode()),
+            "fingerprint": np.bytes_(json.dumps(header["fingerprint"]).encode()),
+            "epoch_losses": np.array([0.5])}
+
+
+def _score_refuses_an_old_checkpoint(tmp_path, capsys, version, members):
+    out = str(tmp_path)
+    checkpoint = tmp_path / "tapes-white_bg.ckpt.npz"
+    np.savez(checkpoint, **members)
+    capsys.readouterr()
+    assert _run(["score", *ARGS, "--jobs", "1", "--out-dir", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        _unsupported(checkpoint, version)]
+    assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()
+
+
+def test_cli_score_refuses_a_version_1_checkpoint_in_one_line(tmp_path,
+                                                              capsys):
     # version 1 stored the parameters, (V, D), (D, D) and (D,), in place of
     # the table
-    out = str(tmp_path)
-    assert _run(["train", *ARGS, "--epochs", "1", "--out-dir", out]) == 0
-    checkpoint = tmp_path / "tapes-white_bg.ckpt.npz"
-    with np.load(checkpoint) as data:
-        members = dict(data)
+    assert _run(["train", *ARGS, "--epochs", "1", "--out-dir",
+                 str(tmp_path)]) == 0
+    members = _version_2_members(tmp_path / "tapes-white_bg.ckpt.npz")
     v, d = members.pop("table").shape
-    members["version"] = np.int64(1)
-    np.savez(checkpoint, **members, embedding=np.zeros((v, d)),
-             proj_w=np.zeros((d, d)), proj_b=np.zeros(d))
-    done = _run_in_subprocess(["score", *ARGS, "--jobs", "1", "--out-dir", out])
-    assert done.returncode == 1
-    assert done.stderr.splitlines() == [
-        f"error: {checkpoint}: unsupported checkpoint version 1; this logicad "
-        "reads version 2: run `logicad train` again"]
-    assert not (tmp_path / "tapes-white_bg.scores.jsonl").exists()
+    members.update(version=np.int64(1), embedding=np.zeros((v, d)),
+                   proj_w=np.zeros((d, d)), proj_b=np.zeros(d))
+    _score_refuses_an_old_checkpoint(tmp_path, capsys, 1, members)
+
+
+def test_cli_score_refuses_a_version_2_checkpoint_in_one_line(tmp_path,
+                                                              capsys):
+    assert _run(["train", *ARGS, "--epochs", "1", "--out-dir",
+                 str(tmp_path)]) == 0
+    _score_refuses_an_old_checkpoint(
+        tmp_path, capsys, 2,
+        _version_2_members(tmp_path / "tapes-white_bg.ckpt.npz"))
 
 
 @pytest.mark.parametrize("skip_training", [False, True],
@@ -1115,13 +1156,17 @@ def test_a_checkpoint_holds_the_table_scoring_used_and_nothing_else(
     config = replace(SMALL, skip_training=skip_training)
     artifacts = _small_task(Condition.WHITE_BG)
     path = tmp_path / "task.ckpt.npz"
-    pipeline.save_checkpoint(path, pipeline.train_task(config, artifacts),
+    pipeline.save_checkpoint(path, pipeline.train_task(config, artifacts)[0],
                              config, artifacts.task_id)
     # init_params returns the parameters, fit (parameters, losses)
     params = returned[-1] if skip_training else returned[-1][0]
     with np.load(path) as data:
-        assert tuple(data.files) == pipeline._CHECKPOINT_MEMBERS
+        assert set(data.files) == {"header", "table"}
         assert data["table"].tobytes() == activation_table(params).tobytes()
+    header = _header(path)
+    assert sorted(header) == ["fingerprint", "version", "vocab"]
+    assert header["version"] == 3
+    assert header["fingerprint"]["skip_training"] is skip_training
 
 
 # a score that is not a finite JSON number, by damage
@@ -1131,7 +1176,8 @@ BAD_SCORES = {"string_score": "0.5", "bool_score": True,
 
 @pytest.mark.parametrize("damage", ["truncated", "no_score", "empty",
                                     "not_utf8", "nested", *BAD_SCORES])
-def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, damage):
+def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, capsys,
+                                                            damage):
     out = str(tmp_path)
     assert _run(["all", *ARGS, "--baseline", "--out-dir", out]) == 0
     (tmp_path / "report.md").unlink()
@@ -1161,15 +1207,15 @@ def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, damage):
         path.write_text("")
         where = f"{path} holds no scores"
     for command in ("eval", "report"):
-        done = _run_in_subprocess([command, *ARGS, "--out-dir", out])
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        [line] = done.stderr.splitlines()
+        capsys.readouterr()
+        assert _run([command, *ARGS, "--out-dir", out]) == 1
+        [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {where}")
     assert not list(tmp_path.glob("report.*"))
 
 
-def test_cli_reading_a_score_file_of_one_class_names_the_task(tmp_path):
+def test_cli_reading_a_score_file_of_one_class_names_the_task(tmp_path,
+                                                              capsys):
     out = str(tmp_path)
     assert _run(["all", *ARGS, "--baseline", "--out-dir", out]) == 0
     (tmp_path / "report.md").unlink()
@@ -1179,23 +1225,35 @@ def test_cli_reading_a_score_file_of_one_class_names_the_task(tmp_path):
     assert 0 < len(normal) < len(lines)
     path.write_text("".join(normal))
     for command in ("eval", "report"):
-        done = _run_in_subprocess([command, *ARGS, "--out-dir", out])
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        assert done.stderr.splitlines() == [
+        capsys.readouterr()
+        assert _run([command, *ARGS, "--out-dir", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
             "error: tapes-white_bg: AUROC needs at least one sample of each "
             "class"]
     assert not list(tmp_path.glob("report.*"))
 
 
 def test_cli_training_that_overflows_names_the_task(tmp_path, capsys):
-    """A huge but finite learning rate fails in one line that names the task;
-    numpy's overflow warnings stay quiet (pytest makes them errors)."""
-    assert _run(["train", "--scenario", "ropes", "--condition", "white_bg",
-                 "--epochs", "1", "--jobs", "1", "--learning-rate", "1e308",
-                 "--out-dir", str(tmp_path)]) == 1
-    [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ropes-white_bg: ")
+    """Training that overflows fails in one line that names the task and
+    writes no checkpoint; numpy's overflow warnings stay quiet (pytest makes
+    them errors).  A huge learning rate overflows in a step; a huge weight
+    decay overflows in the last update, into a table of +-1 (64 per batch)
+    or of NaN (25 per batch)."""
+    runs = [(["--learning-rate", "1e308"], None),
+            ([], "weight_decay = 1e308\nbatch_size = 64\n"),
+            ([], "weight_decay = 1e308\nbatch_size = 25\n")]
+    for i, (argv, setting) in enumerate(runs):
+        out = tmp_path / str(i)
+        if setting is not None:
+            config = tmp_path / f"{i}.cfg"
+            config.write_text(setting)
+            argv = ["--config", str(config)]
+        assert _run(["train", "--scenario", "ropes", "--condition", "white_bg",
+                     "--epochs", "1", "--jobs", "1", *argv,
+                     "--out-dir", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ropes-white_bg: ")
+        assert not list(out.glob("*.ckpt.npz"))
 
 
 def test_only_the_pipeline_imports_json():
