@@ -25,10 +25,8 @@ from . import metrics, pipeline, scenarios, scenes, trainer
 OUT_DIR_ENV = "LOGICAD_OUT_DIR"
 
 
-class CliError(SystemExit):
-    def __init__(self, message: str):
-        print(f"error: {message}", file=sys.stderr)
-        super().__init__(2)
+class CliError(Exception):
+    """A bad command line or config file; ``main`` prints it and exits 2."""
 
 
 def _reports_from_files(config: pipeline.PipelineConfig,
@@ -184,7 +182,7 @@ def load_config_file(path: str) -> dict:
         set_on[key] = lineno
         try:
             values[key] = SETTINGS[key].parse(value.strip())
-        except ValueError as exc:
+        except (ValueError, CliError) as exc:
             raise CliError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
@@ -239,12 +237,13 @@ def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config, out_dir = resolve_config(args)
         return args.run(config, out_dir, args)
-    except pipeline.CheckpointError as exc:
-        raise CliError(str(exc))
+    except (CliError, pipeline.CheckpointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -100,13 +100,13 @@ class EncoderParams:
         return EncoderParams(np.zeros_like(self.flat), self.dim)
 
 
-def init_params(vocab_size: int, dim: int, seed: int) -> EncoderParams:
-    """Embedding and projection uniform in +-1/sqrt(dim), drawn in that order
-    (one draw takes the stream two would), and a zero bias."""
+def init_params(vocab_size: int, dim: int,
+                rng: np.random.Generator) -> EncoderParams:
+    """Embedding and projection uniform in +-1/sqrt(dim), drawn from ``rng``
+    in that order (one draw takes the stream two would), and a zero bias."""
     flat = np.zeros((vocab_size + dim + 1) * dim)
     scale = 1.0 / np.sqrt(dim)
-    flat[:-dim] = np.random.default_rng(seed).uniform(-scale, scale,
-                                                      size=flat.size - dim)
+    flat[:-dim] = rng.uniform(-scale, scale, size=flat.size - dim)
     return EncoderParams(flat, dim)
 
 

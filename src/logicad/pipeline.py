@@ -1,7 +1,7 @@
 """Per-task orchestration: generate, describe, synthesize, train, score, report.
 
-Each (scenario, condition) task is independent; its seeds are derived from
-the master seed plus the task identity and pipeline stage, so stages can
+Each (scenario, condition) task is independent; its random streams are
+named by the master seed, the task identity and the stage, so stages can
 be rerun in isolation and tasks can run in parallel workers.  Every
 per-task command goes through ``run_benchmark``, which runs ``run_task``
 once per task.
@@ -15,9 +15,10 @@ and refuse a checkpoint whose vocabulary differs.  ``train`` reads
 only the train pairs, so it generates only the train split; that split
 leads the task's view stream and every render and negative is seeded by
 its sample id, so its views, texts, pairs and vocabulary are those of the
-whole task.  ``generate_task`` makes a task's render streams, and its
-negative streams, each in one ``derive_rngs`` call over the sample ids;
-each sample still draws from its own generator.
+whole task.  This module names every stream a task draws: "scenes" for
+the views; "render" and "negative", one per sample id, each kind in one
+``derive_rngs`` call; and "train", which ``init_params`` and ``fit`` each
+start.
 
 Only the run-directory section at the end writes or reads a file of the
 output directory; ``run_task`` and ``run_benchmark`` also name a task's
@@ -43,7 +44,7 @@ from . import describe, knn, metrics, negatives, scenarios, scenes, trainer
 from .describe import CONDITION_RENDER_DEFAULTS
 from .encoder import (EncodeError, Vocabulary, activation_table, encode_texts,
                       init_params)
-from .seeding import derive_rngs, derive_seed
+from .seeding import derive_rngs
 
 CHECKPOINT_VERSION = 3
 
@@ -117,7 +118,8 @@ def generate_task(config: PipelineConfig, scenario_id: str,
     spec = scenarios.get_scenario(scenario_id)
     render_cfg = CONDITION_RENDER_DEFAULTS[condition]
     seed_parts = (config.master_seed, scenario_id, condition.value)
-    samples = scenes.build_task(spec, counts, derive_seed(*seed_parts, "scenes"))
+    (scene_rng,) = derive_rngs(*seed_parts, names=["scenes"])
+    samples = scenes.build_task(spec, counts, scene_rng)
     # a config that draws nothing needs no stream: white_bg renders clean
     render_rngs = (derive_rngs(*seed_parts, "render",
                                names=[s.sample_id for s in samples])
@@ -150,14 +152,16 @@ def train_task(config: PipelineConfig, artifacts: TaskArtifacts
     error, or a table of parameters that overflowed, names the task."""
     pos_texts, neg_texts = artifacts.train_pairs()
     vocab = artifacts.vocabulary()
-    seed = derive_seed(config.master_seed, artifacts.scenario_id,
-                       artifacts.condition.value, "train")
-    params = init_params(vocab.size, dim=config.dim, seed=seed)
+    # fit restarts init's stream: pinned bytes until ROADMAP item 5 renames it
+    init_rng, fit_rng = derive_rngs(
+        config.master_seed, artifacts.scenario_id, artifacts.condition.value,
+        names=["train", "train"])
+    params = init_params(vocab.size, dim=config.dim, rng=init_rng)
     losses = []
     try:
         if not config.skip_training:
             params, losses = trainer.fit(pos_texts, neg_texts, vocab,
-                                         config.train, params, seed)
+                                         config.train, params, fit_rng)
         table = activation_table(params)
     except (trainer.TrainingError, EncodeError) as exc:
         raise trainer.TrainingError(f"{artifacts.task_id}: {exc}") from None
@@ -433,7 +437,7 @@ def load_checkpoint(path, config: PipelineConfig,
         raise unreadable("it lacks " + ", ".join(missing))
     try:
         header = json.loads(bytes(members["header"]).decode("utf-8"))
-    except ValueError:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or too deep
         header = None
     if not isinstance(header, dict):
         raise unreadable("header is not a JSON object")

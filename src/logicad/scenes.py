@@ -12,7 +12,7 @@ one field dict each, and its context (e.g. the text label the rope color
 has to match); ``build`` makes it, for ``pipeline`` only.
 Neither a view, a scene nor a task's samples hold a capture condition:
 ``build_task`` never sees one.  The condition reaches the views only through
-the seed the pipeline derives, so it changes which views are drawn but never
+the stream the pipeline names, so it changes which views are drawn but never
 how a view is judged; downstream it selects the rendering.
 """
 
@@ -139,14 +139,13 @@ def task_id_for(scenario_id: str, condition: Condition) -> str:
 
 
 def build_task(spec: ScenarioSpec, counts: SplitCounts,
-               seed: int) -> tuple[TaskSample, ...]:
+               rng: np.random.Generator) -> tuple[TaskSample, ...]:
     """Generate the labelled views of one task, train samples first.
 
-    Every view is drawn from one stream seeded by ``seed``, train views
-    first, so the train views depend only on ``counts.train_normal``: a
-    call with the test counts set to zero gives the same train samples.
+    Every view is drawn from ``rng``, train views first, so the train views
+    depend only on ``counts.train_normal``: a call with the test counts set
+    to zero on a stream in the same state gives the same train samples.
     """
-    rng = np.random.default_rng(seed)
     samples: list[TaskSample] = []
 
     def add(split: str, label: Label, view: Any, index: int) -> None:

@@ -1,12 +1,15 @@
 """Stable seed derivation so every pipeline stage can be rerun independently.
 
-A stream is ``np.random.default_rng(derive_seed(master_seed, *parts, name))``:
-a PCG64 generator seeded through numpy's ``SeedSequence``.  A task draws one
-stream per rendered sample and one per negative, so ``derive_rngs`` makes a
-task's streams of one kind in one pass: it hashes their shared qualifiers
-once, and runs ``SeedSequence``'s hash over all their seeds at once as
-uint32 vectors (``seed_words``).  Each stream is still its own generator, in
-the state ``default_rng`` would give it; the tests check both against numpy.
+The one module that makes a generator; the others draw from those they are
+handed.  The stream of a name under (master seed, qualifiers) is
+``np.random.default_rng(seed)``, a PCG64 generator seeded through numpy's
+``SeedSequence``, for the little-endian first 8 bytes of the SHA-256 of
+``"master|part|...|name"``.  A task draws one stream per rendered sample and
+one per negative, so ``derive_rngs`` makes a task's streams of one kind in
+one pass: it hashes their shared qualifiers once, and runs
+``SeedSequence``'s hash over all their seeds at once as uint32 vectors
+(``seed_words``).  Each stream is still its own generator, in the state
+``default_rng`` would give it; the tests check both against numpy.
 """
 
 from __future__ import annotations
@@ -16,17 +19,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-
-
-def derive_seed(master_seed: int, *parts: str) -> int:
-    """Derive a 64-bit seed from a master seed and string qualifiers.
-
-    Uses SHA-256 so the mapping is stable across processes and Python
-    versions (unlike the builtin ``hash``).
-    """
-    payload = "|".join([str(int(master_seed)), *parts]).encode("utf-8")
-    digest = hashlib.sha256(payload).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) for its default
@@ -104,8 +96,9 @@ class _GeneratedState(ISeedSequence):
 
 def derive_rngs(master_seed: int, *parts: str,
                 names: Iterable[str]) -> Iterator[np.random.Generator]:
-    """``np.random.default_rng(derive_seed(master_seed, *parts, name))`` for
-    each name, in order and one at a time, seeded in one pass."""
+    """The stream of each name under ``(master_seed, *parts)``, in order and
+    one at a time, seeded in one pass; a repeated name starts its stream
+    again."""
     prefix = hashlib.sha256(
         "|".join([str(int(master_seed)), *parts, ""]).encode("utf-8"))
     digests = []

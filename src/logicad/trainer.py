@@ -178,19 +178,18 @@ def fit(
     vocab: Vocabulary,
     cfg: TrainConfig,
     init: EncoderParams,
-    seed: int,
+    rng: np.random.Generator,
 ) -> tuple[EncoderParams, list[float]]:
     """Contrastive training over (positive, negative) text pairs from ``init``.
 
-    Returns the trained parameters and the mean loss of each epoch.  ``seed``
-    drives the batch order and the dropout masks, drawn at ``DROPOUT_RATE``.
+    Returns the trained parameters and the mean loss of each epoch.  ``rng``
+    draws the batch order and the dropout masks, at ``DROPOUT_RATE``.
     """
     params = init.copy()
     n = len(pos_texts)
     # positives in rows 0..n-1, their negatives in rows n..2n-1
     texts = TokenRows.build(pos_texts + neg_texts, vocab)
 
-    rng = np.random.default_rng(seed)
     grads = params.zeros_like()
     state = AdamState.zeros_like(params)
     epoch_losses = []

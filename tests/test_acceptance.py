@@ -4,6 +4,7 @@ Each test checks one numbered release criterion and prints a single
 PASS/FAIL line; thresholds and tolerances are pinned here, not imported.
 """
 
+import ctypes
 import hashlib
 import json
 import time
@@ -42,7 +43,7 @@ def test_criterion_01_gradient_oracle():
     neg_texts = ["There are five oranges and two kiwis.",
                  "The total number of items is three."]
     vocab = Vocabulary.build(pos_texts + neg_texts)
-    params = init_params(vocab.size, dim=8, seed=0)
+    params = init_params(vocab.size, dim=8, rng=np.random.default_rng(0))
     batch = TokenRows.build([*pos_texts, *pos_texts, *neg_texts], vocab)
     masks = BatchMasks.sample(int(batch.lengths.sum()) * 8, 0.1,
                               np.random.default_rng(1))
@@ -283,6 +284,20 @@ RUN_DIGESTS = {
 }
 
 
+def _blas_core() -> str:
+    """The kernel of numpy's bundled OpenBLAS, which the pinned score bytes
+    depend on; "unknown" without that library or its core-name symbol."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _cells(row: str) -> list[str]:
     return [cell.strip("*") for cell in row.strip("| ").split(" | ")]
 
@@ -307,7 +322,8 @@ def test_seed_0_table_and_bytes_are_pinned(benchmark_runs):
         for scenario_id, condition in config.tasks():
             h.update((out / f"{task_id_for(scenario_id, condition)}.{suffix}"
                       ).read_bytes())
-        assert h.hexdigest() == digest, (family, suffix)
+        assert h.hexdigest() == digest, (family, suffix,
+                                         f"OpenBLAS core {_blas_core()}")
 
 
 def test_criterion_10_pipeline_determinism(tmp_path):

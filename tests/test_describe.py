@@ -170,7 +170,8 @@ def test_every_drawn_view_renders_only_words_its_grammar_lists():
         spec = get_scenario(scenario_id)
         grammar = spec.grammar
         for seed in range(3):
-            for sample in build_task(spec, spec.counts, seed):
+            for sample in build_task(spec, spec.counts,
+                                     np.random.default_rng(seed)):
                 slots = grammar.view_slots(sample.view)
                 assert slots.keys() == grammar.slots.keys()
                 for name, value in slots.items():

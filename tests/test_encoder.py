@@ -29,7 +29,8 @@ TEXTS = [
 
 def _setup(dim=16, seed=0):
     vocab = Vocabulary.build(TEXTS)
-    return vocab, init_params(vocab.size, dim=dim, seed=seed)
+    return vocab, init_params(vocab.size, dim=dim,
+                              rng=np.random.default_rng(seed))
 
 
 def test_vocabulary_is_sorted_and_reserves_unknown():
@@ -132,7 +133,7 @@ def test_single_token_text_encodes():
 
 
 def test_init_params_shapes_and_dim_floor():
-    params = init_params(7, dim=4, seed=1)
+    params = init_params(7, dim=4, rng=np.random.default_rng(1))
     assert params.embedding.shape == (7, 4)
     assert params.proj_w.shape == (4, 4)
     assert np.all(params.proj_b == 0.0)
@@ -163,7 +164,7 @@ def test_a_checkpoint_table_loads_only_at_the_runs_shape(tmp_path):
 
 
 def test_init_params_fill_one_buffer_in_draw_order():
-    params = init_params(7, dim=4, seed=1)
+    params = init_params(7, dim=4, rng=np.random.default_rng(1))
     for array in params.arrays():
         assert np.shares_memory(array, params.flat)
     # one draw per array, the embedding first, takes the same stream

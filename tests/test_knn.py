@@ -176,7 +176,8 @@ def test_encoded_texts_score_in_row_order():
     texts = ["three oranges two kiwis", "two oranges two kiwis",
              "four oranges one kiwi"]
     vocab = Vocabulary.build(texts)
-    table = activation_table(init_params(vocab.size, dim=8, seed=0))
+    table = activation_table(
+        init_params(vocab.size, dim=8, rng=np.random.default_rng(0)))
     library = encode_texts(texts, table, vocab)
     assert library.shape == (3, 8)
     assert np.allclose(np.linalg.norm(library, axis=1), 1.0)

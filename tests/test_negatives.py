@@ -142,7 +142,8 @@ def test_every_rendered_logical_value_is_a_key_of_the_pool_table(scenario_id):
     table = spec.grammar.contradiction_pools
     rng = np.random.default_rng(7)
     for seed in range(3):
-        for sample in build_task(spec, spec.counts, seed):
+        for sample in build_task(spec, spec.counts,
+                                 np.random.default_rng(seed)):
             for cfg in (CLEAN, NOISY):
                 record = render(sample.view, cfg, rng, spec.grammar)
                 for name, value in record.slots.items():

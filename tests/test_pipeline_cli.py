@@ -410,14 +410,16 @@ def test_cli_rejects_unknown_scenario_and_condition(tmp_path, capsys):
              [c.value for c in Condition]),
             ("condition", "night", "night", [c.value for c in Condition])):
         config.write_text(f"{key} = {raw}\n")
-        # the flag route, then the config file route
-        for extra in (["--" + key, raw], ["--config", str(config)]):
+        # the flag route, then the config file route, which names the line
+        for extra, prefix in ((["--" + key, raw], ""),
+                              (["--config", str(config)],
+                               f"{config}:1: bad value for {key}: ")):
             with pytest.raises(SystemExit) as exc:
                 _run(["gen", *extra, "--out-dir", str(out)])
             assert exc.value.code == 2
-            err = capsys.readouterr().err
-            assert (f"unknown {key} {bad!r}; choose from {', '.join(choices)}"
-                    in err)
+            assert capsys.readouterr().err == (
+                f"error: {prefix}unknown {key} {bad!r}; choose from "
+                f"{', '.join(choices)}\n")
             assert not out.exists()
 
 
@@ -537,15 +539,17 @@ def test_an_empty_output_directory_exits_2_and_ignores_the_environment(
         tmp_path, monkeypatch, capsys, argv, setting):
     env_dir = tmp_path / "from_env"
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(env_dir))
-    extra = []
+    extra, prefix = [], ""
     if setting is not None:
         config = tmp_path / "empty.cfg"
         config.write_text(setting + "\n")
         extra = ["--config", str(config)]
+        prefix = f"{config}:1: bad value for out_dir: "
     with pytest.raises(SystemExit) as exc:
         _run(["gen", *ARGS, *argv, *extra])
     assert exc.value.code == 2
-    assert "empty output directory" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"error: {prefix}empty output directory")
     assert not env_dir.exists()
 
 
@@ -957,6 +961,9 @@ BAD_MEMBERS = {
     "not_json_header": ({"header": np.bytes_(b"{")},
                         "header is not a JSON object"),
     "list_header": ({"header": np.bytes_(b"[3]")},
+                    "header is not a JSON object"),
+    # deeper than the JSON parser recurses
+    "deep_header": ({"header": np.bytes_(b"[" * 200_000)},
                     "header is not a JSON object"),
     "list_fingerprint": (
         {"header": _header_bytes({"version": 3, "fingerprint": [1],

@@ -32,7 +32,7 @@ from logicad.scenes import (
     sample_anomaly,
     task_id_for,
 )
-from logicad.seeding import derive_seed
+from logicad.seeding import derive_rngs
 
 ANOMALY_LABELS = (Label.SINGLE_A, Label.SINGLE_B, Label.DUAL)
 
@@ -383,7 +383,8 @@ def test_one_edit_breaks_its_aspect_and_keeps_the_view(scenario_id, index):
 def test_capture_condition_never_changes_the_label(scenario_id):
     """``build_task`` takes no condition, so a sample's label is its view's."""
     spec = get_scenario(scenario_id)
-    for sample in build_task(spec, SplitCounts(2, 2, 2, 2, 2), seed=3):
+    for sample in build_task(spec, SplitCounts(2, 2, 2, 2, 2),
+                             np.random.default_rng(3)):
         assert classify(sample.view, spec) == sample.label
 
 
@@ -403,7 +404,7 @@ def test_empty_scene_violates_both_aspects(scenario_id):
 def test_build_task_counts_and_ids():
     spec = get_scenario("fruits")
     counts = SplitCounts(5, 4, 3, 2, 1)
-    samples = build_task(spec, counts, seed=42)
+    samples = build_task(spec, counts, np.random.default_rng(42))
     assert [s.split for s in samples] == ["train"] * 5 + ["test"] * 10
     test_labels = [s.label for s in samples if s.split == "test"]
     assert test_labels.count(Label.NORMAL) == 4
@@ -422,9 +423,9 @@ def test_build_task_counts_and_ids():
 def test_build_task_is_seed_deterministic():
     spec = get_scenario("balls")
     counts = SplitCounts(4, 4, 2, 2, 1)
-    a = build_task(spec, counts, seed=9)
-    b = build_task(spec, counts, seed=9)
-    c = build_task(spec, counts, seed=10)
+    a = build_task(spec, counts, np.random.default_rng(9))
+    b = build_task(spec, counts, np.random.default_rng(9))
+    c = build_task(spec, counts, np.random.default_rng(10))
     assert a == b
     assert a != c
 
@@ -462,8 +463,8 @@ def test_view_rebuilds_every_generated_scene(scenario_id, benchmark_runs):
     _, out, _ = runs["trained"]
     wrong = []
     for condition in Condition:
-        samples = build_task(spec, spec.counts,
-                             derive_seed(0, scenario_id, condition.value, "scenes"))
+        (rng,) = derive_rngs(0, scenario_id, condition.value, names=["scenes"])
+        samples = build_task(spec, spec.counts, rng)
         task_id = task_id_for(scenario_id, condition)
         scene_lines = (out / f"{task_id}.scenes.jsonl").read_text().splitlines()
         text_lines = (out / f"{task_id}.descriptions.jsonl"

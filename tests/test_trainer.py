@@ -104,7 +104,7 @@ def test_nonfinite_similarities_raise():
 def test_analytic_gradients_match_central_finite_differences():
     start = time.monotonic()
     vocab = Vocabulary.build(POS_TEXTS + NEG_TEXTS)
-    params = init_params(vocab.size, dim=8, seed=4)
+    params = init_params(vocab.size, dim=8, rng=np.random.default_rng(4))
     batch = TokenRows.build([*POS_TEXTS, *POS_TEXTS, *NEG_TEXTS], vocab)
     masks = BatchMasks.sample(int(batch.lengths.sum()) * 8, 0.1,
                               np.random.default_rng(0))
@@ -138,7 +138,7 @@ def test_analytic_gradients_match_central_finite_differences():
 
 
 def test_clipping_caps_the_global_norm_and_leaves_small_gradients_alone():
-    params = init_params(5, dim=4, seed=0)
+    params = init_params(5, dim=4, rng=np.random.default_rng(0))
     grads = params.zeros_like()
     grads.embedding += 3.0
     grads.proj_w -= 1.0
@@ -171,7 +171,7 @@ def test_the_clip_norm_adds_the_three_per_array_sums_in_order():
 
 
 def test_params_grads_and_moments_share_one_flat_layout():
-    params = init_params(5, dim=4, seed=0)
+    params = init_params(5, dim=4, rng=np.random.default_rng(0))
     grads = params.zeros_like()
     state = AdamState.zeros_like(params)
     size = 5 * 4 + 4 * 4 + 4
@@ -188,7 +188,7 @@ def test_params_grads_and_moments_share_one_flat_layout():
 
 
 def test_adam_with_zero_gradient_applies_pure_decoupled_decay():
-    params = init_params(4, dim=4, seed=2)
+    params = init_params(4, dim=4, rng=np.random.default_rng(2))
     reference = params.copy()
     cfg = TrainConfig(learning_rate=0.1, weight_decay=0.01)
     adam_update(params, params.zeros_like(), AdamState.zeros_like(params), cfg)
@@ -198,7 +198,7 @@ def test_adam_with_zero_gradient_applies_pure_decoupled_decay():
 
 def test_flat_adam_equals_a_per_array_adam_bit_for_bit():
     rng = np.random.default_rng(3)
-    params = init_params(6, dim=4, seed=3)
+    params = init_params(6, dim=4, rng=np.random.default_rng(3))
     arrays = [a.copy() for a in params.arrays()]
     moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
     state = AdamState.zeros_like(params)
@@ -255,9 +255,13 @@ def test_fit_is_seed_deterministic_and_loss_decreases():
     neg = NEG_TEXTS * 8
     cfg = TrainConfig(epochs=8, batch_size=4)
     a_params, a_losses = fit(pos, neg, vocab, cfg,
-                             init_params(vocab.size, dim=16, seed=5), 5)
+                             init_params(vocab.size, dim=16,
+                                         rng=np.random.default_rng(5)),
+                             np.random.default_rng(5))
     b_params, b_losses = fit(pos, neg, vocab, cfg,
-                             init_params(vocab.size, dim=16, seed=5), 5)
+                             init_params(vocab.size, dim=16,
+                                         rng=np.random.default_rng(5)),
+                             np.random.default_rng(5))
     assert a_losses == b_losses
     assert np.allclose(a_params.embedding, b_params.embedding)
     assert a_losses[-1] < a_losses[0]
@@ -269,10 +273,11 @@ def test_zero_learning_rate_leaves_params_unchanged_with_flat_curve(
     vocab = Vocabulary.build(POS_TEXTS + NEG_TEXTS)
     pos = POS_TEXTS * 4
     neg = NEG_TEXTS * 4
-    init = init_params(vocab.size, dim=8, seed=1)
+    init = init_params(vocab.size, dim=8, rng=np.random.default_rng(1))
     cfg = TrainConfig(epochs=6, batch_size=len(pos), learning_rate=0.0,
                       weight_decay=0.0)
-    params, losses = fit(pos, neg, vocab, cfg, init, 1)
+    params, losses = fit(pos, neg, vocab, cfg, init,
+                         np.random.default_rng(1))
     assert np.array_equal(params.embedding, init.embedding)
     assert np.array_equal(params.proj_w, init.proj_w)
     # flat curve: only float summation order varies across epochs
