@@ -1,11 +1,11 @@
 """The ten built-in scenarios, one ``ScenarioSpec`` each.
 
-A spec is the whole record of its scenario: its two rule aspects and
-rules, its edits, its split counts and its grammar, which ``templates``
-defines along with the attribute domains the rules share.  Its view, the
-logical state (a dict; a list for dishes), is what ``normal`` draws, what
-each aspect's rule-breaking edit changes in place, what the rules judge
-and what the grammar renders.
+A spec is the whole record of its scenario: its two constraints, each an
+aspect, a rule and the edit that breaks it, its split counts and its
+grammar, which ``templates`` defines along with the attribute domains the
+rules share.  Its view, the logical state (a dict; a list for dishes), is
+what ``normal`` draws, what each constraint's edit changes in place, what
+the rules judge and what the grammar renders.
 ``scenes.sample_anomaly`` combines the edits with rejection sampling to hit
 a target label exactly.  ``build`` makes the scene record of a view, for
 the scene file only: each builder writes its objects' field names, and
@@ -13,7 +13,8 @@ the scene file only: each builder writes its objects' field names, and
 
 Fruits, tapes, stationery, blocks and dishes state their normal view once,
 as a constant: ``normal`` copies it, each rule compares a view with it on
-one aspect's slots (``_agrees``), and ``_swap`` moves one slot away from it.
+one aspect's slots (``_agrees``), and ``_swap`` moves one slot away from it;
+``_kept`` makes the constraint that pairs the two on the same slots.
 
 A scene lists its objects in a fixed, meaningful order (groups are
 contiguous runs), and an object's ``order_index`` is its position in that
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scenes import Aspect, ScenarioSpec, SplitCounts
+from .scenes import Aspect, Constraint, ScenarioSpec, SplitCounts
 from .templates import (
     BALL_COLORS, BALLS_GRAMMAR, BLOCK_BINS, BLOCK_SHAPES, BLOCKS_GRAMMAR,
     COOKIE_COLORS, COOKIES_GRAMMAR, DISH_INTRUDERS, DISH_ITEMS, DISHES_GRAMMAR,
@@ -83,6 +84,13 @@ def _agrees(normal, slots: Sequence[str], shape=lambda view: True):
     def rule(view) -> bool:
         return shape(view) and all(view[slot] == normal[slot] for slot in slots)
     return rule
+
+
+def _kept(aspect: Aspect, normal, slots: Sequence, values: Sequence[str],
+          shape=lambda view: True) -> Constraint:
+    """The constraint that ``_agrees`` judges and ``_swap`` breaks."""
+    return Constraint(aspect, _agrees(normal, slots, shape),
+                      _swap(slots, values, normal))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,17 +153,14 @@ class GroupLayout:
 def _grouped_spec(scenario_id: str, layout: GroupLayout,
                   aspects: tuple[Aspect, Aspect], counts: SplitCounts,
                   grammar: TemplateGrammar, count_edit=None) -> ScenarioSpec:
-    """Rule a holds the counts and rule b the attributes."""
+    """The first constraint is on the counts, the second on the attributes."""
     return ScenarioSpec(
         scenario_id=scenario_id,
-        aspects=aspects,
-        rule_a=layout.counts_hold,
-        rule_b=layout.attrs_hold,
-        build=layout.build,
-        normal=layout.normal,
-        edits={aspects[0]: count_edit or layout.bump_count,
-               aspects[1]: layout.change_attr},
-        counts=counts, grammar=grammar,
+        constraints=(
+            Constraint(aspects[0], layout.counts_hold,
+                       count_edit or layout.bump_count),
+            Constraint(aspects[1], layout.attrs_hold, layout.change_attr)),
+        build=layout.build, normal=layout.normal, counts=counts, grammar=grammar,
     )
 
 
@@ -209,12 +214,15 @@ def _fruits_edit_t(view: dict, rng: np.random.Generator) -> None:
 
 FRUITS = ScenarioSpec(
     scenario_id="fruits",
-    aspects=(Aspect.QUANTITY, Aspect.TYPE),
-    rule_a=_agrees(_FRUITS_NORMAL, ("count_a", "count_b"), _two_kinds),
-    rule_b=_agrees(_FRUITS_NORMAL, ("cat_a", "cat_b"), _two_kinds),
+    constraints=(
+        Constraint(Aspect.QUANTITY,
+                   _agrees(_FRUITS_NORMAL, ("count_a", "count_b"), _two_kinds),
+                   _fruits_edit_q),
+        Constraint(Aspect.TYPE,
+                   _agrees(_FRUITS_NORMAL, ("cat_a", "cat_b"), _two_kinds),
+                   _fruits_edit_t)),
     build=_fruits_build,
     normal=_fixed(_FRUITS_NORMAL),
-    edits={Aspect.QUANTITY: _fruits_edit_q, Aspect.TYPE: _fruits_edit_t},
     counts=SplitCounts(50, 50, 48, 44, 8), grammar=FRUITS_GRAMMAR,
 )
 
@@ -256,8 +264,6 @@ COOKIES = _grouped_spec("cookies", COOKIES_LAYOUT, (Aspect.QUANTITY, Aspect.RELA
 
 _TAPES_NORMAL = {"len_first": "long", "color_first": "green",
                  "len_second": "short", "color_second": "red"}
-_TAPE_LEN_SLOTS = ("len_first", "len_second")
-_TAPE_COLOR_SLOTS = ("color_first", "color_second")
 
 
 def _tapes_build(view: dict) -> dict:
@@ -268,13 +274,13 @@ def _tapes_build(view: dict) -> dict:
 
 TAPES = ScenarioSpec(
     scenario_id="tapes",
-    aspects=(Aspect.LENGTH, Aspect.TYPE),
-    rule_a=_agrees(_TAPES_NORMAL, _TAPE_LEN_SLOTS),
-    rule_b=_agrees(_TAPES_NORMAL, _TAPE_COLOR_SLOTS),
+    constraints=(
+        _kept(Aspect.LENGTH, _TAPES_NORMAL, ("len_first", "len_second"),
+              LENGTHS),
+        _kept(Aspect.TYPE, _TAPES_NORMAL, ("color_first", "color_second"),
+              TAPE_COLORS)),
     build=_tapes_build,
     normal=_fixed(_TAPES_NORMAL),
-    edits={Aspect.LENGTH: _swap(_TAPE_LEN_SLOTS, LENGTHS, _TAPES_NORMAL),
-           Aspect.TYPE: _swap(_TAPE_COLOR_SLOTS, TAPE_COLORS, _TAPES_NORMAL)},
     counts=SplitCounts(50, 50, 50, 50, 10), grammar=TAPES_GRAMMAR,
 )
 
@@ -290,7 +296,6 @@ _STATIONERY_NORMAL = {
     "len_right_pencil": "short", "len_right_eraser": "short",
     "order_left": "eraser", "order_right": "eraser",
 }
-_STATIONERY_ORDER_SLOTS = ("order_left", "order_right")
 _STATIONERY_COLORS = {("left", "pencil"): "black", ("left", "eraser"): "blue",
                       ("right", "pencil"): "red", ("right", "eraser"): "red"}
 
@@ -317,16 +322,16 @@ def _stationery_edit_l(view: dict, rng: np.random.Generator) -> None:
 
 STATIONERY = ScenarioSpec(
     scenario_id="stationery",
-    aspects=(Aspect.LENGTH, Aspect.PLACEMENT),
-    rule_a=_agrees(_STATIONERY_NORMAL,
-                   ("len_left_pencil", "len_left_eraser", "len_right_pencil",
-                    "len_right_eraser")),
-    rule_b=_agrees(_STATIONERY_NORMAL, _STATIONERY_ORDER_SLOTS),
+    constraints=(
+        Constraint(Aspect.LENGTH,
+                   _agrees(_STATIONERY_NORMAL,
+                           ("len_left_pencil", "len_left_eraser",
+                            "len_right_pencil", "len_right_eraser")),
+                   _stationery_edit_l),
+        _kept(Aspect.PLACEMENT, _STATIONERY_NORMAL,
+              ("order_left", "order_right"), ORDER2)),
     build=_stationery_build,
     normal=_fixed(_STATIONERY_NORMAL),
-    edits={Aspect.LENGTH: _stationery_edit_l,
-           Aspect.PLACEMENT: _swap(_STATIONERY_ORDER_SLOTS, ORDER2,
-                                   _STATIONERY_NORMAL)},
     counts=SplitCounts(50, 50, 50, 50, 10), grammar=STATIONERY_GRAMMAR,
 )
 
@@ -347,10 +352,6 @@ def _ropes_normal(rng: np.random.Generator) -> dict:
     return {"rope_len": "similar", "rope_color": color, "label_color": color}
 
 
-def _ropes_rule_l(view: dict) -> bool:
-    return view["rope_len"] == "similar"
-
-
 def _ropes_rule_r(view: dict) -> bool:
     return view["rope_color"] == view["label_color"]
 
@@ -363,14 +364,11 @@ def _ropes_edit_r(view: dict, rng: np.random.Generator) -> None:
 
 ROPES = ScenarioSpec(
     scenario_id="ropes",
-    aspects=(Aspect.LENGTH, Aspect.RELATION),
-    rule_a=_ropes_rule_l,
-    rule_b=_ropes_rule_r,
+    constraints=(
+        _kept(Aspect.LENGTH, {"rope_len": "similar"}, ("rope_len",), ROPE_LENGTHS),
+        Constraint(Aspect.RELATION, _ropes_rule_r, _ropes_edit_r)),
     build=_ropes_build,
     normal=_ropes_normal,
-    edits={Aspect.LENGTH: _swap(("rope_len",), ROPE_LENGTHS,
-                                {"rope_len": "similar"}),
-           Aspect.RELATION: _ropes_edit_r},
     counts=SplitCounts(50, 50, 48, 50, 12), grammar=ROPES_GRAMMAR,
 )
 
@@ -383,8 +381,6 @@ ROPES = ScenarioSpec(
 _BLOCKS_NORMAL = {"shape_a": "circle", "region_a": "top",
                   "shape_b": "triangle", "region_b": "middle",
                   "shape_c": "square", "region_c": "bottom"}
-_BLOCK_SHAPE_SLOTS = ("shape_a", "shape_b", "shape_c")
-_BLOCK_REGION_SLOTS = ("region_a", "region_b", "region_c")
 
 
 def _blocks_build(view: dict) -> dict:
@@ -423,14 +419,14 @@ def _blocks_slots(view: dict) -> dict[str, str]:
 
 BLOCKS = ScenarioSpec(
     scenario_id="blocks",
-    aspects=(Aspect.TYPE, Aspect.PLACEMENT),
-    rule_a=_agrees(_BLOCKS_NORMAL, _BLOCK_SHAPE_SLOTS, _blocks_distinct),
-    rule_b=_agrees(_BLOCKS_NORMAL, _BLOCK_REGION_SLOTS, _blocks_distinct),
+    constraints=(
+        _kept(Aspect.TYPE, _BLOCKS_NORMAL, ("shape_a", "shape_b", "shape_c"),
+              BLOCK_SHAPES, _blocks_distinct),
+        _kept(Aspect.PLACEMENT, _BLOCKS_NORMAL,
+              ("region_a", "region_b", "region_c"), BLOCK_BINS,
+              _blocks_distinct)),
     build=_blocks_build,
     normal=_fixed(_BLOCKS_NORMAL),
-    edits={Aspect.TYPE: _swap(_BLOCK_SHAPE_SLOTS, BLOCK_SHAPES, _BLOCKS_NORMAL),
-           Aspect.PLACEMENT: _swap(_BLOCK_REGION_SLOTS, BLOCK_BINS,
-                                   _BLOCKS_NORMAL)},
     counts=SplitCounts(50, 50, 52, 50, 8),
     grammar=dataclasses.replace(BLOCKS_GRAMMAR, logical_slots=_blocks_slots),
 )
@@ -468,13 +464,12 @@ def _dishes_edit_r(items: list[str], rng: np.random.Generator) -> None:
 
 DISHES = ScenarioSpec(
     scenario_id="dishes",
-    aspects=(Aspect.TYPE, Aspect.RELATION),
-    rule_a=_dishes_rule_t,
-    rule_b=_dishes_rule_r,
+    constraints=(
+        Constraint(Aspect.TYPE, _dishes_rule_t,
+                   _swap((0, 1, 2), DISH_INTRUDERS, DISH_ITEMS)),
+        Constraint(Aspect.RELATION, _dishes_rule_r, _dishes_edit_r)),
     build=_dishes_build,
     normal=_fixed(DISH_ITEMS),
-    edits={Aspect.TYPE: _swap((0, 1, 2), DISH_INTRUDERS, DISH_ITEMS),
-           Aspect.RELATION: _dishes_edit_r},
     counts=SplitCounts(50, 50, 48, 48, 15), grammar=DISHES_GRAMMAR,
 )
 

@@ -1,12 +1,12 @@
 """Core scene model: scenario specs, classification and sampling.
 
 A scenario's *view* is its logical state: the counts, attributes and
-order that its two rules constrain (a dict; a list for dishes).  A
-``ScenarioSpec`` is the one record of a scenario: its two rule aspects and
-rules, its edits, its split counts and its text grammar.  Scenarios draw a
-view and edit it; the rules judge the view, a view is normal iff both rule
-predicates hold, and the grammar renders it.  Each sample holds the view it
-was drawn as.
+order that its two constraints govern (a dict; a list for dishes).  A
+``ScenarioSpec`` is the one record of a scenario: its two constraints, its
+split counts and its text grammar.  A ``Constraint`` is one aspect, the rule
+that judges a view on it and the edit that breaks it.  Scenarios draw a
+view and edit it; a view is normal iff both constraints hold, and the
+grammar renders it.  Each sample holds the view it was drawn as.
 A scene is the record of a view that the scene file holds: its objects,
 one field dict each, and its context (e.g. the text label the rope color
 has to match); ``build`` makes it, for ``pipeline`` only.
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -57,37 +57,45 @@ class GenerationError(RuntimeError):
     """Targeted anomaly could not be realized within the attempt bound."""
 
 
+class Constraint(NamedTuple):
+    """One aspect of a scenario, the rule ``holds`` (True when a view
+    satisfies it; an empty tray satisfies neither of a scenario's two) and
+    ``breaks``, a single edit of a view, made in place, that breaks it."""
+
+    aspect: Aspect
+    holds: Callable[[Any], bool]
+    breaks: Callable[[Any, np.random.Generator], None]
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One scenario: its aspect pair, rules, edits, counts and grammar.
+    """One scenario: its two constraints, counts and grammar.
 
-    ``rule_a``/``rule_b`` return True when a view satisfies the rule; a view
-    with nothing on the tray satisfies neither.  ``build`` makes the scene
-    record of a view, ``{"objects": [...], "context": {...}}``.  ``normal``
-    draws a normal view, and ``edits`` map each aspect to a single
-    rule-breaking edit of a view, made in place, used by targeted anomaly
-    sampling.  ``counts`` are the sizes of each of its
-    tasks' splits, and ``grammar`` renders its view as text.
+    ``build`` makes the scene record of a view, ``{"objects": [...],
+    "context": {...}}``.  ``normal`` draws a normal view.  ``counts`` are
+    the sizes of each of its tasks' splits, and ``grammar`` renders its
+    view as text.
     """
 
     scenario_id: str
-    aspects: tuple[Aspect, Aspect]
-    rule_a: Callable[[Any], bool]
-    rule_b: Callable[[Any], bool]
+    constraints: tuple[Constraint, Constraint]
     build: Callable[[Any], dict]
     normal: Callable[[np.random.Generator], Any]
-    edits: dict[Aspect, Callable[[Any, np.random.Generator], None]]
     counts: SplitCounts
     grammar: TemplateGrammar
 
 
-# (rule_a holds, rule_b holds) -> label
+# (first constraint holds, second holds) -> label
 _LABELS = {(True, True): Label.NORMAL, (False, True): Label.SINGLE_A,
            (True, False): Label.SINGLE_B, (False, False): Label.DUAL}
+# label -> the indices of the constraints it breaks
+_BROKEN = {label: tuple(i for i, kept in enumerate(holds) if not kept)
+           for holds, label in _LABELS.items()}
 
 
 def classify(view: Any, spec: ScenarioSpec) -> Label:
-    return _LABELS[spec.rule_a(view), spec.rule_b(view)]
+    a, b = spec.constraints
+    return _LABELS[a.holds(view), b.holds(view)]
 
 
 def sample_anomaly(
@@ -95,20 +103,15 @@ def sample_anomaly(
 ) -> Any:
     """Sample a view whose classification is exactly ``target``.
 
-    Constructive edits of a normal view, one per target aspect, then a
-    classify check; rejection-sampled because a second edit can
-    accidentally repair or extend the first one.
+    Each constraint the target breaks edits a normal view once, in
+    constraint order, then a classify check; rejection-sampled because a
+    second edit can accidentally repair or extend the first one.
     """
-    if target == Label.SINGLE_A:
-        aspects = (spec.aspects[0],)
-    elif target == Label.SINGLE_B:
-        aspects = (spec.aspects[1],)
-    else:
-        aspects = spec.aspects
+    broken = _BROKEN[target]
     for _ in range(MUTATION_ATTEMPTS):
         view = spec.normal(rng)
-        for aspect in aspects:
-            spec.edits[aspect](view, rng)
+        for i in broken:
+            spec.constraints[i].breaks(view, rng)
         if classify(view, spec) == target:
             return view
     raise GenerationError(

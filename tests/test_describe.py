@@ -131,8 +131,34 @@ def test_grammar_fits_its_scenario(scenario_id):
     grammar = spec.grammar
     slots = grammar.view_slots(spec.normal(np.random.default_rng(0)))
     assert set(slots) == set(grammar.slots)
+    aspects = {c.aspect for c in spec.constraints}
     for slot in grammar.slots.values():
-        assert slot.aspect is None or slot.aspect in spec.aspects, slot.name
+        assert slot.aspect is None or slot.aspect in aspects, slot.name
+
+
+def test_which_aspects_a_text_can_leave_out_or_never_name():
+    """An aspect is omissible in a variant when none of its logical slots
+    sits in a required clause, so clause omission can hide a violation of
+    it; it is unlabelled when no grammar slot carries it at all."""
+    omissible, unlabelled = {}, set()
+    for scenario_id, spec in SCENARIOS.items():
+        slots = spec.grammar.slots
+        for c in spec.constraints:
+            key = (scenario_id, c.aspect.value)
+            if all(slot.aspect != c.aspect for slot in slots.values()):
+                unlabelled.add(key)
+                continue
+            for variant, clauses in enumerate(spec.grammar.variants):
+                if not any(slots[name].aspect == c.aspect
+                           for clause in clauses if not clause.optional
+                           for name in clause.slot_names):
+                    omissible.setdefault(key, []).append(variant)
+    assert omissible == {("sticks", "length"): [0, 1, 2]}, (
+        "ROADMAP item 16: the sticks lengths sit only in an optional clause; "
+        "change this set only with the re-baseline that decides it")
+    assert unlabelled == {("dishes", "relation")}, (
+        "ROADMAP item 4: every dishes slot carries TYPE, so no edit reads "
+        "'relation'; change this set only with the re-baseline that labels it")
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -518,6 +519,19 @@ def test_the_readme_settings_table_lists_every_key_and_every_flag():
         flag: tuple(commands) for flag, commands in flags.items()}
 
 
+def test_every_readme_command_parses():
+    """Each ``logicad`` line of README's ``sh`` blocks is a valid command
+    line; nothing runs."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = [block.split("```", 1)[0] for block
+              in readme.read_text(encoding="utf-8").split("```sh\n")[1:]]
+    commands = [shlex.split(line, comments=True) for block in blocks
+                for line in block.split("\n") if line.startswith("logicad ")]
+    assert {argv[1] for argv in commands} == set(cli.COMMANDS)
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])
+
+
 def test_cli_requires_an_output_directory(monkeypatch):
     monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
     with pytest.raises(SystemExit) as exc:
@@ -663,24 +677,18 @@ def test_every_flag_beats_the_config_file(tmp_path):
         8, 5, 0.3, 0.001, 2.5)
 
 
-def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path):
-    bad_key = tmp_path / "bad_key.cfg"
-    bad_key.write_text("neighbours = 5\n")
-    with pytest.raises(SystemExit) as exc:
-        _run(["gen", "--config", str(bad_key), "--out-dir", str(tmp_path)])
-    assert exc.value.code == 2
-
-    bad_value = tmp_path / "bad_value.cfg"
-    bad_value.write_text("k = five\n")
-    with pytest.raises(SystemExit) as exc:
-        _run(["gen", "--config", str(bad_value), "--out-dir", str(tmp_path)])
-    assert exc.value.code == 2
-
-    not_kv = tmp_path / "not_kv.cfg"
-    not_kv.write_text("just some prose\n")
-    with pytest.raises(SystemExit) as exc:
-        _run(["gen", "--config", str(not_kv), "--out-dir", str(tmp_path)])
-    assert exc.value.code == 2
+def test_config_file_rejects_unknown_keys_and_bad_values(tmp_path, capsys):
+    # a comment is a whole line: a "#" after a value is part of the value
+    for name, line in (("bad_key", "neighbours = 5"),
+                       ("bad_value", "k = five"),
+                       ("not_kv", "just some prose"),
+                       ("trailing_comment", "k = 5 # five")):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            _run(["gen", "--config", str(path), "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2, name
+        assert capsys.readouterr().err.startswith(f"error: {path}:1: "), name
 
 
 def test_train_draws_at_the_rate_its_checkpoint_stores(tmp_path, monkeypatch):

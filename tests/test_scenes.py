@@ -8,6 +8,7 @@ its scene record is the one the oracle judged.
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,7 +361,7 @@ def test_balls_placement_edit_moves_one_ball_within_its_row():
     for _ in range(100):
         view = spec.normal(rng)
         moved = dict(view)
-        spec.edits[spec.aspects[0]](moved, rng)
+        spec.constraints[0].breaks(moved, rng)
         src, dst = sorted(_changed(view, moved), key=lambda k: moved[k])
         assert src[2] == dst[2]  # n_tl/n_tr or n_bl/n_br: the same row
         assert (moved[src] - view[src], moved[dst] - view[dst]) == (-1, 1)
@@ -369,14 +370,16 @@ def test_balls_placement_edit_moves_one_ball_within_its_row():
 @pytest.mark.parametrize("index", (0, 1), ids=("a", "b"))
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_one_edit_breaks_its_aspect_and_keeps_the_view(scenario_id, index):
-    """One edit of a normal view breaks its own rule."""
+    """One edit of a normal view breaks its own constraint and keeps the
+    other, so a single-constraint anomaly takes exactly one edit."""
     spec = get_scenario(scenario_id)
-    aspect, rule = spec.aspects[index], (spec.rule_a, spec.rule_b)[index]
+    broken, kept = spec.constraints[index], spec.constraints[1 - index]
     rng = np.random.default_rng(19)
     for _ in range(100):
         view = spec.normal(rng)
-        spec.edits[aspect](view, rng)
-        assert not rule(view)
+        broken.breaks(view, rng)
+        assert not broken.holds(view)
+        assert kept.holds(view), view
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
@@ -397,8 +400,21 @@ def test_empty_scene_violates_both_aspects(scenario_id):
     empty = [] if isinstance(normal, list) else {
         k: 0 if isinstance(v, int) else v for k, v in normal.items()}
     assert spec.build(empty) == {"objects": [], "context": {}}
-    assert not spec.rule_a(empty) and not spec.rule_b(empty)
+    assert not any(c.holds(empty) for c in spec.constraints)
     assert classify(empty, spec) == Label.DUAL
+
+
+def test_the_readme_aspect_pairs_are_the_specs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = readme.read_text(encoding="utf-8").split(
+        "| Scenario | Aspect pair |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.strip("|").split("|")[:2] for line in table.split("\n")[2:]]
+    pairs = {scenario.strip(): pair.strip() for scenario, pair in rows}
+    assert sorted(pairs) == sorted(SCENARIOS)
+    for scenario_id, pair in pairs.items():
+        spec = get_scenario(scenario_id)
+        assert pair == " + ".join(c.aspect.value for c in spec.constraints), (
+            scenario_id)
 
 
 def test_build_task_counts_and_ids():
