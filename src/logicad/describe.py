@@ -4,8 +4,8 @@ The built-in renderer stands in for a frozen image-to-text model: one text
 per sample, which the grammar of the sample's scenario renders from the
 view the sample was drawn as.  Capture conditions degrade the text
 linguistically (dropped optional clauses, corrupted decorative adjectives,
-paraphrase variation) without ever changing the logical label of the
-underlying view.
+paraphrase variation), drawn from the sample's own stream, without ever
+changing the logical label of the underlying view.
 
 ``render`` returns the slot record it wrote along with the text, so the
 pipeline never parses a text back; ``tests/oracles.py`` does, to check the
@@ -18,7 +18,7 @@ tuple its grammar slot lists, which the tests check for every view
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -39,12 +39,6 @@ class RenderConfig:
     paraphrase: bool = False
     omission_prob: float = 0.0
     corruption_prob: float = 0.0
-
-    @property
-    def draws(self) -> bool:
-        """Whether rendering may take random draws; if not, it needs no rng."""
-        return (self.paraphrase or self.omission_prob > 0.0
-                or self.corruption_prob > 0.0)
 
 
 # Per-condition renderer degradation.  White BG is clean by definition;
@@ -71,12 +65,11 @@ def build_record(grammar: TemplateGrammar, skeleton: Skeleton,
     )
 
 
-def render(view: Any, cfg: RenderConfig,
-           rng: Optional[np.random.Generator],
+def render(view: Any, cfg: RenderConfig, rng: np.random.Generator,
            grammar: TemplateGrammar) -> AttributeRecord:
     """Render one view into one text of ``grammar`` under a degradation config.
 
-    ``rng`` may be None when ``cfg.draws`` is False.
+    ``rng`` is the sample's own stream; White BG's clean config takes no draw.
     """
     slots = grammar.view_slots(view)
     variant = int(rng.integers(len(grammar.variants))) if cfg.paraphrase else 0

@@ -16,9 +16,9 @@ only the train pairs, so it generates only the train split; that split
 leads the task's view stream and every render and negative is seeded by
 its sample id, so its views, texts, pairs and vocabulary are those of the
 whole task.  This module names every stream a task draws: "scenes" for
-the views; "render" and "negative", one per sample id, each kind in one
-``derive_rngs`` call; and "train", which ``init_params`` and ``fit`` each
-start.
+the views; "render" per sample and "negative" per train sample, by sample
+id, each kind in one ``derive_rngs`` call; and "train", which
+``init_params`` and ``fit`` each start.
 
 Only the run-directory section at the end writes or reads a file of the
 output directory; ``run_task`` and ``run_benchmark`` also name a task's
@@ -30,7 +30,6 @@ place it is checked, against the run that loads it.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -112,18 +111,16 @@ def generate_task(config: PipelineConfig, scenario_id: str,
                   counts: scenes.SplitCounts) -> TaskArtifacts:
     """Views, descriptions and negative pairs for one task.
 
-    Any counts with the same ``train_normal`` give the same train samples,
-    texts and pairs.
+    Every sample renders from its own stream, so any counts with the same
+    ``train_normal`` give the same train samples, texts and pairs.
     """
     spec = scenarios.get_scenario(scenario_id)
     render_cfg = CONDITION_RENDER_DEFAULTS[condition]
     seed_parts = (config.master_seed, scenario_id, condition.value)
     (scene_rng,) = derive_rngs(*seed_parts, names=["scenes"])
     samples = scenes.build_task(spec, counts, scene_rng)
-    # a config that draws nothing needs no stream: white_bg renders clean
-    render_rngs = (derive_rngs(*seed_parts, "render",
-                               names=[s.sample_id for s in samples])
-                   if render_cfg.draws else itertools.repeat(None))
+    render_rngs = derive_rngs(*seed_parts, "render",
+                              names=[s.sample_id for s in samples])
     negative_rngs = derive_rngs(
         *seed_parts, "negative",
         names=[s.sample_id for s in samples if s.split == "train"])

@@ -4,9 +4,9 @@ The one module that makes a generator; the others draw from those they are
 handed.  The stream of a name under (master seed, qualifiers) is
 ``np.random.default_rng(seed)``, a PCG64 generator seeded through numpy's
 ``SeedSequence``, for the little-endian first 8 bytes of the SHA-256 of
-``"master|part|...|name"``.  A task draws one stream per rendered sample and
-one per negative, so ``derive_rngs`` makes a task's streams of one kind in
-one pass: it hashes their shared qualifiers once, and runs
+``"master|part|...|name"``.  A task draws one render stream per sample and
+one negative per train sample, so ``derive_rngs`` makes a task's streams of
+one kind in one pass: it hashes their shared qualifiers once, and runs
 ``SeedSequence``'s hash over all their seeds at once as uint32 vectors
 (``seed_words``).  Each stream is still its own generator, in the state
 ``default_rng`` would give it; the tests check both against numpy.

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -959,6 +960,22 @@ def test_gen_bytes_at_seed_0_are_pinned(benchmark_runs):
             h.update((out / f"{task_id}.{suffix}").read_bytes())
         digests[suffix] = h.hexdigest()
     assert digests == GEN_DIGESTS
+
+
+def test_readme_counts_the_distinct_scene_lines_at_seed_0(benchmark_runs):
+    runs, _ = benchmark_runs
+    config, out, _ = runs["trained"]
+    distinct = samples = 0
+    for scenario_id, condition in config.tasks():
+        path = out / f"{task_id_for(scenario_id, condition)}.scenes.jsonl"
+        lines = path.read_bytes().splitlines()
+        distinct += len(set(lines))
+        samples += len(lines)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    (counts,) = re.findall(r"at seed 0, ([\d,]+) distinct lines for ([\d,]+) "
+                           r"samples", " ".join(readme.split()))
+    assert [int(n.replace(",", "")) for n in counts] == [distinct, samples]
 
 
 # a whole checkpoint of tapes-white_bg (V = 45, D = 64) with members

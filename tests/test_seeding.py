@@ -3,6 +3,7 @@ only ``seeding`` makes one."""
 
 import ast
 import hashlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from logicad.scenes import Condition
 from logicad.seeding import derive_rngs, seed_words
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "logicad"
+README = Path(__file__).resolve().parents[1] / "README.md"
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
@@ -72,10 +74,14 @@ def test_every_seed_0_stream_is_the_one_default_rng_makes(monkeypatch):
             parts, name)
     kinds = Counter(parts[3] if len(parts) > 3 else name
                     for parts, name, _ in made)
-    # every sample renders but White BG's; one negative per train sample;
-    # "train" starts twice per task, for init_params and for fit
-    assert kinds == {"render": 8_316, "negative": 2_500, "scenes": 50,
+    # every sample renders from its own stream; one negative per train
+    # sample; "train" starts twice per task, for init_params and for fit
+    assert kinds == {"render": 10_395, "negative": 2_500, "scenes": 50,
                      "train": 100}
+    readme = " ".join(README.read_text(encoding="utf-8").split())
+    (streams,) = re.findall(r"seed-0 stream, ([\d,]+) of them", readme)
+    assert int(streams.replace(",", "")) == len(
+        {(parts, name) for parts, name, _ in made})
 
 
 @pytest.mark.xfail(strict=True, reason="init_params and fit both start the "
