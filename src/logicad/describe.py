@@ -4,8 +4,9 @@ The built-in renderer stands in for a frozen image-to-text model: one text
 per sample, which the grammar of the sample's scenario renders from the
 view the sample was drawn as.  Capture conditions degrade the text
 linguistically (dropped optional clauses, corrupted decorative adjectives,
-paraphrase variation), drawn from the sample's own stream, without ever
-changing the logical label of the underlying view.
+paraphrase variation), drawn from the sample's own stream, which the
+pipeline reads through ``seeding.Draws``, without ever changing the logical
+label of the underlying view.
 
 ``render`` returns the slot record it wrote along with the text, so the
 pipeline never parses a text back; ``tests/oracles.py`` does, to check the
@@ -20,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from .scenes import Condition
+from .seeding import Draws
 from .templates import Skeleton, TemplateGrammar
 
 
@@ -58,18 +58,20 @@ def build_record(grammar: TemplateGrammar, skeleton: Skeleton,
                  slots: dict[str, str]) -> AttributeRecord:
     """The record of a (skeleton, slots) pair: its included slots and its text."""
     template, names = grammar.skeleton_plan(skeleton)
+    values = [slots[name] for name in names]
     return AttributeRecord(
         skeleton=skeleton,
-        slots={name: slots[name] for name in names},
-        text=template.format(**slots),
+        slots=dict(zip(names, values)),
+        text=template % tuple(values),
     )
 
 
-def render(view: Any, cfg: RenderConfig, rng: np.random.Generator,
+def render(view: Any, cfg: RenderConfig, rng: Draws,
            grammar: TemplateGrammar) -> AttributeRecord:
     """Render one view into one text of ``grammar`` under a degradation config.
 
-    ``rng`` is the sample's own stream; White BG's clean config takes no draw.
+    ``rng`` is the sample's own stream; White BG's clean config takes no
+    draw, so through ``Draws`` it fetches no output.
     """
     slots = grammar.view_slots(view)
     variant = int(rng.integers(len(grammar.variants))) if cfg.paraphrase else 0
@@ -80,9 +82,9 @@ def render(view: Any, cfg: RenderConfig, rng: np.random.Generator,
         mask = tuple(not clause.optional or rng.random() >= cfg.omission_prob
                      for clause in clauses)
     if cfg.corruption_prob > 0.0:
-        for name, slot_def in grammar.slots.items():
-            if slot_def.aspect is None and rng.random() < cfg.corruption_prob:
-                others = [v for v in slot_def.values if v != slots[name]]
+        for name, values in grammar.decorative_slots:
+            if rng.random() < cfg.corruption_prob:
+                others = [v for v in values if v != slots[name]]
                 slots[name] = others[int(rng.integers(len(others)))]
     return build_record(grammar, (variant, mask), slots)
 

@@ -14,9 +14,8 @@ token budget respected) by parsing both texts with the oracle in
 
 from __future__ import annotations
 
-import numpy as np
-
 from .describe import AttributeRecord, build_record
+from .seeding import Draws
 from .templates import TemplateGrammar
 
 # "at least one" contradiction per the synthesis constraints; a second edit,
@@ -28,7 +27,7 @@ ONE_EDIT_PROB = 0.7
 def synthesize_negative(
     pos: AttributeRecord,
     grammar: TemplateGrammar,
-    rng: np.random.Generator,
+    rng: Draws,
 ) -> AttributeRecord:
     """Build one contradictory negative record for a positive's record.
 

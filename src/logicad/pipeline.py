@@ -18,7 +18,10 @@ its sample id, so its views, texts, pairs and vocabulary are those of the
 whole task.  This module names every stream a task draws: "scenes" for
 the views; "render" per sample and "negative" per train sample, by sample
 id, each kind in one ``derive_rngs`` call; and "train", which
-``init_params`` and ``fit`` each start.
+``init_params`` and ``fit`` each start.  Each of the first three is read by
+one consumer and then dropped, so it is read through ``Draws``, which
+gives the same values as the plain generator; "train" stays a generator,
+since ``init_params`` and ``fit`` draw arrays.
 
 Only the run-directory section at the end writes or reads a file of the
 output directory; ``run_task`` and ``run_benchmark`` also name a task's
@@ -43,7 +46,7 @@ from . import describe, knn, metrics, negatives, scenarios, scenes, trainer
 from .describe import CONDITION_RENDER_DEFAULTS
 from .encoder import (EncodeError, Vocabulary, activation_table, encode_texts,
                       init_params)
-from .seeding import derive_rngs
+from .seeding import Draws, derive_rngs
 
 CHECKPOINT_VERSION = 3
 
@@ -118,12 +121,12 @@ def generate_task(config: PipelineConfig, scenario_id: str,
     render_cfg = CONDITION_RENDER_DEFAULTS[condition]
     seed_parts = (config.master_seed, scenario_id, condition.value)
     (scene_rng,) = derive_rngs(*seed_parts, names=["scenes"])
-    samples = scenes.build_task(spec, counts, scene_rng)
-    render_rngs = derive_rngs(*seed_parts, "render",
-                              names=[s.sample_id for s in samples])
-    negative_rngs = derive_rngs(
+    samples = scenes.build_task(spec, counts, Draws(scene_rng))
+    render_rngs = map(Draws, derive_rngs(*seed_parts, "render",
+                                         names=[s.sample_id for s in samples]))
+    negative_rngs = map(Draws, derive_rngs(
         *seed_parts, "negative",
-        names=[s.sample_id for s in samples if s.split == "train"])
+        names=[s.sample_id for s in samples if s.split == "train"]))
     texts = {}
     pairs = {}
     for sample, rng in zip(samples, render_rngs):

@@ -27,9 +27,8 @@ import dataclasses
 from collections.abc import Sequence
 from typing import Optional
 
-import numpy as np
-
 from .scenes import Aspect, Constraint, ScenarioSpec, SplitCounts
+from .seeding import Draws
 from .templates import (
     BALL_COLORS, BALLS_GRAMMAR, BLOCK_BINS, BLOCK_SHAPES, BLOCKS_GRAMMAR,
     COOKIE_COLORS, COOKIES_GRAMMAR, DISH_INTRUDERS, DISH_ITEMS, DISHES_GRAMMAR,
@@ -41,12 +40,12 @@ from .templates import (
 MAX_COUNT = 6  # upper bound for any per-group object count
 
 
-def _pick(rng: np.random.Generator, options):
+def _pick(rng: Draws, options):
     options = list(options)
     return options[int(rng.integers(len(options)))]
 
 
-def _bump(rng: np.random.Generator, count: int, lo: int = 0) -> int:
+def _bump(rng: Draws, count: int, lo: int = 0) -> int:
     deltas = [d for d in (-1, 1) if lo <= count + d <= MAX_COUNT]
     return count + _pick(rng, deltas)
 
@@ -64,7 +63,7 @@ def _swap(slots: Sequence, values: Sequence[str], normal):
     ``normal`` is the normal view.  The slot index and the value are two
     draws, in that order.
     """
-    def edit(view, rng: np.random.Generator) -> None:
+    def edit(view, rng: Draws) -> None:
         slot = slots[int(rng.integers(len(slots)))]
         view[slot] = _pick(rng, [v for v in values if v != normal[slot]])
     return edit
@@ -121,7 +120,7 @@ class GroupLayout:
                 objects.append(dict(fields))
         return _scene(objects)
 
-    def normal(self, rng: np.random.Generator) -> dict:
+    def normal(self, rng: Draws) -> dict:
         view = {}
         for _, count, attr, n, canon in self.groups:
             view[count], view[attr] = n, canon
@@ -141,11 +140,11 @@ class GroupLayout:
             view[count] == 0 or view[attr] == canon
             for _, count, attr, _, canon in self.groups)
 
-    def bump_count(self, view: dict, rng: np.random.Generator) -> None:
+    def bump_count(self, view: dict, rng: Draws) -> None:
         count = _pick(rng, [g[1] for g in self.groups])
         view[count] = _bump(rng, view[count])
 
-    def change_attr(self, view: dict, rng: np.random.Generator) -> None:
+    def change_attr(self, view: dict, rng: Draws) -> None:
         _, _, attr, _, canon = _pick(rng, [g for g in self.groups if view[g[1]] > 0])
         view[attr] = _pick(rng, [v for v in self.values if v != canon])
 
@@ -199,12 +198,12 @@ def _two_kinds(view: dict) -> bool:
             and view["cat_a"] != view["cat_b"])
 
 
-def _fruits_edit_q(view: dict, rng: np.random.Generator) -> None:
+def _fruits_edit_q(view: dict, rng: Draws) -> None:
     side = _pick(rng, ("a", "b"))
     view[f"count_{side}"] = _bump(rng, view[f"count_{side}"], lo=1)
 
 
-def _fruits_edit_t(view: dict, rng: np.random.Generator) -> None:
+def _fruits_edit_t(view: dict, rng: Draws) -> None:
     side = _pick(rng, ("a", "b"))
     other = view["cat_b" if side == "a" else "cat_a"]
     view[f"cat_{side}"] = _pick(
@@ -313,7 +312,7 @@ def _stationery_build(view: dict) -> dict:
     return _scene(objects)
 
 
-def _stationery_edit_l(view: dict, rng: np.random.Generator) -> None:
+def _stationery_edit_l(view: dict, rng: Draws) -> None:
     side = _pick(rng, ("left", "right"))
     cat = _pick(rng, ("pencil", "eraser"))
     slot = f"len_{side}_{cat}"
@@ -347,7 +346,7 @@ def _ropes_build(view: dict) -> dict:
     return _scene([rope], label=view["label_color"])
 
 
-def _ropes_normal(rng: np.random.Generator) -> dict:
+def _ropes_normal(rng: Draws) -> dict:
     color = _pick(rng, ROPE_COLORS)
     return {"rope_len": "similar", "rope_color": color, "label_color": color}
 
@@ -356,7 +355,7 @@ def _ropes_rule_r(view: dict) -> bool:
     return view["rope_color"] == view["label_color"]
 
 
-def _ropes_edit_r(view: dict, rng: np.random.Generator) -> None:
+def _ropes_edit_r(view: dict, rng: Draws) -> None:
     view["rope_color"] = _pick(
         rng, [c for c in ROPE_COLORS if c != view["label_color"]]
     )
@@ -454,7 +453,7 @@ def _dishes_rule_r(items: list[str]) -> bool:
     return ranks == sorted(ranks)
 
 
-def _dishes_edit_r(items: list[str], rng: np.random.Generator) -> None:
+def _dishes_edit_r(items: list[str], rng: Draws) -> None:
     while True:
         perm = rng.permutation(len(items))
         if list(perm) != list(range(len(items))):
@@ -488,7 +487,7 @@ BALLS_LAYOUT = GroupLayout(
 )
 
 
-def _balls_edit_p(view: dict, rng: np.random.Generator) -> None:
+def _balls_edit_p(view: dict, rng: Draws) -> None:
     """Move one ball to the other compartment of its row."""
     row = _pick(rng, ("t", "b"))
     src, dst = (f"{row}l", f"{row}r") if rng.integers(2) else (f"{row}r", f"{row}l")

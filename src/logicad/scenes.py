@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-import numpy as np
+from .seeding import Draws
 
 if TYPE_CHECKING:  # templates imports this module
     from .templates import TemplateGrammar
@@ -64,7 +64,7 @@ class Constraint(NamedTuple):
 
     aspect: Aspect
     holds: Callable[[Any], bool]
-    breaks: Callable[[Any, np.random.Generator], None]
+    breaks: Callable[[Any, Draws], None]
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class ScenarioSpec:
     scenario_id: str
     constraints: tuple[Constraint, Constraint]
     build: Callable[[Any], dict]
-    normal: Callable[[np.random.Generator], Any]
+    normal: Callable[[Draws], Any]
     counts: SplitCounts
     grammar: TemplateGrammar
 
@@ -99,7 +99,7 @@ def classify(view: Any, spec: ScenarioSpec) -> Label:
 
 
 def sample_anomaly(
-    spec: ScenarioSpec, target: Label, rng: np.random.Generator
+    spec: ScenarioSpec, target: Label, rng: Draws
 ) -> Any:
     """Sample a view whose classification is exactly ``target``.
 
@@ -142,7 +142,7 @@ def task_id_for(scenario_id: str, condition: Condition) -> str:
 
 
 def build_task(spec: ScenarioSpec, counts: SplitCounts,
-               rng: np.random.Generator) -> tuple[TaskSample, ...]:
+               rng: Draws) -> tuple[TaskSample, ...]:
     """Generate the labelled views of one task, train samples first.
 
     Every view is drawn from ``rng``, train views first, so the train views

@@ -10,11 +10,18 @@ one kind in one pass: it hashes their shared qualifiers once, and runs
 ``SeedSequence``'s hash over all their seeds at once as uint32 vectors
 (``seed_words``).  Each stream is still its own generator, in the state
 ``default_rng`` would give it; the tests check both against numpy.
+
+A stream that one consumer reads and then drops (a task's scenes, each
+render and each negative) is read through ``Draws``: it takes the stream's
+raw PCG64 outputs in blocks and turns them into exactly the values numpy's
+``Generator`` gives for the four calls those consumers make, without a
+numpy call per value.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -109,3 +116,118 @@ def derive_rngs(master_seed: int, *parts: str,
     seeds = np.frombuffer(b"".join(digests), dtype="<u8")
     for words in seed_words(seeds):
         yield np.random.Generator(np.random.PCG64(_GeneratedState(words)))
+
+
+# raw outputs fetched per numpy call; at seed 0 a render reads at most 14, a
+# negative 4 and a task's views up to 181
+DRAW_BLOCK = 16
+# numpy's Generator.choice draws by Floyd's algorithm up to this population;
+# past it numpy shuffles, and Draws refuses
+FLOYD_MAX_POPULATION = 10_000
+
+
+class Draws:
+    """The values ``np.random.Generator`` gives for ``random``,
+    ``integers(n)``, ``permutation(n)`` and ``choice(n, size,
+    replace=False)``, read from a fresh generator's raw PCG64 outputs.
+
+    It fetches ``DRAW_BLOCK`` outputs at a time, the first on the first
+    draw, so it may read past the last value it returns: the generator must
+    not be drawn from again.  Like numpy, a 32-bit draw takes the low half of
+    an output and keeps the high half for the next one (PCG64's
+    ``has_uint32``); a generator that is not fresh may hold such a half, so
+    it must not be wrapped.  It covers the 32-bit draws numpy makes for
+    ``integers(n)`` up to ``n = 2**32`` and for ``choice`` from up to
+    ``FLOYD_MAX_POPULATION`` items, and refuses larger ones with ValueError.
+    ``permutation`` and ``choice`` return lists.
+    """
+
+    __slots__ = ("_next64", "_high")
+
+    def __init__(self, rng: np.random.Generator):
+        bits = rng.bit_generator
+        blocks = iter(lambda: bits.random_raw(DRAW_BLOCK).tolist(), None)
+        self._next64 = itertools.chain.from_iterable(blocks).__next__
+        self._high = None  # the buffered high half of the last output
+
+    def _next32(self) -> int:
+        high = self._high
+        if high is None:
+            raw = self._next64()
+            self._high = raw >> 32
+            return raw & MASK32
+        self._high = None
+        return high
+
+    def random(self) -> float:
+        """A float in [0, 1): the top 53 bits of one output."""
+        return (self._next64() >> 11) * 2.0**-53
+
+    def _bounded(self, top: int) -> int:
+        """An int in [0, top], for ``top < 2**32``, by Lemire's method
+        (numpy's ``random_bounded_uint64``); 0 takes no draw."""
+        if top == 0:
+            return 0
+        span = top + 1
+        m = self._next32() * span
+        if m & MASK32 < span:
+            threshold = 2**32 % span
+            while m & MASK32 < threshold:
+                m = self._next32() * span
+        return m >> 32
+
+    def _interval(self, top: int) -> int:
+        """An int in [0, top], for ``top < 2**32``, drawn under the smallest
+        all-ones mask that covers ``top`` until one fits (numpy's
+        ``random_interval``)."""
+        mask = (1 << top.bit_length()) - 1
+        value = self._next32() & mask
+        while value > top:
+            value = self._next32() & mask
+        return value
+
+    @staticmethod
+    def _shuffle(items: list, draw) -> None:
+        """Swap each position from the last down to 1 with the one
+        ``draw(position)`` names at or below it."""
+        for i in range(len(items) - 1, 0, -1):
+            j = draw(i)
+            items[i], items[j] = items[j], items[i]
+
+    def integers(self, n: int) -> int:
+        """An int in [0, n)."""
+        if n <= 0:
+            raise ValueError("high <= 0")
+        if n > 2**32:
+            raise ValueError("Draws.integers draws below 2**32 only")
+        return self._bounded(n - 1)
+
+    def permutation(self, n: int) -> list[int]:
+        """``range(n)`` shuffled as numpy's ``shuffle`` does (masked draws)."""
+        items = list(range(n))
+        self._shuffle(items, self._interval)
+        return items
+
+    def choice(self, n: int, size: int, replace: bool) -> list[int]:
+        """``size`` distinct ints in [0, n), in numpy's order: Floyd's
+        algorithm, then a shuffle by Lemire draws."""
+        if replace:
+            raise ValueError("Draws.choice draws without replacement only")
+        if n <= 0 and size != 0:
+            raise ValueError("a must be a positive integer unless no samples "
+                             "are taken")
+        if size > n:
+            raise ValueError("Cannot take a larger sample than population "
+                             "when replace is False")
+        if size < 0:
+            raise ValueError("negative dimensions are not allowed")
+        if n > FLOYD_MAX_POPULATION:
+            raise ValueError("Draws.choice draws from at most "
+                             f"{FLOYD_MAX_POPULATION} items")
+        picked: dict[int, None] = {}  # in draw order
+        for j in range(n - size, n):
+            value = self._bounded(j)
+            picked[j if value in picked else value] = None
+        items = list(picked)
+        self._shuffle(items, self._bounded)
+        return items

@@ -14,7 +14,7 @@ from logicad.describe import (
 )
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Condition, Label, build_task
-from logicad.seeding import derive_rngs
+from logicad.seeding import Draws, derive_rngs
 from logicad.templates import SlotDef, _slot_table
 
 CLEAN = RenderConfig(False, 0.0, 0.0)
@@ -300,16 +300,18 @@ def test_build_record_equals_clause_by_clause_formatting(scenario_id):
 
 def test_a_render_config_that_draws_nothing_leaves_its_stream_where_it_was():
     """Every condition renders from a stream; White BG's takes no draw from
-    it, so a White BG text cannot depend on its stream."""
-    moved = set()
-    for condition, cfg in CONDITION_RENDER_DEFAULTS.items():
-        for scenario_id in sorted(SCENARIOS):
-            rng = np.random.default_rng(5)
-            before = rng.bit_generator.state
-            render(_canonical_view(scenario_id), cfg, rng,
-                   get_scenario(scenario_id).grammar)
-            if rng.bit_generator.state != before:
-                moved.add((scenario_id, condition))
-    assert moved == {(scenario_id, condition) for scenario_id in SCENARIOS
-                     for condition in Condition
-                     if condition is not Condition.WHITE_BG}
+    it, so a White BG text cannot depend on its stream.  Read through
+    ``Draws``, as the pipeline reads it, it fetches no block of outputs."""
+    for wrap in (lambda rng: rng, Draws):
+        moved = set()
+        for condition, cfg in CONDITION_RENDER_DEFAULTS.items():
+            for scenario_id in sorted(SCENARIOS):
+                rng = np.random.default_rng(5)
+                before = rng.bit_generator.state
+                render(_canonical_view(scenario_id), cfg, wrap(rng),
+                       get_scenario(scenario_id).grammar)
+                if rng.bit_generator.state != before:
+                    moved.add((scenario_id, condition))
+        assert moved == {(scenario_id, condition) for scenario_id in SCENARIOS
+                         for condition in Condition
+                         if condition is not Condition.WHITE_BG}, wrap

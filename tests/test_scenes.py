@@ -33,7 +33,7 @@ from logicad.scenes import (
     sample_anomaly,
     task_id_for,
 )
-from logicad.seeding import derive_rngs
+from logicad.seeding import Draws, derive_rngs
 
 ANOMALY_LABELS = (Label.SINGLE_A, Label.SINGLE_B, Label.DUAL)
 
@@ -444,6 +444,26 @@ def test_build_task_is_seed_deterministic():
     c = build_task(spec, counts, np.random.default_rng(10))
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
+def test_train_views_read_through_draws_lead_the_task(scenario_id):
+    """A train-only call on the scenes stream, read through ``Draws`` as the
+    pipeline reads it, gives the full task's train samples, and both give
+    what the plain stream gives."""
+    spec = get_scenario(scenario_id)
+    counts = spec.counts
+    train_only = SplitCounts(counts.train_normal, 0, 0, 0, 0)
+
+    def stream():
+        (rng,) = derive_rngs(0, scenario_id, "mesh_bg", names=["scenes"])
+        return rng
+
+    full = build_task(spec, counts, Draws(stream()))
+    assert full == build_task(spec, counts, stream())
+    train = build_task(spec, train_only, Draws(stream()))
+    assert train == full[:counts.train_normal]
+    assert all(s.split == "train" for s in train)
 
 
 def test_default_split_counts_cover_every_scenario():

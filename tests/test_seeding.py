@@ -1,19 +1,23 @@
-"""Seed derivation: the batched streams are the streams numpy would make, and
-only ``seeding`` makes one."""
+"""Seed derivation: the batched streams are the streams numpy would make,
+``Draws`` reads them as numpy's ``Generator`` would, and only ``seeding``
+makes one."""
 
 import ast
 import hashlib
+import itertools
 import re
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicad import pipeline
 from logicad.scenarios import get_scenario
 from logicad.scenes import Condition
-from logicad.seeding import derive_rngs, seed_words
+from logicad.seeding import Draws, derive_rngs, seed_words
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "logicad"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -114,6 +118,139 @@ def test_every_stream_of_a_batch_is_its_own_generator():
     a.random(3)
     assert b.bit_generator.state == _reference_rng(
         0, "sticks", "blurry_cd", "render", "y").bit_generator.state
+
+
+# one call of the per-sample code: (method, positional arguments)
+_CALLS = st.one_of(
+    st.just(("random", ())),
+    st.tuples(st.just("integers"), st.tuples(st.integers(1, 20))),
+    st.tuples(st.just("permutation"), st.tuples(st.integers(1, 9))),
+    st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just("choice"), st.tuples(st.just(n), st.integers(0, min(n, 2))))),
+)
+
+
+def _call(stream, method: str, args: tuple):
+    kwargs = {"replace": False} if method == "choice" else {}
+    return getattr(stream, method)(*args, **kwargs)
+
+
+def _assert_same_values(seed: int, calls) -> None:
+    """``Draws`` and its twin ``Generator`` give the same values, and a
+    last ``random`` shows they took the same outputs and buffered half."""
+    draws, twin = Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
+    for method, args in [*calls, ("random", ())]:
+        got, want = _call(draws, method, args), _call(twin, method, args)
+        assert type(got) is type(np.asarray(want).tolist()), (method, args)
+        assert got == np.asarray(want).tolist(), (seed, method, args)
+
+
+@settings(max_examples=250, deadline=None)
+@given(first_seed=st.integers(0, 2**64 - 8), calls=st.lists(_CALLS, max_size=30))
+def test_draws_give_the_values_of_a_twin_generator(first_seed, calls):
+    # 250 call sequences, each on 8 fresh seeds: 2,000 streams
+    for seed in range(first_seed, first_seed + 8):
+        _assert_same_values(seed, calls)
+
+
+def _halves_taken(rng: np.random.Generator, seed: int) -> int:
+    """The 32-bit halves ``rng`` has taken since ``default_rng(seed)``:
+    two per raw output, less the half it still buffers."""
+    fresh, state = np.random.default_rng(seed).bit_generator, rng.bit_generator.state
+    for outputs in itertools.count():
+        if fresh.state["state"] == state["state"]:
+            return 2 * outputs - state["has_uint32"]
+        fresh.random_raw()
+
+
+# (call, the least share of its 32-bit draws that a rejection loop throws
+# away): Lemire rejects below 2**32 % n, about half of the draws for
+# 2**31 + 1 and a quarter for 3 * 2**30; the masked shuffle rejects up to
+# 3/8 at each position whose bound is not one less than a power of two
+REJECTING = [
+    (("integers", (2**31 + 1,)), 0.5),
+    (("integers", (3 * 2**30,)), 0.25),
+    *[(("permutation", (n,)), 0.1) for n in range(5, 10)],
+]
+
+
+@pytest.mark.parametrize("call, share", REJECTING)
+def test_the_rejection_loops_run_and_keep_the_twin_values(call, share):
+    method, (n,) = call
+    # 32-bit draws per call when nothing is rejected
+    fewest = n - 1 if method == "permutation" else 1
+    taken = least = 0
+    for seed in range(200):
+        twin = np.random.default_rng(seed)
+        for _ in range(3):
+            _call(twin, *call)
+        taken += _halves_taken(twin, seed)
+        least += 3 * fewest
+        _assert_same_values(seed, [call] * 3)
+    assert taken > least * (1 + share / 2)
+
+
+@pytest.mark.parametrize("n", [2**32 - 1, 2**32])
+def test_draws_give_the_twin_integers_at_the_32_bit_edge(n):
+    # 2**32 - 1 is the widest Lemire span and almost never rejects; 2**32
+    # takes the 32-bit draw as it is
+    for seed in range(200):
+        _assert_same_values(seed, [("integers", (n,))] * 4)
+
+
+def test_draws_choose_as_the_twin_from_the_largest_population_they_take():
+    for seed in range(3):
+        _assert_same_values(seed, [("choice", (10_000, 10_000)),
+                                   ("choice", (10_000, 500)),
+                                   ("permutation", (1_000,))])
+
+
+@pytest.mark.parametrize("method, args", [
+    ("integers", (0,)), ("integers", (-3,)), ("integers", (2**63 + 1,)),
+    ("choice", (0, 1)), ("choice", (3, 4)), ("choice", (3, -1)),
+    ("choice", (-2, 1)),
+])
+def test_draws_refuse_what_numpy_refuses(method, args):
+    for stream in (np.random.default_rng(0), Draws(np.random.default_rng(0))):
+        with pytest.raises(ValueError):
+            _call(stream, method, args)
+
+
+@pytest.mark.parametrize("method, args", [
+    ("integers", (2**32 + 1,)), ("choice", (10_001, 1)),
+])
+def test_draws_refuse_the_64_bit_and_shuffled_draws_they_do_not_make(
+        method, args):
+    # numpy draws these with whole outputs or a shuffle of range(n)
+    with pytest.raises(ValueError):
+        _call(Draws(np.random.default_rng(0)), method, args)
+
+
+def test_draws_take_no_output_where_numpy_takes_none():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    draws = Draws(rng)
+    assert (draws.integers(1), draws.permutation(1), draws.permutation(-1),
+            draws.choice(0, 0, replace=False),
+            draws.choice(1, 1, replace=False)) == (0, [0], [], [], [0])
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError):
+        draws.choice(5, 2, replace=True)
+
+
+def test_the_pipeline_gives_what_plain_generators_give(monkeypatch):
+    """Every seed-0 view, text and negative that the pipeline draws through
+    ``Draws`` is the one the same streams give as plain generators."""
+    config = pipeline.PipelineConfig()
+    for scenario_id, condition in config.tasks():
+        counts = get_scenario(scenario_id).counts
+        with monkeypatch.context() as plain:
+            plain.setattr(pipeline, "Draws", lambda rng: rng)
+            want = pipeline.generate_task(config, scenario_id, condition, counts)
+        got = pipeline.generate_task(config, scenario_id, condition, counts)
+        assert got.samples == want.samples, (scenario_id, condition)
+        assert got.texts == want.texts, (scenario_id, condition)
+        assert got.pairs == want.pairs, (scenario_id, condition)
 
 
 def _annotations(tree: ast.AST) -> set[int]:
