@@ -33,8 +33,8 @@ def _reports_from_files(config: pipeline.PipelineConfig,
                         out_dir: Path) -> list[metrics.TaskReport]:
     reports = []
     for scenario_id, condition in config.tasks():
-        scores, labels = pipeline.read_score_file(
-            out_dir, scenes.task_id_for(scenario_id, condition))
+        scores, labels = pipeline.read_score_file(out_dir, scenario_id,
+                                                  condition)
         reports.append(metrics.make_task_report(scenario_id, condition,
                                                 scores, labels))
     return reports

@@ -8,20 +8,20 @@ once per task.
 
 Each stage regenerates what it reads instead of loading the files of an
 earlier stage.  ``gen``, ``score`` and ``all`` generate the whole task:
-``gen`` writes it out, and scoring reads the test split.  ``score`` reads
-only the train and test texts; it synthesises the train negatives only so
-that ``load_checkpoint`` can rebuild the vocabulary from the train pairs
-and refuse a checkpoint whose vocabulary differs.  ``train`` reads
-only the train pairs, so it generates only the train split; that split
-leads the task's view stream and every render and negative is seeded by
-its sample id, so its views, texts, pairs and vocabulary are those of the
-whole task.  This module names every stream a task draws: "scenes" for
-the views; "render" per sample and "negative" per train sample, by sample
-id, each kind in one ``derive_rngs`` call; and "train", which
-``init_params`` and ``fit`` each start.  Each of the first three is read by
-one consumer and then dropped, so it is read through ``Draws``, which
-gives the same values as the plain generator; "train" stays a generator,
-since ``init_params`` and ``fit`` draw arrays.
+``gen`` writes it out, and scoring reads the train and test texts.
+``score`` synthesises the train negatives only so that ``load_checkpoint``
+can rebuild the vocabulary from the train pairs and refuse a checkpoint
+whose vocabulary differs.  ``train`` reads only the train pairs, so it
+generates only the train split; that split leads the task's view stream and
+every render and negative is seeded by its sample id, so its views, texts,
+negatives and vocabulary are those of the whole task.  This module names
+every stream a task draws: "scenes" for the views; "render" per sample and
+"negative" per train sample, by sample id, each kind in one ``derive_rngs``
+call and one pass; and "train", which ``init_params`` and ``fit`` each
+start.  Each of the first three is read by one consumer and then dropped,
+so it is read through ``Draws``, which gives the same values as the plain
+generator; "train" stays a generator, since ``init_params`` and ``fit``
+draw arrays.
 
 Only the run-directory section at the end writes or reads a file of the
 output directory; ``run_task`` and ``run_benchmark`` also name a task's
@@ -87,56 +87,46 @@ class TaskArtifacts:
     scenario_id: str
     condition: scenes.Condition
     samples: tuple[scenes.TaskSample, ...]  # train samples first
-    texts: dict[str, str]            # sample_id -> description
-    # train sample_id -> (positive record, negative record)
-    pairs: dict[str, tuple[describe.AttributeRecord, describe.AttributeRecord]]
+    records: tuple[describe.AttributeRecord, ...]  # one per sample, in order
+    negatives: tuple[describe.AttributeRecord, ...]  # one per train sample
 
     @property
     def task_id(self) -> str:
         return scenes.task_id_for(self.scenario_id, self.condition)
 
-    def split(self, split: str) -> list[scenes.TaskSample]:
-        return [s for s in self.samples if s.split == split]
-
-    def train_pairs(self) -> tuple[list[str], list[str]]:
-        ids = [s.sample_id for s in self.split("train")]
-        pos = [self.pairs[i][0].text for i in ids]
-        neg = [self.pairs[i][1].text for i in ids]
-        return pos, neg
+    def split(self, name: str) -> tuple[list[scenes.TaskSample], list[str]]:
+        """The samples of one split and their texts, in sample order."""
+        chosen = [(s, r.text) for s, r in zip(self.samples, self.records)
+                  if s.split == name]
+        return [s for s, _ in chosen], [text for _, text in chosen]
 
     def vocabulary(self) -> Vocabulary:
-        pos, neg = self.train_pairs()
-        return Vocabulary.build(pos + neg)
+        _, train_texts = self.split("train")
+        return Vocabulary.build(train_texts + [n.text for n in self.negatives])
 
 
 def generate_task(config: PipelineConfig, scenario_id: str,
                   condition: scenes.Condition,
                   counts: scenes.SplitCounts) -> TaskArtifacts:
-    """Views, descriptions and negative pairs for one task.
-
-    Every sample renders from its own stream, so any counts with the same
-    ``train_normal`` give the same train samples, texts and pairs.
-    """
+    """Views, render records (in sample order) and train negatives of one
+    task, one pass per stream kind.  Every sample has its own streams, so any
+    counts with the same ``train_normal`` give the same train samples,
+    records and negatives."""
     spec = scenarios.get_scenario(scenario_id)
     render_cfg = CONDITION_RENDER_DEFAULTS[condition]
     seed_parts = (config.master_seed, scenario_id, condition.value)
     (scene_rng,) = derive_rngs(*seed_parts, names=["scenes"])
     samples = scenes.build_task(spec, counts, Draws(scene_rng))
-    render_rngs = map(Draws, derive_rngs(*seed_parts, "render",
-                                         names=[s.sample_id for s in samples]))
-    negative_rngs = map(Draws, derive_rngs(
+    render_rngs = derive_rngs(*seed_parts, "render",
+                              names=[s.sample_id for s in samples])
+    records = tuple(describe.render(s.view, render_cfg, Draws(rng), spec.grammar)
+                    for s, rng in zip(samples, render_rngs))
+    negative_rngs = derive_rngs(
         *seed_parts, "negative",
-        names=[s.sample_id for s in samples if s.split == "train"]))
-    texts = {}
-    pairs = {}
-    for sample, rng in zip(samples, render_rngs):
-        record = describe.render(sample.view, render_cfg, rng, spec.grammar)
-        texts[sample.sample_id] = record.text
-        if sample.split == "train":
-            pairs[sample.sample_id] = (
-                record, negatives.synthesize_negative(record, spec.grammar,
-                                                      next(negative_rngs)))
-    return TaskArtifacts(scenario_id, condition, samples, texts, pairs)
+        names=[s.sample_id for s in samples if s.split == "train"])
+    return TaskArtifacts(scenario_id, condition, samples, records, tuple(
+        negatives.synthesize_negative(r, spec.grammar, Draws(rng))
+        for r, rng in zip(records, negative_rngs)))
 
 
 @dataclass
@@ -150,7 +140,7 @@ def train_task(config: PipelineConfig, artifacts: TaskArtifacts
     """Fit (or, for the baseline, just initialize) the task's encoder; returns
     it with the mean loss of each epoch, none for the baseline.  A training
     error, or a table of parameters that overflowed, names the task."""
-    pos_texts, neg_texts = artifacts.train_pairs()
+    _, train_texts = artifacts.split("train")
     vocab = artifacts.vocabulary()
     # fit restarts init's stream: pinned bytes until ROADMAP item 5 renames it
     init_rng, fit_rng = derive_rngs(
@@ -160,38 +150,29 @@ def train_task(config: PipelineConfig, artifacts: TaskArtifacts
     losses = []
     try:
         if not config.skip_training:
-            params, losses = trainer.fit(pos_texts, neg_texts, vocab,
-                                         config.train, params, fit_rng)
+            params, losses = trainer.fit(
+                train_texts, [n.text for n in artifacts.negatives], vocab,
+                config.train, params, fit_rng)
         table = activation_table(params)
     except (trainer.TrainingError, EncodeError) as exc:
         raise trainer.TrainingError(f"{artifacts.task_id}: {exc}") from None
     return TrainedTask(vocab=vocab, table=table), losses
 
 
-@dataclass
-class ScoredTask:
-    report: metrics.TaskReport
-    # per test sample: (sample_id, label, score, mean distance, neighbor ids)
-    results: list[tuple[str, scenes.Label, float, float, list[str]]]
-
-
 def score_task(config: PipelineConfig, artifacts: TaskArtifacts,
-               trained: TrainedTask) -> ScoredTask:
-    """Encode the train split as the reference library and score the test split."""
-    train, test = artifacts.split("train"), artifacts.split("test")
-    library, queries = (
-        encode_texts([artifacts.texts[s.sample_id] for s in samples],
-                     trained.table, trained.vocab)
-        for samples in (train, test))
+               trained: TrainedTask
+               ) -> tuple[metrics.TaskReport, np.ndarray, np.ndarray, np.ndarray]:
+    """Score the test split against the train split's library: the report,
+    then ``knn.score``'s scores, mean distances and neighbour rows."""
+    _, train_texts = artifacts.split("train")
+    test, test_texts = artifacts.split("test")
+    library, queries = (encode_texts(texts, trained.table, trained.vocab)
+                        for texts in (train_texts, test_texts))
     scores, means, nearest = knn.score(queries, library, config.k)
-    results = [(s.sample_id, s.label, score, mean,
-                [train[i].sample_id for i in row])
-               for s, score, mean, row in zip(test, scores.tolist(),
-                                              means.tolist(), nearest.tolist())]
     report = metrics.make_task_report(
         artifacts.scenario_id, artifacts.condition, scores,
         [s.label for s in test])
-    return ScoredTask(report=report, results=results)
+    return report, scores, means, nearest
 
 
 class CheckpointError(ValueError):
@@ -233,10 +214,10 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
             if config.skip_training:
                 return f"train {task_id}: not trained (skip_training)", None
             return f"train {task_id}: final loss {losses[-1]:.4f}", None
-    scored = score_task(config, artifacts, trained)
-    write_score_file(out_dir, scored)
+    report, scores, means, nearest = score_task(config, artifacts, trained)
+    write_score_file(out_dir, artifacts, scores, means, nearest)
     prefix = "score " if stages == "score" else ""
-    return f"{prefix}{task_id}: AUROC {scored.report.auroc:.4f}", scored.report
+    return f"{prefix}{task_id}: AUROC {report.auroc:.4f}", report
 
 
 def usable_cpus() -> int:
@@ -317,26 +298,34 @@ def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
             fh.write(line)
     _write_jsonl(_task_path(out_dir, task_id, "descriptions.jsonl"), (
         {"task_id": task_id, "sample_id": s.sample_id, "split": s.split,
-         "label": s.label.value, "text": artifacts.texts[s.sample_id]}
-        for s in artifacts.samples))
+         "label": s.label.value, "text": r.text}
+        for s, r in zip(artifacts.samples, artifacts.records)))
+    # train samples come first, so the negatives pair with the leading records
     _write_jsonl(_task_path(out_dir, task_id, "pairs.jsonl"), (
-        {"task_id": task_id, "sample_id": sample_id,
+        {"task_id": task_id, "sample_id": s.sample_id,
          "pos_text": pos.text, "neg_text": neg.text,
          "edits": negatives.pair_edits(pos, neg, spec.grammar)}
-        for sample_id, (pos, neg) in artifacts.pairs.items()))
+        for s, pos, neg in zip(artifacts.samples, artifacts.records,
+                               artifacts.negatives)))
 
 
-def write_score_file(out_dir: Path, scored: ScoredTask) -> None:
-    task_id = scored.report.task_id
+def write_score_file(out_dir: Path, artifacts: TaskArtifacts, scores: np.ndarray,
+                     means: np.ndarray, nearest: np.ndarray) -> None:
+    task_id = artifacts.task_id
+    (train, _), (test, _) = artifacts.split("train"), artifacts.split("test")
     _write_jsonl(_task_path(out_dir, task_id, "scores.jsonl"), (
-        {"task_id": task_id, "sample_id": sample_id, "label": label.value,
-         "score": score, "mean_distance": mean, "neighbor_ids": neighbor_ids}
-        for sample_id, label, score, mean, neighbor_ids in scored.results))
+        {"task_id": task_id, "sample_id": s.sample_id, "label": s.label.value,
+         "score": score, "mean_distance": mean,
+         "neighbor_ids": [train[i].sample_id for i in row]}
+        for s, score, mean, row in zip(test, scores.tolist(), means.tolist(),
+                                       nearest.tolist())))
 
 
-def read_score_file(out_dir: Path, task_id: str
+def read_score_file(out_dir: Path, scenario_id: str, condition: scenes.Condition
                     ) -> tuple[list[float], list[scenes.Label]]:
-    """(scores, labels) of a task's score file; a damaged one raises ValueError."""
+    """(scores, labels) of a task's score file: a damaged one, or one without
+    a line per test sample, raises ValueError; another task's CheckpointError."""
+    task_id = scenes.task_id_for(scenario_id, condition)
     path = _task_path(out_dir, task_id, "scores.jsonl")
     if not path.exists():
         raise CheckpointError(f"no score file for {task_id}; run `logicad score` "
@@ -346,6 +335,7 @@ def read_score_file(out_dir: Path, task_id: str
         for lineno, line in enumerate(fh, start=1):
             try:  # json.loads decodes the bytes, so bad UTF-8 names its line
                 record = json.loads(line)
+                owner = record["task_id"]
                 score = record["score"]
                 if (isinstance(score, bool) or not isinstance(score, (int, float))
                         or not math.isfinite(score)):
@@ -356,8 +346,13 @@ def read_score_file(out_dir: Path, task_id: str
                     RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a score record "
                                  f"({type(exc).__name__}: {exc})") from None
-    if not scores:
-        raise ValueError(f"{path} holds no scores")
+            if owner != task_id:
+                raise CheckpointError(f"{path}:{lineno}: a score of {owner!r}, not "
+                                      f"{task_id}: the file belongs to another run")
+    expected = scenarios.get_scenario(scenario_id).counts.test_total
+    if len(scores) != expected:
+        raise ValueError(f"{path} holds {len(scores) or 'no'} scores; the test "
+                         f"split of {task_id} has {expected}")
     return scores, labels
 
 

@@ -128,6 +128,10 @@ class SplitCounts:
     single_b: int
     dual: int
 
+    @property
+    def test_total(self) -> int:  # the test split: normals and anomalies
+        return self.test_normal + self.single_a + self.single_b + self.dual
+
 
 @dataclass(frozen=True)
 class TaskSample:

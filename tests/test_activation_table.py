@@ -108,8 +108,8 @@ def task_texts():
     config = pipeline.PipelineConfig(master_seed=0)
     artifacts = pipeline.generate_task(config, "sticks", scenes.Condition.MESH_BG,
                                        scenarios.get_scenario("sticks").counts)
-    pos, neg = artifacts.train_pairs()
-    return pos, neg, artifacts.vocabulary()
+    return (artifacts.split("train")[1], [n.text for n in artifacts.negatives],
+            artifacts.vocabulary())
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.0, 0.5])

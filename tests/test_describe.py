@@ -178,16 +178,15 @@ def test_which_seed_0_anomalies_the_text_cannot_show():
                                            spec.counts)
         normals = [grammar.view_slots(s.view).items()
                    for s in artifacts.samples if s.label is Label.NORMAL]
-        train_texts = {artifacts.texts[s.sample_id]
-                       for s in artifacts.split("train")}
-        anomalies = [s for s in artifacts.samples
+        train_texts = set(artifacts.split("train")[1])
+        anomalies = [(s, r) for s, r in zip(artifacts.samples, artifacts.records)
                      if s.label is not Label.NORMAL]
         streams = derive_rngs(config.master_seed, scenario_id, condition.value,
-                              "render", names=[s.sample_id for s in anomalies])
-        for sample, rng in zip(anomalies, streams):
+                              "render", names=[s.sample_id for s, _ in anomalies])
+        for (sample, kept), rng in zip(anomalies, streams):
             record = render(sample.view, CONDITION_RENDER_DEFAULTS[condition],
                             rng, grammar)
-            assert record.text == artifacts.texts[sample.sample_id]
+            assert record == kept
             shown = {name: value for name, value in record.slots.items()
                      if grammar.slots[name].aspect is not None}.items()
             cell = cells.setdefault((artifacts.task_id, sample.label.value),

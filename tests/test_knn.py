@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from logicad import knn, metrics, pipeline
+from logicad import knn, pipeline
 from logicad.encoder import (
     Vocabulary,
     activation_table,
@@ -13,6 +13,7 @@ from logicad.encoder import (
     init_params,
 )
 from logicad.knn import DEFAULT_K, LibraryError, score
+from logicad.scenarios import get_scenario
 from logicad.scenes import Condition, Label
 
 
@@ -188,29 +189,26 @@ def test_encoded_texts_score_in_row_order():
 
 
 def test_score_file_round_trip(tmp_path):
+    counts = get_scenario("sticks").counts
+    artifacts = pipeline.generate_task(pipeline.PipelineConfig(), "sticks",
+                                       Condition.WHITE_BG, counts)
+    test, _ = artifacts.split("test")
     rng = np.random.default_rng(1)
-    library = _random_unit_rows(rng, 8, 4)
-    labels = [Label.NORMAL, Label.SINGLE_A, Label.NORMAL, Label.DUAL]
-    scores, means, nearest = score(_random_unit_rows(rng, len(labels), 4),
+    library = _random_unit_rows(rng, counts.train_normal, 4)
+    scores, means, nearest = score(_random_unit_rows(rng, len(test), 4),
                                    library, k=DEFAULT_K)
-    results = [(f"test-{label.value}-{i:04d}", label, s, mean,
-                [f"train-{j:04d}" for j in row])
-               for i, (label, s, mean, row) in enumerate(
-                   zip(labels, scores.tolist(), means.tolist(),
-                       nearest.tolist()))]
-    report = metrics.make_task_report("sticks", Condition.WHITE_BG, scores,
-                                      labels)
-    pipeline.write_score_file(tmp_path, pipeline.ScoredTask(report, results))
+    pipeline.write_score_file(tmp_path, artifacts, scores, means, nearest)
 
-    read_scores, read_labels = pipeline.read_score_file(tmp_path,
-                                                        "sticks-white_bg")
+    read_scores, read_labels = pipeline.read_score_file(tmp_path, "sticks",
+                                                        Condition.WHITE_BG)
     # bit for bit: a float's repr reads back as the same float
     assert [s.hex() for s in read_scores] == [s.hex() for s in scores.tolist()]
-    assert read_labels == labels
+    assert read_labels == [s.label for s in test]
     lines = (tmp_path / "sticks-white_bg.scores.jsonl").read_text().splitlines()
-    sample_id, label, s, mean, neighbor_ids = results[1]
-    assert json.loads(lines[1]) == {
-        "task_id": "sticks-white_bg", "sample_id": sample_id,
-        "label": label.value, "score": s, "mean_distance": mean,
-        "neighbor_ids": neighbor_ids,
+    i = next(i for i, s in enumerate(test) if s.label == Label.SINGLE_A)
+    assert json.loads(lines[i]) == {
+        "task_id": "sticks-white_bg", "sample_id": test[i].sample_id,
+        "label": "singleA", "score": scores[i].item(),
+        "mean_distance": means[i].item(),
+        "neighbor_ids": [f"train-normal-{j:04d}" for j in nearest[i].tolist()],
     }

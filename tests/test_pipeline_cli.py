@@ -42,11 +42,11 @@ def test_generate_task_is_deterministic_and_complete():
     b = _small_task(Condition.MESH_BG)
     assert (a.scenario_id, a.condition, a.samples) == (b.scenario_id,
                                                        b.condition, b.samples)
-    assert a.texts == b.texts
-    assert a.pairs == b.pairs
-    assert len(a.texts) == len(a.samples) == 26
-    assert set(a.pairs) == {s.sample_id for s in a.split("train")}
-    pos, neg = a.train_pairs()
+    assert a.records == b.records
+    assert a.negatives == b.negatives
+    assert len(a.records) == len(a.samples) == 26
+    assert [s.split for s in a.samples] == ["train"] * 8 + ["test"] * 18
+    (_, pos), neg = a.split("train"), [n.text for n in a.negatives]
     assert len(pos) == len(neg) == 8
     assert all(p != n for p, n in zip(pos, neg))
 
@@ -67,12 +67,11 @@ def test_train_only_generation_is_the_prefix_of_the_full_task(config, scenario,
     full = pipeline.generate_task(config, scenario, condition, counts)
     train = pipeline.generate_task(config, scenario, condition,
                                    SplitCounts(counts.train_normal, 0, 0, 0, 0))
-    assert train.split("test") == []
-    assert train.samples == tuple(full.split("train"))
+    assert train.split("test") == ([], [])
+    assert train.samples == full.samples[:counts.train_normal]
     assert len(train.samples) == counts.train_normal
-    assert train.texts == {s.sample_id: full.texts[s.sample_id]
-                           for s in train.samples}
-    assert train.pairs == full.pairs
+    assert train.records == full.records[:counts.train_normal]
+    assert train.negatives == full.negatives
     assert train.vocabulary() == full.vocabulary()
 
 
@@ -80,7 +79,7 @@ def test_task_seeds_differ_across_conditions_and_stages():
     white = _small_task(Condition.WHITE_BG)
     mesh = _small_task(Condition.MESH_BG)
     assert white.task_id != mesh.task_id
-    assert list(white.texts.values()) != list(mesh.texts.values())
+    assert [r.text for r in white.records] != [r.text for r in mesh.records]
 
 
 def test_skip_training_keeps_the_random_initialization():
@@ -140,20 +139,20 @@ def test_run_benchmark_preserves_task_order(tmp_path):
 def test_score_lines_name_the_nearest_train_samples(tmp_path, condition):
     artifacts = _small_task(condition)
     trained, _ = pipeline.train_task(SMALL, artifacts)
-    pipeline.write_score_file(
-        tmp_path, pipeline.score_task(SMALL, artifacts, trained))
+    _, *scored = pipeline.score_task(SMALL, artifacts, trained)
+    pipeline.write_score_file(tmp_path, artifacts, *scored)
     lines = (tmp_path / f"tapes-{condition.value}.scores.jsonl"
              ).read_text().splitlines()
-    train, test = artifacts.split("train"), artifacts.split("test")
+    train, train_texts = artifacts.split("train")
+    test, test_texts = artifacts.split("test")
 
-    def encode(samples):
-        return encode_texts([artifacts.texts[s.sample_id] for s in samples],
-                            trained.table, trained.vocab)
+    def encode(texts):
+        return encode_texts(texts, trained.table, trained.vocab)
 
-    library = encode(train)
+    library = encode(train_texts)
     assert len(lines) == len(test)
     ties = 0
-    for line, sample, query in zip(lines, test, encode(test)):
+    for line, sample, query in zip(lines, test, encode(test_texts)):
         record = json.loads(line)
         # full sort over (distance, train index): ties go to the earlier sample
         pairs = sorted((float(np.linalg.norm(row - query)), i)
@@ -225,10 +224,10 @@ def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
     assert line("descriptions", -1) == {
         "task_id": "tapes-mesh_bg", "sample_id": sample.sample_id,
         "split": "test", "label": "dual",
-        "text": artifacts.texts[sample.sample_id],
+        "text": artifacts.records[-1].text,
     }
     first = artifacts.samples[0]
-    pos, neg = artifacts.pairs[first.sample_id]
+    pos, neg = artifacts.records[0], artifacts.negatives[0]
     assert line("pairs", 0) == {
         "task_id": "tapes-mesh_bg", "sample_id": first.sample_id,
         "pos_text": pos.text, "neg_text": neg.text,
@@ -263,9 +262,11 @@ def test_scene_file_writes_each_sample_its_own_line_when_views_repeat(tmp_path):
     assert path.read_text().splitlines() == _scene_lines(artifacts)
 
     # a repeated view under another label still gets a line of its own label
-    normal = next(s for s in artifacts.split("test") if s.label == Label.NORMAL)
-    relabelled = replace(artifacts, samples=(
-        *samples, replace(normal, label=Label.SINGLE_A)))
+    i = next(i for i, s in enumerate(samples)
+             if s.split == "test" and s.label == Label.NORMAL)
+    relabelled = replace(
+        artifacts, samples=(*samples, replace(samples[i], label=Label.SINGLE_A)),
+        records=(*artifacts.records, artifacts.records[i]))
     pipeline.write_task_files(tmp_path, relabelled)
     assert path.read_text().splitlines() == _scene_lines(relabelled)
 
@@ -399,8 +400,8 @@ def test_cli_train_needs_no_earlier_gen_and_builds_only_the_train_split(
         for suffix in ("ckpt.npz", "loss.txt"))
     assert [a.task_id for a in built] == ["tapes-white_bg", "tapes-mesh_bg"]
     for artifacts in built:
-        assert artifacts.split("test") == []
-        assert len(artifacts.samples) == 50
+        assert {s.split for s in artifacts.samples} == {"train"}
+        assert len(artifacts.samples) == len(artifacts.records) == 50
 
 
 def test_cli_rejects_unknown_scenario_and_condition(tmp_path, capsys):
@@ -1252,16 +1253,49 @@ def test_cli_reading_a_score_file_of_one_class_names_the_task(tmp_path,
     assert _run(["all", *ARGS, "--baseline", "--out-dir", out]) == 0
     (tmp_path / "report.md").unlink()
     path = tmp_path / "tapes-white_bg.scores.jsonl"
-    lines = path.read_text().splitlines(keepends=True)
-    normal = [line for line in lines if json.loads(line)["label"] == "normal"]
-    assert 0 < len(normal) < len(lines)
-    path.write_text("".join(normal))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert 0 < sum(r["label"] == "normal" for r in records) < len(records)
+    # every line stays, relabelled as normal, so the file is whole
+    path.write_text("".join(json.dumps({**r, "label": "normal"},
+                                       sort_keys=True) + "\n"
+                            for r in records))
     for command in ("eval", "report"):
         capsys.readouterr()
         assert _run([command, *ARGS, "--out-dir", out]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: tapes-white_bg: AUROC needs at least one sample of each "
             "class"]
+    assert not list(tmp_path.glob("report.*"))
+
+
+@pytest.mark.parametrize("damage", ["every_other_line", "another_task"])
+def test_cli_reading_a_score_file_of_part_or_another_task_fails_in_one_line(
+        tmp_path, capsys, damage):
+    out = str(tmp_path)
+    assert _run(["all", *TWO_TASKS, "--baseline", "--jobs", "1",
+                 "--out-dir", out]) == 0
+    (tmp_path / "report.md").unlink()
+    path = tmp_path / "tapes-white_bg.scores.jsonl"
+    other = (tmp_path / "tapes-mesh_bg.scores.jsonl").read_text()
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == len(other.splitlines()) == 160
+    if damage == "every_other_line":
+        path.write_text("".join(lines[::2]))
+        code, where = 1, (f"{path} holds 80 scores; the test split of "
+                          "tapes-white_bg has 160")
+    else:
+        # as many lines as this task's, all of them another task's
+        path.write_text(other)
+        code, where = 2, (f"{path}:1: a score of 'tapes-mesh_bg', not "
+                          "tapes-white_bg: the file belongs to another run")
+    for command in ("eval", "report"):
+        capsys.readouterr()
+        try:
+            exit_code = _run([command, *TWO_TASKS, "--out-dir", out])
+        except SystemExit as exc:
+            exit_code = exc.code
+        assert exit_code == code
+        assert capsys.readouterr().err.splitlines() == [f"error: {where}"]
     assert not list(tmp_path.glob("report.*"))
 
 

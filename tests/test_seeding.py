@@ -249,8 +249,8 @@ def test_the_pipeline_gives_what_plain_generators_give(monkeypatch):
             want = pipeline.generate_task(config, scenario_id, condition, counts)
         got = pipeline.generate_task(config, scenario_id, condition, counts)
         assert got.samples == want.samples, (scenario_id, condition)
-        assert got.texts == want.texts, (scenario_id, condition)
-        assert got.pairs == want.pairs, (scenario_id, condition)
+        assert got.records == want.records, (scenario_id, condition)
+        assert got.negatives == want.negatives, (scenario_id, condition)
 
 
 def _annotations(tree: ast.AST) -> set[int]:
