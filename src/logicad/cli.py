@@ -40,8 +40,7 @@ def _reports_from_files(config: pipeline.PipelineConfig,
     return reports
 
 
-def _write_report(config: pipeline.PipelineConfig, out_dir: Path,
-                  reports: list[metrics.TaskReport], fmt: str
+def _write_report(out_dir: Path, reports: list[metrics.TaskReport], fmt: str
                   ) -> tuple[metrics.AggregateReport, Path]:
     """Aggregate, write the report file and print it."""
     agg = metrics.aggregate(reports)
@@ -58,7 +57,7 @@ def cmd_tasks(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
         print(line, flush=True)
         reports.append(report)
     if args.command == "all":
-        agg, _ = _write_report(config, out_dir, reports, args.format)
+        agg, _ = _write_report(out_dir, reports, args.format)
         print(f"mean AUROC {agg.mean_of_means:.4f} +/- {agg.std_of_means:.4f}")
     return 0
 
@@ -75,7 +74,7 @@ def cmd_eval(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
 
 
 def cmd_report(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
-    _, path = _write_report(config, out_dir, _reports_from_files(config, out_dir),
+    _, path = _write_report(out_dir, _reports_from_files(config, out_dir),
                             args.format)
     print(f"wrote {path}")
     return 0

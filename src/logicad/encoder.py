@@ -7,8 +7,8 @@ dropout, ``normalize(counts @ table / T)``.  Training draws its dropout in
 their texts as one ``TokenRows``: token ids, id counts and lengths.
 
 A token is a maximal run of a-z, 0-9, ``_`` and ``'`` in the lowercased
-text; every other character separates tokens.  ``Vocabulary.build`` and
-``TokenRows.build`` tokenize each distinct text once.
+text; every other character separates tokens.  ``build_vocabulary`` (a
+token -> id dict) and ``TokenRows.build`` tokenize each distinct text once.
 
 ``EncoderParams`` checks no shape: ``init_params`` makes its buffer and only
 the trainer reads it.  Scoring, and a checkpoint, hold the table alone.
@@ -46,31 +46,23 @@ class EncodeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Vocabulary:
-    token_to_id: dict[str, int]
-
-    @classmethod
-    def build(cls, texts: Iterable[str]) -> "Vocabulary":
-        tokens = set()
-        for text in set(texts):
-            tokens.update(_tokens(text))
-        mapping = {UNKNOWN_TOKEN: UNKNOWN_ID}
-        for i, token in enumerate(sorted(tokens), start=1):
-            mapping[token] = i
-        return cls(mapping)
-
-    @property
-    def size(self) -> int:
-        return len(self.token_to_id)
+def build_vocabulary(texts: Iterable[str]) -> dict[str, int]:
+    """Token -> id: ``<unk>`` is 0, the tokens of ``texts`` follow sorted."""
+    tokens = set()
+    for text in set(texts):
+        tokens.update(_tokens(text))
+    vocab = {UNKNOWN_TOKEN: UNKNOWN_ID}
+    for i, token in enumerate(sorted(tokens), start=1):
+        vocab[token] = i
+    return vocab
 
 
-def tokenize(text: str, vocab: Vocabulary) -> np.ndarray:
+def tokenize(text: str, vocab: dict[str, int]) -> np.ndarray:
     """The ids of the tokens of ``text``; OOV tokens map to UNKNOWN.
 
     Every text the pipeline encodes is rendered from grammar clauses, so it
     holds at least one token."""
-    get = vocab.token_to_id.get
+    get = vocab.get
     return np.array([get(t, UNKNOWN_ID) for t in _tokens(text)],
                     dtype=np.int64)
 
@@ -141,7 +133,7 @@ class TokenRows:
     lengths: np.ndarray  # (texts,) tokens per text
 
     @classmethod
-    def build(cls, texts: list[str], vocab: Vocabulary) -> "TokenRows":
+    def build(cls, texts: list[str], vocab: dict[str, int]) -> "TokenRows":
         """The rows of ``texts`` over ``vocab``; a repeated text is tokenized
         and counted once and its rows are copied."""
         first: dict[str, int] = {}
@@ -149,11 +141,11 @@ class TokenRows:
                           dtype=np.intp)
         tokens = [tokenize(t, vocab) for t in first]
         lengths = np.array([len(t) for t in tokens], dtype=np.int64)
-        keys = np.repeat(np.arange(len(tokens)) * vocab.size, lengths)
+        keys = np.repeat(np.arange(len(tokens)) * len(vocab), lengths)
         if tokens:
             keys += np.concatenate(tokens)
-        counts = np.bincount(keys, minlength=len(tokens) * vocab.size)
-        counts = counts.reshape(len(tokens), vocab.size).astype(np.float64)
+        counts = np.bincount(keys, minlength=len(tokens) * len(vocab))
+        counts = counts.reshape(len(tokens), len(vocab)).astype(np.float64)
         return cls([tokens[i] for i in row_of], counts[row_of],
                    lengths[row_of])
 
@@ -163,7 +155,7 @@ class TokenRows:
 
 
 def encode_texts(texts: list[str], table: np.ndarray,
-                 vocab: Vocabulary) -> np.ndarray:
+                 vocab: dict[str, int]) -> np.ndarray:
     """Deterministic encodings of many texts: normalize(counts @ table / T),
     ``table`` being the (V, D) ``activation_table`` of the encoder."""
     rows = TokenRows.build(texts, vocab)

@@ -10,11 +10,12 @@ Each stage regenerates what it reads instead of loading the files of an
 earlier stage.  ``gen``, ``score`` and ``all`` generate the whole task:
 ``gen`` writes it out, and scoring reads the train and test texts.
 ``score`` synthesises the train negatives only so that ``load_checkpoint``
-can rebuild the vocabulary from the train pairs and refuse a checkpoint
-whose vocabulary differs.  ``train`` reads only the train pairs, so it
-generates only the train split; that split leads the task's view stream and
-every render and negative is seeded by its sample id, so its views, texts,
-negatives and vocabulary are those of the whole task.  This module names
+can build the task's vocabulary, the one dict that training, the checkpoint
+and scoring read, and refuse a checkpoint whose vocabulary differs.
+``train`` reads only the train pairs, so it generates only the train split;
+that split leads the task's view stream and every render and negative is
+seeded by its sample id, so its views, texts, negatives and vocabulary are
+those of the whole task.  This module names
 every stream a task draws: "scenes" for the views; "render" per sample and
 "negative" per train sample, by sample id, each kind in one ``derive_rngs``
 call and one pass; and "train", which ``init_params`` and ``fit`` each
@@ -27,12 +28,13 @@ Only the run-directory section at the end writes or reads a file of the
 output directory; ``run_task`` and ``run_benchmark`` also name a task's
 checkpoint.  The other modules hold no file format.  A checkpoint holds
 the activation table that scoring reads under one JSON header (format
-version, config fingerprint, vocabulary); ``load_checkpoint`` is the one
-place it is checked, against the run that loads it.
+version, config fingerprint, the task's vocabulary); ``load_checkpoint`` is
+the one place it is checked, against the run that loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -44,8 +46,8 @@ import numpy as np
 
 from . import describe, knn, metrics, negatives, scenarios, scenes, trainer
 from .describe import CONDITION_RENDER_DEFAULTS
-from .encoder import (EncodeError, Vocabulary, activation_table, encode_texts,
-                      init_params)
+from .encoder import (EncodeError, activation_table, build_vocabulary,
+                      encode_texts, init_params)
 from .seeding import Draws, derive_rngs
 
 CHECKPOINT_VERSION = 3
@@ -100,9 +102,11 @@ class TaskArtifacts:
                   if s.split == name]
         return [s for s, _ in chosen], [text for _, text in chosen]
 
-    def vocabulary(self) -> Vocabulary:
+    @functools.cached_property
+    def vocabulary(self) -> dict[str, int]:
+        """Token -> id of the train texts and negatives, built once, lazily."""
         _, train_texts = self.split("train")
-        return Vocabulary.build(train_texts + [n.text for n in self.negatives])
+        return build_vocabulary(train_texts + [n.text for n in self.negatives])
 
 
 def generate_task(config: PipelineConfig, scenario_id: str,
@@ -129,24 +133,18 @@ def generate_task(config: PipelineConfig, scenario_id: str,
         for r, rng in zip(records, negative_rngs)))
 
 
-@dataclass
-class TrainedTask:
-    vocab: Vocabulary
-    table: np.ndarray  # (V, D) activation table: all that scoring reads
-
-
 def train_task(config: PipelineConfig, artifacts: TaskArtifacts
-               ) -> tuple[TrainedTask, list[float]]:
+               ) -> tuple[np.ndarray, list[float]]:
     """Fit (or, for the baseline, just initialize) the task's encoder; returns
-    it with the mean loss of each epoch, none for the baseline.  A training
-    error, or a table of parameters that overflowed, names the task."""
+    its (V, D) activation table with the mean loss of each epoch, none for the
+    baseline.  A training error, or a table that overflowed, names the task."""
     _, train_texts = artifacts.split("train")
-    vocab = artifacts.vocabulary()
+    vocab = artifacts.vocabulary
     # fit restarts init's stream: pinned bytes until ROADMAP item 5 renames it
     init_rng, fit_rng = derive_rngs(
         config.master_seed, artifacts.scenario_id, artifacts.condition.value,
         names=["train", "train"])
-    params = init_params(vocab.size, dim=config.dim, rng=init_rng)
+    params = init_params(len(vocab), dim=config.dim, rng=init_rng)
     losses = []
     try:
         if not config.skip_training:
@@ -156,17 +154,17 @@ def train_task(config: PipelineConfig, artifacts: TaskArtifacts
         table = activation_table(params)
     except (trainer.TrainingError, EncodeError) as exc:
         raise trainer.TrainingError(f"{artifacts.task_id}: {exc}") from None
-    return TrainedTask(vocab=vocab, table=table), losses
+    return table, losses
 
 
 def score_task(config: PipelineConfig, artifacts: TaskArtifacts,
-               trained: TrainedTask
+               table: np.ndarray
                ) -> tuple[metrics.TaskReport, np.ndarray, np.ndarray, np.ndarray]:
-    """Score the test split against the train split's library: the report,
-    then ``knn.score``'s scores, mean distances and neighbour rows."""
+    """Score the test split against the train split's library through
+    ``table``: the report, then ``knn.score``'s scores, distances and rows."""
     _, train_texts = artifacts.split("train")
     test, test_texts = artifacts.split("test")
-    library, queries = (encode_texts(texts, trained.table, trained.vocab)
+    library, queries = (encode_texts(texts, table, artifacts.vocabulary)
                         for texts in (train_texts, test_texts))
     scores, means, nearest = knn.score(queries, library, config.k)
     report = metrics.make_task_report(
@@ -205,16 +203,16 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
             return f"gen {task_id}: {len(artifacts.samples)} samples", None
     checkpoint = _task_path(out_dir, task_id, "ckpt.npz")
     if stages == "score":
-        trained = load_checkpoint(checkpoint, config, artifacts)
+        table = load_checkpoint(checkpoint, config, artifacts)
     else:
-        trained, losses = train_task(config, artifacts)
-        save_checkpoint(checkpoint, trained, config, task_id)
+        table, losses = train_task(config, artifacts)
+        save_checkpoint(checkpoint, table, config, artifacts)
         write_loss_curve(out_dir, task_id, losses)
         if stages == "train":
             if config.skip_training:
                 return f"train {task_id}: not trained (skip_training)", None
             return f"train {task_id}: final loss {losses[-1]:.4f}", None
-    report, scores, means, nearest = score_task(config, artifacts, trained)
+    report, scores, means, nearest = score_task(config, artifacts, table)
     write_score_file(out_dir, artifacts, scores, means, nearest)
     prefix = "score " if stages == "score" else ""
     return f"{prefix}{task_id}: AUROC {report.auroc:.4f}", report
@@ -378,15 +376,15 @@ def _fingerprint(config: PipelineConfig, task_id: str) -> dict:
             "skip_training": config.skip_training}
 
 
-def save_checkpoint(path, trained: TrainedTask, config: PipelineConfig,
-                    task_id: str) -> None:
+def save_checkpoint(path, table: np.ndarray, config: PipelineConfig,
+                    artifacts: TaskArtifacts) -> None:
     """The activation table under one sorted-key JSON header: the format
-    version, the config fingerprint and the vocabulary."""
+    version, the config fingerprint and the task's vocabulary."""
     header = {"version": CHECKPOINT_VERSION,
-              "fingerprint": _fingerprint(config, task_id),
-              "vocab": trained.vocab.token_to_id}
+              "fingerprint": _fingerprint(config, artifacts.task_id),
+              "vocab": artifacts.vocabulary}
     np.savez(path, header=np.bytes_(json.dumps(header, sort_keys=True).encode()),
-             table=trained.table)
+             table=table)
 
 
 # A checkpoint is matched on these fingerprint settings and the vocabulary.
@@ -396,8 +394,8 @@ _MATCHED_SETTINGS = ("task_id", "master_seed", "dim", "skip_training")
 
 
 def load_checkpoint(path, config: PipelineConfig,
-                    artifacts: TaskArtifacts) -> TrainedTask:
-    """The checkpoint at ``path``, checked against this run's task.
+                    artifacts: TaskArtifacts) -> np.ndarray:
+    """The activation table at ``path``, checked against this run's task.
 
     Every member is read through one guard; a file that is not a whole
     checkpoint raises ValueError naming the damaged member, or the archive
@@ -405,7 +403,7 @@ def load_checkpoint(path, config: PipelineConfig,
     ``fingerprint`` or ``vocab`` is not one, is refused alike; one of
     another version (1 and 2 held a ``version`` member and no header) is
     refused as such.  One made for another task, seed, dim, kind or
-    vocabulary (rebuilt from the train pairs, negatives included) raises
+    vocabulary (``artifacts.vocabulary``, negatives included) raises
     CheckpointError naming what differs.  Only then is the table checked:
     finite floats of this run's (V, D).
     """
@@ -441,17 +439,17 @@ def load_checkpoint(path, config: PipelineConfig,
     for key in ("fingerprint", "vocab"):
         if not isinstance(header.get(key), dict):
             raise unreadable(f"header {key} is not a JSON object")
-    stored, vocab = header["fingerprint"], Vocabulary(header["vocab"])
+    stored, vocab = header["fingerprint"], artifacts.vocabulary
     expected = _fingerprint(config, artifacts.task_id)
     problems = [f"{key} is {stored.get(key)!r}, expected {expected[key]!r}"
                 for key in _MATCHED_SETTINGS if stored.get(key) != expected[key]]
-    if vocab != artifacts.vocabulary():
+    if header["vocab"] != vocab:
         problems.append("vocabulary differs from the one the training pairs build")
     if problems:
         raise CheckpointError(f"{path} was not trained for this run: "
                               + "; ".join(problems))
-    table, shape = members["table"], (vocab.size, config.dim)
+    table, shape = members["table"], (len(vocab), config.dim)
     if (not np.issubdtype(table.dtype, np.floating) or table.shape != shape
             or not np.isfinite(table).all()):
         raise unreadable(f"table is not a {shape} array of finite floats")
-    return TrainedTask(vocab=vocab, table=table)
+    return table

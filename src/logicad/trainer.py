@@ -18,7 +18,6 @@ import numpy as np
 from .encoder import (
     EncoderParams,
     TokenRows,
-    Vocabulary,
     activation_table,
     normalize_rows,
     table_grads,
@@ -175,7 +174,7 @@ def adam_update(params: EncoderParams, grads: EncoderParams, state: AdamState,
 def fit(
     pos_texts: list[str],
     neg_texts: list[str],
-    vocab: Vocabulary,
+    vocab: dict[str, int],
     cfg: TrainConfig,
     init: EncoderParams,
     rng: np.random.Generator,

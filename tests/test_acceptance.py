@@ -17,7 +17,7 @@ from test_scenes import _ENUMERATIONS
 
 from logicad import cli
 from logicad.describe import RenderConfig, build_record, render
-from logicad.encoder import UNKNOWN_ID, Vocabulary, init_params
+from logicad.encoder import UNKNOWN_ID, build_vocabulary, init_params
 from logicad.knn import score
 from logicad.metrics import TaskReport, aggregate, auroc, emit_report
 from logicad.negatives import synthesize_negative
@@ -42,8 +42,8 @@ def test_criterion_01_gradient_oracle():
                  "The total number of items is five."]
     neg_texts = ["There are five oranges and two kiwis.",
                  "The total number of items is three."]
-    vocab = Vocabulary.build(pos_texts + neg_texts)
-    params = init_params(vocab.size, dim=8, rng=np.random.default_rng(0))
+    vocab = build_vocabulary(pos_texts + neg_texts)
+    params = init_params(len(vocab), dim=8, rng=np.random.default_rng(0))
     batch = TokenRows.build([*pos_texts, *pos_texts, *neg_texts], vocab)
     masks = BatchMasks.sample(int(batch.lengths.sum()) * 8, 0.1,
                               np.random.default_rng(1))
@@ -238,7 +238,7 @@ def _bag_of_words_auroc(out, task_id):
             return [json.loads(line) for line in f]
 
     pairs, descriptions = records("pairs"), records("descriptions")
-    vocab = Vocabulary.build([p["pos_text"] for p in pairs]
+    vocab = build_vocabulary([p["pos_text"] for p in pairs]
                              + [p["neg_text"] for p in pairs])
     rows = {}
     for split in ("train", "test"):

@@ -109,7 +109,7 @@ def task_texts():
     artifacts = pipeline.generate_task(config, "sticks", scenes.Condition.MESH_BG,
                                        scenarios.get_scenario("sticks").counts)
     return (artifacts.split("train")[1], [n.text for n in artifacts.negatives],
-            artifacts.vocabulary())
+            artifacts.vocabulary)
 
 
 @pytest.mark.parametrize("rate", [0.1, 0.0, 0.5])
@@ -122,7 +122,7 @@ def test_vectorised_step_matches_the_per_text_reference(task_texts, rate):
         idx = rng.permutation(len(pos_tokens))[:batch]
         batch_pos = [pos_tokens[i] for i in idx]
         batch_neg = [neg_tokens[i] for i in idx]
-        params = init_params(vocab.size, dim=32,
+        params = init_params(len(vocab), dim=32,
                              rng=np.random.default_rng(trial))
         batch = _batch([pos[i] for i in idx], [neg[i] for i in idx], vocab)
         masks = BatchMasks.sample(int(batch.lengths.sum()) * 32, rate,
@@ -166,7 +166,7 @@ def test_a_text_with_every_entry_dropped_has_no_direction(task_texts):
     pos, neg, vocab = task_texts
     pos_tokens = [tokenize(t, vocab) for t in pos[:3]]
     neg_tokens = [tokenize(t, vocab) for t in neg[:3]]
-    params = init_params(vocab.size, dim=16, rng=np.random.default_rng(2))
+    params = init_params(len(vocab), dim=16, rng=np.random.default_rng(2))
     # the first anchor's rows lead the grid
     masks = BatchMasks(np.arange(len(pos_tokens[0]) * 16), DROPOUT_RATE)
     with pytest.raises(EncodeError):
@@ -179,12 +179,12 @@ def test_fit_matches_a_per_text_reference_loop(task_texts):
     cfg, seed = TrainConfig(epochs=2), 7
     got_params, got_losses = fit(
         pos, neg, vocab, cfg,
-        init_params(vocab.size, dim=64, rng=np.random.default_rng(seed)),
+        init_params(len(vocab), dim=64, rng=np.random.default_rng(seed)),
         np.random.default_rng(seed))
 
     pos_tokens = [tokenize(t, vocab) for t in pos]
     neg_tokens = [tokenize(t, vocab) for t in neg]
-    params = init_params(vocab.size, dim=64, rng=np.random.default_rng(seed))
+    params = init_params(len(vocab), dim=64, rng=np.random.default_rng(seed))
     state = AdamState.zeros_like(params)
     rng = np.random.default_rng(seed)
     epoch_losses = []
@@ -215,7 +215,7 @@ def test_fit_matches_a_per_text_reference_loop(task_texts):
 def test_batched_library_equals_per_text_encodings(task_texts):
     pos, neg, vocab = task_texts
     texts = pos + neg + ["an utterly unknown sentence"]
-    params = init_params(vocab.size, dim=64, rng=np.random.default_rng(3))
+    params = init_params(len(vocab), dim=64, rng=np.random.default_rng(3))
     table = activation_table(params)
     library = encode_texts(texts, table, vocab)
     assert library.shape == (len(texts), 64)

@@ -11,8 +11,8 @@ from logicad import pipeline
 from logicad.encoder import (
     UNKNOWN_ID,
     TokenRows,
-    Vocabulary,
     activation_table,
+    build_vocabulary,
     encode_texts,
     init_params,
     tokenize,
@@ -28,22 +28,21 @@ TEXTS = [
 
 
 def _setup(dim=16, seed=0):
-    vocab = Vocabulary.build(TEXTS)
-    return vocab, init_params(vocab.size, dim=dim,
+    vocab = build_vocabulary(TEXTS)
+    return vocab, init_params(len(vocab), dim=dim,
                               rng=np.random.default_rng(seed))
 
 
 def test_vocabulary_is_sorted_and_reserves_unknown():
-    vocab = Vocabulary.build(["b a", "c a"])
-    assert vocab.token_to_id == {"<unk>": 0, "a": 1, "b": 2, "c": 3}
+    vocab = build_vocabulary(["b a", "c a"])
+    assert vocab == {"<unk>": 0, "a": 1, "b": 2, "c": 3}
     assert tokenize("zzz", vocab).tolist() == [UNKNOWN_ID]
 
 
 def test_tokenize_lowercases_and_maps_oov_to_unknown():
-    vocab = Vocabulary.build(["alpha beta"])
+    vocab = build_vocabulary(["alpha beta"])
     ids = tokenize("Alpha GAMMA beta!", vocab)
-    assert ids.tolist() == [vocab.token_to_id["alpha"], UNKNOWN_ID,
-                            vocab.token_to_id["beta"]]
+    assert ids.tolist() == [vocab["alpha"], UNKNOWN_ID, vocab["beta"]]
     assert tokenize("...", vocab).tolist() == []
 
 
@@ -54,10 +53,10 @@ def _oracle_tokens(text):
 
 def _check_tokenize_matches_the_regex(text):
     tokens = _oracle_tokens(text)
-    own = Vocabulary.build([text])
-    assert set(own.token_to_id) == {"<unk>", *tokens}
-    for vocab in (own, Vocabulary.build(TEXTS)):
-        want = [vocab.token_to_id.get(t, UNKNOWN_ID) for t in tokens]
+    own = build_vocabulary([text])
+    assert set(own) == {"<unk>", *tokens}
+    for vocab in (own, build_vocabulary(TEXTS)):
+        want = [vocab.get(t, UNKNOWN_ID) for t in tokens]
         assert tokenize(text, vocab).tolist() == want
 
 
@@ -83,20 +82,20 @@ def test_tokenize_matches_the_regex_rule_on_any_text(text):
 @given(st.lists(st.text(alphabet="ab C'_9.\u0130", max_size=6), max_size=8))
 def test_vocabulary_of_repeated_texts_equals_that_of_distinct_texts(texts):
     repeated = texts + texts[::-1] + texts[:1]
-    assert Vocabulary.build(repeated) == Vocabulary.build(sorted(set(texts)))
-    assert Vocabulary.build(iter(repeated)) == Vocabulary.build(texts)
+    assert build_vocabulary(repeated) == build_vocabulary(sorted(set(texts)))
+    assert build_vocabulary(iter(repeated)) == build_vocabulary(texts)
 
 
 def test_token_rows_of_repeated_texts_equal_per_text_tokenize():
-    vocab = Vocabulary.build(TEXTS[:2])
+    vocab = build_vocabulary(TEXTS[:2])
     # repeats, a text with unknown tokens, and one that differs only in case
     texts = [TEXTS[0], TEXTS[1], TEXTS[0], TEXTS[2], TEXTS[0].upper(),
              TEXTS[1], TEXTS[2]]
     rows = TokenRows.build(texts, vocab)
     want_tokens = [tokenize(t, vocab) for t in texts]
-    keys = np.repeat(np.arange(len(texts)) * vocab.size,
+    keys = np.repeat(np.arange(len(texts)) * len(vocab),
                      [len(t) for t in want_tokens]) + np.concatenate(want_tokens)
-    want_counts = np.zeros((len(texts), vocab.size))
+    want_counts = np.zeros((len(texts), len(vocab)))
     np.add.at(want_counts.ravel(), keys, 1.0)
     assert len(rows.tokens) == len(texts)
     for got, want in zip(rows.tokens, want_tokens):
@@ -111,10 +110,10 @@ def test_token_rows_of_repeated_texts_equal_per_text_tokenize():
 
 
 def test_token_rows_of_no_texts_are_empty():
-    vocab = Vocabulary.build(TEXTS)
+    vocab = build_vocabulary(TEXTS)
     rows = TokenRows.build([], vocab)
     assert rows.tokens == [] and rows.lengths.shape == (0,)
-    assert rows.counts.shape == (0, vocab.size)
+    assert rows.counts.shape == (0, len(vocab))
 
 
 def test_deterministic_encoding_is_unit_norm_and_repeatable():
@@ -150,10 +149,10 @@ def test_a_checkpoint_table_loads_only_at_the_runs_shape(tmp_path):
                                        SplitCounts(8, 0, 0, 0, 0))
     trained, _ = pipeline.train_task(config, artifacts)
     path = tmp_path / "task.ckpt.npz"
-    pipeline.save_checkpoint(path, trained, config, artifacts.task_id)
-    table = pipeline.load_checkpoint(path, config, artifacts).table
-    assert table.shape == (trained.vocab.size, 4)
-    assert table.tobytes() == trained.table.tobytes()
+    pipeline.save_checkpoint(path, trained, config, artifacts)
+    table = pipeline.load_checkpoint(path, config, artifacts)
+    assert table.shape == (len(artifacts.vocabulary), 4)
+    assert table.tobytes() == trained.tobytes()
     data = dict(np.load(path, allow_pickle=False))
     for bad in (table[:, :3], table[:-1], table.ravel(), table[:1, :1],
                 table[None]):

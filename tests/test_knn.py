@@ -7,8 +7,8 @@ import pytest
 
 from logicad import knn, pipeline
 from logicad.encoder import (
-    Vocabulary,
     activation_table,
+    build_vocabulary,
     encode_texts,
     init_params,
 )
@@ -176,9 +176,9 @@ def test_non_unit_queries_are_rejected():
 def test_encoded_texts_score_in_row_order():
     texts = ["three oranges two kiwis", "two oranges two kiwis",
              "four oranges one kiwi"]
-    vocab = Vocabulary.build(texts)
+    vocab = build_vocabulary(texts)
     table = activation_table(
-        init_params(vocab.size, dim=8, rng=np.random.default_rng(0)))
+        init_params(len(vocab), dim=8, rng=np.random.default_rng(0)))
     library = encode_texts(texts, table, vocab)
     assert library.shape == (3, 8)
     assert np.allclose(np.linalg.norm(library, axis=1), 1.0)

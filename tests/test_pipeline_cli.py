@@ -72,7 +72,7 @@ def test_train_only_generation_is_the_prefix_of_the_full_task(config, scenario,
     assert len(train.samples) == counts.train_normal
     assert train.records == full.records[:counts.train_normal]
     assert train.negatives == full.negatives
-    assert train.vocabulary() == full.vocabulary()
+    assert train.vocabulary == full.vocabulary
 
 
 def test_task_seeds_differ_across_conditions_and_stages():
@@ -89,19 +89,19 @@ def test_skip_training_keeps_the_random_initialization():
     trained, losses = pipeline.train_task(SMALL, artifacts)
     assert frozen_losses == []
     assert len(losses) == SMALL.train.epochs
-    assert not np.allclose(frozen.table, trained.table)
+    assert not np.allclose(frozen, trained)
 
 
 def test_checkpoint_round_trip_and_version_guard(tmp_path):
     artifacts = _small_task(Condition.WHITE_BG)
     trained, _ = pipeline.train_task(SMALL, artifacts)
     path = tmp_path / "task.ckpt.npz"
-    pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
+    pipeline.save_checkpoint(path, trained, SMALL, artifacts)
     loaded = pipeline.load_checkpoint(path, SMALL, artifacts)
-    assert loaded.table.tobytes() == trained.table.tobytes()
-    assert loaded.vocab.token_to_id == trained.vocab.token_to_id
+    assert loaded.tobytes() == trained.tobytes()
 
     header = _header(path)
+    assert header["vocab"] == artifacts.vocabulary
     with np.load(path) as data:
         table = data["table"]
     np.savez(tmp_path / "future.ckpt.npz", table=table,
@@ -135,6 +135,26 @@ def test_run_benchmark_preserves_task_order(tmp_path):
         assert (tmp_path / f"{report.task_id}.scores.jsonl").exists()
 
 
+def test_each_stage_builds_a_tasks_vocabulary_once(tmp_path, monkeypatch):
+    real_build, built = pipeline.build_vocabulary, []
+
+    def counting_build(texts):
+        built.append(texts)
+        return real_build(texts)
+
+    monkeypatch.setattr(pipeline, "build_vocabulary", counting_build)
+    config = replace(SMALL, jobs=1, train=replace(SMALL.train, epochs=1))
+    tasks = len(config.tasks())
+    # gen reads no vocabulary; score builds it in load_checkpoint and
+    # score_task reads the same dict
+    for stages, want in (("gen", 0), ("train", tasks), ("score", tasks),
+                         ("all", tasks)):
+        built.clear()
+        assert len(list(pipeline.run_benchmark(config, tmp_path, stages))) \
+            == tasks
+        assert len(built) == want, stages
+
+
 @pytest.mark.parametrize("condition", SMALL.conditions, ids=lambda c: c.value)
 def test_score_lines_name_the_nearest_train_samples(tmp_path, condition):
     artifacts = _small_task(condition)
@@ -147,7 +167,7 @@ def test_score_lines_name_the_nearest_train_samples(tmp_path, condition):
     test, test_texts = artifacts.split("test")
 
     def encode(texts):
-        return encode_texts(texts, trained.table, trained.vocab)
+        return encode_texts(texts, trained, artifacts.vocabulary)
 
     library = encode(train_texts)
     assert len(lines) == len(test)
@@ -806,7 +826,7 @@ def test_checkpoint_mismatches_name_what_differs(tmp_path):
     artifacts = _small_task(Condition.WHITE_BG)
     trained, _ = pipeline.train_task(SMALL, artifacts)
     path = tmp_path / "task.ckpt.npz"
-    pipeline.save_checkpoint(path, trained, SMALL, "tapes-white_bg")
+    pipeline.save_checkpoint(path, trained, SMALL, artifacts)
     pipeline.load_checkpoint(path, SMALL, artifacts)
     # epochs cannot be set by `score`, so it is not compared
     longer = replace(SMALL, train=replace(SMALL.train, epochs=9))
@@ -1105,7 +1125,7 @@ def test_every_flipped_byte_of_the_zip_directory_is_refused_or_loads(tmp_path):
     artifacts = _small_task(Condition.WHITE_BG)
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, pipeline.train_task(config, artifacts)[0],
-                             config, artifacts.task_id)
+                             config, artifacts)
     good = path.read_bytes()
     start = _central_directory(good)
     escaped = []
@@ -1190,7 +1210,7 @@ def test_a_checkpoint_holds_the_table_scoring_used_and_nothing_else(
     artifacts = _small_task(Condition.WHITE_BG)
     path = tmp_path / "task.ckpt.npz"
     pipeline.save_checkpoint(path, pipeline.train_task(config, artifacts)[0],
-                             config, artifacts.task_id)
+                             config, artifacts)
     # init_params returns the parameters, fit (parameters, losses)
     params = returned[-1] if skip_training else returned[-1][0]
     with np.load(path) as data:

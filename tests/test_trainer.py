@@ -10,7 +10,7 @@ import pytest
 from logicad import trainer
 from logicad.encoder import (
     EncoderParams,
-    Vocabulary,
+    build_vocabulary,
     init_params,
 )
 from logicad.trainer import (
@@ -103,8 +103,8 @@ def test_nonfinite_similarities_raise():
 
 def test_analytic_gradients_match_central_finite_differences():
     start = time.monotonic()
-    vocab = Vocabulary.build(POS_TEXTS + NEG_TEXTS)
-    params = init_params(vocab.size, dim=8, rng=np.random.default_rng(4))
+    vocab = build_vocabulary(POS_TEXTS + NEG_TEXTS)
+    params = init_params(len(vocab), dim=8, rng=np.random.default_rng(4))
     batch = TokenRows.build([*POS_TEXTS, *POS_TEXTS, *NEG_TEXTS], vocab)
     masks = BatchMasks.sample(int(batch.lengths.sum()) * 8, 0.1,
                               np.random.default_rng(0))
@@ -250,16 +250,16 @@ def test_a_mask_draw_over_524288_entries_peaks_under_2_mib():
 
 
 def test_fit_is_seed_deterministic_and_loss_decreases():
-    vocab = Vocabulary.build(POS_TEXTS + NEG_TEXTS)
+    vocab = build_vocabulary(POS_TEXTS + NEG_TEXTS)
     pos = POS_TEXTS * 8
     neg = NEG_TEXTS * 8
     cfg = TrainConfig(epochs=8, batch_size=4)
     a_params, a_losses = fit(pos, neg, vocab, cfg,
-                             init_params(vocab.size, dim=16,
+                             init_params(len(vocab), dim=16,
                                          rng=np.random.default_rng(5)),
                              np.random.default_rng(5))
     b_params, b_losses = fit(pos, neg, vocab, cfg,
-                             init_params(vocab.size, dim=16,
+                             init_params(len(vocab), dim=16,
                                          rng=np.random.default_rng(5)),
                              np.random.default_rng(5))
     assert a_losses == b_losses
@@ -270,10 +270,10 @@ def test_fit_is_seed_deterministic_and_loss_decreases():
 def test_zero_learning_rate_leaves_params_unchanged_with_flat_curve(
         monkeypatch):
     monkeypatch.setattr(trainer, "DROPOUT_RATE", 0.0)
-    vocab = Vocabulary.build(POS_TEXTS + NEG_TEXTS)
+    vocab = build_vocabulary(POS_TEXTS + NEG_TEXTS)
     pos = POS_TEXTS * 4
     neg = NEG_TEXTS * 4
-    init = init_params(vocab.size, dim=8, rng=np.random.default_rng(1))
+    init = init_params(len(vocab), dim=8, rng=np.random.default_rng(1))
     cfg = TrainConfig(epochs=6, batch_size=len(pos), learning_rate=0.0,
                       weight_decay=0.0)
     params, losses = fit(pos, neg, vocab, cfg, init,
