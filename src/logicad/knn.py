@@ -4,11 +4,11 @@
 an (N, D) library, and back the scores, the mean distances and the
 (B, min(k, N)) indices of each row's nearest library rows, nearest first.
 The score of a row is S = 1 / (1 + mean distance to its k nearest library
-rows).  Queries must be unit-norm, as ``encode_texts`` rows are (any other
-raises ``LibraryError``), so distances are bounded by 2 and S lies in
-[1/3, 1].  ``PipelineConfig`` refuses ``k < 1``, and every library is a
-task's train split.  The block is ranked a few rows at a time so that the
-(rows, N, D) squared differences stay within a fixed budget; each row's
+rows).  Both arrays are ``encode_texts`` rows, which are unit-norm, so
+distances are bounded by 2 and S lies in [1/3, 1].  ``PipelineConfig``
+refuses ``k < 1``, and every library is a task's train split.  The block
+is ranked a few rows at a time so that the (rows, N, D) squared
+differences stay within a fixed budget; each row's
 distances, order and mean are those of scoring it alone, bit for bit.
 Ties at the k-th distance are broken by ascending library index so exactly
 min(k, N) neighbors are selected.  ``pipeline`` encodes the splits, names
@@ -25,19 +25,9 @@ DEFAULT_K = 5
 _BLOCK_BYTES = 200 * 1024
 
 
-class LibraryError(ValueError):
-    pass
-
-
 def score(queries: np.ndarray, library: np.ndarray, k: int
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(scores, mean distances, neighbor indices) of a (B, D) block, in row order."""
-    queries = np.asarray(queries, dtype=np.float64)
-    norms = np.linalg.norm(queries, axis=1)
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-6))
-    if bad.size:
-        raise LibraryError(f"query {bad[0]} has norm {float(norms[bad[0]])!r}, "
-                           "not 1")
     means = np.empty(len(queries))
     nearest = np.empty((len(queries), min(k, len(library))), dtype=np.intp)
     rows = max(1, _BLOCK_BYTES // library.nbytes)

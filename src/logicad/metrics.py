@@ -1,7 +1,8 @@
 """Image-level AUROC and the benchmark's aggregation views.
 
 AUROC is the win rate of normals over anomalies, ties counting 1/2, so
-normals scoring above anomalies gives 1.0.  Aggregation produces
+normals scoring above anomalies gives 1.0.  Its scores are finite, as
+``read_score_file`` and ``knn.score`` give them.  Aggregation produces
 per-condition means over scenarios, the mean and population standard
 deviation of the five condition means, and per-scenario sensitivity (the
 population standard deviation of a scenario's AUROC across conditions).
@@ -32,8 +33,6 @@ def auroc(normal, anomaly) -> float:
     anomaly = np.sort(np.asarray(anomaly, dtype=np.float64))
     if len(normal) == 0 or len(anomaly) == 0:
         raise MetricError("AUROC needs at least one sample of each class")
-    if np.isnan(normal).any() or np.isnan(anomaly).any():
-        raise MetricError("AUROC needs scores that are not NaN")
     # below + not_above counts each win twice and each tie once
     below = int(np.searchsorted(anomaly, normal, side="left").sum())
     not_above = int(np.searchsorted(anomaly, normal, side="right").sum())

@@ -322,13 +322,14 @@ def write_score_file(out_dir: Path, artifacts: TaskArtifacts, scores: np.ndarray
 def read_score_file(out_dir: Path, scenario_id: str, condition: scenes.Condition
                     ) -> tuple[list[float], list[scenes.Label]]:
     """(scores, labels) of a task's score file: a damaged one, or one without
-    a line per test sample, raises ValueError; another task's CheckpointError."""
+    a line per test sample in the split's order, raises ValueError; another
+    task's CheckpointError."""
     task_id = scenes.task_id_for(scenario_id, condition)
     path = _task_path(out_dir, task_id, "scores.jsonl")
     if not path.exists():
         raise CheckpointError(f"no score file for {task_id}; run `logicad score` "
                               "first")
-    scores, labels = [], []
+    scores, labels, sample_ids = [], [], []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:  # json.loads decodes the bytes, so bad UTF-8 names its line
@@ -340,6 +341,7 @@ def read_score_file(out_dir: Path, scenario_id: str, condition: scenes.Condition
                     raise ValueError(f"score {score!r} is not a finite number")
                 scores.append(score)
                 labels.append(scenes.Label(record["label"]))
+                sample_ids.append(record["sample_id"])
             except (KeyError, TypeError, ValueError, OverflowError,
                     RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: not a score record "
@@ -347,10 +349,15 @@ def read_score_file(out_dir: Path, scenario_id: str, condition: scenes.Condition
             if owner != task_id:
                 raise CheckpointError(f"{path}:{lineno}: a score of {owner!r}, not "
                                       f"{task_id}: the file belongs to another run")
-    expected = scenarios.get_scenario(scenario_id).counts.test_total
-    if len(scores) != expected:
+    expected = scenarios.get_scenario(scenario_id).counts.test_ids()
+    if len(scores) != len(expected):
         raise ValueError(f"{path} holds {len(scores) or 'no'} scores; the test "
-                         f"split of {task_id} has {expected}")
+                         f"split of {task_id} has {len(expected)}")
+    for lineno, (got, want) in enumerate(zip(sample_ids, expected), start=1):
+        if got != want:
+            raise ValueError(f"{path}:{lineno}: a score of {got!r}, not "
+                             f"{want}: the test split of {task_id} has one "
+                             "line per sample, in order")
     return scores, labels
 
 

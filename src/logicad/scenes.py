@@ -129,8 +129,15 @@ class SplitCounts:
     dual: int
 
     @property
-    def test_total(self) -> int:  # the test split: normals and anomalies
-        return self.test_normal + self.single_a + self.single_b + self.dual
+    def test_groups(self) -> tuple[tuple[Label, int], ...]:
+        """(label, count) of the test split, in the order it is drawn."""
+        return ((Label.NORMAL, self.test_normal), (Label.SINGLE_A, self.single_a),
+                (Label.SINGLE_B, self.single_b), (Label.DUAL, self.dual))
+
+    def test_ids(self) -> list[str]:
+        """The test split's sample ids, in the order ``build_task`` gives."""
+        return [sample_id_for("test", label, i)
+                for label, n in self.test_groups for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -145,6 +152,10 @@ def task_id_for(scenario_id: str, condition: Condition) -> str:
     return f"{scenario_id}-{condition.value}"
 
 
+def sample_id_for(split: str, label: Label, index: int) -> str:
+    return f"{split}-{label.value}-{index:04d}"
+
+
 def build_task(spec: ScenarioSpec, counts: SplitCounts,
                rng: Draws) -> tuple[TaskSample, ...]:
     """Generate the labelled views of one task, train samples first.
@@ -156,18 +167,13 @@ def build_task(spec: ScenarioSpec, counts: SplitCounts,
     samples: list[TaskSample] = []
 
     def add(split: str, label: Label, view: Any, index: int) -> None:
-        sample_id = f"{split}-{label.value}-{index:04d}"
-        samples.append(TaskSample(sample_id, split, label, view))
+        samples.append(TaskSample(sample_id_for(split, label, index), split,
+                                  label, view))
 
     for i in range(counts.train_normal):
         add("train", Label.NORMAL, spec.normal(rng), i)
-    for i in range(counts.test_normal):
-        add("test", Label.NORMAL, spec.normal(rng), i)
-    for label, n in (
-        (Label.SINGLE_A, counts.single_a),
-        (Label.SINGLE_B, counts.single_b),
-        (Label.DUAL, counts.dual),
-    ):
+    for label, n in counts.test_groups:
         for i in range(n):
-            add("test", label, sample_anomaly(spec, label, rng), i)
+            add("test", label, spec.normal(rng) if label is Label.NORMAL
+                else sample_anomaly(spec, label, rng), i)
     return tuple(samples)

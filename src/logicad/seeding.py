@@ -121,9 +121,6 @@ def derive_rngs(master_seed: int, *parts: str,
 # raw outputs fetched per numpy call; at seed 0 a render reads at most 14, a
 # negative 4 and a task's views up to 181
 DRAW_BLOCK = 16
-# numpy's Generator.choice draws by Floyd's algorithm up to this population;
-# past it numpy shuffles, and Draws refuses
-FLOYD_MAX_POPULATION = 10_000
 
 
 class Draws:
@@ -136,10 +133,11 @@ class Draws:
     not be drawn from again.  Like numpy, a 32-bit draw takes the low half of
     an output and keeps the high half for the next one (PCG64's
     ``has_uint32``); a generator that is not fresh may hold such a half, so
-    it must not be wrapped.  It covers the 32-bit draws numpy makes for
-    ``integers(n)`` up to ``n = 2**32`` and for ``choice`` from up to
-    ``FLOYD_MAX_POPULATION`` items, and refuses larger ones with ValueError.
-    ``permutation`` and ``choice`` return lists.
+    it must not be wrapped.  It matches numpy for ``integers(n)`` with
+    1 <= n <= 2**32 and for ``choice`` from at most 10,000 items (past that
+    numpy draws 64-bit values or shuffles), and checks neither range: its
+    callers draw ``integers(n)`` with n <= 5 and ``choice`` of 2 or fewer
+    from 8 or fewer items.  ``permutation`` and ``choice`` return lists.
     """
 
     __slots__ = ("_next64", "_high")
@@ -196,10 +194,6 @@ class Draws:
 
     def integers(self, n: int) -> int:
         """An int in [0, n)."""
-        if n <= 0:
-            raise ValueError("high <= 0")
-        if n > 2**32:
-            raise ValueError("Draws.integers draws below 2**32 only")
         return self._bounded(n - 1)
 
     def permutation(self, n: int) -> list[int]:
@@ -213,17 +207,6 @@ class Draws:
         algorithm, then a shuffle by Lemire draws."""
         if replace:
             raise ValueError("Draws.choice draws without replacement only")
-        if n <= 0 and size != 0:
-            raise ValueError("a must be a positive integer unless no samples "
-                             "are taken")
-        if size > n:
-            raise ValueError("Cannot take a larger sample than population "
-                             "when replace is False")
-        if size < 0:
-            raise ValueError("negative dimensions are not allowed")
-        if n > FLOYD_MAX_POPULATION:
-            raise ValueError("Draws.choice draws from at most "
-                             f"{FLOYD_MAX_POPULATION} items")
         picked: dict[int, None] = {}  # in draw order
         for j in range(n - size, n):
             value = self._bounded(j)

@@ -12,7 +12,7 @@ from logicad.encoder import (
     encode_texts,
     init_params,
 )
-from logicad.knn import DEFAULT_K, LibraryError, score
+from logicad.knn import DEFAULT_K, score
 from logicad.scenarios import get_scenario
 from logicad.scenes import Condition, Label
 
@@ -87,17 +87,10 @@ def test_the_default_block_holds_8_rows_of_a_50_by_64_library():
     assert knn._BLOCK_BYTES // (50 * 64 * 8) == 8
 
 
-def test_a_block_names_its_first_non_unit_row():
+def test_an_empty_block_gives_empty_arrays():
     rng = np.random.default_rng(12)
     library = _random_unit_rows(rng, 10, 4)
-    queries = _random_unit_rows(rng, 5, 4)
-    for bad, value in ((2, 3.0), (4, np.nan), (0, 0.0)):
-        block = queries.copy()
-        block[bad] *= value
-        block[-1] *= 2.0
-        with pytest.raises(LibraryError, match=f"^query {bad} has norm"):
-            score(block, library, k=5)
-    scores, means, nearest = score(queries[:0], library, k=5)
+    scores, means, nearest = score(np.empty((0, 4)), library, k=5)
     assert scores.shape == means.shape == (0,)
     assert nearest.shape == (0, 5)
 
@@ -159,18 +152,6 @@ def test_adding_a_library_vector_never_increases_the_mean_distance():
         grown = np.vstack([vectors, extra[None, :]])
         assert _score_one(query, grown, 5)[1] \
             <= _score_one(query, vectors, 5)[1] + 1e-12
-
-
-def test_non_unit_queries_are_rejected():
-    rng = np.random.default_rng(10)
-    library = _random_unit_rows(rng, 20, 4)
-    query = _random_unit_rows(rng, 1, 4)[0]
-    _, _, unit = _score_one(query, library, 5)
-    assert _score_one(query * (1.0 + 5e-7), library, 5)[2].tolist() \
-        == unit.tolist()
-    for scale in (7.5, 1.0 + 2e-6, 1.0 - 2e-6, 0.0):
-        with pytest.raises(LibraryError):
-            score((query * scale)[None], library, k=5)
 
 
 def test_encoded_texts_score_in_row_order():

