@@ -6,10 +6,11 @@ an (N, D) library, and back the scores, the mean distances and the
 The score of a row is S = 1 / (1 + mean distance to its k nearest library
 rows).  Both arrays are ``encode_texts`` rows, which are unit-norm, so
 distances are bounded by 2 and S lies in [1/3, 1].  ``PipelineConfig``
-refuses ``k < 1``, and every library is a task's train split.  The block
-is ranked a few rows at a time so that the (rows, N, D) squared
-differences stay within a fixed budget; each row's
-distances, order and mean are those of scoring it alone, bit for bit.
+refuses ``k < 1``, and every library is a task's train split.  The
+block's (B, N) distances are filled a few rows at a time, so that the
+(rows, N, D) squared differences stay within a fixed budget, and then
+ranked in one sort; each row's distances, order and mean are those of
+scoring it alone, bit for bit.
 Ties at the k-th distance are broken by ascending library index so exactly
 min(k, N) neighbors are selected.  ``pipeline`` encodes the splits, names
 the neighbors by sample id and writes the score file.
@@ -28,8 +29,7 @@ _BLOCK_BYTES = 200 * 1024
 def score(queries: np.ndarray, library: np.ndarray, k: int
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(scores, mean distances, neighbor indices) of a (B, D) block, in row order."""
-    means = np.empty(len(queries))
-    nearest = np.empty((len(queries), min(k, len(library))), dtype=np.intp)
+    distances = np.empty((len(queries), len(library)))
     rows = max(1, _BLOCK_BYTES // library.nbytes)
     # one buffer serves every block, so each step allocates no large array
     buf = np.empty((min(rows, len(queries)),) + library.shape)
@@ -37,10 +37,9 @@ def score(queries: np.ndarray, library: np.ndarray, k: int
         block = queries[start:start + rows, None]
         sq = np.subtract(library, block, out=buf[:len(block)])
         sq *= sq
-        distances = np.sqrt(np.add.reduce(sq, axis=-1))
-        # Stable sort keeps ascending-index order among exact distance ties.
-        order = np.argsort(distances, axis=1, kind="stable")[:, :nearest.shape[1]]
-        means[start:start + rows] = np.take_along_axis(distances, order,
-                                                       axis=1).mean(axis=1)
-        nearest[start:start + rows] = order
+        distances[start:start + rows] = np.sqrt(np.add.reduce(sq, axis=-1))
+    # Stable sort keeps ascending-index order among exact distance ties;
+    # sorting, gathering and the mean all work row by row.
+    nearest = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    means = np.take_along_axis(distances, nearest, axis=1).mean(axis=1)
     return 1.0 / (1.0 + means), means, nearest

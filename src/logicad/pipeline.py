@@ -26,7 +26,13 @@ draw arrays.
 
 Only the run-directory section at the end writes or reads a file of the
 output directory; ``run_task`` and ``run_benchmark`` also name a task's
-checkpoint.  The other modules hold no file format.  A checkpoint holds
+checkpoint.  The other modules hold no file format.  The section's writers
+format the description, pair and score lines themselves, one ``%`` format
+per record kind, under the README's line contract that each line is
+``json.dumps(record, sort_keys=True)``; ``tests/test_pipeline_cli.py``
+pins that contract against ``json.dumps``, for awkward strings and floats
+and on every line of a run.  Each file is written in one call, and a score
+file is parsed in one call unless it is damaged.  A checkpoint holds
 the activation table that scoring reads under one JSON header (format
 version, config fingerprint, the task's vocabulary); ``load_checkpoint`` is
 the one place it is checked, against the run that loads it.
@@ -35,12 +41,13 @@ the one place it is checked, against the run that loads it.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -264,15 +271,36 @@ def _task_path(out_dir: Path, task_id: str, kind: str) -> Path:
     return out_dir / f"{task_id}.{kind}"
 
 
-def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
-    """One JSON object per line, keys sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def _write_lines(out_dir: Path, task_id: str, kind: str, lines: list[str]) -> None:
+    """A task's file of one kind, its lines joined and written in one call."""
+    _task_path(out_dir, task_id, kind).write_text("".join(lines),
+                                                  encoding="utf-8")
+
+
+# json.dumps's text for a str, as its default ensure_ascii=True writes it
+_json_str = json.encoder.encode_basestring_ascii
+
+# The line of each record kind, keys sorted: strings go in through _json_str,
+# floats through %r, which is json's text for a finite float (scores and
+# distances are finite: a distance between unit rows is at most 2).
+_DESCRIPTION_LINE = ('{"label": %s, "sample_id": %s, "split": %s, '
+                     '"task_id": %s, "text": %s}\n')
+_PAIR_LINE = ('{"edits": [%s], "neg_text": %s, "pos_text": %s, '
+              '"sample_id": %s, "task_id": %s}\n')
+_EDIT = '{"aspect": %s, "new": %s, "old": %s, "slot": %s}'
+_SCORE_LINE = ('{"label": %s, "mean_distance": %r, "neighbor_ids": [%s], '
+               '"sample_id": %s, "score": %r, "task_id": %s}\n')
+
+
+def _edits_json(edits: list[dict]) -> str:
+    """The items of a pair line's ``edits`` list, as ``_PAIR_LINE`` holds them."""
+    return ", ".join([_EDIT % (_json_str(e["aspect"]), _json_str(e["new"]),
+                               _json_str(e["old"]), _json_str(e["slot"]))
+                      for e in edits])
 
 
 def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
-    """The task's scene, description and negative-pair files.
+    """The task's scene, description and negative-pair files, each in one write.
 
     A scene line holds no sample id, so it is built here, for the scene file
     only, once per distinct (split, label, view) and written again for each
@@ -280,75 +308,113 @@ def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
     """
     task_id = artifacts.task_id
     spec = scenarios.get_scenario(artifacts.scenario_id)
-    lines: dict[tuple, str] = {}
-    with open(_task_path(out_dir, task_id, "scenes.jsonl"), "w",
-              encoding="utf-8") as fh:
-        for s in artifacts.samples:
-            key = (s.split, s.label, repr(s.view))
-            line = lines.get(key)
-            if line is None:
-                line = lines[key] = json.dumps(
-                    {"task_id": task_id, "scenario": artifacts.scenario_id,
-                     "condition": artifacts.condition.value, "split": s.split,
-                     "label": s.label.value,
-                     "scene": spec.build(s.view)},
-                    sort_keys=True) + "\n"
-            fh.write(line)
-    _write_jsonl(_task_path(out_dir, task_id, "descriptions.jsonl"), (
-        {"task_id": task_id, "sample_id": s.sample_id, "split": s.split,
-         "label": s.label.value, "text": r.text}
-        for s, r in zip(artifacts.samples, artifacts.records)))
+    cached: dict[tuple, str] = {}
+    lines = []
+    for s in artifacts.samples:
+        key = (s.split, s.label, repr(s.view))
+        line = cached.get(key)
+        if line is None:
+            line = cached[key] = json.dumps(
+                {"task_id": task_id, "scenario": artifacts.scenario_id,
+                 "condition": artifacts.condition.value, "split": s.split,
+                 "label": s.label.value,
+                 "scene": spec.build(s.view)},
+                sort_keys=True) + "\n"
+        lines.append(line)
+    _write_lines(out_dir, task_id, "scenes.jsonl", lines)
+    task = _json_str(task_id)
+    _write_lines(out_dir, task_id, "descriptions.jsonl", [
+        _DESCRIPTION_LINE % (_json_str(s.label.value), _json_str(s.sample_id),
+                             _json_str(s.split), task, _json_str(r.text))
+        for s, r in zip(artifacts.samples, artifacts.records)])
     # train samples come first, so the negatives pair with the leading records
-    _write_jsonl(_task_path(out_dir, task_id, "pairs.jsonl"), (
-        {"task_id": task_id, "sample_id": s.sample_id,
-         "pos_text": pos.text, "neg_text": neg.text,
-         "edits": negatives.pair_edits(pos, neg, spec.grammar)}
+    _write_lines(out_dir, task_id, "pairs.jsonl", [
+        _PAIR_LINE % (_edits_json(negatives.pair_edits(pos, neg, spec.grammar)),
+                      _json_str(neg.text), _json_str(pos.text),
+                      _json_str(s.sample_id), task)
         for s, pos, neg in zip(artifacts.samples, artifacts.records,
-                               artifacts.negatives)))
+                               artifacts.negatives)])
 
 
 def write_score_file(out_dir: Path, artifacts: TaskArtifacts, scores: np.ndarray,
                      means: np.ndarray, nearest: np.ndarray) -> None:
     task_id = artifacts.task_id
     (train, _), (test, _) = artifacts.split("train"), artifacts.split("test")
-    _write_jsonl(_task_path(out_dir, task_id, "scores.jsonl"), (
-        {"task_id": task_id, "sample_id": s.sample_id, "label": s.label.value,
-         "score": score, "mean_distance": mean,
-         "neighbor_ids": [train[i].sample_id for i in row]}
+    task, train_ids = _json_str(task_id), [_json_str(s.sample_id) for s in train]
+    _write_lines(out_dir, task_id, "scores.jsonl", [
+        _SCORE_LINE % (_json_str(s.label.value), mean,
+                       ", ".join([train_ids[i] for i in row]),
+                       _json_str(s.sample_id), score, task)
         for s, score, mean, row in zip(test, scores.tolist(), means.tolist(),
-                                       nearest.tolist())))
+                                       nearest.tolist())])
+
+
+def _parse_lines(data: bytes) -> Optional[list]:
+    """The JSON value of each line of ``data``, from one ``json.loads``; None
+    unless every line is exactly one JSON value.
+
+    The lines are parsed as one array with a ``NaN`` between each two, which
+    ``parse_constant`` turns into a marker: the parse holds one value per line
+    exactly when the markers alone fill every second place of the array and
+    the file itself holds no NaN or Infinity.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    text = text.removesuffix("\n")
+    marker, constants = object(), []
+
+    def constant(name: str) -> object:
+        constants.append(name)
+        return marker
+
+    try:
+        values = json.loads("[" + text.replace("\n", ",NaN,") + "]",
+                            parse_constant=constant)
+    except (ValueError, RecursionError):
+        return None
+    n = text.count("\n") + 1
+    if (len(values) != 2 * n - 1 or len(constants) != n - 1
+            or values[1::2].count(marker) != n - 1):
+        return None
+    return values[::2]
 
 
 def read_score_file(out_dir: Path, scenario_id: str, condition: scenes.Condition
                     ) -> tuple[list[float], list[scenes.Label]]:
     """(scores, labels) of a task's score file: a damaged one, or one without
     a line per test sample in the split's order, raises ValueError; another
-    task's CheckpointError."""
+    task's CheckpointError.  The file is parsed in one piece where each line
+    is one JSON value, and line by line otherwise, so that the first line
+    that fails is named."""
     task_id = scenes.task_id_for(scenario_id, condition)
     path = _task_path(out_dir, task_id, "scores.jsonl")
     if not path.exists():
         raise CheckpointError(f"no score file for {task_id}; run `logicad score` "
                               "first")
+    data = path.read_bytes()
+    parsed = _parse_lines(data)
     scores, labels, sample_ids = [], [], []
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:  # json.loads decodes the bytes, so bad UTF-8 names its line
-                record = json.loads(line)
-                owner = record["task_id"]
-                score = record["score"]
-                if (isinstance(score, bool) or not isinstance(score, (int, float))
-                        or not math.isfinite(score)):
-                    raise ValueError(f"score {score!r} is not a finite number")
-                scores.append(score)
-                labels.append(scenes.Label(record["label"]))
-                sample_ids.append(record["sample_id"])
-            except (KeyError, TypeError, ValueError, OverflowError,
-                    RecursionError) as exc:
-                raise ValueError(f"{path}:{lineno}: not a score record "
-                                 f"({type(exc).__name__}: {exc})") from None
-            if owner != task_id:
-                raise CheckpointError(f"{path}:{lineno}: a score of {owner!r}, not "
-                                      f"{task_id}: the file belongs to another run")
+    for lineno, line in enumerate(io.BytesIO(data) if parsed is None else parsed,
+                                  start=1):
+        try:  # json.loads decodes the bytes, so bad UTF-8 names its line
+            record = line if parsed is not None else json.loads(line)
+            owner = record["task_id"]
+            score = record["score"]
+            if (isinstance(score, bool) or not isinstance(score, (int, float))
+                    or not math.isfinite(score)):
+                raise ValueError(f"score {score!r} is not a finite number")
+            scores.append(score)
+            labels.append(scenes.Label(record["label"]))
+            sample_ids.append(record["sample_id"])
+        except (KeyError, TypeError, ValueError, OverflowError,
+                RecursionError) as exc:
+            raise ValueError(f"{path}:{lineno}: not a score record "
+                             f"({type(exc).__name__}: {exc})") from None
+        if owner != task_id:
+            raise CheckpointError(f"{path}:{lineno}: a score of {owner!r}, not "
+                                  f"{task_id}: the file belongs to another run")
     expected = scenarios.get_scenario(scenario_id).counts.test_ids()
     if len(scores) != len(expected):
         raise ValueError(f"{path} holds {len(scores) or 'no'} scores; the test "

@@ -4,17 +4,21 @@ import argparse
 import ast
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logicad import cli, pipeline, trainer
 from logicad.encoder import activation_table, encode_texts
@@ -292,6 +296,90 @@ def test_scene_file_writes_each_sample_its_own_line_when_views_repeat(tmp_path):
         records=(*artifacts.records, artifacts.records[i]))
     pipeline.write_task_files(tmp_path, relabelled)
     assert path.read_text().splitlines() == _scene_lines(relabelled)
+
+
+# strings that json.dumps escapes or passes through: quotes, backslashes,
+# control and non-ASCII characters, and the "%" and "{}" of a line format
+AWKWARD_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\%{}\x00\n\x1f\x7f\u2028\xe9\U0001f600'),
+    st.characters()), max_size=12)
+FINITE_FLOAT = st.one_of(st.sampled_from([-0.0, 5e-324, 1e16]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_every_written_line_is_json_dumps_of_its_record(data):
+    """Each line format writes json.dumps(record, sort_keys=True), for any
+    strings and finite floats in the records."""
+    base = _small_task(Condition.MESH_BG)
+    grammar = get_scenario("tapes").grammar
+
+    # a few drawn strings, taken in turn by every string field
+    pool = itertools.cycle(data.draw(st.lists(AWKWARD_TEXT, min_size=1,
+                                              max_size=8)))
+
+    def redrawn(record, slots):
+        return replace(record, text=next(pool), slots=slots)
+
+    samples = tuple(replace(s, sample_id=next(pool)) for s in base.samples)
+    records = tuple(redrawn(r, {name: next(pool) for name in r.slots})
+                    for r in base.records)
+    # a negative keeps the edits of the task's own: another value in each
+    # slot its negative edits
+    negatives = tuple(
+        redrawn(neg, {name: value if neg.slots[name] == old.slots[name]
+                      else value + "!" + next(pool)
+                      for name, value in pos.slots.items()})
+        for old, neg, pos in zip(base.records, base.negatives, records))
+    artifacts = replace(base, samples=samples, records=records,
+                        negatives=negatives)
+    train, _ = artifacts.split("train")
+    test, _ = artifacts.split("test")
+    k = data.draw(st.integers(1, len(train)))
+    floats = st.lists(FINITE_FLOAT, min_size=len(test), max_size=len(test))
+    scores, means = np.array(data.draw(floats)), np.array(data.draw(floats))
+    nearest = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, len(train) - 1), min_size=k, max_size=k),
+        min_size=len(test), max_size=len(test))), dtype=np.intp)
+    task_id = artifacts.task_id
+    want = {
+        "descriptions": [
+            {"task_id": task_id, "sample_id": s.sample_id, "split": s.split,
+             "label": s.label.value, "text": r.text}
+            for s, r in zip(artifacts.samples, artifacts.records)],
+        "pairs": [
+            {"task_id": task_id, "sample_id": s.sample_id,
+             "pos_text": pos.text, "neg_text": neg.text,
+             "edits": pair_edits(pos, neg, grammar)}
+            for s, pos, neg in zip(train, artifacts.records,
+                                   artifacts.negatives)],
+        "scores": [
+            {"task_id": task_id, "sample_id": s.sample_id,
+             "label": s.label.value, "score": score, "mean_distance": mean,
+             "neighbor_ids": [train[i].sample_id for i in row]}
+            for s, score, mean, row in zip(test, scores.tolist(),
+                                           means.tolist(), nearest.tolist())],
+    }
+    assert any(r["edits"] for r in want["pairs"])
+    with tempfile.TemporaryDirectory() as out:
+        pipeline.write_task_files(Path(out), artifacts)
+        pipeline.write_score_file(Path(out), artifacts, scores, means, nearest)
+        for kind, records in want.items():
+            path = Path(out) / f"{task_id}.{kind}.jsonl"
+            assert path.read_text(encoding="ascii") == "".join(
+                json.dumps(r, sort_keys=True) + "\n" for r in records), kind
+
+
+def test_every_line_of_a_run_at_another_seed_is_json_dumps_of_its_value(
+        tmp_path):
+    assert _run(["all", "--scenario", "dishes", "--seed", "11", "--baseline",
+                 "--jobs", "1", "--out-dir", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.glob("*.jsonl"))
+    assert len(paths) == 5 * 4
+    for path in paths:
+        for line in path.read_text(encoding="ascii").splitlines(keepends=True):
+            assert json.dumps(json.loads(line), sort_keys=True) + "\n" == line
 
 
 def test_cli_full_flow_and_byte_identical_reruns(tmp_path, capsys):
@@ -1230,8 +1318,26 @@ BAD_SCORES = {"string_score": "0.5", "bool_score": True,
               "nan_score": float("nan")}
 
 
+# damage that the one-piece parse of a score file refuses: the file is read
+# again line by line, so the error names the first line that is not a record
+LINE_DAMAGES = {
+    "blank_line": "2: not a score record (JSONDecodeError: Expecting value: "
+                  "line 2 column 1 (char 1))",
+    "blank_last_line": "161: not a score record (JSONDecodeError: Expecting "
+                       "value: line 2 column 1 (char 1))",
+    "two_on_one_line": "2: not a score record (JSONDecodeError: Extra data: "
+                       "line 1 column 242 (char 241))",
+    "array_line": "2: not a score record (TypeError: list indices must be "
+                  "integers or slices, not str)",
+    # as many values as lines: line 2 holds two, lines 3 and 4 one between them
+    "split_and_merge": "2: not a score record (JSONDecodeError: Extra data: "
+                       "line 1 column 241 (char 240))",
+}
+
+
 @pytest.mark.parametrize("damage", ["truncated", "no_score", "empty",
-                                    "not_utf8", "nested", *BAD_SCORES])
+                                    "not_utf8", "nested", *BAD_SCORES,
+                                    *LINE_DAMAGES])
 def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, capsys,
                                                             damage):
     out = str(tmp_path)
@@ -1259,6 +1365,22 @@ def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, capsys,
         lines[1] = "[" * 200_000 + "\n"
         path.write_text("".join(lines))
         where = f"{path}:2: not a score record"
+    elif damage in LINE_DAMAGES:
+        if damage == "blank_line":
+            lines.insert(1, "\n")
+        elif damage == "blank_last_line":
+            lines.append("\n")
+        elif damage == "two_on_one_line":
+            lines[1:3] = [lines[1].rstrip("\n") + " " + lines[2]]
+        elif damage == "array_line":
+            lines[1] = f"[{lines[1].rstrip()}]\n"
+        else:
+            first, second, third = (json.loads(x) for x in lines[1:4])
+            lines[1:4] = [json.dumps(first) + ", " + json.dumps(second) + "\n",
+                          json.dumps({**third, "x": [{}]})[:-2] + "\n",
+                          "{}]}\n"]
+        path.write_text("".join(lines))
+        where = f"{path}:{LINE_DAMAGES[damage]}"
     else:
         path.write_text("")
         where = f"{path} holds no scores"
@@ -1267,7 +1389,31 @@ def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, capsys,
         assert _run([command, *ARGS, "--out-dir", out]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith(f"error: {where}")
+        if damage in LINE_DAMAGES:
+            assert line == f"error: {where}"
     assert not list(tmp_path.glob("report.*"))
+
+
+def test_cli_reading_a_score_file_line_by_line_gives_the_same_result(
+        tmp_path, capsys):
+    """A file of one record per line that the one-piece parse refuses, for a
+    NaN in a key no reader reads, is read line by line to the same scores;
+    space around a record is JSON whitespace to either parse."""
+    out = str(tmp_path)
+    assert _run(["all", *ARGS, "--baseline", "--out-dir", out]) == 0
+    want = pipeline.read_score_file(tmp_path, "tapes", Condition.WHITE_BG)
+    assert _run(["eval", *ARGS, "--out-dir", out]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    path = tmp_path / "tapes-white_bg.scores.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    lines[1] = json.dumps({**record, "note": float("nan")}) + "\n"
+    lines[2] = " \t" + lines[2].rstrip("\n") + " \r\n"
+    path.write_text("".join(lines))
+    assert pipeline._parse_lines(path.read_bytes()) is None
+    assert pipeline.read_score_file(tmp_path, "tapes", Condition.WHITE_BG) == want
+    assert _run(["eval", *ARGS, "--out-dir", out]) == 0
+    assert capsys.readouterr().out.splitlines() == [printed]
 
 
 def test_cli_reading_a_score_file_of_one_class_names_the_task(tmp_path,
