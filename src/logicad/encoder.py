@@ -58,10 +58,7 @@ def build_vocabulary(texts: Iterable[str]) -> dict[str, int]:
 
 
 def tokenize(text: str, vocab: dict[str, int]) -> np.ndarray:
-    """The ids of the tokens of ``text``; OOV tokens map to UNKNOWN.
-
-    Every text the pipeline encodes is rendered from grammar clauses, so it
-    holds at least one token."""
+    """The ids of the tokens of ``text``; OOV tokens map to UNKNOWN."""
     get = vocab.get
     return np.array([get(t, UNKNOWN_ID) for t in _tokens(text)],
                     dtype=np.int64)
@@ -135,11 +132,15 @@ class TokenRows:
     @classmethod
     def build(cls, texts: list[str], vocab: dict[str, int]) -> "TokenRows":
         """The rows of ``texts`` over ``vocab``; a repeated text is tokenized
-        and counted once and its rows are copied."""
+        and counted once and its rows are copied.  A text with no token
+        raises EncodeError: it has no mean to pool."""
         first: dict[str, int] = {}
         row_of = np.array([first.setdefault(t, len(first)) for t in texts],
                           dtype=np.intp)
         tokens = [tokenize(t, vocab) for t in first]
+        for text, ids in zip(first, tokens):
+            if not len(ids):
+                raise EncodeError(f"text {text!r} holds no token")
         lengths = np.array([len(t) for t in tokens], dtype=np.int64)
         keys = np.repeat(np.arange(len(tokens)) * len(vocab), lengths)
         if tokens:

@@ -42,7 +42,7 @@ def synthesize_negative(
                 if name in pools and pools[name][value]]
     n_edits = 1 if rng.random() < ONE_EDIT_PROB else 2
     n_edits = min(n_edits, len(editable))
-    chosen = list(rng.choice(len(editable), size=n_edits, replace=False))
+    chosen = list(rng.choice(len(editable), size=n_edits))
     for idx in sorted(int(i) for i in chosen):
         name = editable[idx]
         pool = pools[name][slots[name]]

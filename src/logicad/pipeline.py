@@ -31,8 +31,8 @@ format the description, pair and score lines themselves, one ``%`` format
 per record kind, under the README's line contract that each line is
 ``json.dumps(record, sort_keys=True)``; ``tests/test_pipeline_cli.py``
 pins that contract against ``json.dumps``, for awkward strings and floats
-and on every line of a run.  Each file is written in one call, and a score
-file is parsed in one call unless it is damaged.  A checkpoint holds
+and on every line of a run.  Each file is written in one call; a score file
+is read in one call and parsed line by line.  A checkpoint holds
 the activation table that scoring reads under one JSON header (format
 version, config fingerprint, the task's vocabulary); ``load_checkpoint`` is
 the one place it is checked, against the run that loads it.
@@ -349,57 +349,21 @@ def write_score_file(out_dir: Path, artifacts: TaskArtifacts, scores: np.ndarray
                                        nearest.tolist())])
 
 
-def _parse_lines(data: bytes) -> Optional[list]:
-    """The JSON value of each line of ``data``, from one ``json.loads``; None
-    unless every line is exactly one JSON value.
-
-    The lines are parsed as one array with a ``NaN`` between each two, which
-    ``parse_constant`` turns into a marker: the parse holds one value per line
-    exactly when the markers alone fill every second place of the array and
-    the file itself holds no NaN or Infinity.
-    """
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    text = text.removesuffix("\n")
-    marker, constants = object(), []
-
-    def constant(name: str) -> object:
-        constants.append(name)
-        return marker
-
-    try:
-        values = json.loads("[" + text.replace("\n", ",NaN,") + "]",
-                            parse_constant=constant)
-    except (ValueError, RecursionError):
-        return None
-    n = text.count("\n") + 1
-    if (len(values) != 2 * n - 1 or len(constants) != n - 1
-            or values[1::2].count(marker) != n - 1):
-        return None
-    return values[::2]
-
-
 def read_score_file(out_dir: Path, scenario_id: str, condition: scenes.Condition
                     ) -> tuple[list[float], list[scenes.Label]]:
     """(scores, labels) of a task's score file: a damaged one, or one without
     a line per test sample in the split's order, raises ValueError; another
-    task's CheckpointError.  The file is parsed in one piece where each line
-    is one JSON value, and line by line otherwise, so that the first line
-    that fails is named."""
+    task's CheckpointError.  The file is read once and parsed line by line,
+    so that the first line that fails is named."""
     task_id = scenes.task_id_for(scenario_id, condition)
     path = _task_path(out_dir, task_id, "scores.jsonl")
     if not path.exists():
         raise CheckpointError(f"no score file for {task_id}; run `logicad score` "
                               "first")
-    data = path.read_bytes()
-    parsed = _parse_lines(data)
     scores, labels, sample_ids = [], [], []
-    for lineno, line in enumerate(io.BytesIO(data) if parsed is None else parsed,
-                                  start=1):
+    for lineno, line in enumerate(io.BytesIO(path.read_bytes()), start=1):
         try:  # json.loads decodes the bytes, so bad UTF-8 names its line
-            record = line if parsed is not None else json.loads(line)
+            record = json.loads(line)
             owner = record["task_id"]
             score = record["score"]
             if (isinstance(score, bool) or not isinstance(score, (int, float))

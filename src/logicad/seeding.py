@@ -126,7 +126,8 @@ DRAW_BLOCK = 16
 class Draws:
     """The values ``np.random.Generator`` gives for ``random``,
     ``integers(n)``, ``permutation(n)`` and ``choice(n, size,
-    replace=False)``, read from a fresh generator's raw PCG64 outputs.
+    replace=False)``, read from a fresh generator's raw PCG64 outputs;
+    ``choice(n, size)`` always draws without replacement.
 
     It fetches ``DRAW_BLOCK`` outputs at a time, the first on the first
     draw, so it may read past the last value it returns: the generator must
@@ -202,11 +203,9 @@ class Draws:
         self._shuffle(items, self._interval)
         return items
 
-    def choice(self, n: int, size: int, replace: bool) -> list[int]:
+    def choice(self, n: int, size: int) -> list[int]:
         """``size`` distinct ints in [0, n), in numpy's order: Floyd's
         algorithm, then a shuffle by Lemire draws."""
-        if replace:
-            raise ValueError("Draws.choice draws without replacement only")
         picked: dict[int, None] = {}  # in draw order
         for j in range(n - size, n):
             value = self._bounded(j)

@@ -23,6 +23,7 @@ from logicad.metrics import TaskReport, aggregate, auroc, emit_report
 from logicad.negatives import synthesize_negative
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Condition, classify, task_id_for
+from logicad.seeding import Draws
 from logicad.trainer import BatchMasks, TokenRows, batch_step, nt_xent
 
 
@@ -179,7 +180,7 @@ def test_criterion_07_negative_validity():
     for scenario_id in sorted(SCENARIOS):
         spec = get_scenario(scenario_id)
         grammar = spec.grammar
-        rng = np.random.default_rng(70)
+        rng = Draws(np.random.default_rng(70))
         for i in range(1000):
             cfg = clean if i % 2 == 0 else noisy
             pos = render(spec.normal(rng), cfg, rng, spec.grammar)

@@ -1,6 +1,7 @@
 """Encoder forward pass and dropout statistics."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from logicad import pipeline
 from logicad.encoder import (
     UNKNOWN_ID,
+    EncodeError,
     TokenRows,
     activation_table,
     build_vocabulary,
@@ -18,7 +20,7 @@ from logicad.encoder import (
     tokenize,
 )
 from logicad.scenes import Condition, SplitCounts
-from logicad.trainer import TrainConfig
+from logicad.trainer import TrainConfig, fit
 
 TEXTS = [
     "There are three oranges and two kiwis.",
@@ -123,6 +125,17 @@ def test_deterministic_encoding_is_unit_norm_and_repeatable():
         z2 = encode_texts([text], activation_table(params), vocab)[0]
         assert np.allclose(z1, z2)
         assert abs(np.linalg.norm(z1) - 1.0) < 1e-12
+
+
+def test_a_text_with_no_token_is_refused_by_encoding_and_training():
+    vocab, params = _setup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EncodeError, match=r"text '\.\.\.' holds no token"):
+            encode_texts(["a", "..."], activation_table(params), vocab)
+        with pytest.raises(EncodeError, match=r"text '\.\.\.' holds no token"):
+            fit([TEXTS[0], "..."], TEXTS[1:], vocab, TrainConfig(epochs=1),
+                params, np.random.default_rng(0))
 
 
 def test_single_token_text_encodes():

@@ -9,6 +9,7 @@ from logicad.describe import RenderConfig, build_record, render
 from logicad.negatives import pair_edits, synthesize_negative
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Aspect, build_task
+from logicad.seeding import Draws
 from logicad.templates import (
     NUMBER_WORDS,
     Clause,
@@ -26,7 +27,7 @@ NOISY = RenderConfig(True, 0.15, 0.05)
 def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
     spec = get_scenario(scenario_id)
     grammar = spec.grammar
-    rng = np.random.default_rng(2024)
+    rng = Draws(np.random.default_rng(2024))
     for i in range(200):
         cfg = CLEAN if i % 2 == 0 else NOISY
         pos = render(spec.normal(rng), cfg, rng, spec.grammar)
@@ -53,7 +54,7 @@ def test_record_slots_follow_the_template_order(scenario_id):
     parsed records alike."""
     spec = get_scenario(scenario_id)
     grammar = spec.grammar
-    rng = np.random.default_rng(7)
+    rng = Draws(np.random.default_rng(7))
     for i in range(100):
         cfg = CLEAN if i % 2 == 0 else NOISY
         pos = render(spec.normal(rng), cfg, rng, grammar)
@@ -68,8 +69,8 @@ def test_synthesis_is_seed_deterministic():
     grammar = spec.grammar
     pos = render(spec.normal(np.random.default_rng(1)),
                  CLEAN, np.random.default_rng(1), spec.grammar)
-    neg_a = synthesize_negative(pos, grammar, np.random.default_rng(8))
-    neg_b = synthesize_negative(pos, grammar, np.random.default_rng(8))
+    neg_a = synthesize_negative(pos, grammar, Draws(np.random.default_rng(8)))
+    neg_b = synthesize_negative(pos, grammar, Draws(np.random.default_rng(8)))
     assert neg_a == neg_b
 
 
@@ -87,7 +88,7 @@ def _mini_grammar():
 def test_single_editable_slot_forces_the_only_contradiction():
     grammar = _mini_grammar()
     pos = parse("The matte item is red.", grammar)
-    rng = np.random.default_rng(0)
+    rng = Draws(np.random.default_rng(0))
     for _ in range(10):
         neg = synthesize_negative(pos, grammar, rng)
         assert neg.text == "The matte item is blue."

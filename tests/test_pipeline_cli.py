@@ -1318,8 +1318,8 @@ BAD_SCORES = {"string_score": "0.5", "bool_score": True,
               "nan_score": float("nan")}
 
 
-# damage that the one-piece parse of a score file refuses: the file is read
-# again line by line, so the error names the first line that is not a record
+# damage to the lines of a score file: the file is parsed line by line, so
+# the error names the first line that is not one score record
 LINE_DAMAGES = {
     "blank_line": "2: not a score record (JSONDecodeError: Expecting value: "
                   "line 2 column 1 (char 1))",
@@ -1396,9 +1396,8 @@ def test_cli_reading_a_damaged_score_file_fails_in_one_line(tmp_path, capsys,
 
 def test_cli_reading_a_score_file_line_by_line_gives_the_same_result(
         tmp_path, capsys):
-    """A file of one record per line that the one-piece parse refuses, for a
-    NaN in a key no reader reads, is read line by line to the same scores;
-    space around a record is JSON whitespace to either parse."""
+    """A file of one record per line with a NaN in a key no reader reads is
+    read to the same scores; space around a record is JSON whitespace."""
     out = str(tmp_path)
     assert _run(["all", *ARGS, "--baseline", "--out-dir", out]) == 0
     want = pipeline.read_score_file(tmp_path, "tapes", Condition.WHITE_BG)
@@ -1410,10 +1409,26 @@ def test_cli_reading_a_score_file_line_by_line_gives_the_same_result(
     lines[1] = json.dumps({**record, "note": float("nan")}) + "\n"
     lines[2] = " \t" + lines[2].rstrip("\n") + " \r\n"
     path.write_text("".join(lines))
-    assert pipeline._parse_lines(path.read_bytes()) is None
     assert pipeline.read_score_file(tmp_path, "tapes", Condition.WHITE_BG) == want
     assert _run(["eval", *ARGS, "--out-dir", out]) == 0
     assert capsys.readouterr().out.splitlines() == [printed]
+
+
+def test_cli_reading_a_score_file_without_a_last_newline_gives_the_same_result(
+        tmp_path, capsys):
+    out = str(tmp_path)
+    assert _run(["all", *ARGS, "--baseline", "--out-dir", out]) == 0
+    want = pipeline.read_score_file(tmp_path, "tapes", Condition.WHITE_BG)
+    capsys.readouterr()
+    assert _run(["eval", *ARGS, "--out-dir", out]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    path = tmp_path / "tapes-white_bg.scores.jsonl"
+    data = path.read_bytes()
+    assert data.endswith(b"}\n")
+    path.write_bytes(data[:-1])
+    assert pipeline.read_score_file(tmp_path, "tapes", Condition.WHITE_BG) == want
+    assert _run(["eval", *ARGS, "--out-dir", out]) == 0
+    assert capsys.readouterr().out.splitlines() == printed
 
 
 def test_cli_reading_a_score_file_of_one_class_names_the_task(tmp_path,

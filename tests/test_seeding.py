@@ -130,15 +130,23 @@ _CALLS = st.one_of(
 )
 
 
+class _Twin(np.random.Generator):
+    """A plain generator whose ``choice(n, size)`` draws without replacement,
+    as ``Draws.choice`` does; numpy's default draws with replacement."""
+
+    def choice(self, n: int, size: int):
+        return super().choice(n, size, replace=False)
+
+
 def _call(stream, method: str, args: tuple):
-    kwargs = {"replace": False} if method == "choice" else {}
-    return getattr(stream, method)(*args, **kwargs)
+    return getattr(stream, method)(*args)
 
 
 def _assert_same_values(seed: int, calls) -> None:
     """``Draws`` and its twin ``Generator`` give the same values, and a
     last ``random`` shows they took the same outputs and buffered half."""
-    draws, twin = Draws(np.random.default_rng(seed)), np.random.default_rng(seed)
+    draws = Draws(np.random.default_rng(seed))
+    twin = _Twin(np.random.default_rng(seed).bit_generator)
     for method, args in [*calls, ("random", ())]:
         got, want = _call(draws, method, args), _call(twin, method, args)
         assert type(got) is type(np.asarray(want).tolist()), (method, args)
@@ -210,11 +218,8 @@ def test_draws_take_no_output_where_numpy_takes_none():
     before = rng.bit_generator.state
     draws = Draws(rng)
     assert (draws.integers(1), draws.permutation(1), draws.permutation(-1),
-            draws.choice(0, 0, replace=False),
-            draws.choice(1, 1, replace=False)) == (0, [0], [], [], [0])
+            draws.choice(0, 0), draws.choice(1, 1)) == (0, [0], [], [], [0])
     assert rng.bit_generator.state == before
-    with pytest.raises(ValueError):
-        draws.choice(5, 2, replace=True)
 
 
 def test_the_pipeline_gives_what_plain_generators_give(monkeypatch):
@@ -224,7 +229,8 @@ def test_the_pipeline_gives_what_plain_generators_give(monkeypatch):
     for scenario_id, condition in config.tasks():
         counts = get_scenario(scenario_id).counts
         with monkeypatch.context() as plain:
-            plain.setattr(pipeline, "Draws", lambda rng: rng)
+            plain.setattr(pipeline, "Draws",
+                          lambda rng: _Twin(rng.bit_generator))
             want = pipeline.generate_task(config, scenario_id, condition, counts)
         got = pipeline.generate_task(config, scenario_id, condition, counts)
         assert got.samples == want.samples, (scenario_id, condition)
