@@ -19,7 +19,6 @@ tuple its grammar slot lists, which the tests check for every view
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from .scenes import Condition
 from .seeding import Draws
@@ -66,7 +65,7 @@ def build_record(grammar: TemplateGrammar, skeleton: Skeleton,
     )
 
 
-def render(view: Any, cfg: RenderConfig, rng: Draws,
+def render(view: dict, cfg: RenderConfig, rng: Draws,
            grammar: TemplateGrammar) -> AttributeRecord:
     """Render one view into one text of ``grammar`` under a degradation config.
 

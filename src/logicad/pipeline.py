@@ -303,15 +303,15 @@ def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
     """The task's scene, description and negative-pair files, each in one write.
 
     A scene line holds no sample id, so it is built here, for the scene file
-    only, once per distinct (split, label, view) and written again for each
-    later sample that repeats it.
+    only, once per distinct (split, label, view items) and written again for
+    each later sample that repeats it.
     """
     task_id = artifacts.task_id
     spec = scenarios.get_scenario(artifacts.scenario_id)
     cached: dict[tuple, str] = {}
     lines = []
     for s in artifacts.samples:
-        key = (s.split, s.label, repr(s.view))
+        key = (s.split, s.label, *s.view.items())
         line = cached.get(key)
         if line is None:
             line = cached[key] = json.dumps(

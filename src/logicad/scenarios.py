@@ -3,7 +3,7 @@
 A spec is the whole record of its scenario: its two constraints, each an
 aspect, a rule and the edit that breaks it, its split counts and its
 grammar, which ``templates`` defines along with the attribute domains the
-rules share.  Its view, the logical state (a dict; a list for dishes), is
+rules share.  Its view, the logical state (a dict of slot values), is
 what ``normal`` draws, what each constraint's edit changes in place, what
 the rules judge and what the grammar renders.
 ``scenes.sample_anomaly`` combines the edits with rejection sampling to hit
@@ -57,7 +57,7 @@ def _scene(objects: list[dict], **context: str) -> dict:
     return {"objects": objects, "context": context}
 
 
-def _swap(slots: Sequence, values: Sequence[str], normal):
+def _swap(slots: Sequence[str], values: Sequence[str], normal: dict):
     """The edit that sets one slot to a value other than its normal one.
 
     ``normal`` is the normal view.  The slot index and the value are two
@@ -69,12 +69,12 @@ def _swap(slots: Sequence, values: Sequence[str], normal):
     return edit
 
 
-def _fixed(view):
+def _fixed(view: dict):
     """The ``normal`` of a scenario with one normal view.
 
-    Each call returns a copy, a list for a tuple, since edits work in place.
+    Each call returns a copy, since edits work in place.
     """
-    return lambda rng: dict(view) if isinstance(view, dict) else list(view)
+    return lambda rng: dict(view)
 
 
 def _agrees(normal, slots: Sequence[str], shape=lambda view: True):
@@ -85,7 +85,7 @@ def _agrees(normal, slots: Sequence[str], shape=lambda view: True):
     return rule
 
 
-def _kept(aspect: Aspect, normal, slots: Sequence, values: Sequence[str],
+def _kept(aspect: Aspect, normal, slots: Sequence[str], values: Sequence[str],
           shape=lambda view: True) -> Constraint:
     """The constraint that ``_agrees`` judges and ``_swap`` breaks."""
     return Constraint(aspect, _agrees(normal, slots, shape),
@@ -435,40 +435,41 @@ BLOCKS = ScenarioSpec(
 # Dishes (Type + Relation): a fork, a plate, and a spoon in left-to-right order.
 # ---------------------------------------------------------------------------
 
+_DISHES_NORMAL = {"first": "fork", "second": "plate", "third": "spoon"}
 _DISH_RANK = {item: i for i, item in enumerate(DISH_ITEMS)}
 
 
-def _dishes_build(items: list[str]) -> dict:
-    return _scene([{"category": cat} for cat in items])
+def _dishes_build(view: dict) -> dict:
+    return _scene([{"category": cat} for cat in view.values()])
 
 
-def _dishes_rule_t(items: list[str]) -> bool:
-    return sorted(items) == sorted(DISH_ITEMS)
+def _dishes_rule_t(view: dict) -> bool:
+    return sorted(view.values()) == sorted(DISH_ITEMS)
 
 
-def _dishes_rule_r(items: list[str]) -> bool:
-    if len(items) != 3:
-        return False
-    ranks = [_DISH_RANK[c] for c in items if c in _DISH_RANK]
+def _dishes_rule_r(view: dict) -> bool:
+    ranks = [_DISH_RANK[c] for c in view.values() if c in _DISH_RANK]
     return ranks == sorted(ranks)
 
 
-def _dishes_edit_r(items: list[str], rng: Draws) -> None:
+def _dishes_edit_r(view: dict, rng: Draws) -> None:
     while True:
-        perm = rng.permutation(len(items))
-        if list(perm) != list(range(len(items))):
+        perm = rng.permutation(len(view))
+        if list(perm) != list(range(len(view))):
             break
-    items[:] = [items[j] for j in perm]
+    slots, items = list(view), list(view.values())
+    view.update(zip(slots, [items[j] for j in perm]))
 
 
 DISHES = ScenarioSpec(
     scenario_id="dishes",
     constraints=(
         Constraint(Aspect.TYPE, _dishes_rule_t,
-                   _swap((0, 1, 2), DISH_INTRUDERS, DISH_ITEMS)),
+                   _swap(("first", "second", "third"), DISH_INTRUDERS,
+                         _DISHES_NORMAL)),
         Constraint(Aspect.RELATION, _dishes_rule_r, _dishes_edit_r)),
     build=_dishes_build,
-    normal=_fixed(DISH_ITEMS),
+    normal=_fixed(_DISHES_NORMAL),
     counts=SplitCounts(50, 50, 48, 48, 15), grammar=DISHES_GRAMMAR,
 )
 

@@ -1,7 +1,7 @@
 """Core scene model: scenario specs, classification and sampling.
 
 A scenario's *view* is its logical state: the counts, attributes and
-order that its two constraints govern (a dict; a list for dishes).  A
+order that its two constraints govern, a dict of slot values.  A
 ``ScenarioSpec`` is the one record of a scenario: its two constraints, its
 split counts and its text grammar.  A ``Constraint`` is one aspect, the rule
 that judges a view on it and the edit that breaks it.  Scenarios draw a
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .seeding import Draws
 
@@ -63,8 +63,8 @@ class Constraint(NamedTuple):
     ``breaks``, a single edit of a view, made in place, that breaks it."""
 
     aspect: Aspect
-    holds: Callable[[Any], bool]
-    breaks: Callable[[Any, Draws], None]
+    holds: Callable[[dict], bool]
+    breaks: Callable[[dict, Draws], None]
 
 
 @dataclass(frozen=True)
@@ -79,8 +79,8 @@ class ScenarioSpec:
 
     scenario_id: str
     constraints: tuple[Constraint, Constraint]
-    build: Callable[[Any], dict]
-    normal: Callable[[Draws], Any]
+    build: Callable[[dict], dict]
+    normal: Callable[[Draws], dict]
     counts: SplitCounts
     grammar: TemplateGrammar
 
@@ -93,14 +93,14 @@ _BROKEN = {label: tuple(i for i, kept in enumerate(holds) if not kept)
            for holds, label in _LABELS.items()}
 
 
-def classify(view: Any, spec: ScenarioSpec) -> Label:
+def classify(view: dict, spec: ScenarioSpec) -> Label:
     a, b = spec.constraints
     return _LABELS[a.holds(view), b.holds(view)]
 
 
 def sample_anomaly(
     spec: ScenarioSpec, target: Label, rng: Draws
-) -> Any:
+) -> dict:
     """Sample a view whose classification is exactly ``target``.
 
     Each constraint the target breaks edits a normal view once, in
@@ -145,7 +145,7 @@ class TaskSample:
     sample_id: str
     split: str  # "train" | "test"
     label: Label
-    view: Any
+    view: dict
 
 
 def task_id_for(scenario_id: str, condition: Condition) -> str:
@@ -166,7 +166,7 @@ def build_task(spec: ScenarioSpec, counts: SplitCounts,
     """
     samples: list[TaskSample] = []
 
-    def add(split: str, label: Label, view: Any, index: int) -> None:
+    def add(split: str, label: Label, view: dict, index: int) -> None:
         samples.append(TaskSample(sample_id_for(split, label, index), split,
                                   label, view))
 

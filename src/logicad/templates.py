@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .scenes import Aspect
 
@@ -106,9 +106,9 @@ class TemplateGrammar:
     slots: dict[str, SlotDef]
     variants: tuple[tuple[Clause, ...], ...]
     # the words of the logical slots, from the scenario's view
-    logical_slots: Callable[[Any], dict[str, str]] = _number_words
+    logical_slots: Callable[[dict], dict[str, str]] = _number_words
 
-    def view_slots(self, view: Any) -> dict[str, str]:
+    def view_slots(self, view: dict) -> dict[str, str]:
         """The view's logical slot values plus every decorative slot's clean value."""
         slots = self.logical_slots(view)
         for name, values in self.decorative_slots:
@@ -763,9 +763,8 @@ _DISH_POS_VALUES = {
 }
 
 
-def _dishes_slots(items: list[str]) -> dict[str, str]:
-    words = ("first", "second", "third")
-    return {f"pos_{w}": f"{w}_{item}" for w, item in zip(words, items)}
+def _dishes_slots(view: dict) -> dict[str, str]:
+    return {f"pos_{w}": f"{w}_{item}" for w, item in view.items()}
 
 
 DISHES_GRAMMAR = TemplateGrammar(

@@ -299,6 +299,19 @@ def _blas_core() -> str:
     return "unknown"
 
 
+def _dispatch_level() -> str:
+    """The highest SIMD target numpy dispatches to here, which the last bits
+    of its ``exp``, ``log`` and ``tanh`` and so the pinned score bytes depend
+    on; "baseline" when it enables none of its dispatch targets, "unknown"
+    without numpy's tables of them.  numpy lists the targets lowest first."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        targets, enabled = umath.__cpu_dispatch__, umath.__cpu_features__
+    except (ImportError, AttributeError):
+        return "unknown"
+    return ([t for t in targets if enabled.get(t)] or ["baseline"])[-1]
+
+
 def _cells(row: str) -> list[str]:
     return [cell.strip("*") for cell in row.strip("| ").split(" | ")]
 
@@ -324,7 +337,8 @@ def test_seed_0_table_and_bytes_are_pinned(benchmark_runs):
             h.update((out / f"{task_id_for(scenario_id, condition)}.{suffix}"
                       ).read_bytes())
         assert h.hexdigest() == digest, (family, suffix,
-                                         f"OpenBLAS core {_blas_core()}")
+                                         f"OpenBLAS core {_blas_core()}",
+                                         f"numpy dispatch {_dispatch_level()}")
 
 
 def test_criterion_10_pipeline_determinism(tmp_path):

@@ -230,15 +230,15 @@ def _enum_blocks():
 def _enum_dishes():
     cats = ("fork", "plate", "spoon", "knife", "cup")
     rank = {"fork": 0, "plate": 1, "spoon": 2}
-    for length in (2, 3, 4):
-        for items in itertools.product(cats, repeat=length):
-            objects = [{"category": cat, "order_index": i}
-                       for i, cat in enumerate(items)]
-            scene = {"objects": objects, "context": {}}
-            ok_t = sorted(items) == sorted(("fork", "plate", "spoon"))
-            ranks = [rank[c] for c in items if c in rank]
-            ok_r = length == 3 and ranks == sorted(ranks)
-            yield list(items), scene, _label(ok_t, ok_r, False)
+    for items in itertools.product(cats, repeat=3):
+        objects = [{"category": cat, "order_index": i}
+                   for i, cat in enumerate(items)]
+        scene = {"objects": objects, "context": {}}
+        ok_t = sorted(items) == sorted(("fork", "plate", "spoon"))
+        ranks = [rank[c] for c in items if c in rank]
+        ok_r = ranks == sorted(ranks)
+        view = dict(zip(("first", "second", "third"), items))
+        yield view, scene, _label(ok_t, ok_r, False)
 
 
 def _enum_balls():
@@ -392,16 +392,32 @@ def test_capture_condition_never_changes_the_label(scenario_id):
 
 
 @pytest.mark.parametrize("scenario_id", ["sticks", "fruits", "tools",
-                                         "cookies", "dishes", "balls"])
+                                         "cookies", "balls"])
 def test_empty_scene_violates_both_aspects(scenario_id):
     spec = get_scenario(scenario_id)
     normal = spec.normal(np.random.default_rng(0))
-    # every count zero, or no dish at all
-    empty = [] if isinstance(normal, list) else {
-        k: 0 if isinstance(v, int) else v for k, v in normal.items()}
+    empty = {k: 0 if isinstance(v, int) else v for k, v in normal.items()}
     assert spec.build(empty) == {"objects": [], "context": {}}
     assert not any(c.holds(empty) for c in spec.constraints)
     assert classify(empty, spec) == Label.DUAL
+
+
+def test_every_dishes_view_names_its_three_positions_in_order():
+    """Dishes have no empty view: every view a task draws, and every view an
+    edit leaves, holds one item at each of the three positions."""
+    spec = get_scenario("dishes")
+    positions = ["first", "second", "third"]
+    edits = Draws(np.random.default_rng(23))
+    for seed in range(3):
+        for condition in Condition:
+            (rng,) = derive_rngs(seed, "dishes", condition.value,
+                                 names=["scenes"])
+            for sample in build_task(spec, spec.counts, Draws(rng)):
+                assert list(sample.view) == positions, sample
+                for constraint in spec.constraints:
+                    view = dict(sample.view)
+                    constraint.breaks(view, edits)
+                    assert list(view) == positions, view
 
 
 def test_the_readme_aspect_pairs_are_the_specs():
