@@ -251,17 +251,15 @@ def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
                     f"no checkpoint for {task_id}; run `logicad train` first")
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = config.jobs if config.jobs > 0 else usable_cpus()
+    run = functools.partial(run_task, config, out_dir, stages)
     if jobs == 1 or len(tasks) <= 1:
-        for scenario_id, condition in tasks:
-            yield run_task(config, out_dir, stages, scenario_id, condition)
+        yield from map(run, *zip(*tasks))
         return
     # lazy: importing multiprocessing adds ~1.8 MB to a serial run's peak RSS
     from concurrent.futures import ProcessPoolExecutor
-    n = len(tasks)
-    with ProcessPoolExecutor(max_workers=min(jobs, n)) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         # map yields in submission order, whatever order the workers finish in
-        yield from pool.map(run_task, [config] * n, [out_dir] * n, [stages] * n,
-                            [s for s, _ in tasks], [c for _, c in tasks])
+        yield from pool.map(run, *zip(*tasks))
 
 
 # --- the run directory ----------------------------------------------------
@@ -399,9 +397,9 @@ def write_report(out_dir: Path, text: str, fmt: str) -> Path:
 
 
 def write_loss_curve(out_dir: Path, task_id: str, losses: list[float]) -> None:
-    rows = [f"{i}\t{loss:.10f}\n" for i, loss in enumerate(losses, start=1)]
-    _task_path(out_dir, task_id, "loss.txt").write_text(
-        "epoch\tmean_loss\n" + "".join(rows), encoding="utf-8")
+    _write_lines(out_dir, task_id, "loss.txt", [
+        "epoch\tmean_loss\n",
+        *(f"{i}\t{loss:.10f}\n" for i, loss in enumerate(losses, start=1))])
 
 
 def _fingerprint(config: PipelineConfig, task_id: str) -> dict:

@@ -11,10 +11,12 @@ a target label exactly.  ``build`` makes the scene record of a view, for
 the scene file only: each builder writes its objects' field names, and
 ``_scene`` numbers the objects and adds the context.
 
-Fruits, tapes, stationery, blocks and dishes state their normal view once,
-as a constant: ``normal`` copies it, each rule compares a view with it on
-one aspect's slots (``_agrees``), and ``_swap`` moves one slot away from it;
-``_kept`` makes the constraint that pairs the two on the same slots.
+Nine scenarios state their one normal view once, and ``_fixed`` makes the
+``normal`` that copies it: fruits, tapes, stationery, blocks and dishes as a
+constant, the four grouped ones from their ``GroupLayout`` table.  Each rule
+compares a view with it on one aspect's slots (``_agrees``, the grouped
+counts rule too), ``_swap`` moves one slot away from it, and ``_kept`` makes
+the constraint that pairs the two on the same slots.
 
 A scene lists its objects in a fixed, meaningful order (groups are
 contiguous runs), and an object's ``order_index`` is its position in that
@@ -64,7 +66,7 @@ def _swap(slots: Sequence[str], values: Sequence[str], normal: dict):
     draws, in that order.
     """
     def edit(view, rng: Draws) -> None:
-        slot = slots[int(rng.integers(len(slots)))]
+        slot = _pick(rng, slots)
         view[slot] = _pick(rng, [v for v in values if v != normal[slot]])
     return edit
 
@@ -120,19 +122,9 @@ class GroupLayout:
                 objects.append(dict(fields))
         return _scene(objects)
 
-    def normal(self, rng: Draws) -> dict:
-        view = {}
-        for _, count, attr, n, canon in self.groups:
-            view[count], view[attr] = n, canon
-        return view
-
     def placed(self, view: dict) -> bool:
         """Whether any group has an object: an empty tray breaks both rules."""
         return any(view[count] > 0 for _, count, _, _, _ in self.groups)
-
-    def counts_hold(self, view: dict) -> bool:
-        return self.placed(view) and all(
-            view[count] == n for _, count, _, n, _ in self.groups)
 
     def attrs_hold(self, view: dict) -> bool:
         """Every group that has objects has its canonical attribute."""
@@ -152,14 +144,19 @@ class GroupLayout:
 def _grouped_spec(scenario_id: str, layout: GroupLayout,
                   aspects: tuple[Aspect, Aspect], counts: SplitCounts,
                   grammar: TemplateGrammar, count_edit=None) -> ScenarioSpec:
-    """The first constraint is on the counts, the second on the attributes."""
+    """The first constraint is on the counts, the second on the attributes;
+    the normal view holds the layout table's canonical counts and attributes."""
+    view = {}
+    for _, count, attr, n, canon in layout.groups:
+        view[count], view[attr] = n, canon
     return ScenarioSpec(
         scenario_id=scenario_id,
         constraints=(
-            Constraint(aspects[0], layout.counts_hold,
+            Constraint(aspects[0],
+                       _agrees(view, [g[1] for g in layout.groups], layout.placed),
                        count_edit or layout.bump_count),
             Constraint(aspects[1], layout.attrs_hold, layout.change_attr)),
-        build=layout.build, normal=layout.normal, counts=counts, grammar=grammar,
+        build=layout.build, normal=_fixed(view), counts=counts, grammar=grammar,
     )
 
 
@@ -489,11 +486,10 @@ BALLS_LAYOUT = GroupLayout(
 
 
 def _balls_edit_p(view: dict, rng: Draws) -> None:
-    """Move one ball to the other compartment of its row."""
+    """Move one ball to the other compartment of its row: as the first edit it
+    runs on a normal view, which holds one ball in every compartment."""
     row = _pick(rng, ("t", "b"))
     src, dst = (f"{row}l", f"{row}r") if rng.integers(2) else (f"{row}r", f"{row}l")
-    if view[f"n_{src}"] == 0:
-        src, dst = dst, src
     view[f"n_{src}"] -= 1
     view[f"n_{dst}"] += 1
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicad import cli, pipeline, trainer
-from logicad.encoder import activation_table, encode_texts
+from logicad.encoder import UNKNOWN_ID, activation_table, encode_texts, tokenize
 from logicad.negatives import pair_edits
 from logicad.scenarios import SCENARIOS, get_scenario
 from logicad.scenes import Condition, Label, SplitCounts, task_id_for
@@ -1088,6 +1088,30 @@ def test_readme_counts_the_distinct_scene_lines_at_seed_0(benchmark_runs):
     (counts,) = re.findall(r"at seed 0, ([\d,]+) distinct lines for ([\d,]+) "
                            r"samples", " ".join(readme.split()))
     assert [int(n.replace(",", "")) for n in counts] == [distinct, samples]
+
+
+def test_every_seed_0_test_text_holds_a_known_token(benchmark_runs):
+    """No seed-0 test text is all ``<unk>``, so a pool that skipped the
+    unknown token (ROADMAP item 23) would leave each one a direction; and
+    the share of texts that hold an unknown token is the one item 23 gives."""
+    runs, _ = benchmark_runs
+    config, out, _ = runs["trained"]
+    texts, unknown = {True: 0, False: 0}, {True: 0, False: 0}  # by normal
+    for scenario_id, condition in config.tasks():
+        task_id = task_id_for(scenario_id, condition)
+        with np.load(out / f"{task_id}.ckpt.npz") as ckpt:
+            vocab = json.loads(bytes(ckpt["header"]))["vocab"]
+        with open(out / f"{task_id}.descriptions.jsonl", encoding="utf-8") as fh:
+            for record in map(json.loads, fh):
+                if record["split"] != "test":
+                    continue
+                ids = tokenize(record["text"], vocab)
+                assert (ids != UNKNOWN_ID).any(), (task_id, record["sample_id"])
+                normal = record["label"] == Label.NORMAL.value
+                texts[normal] += 1
+                unknown[normal] += bool((ids == UNKNOWN_ID).any())
+    assert (unknown[True], texts[True]) == (418, 2500)
+    assert (unknown[False], texts[False]) == (913, 5395)
 
 
 # a whole checkpoint of tapes-white_bg (V = 45, D = 64) with members

@@ -307,10 +307,15 @@ def test_classify_matches_enumeration_oracle(scenario_id):
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_sampled_normals_are_normal(scenario_id):
+    """Each draw is a view of its own: breaking one in place changes neither
+    the next draw nor the normal view that the rules compare with."""
     spec = get_scenario(scenario_id)
     rng = np.random.default_rng(7)
     for _ in range(50):
-        assert classify(spec.normal(rng), spec) == Label.NORMAL
+        view = spec.normal(rng)
+        assert classify(view, spec) == Label.NORMAL
+        spec.constraints[0].breaks(view, rng)
+        assert not spec.constraints[0].holds(view)
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
@@ -327,16 +332,18 @@ def _changed(before: dict, after: dict) -> list[str]:
     return [k for k in before if before[k] != after[k]]
 
 
-@pytest.mark.parametrize("layout", [STICKS_LAYOUT, TOOLS_LAYOUT,
-                                    COOKIES_LAYOUT, BALLS_LAYOUT],
+@pytest.mark.parametrize("scenario_id, layout",
+                         [("sticks", STICKS_LAYOUT), ("tools", TOOLS_LAYOUT),
+                          ("cookies", COOKIES_LAYOUT), ("balls", BALLS_LAYOUT)],
                          ids=["sticks", "tools", "cookies", "balls"])
-def test_grouped_mutators_edit_only_their_own_aspect(layout):
+def test_grouped_mutators_edit_only_their_own_aspect(scenario_id, layout):
+    spec = get_scenario(scenario_id)
     counts = {g[1] for g in layout.groups}
     canon = {g[2]: g[4] for g in layout.groups}
     rng = np.random.default_rng(13)
     bumped_slots, changed_slots = set(), set()
     for _ in range(200):
-        view = layout.normal(rng)
+        view = spec.normal(rng)
         bumped = dict(view)
         layout.bump_count(bumped, rng)
         (slot,) = _changed(view, bumped)
