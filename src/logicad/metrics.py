@@ -85,7 +85,9 @@ def aggregate(reports: list[TaskReport]) -> AggregateReport:
     """Aggregate per-task AUROC over a scenario x condition grid.
 
     ``reports`` hold one report per cell of a full grid, as both callers
-    build them from ``PipelineConfig.tasks()``.
+    build them from ``PipelineConfig.tasks()``.  ``condition_means`` is keyed
+    in condition-value order, ``scenario_sensitivity`` and ``scenario_means``
+    in scenario-id order; ``emit_report`` writes its rows in these orders.
     """
     scenario_ids = sorted({r.scenario_id for r in reports})
     conditions = sorted({r.condition for r in reports}, key=lambda c: c.value)
@@ -116,29 +118,27 @@ _CONDITION_TITLES = {
 
 
 def emit_report(agg: AggregateReport, fmt: str) -> str:
-    """Byte-deterministic CSV (``fmt`` "csv") or markdown of the aggregate."""
-    conditions = sorted(agg.condition_means, key=lambda c: c.value)
-    scenarios = sorted(agg.scenario_sensitivity)
+    """Byte-deterministic CSV (``fmt`` "csv") or markdown of the aggregate,
+    its rows in the order ``aggregate`` keys them."""
     if fmt == "csv":
         out = io.StringIO()
         out.write("condition,mean_auroc\n")
-        for c in conditions:
-            out.write(f"{c.value},{agg.condition_means[c]:.6f}\n")
+        for c, mean in agg.condition_means.items():
+            out.write(f"{c.value},{mean:.6f}\n")
         out.write(f"mean_of_means,{agg.mean_of_means:.6f}\n")
         out.write(f"std_of_means,{agg.std_of_means:.6f}\n")
         out.write("\nscenario,mean_auroc,sensitivity_std\n")
-        for s in scenarios:
-            out.write(f"{s},{agg.scenario_means[s]:.6f},"
-                      f"{agg.scenario_sensitivity[s]:.6f}\n")
+        for s, mean in agg.scenario_means.items():
+            out.write(f"{s},{mean:.6f},{agg.scenario_sensitivity[s]:.6f}\n")
         return out.getvalue()
     out = io.StringIO()
     out.write("| Condition | Mean AUROC |\n|---|---|\n")
-    for c in conditions:
-        out.write(f"| {_CONDITION_TITLES[c]} | {agg.condition_means[c]:.3f} |\n")
+    for c, mean in agg.condition_means.items():
+        out.write(f"| {_CONDITION_TITLES[c]} | {mean:.3f} |\n")
     out.write(f"| Mean ± Std | {agg.mean_of_means:.3f} ± "
               f"{agg.std_of_means:.3f} |\n")
     out.write("\n| Scenario | Mean AUROC | Sensitivity (std) |\n|---|---|---|\n")
-    for s in scenarios:
-        out.write(f"| {s} | {agg.scenario_means[s]:.3f} | "
+    for s, mean in agg.scenario_means.items():
+        out.write(f"| {s} | {mean:.3f} | "
                   f"{agg.scenario_sensitivity[s]:.3f} |\n")
     return out.getvalue()

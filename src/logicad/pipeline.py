@@ -80,6 +80,9 @@ class PipelineConfig:
             if repeated:
                 raise ValueError(f"{kind} selected more than once: "
                                  f"{', '.join(repeated)}")
+        for scenario_id in self.scenario_ids:
+            if scenario_id not in scenarios.SCENARIOS:
+                raise ValueError(f"unknown scenario {scenario_id!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.dim < 2:
@@ -123,7 +126,7 @@ def generate_task(config: PipelineConfig, scenario_id: str,
     task, one pass per stream kind.  Every sample has its own streams, so any
     counts with the same ``train_normal`` give the same train samples,
     records and negatives."""
-    spec = scenarios.get_scenario(scenario_id)
+    spec = scenarios.SCENARIOS[scenario_id]
     render_cfg = CONDITION_RENDER_DEFAULTS[condition]
     seed_parts = (config.master_seed, scenario_id, condition.value)
     (scene_rng,) = derive_rngs(*seed_parts, names=["scenes"])
@@ -198,7 +201,7 @@ def run_task(config: PipelineConfig, out_dir: Path, stages: str,
     ``all`` does all three.  Returns the line to print and, when the task
     was scored, its report.
     """
-    counts = scenarios.get_scenario(scenario_id).counts
+    counts = scenarios.SCENARIOS[scenario_id].counts
     if stages == "train":
         # training reads only the train pairs: generate no test view
         counts = scenes.SplitCounts(counts.train_normal, 0, 0, 0, 0)
@@ -305,7 +308,7 @@ def write_task_files(out_dir: Path, artifacts: TaskArtifacts) -> None:
     each later sample that repeats it.
     """
     task_id = artifacts.task_id
-    spec = scenarios.get_scenario(artifacts.scenario_id)
+    spec = scenarios.SCENARIOS[artifacts.scenario_id]
     cached: dict[tuple, str] = {}
     lines = []
     for s in artifacts.samples:
@@ -377,7 +380,7 @@ def read_score_file(out_dir: Path, scenario_id: str, condition: scenes.Condition
         if owner != task_id:
             raise CheckpointError(f"{path}:{lineno}: a score of {owner!r}, not "
                                   f"{task_id}: the file belongs to another run")
-    expected = scenarios.get_scenario(scenario_id).counts.test_ids()
+    expected = scenarios.SCENARIOS[scenario_id].counts.test_ids()
     if len(scores) != len(expected):
         raise ValueError(f"{path} holds {len(scores) or 'no'} scores; the test "
                          f"split of {task_id} has {len(expected)}")

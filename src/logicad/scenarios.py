@@ -1,4 +1,5 @@
-"""The ten built-in scenarios, one ``ScenarioSpec`` each.
+"""The ten scenarios, one ``ScenarioSpec`` each, in ``SCENARIOS``, the one
+registry: modules index it directly; ``PipelineConfig`` refuses an id it lacks.
 
 A spec is the whole record of its scenario: its two constraints, each an
 aspect, a rule and the edit that breaks it, its split counts and its
@@ -504,10 +505,3 @@ SCENARIOS: dict[str, ScenarioSpec] = {
     for spec in (STICKS, FRUITS, TOOLS, COOKIES, TAPES,
                  STATIONERY, ROPES, BLOCKS, DISHES, BALLS)
 }
-
-
-def get_scenario(scenario_id: str) -> ScenarioSpec:
-    try:
-        return SCENARIOS[scenario_id]
-    except KeyError:
-        raise KeyError(f"unknown scenario {scenario_id!r}") from None

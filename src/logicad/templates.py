@@ -7,7 +7,7 @@ omission).
 
 A grammar renders the view it is given, the logical state its scenario's
 spec draws and edits: its ``logical_slots`` turn that view into the words
-of the logical slots, by default each count as its number word.
+of the logical slots, by default each count ``n`` as ``NUMBER_WORDS[n]``.
 This module also holds the number words and the attribute domains that
 the rules in ``scenarios`` and the grammars here share; it imports nothing
 of ``scenarios``.  It holds the contradiction-pool rule too, so that each
@@ -48,14 +48,6 @@ DISH_INTRUDERS = ("knife", "cup")
 BALL_COLORS = ("orange", "white", "green", "purple")
 
 
-def number_word(n: int) -> str:
-    return NUMBER_WORDS[n]
-
-
-def word_number(w: str) -> int:
-    return NUMBER_WORDS.index(w)
-
-
 @dataclass(frozen=True)
 class SlotDef:
     name: str
@@ -73,8 +65,9 @@ def contradiction_pool(slot: SlotDef, current: str) -> tuple[str, ...]:
     """Values that genuinely contradict ``current`` for this slot."""
     pool = [v for v in slot.values if v != current]
     if all(v in NUMBER_WORDS for v in slot.values) and current in NUMBER_WORDS:
-        truth = word_number(current)
-        pool = [v for v in pool if abs(word_number(v) - truth) <= COUNT_EDIT_WINDOW]
+        truth = NUMBER_WORDS.index(current)
+        pool = [v for v in pool
+                if abs(NUMBER_WORDS.index(v) - truth) <= COUNT_EDIT_WINDOW]
     return tuple(pool)
 
 
@@ -95,9 +88,9 @@ class Clause:
 Skeleton = tuple[int, tuple[bool, ...]]  # (variant, clause mask)
 
 
-def _number_words(view: dict) -> dict[str, str]:
+def _counts_in_words(view: dict) -> dict[str, str]:
     """The view's slot values, every count as its number word."""
-    return {k: number_word(v) if isinstance(v, int) else v
+    return {k: NUMBER_WORDS[v] if isinstance(v, int) else v
             for k, v in view.items()}
 
 
@@ -106,7 +99,7 @@ class TemplateGrammar:
     slots: dict[str, SlotDef]
     variants: tuple[tuple[Clause, ...], ...]
     # the words of the logical slots, from the scenario's view
-    logical_slots: Callable[[dict], dict[str, str]] = _number_words
+    logical_slots: Callable[[dict], dict[str, str]] = _counts_in_words
 
     def view_slots(self, view: dict) -> dict[str, str]:
         """The view's logical slot values plus every decorative slot's clean value."""
@@ -169,11 +162,11 @@ def _slot_table(*slots: SlotDef) -> dict[str, SlotDef]:
 
 def _fruits_slots(view: dict) -> dict[str, str]:
     return {
-        "count_a": number_word(view["count_a"]),
+        "count_a": NUMBER_WORDS[view["count_a"]],
         "type_a": _plural_fruit(view["cat_a"]),
-        "count_b": number_word(view["count_b"]),
+        "count_b": NUMBER_WORDS[view["count_b"]],
         "type_b": _plural_fruit(view["cat_b"]),
-        "total": number_word(view["count_a"] + view["count_b"]),
+        "total": NUMBER_WORDS[view["count_a"] + view["count_b"]],
     }
 
 
@@ -310,7 +303,7 @@ _TOOL_DECOR = ("steel", "shiny", "small", "heavy", "standard", "gray")
 
 def _tools_slots(view: dict) -> dict[str, str]:
     total = view["count_bolt"] + view["count_washer"] + view["count_nut"]
-    return _number_words(view | {"total_tools": total})
+    return _counts_in_words(view | {"total_tools": total})
 
 
 TOOLS_GRAMMAR = TemplateGrammar(

@@ -21,7 +21,7 @@ from logicad.encoder import UNKNOWN_ID, build_vocabulary, init_params
 from logicad.knn import score
 from logicad.metrics import TaskReport, aggregate, auroc, emit_report
 from logicad.negatives import synthesize_negative
-from logicad.scenarios import SCENARIOS, get_scenario
+from logicad.scenarios import SCENARIOS
 from logicad.scenes import Condition, classify, task_id_for
 from logicad.seeding import Draws
 from logicad.trainer import BatchMasks, TokenRows, batch_step, nt_xent
@@ -163,7 +163,7 @@ def test_criterion_06_rule_engine_oracle():
     mismatches = 0
     checked = 0
     for scenario_id, enumerate_views in sorted(_ENUMERATIONS.items()):
-        spec = get_scenario(scenario_id)
+        spec = SCENARIOS[scenario_id]
         for view, scene, expected in enumerate_views():
             checked += 1
             if spec.build(view) != scene or classify(view, spec) != expected:
@@ -178,7 +178,7 @@ def test_criterion_07_negative_validity():
     failures = 0
     total = 0
     for scenario_id in sorted(SCENARIOS):
-        spec = get_scenario(scenario_id)
+        spec = SCENARIOS[scenario_id]
         grammar = spec.grammar
         rng = Draws(np.random.default_rng(70))
         for i in range(1000):
@@ -196,7 +196,7 @@ def test_criterion_08_round_trip_identity():
     mismatches = 0
     texts = 0
     for scenario_id in sorted(SCENARIOS):
-        spec = get_scenario(scenario_id)
+        spec = SCENARIOS[scenario_id]
         grammar = spec.grammar
         slots = grammar.view_slots(
             spec.normal(np.random.default_rng(0)))

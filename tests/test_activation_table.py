@@ -107,7 +107,7 @@ def _per_text_masks(pos_tokens, neg_tokens, dim, rate, rng):
 def task_texts():
     config = pipeline.PipelineConfig(master_seed=0)
     artifacts = pipeline.generate_task(config, "sticks", scenes.Condition.MESH_BG,
-                                       scenarios.get_scenario("sticks").counts)
+                                       scenarios.SCENARIOS["sticks"].counts)
     return (artifacts.split("train")[1], [n.text for n in artifacts.negatives],
             artifacts.vocabulary)
 

@@ -12,7 +12,7 @@ from logicad.describe import (
     build_record,
     render,
 )
-from logicad.scenarios import SCENARIOS, get_scenario
+from logicad.scenarios import SCENARIOS
 from logicad.scenes import Condition, Label, build_task
 from logicad.seeding import Draws, derive_rngs
 from logicad.templates import SlotDef, _slot_table
@@ -21,12 +21,12 @@ CLEAN = RenderConfig(False, 0.0, 0.0)
 
 
 def _canonical_view(scenario_id):
-    return get_scenario(scenario_id).normal(np.random.default_rng(0))
+    return SCENARIOS[scenario_id].normal(np.random.default_rng(0))
 
 
 def test_canonical_fruits_text_is_pinned():
     text = render(_canonical_view("fruits"), CLEAN, np.random.default_rng(0),
-                  get_scenario("fruits").grammar)
+                  SCENARIOS["fruits"].grammar)
     assert text.text == (
         "There are three oranges and two kiwis. "
         "The total number of items is five."
@@ -36,7 +36,7 @@ def test_canonical_fruits_text_is_pinned():
 def test_clean_rendering_is_deterministic_and_variant_zero():
     for scenario_id in sorted(SCENARIOS):
         view = _canonical_view(scenario_id)
-        spec = get_scenario(scenario_id)
+        spec = SCENARIOS[scenario_id]
         texts = {
             render(view, CLEAN, np.random.default_rng(seed), spec.grammar).text
             for seed in range(5)
@@ -51,7 +51,7 @@ def test_clean_rendering_is_deterministic_and_variant_zero():
 def test_same_rng_stream_gives_identical_noisy_renders():
     view = _canonical_view("tools")
     cfg = CONDITION_RENDER_DEFAULTS[Condition.LOWLIGHT_CD]
-    spec = get_scenario("tools")
+    spec = SCENARIOS["tools"]
     a = render(view, cfg, np.random.default_rng(123), spec.grammar).text
     b = render(view, cfg, np.random.default_rng(123), spec.grammar).text
     assert a == b
@@ -59,7 +59,7 @@ def test_same_rng_stream_gives_identical_noisy_renders():
 
 def test_omission_frequency_matches_configured_probability():
     view = _canonical_view("sticks")
-    spec = get_scenario("sticks")
+    spec = SCENARIOS["sticks"]
     grammar = spec.grammar
     cfg = RenderConfig(False, 0.3, 0.0)
     optional_idx = [i for i, c in enumerate(grammar.variants[0]) if c.optional]
@@ -78,7 +78,7 @@ def test_omission_frequency_matches_configured_probability():
 
 def test_certain_corruption_flips_every_decorative_slot():
     view = _canonical_view("sticks")
-    spec = get_scenario("sticks")
+    spec = SCENARIOS["sticks"]
     grammar = spec.grammar
     clean_slots = grammar.view_slots(view)
     rendered = render(view, RenderConfig(False, 0.0, 1.0),
@@ -96,7 +96,7 @@ def test_certain_corruption_flips_every_decorative_slot():
 
 def test_zero_corruption_never_touches_slots():
     view = _canonical_view("cookies")
-    spec = get_scenario("cookies")
+    spec = SCENARIOS["cookies"]
     grammar = spec.grammar
     clean_slots = grammar.view_slots(view)
     rng = np.random.default_rng(17)
@@ -109,7 +109,7 @@ def test_zero_corruption_never_touches_slots():
 
 def test_paraphrase_selects_variants():
     view = _canonical_view("balls")
-    spec = get_scenario("balls")
+    spec = SCENARIOS["balls"]
     grammar = spec.grammar
     rng = np.random.default_rng(31)
     variants = set()
@@ -129,7 +129,7 @@ def test_paraphrase_selects_variants():
 def test_grammar_fits_its_scenario(scenario_id):
     """The grammar's slots are the ones its scenario's view fills, and each
     logical slot names one of the scenario's two aspects."""
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     grammar = spec.grammar
     slots = grammar.view_slots(spec.normal(np.random.default_rng(0)))
     assert set(slots) == set(grammar.slots)
@@ -172,7 +172,7 @@ def test_which_seed_0_anomalies_the_text_cannot_show():
     config = pipeline.PipelineConfig()
     cells = {}
     for scenario_id, condition in config.tasks():
-        spec = get_scenario(scenario_id)
+        spec = SCENARIOS[scenario_id]
         grammar = spec.grammar
         artifacts = pipeline.generate_task(config, scenario_id, condition,
                                            spec.counts)
@@ -205,7 +205,7 @@ def test_which_seed_0_anomalies_the_text_cannot_show():
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_round_trip_identity_on_every_skeleton(scenario_id):
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     grammar = spec.grammar
     slots = grammar.view_slots(_canonical_view(scenario_id))
     for variant in range(len(grammar.variants)):
@@ -219,7 +219,7 @@ def test_round_trip_identity_on_every_skeleton(scenario_id):
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_round_trip_identity_under_noisy_rendering(scenario_id):
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     grammar = spec.grammar
     rng = np.random.default_rng(47)
     cfg = RenderConfig(True, 0.2, 0.3)
@@ -235,7 +235,7 @@ def test_every_drawn_view_renders_only_words_its_grammar_lists():
     """``render`` checks no value, so every view ``build_task`` draws must
     fill each slot of its grammar with a value that slot lists."""
     for scenario_id in sorted(SCENARIOS):
-        spec = get_scenario(scenario_id)
+        spec = SCENARIOS[scenario_id]
         grammar = spec.grammar
         for seed in range(3):
             for sample in build_task(spec, spec.counts,
@@ -251,7 +251,7 @@ def test_every_drawn_view_renders_only_words_its_grammar_lists():
 
 
 def test_parse_rejects_unmatched_text():
-    grammar = get_scenario("fruits").grammar
+    grammar = SCENARIOS["fruits"].grammar
     with pytest.raises(ParseError):
         parse("There are plenty of fruits on the tray.", grammar)
     with pytest.raises(ParseError):
@@ -281,7 +281,7 @@ def test_condition_defaults_keep_white_background_clean():
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_build_record_equals_clause_by_clause_formatting(scenario_id):
-    grammar = get_scenario(scenario_id).grammar
+    grammar = SCENARIOS[scenario_id].grammar
     for shift in range(3):
         slots = {name: slot.values[shift % len(slot.values)]
                  for name, slot in grammar.slots.items()}
@@ -308,7 +308,7 @@ def test_a_render_config_that_draws_nothing_leaves_its_stream_where_it_was():
                 rng = np.random.default_rng(5)
                 before = rng.bit_generator.state
                 render(_canonical_view(scenario_id), cfg, wrap(rng),
-                       get_scenario(scenario_id).grammar)
+                       SCENARIOS[scenario_id].grammar)
                 if rng.bit_generator.state != before:
                     moved.add((scenario_id, condition))
         assert moved == {(scenario_id, condition) for scenario_id in SCENARIOS

@@ -13,7 +13,7 @@ from logicad.encoder import (
     init_params,
 )
 from logicad.knn import DEFAULT_K, score
-from logicad.scenarios import get_scenario
+from logicad.scenarios import SCENARIOS
 from logicad.scenes import Condition, Label
 
 
@@ -170,7 +170,7 @@ def test_encoded_texts_score_in_row_order():
 
 
 def test_score_file_round_trip(tmp_path):
-    counts = get_scenario("sticks").counts
+    counts = SCENARIOS["sticks"].counts
     artifacts = pipeline.generate_task(pipeline.PipelineConfig(), "sticks",
                                        Condition.WHITE_BG, counts)
     test, _ = artifacts.split("test")

@@ -7,7 +7,7 @@ from oracles import clause_masks, parse, validate_negative
 
 from logicad.describe import RenderConfig, build_record, render
 from logicad.negatives import pair_edits, synthesize_negative
-from logicad.scenarios import SCENARIOS, get_scenario
+from logicad.scenarios import SCENARIOS
 from logicad.scenes import Aspect, build_task
 from logicad.seeding import Draws
 from logicad.templates import (
@@ -16,7 +16,6 @@ from logicad.templates import (
     SlotDef,
     TemplateGrammar,
     contradiction_pool,
-    word_number,
 )
 
 CLEAN = RenderConfig(False, 0.0, 0.0)
@@ -25,7 +24,7 @@ NOISY = RenderConfig(True, 0.15, 0.05)
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     grammar = spec.grammar
     rng = Draws(np.random.default_rng(2024))
     for i in range(200):
@@ -42,8 +41,8 @@ def test_synthesized_negatives_are_valid_and_edits_are_real(scenario_id):
         for edit in edits:
             assert edit["aspect"] == grammar.slots[edit["slot"]].aspect.value
             if edit["old"] in NUMBER_WORDS and edit["new"] in NUMBER_WORDS:
-                assert abs(word_number(edit["new"])
-                           - word_number(edit["old"])) <= 2
+                assert abs(NUMBER_WORDS.index(edit["new"])
+                           - NUMBER_WORDS.index(edit["old"])) <= 2
 
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
@@ -52,7 +51,7 @@ def test_record_slots_follow_the_template_order(scenario_id):
     order ``pair_edits`` zips by is checked here: the included slots of the
     record's skeleton, in template order, for rendered, synthesized and
     parsed records alike."""
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     grammar = spec.grammar
     rng = Draws(np.random.default_rng(7))
     for i in range(100):
@@ -65,7 +64,7 @@ def test_record_slots_follow_the_template_order(scenario_id):
 
 
 def test_synthesis_is_seed_deterministic():
-    spec = get_scenario("tools")
+    spec = SCENARIOS["tools"]
     grammar = spec.grammar
     pos = render(spec.normal(np.random.default_rng(1)),
                  CLEAN, np.random.default_rng(1), spec.grammar)
@@ -103,7 +102,7 @@ def test_every_skeleton_includes_a_logical_slot_that_can_be_contradicted():
     # the negative would equal its positive and nothing would fail
     skeletons = 0
     for scenario_id in sorted(SCENARIOS):
-        grammar = get_scenario(scenario_id).grammar
+        grammar = SCENARIOS[scenario_id].grammar
         for variant in range(len(grammar.variants)):
             for mask in clause_masks(grammar, variant):
                 _, names = grammar.skeleton_plan((variant, mask))
@@ -124,7 +123,7 @@ def test_contradiction_pool_respects_the_count_window():
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_the_pool_table_is_the_pool_rule(scenario_id):
-    grammar = get_scenario(scenario_id).grammar
+    grammar = SCENARIOS[scenario_id].grammar
     logical = [name for name, slot in grammar.slots.items()
                if slot.aspect is not None]
     table = grammar.contradiction_pools
@@ -139,7 +138,7 @@ def test_the_pool_table_is_the_pool_rule(scenario_id):
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_every_rendered_logical_value_is_a_key_of_the_pool_table(scenario_id):
     # synthesize_negative looks each logical slot of a record up in the table
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     table = spec.grammar.contradiction_pools
     rng = np.random.default_rng(7)
     for seed in range(3):
@@ -154,7 +153,7 @@ def test_every_rendered_logical_value_is_a_key_of_the_pool_table(scenario_id):
 
 
 def test_validation_flags_skeleton_changes():
-    spec = get_scenario("sticks")
+    spec = SCENARIOS["sticks"]
     grammar = spec.grammar
     slots = grammar.view_slots(spec.normal(np.random.default_rng(0)))
     masks = list(clause_masks(grammar, 0))
@@ -167,7 +166,7 @@ def test_validation_flags_skeleton_changes():
 
 
 def test_validation_requires_an_actual_contradiction():
-    spec = get_scenario("sticks")
+    spec = SCENARIOS["sticks"]
     grammar = spec.grammar
     text = render(spec.normal(np.random.default_rng(0)),
                   CLEAN, np.random.default_rng(0), spec.grammar).text
@@ -179,7 +178,7 @@ def test_validation_requires_an_actual_contradiction():
 
 
 def test_validation_handles_unparseable_negatives():
-    spec = get_scenario("sticks")
+    spec = SCENARIOS["sticks"]
     grammar = spec.grammar
     text = render(spec.normal(np.random.default_rng(0)),
                   CLEAN, np.random.default_rng(0), spec.grammar).text

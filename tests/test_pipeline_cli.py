@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from logicad import cli, pipeline, trainer
 from logicad.encoder import UNKNOWN_ID, activation_table, encode_texts, tokenize
 from logicad.negatives import pair_edits
-from logicad.scenarios import SCENARIOS, get_scenario
+from logicad.scenarios import SCENARIOS
 from logicad.scenes import Condition, Label, SplitCounts, task_id_for
 from logicad.trainer import TrainConfig
 
@@ -67,7 +67,7 @@ PREFIX_CASES = [
 def test_train_only_generation_is_the_prefix_of_the_full_task(config, scenario,
                                                                condition):
     # SMALL's task is small; the other cases use the scenario's own counts
-    counts = SMALL_COUNTS if config is SMALL else get_scenario(scenario).counts
+    counts = SMALL_COUNTS if config is SMALL else SCENARIOS[scenario].counts
     full = pipeline.generate_task(config, scenario, condition, counts)
     train = pipeline.generate_task(config, scenario, condition,
                                    SplitCounts(counts.train_normal, 0, 0, 0, 0))
@@ -246,7 +246,7 @@ def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
     assert line("scenes", -1) == {
         "task_id": "tapes-mesh_bg", "scenario": "tapes",
         "condition": "mesh_bg", "split": "test", "label": "dual",
-        "scene": get_scenario("tapes").build(sample.view),
+        "scene": SCENARIOS["tapes"].build(sample.view),
     }
     assert line("descriptions", -1) == {
         "task_id": "tapes-mesh_bg", "sample_id": sample.sample_id,
@@ -258,13 +258,13 @@ def test_write_task_files_writes_one_whole_line_per_sample(tmp_path):
     assert line("pairs", 0) == {
         "task_id": "tapes-mesh_bg", "sample_id": first.sample_id,
         "pos_text": pos.text, "neg_text": neg.text,
-        "edits": pair_edits(pos, neg, get_scenario("tapes").grammar),
+        "edits": pair_edits(pos, neg, SCENARIOS["tapes"].grammar),
     }
 
 
 def _scene_lines(artifacts):
     """Each sample's own scene record, as the scene file writes it."""
-    spec = get_scenario(artifacts.scenario_id)
+    spec = SCENARIOS[artifacts.scenario_id]
     return [json.dumps({
         "task_id": artifacts.task_id, "scenario": artifacts.scenario_id,
         "condition": artifacts.condition.value, "split": s.split,
@@ -274,7 +274,7 @@ def _scene_lines(artifacts):
 
 
 def test_scene_file_writes_each_sample_its_own_line_when_views_repeat(tmp_path):
-    spec = get_scenario("sticks")
+    spec = SCENARIOS["sticks"]
     artifacts = pipeline.generate_task(pipeline.PipelineConfig(), "sticks",
                                        Condition.WHITE_BG, spec.counts)
     samples = artifacts.samples
@@ -313,7 +313,7 @@ def test_every_written_line_is_json_dumps_of_its_record(data):
     """Each line format writes json.dumps(record, sort_keys=True), for any
     strings and finite floats in the records."""
     base = _small_task(Condition.MESH_BG)
-    grammar = get_scenario("tapes").grammar
+    grammar = SCENARIOS["tapes"].grammar
 
     # a few drawn strings, taken in turn by every string field
     pool = itertools.cycle(data.draw(st.lists(AWKWARD_TEXT, min_size=1,
@@ -1042,6 +1042,18 @@ def test_cli_empty_task_selection_exits_2_before_any_work(tmp_path, argv,
     with pytest.raises(SystemExit) as exc:
         _run(["all", *argv, *extra, "--out-dir", str(out)])
     assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_config_refuses_unknown_scenario_before_any_work(tmp_path):
+    # a library caller's selection is checked as the CLI's is: at
+    # construction, so no task of the run starts
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="unknown scenario 'nope'"):
+        config = pipeline.PipelineConfig(scenario_ids=("tapes", "nope"),
+                                         conditions=(Condition.WHITE_BG,),
+                                         jobs=1)
+        list(pipeline.run_benchmark(config, out, "gen"))
     assert not out.exists()
 
 

@@ -22,7 +22,6 @@ from logicad.scenarios import (
     SCENARIOS,
     STICKS_LAYOUT,
     TOOLS_LAYOUT,
-    get_scenario,
 )
 from logicad.scenes import (
     Condition,
@@ -294,7 +293,7 @@ _ENUMERATIONS = {
 
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_classify_matches_enumeration_oracle(scenario_id):
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     checked = 0
     for view, scene, expected in _ENUMERATIONS[scenario_id]():
         assert spec.build(view) == scene, view
@@ -309,7 +308,7 @@ def test_classify_matches_enumeration_oracle(scenario_id):
 def test_sampled_normals_are_normal(scenario_id):
     """Each draw is a view of its own: breaking one in place changes neither
     the next draw nor the normal view that the rules compare with."""
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     rng = np.random.default_rng(7)
     for _ in range(50):
         view = spec.normal(rng)
@@ -321,7 +320,7 @@ def test_sampled_normals_are_normal(scenario_id):
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 @pytest.mark.parametrize("target", ANOMALY_LABELS)
 def test_sampled_anomalies_hit_their_target_exactly(scenario_id, target):
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     rng = np.random.default_rng(11)
     for _ in range(25):
         assert classify(sample_anomaly(spec, target, rng), spec) == target
@@ -337,7 +336,7 @@ def _changed(before: dict, after: dict) -> list[str]:
                           ("cookies", COOKIES_LAYOUT), ("balls", BALLS_LAYOUT)],
                          ids=["sticks", "tools", "cookies", "balls"])
 def test_grouped_mutators_edit_only_their_own_aspect(scenario_id, layout):
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     counts = {g[1] for g in layout.groups}
     canon = {g[2]: g[4] for g in layout.groups}
     rng = np.random.default_rng(13)
@@ -363,7 +362,7 @@ def test_grouped_mutators_edit_only_their_own_aspect(scenario_id, layout):
 
 
 def test_balls_placement_edit_moves_one_ball_within_its_row():
-    spec = get_scenario("balls")
+    spec = SCENARIOS["balls"]
     rng = np.random.default_rng(17)
     for _ in range(100):
         view = spec.normal(rng)
@@ -379,7 +378,7 @@ def test_balls_placement_edit_moves_one_ball_within_its_row():
 def test_one_edit_breaks_its_aspect_and_keeps_the_view(scenario_id, index):
     """One edit of a normal view breaks its own constraint and keeps the
     other, so a single-constraint anomaly takes exactly one edit."""
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     broken, kept = spec.constraints[index], spec.constraints[1 - index]
     rng = np.random.default_rng(19)
     for _ in range(100):
@@ -392,7 +391,7 @@ def test_one_edit_breaks_its_aspect_and_keeps_the_view(scenario_id, index):
 @pytest.mark.parametrize("scenario_id", sorted(SCENARIOS))
 def test_capture_condition_never_changes_the_label(scenario_id):
     """``build_task`` takes no condition, so a sample's label is its view's."""
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     for sample in build_task(spec, SplitCounts(2, 2, 2, 2, 2),
                              np.random.default_rng(3)):
         assert classify(sample.view, spec) == sample.label
@@ -401,7 +400,7 @@ def test_capture_condition_never_changes_the_label(scenario_id):
 @pytest.mark.parametrize("scenario_id", ["sticks", "fruits", "tools",
                                          "cookies", "balls"])
 def test_empty_scene_violates_both_aspects(scenario_id):
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     normal = spec.normal(np.random.default_rng(0))
     empty = {k: 0 if isinstance(v, int) else v for k, v in normal.items()}
     assert spec.build(empty) == {"objects": [], "context": {}}
@@ -412,7 +411,7 @@ def test_empty_scene_violates_both_aspects(scenario_id):
 def test_every_dishes_view_names_its_three_positions_in_order():
     """Dishes have no empty view: every view a task draws, and every view an
     edit leaves, holds one item at each of the three positions."""
-    spec = get_scenario("dishes")
+    spec = SCENARIOS["dishes"]
     positions = ["first", "second", "third"]
     edits = Draws(np.random.default_rng(23))
     for seed in range(3):
@@ -435,13 +434,13 @@ def test_the_readme_aspect_pairs_are_the_specs():
     pairs = {scenario.strip(): pair.strip() for scenario, pair in rows}
     assert sorted(pairs) == sorted(SCENARIOS)
     for scenario_id, pair in pairs.items():
-        spec = get_scenario(scenario_id)
+        spec = SCENARIOS[scenario_id]
         assert pair == " + ".join(c.aspect.value for c in spec.constraints), (
             scenario_id)
 
 
 def test_build_task_counts_and_ids():
-    spec = get_scenario("fruits")
+    spec = SCENARIOS["fruits"]
     counts = SplitCounts(5, 4, 3, 2, 1)
     samples = build_task(spec, counts, np.random.default_rng(42))
     assert [s.split for s in samples] == ["train"] * 5 + ["test"] * 10
@@ -460,7 +459,7 @@ def test_build_task_counts_and_ids():
 
 
 def test_build_task_is_seed_deterministic():
-    spec = get_scenario("balls")
+    spec = SCENARIOS["balls"]
     counts = SplitCounts(4, 4, 2, 2, 1)
     a = build_task(spec, counts, np.random.default_rng(9))
     b = build_task(spec, counts, np.random.default_rng(9))
@@ -474,7 +473,7 @@ def test_train_views_read_through_draws_lead_the_task(scenario_id):
     """A train-only call on the scenes stream, read through ``Draws`` as the
     pipeline reads it, gives the full task's train samples, and both give
     what the plain stream gives."""
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     counts = spec.counts
     train_only = SplitCounts(counts.train_normal, 0, 0, 0, 0)
 
@@ -515,7 +514,7 @@ def test_view_rebuilds_every_generated_scene(scenario_id, benchmark_runs):
     """Every seed-0 sample's scene line is its drawn view built, and its
     text's logical slots are that view in words, as its grammar in
     ``templates`` words it."""
-    spec = get_scenario(scenario_id)
+    spec = SCENARIOS[scenario_id]
     grammar = spec.grammar
     words = getattr(templates, f"{scenario_id.upper()}_GRAMMAR").logical_slots
     runs, _ = benchmark_runs

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicad import pipeline
-from logicad.scenarios import get_scenario
+from logicad.scenarios import SCENARIOS
 from logicad.scenes import Condition
 from logicad.seeding import Draws, derive_rngs, seed_words
 
@@ -71,7 +71,7 @@ def test_every_seed_0_stream_is_the_one_default_rng_makes(monkeypatch):
     config = pipeline.PipelineConfig(skip_training=True)
     for scenario_id, condition in config.tasks():
         artifacts = pipeline.generate_task(config, scenario_id, condition,
-                                           get_scenario(scenario_id).counts)
+                                           SCENARIOS[scenario_id].counts)
         pipeline.train_task(config, artifacts)
     for parts, name, state in made:
         assert state == _reference_rng(*parts, name).bit_generator.state, (
@@ -227,7 +227,7 @@ def test_the_pipeline_gives_what_plain_generators_give(monkeypatch):
     ``Draws`` is the one the same streams give as plain generators."""
     config = pipeline.PipelineConfig()
     for scenario_id, condition in config.tasks():
-        counts = get_scenario(scenario_id).counts
+        counts = SCENARIOS[scenario_id].counts
         with monkeypatch.context() as plain:
             plain.setattr(pipeline, "Draws",
                           lambda rng: _Twin(rng.bit_generator))
