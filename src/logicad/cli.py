@@ -1,6 +1,8 @@
 """Command line interface: gen / train / score / eval / report / all.
 
-``COMMANDS`` holds each command's help line and runner.  ``SETTINGS`` holds
+``COMMANDS`` holds each command's help line, and ``run_command`` runs every
+command: it prints each task's line and, for ``report`` and ``all``, writes
+and prints the aggregate report.  ``SETTINGS`` holds
 one row per config key: its value parser, the ``PipelineConfig`` or
 ``TrainConfig`` field it sets, and the commands that also take it as a
 ``--flag``.  The config file, the flags and ``resolve_config`` read it.
@@ -29,65 +31,14 @@ class CliError(Exception):
     """A bad command line or config file; ``main`` prints it and exits 2."""
 
 
-def _reports_from_files(config: pipeline.PipelineConfig,
-                        out_dir: Path) -> list[metrics.TaskReport]:
-    reports = []
-    for scenario_id, condition in config.tasks():
-        scores, labels = pipeline.read_score_file(out_dir, scenario_id,
-                                                  condition)
-        reports.append(metrics.make_task_report(scenario_id, condition,
-                                                scores, labels))
-    return reports
-
-
-def _write_report(out_dir: Path, reports: list[metrics.TaskReport], fmt: str
-                  ) -> tuple[metrics.AggregateReport, Path]:
-    """Aggregate, write the report file and print it."""
-    agg = metrics.aggregate(reports)
-    text = metrics.emit_report(agg, fmt)
-    path = pipeline.write_report(out_dir, text, fmt)
-    print(text, end="")
-    return agg, path
-
-
-def cmd_tasks(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
-    """gen, train, score and all: every task through pipeline.run_benchmark."""
-    reports = []
-    for line, report in pipeline.run_benchmark(config, out_dir, args.command):
-        print(line, flush=True)
-        reports.append(report)
-    if args.command == "all":
-        agg, _ = _write_report(out_dir, reports, args.format)
-        print(f"mean AUROC {agg.mean_of_means:.4f} +/- {agg.std_of_means:.4f}")
-    return 0
-
-
-def cmd_eval(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
-    for report in _reports_from_files(config, out_dir):
-        subsets = " ".join(
-            f"{label.value}={value:.4f}"
-            for label, value in sorted(report.subset_auroc.items(),
-                                       key=lambda kv: kv[0].value)
-        )
-        print(f"{report.task_id}: AUROC {report.auroc:.4f} ({subsets})")
-    return 0
-
-
-def cmd_report(config: pipeline.PipelineConfig, out_dir: Path, args) -> int:
-    _, path = _write_report(out_dir, _reports_from_files(config, out_dir),
-                            args.format)
-    print(f"wrote {path}")
-    return 0
-
-
-# command -> (help line, runner); the per-task ones are pipeline.STAGES
+# command -> help line
 COMMANDS = {
-    "gen": ("generate scenes, descriptions, pairs", cmd_tasks),
-    "train": ("fit per-task encoders, save checkpoints", cmd_tasks),
-    "score": ("score test splits with saved encoders", cmd_tasks),
-    "eval": ("per-task AUROC from score files", cmd_eval),
-    "report": ("aggregate report over all tasks", cmd_report),
-    "all": ("run the whole pipeline end to end", cmd_tasks),
+    "gen": "generate scenes, descriptions, pairs",
+    "train": "fit per-task encoders, save checkpoints",
+    "score": "score test splits with saved encoders",
+    "eval": "per-task AUROC from score files",
+    "report": "aggregate report over all tasks",
+    "all": "run the whole pipeline end to end",
 }
 
 _BOOLEANS = {"1": True, "true": True, "yes": True,
@@ -141,7 +92,7 @@ SETTINGS = {
         "conditions", _EVERY_COMMAND, "comma-separated capture conditions"),
     "out_dir": Setting(_parse_out_dir, None, _EVERY_COMMAND,
                        f"output directory (or ${OUT_DIR_ENV})"),
-    "jobs": Setting(int, "jobs", pipeline.STAGES,
+    "jobs": Setting(int, "jobs", ("gen", "train", "score", "all"),
                     "parallel task workers (0=auto)"),
     "k": Setting(int, "k", ("score", "all"),
                  f"neighbors (default {pipeline.PipelineConfig.k})"),
@@ -192,9 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Logical anomaly detection over rendered scene descriptions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_line, run) in COMMANDS.items():
+    for command, help_line in COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
-        p.set_defaults(run=run)
         p.add_argument("--config", help="flat key=value config file")
         for key, setting in SETTINGS.items():
             if command in setting.commands:
@@ -235,11 +185,33 @@ def resolve_config(args) -> tuple[pipeline.PipelineConfig, Path]:
     return config, Path(out_dir)
 
 
+def run_command(config: pipeline.PipelineConfig, out_dir: Path, args) -> None:
+    """Print each task's line in task order (``report`` prints none); for
+    ``report`` and ``all``, then write and print the aggregate report."""
+    if args.command in ("eval", "report"):
+        results = pipeline.read_reports(config, out_dir)
+    else:
+        results = pipeline.run_benchmark(config, out_dir, args.command)
+    reports = []
+    for line, report in results:
+        if args.command != "report":
+            print(line, flush=True)
+        reports.append(report)
+    if args.command in ("report", "all"):
+        agg = metrics.aggregate(reports)
+        text = metrics.emit_report(agg, args.format)
+        path = pipeline.write_report(out_dir, text, args.format)
+        print(text, end="")
+        print(f"wrote {path}" if args.command == "report" else
+              f"mean AUROC {agg.mean_of_means:.4f} +/- {agg.std_of_means:.4f}")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config, out_dir = resolve_config(args)
-        return args.run(config, out_dir, args)
+        run_command(config, out_dir, args)
+        return 0
     except (CliError, pipeline.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from None

@@ -4,7 +4,8 @@ Each (scenario, condition) task is independent; its random streams are
 named by the master seed, the task identity and the stage, so stages can
 be rerun in isolation and tasks can run in parallel workers.  Every
 per-task command goes through ``run_benchmark``, which runs ``run_task``
-once per task.
+once per task; beside it, ``read_reports`` reads the score files for
+``eval`` and ``report``.  Both give each task's line and report.
 
 Each stage regenerates what it reads instead of loading the files of an
 earlier stage.  ``gen``, ``score`` and ``all`` generate the whole task:
@@ -72,6 +73,16 @@ class PipelineConfig:
     jobs: int = 0  # 0 -> one per CPU this process may run on
 
     def __post_init__(self):
+        trainer.require_integers(self, "master_seed", "k", "dim", "jobs")
+        if not isinstance(self.skip_training, bool):
+            raise ValueError(f"skip_training must be a bool, got "
+                             f"{self.skip_training!r}")
+        for name, kind in (("scenario_ids", str), ("conditions", scenes.Condition)):
+            chosen = getattr(self, name)
+            if not (isinstance(chosen, tuple)
+                    and all(isinstance(x, kind) for x in chosen)):
+                raise ValueError(f"{name} must be a tuple of {kind.__name__}, "
+                                 f"got {chosen!r}")
         if not self.scenario_ids or not self.conditions:
             raise ValueError("select at least one scenario and one condition")
         for kind, chosen in (("scenario", self.scenario_ids),
@@ -85,6 +96,11 @@ class PipelineConfig:
                 raise ValueError(f"unknown scenario {scenario_id!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        library = min(scenarios.SCENARIOS[s].counts.train_normal
+                      for s in self.scenario_ids)
+        if self.k > library:
+            raise ValueError(f"k must be <= {library}, the smallest train split "
+                             f"of the selected scenarios, got {self.k}")
         if self.dim < 2:
             raise ValueError("embedding dimension must be >= 2")
         if self.jobs < 0:
@@ -187,9 +203,6 @@ class CheckpointError(ValueError):
     """A run-directory input is missing or belongs to another run (exit 2)."""
 
 
-STAGES = ("gen", "train", "score", "all")
-
-
 def run_task(config: PipelineConfig, out_dir: Path, stages: str,
              scenario_id: str, condition: scenes.Condition
              ) -> tuple[str, Optional[metrics.TaskReport]]:
@@ -247,11 +260,7 @@ def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
     """
     tasks = config.tasks()
     if stages == "score":
-        for scenario_id, condition in tasks:
-            task_id = scenes.task_id_for(scenario_id, condition)
-            if not _task_path(out_dir, task_id, "ckpt.npz").exists():
-                raise CheckpointError(
-                    f"no checkpoint for {task_id}; run `logicad train` first")
+        _require_files(config, out_dir, "ckpt.npz", "checkpoint", "train")
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = config.jobs if config.jobs > 0 else usable_cpus()
     run = functools.partial(run_task, config, out_dir, stages)
@@ -265,11 +274,39 @@ def run_benchmark(config: PipelineConfig, out_dir: Path, stages: str
         yield from pool.map(run, *zip(*tasks))
 
 
+def read_reports(config: PipelineConfig, out_dir: Path
+                 ) -> list[tuple[str, metrics.TaskReport]]:
+    """``eval``'s line and the report of every selected task, from its score
+    file.  A missing file of any task is refused before one is read, and
+    every file is read before this returns, so a refused one prints nothing."""
+    _require_files(config, out_dir, "scores.jsonl", "score file", "score")
+    results = []
+    for scenario_id, condition in config.tasks():
+        report = metrics.make_task_report(scenario_id, condition, *read_score_file(
+            out_dir, scenario_id, condition))
+        subsets = " ".join(f"{label.value}={value:.4f}" for label, value in sorted(
+            report.subset_auroc.items(), key=lambda kv: kv[0].value))
+        results.append((f"{report.task_id}: AUROC {report.auroc:.4f} ({subsets})",
+                        report))
+    return results
+
+
 # --- the run directory ----------------------------------------------------
 
 def _task_path(out_dir: Path, task_id: str, kind: str) -> Path:
     """The file of one kind (``scenes.jsonl``, ``ckpt.npz``, ...) of a task."""
     return out_dir / f"{task_id}.{kind}"
+
+
+def _require_files(config: PipelineConfig, out_dir: Path, kind: str, what: str,
+                   command: str) -> None:
+    """Refuse the first selected task without its ``kind`` file, naming the
+    ``command`` that writes it."""
+    for scenario_id, condition in config.tasks():
+        task_id = scenes.task_id_for(scenario_id, condition)
+        if not _task_path(out_dir, task_id, kind).exists():
+            raise CheckpointError(f"no {what} for {task_id}; run `logicad "
+                                  f"{command}` first")
 
 
 def _write_lines(out_dir: Path, task_id: str, kind: str, lines: list[str]) -> None:
@@ -352,15 +389,13 @@ def write_score_file(out_dir: Path, artifacts: TaskArtifacts, scores: np.ndarray
 
 def read_score_file(out_dir: Path, scenario_id: str, condition: scenes.Condition
                     ) -> tuple[list[float], list[scenes.Label]]:
-    """(scores, labels) of a task's score file: a damaged one, or one without
-    a line per test sample in the split's order, raises ValueError; another
-    task's CheckpointError.  The file is read once and parsed line by line,
-    so that the first line that fails is named."""
+    """(scores, labels) of a task's score file, which ``read_reports`` has
+    checked exists: a damaged one, or one without a line per test sample in
+    the split's order, raises ValueError; another task's CheckpointError.
+    The file is read once and parsed line by line, so that the first line
+    that fails is named."""
     task_id = scenes.task_id_for(scenario_id, condition)
     path = _task_path(out_dir, task_id, "scores.jsonl")
-    if not path.exists():
-        raise CheckpointError(f"no score file for {task_id}; run `logicad score` "
-                              "first")
     scores, labels, sample_ids = [], [], []
     for lineno, line in enumerate(io.BytesIO(path.read_bytes()), start=1):
         try:  # json.loads decodes the bytes, so bad UTF-8 names its line

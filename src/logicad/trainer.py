@@ -11,6 +11,7 @@ global gradient-norm clipping.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,14 @@ class TrainingError(RuntimeError):
     """A non-finite training step, or an encoder error while training a task."""
 
 
+def require_integers(config, *names: str) -> None:
+    """Refuse a config whose named field is not an integer (a bool is not)."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
@@ -47,6 +56,7 @@ class TrainConfig:
     clip_norm: float = 1.0
 
     def __post_init__(self):
+        require_integers(self, "epochs", "batch_size")
         for name in ("temperature", "learning_rate", "weight_decay", "clip_norm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name.replace('_', ' ')} must be finite")

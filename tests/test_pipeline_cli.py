@@ -1057,6 +1057,46 @@ def test_config_refuses_unknown_scenario_before_any_work(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("skip_training", "no"),  # truthy: it would run the frozen baseline
+    ("k", 2.5),
+    ("dim", 64.0),
+    ("jobs", True),
+    ("master_seed", "0"),
+    ("scenario_ids", "tapes"),
+    ("conditions", ("white_bg",)),
+    ("epochs", 2.5),
+    ("batch_size", "8"),
+])
+def test_config_refuses_a_malformed_field_before_any_work(tmp_path, field,
+                                                          value):
+    out = tmp_path / "out"
+    fields = {"scenario_ids": ("tapes",), "conditions": (Condition.WHITE_BG,),
+              "jobs": 1}
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        if field in ("epochs", "batch_size"):
+            fields["train"] = TrainConfig(**{field: value})
+        else:
+            fields[field] = value
+        config = pipeline.PipelineConfig(**fields)
+        list(pipeline.run_benchmark(config, out, "all"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "all"])
+def test_cli_k_above_the_smallest_library_exits_2_before_any_work(
+        tmp_path, capsys, command):
+    # every train split holds 50 normals: a larger k would score with 50
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        _run([command, *ARGS, "--k", "51", "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: bad setting: k must be <= 50, the smallest train split of the "
+        "selected scenarios, got 51\n")
+    assert not out.exists()
+
+
 # sha256 over every task's file of one kind, concatenated in task order, for
 # the gen files of all 50 tasks at master seed 0.  Scenes, descriptions and
 # negative pairs hold no floats, so any change to these bytes is a change to
@@ -1525,6 +1565,42 @@ def test_cli_reading_a_score_file_of_part_or_another_task_fails_in_one_line(
             exit_code = exc.code
         assert exit_code == code
         assert capsys.readouterr().err.splitlines() == [f"error: {where}"]
+    assert not list(tmp_path.glob("report.*"))
+
+
+def test_cli_a_refused_later_score_file_prints_no_task_line(tmp_path, capsys):
+    # every file is read before a line is printed or the report written
+    out = str(tmp_path)
+    assert _run(["all", *TWO_TASKS, "--baseline", "--jobs", "1",
+                 "--out-dir", out]) == 0
+    (tmp_path / "report.md").unlink()
+    path = tmp_path / "tapes-mesh_bg.scores.jsonl"
+    path.write_text(path.read_text()[:-100])  # cut into the last line
+    for command in ("eval", "report"):
+        capsys.readouterr()
+        assert _run([command, *TWO_TASKS, "--out-dir", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}:160: not a score record")
+    assert not list(tmp_path.glob("report.*"))
+
+
+def test_cli_a_missing_later_score_file_is_refused_before_any_is_read(
+        tmp_path, capsys):
+    out = str(tmp_path)
+    assert _run(["all", *TWO_TASKS, "--baseline", "--jobs", "1",
+                 "--out-dir", out]) == 0
+    (tmp_path / "report.md").unlink()
+    (tmp_path / "tapes-white_bg.scores.jsonl").write_text("damaged\n")
+    (tmp_path / "tapes-mesh_bg.scores.jsonl").unlink()
+    for command in ("eval", "report"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            _run([command, *TWO_TASKS, "--out-dir", out])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "", "error: no score file for tapes-mesh_bg; run `logicad score` "
+            "first\n")
     assert not list(tmp_path.glob("report.*"))
 
 
